@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -46,22 +47,43 @@ class _CliError(Exception):
 def _tolerance(args) -> Tolerance:
     if args.tolerance is None:
         return DEFAULT_TOLERANCE
-    if args.tolerance <= 0.0:
-        raise _CliError("--tolerance must be positive")
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0.0):
+        raise _CliError(f"--tolerance must be positive and finite, "
+                        f"got {args.tolerance}")
     return Tolerance(abs_eps=args.tolerance, rel_eps=args.tolerance)
 
 
-def _emit(args, text: str) -> None:
+def _open_output(path: str) -> TextIO:
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _emit(args, write: Callable[[TextIO], object]) -> None:
+    """Run ``write`` on the --out file, or on stdout unless --quiet, and
+    end the output with a newline."""
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        with _open_output(args.out) as fh:
+            write(fh)
+            fh.write("\n")
     elif not args.quiet:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        write(sys.stdout)
+        sys.stdout.write("\n")
+
+
+def _emit_json(args, payload) -> None:
+    """Write ``json.dumps(payload, indent=2) + "\\n"`` without building it.
+
+    ``json.dump`` streams the encoder's chunks into the file, so a large
+    report is never held as one string (nor as its list of chunks).
+    """
+    _emit(args, lambda fh: json.dump(payload, fh, indent=2))
 
 
 def _write_svg(args, svg: str) -> None:
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
+        with _open_output(args.svg) as fh:
             fh.write(svg)
 
 
@@ -106,7 +128,8 @@ def _construct_scene(args, tol: Tolerance) -> SceneDocument:
 def cmd_construct(args) -> int:
     tol = _tolerance(args)
     scene = _construct_scene(args, tol)
-    _emit(args, scene.to_json())
+    text = scene.to_json()
+    _emit(args, lambda fh: fh.write(text))
     _write_svg(args, scene_to_svg(scene))
     return EXIT_OK
 
@@ -207,11 +230,16 @@ def cmd_verify(args) -> int:
     tol = _tolerance(args)
     checks = _parse_checks(args.checks)
     triple = _parse_triple(args.triple)
+    # The noise is drawn from [-perturb, perturb], whose width must be finite.
+    if args.negative_control and not (args.perturb > 0.0
+                                      and math.isfinite(2.0 * args.perturb)):
+        raise _CliError(f"--perturb must be positive and finite, "
+                        f"got {args.perturb}")
     poly = _load_polygon(args)
     if args.negative_control:
         poly = _perturbed(poly, args.perturb, args.seed)
     report = _run_checks(poly, checks, triple, tol)
-    _emit(args, json.dumps(report.to_dict(), indent=2))
+    _emit_json(args, report.to_dict())
     return EXIT_OK if report.overall else EXIT_VERIFY
 
 
@@ -269,7 +297,7 @@ def cmd_approx(args) -> int:
                                    "objective_delta": delta_obj}
         if delta_obj <= 0.0:
             exit_code = EXIT_VERIFY
-    _emit(args, json.dumps(payload, indent=2))
+    _emit_json(args, payload)
     _write_svg(args, approx_figure(problem, result))
     return exit_code
 
@@ -277,8 +305,8 @@ def cmd_approx(args) -> int:
 # -------------------------------------------------------------------- limit
 
 def cmd_limit(args) -> int:
-    if args.window <= 0.0:
-        raise _CliError("--window must be positive")
+    if not (math.isfinite(args.window) and args.window > 0.0):
+        raise _CliError("--window must be positive and finite")
     if args.m_max < 0:
         raise _CliError("--m-max must be >= 0")
     rows = convergence_table(args.s, args.window, args.m_max)
@@ -295,7 +323,7 @@ def cmd_limit(args) -> int:
         payload["order_ok"] = order_ok
         if not order_ok:
             exit_code = EXIT_VERIFY
-    _emit(args, json.dumps(payload, indent=2))
+    _emit_json(args, payload)
     return exit_code
 
 

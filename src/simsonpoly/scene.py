@@ -14,6 +14,7 @@ a*x + b*y + c = 0 or as an equation string such as "y=2x-1", "x=3" or
 from __future__ import annotations
 
 import json
+import math
 import re
 from typing import Iterable, Optional
 
@@ -73,7 +74,10 @@ def parse_line_spec(text: str) -> Line:
     a, b, c = la - ra, lb - rb, lc - rc
     if a == 0.0 and b == 0.0:
         raise SceneFormatError(f"line spec {text!r} has no x or y term")
-    return Line(a, b, c)
+    try:
+        return Line(a, b, c)
+    except ValueError as exc:
+        raise SceneFormatError(f"line spec {text!r}: {exc}") from None
 
 
 def parse_point_spec(text: str) -> Point:
@@ -191,12 +195,21 @@ class SceneDocument:
         return scene
 
 
+def _is_finite_number(v) -> bool:
+    """A JSON number that is a finite double (NaN, Infinity, 1e400 are not)."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the double range
+        return False
+
+
 def _require_numbers(entity: dict, keys: Iterable[str]) -> None:
     for k in keys:
-        v = entity.get(k)
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
+        if not _is_finite_number(entity.get(k)):
             raise SceneFormatError(
-                f"entity {entity.get('id')!r} needs numeric field {k!r}")
+                f"entity {entity.get('id')!r} needs finite numeric field {k!r}")
 
 
 def _normalize_entity(entity: dict) -> dict:
@@ -225,10 +238,10 @@ def _normalize_entity(entity: dict) -> dict:
                 f"polygon {entity.get('id')!r} needs >= 3 vertices")
         for v in verts:
             if not (isinstance(v, list) and len(v) == 2
-                    and all(isinstance(t, (int, float))
-                            and not isinstance(t, bool) for t in v)):
+                    and all(_is_finite_number(t) for t in v)):
                 raise SceneFormatError(
-                    f"polygon {entity.get('id')!r} has a malformed vertex")
+                    f"polygon {entity.get('id')!r} has a malformed or "
+                    f"non-finite vertex")
     elif etype == "parabola":
         _require_numbers(entity, ("s", "c"))
         if entity["s"] == 0:

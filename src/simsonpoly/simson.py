@@ -30,10 +30,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .kernel import (
     DEFAULT_TOLERANCE,
     AtInfinity,
     Circle,
+    CoincidentPoints,
     CollinearInput,
     Finite,
     GeometryError,
@@ -110,15 +113,42 @@ class Polygon:
         return bbox_diagonal(self.vertices)
 
     def is_nondegenerate(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-        """No three vertices collinear."""
-        n = self.n
-        scale = self.diameter()
+        """No three vertices collinear.
+
+        Vertices i < j < k count as collinear when V_k lies within
+        ``tol.bound(diameter)`` of the line through V_i and V_j.  Pairs
+        (i, j) with j < n - 1 are visited in lexicographic order, and a
+        pair whose vertices coincide in the sense of ``line_through``
+        raises CoincidentPoints unless an earlier pair already found a
+        collinear triple.  Each anchor i is one numpy block over all
+        j < k, judged as ``|cross(V_j - V_i, V_k - V_i)| <= bound *
+        |V_j - V_i|`` so that no division is needed; memory stays O(n^2).
+        """
+        verts = np.array([(v.x, v.y) for v in self.vertices], dtype=float)
+        n = len(verts)
+        bound = tol.bound(self.diameter())
+        norms = np.hypot(verts[:, 0], verts[:, 1])
+        above = np.triu(np.ones((n - 1, n - 1), dtype=bool), 1)
         for i in range(n - 2):
-            for j in range(i + 1, n - 1):
-                line = line_through(self.vertices[i], self.vertices[j])
-                for k in range(j + 1, n):
-                    if line.distance(self.vertices[k]) <= tol.bound(scale):
-                        return False
+            d = verts[i + 1:] - verts[i]
+            lengths = np.hypot(d[:, 0], d[:, 1])
+            cross = np.multiply.outer(d[:, 0], d[:, 1])
+            cross -= np.multiply.outer(d[:, 1], d[:, 0])
+            m = len(d)
+            hit = np.abs(cross) <= (bound * lengths)[:, None]
+            hit &= above[:m, :m]
+            rows = hit.any(axis=1)
+            # No line is drawn through (i, n - 1), so only j < n - 1 can
+            # raise.
+            coincide = lengths[:-1] <= DEFAULT_TOLERANCE.bound(
+                np.maximum(norms[i], norms[i + 1:-1]))
+            rows[:-1] |= coincide
+            if rows.any():
+                first = int(np.argmax(rows))
+                if first < m - 1 and coincide[first]:
+                    raise CoincidentPoints(
+                        f"line_through: points coincide at {self.vertices[i]}")
+                return False
         return True
 
 

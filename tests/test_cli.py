@@ -1,13 +1,16 @@
 import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
 from geomgen import regular_polygon
-from simsonpoly.cli import main
+from simsonpoly import EquidistantConfig, Point, Polygon, make_equidistant
+from simsonpoly.cli import _perturbed, main
 from simsonpoly.scene import SceneDocument
+from simsonpoly.simson import find_simson_point
 
 OCT_ARGS = ["construct", "--equidistant", "--s", "1", "--delta", "1", "--n", "8"]
 
@@ -124,6 +127,13 @@ def test_bad_tolerance_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["0", "nan", "inf", "-inf"])
+def test_nonpositive_or_nonfinite_tolerance_exits_2(capsys, value):
+    code, _, err = run_cli(capsys, *OCT_ARGS, f"--tolerance={value}")
+    assert code == 2
+    assert err.startswith("error: --tolerance")
+
+
 def test_quiet_suppresses_stdout(capsys):
     code, out, _ = run_cli(capsys, *OCT_ARGS, "--quiet")
     assert code == 0
@@ -189,6 +199,50 @@ def test_verify_negative_control_is_seeded(capsys, tmp_path):
     _, second, _ = run_cli(capsys, "verify", "--in", str(path),
                            "--negative-control", "--seed", "5")
     assert first == second
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-3", "1e308"])
+def test_verify_negative_control_bad_perturb_exits_2(capsys, tmp_path, value):
+    path = octagon_scene(tmp_path)
+    code, out, err = run_cli(capsys, "verify", "--in", str(path),
+                             "--negative-control", f"--perturb={value}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --perturb")
+
+
+def test_verify_nonfinite_vertex_exits_2(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"schema_version": "1", "entities": [{"type": "polygon",'
+                    ' "id": "p", "vertices": [[0, 0], [1, 0], [NaN, 1]]}]}')
+    code, _, err = run_cli(capsys, "verify", "--in", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+# (s, x0, delta, n), rotation, translation and --seed of negative controls
+# whose diameter reaches 1e4..1e5.  The tolerance there grows to ~1e-4, the
+# order of the 1e-3 jitter, so a search that fits the focus by least squares
+# can absorb the jitter; the circle search must keep rejecting them.
+LARGE_CONTROLS = [
+    ((0.514357032366184, 1.3158146182234223, 1.2612101222584773, 128),
+     1.3254208359861885, (1.4000208037694826, 9.641796730157996), 1853074593),
+    ((-0.5965057881910614, 2.033721426431552, 1.024881244804467, 256),
+     1.9684365076466745, (1.4894768672687686, 7.545466415819714), 139508890),
+]
+
+
+@pytest.mark.parametrize("params, theta, shift, seed", LARGE_CONTROLS)
+def test_large_negative_controls_stay_rejected(params, theta, shift, seed):
+    s, x0, delta, n = params
+    base = make_equidistant(EquidistantConfig(s=s, x0=x0, delta=delta, n=n))
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    moved = Polygon(tuple(
+        Point(cos_t * v.x - sin_t * v.y + shift[0],
+              sin_t * v.x + cos_t * v.y + shift[1])
+        for v in base.polygon().vertices))
+    assert find_simson_point(moved) is not None
+    assert find_simson_point(_perturbed(moved, 1e-3, seed)) is None
 
 
 def test_verify_lambert_custom_triple(capsys, tmp_path):
@@ -373,6 +427,63 @@ def test_limit_nontiling_window_exits_3(capsys):
 def test_limit_bad_window_exits_2(capsys):
     code, _, _ = run_cli(capsys, "limit", "--s", "1", "--window", "-2")
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_limit_nonfinite_window_exits_2(capsys, value):
+    code, _, err = run_cli(capsys, "limit", "--s", "1", "--window", value)
+    assert code == 2
+    assert err.startswith("error: --window")
+
+
+# ------------------------------------------------------------ JSON emission
+
+EMIT_CASES = [
+    ["verify", "--in", "{uneven}"],
+    ["approx", "--s", "1.5", "--a", "-1", "--b", "3", "--n", "5",
+     "--compare-quadrature"],
+    ["limit", "--s", "1", "--m-max", "2"],
+]
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+@pytest.mark.parametrize("argv", EMIT_CASES, ids=lambda a: a[0])
+def test_json_output_is_dumps_with_newline(capsys, tmp_path, argv, to_file):
+    """Reports are byte for byte json.dumps(payload, indent=2) + newline.
+
+    Re-encoding the parsed output reproduces exactly those bytes, since
+    every float (Infinity included) round-trips and key order is kept.
+    """
+    argv = [a.format(uneven=uneven_scene(tmp_path)) for a in argv]
+    out_path = tmp_path / "out.json"
+    extra = ["--out", str(out_path)] if to_file else []
+    code, out, _ = run_cli(capsys, *argv, *extra)
+    assert code in (0, 4)
+    if to_file:
+        assert out == ""
+        out = out_path.read_text(encoding="utf-8")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    OCT_ARGS,
+    ["verify", "--in", "{octagon}"],
+    ["approx", "--s", "1", "--a", "0", "--b", "4", "--n", "4"],
+    ["limit", "--s", "1", "--m-max", "1"],
+], ids=lambda a: a[0])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_exits_2(capsys, tmp_path, argv, target):
+    argv = [a.format(octagon=octagon_scene(tmp_path)) for a in argv]
+    bad = tmp_path / "no" / "such.json" if target == "missing-dir" else tmp_path
+    code, _, err = run_cli(capsys, *argv, "--out", str(bad))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {bad}")
+
+
+def test_unwritable_svg_exits_2(capsys, tmp_path):
+    code, _, err = run_cli(capsys, *OCT_ARGS, "--quiet", "--svg", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: cannot write")
 
 
 # ----------------------------------------------------------------- plumbing

@@ -38,6 +38,7 @@ def test_parse_line_forms(spec, want):
 
 @pytest.mark.parametrize("spec", [
     "y", "y=0=0", "0=0", "3=5", "y=zebra", "", "y==1", "x+=1",
+    "y=1e400x", "x=1e400",
 ])
 def test_parse_line_rejects_garbage(spec):
     with pytest.raises(SceneFormatError):
@@ -177,10 +178,29 @@ def _load_one(entity: dict) -> SceneDocument:
     {"type": "polygon", "id": "g", "vertices": [[0, 0], [1, 0], [1, "b"]]},
     {"type": "parabola", "id": "c", "s": 0, "c": 0},
     {"type": "annotation", "id": "t", "x": 0, "y": 0},
+    {"type": "point", "id": "p", "x": math.nan, "y": 0},
+    {"type": "point", "id": "p", "x": 0, "y": -math.inf},
+    {"type": "line", "id": "l", "a": 1, "b": 0, "c": math.inf},
+    {"type": "line", "id": "l", "eq": "y=1e400x"},
+    {"type": "circle", "id": "k", "cx": 0, "cy": 0, "r": math.nan},
+    {"type": "circle", "id": "k", "cx": math.inf, "cy": 0, "r": 1},
+    {"type": "polygon", "id": "g", "vertices": [[0, 0], [1, 0], [math.nan, 1]]},
+    {"type": "polygon", "id": "g", "vertices": [[0, 0], [math.inf, 0], [1, 1]]},
+    {"type": "polygon", "id": "g", "vertices": [[0, 0], [1, 0], [10**400, 1]]},
+    {"type": "parabola", "id": "c", "s": 1, "c": math.nan},
+    {"type": "annotation", "id": "t", "x": math.inf, "y": 0, "text": "x"},
 ])
 def test_malformed_entities(entity):
     with pytest.raises(SceneFormatError):
         _load_one(entity)
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_nonfinite_json_numbers_rejected(number):
+    text = ('{"schema_version": "1", "entities": [{"type": "polygon", '
+            f'"id": "g", "vertices": [[0, 0], [1, 0], [{number}, 1]]}}]}}')
+    with pytest.raises(SceneFormatError):
+        SceneDocument.from_json(text)
 
 
 def test_integer_coordinates_accepted():

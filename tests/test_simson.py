@@ -5,8 +5,8 @@ import pytest
 
 from geomgen import random_convex_polygon, random_quadrilateral, \
     random_triangle, regular_polygon, xy
-from simsonpoly.kernel import DEFAULT_TOLERANCE, Circle, Line, Point, \
-    bbox_diagonal, line_through, point_on_circle
+from simsonpoly.kernel import DEFAULT_TOLERANCE, Circle, CoincidentPoints, \
+    Line, Point, bbox_diagonal, line_through, point_on_circle
 from simsonpoly.simson import (
     CompleteQuadrilateral,
     DegenerateConfiguration,
@@ -49,6 +49,83 @@ def test_nondegenerate_flag():
     assert RIGHT_TRIANGLE.is_nondegenerate()
     flat = Polygon((Point(0, 0), Point(1, 0), Point(2, 0), Point(0, 1)))
     assert not flat.is_nondegenerate()
+
+
+def _nondegenerate_by_triples(poly, tol=DEFAULT_TOLERANCE):
+    """Reference for Polygon.is_nondegenerate: one scalar test per triple."""
+    n = poly.n
+    scale = poly.diameter()
+    for i in range(n - 2):
+        for j in range(i + 1, n - 1):
+            line = line_through(poly.vertices[i], poly.vertices[j])
+            for k in range(j + 1, n):
+                if line.distance(poly.vertices[k]) <= tol.bound(scale):
+                    return False
+    return True
+
+
+def _nondegenerate_outcome(check, poly):
+    try:
+        return check(poly)
+    except CoincidentPoints:
+        return "coincident"
+
+
+def _planted_polygon(rng, case):
+    """Random n-gon (n 3..13, scale 1e-2..1e4) with one planted feature.
+
+    free:  independent vertices.
+    near:  V_c at 0.5..2 times the collinearity bound from line(V_a, V_b),
+           for three distinct indices in any order.
+    same:  a copy of V_a at a non-consecutive index.
+    close: V_a moved by 5 collinearity bounds to a non-consecutive index,
+           far enough from the origin that line_through calls the pair
+           coincident.  The offset is kept small enough that the
+           reference's cancellation error stays below 1e-3 bounds.
+    """
+    while True:
+        n = int(rng.integers(4 if case in ("same", "close") else 3, 14))
+        scale = 10.0 ** rng.uniform(-2.0, 4.0)
+        verts = rng.uniform(-scale, scale, (n, 2))
+        bound = DEFAULT_TOLERANCE.bound(2.0 * math.sqrt(2.0) * scale)
+        unit = rng.normal(size=2)
+        unit /= np.hypot(*unit)
+        if case == "near":
+            a, b, c = rng.choice(n, 3, replace=False)
+            verts[c] = verts[a] + rng.uniform(-1.5, 2.5) * (verts[b] - verts[a])
+            normal = np.array([verts[a][1] - verts[b][1],
+                               verts[b][0] - verts[a][0]])
+            normal /= np.hypot(*normal)
+            factor = rng.choice([0.5, 0.8, 1.25, 2.0])
+        elif case in ("same", "close"):
+            a, c = rng.choice(n, 2, replace=False)
+            if (a - c) % n in (1, n - 1):
+                continue
+            verts[c] = verts[a] + (5.0 * bound * unit if case == "close" else 0)
+        offset = (1e10 * bound * unit if case == "close"
+                  else rng.uniform(-10.0, 10.0, 2) * scale)
+        verts += offset
+        if case == "near":
+            # Place V_c against the bound of the polygon as finally built.
+            diam = bbox_diagonal([Point(*v) for v in verts])
+            verts[c] += factor * DEFAULT_TOLERANCE.bound(diam) * normal
+        try:
+            return Polygon(tuple(Point(*v) for v in verts))
+        except DegenerateSide:
+            continue
+
+
+def test_nondegenerate_matches_triple_loop():
+    rng = np.random.default_rng(20120103)
+    seen = {True: 0, False: 0, "coincident": 0}
+    for case in ("free", "near", "same", "close"):
+        for _ in range(300):
+            poly = _planted_polygon(rng, case)
+            want = _nondegenerate_outcome(_nondegenerate_by_triples, poly)
+            got = _nondegenerate_outcome(Polygon.is_nondegenerate, poly)
+            assert got == want, (case, poly)
+            seen[want] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 # --------------------------------------------------------------- pedal points
