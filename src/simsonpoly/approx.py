@@ -96,12 +96,17 @@ def segment_l2_error(p: ApproxProblem, xi: float, xj: float) -> float:
     return h ** 5 / (480.0 * p.s * p.s)
 
 
-def _check_knots(p: ApproxProblem, interior: Sequence[float]) -> list[float]:
-    knots = [p.a, *interior, p.b]
-    for u, v in zip(knots, knots[1:]):
+def _validated(knots: Sequence[float]) -> list[float]:
+    """The knots as a list; raises UnorderedKnots unless there are at
+    least two and they strictly increase."""
+    ks = list(knots)
+    if len(ks) < 2:
+        raise UnorderedKnots("need at least two knots")
+    for u, v in zip(ks, ks[1:]):
         if not u < v:
             raise UnorderedKnots(f"knots not strictly increasing at {u}, {v}")
-    return knots
+    return ks
+
 
 def total_error_objective(p: ApproxProblem, interior: Sequence[float]) -> float:
     """Sum of cubed segment widths for the full knot vector [a, *interior, b].
@@ -112,7 +117,7 @@ def total_error_objective(p: ApproxProblem, interior: Sequence[float]) -> float:
     if len(interior) != p.n - 1:
         raise InvalidProblem(
             f"expected {p.n - 1} interior knots, got {len(interior)}")
-    knots = _check_knots(p, interior)
+    knots = _validated([p.a, *interior, p.b])
     return sum((v - u) ** 3 for u, v in zip(knots, knots[1:]))
 
 
@@ -133,10 +138,7 @@ def optimal_knots(p: ApproxProblem) -> ApproxResult:
 
 def interpolant_at(p: ApproxProblem, knots: Sequence[float], x: float) -> float:
     """Piecewise linear interpolant of f at the given knots, evaluated at x."""
-    ks = list(knots)
-    for u, v in zip(ks, ks[1:]):
-        if not u < v:
-            raise UnorderedKnots(f"knots not strictly increasing at {u}, {v}")
+    ks = _validated(knots)
     slack = 1e-12 * (ks[-1] - ks[0])
     if x < ks[0] - slack or x > ks[-1] + slack:
         raise OutOfDomain(f"{x} outside [{ks[0]}, {ks[-1]}]")
@@ -186,13 +188,3 @@ def quadrature_l2(p: ApproxProblem, knots: Sequence[float]) -> float:
     ks = _validated(knots)
     return sum(_segment_quadrature(p, u, v, squared=True)
                for u, v in zip(ks, ks[1:]))
-
-
-def _validated(knots: Sequence[float]) -> list[float]:
-    ks = list(knots)
-    if len(ks) < 2:
-        raise UnorderedKnots("need at least two knots")
-    for u, v in zip(ks, ks[1:]):
-        if not u < v:
-            raise UnorderedKnots(f"knots not strictly increasing at {u}, {v}")
-    return ks

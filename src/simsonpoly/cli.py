@@ -44,12 +44,17 @@ class _CliError(Exception):
     """Usage-level problem detected after argparse."""
 
 
+def _require_finite(flag: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise _CliError(f"{flag} must be finite, got {value}")
+    return value
+
+
 def _tolerance(args) -> Tolerance:
     if args.tolerance is None:
         return DEFAULT_TOLERANCE
-    if not (math.isfinite(args.tolerance) and args.tolerance > 0.0):
-        raise _CliError(f"--tolerance must be positive and finite, "
-                        f"got {args.tolerance}")
+    if args.tolerance <= 0.0:
+        raise _CliError(f"--tolerance must be positive, got {args.tolerance}")
     return Tolerance(abs_eps=args.tolerance, rel_eps=args.tolerance)
 
 
@@ -185,9 +190,10 @@ def _perturbed(poly: Polygon, eps: float, seed: int) -> Polygon:
 def _run_checks(poly: Polygon, checks: list[str], triple: tuple[int, int, int],
                 tol: Tolerance) -> VerificationReport:
     report = VerificationReport()
-    report.tolerances = {"abs_eps": tol.abs_eps, "rel_eps": tol.rel_eps}
     cert = find_simson_point(poly, tol)
     if cert is None:
+        # No frame, so no scale: the report names only the raw tolerance.
+        report.tolerances.update(abs_eps=tol.abs_eps, rel_eps=tol.rel_eps)
         defect = characterization_defect(poly, tol)
         if "simson" in checks:
             report.add(CheckResult(
@@ -201,10 +207,14 @@ def _run_checks(poly: Polygon, checks: list[str], triple: tuple[int, int, int],
     if "simson" in checks:
         report.add(CheckResult("simson", (), cert.residual, True))
     frame = frame_from_certificate(poly, cert)
+    report.set_limits(frame.scale(), tol)
     if "isogonal" in checks:
         report.extend(verify_isogonal(frame, tol))
     if "lambert" in checks:
-        report.extend(verify_lambert(frame, *triple, tol=tol))
+        lambert = verify_lambert(frame, *triple, tol=tol)
+        report.extend(lambert)
+        report.tolerances["lambert_limit"] = \
+            lambert.tolerances["lambert_limit"]
     wanted = [c for c in checks if c in _EQUIDISTANT_CHECKS]
     if wanted:
         try:
@@ -230,11 +240,10 @@ def cmd_verify(args) -> int:
     tol = _tolerance(args)
     checks = _parse_checks(args.checks)
     triple = _parse_triple(args.triple)
+    if args.negative_control and args.perturb <= 0.0:
+        raise _CliError(f"--perturb must be positive, got {args.perturb}")
     # The noise is drawn from [-perturb, perturb], whose width must be finite.
-    if args.negative_control and not (args.perturb > 0.0
-                                      and math.isfinite(2.0 * args.perturb)):
-        raise _CliError(f"--perturb must be positive and finite, "
-                        f"got {args.perturb}")
+    _require_finite("--perturb width", 2.0 * args.perturb)
     poly = _load_polygon(args)
     if args.negative_control:
         poly = _perturbed(poly, args.perturb, args.seed)
@@ -250,9 +259,10 @@ def _parse_perturb_knot(spec: str) -> tuple[int, float]:
     if len(parts) != 2:
         raise _CliError("--perturb-knot expects INDEX,EPS")
     try:
-        return int(parts[0]), float(parts[1])
+        idx, eps = int(parts[0]), float(parts[1])
     except ValueError:
         raise _CliError(f"bad --perturb-knot value {spec!r}")
+    return idx, _require_finite("--perturb-knot", eps)
 
 
 def cmd_approx(args) -> int:
@@ -305,8 +315,8 @@ def cmd_approx(args) -> int:
 # -------------------------------------------------------------------- limit
 
 def cmd_limit(args) -> int:
-    if not (math.isfinite(args.window) and args.window > 0.0):
-        raise _CliError("--window must be positive and finite")
+    if args.window <= 0.0:
+        raise _CliError("--window must be positive")
     if args.m_max < 0:
         raise _CliError("--m-max must be >= 0")
     rows = convergence_table(args.s, args.window, args.m_max)
@@ -430,14 +440,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        # Every float flag, named by its argparse dest, must be finite.
+        for dest, value in vars(args).items():
+            if isinstance(value, float):
+                _require_finite("--" + dest.replace("_", "-"), value)
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SceneFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except IndexOutOfRange as exc:
+    except (_CliError, SceneFormatError, IndexOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GeometryError as exc:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from statistics import fmean
 
 from .kernel import (
@@ -233,12 +234,6 @@ def w_point(cfg: EquidistantConfig, i: int, j: int) -> Point:
     return Point(2.0 * cfg.x0 + (i + j) * cfg.delta, u * v / cfg.s)
 
 
-def _limits(poly: SimsonPolygonFrame, tol: Tolerance) -> tuple[float, float, float]:
-    """(scale, length limit, angle limit) for a polygon's checks."""
-    scale = poly.scale()
-    return scale, tol.bound(scale), tol.bound(max(1.0, scale))
-
-
 def _line_coord(line: Line, p: Point) -> float:
     """Coordinate of p along the direction of line (pins 'same vertical')."""
     d = line.direction()
@@ -260,10 +255,7 @@ def verify_parallel_chords(poly: EquidistantPolygon,
       family has one.
     """
     report = VerificationReport()
-    scale, limit, angle_limit = _limits(poly, tol)
-    report.tolerances = {"abs_eps": tol.abs_eps, "rel_eps": tol.rel_eps,
-                         "scale": scale, "length_limit": limit,
-                         "angle_limit": angle_limit}
+    limit, angle_limit = report.set_limits(poly.scale(), tol)
     chain = poly.chain
     m = len(chain)
     L = poly.simson_line
@@ -277,24 +269,22 @@ def verify_parallel_chords(poly: EquidistantPolygon,
         dirs = [chain[j - 1] - chain[i - 1] for i, j in chords]
         if len(chords) >= 2:
             residual = max(angle_between_lines(dirs[0], d) for d in dirs[1:])
-            report.add(CheckResult("parallel-chords", (sigma,), residual,
-                                   residual <= angle_limit))
+            report.judge("parallel-chords", (sigma,), residual, angle_limit)
         for (i, j), d in zip(chords, dirs):
             if (j - i) % 2 == 0:
                 mid = (i + j) // 2
                 x_mid = chain[mid - 1].x
                 tangent_dir = Point(2.0 * parab.s, x_mid)
                 residual = angle_between_lines(d, tangent_dir)
-                report.add(CheckResult("chord-tangent", (i, j, mid), residual,
-                                       residual <= angle_limit))
+                report.judge("chord-tangent", (i, j, mid), residual,
+                             angle_limit)
         coords = [_line_coord(L, chain[i - 1].midpoint(chain[j - 1]))
                   for i, j in chords]
         if sigma % 2 == 0 and 1 <= sigma // 2 <= m:
             coords.append(_line_coord(L, chain[sigma // 2 - 1]))
         if len(coords) >= 2:
             residual = max(coords) - min(coords)
-            report.add(CheckResult("midpoints-aligned", (sigma,), residual,
-                                   residual <= limit))
+            report.judge("midpoints-aligned", (sigma,), residual, limit)
     return report
 
 
@@ -307,9 +297,7 @@ def verify_isogonal(poly: SimsonPolygonFrame,
     Simson line (V' = V_i) and zero-length rays are skipped with a note.
     """
     report = VerificationReport()
-    scale, limit, angle_limit = _limits(poly, tol)
-    report.tolerances = {"abs_eps": tol.abs_eps, "rel_eps": tol.rel_eps,
-                         "scale": scale, "angle_limit": angle_limit}
+    limit, angle_limit = report.set_limits(poly.scale(), tol)
     n = poly.n
     S = poly.simson_point
     L = poly.simson_line
@@ -330,8 +318,7 @@ def verify_isogonal(poly: SimsonPolygonFrame,
         a1 = angle_between_rays(rays[0], rays[1])
         a2 = angle_between_rays(rays[2], rays[3])
         residual = abs(a1 - a2)
-        report.add(CheckResult("isogonal", label, residual,
-                               residual <= angle_limit))
+        report.judge("isogonal", label, residual, angle_limit)
     return report
 
 
@@ -344,9 +331,7 @@ def verify_optical(poly: SimsonPolygonFrame,
     property of C', which carries the midpoints.
     """
     report = VerificationReport()
-    scale, limit, _ = _limits(poly, tol)
-    report.tolerances = {"abs_eps": tol.abs_eps, "rel_eps": tol.rel_eps,
-                         "scale": scale, "length_limit": limit}
+    limit, _ = report.set_limits(poly.scale(), tol)
     S = poly.simson_point
     for i in range(1, poly.n - 1):
         v1 = poly.vertices[i - 1]
@@ -356,7 +341,7 @@ def verify_optical(poly: SimsonPolygonFrame,
         incoming = poly.simson_line.perpendicular_at(mid)
         reflected = reflect_line(incoming, side)
         residual = reflected.distance(S)
-        report.add(CheckResult("optical", (i,), residual, residual <= limit))
+        report.judge("optical", (i,), residual, limit)
     return report
 
 
@@ -373,18 +358,15 @@ def verify_archimedes(poly: SimsonPolygonFrame,
     report = VerificationReport()
     if poly.n < 5:
         raise InvalidConfig("verify_archimedes needs n >= 5")
-    scale, limit, _ = _limits(poly, tol)
-    report.tolerances = {"abs_eps": tol.abs_eps, "rel_eps": tol.rel_eps,
-                         "scale": scale, "length_limit": limit}
+    limit, _ = report.set_limits(poly.scale(), tol)
     L = poly.simson_line
     verts = poly.vertices
     n = poly.n
-
-    def side(i: int) -> Line:
-        return line_through(verts[i - 1], verts[i])
+    # sides[i - 1] is the line V_i V_{i+1}, built once for all pairs.
+    sides = [line_through(verts[i - 1], verts[i]) for i in range(1, n - 1)]
 
     def meet_coord(i: int, j: int) -> float:
-        cross = line_intersection(side(i), side(j), tol)
+        cross = line_intersection(sides[i - 1], sides[j - 1], tol)
         if isinstance(cross, AtInfinity):
             raise ParallelSides(f"side lines {i} and {j} are parallel")
         return _line_coord(L, cross.point)
@@ -400,8 +382,7 @@ def verify_archimedes(poly: SimsonPolygonFrame,
             w_families.setdefault(i + j, []).append(w)
             coords = [w, mid_coord(i, j + 1), mid_coord(i + 1, j)]
             residual = max(coords) - min(coords)
-            report.add(CheckResult("archimedes", (i, j), residual,
-                                   residual <= limit))
+            report.judge("archimedes", (i, j), residual, limit)
     for c in range(1, n):
         for d in range(c, n):
             m_families.setdefault(c + d, []).append(
@@ -410,8 +391,7 @@ def verify_archimedes(poly: SimsonPolygonFrame,
         coords = ws + m_families.get(sigma + 1, [])
         if len(coords) >= 2:
             residual = max(coords) - min(coords)
-            report.add(CheckResult("archimedes-family", (sigma,), residual,
-                                   residual <= limit))
+            report.judge("archimedes-family", (sigma,), residual, limit)
     return report
 
 
@@ -428,25 +408,22 @@ def verify_lambert(poly: SimsonPolygonFrame, i: int, j: int, k: int,
     idx = (i, j, k)
     if len(set(idx)) != 3 or not all(1 <= t <= n for t in idx):
         raise IndexOutOfRange(f"need three distinct sides in 1..{n}, got {idx}")
-    scale, limit, _ = _limits(poly, tol)
-    sides = []
-    for t in idx:
-        sides.append(line_through(poly.vertices[t - 1],
-                                  poly.vertices[t % n]))
+    sides = {t: line_through(poly.vertices[t - 1], poly.vertices[t % n])
+             for t in idx}
     corners = []
-    for (t1, l1), (t2, l2) in [((idx[0], sides[0]), (idx[1], sides[1])),
-                               ((idx[0], sides[0]), (idx[2], sides[2])),
-                               ((idx[1], sides[1]), (idx[2], sides[2]))]:
-        cross = line_intersection(l1, l2, tol)
+    for t1, t2 in combinations(idx, 2):
+        cross = line_intersection(sides[t1], sides[t2], tol)
         if isinstance(cross, AtInfinity):
             raise ParallelSides(f"side lines {t1} and {t2} are parallel")
         corners.append(cross.point)
     circle = circumcircle(*corners, tol=tol)
     residual = abs(poly.simson_point.distance(circle.center) - circle.radius)
-    limit = tol.bound(max(circle.radius, scale))
-    report.tolerances = {"abs_eps": tol.abs_eps, "rel_eps": tol.rel_eps,
-                         "scale": scale, "length_limit": limit}
-    report.add(CheckResult("lambert", idx, residual, residual <= limit))
+    scale = poly.scale()
+    report.set_limits(scale, tol)
+    # The circle may be far larger than the polygon.
+    limit = report.tolerances["lambert_limit"] = tol.bound(
+        max(circle.radius, scale))
+    report.judge("lambert", idx, residual, limit)
     return report
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .kernel import Tolerance
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -47,10 +49,25 @@ class VerificationReport:
     def add(self, check: CheckResult) -> None:
         self.checks.append(check)
 
+    def set_limits(self, scale: float, tol: Tolerance) -> tuple[float, float]:
+        """Record the thresholds at a polygon's scale and return them as
+        (length limit, angle limit); angles are judged at max(1, scale)."""
+        length_limit = tol.bound(scale)
+        angle_limit = tol.bound(max(1.0, scale))
+        self.tolerances.update(abs_eps=tol.abs_eps, rel_eps=tol.rel_eps,
+                               scale=scale, length_limit=length_limit,
+                               angle_limit=angle_limit)
+        return length_limit, angle_limit
+
+    def judge(self, name: str, indices: tuple[int, ...], residual: float,
+              limit: float, note: str = "") -> None:
+        """Add the check ``name``, passed when ``residual <= limit``."""
+        self.checks.append(CheckResult(name, indices, residual,
+                                       residual <= limit, note))
+
     def extend(self, other: "VerificationReport") -> None:
+        """Append the checks of other; its tolerances are not merged."""
         self.checks.extend(other.checks)
-        for k, v in other.tolerances.items():
-            self.tolerances.setdefault(k, v)
 
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -53,6 +54,7 @@ from .kernel import (
     line_circle_intersection,
     line_intersection,
     line_through,
+    lines_equal,
 )
 
 
@@ -380,11 +382,22 @@ def element_distance(p: Point, elem: CharacterizationElement) -> float:
 def _elements_identical(e1: CharacterizationElement,
                         e2: CharacterizationElement,
                         tol: Tolerance) -> bool:
+    """The coincidence tests of circle_intersection and line_intersection,
+    so that intersecting two elements that differ here cannot raise."""
     if isinstance(e1, Circle) and isinstance(e2, Circle):
-        scale = e1.radius + e2.radius + e1.center.distance(e2.center)
-        return (e1.center.distance(e2.center) <= tol.bound(scale)
-                and abs(e1.radius - e2.radius) <= tol.bound(scale))
+        d = e1.center.distance(e2.center)
+        eps = tol.bound(d + e1.radius + e2.radius)
+        return d <= eps and abs(e1.radius - e2.radius) <= eps
+    if isinstance(e1, Line) and isinstance(e2, Line):
+        return lines_equal(e1, e2, tol)
     return False
+
+
+def _first_distinct_pair(elements: Sequence[CharacterizationElement],
+                         tol: Tolerance) -> Optional[tuple]:
+    """The first pair (i < j, lexicographic) of elements that differ."""
+    return next((pair for pair in combinations(elements, 2)
+                 if not _elements_identical(*pair, tol)), None)
 
 
 def _intersect_elements(e1: CharacterizationElement,
@@ -407,20 +420,14 @@ def characterization_candidates(elements: Sequence[CharacterizationElement],
                                 ) -> list[Point]:
     """Candidate Simson points from the first pair of distinct elements.
 
-    Coincident circle pairs carry no information and are skipped.  When
-    every element is the same circle (a triangle reduces to this) the
-    whole circle qualifies and the topmost point is returned as the
+    Coincident pairs carry no information and are skipped.  When every
+    element is the same circle (a triangle reduces to this) the whole
+    circle qualifies and the topmost point is returned as the
     deterministic representative.
     """
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            e1, e2 = elements[i], elements[j]
-            if _elements_identical(e1, e2, tol):
-                continue
-            try:
-                return _intersect_elements(e1, e2, tol)
-            except (IdenticalCircles, IdenticalLines):
-                continue
+    pair = _first_distinct_pair(elements, tol)
+    if pair is not None:
+        return _intersect_elements(*pair, tol)
     if elements and isinstance(elements[0], Circle):
         c = elements[0]
         return [Point(c.center.x, c.center.y + c.radius)]
@@ -469,21 +476,19 @@ def characterization_defect(poly: Polygon,
     if candidates:
         return min(max(element_distance(c, e) for e in elements)
                    for c in candidates)
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            e1, e2 = elements[i], elements[j]
-            if _elements_identical(e1, e2, tol):
-                continue
-            if isinstance(e1, Circle) and isinstance(e2, Circle):
-                d = e1.center.distance(e2.center)
-                return max(d - e1.radius - e2.radius,
-                           abs(e1.radius - e2.radius) - d, 0.0)
-            if isinstance(e1, Circle) or isinstance(e2, Circle):
-                circ, line = (e1, e2) if isinstance(e1, Circle) else (e2, e1)
-                return max(line.distance(circ.center) - circ.radius, 0.0)
-            return abs(e1.c - e2.c) if e1.a * e2.a + e1.b * e2.b >= 0.0 \
-                else abs(e1.c + e2.c)
-    return 0.0
+    pair = _first_distinct_pair(elements, tol)
+    if pair is None:
+        return 0.0
+    e1, e2 = pair
+    if isinstance(e1, Circle) and isinstance(e2, Circle):
+        d = e1.center.distance(e2.center)
+        return max(d - e1.radius - e2.radius,
+                   abs(e1.radius - e2.radius) - d, 0.0)
+    if isinstance(e1, Circle) or isinstance(e2, Circle):
+        circ, line = (e1, e2) if isinstance(e1, Circle) else (e2, e1)
+        return max(line.distance(circ.center) - circ.radius, 0.0)
+    return abs(e1.c - e2.c) if e1.a * e2.a + e1.b * e2.b >= 0.0 \
+        else abs(e1.c + e2.c)
 
 
 def construct_simson_polygon(s: Point, l: Line, feet: Sequence[Point],

@@ -266,3 +266,9 @@ def test_knot_points_lie_on_equidistant_chain():
         for (x, y), v in zip(res.knot_points, chain):
             assert x == pytest.approx(v.x, abs=1e-12)
             assert y == pytest.approx(v.y, abs=1e-12)
+
+
+@pytest.mark.parametrize("knots", [[], [0.5]])
+def test_interpolant_needs_two_knots(knots):
+    with pytest.raises(UnorderedKnots, match="need at least two knots"):
+        interpolant_at(P_UNIT, knots, 0.5)

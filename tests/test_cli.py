@@ -9,6 +9,8 @@ import pytest
 from geomgen import regular_polygon
 from simsonpoly import EquidistantConfig, Point, Polygon, make_equidistant
 from simsonpoly.cli import _perturbed, main
+from simsonpoly.kernel import DEFAULT_TOLERANCE, circumcircle, \
+    line_intersection, line_through
 from simsonpoly.scene import SceneDocument
 from simsonpoly.simson import find_simson_point
 
@@ -254,6 +256,33 @@ def test_verify_lambert_custom_triple(capsys, tmp_path):
     assert [c["indices"] for c in report["checks"]] == [[2, 5, 8]]
 
 
+def test_verify_tolerances_name_the_limits_checks_faced(capsys, tmp_path):
+    # A flat polygon (s = 0.01) whose lambert circle is ~900 times larger
+    # than the polygon: lambert's own limit must not stand in for the
+    # length limit that optical and archimedes were judged at.
+    path = tmp_path / "flat.json"
+    assert main(["construct", "--equidistant", "--s", "0.01", "--x0", "-20",
+                 "--delta", "1", "--n", "5", "--out", str(path)]) == 0
+    code, out, _ = run_cli(capsys, "verify", "--in", str(path),
+                           "--triple", "1,2,5")
+    assert code == 0
+    tolerances = json.loads(out)["tolerances"]
+    tol = DEFAULT_TOLERANCE
+    scale = tolerances["scale"]
+    assert tolerances["length_limit"] == tol.bound(scale)
+    assert tolerances["angle_limit"] == tol.bound(max(1.0, scale))
+    poly = make_equidistant(EquidistantConfig(s=0.01, x0=-20.0, delta=1.0,
+                                              n=5))
+    v = poly.vertices
+    sides = [line_through(v[t - 1], v[t % 5]) for t in (1, 2, 5)]
+    corners = [line_intersection(sides[a], sides[b]).point
+               for a, b in ((0, 1), (0, 2), (1, 2))]
+    radius = circumcircle(*corners).radius
+    assert radius > 100.0 * scale
+    assert tolerances["lambert_limit"] == pytest.approx(
+        tol.bound(max(radius, scale)), rel=1e-9)
+
+
 def test_verify_malformed_triple_exits_2(capsys, tmp_path):
     path = octagon_scene(tmp_path)
     for spec in ("1,2", "1,2,x"):
@@ -490,6 +519,27 @@ def test_unwritable_svg_exits_2(capsys, tmp_path):
 
 def test_no_command_exits_2(capsys):
     assert run_cli(capsys)[0] == 2
+
+
+EQUI_5 = ["construct", "--equidistant", "--s", "1", "--delta", "1", "--n", "5"]
+APPROX = ["approx", "--s", "1", "--a", "0", "--b", "1", "--n", "2"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (APPROX + ["--s", "nan"], "--s"),
+    (APPROX + ["--a", "nan"], "--a"),
+    (APPROX + ["--perturb-knot", "1,nan"], "--perturb-knot"),
+    (EQUI_5 + ["--s", "nan"], "--s"),
+    (EQUI_5 + ["--delta", "inf"], "--delta"),
+    (EQUI_5 + ["--x0", "inf"], "--x0"),
+    (["limit", "--s", "nan"], "--s"),
+])
+def test_nonfinite_flag_exits_2(capsys, argv, flag):
+    # A repeated flag overrides the earlier value.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} must be finite")
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -27,7 +27,9 @@ from simsonpoly.equidistant import (
     verify_parallel_chords,
     w_point,
 )
-from simsonpoly.kernel import Line, Point, circumcircle, line_through
+from simsonpoly.kernel import DEFAULT_TOLERANCE, Line, Point, circumcircle, \
+    line_through
+from simsonpoly.report import VerificationReport
 from simsonpoly.simson import construct_simson_polygon, find_simson_point, \
     is_simson_point
 
@@ -362,6 +364,45 @@ def test_lambert_fails_off_simson_point():
                                simson_line=OCT.simson_line,
                                config=OCT.config)
     assert not verify_lambert(moved, 1, 2, 3).overall
+
+
+def test_lambert_limit_has_its_own_key():
+    # Sides 1, 2, 3 of the octagon meet on a circle of radius 5, smaller
+    # than the polygon, so lambert is judged at the polygon scale.
+    report = verify_lambert(OCT, 1, 2, 3)
+    tol = report.tolerances
+    assert tol["length_limit"] == DEFAULT_TOLERANCE.bound(OCT.scale())
+    assert tol["lambert_limit"] == DEFAULT_TOLERANCE.bound(
+        max(5.0, OCT.scale()))
+    flat = make_equidistant(EquidistantConfig(s=0.01, x0=-20, delta=1, n=5))
+    tol = verify_lambert(flat, 1, 2, 5).tolerances
+    assert tol["lambert_limit"] > 100.0 * tol["length_limit"]
+    assert tol["length_limit"] == DEFAULT_TOLERANCE.bound(flat.scale())
+
+
+def test_every_verifier_reports_the_same_limits():
+    keys = ("abs_eps", "rel_eps", "scale", "length_limit", "angle_limit")
+    reports = [verify_parallel_chords(OCT), verify_isogonal(OCT),
+               verify_optical(OCT), verify_archimedes(OCT),
+               verify_lambert(OCT, 1, 2, 3)]
+    for report in reports:
+        assert {k: report.tolerances[k] for k in keys} == \
+            {k: reports[0].tolerances[k] for k in keys}
+
+
+def test_extend_does_not_merge_tolerances():
+    report = VerificationReport()
+    report.extend(verify_lambert(OCT, 1, 2, 3))
+    assert report.tolerances == {}
+    assert [c.name for c in report.checks] == ["lambert"]
+
+
+def test_judge_passes_at_the_limit():
+    report = VerificationReport()
+    report.judge("x", (1,), 1e-9, 1e-9)
+    report.judge("y", (2,), 2e-9, 1e-9, note="n")
+    assert [c.passed for c in report.checks] == [True, False]
+    assert report.checks[1].note == "n"
 
 
 def test_lambert_rejects_bad_indices():
