@@ -22,7 +22,7 @@ from .equidistant import EquidistantConfig, IndexOutOfRange, InvalidConfig, \
     make_equidistant, midpoint_parabola, verify_archimedes, verify_isogonal, \
     verify_lambert, verify_optical, verify_parallel_chords
 from .kernel import DEFAULT_TOLERANCE, GeometryError, Point, Tolerance
-from .limits import convergence_table, observed_orders
+from .limits import TooManySegments, convergence_table, observed_orders
 from .report import CheckResult, VerificationReport
 from .scene import SceneDocument, SceneFormatError, parse_feet_spec, \
     parse_line_spec, parse_point_spec
@@ -445,7 +445,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if isinstance(value, float):
                 _require_finite("--" + dest.replace("_", "-"), value)
         return args.func(args)
-    except (_CliError, SceneFormatError, IndexOutOfRange) as exc:
+    except (_CliError, SceneFormatError, IndexOutOfRange,
+            TooManySegments) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GeometryError as exc:

@@ -21,6 +21,17 @@ import numpy as np
 from .equidistant import EquidistantConfig, Parabola, make_equidistant
 from .kernel import GeometryError, Point
 
+MAX_SEGMENTS = 2 ** 14
+"""Most segments the finest chain of a convergence table may have; the
+chain over [-w, w] at spacing 2^-m_max has 2 w 2^m_max of them."""
+
+# Parabola samples per block of the parabola-to-chain distances.
+_BLOCK_ROWS = 64
+
+
+class TooManySegments(ValueError):
+    """The finest chain of a convergence table exceeds MAX_SEGMENTS."""
+
 
 @dataclass(frozen=True)
 class ConvergenceRow:
@@ -56,47 +67,50 @@ def chain_for_window(s: float, half_width: float, delta: float) -> list[Point]:
 
 
 def point_to_parabola_distance(p: Point, par: Parabola) -> float:
-    """Exact Euclidean distance from a point to the parabola.
+    """Exact Euclidean distance from a point to the parabola."""
+    return float(_parabola_distances(np.array([p.x]), np.array([p.y]), par)[0])
+
+
+def _parabola_distances(px: np.ndarray, py: np.ndarray,
+                        par: Parabola) -> np.ndarray:
+    """Exact distances from the points (px, py) to the parabola.
 
     The stationarity condition is the depressed cubic
-    x^3 + (8 s^2 - c - 4 s py) x - 8 s^2 px = 0; the minimum is over its
-    real roots.
+    x^3 + (8 s^2 - c - 4 s py) x - 8 s^2 px = 0.  All cubics are solved in
+    one eigenvalue pass over their companion matrices (the matrix np.roots
+    builds); each distance is the minimum over the real roots.
     """
     s, c = par.s, par.c
-    beta = 8.0 * s * s - c - 4.0 * s * p.y
-    gamma = -8.0 * s * s * p.x
-    roots = np.roots([1.0, 0.0, beta, gamma])
-    best = math.inf
-    for r in roots:
-        if abs(r.imag) > 1e-8 * (1.0 + abs(r.real)):
-            continue
-        x = float(r.real)
-        best = min(best, p.distance(par.point_at(x)))
-    return best
-
-
-def _chain_samples(chain: list[Point], per_segment: int) -> list[Point]:
-    out = [chain[0]]
-    for a, b in zip(chain, chain[1:]):
-        for k in range(1, per_segment + 1):
-            t = k / per_segment
-            out.append(Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
-    return out
+    beta = 8.0 * s * s - c - 4.0 * s * py
+    gamma = -8.0 * s * s * px
+    companion = np.zeros((len(px), 3, 3))
+    companion[:, 0, 1] = -beta
+    companion[:, 0, 2] = -gamma
+    companion[:, 1, 0] = 1.0
+    companion[:, 2, 1] = 1.0
+    roots = np.linalg.eigvals(companion)
+    x = roots.real
+    real = np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(x))
+    dist = np.hypot(px[:, None] - x, py[:, None] - (x * x - c) / (4.0 * s))
+    return np.where(real, dist, np.inf).min(axis=1)
 
 
 def _points_to_polyline(px: np.ndarray, py: np.ndarray,
-                        chain: list[Point]) -> np.ndarray:
-    v = np.array([[p.x, p.y] for p in chain])
+                        v: np.ndarray) -> np.ndarray:
+    """Distances from the points (px, py) to the polyline through the rows
+    of v, _BLOCK_ROWS points at a time so memory stays linear in len(v)."""
     p0 = v[:-1]
     d = v[1:] - v[:-1]
     len2 = (d * d).sum(axis=1)
-    qx = px[:, None] - p0[None, :, 0]
-    qy = py[:, None] - p0[None, :, 1]
-    t = (qx * d[None, :, 0] + qy * d[None, :, 1]) / len2[None, :]
-    t = np.clip(t, 0.0, 1.0)
-    rx = qx - t * d[None, :, 0]
-    ry = qy - t * d[None, :, 1]
-    return np.sqrt(rx * rx + ry * ry).min(axis=1)
+    out = np.empty(len(px))
+    for i in range(0, len(px), _BLOCK_ROWS):
+        qx = px[i:i + _BLOCK_ROWS, None] - p0[:, 0]
+        qy = py[i:i + _BLOCK_ROWS, None] - p0[:, 1]
+        t = np.clip((qx * d[:, 0] + qy * d[:, 1]) / len2, 0.0, 1.0)
+        rx = qx - t * d[:, 0]
+        ry = qy - t * d[:, 1]
+        out[i:i + _BLOCK_ROWS] = np.sqrt(rx * rx + ry * ry).min(axis=1)
+    return out
 
 
 def hausdorff_chain_parabola(chain: list[Point], par: Parabola,
@@ -105,20 +119,40 @@ def hausdorff_chain_parabola(chain: list[Point], par: Parabola,
     """Hausdorff distance between the chain and the parabola arc over
     [-w, w], by dense sampling with exact point-to-curve distances in the
     chain-to-parabola direction."""
-    d1 = max(point_to_parabola_distance(q, par)
-             for q in _chain_samples(chain, per_segment))
+    v = np.array([[p.x, p.y] for p in chain])
+    t = np.arange(1, per_segment + 1)[:, None] / per_segment
+    along = v[:-1, None] + t * (v[1:] - v[:-1])[:, None]
+    samples = np.concatenate([v[:1], along.reshape(-1, 2)])
+    d1 = float(_parabola_distances(samples[:, 0], samples[:, 1], par).max())
     xs = np.linspace(-half_width, half_width, parabola_samples)
     ys = (xs * xs - par.c) / (4.0 * par.s)
-    d2 = float(_points_to_polyline(xs, ys, chain).max())
+    d2 = float(_points_to_polyline(xs, ys, v).max())
     return max(d1, d2)
 
 
 def convergence_table(s: float, half_width: float,
                       m_max: int) -> list[ConvergenceRow]:
-    """Hausdorff distances for delta = 1, 1/2, ..., 2^-m_max."""
+    """Hausdorff distances for delta = 1, 1/2, ..., 2^-m_max.
+
+    Before any array is built, raises GeometryError when the study's
+    numbers would overflow and TooManySegments when its finest chain
+    would have more than MAX_SEGMENTS segments.
+    """
     if m_max < 0:
         raise GeometryError("m_max must be >= 0")
     target = Parabola(s, 0.0)
+    # Largest coordinate (w, w^2/(4|s|)) or cubic coefficient
+    # (8 s^2 + w^2, 8 s^2 w) of the study; the distances square differences
+    # of such numbers, so 16 times its square must stay finite.
+    big = max(half_width, half_width * half_width / (4.0 * abs(s)),
+              8.0 * s * s + half_width * half_width, 8.0 * s * s * half_width)
+    if not math.isfinite(16.0 * big * big):
+        raise GeometryError(
+            f"s = {s} with window {half_width} leaves the float range")
+    if half_width > math.ldexp(MAX_SEGMENTS, -m_max - 1):
+        raise TooManySegments(
+            f"window {half_width} at m_max {m_max} needs more than "
+            f"{MAX_SEGMENTS} chain segments")
     rows = []
     for m in range(m_max + 1):
         delta = 2.0 ** (-m)

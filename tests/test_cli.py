@@ -465,6 +465,32 @@ def test_limit_nonfinite_window_exits_2(capsys, value):
     assert err.startswith("error: --window")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--s", "1e-310", "--m-max", "1"],
+    ["--s", "1e300", "--m-max", "1"],
+    ["--s", "1", "--window", "1e300", "--m-max", "0"],
+])
+def test_limit_overflowing_study_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, "limit", *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "leaves the float range" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--window", "1e5", "--m-max", "0"],
+    ["--window", "4", "--m-max", "12"],
+    ["--window", "2", "--m-max", str(10 ** 30)],
+])
+def test_limit_too_many_segments_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "limit", "--s", "1", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "chain segments" in err
+
+
 # ------------------------------------------------------------ JSON emission
 
 EMIT_CASES = [

@@ -4,16 +4,65 @@ import numpy as np
 import pytest
 
 from geomgen import xy
+from simsonpoly import limits
 from simsonpoly.equidistant import Parabola
 from simsonpoly.kernel import GeometryError, Point
 from simsonpoly.limits import (
+    MAX_SEGMENTS,
     ConvergenceRow,
+    TooManySegments,
+    _parabola_distances,
+    _points_to_polyline,
     chain_for_window,
     convergence_table,
     hausdorff_chain_parabola,
     observed_orders,
     point_to_parabola_distance,
 )
+
+
+# Reference: one np.roots call per point and one 2001 x n_seg broadcast,
+# the per-sample form the batched passes replace.
+
+def roots_distance(p, par):
+    s, c = par.s, par.c
+    roots = np.roots([1.0, 0.0, 8.0 * s * s - c - 4.0 * s * p.y,
+                      -8.0 * s * s * p.x])
+    best = math.inf
+    for r in roots:
+        if abs(r.imag) <= 1e-8 * (1.0 + abs(r.real)):
+            best = min(best, p.distance(par.point_at(float(r.real))))
+    return best
+
+
+def broadcast_polyline(px, py, chain):
+    v = np.array([[p.x, p.y] for p in chain])
+    p0, d = v[:-1], v[1:] - v[:-1]
+    len2 = (d * d).sum(axis=1)
+    qx = px[:, None] - p0[None, :, 0]
+    qy = py[:, None] - p0[None, :, 1]
+    t = np.clip((qx * d[None, :, 0] + qy * d[None, :, 1]) / len2[None, :],
+                0.0, 1.0)
+    rx = qx - t * d[None, :, 0]
+    ry = qy - t * d[None, :, 1]
+    return np.sqrt(rx * rx + ry * ry).min(axis=1)
+
+
+def reference_table(s, w, m_max, per_segment=8):
+    par = Parabola(s, 0.0)
+    out = []
+    for m in range(m_max + 1):
+        chain = chain_for_window(s, w, 2.0 ** -m)
+        samples = [chain[0]] + [
+            Point(a.x + k / per_segment * (b.x - a.x),
+                  a.y + k / per_segment * (b.y - a.y))
+            for a, b in zip(chain, chain[1:])
+            for k in range(1, per_segment + 1)]
+        d1 = max(roots_distance(q, par) for q in samples)
+        xs = np.linspace(-w, w, 2001)
+        d2 = float(broadcast_polyline(xs, xs * xs / (4.0 * s), chain).max())
+        out.append(max(d1, d2))
+    return out
 
 
 def test_chain_for_window_unit_spacing():
@@ -101,3 +150,91 @@ def test_table_rejects_negative_depth():
 def test_rows_are_value_objects():
     row = ConvergenceRow(delta=0.5, hausdorff=0.015625, bound=0.015625)
     assert row.ratio == pytest.approx(1.0)
+
+
+def _evolute_points(par, ts):
+    # x^3 + beta x + gamma has the double root t when beta = -3 t^2 and
+    # gamma = 2 t^3; solve the cubic's coefficients for the point.
+    s, c = par.s, par.c
+    return [Point(-t ** 3 / (4.0 * s * s),
+                  (8.0 * s * s - c + 3.0 * t * t) / (4.0 * s)) for t in ts]
+
+
+@pytest.mark.parametrize("s, c", [(1.0, 0.0), (-1.0, 0.0), (0.35, 0.8),
+                                  (-2.6, -1.7)])
+def test_batched_distance_matches_roots_loop(s, c):
+    rng = np.random.default_rng(17)
+    par = Parabola(s, c)
+    pts = [Point(*xy) for xy in rng.uniform(-5, 5, (400, 2))]
+    pts += [Point(0.0, y) for y in rng.uniform(-5, 5, 40)]  # gamma = 0
+    pts += [Point(0.0, 0.0), Point(-0.0, 1.0)]
+    pts += _evolute_points(par, np.concatenate([[0.0, 1.0, -1.0],
+                                                rng.uniform(-3, 3, 40)]))
+    xs = rng.uniform(-5, 5, 40)
+    pts += [par.point_at(x) for x in xs]  # on the curve
+    px = np.array([p.x for p in pts])
+    py = np.array([p.y for p in pts])
+    batched = _parabola_distances(px, py, par)
+    for p, got in zip(pts, batched):
+        assert got == pytest.approx(roots_distance(p, par), rel=1e-12,
+                                    abs=1e-12)
+        assert point_to_parabola_distance(p, par) == got
+
+
+@pytest.mark.parametrize("s", [0.7, -0.7, 2.9])
+@pytest.mark.parametrize("w", [2.0, 3.0, 4.0])
+def test_convergence_table_matches_reference(s, w):
+    rows = convergence_table(s, w, 5)
+    ref = reference_table(s, w, 5)
+    assert [r.hausdorff for r in rows] == pytest.approx(ref, rel=1e-12)
+
+
+def test_blocked_polyline_is_bitwise_broadcast():
+    chain = chain_for_window(-1.9, 3.0, 0.125)
+    xs = np.linspace(-3.0, 3.0, 2001)
+    ys = xs * xs / (4.0 * -1.9)
+    v = np.array([[p.x, p.y] for p in chain])
+    assert np.array_equal(_points_to_polyline(xs, ys, v),
+                          broadcast_polyline(xs, ys, chain))
+
+
+def test_hausdorff_never_calls_per_point_distance(monkeypatch):
+    calls = []
+    original = limits.point_to_parabola_distance
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(limits, "point_to_parabola_distance", counted)
+    chain = chain_for_window(1.0, 2.0, 0.25)
+    hausdorff_chain_parabola(chain, Parabola(1.0, 0.0), 2.0)
+    convergence_table(1.0, 2.0, 2)
+    assert calls == []
+
+
+@pytest.mark.parametrize("s, w", [(1e-310, 4.0), (1e300, 4.0),
+                                  (1.0, 1e300), (-1e-160, 4.0)])
+def test_overflowing_study_is_refused(s, w):
+    with pytest.raises(GeometryError, match="float range"):
+        convergence_table(s, w, 1)
+
+
+@pytest.mark.parametrize("w, m_max", [(1e5, 0), (4.0, 12), (2.0, 10 ** 30)])
+def test_oversized_chain_is_refused(w, m_max):
+    with pytest.raises(TooManySegments):
+        convergence_table(1.0, w, m_max)
+
+
+def test_segment_cap_admits_the_studied_range(monkeypatch):
+    # The benchmarked grid (windows 2-4, m_max 6-7), window 4 at m_max 8
+    # and the cap itself (2 * 4 * 2^11 segments) pass both guards and
+    # reach the first chain, which is stubbed out so nothing is built.
+    def stop(*args):
+        raise LookupError
+
+    monkeypatch.setattr(limits, "chain_for_window", stop)
+    for w, m_max in [(2.0, 7), (3.0, 7), (4.0, 7), (4.0, 8), (4.0, 11)]:
+        with pytest.raises(LookupError):
+            convergence_table(1.3, w, m_max)
+    assert 2 * 4 * 2 ** 11 == MAX_SEGMENTS
