@@ -35,6 +35,10 @@ class IdenticalCircles(GeometryError):
     """Two circles expected to be distinct coincide under the tolerance."""
 
 
+class NonFinite(GeometryError):
+    """A coordinate, coefficient or radius left the float range."""
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Absolute/relative tolerance pair shared by all predicates.
@@ -67,7 +71,7 @@ class Point:
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite point ({self.x}, {self.y})")
+            raise NonFinite(f"non-finite point ({self.x}, {self.y})")
 
     def __add__(self, other: "Point") -> "Point":
         return Point(self.x + other.x, self.y + other.y)
@@ -112,8 +116,10 @@ class Line:
 
     def __post_init__(self):
         n = math.hypot(self.a, self.b)
-        if n == 0.0 or not math.isfinite(n) or not math.isfinite(self.c):
-            raise ValueError("line requires finite coefficients with (a, b) != (0, 0)")
+        if not (math.isfinite(n) and math.isfinite(self.c)):
+            raise NonFinite(f"non-finite line ({self.a}, {self.b}, {self.c})")
+        if n == 0.0:
+            raise ValueError("line requires (a, b) != (0, 0)")
         a, b, c = self.a / n, self.b / n, self.c / n
         if a < 0.0 or (a == 0.0 and b < 0.0):
             a, b, c = -a, -b, -c
@@ -154,7 +160,9 @@ class Circle:
     radius: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
+        if not math.isfinite(self.radius):
+            raise NonFinite(f"non-finite circle radius {self.radius}")
+        if not self.radius > 0.0:
             raise ValueError(f"circle radius must be positive, got {self.radius}")
 
 

@@ -135,8 +135,10 @@ def convergence_table(s: float, half_width: float,
     """Hausdorff distances for delta = 1, 1/2, ..., 2^-m_max.
 
     Before any array is built, raises GeometryError when the study's
-    numbers would overflow and TooManySegments when its finest chain
-    would have more than MAX_SEGMENTS segments.
+    numbers would overflow or its finest bound 4^-m_max/(16|s|) falls
+    below 1e-12 max(w, w^2/(4|s|)), near the rounding of its coordinates,
+    and TooManySegments when its finest chain would have more than
+    MAX_SEGMENTS segments.
     """
     if m_max < 0:
         raise GeometryError("m_max must be >= 0")
@@ -144,8 +146,9 @@ def convergence_table(s: float, half_width: float,
     # Largest coordinate (w, w^2/(4|s|)) or cubic coefficient
     # (8 s^2 + w^2, 8 s^2 w) of the study; the distances square differences
     # of such numbers, so 16 times its square must stay finite.
-    big = max(half_width, half_width * half_width / (4.0 * abs(s)),
-              8.0 * s * s + half_width * half_width, 8.0 * s * s * half_width)
+    coord = half_width * half_width / (4.0 * abs(s))
+    big = max(half_width, coord, 8.0 * s * s + half_width * half_width,
+              8.0 * s * s * half_width)
     if not math.isfinite(16.0 * big * big):
         raise GeometryError(
             f"s = {s} with window {half_width} leaves the float range")
@@ -153,6 +156,11 @@ def convergence_table(s: float, half_width: float,
         raise TooManySegments(
             f"window {half_width} at m_max {m_max} needs more than "
             f"{MAX_SEGMENTS} chain segments")
+    finest = 4.0 ** -m_max / (16.0 * abs(s))
+    if finest < 1e-12 * max(half_width, coord):
+        raise GeometryError(
+            f"s = {s} with window {half_width} at m_max {m_max}: the bound "
+            f"{finest:.3g} is below the float precision of the study")
     rows = []
     for m in range(m_max + 1):
         delta = 2.0 ** (-m)

@@ -37,7 +37,6 @@ from .kernel import (
     DEFAULT_TOLERANCE,
     AtInfinity,
     Circle,
-    CoincidentPoints,
     CollinearInput,
     Finite,
     GeometryError,
@@ -53,8 +52,6 @@ from .kernel import (
     foot_of_perpendicular,
     line_circle_intersection,
     line_intersection,
-    line_through,
-    lines_equal,
 )
 
 
@@ -105,8 +102,10 @@ class Polygon:
         return self.vertices[i % self.n]
 
     def side_line(self, i: int) -> Line:
-        """Line carrying the side from vertex i to vertex i+1 (0-based)."""
-        return line_through(self.vertex(i), self.vertex(i + 1))
+        """Line carrying the side from vertex i to vertex i+1 (0-based);
+        the constructor proved the two distinct at the polygon's scale."""
+        p, q = self.vertex(i), self.vertex(i + 1)
+        return Line(p.y - q.y, q.x - p.x, p.x * q.y - q.x * p.y)
 
     def side_lines(self) -> list[Line]:
         return [self.side_line(i) for i in range(self.n)]
@@ -117,19 +116,15 @@ class Polygon:
     def is_nondegenerate(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
         """No three vertices collinear.
 
-        Vertices i < j < k count as collinear when V_k lies within
-        ``tol.bound(diameter)`` of the line through V_i and V_j.  Pairs
-        (i, j) with j < n - 1 are visited in lexicographic order, and a
-        pair whose vertices coincide in the sense of ``line_through``
-        raises CoincidentPoints unless an earlier pair already found a
-        collinear triple.  Each anchor i is one numpy block over all
-        j < k, judged as ``|cross(V_j - V_i, V_k - V_i)| <= bound *
-        |V_j - V_i|`` so that no division is needed; memory stays O(n^2).
+        Vertices i < j < k count as collinear when ``|cross(V_j - V_i,
+        V_k - V_i)| <= tol.bound(diameter) * |V_j - V_i|``, so also when
+        two of them coincide.  Only vertex differences enter, so the
+        verdict does not depend on where the polygon sits.  Each anchor i
+        is one numpy block over all j < k; memory stays O(n^2).
         """
         verts = np.array([(v.x, v.y) for v in self.vertices], dtype=float)
         n = len(verts)
         bound = tol.bound(self.diameter())
-        norms = np.hypot(verts[:, 0], verts[:, 1])
         above = np.triu(np.ones((n - 1, n - 1), dtype=bool), 1)
         for i in range(n - 2):
             d = verts[i + 1:] - verts[i]
@@ -138,18 +133,7 @@ class Polygon:
             cross -= np.multiply.outer(d[:, 1], d[:, 0])
             m = len(d)
             hit = np.abs(cross) <= (bound * lengths)[:, None]
-            hit &= above[:m, :m]
-            rows = hit.any(axis=1)
-            # No line is drawn through (i, n - 1), so only j < n - 1 can
-            # raise.
-            coincide = lengths[:-1] <= DEFAULT_TOLERANCE.bound(
-                np.maximum(norms[i], norms[i + 1:-1]))
-            rows[:-1] |= coincide
-            if rows.any():
-                first = int(np.argmax(rows))
-                if first < m - 1 and coincide[first]:
-                    raise CoincidentPoints(
-                        f"line_through: points coincide at {self.vertices[i]}")
+            if (hit & above[:m, :m]).any():
                 return False
         return True
 
@@ -379,27 +363,6 @@ def element_distance(p: Point, elem: CharacterizationElement) -> float:
     return elem.distance(p)
 
 
-def _elements_identical(e1: CharacterizationElement,
-                        e2: CharacterizationElement,
-                        tol: Tolerance) -> bool:
-    """The coincidence tests of circle_intersection and line_intersection,
-    so that intersecting two elements that differ here cannot raise."""
-    if isinstance(e1, Circle) and isinstance(e2, Circle):
-        d = e1.center.distance(e2.center)
-        eps = tol.bound(d + e1.radius + e2.radius)
-        return d <= eps and abs(e1.radius - e2.radius) <= eps
-    if isinstance(e1, Line) and isinstance(e2, Line):
-        return lines_equal(e1, e2, tol)
-    return False
-
-
-def _first_distinct_pair(elements: Sequence[CharacterizationElement],
-                         tol: Tolerance) -> Optional[tuple]:
-    """The first pair (i < j, lexicographic) of elements that differ."""
-    return next((pair for pair in combinations(elements, 2)
-                 if not _elements_identical(*pair, tol)), None)
-
-
 def _intersect_elements(e1: CharacterizationElement,
                         e2: CharacterizationElement,
                         tol: Tolerance) -> list[Point]:
@@ -415,19 +378,34 @@ def _intersect_elements(e1: CharacterizationElement,
     return []
 
 
+def _first_distinct_pair(elements: Sequence[CharacterizationElement],
+                         tol: Tolerance) -> Optional[tuple]:
+    """The first pair (i < j, lexicographic) of elements that differ, as
+    (e1, e2, their intersection points).
+
+    Pairs the kernel calls identical (IdenticalCircles, IdenticalLines)
+    carry no information and are skipped.
+    """
+    for e1, e2 in combinations(elements, 2):
+        try:
+            return e1, e2, _intersect_elements(e1, e2, tol)
+        except (IdenticalCircles, IdenticalLines):
+            continue
+    return None
+
+
 def characterization_candidates(elements: Sequence[CharacterizationElement],
                                 tol: Tolerance = DEFAULT_TOLERANCE
                                 ) -> list[Point]:
     """Candidate Simson points from the first pair of distinct elements.
 
-    Coincident pairs carry no information and are skipped.  When every
-    element is the same circle (a triangle reduces to this) the whole
-    circle qualifies and the topmost point is returned as the
+    When every element is the same circle (a triangle reduces to this)
+    the whole circle qualifies and the topmost point is returned as the
     deterministic representative.
     """
     pair = _first_distinct_pair(elements, tol)
     if pair is not None:
-        return _intersect_elements(*pair, tol)
+        return pair[2]
     if elements and isinstance(elements[0], Circle):
         c = elements[0]
         return [Point(c.center.x, c.center.y + c.radius)]
@@ -444,12 +422,10 @@ def find_simson_point(poly: Polygon,
     and then against the pedal collinearity test itself.  Returns None
     when no candidate survives (in particular for parallelograms, whose
     only formal candidate lies at infinity, and for any convex polygon
-    with five or more vertices).  Degenerate inputs (three collinear
-    vertices) are rejected up front.
+    with five or more vertices).  The only degeneracy is that of
+    characterization_circles, an element that cannot be built, as when
+    two adjacent sides lie on one line; other collinear vertices are not.
     """
-    if not poly.is_nondegenerate(tol):
-        raise DegenerateConfiguration(
-            "find_simson_point: three vertices are collinear")
     elements = characterization_circles(poly, tol)
     scale = poly.diameter()
     for cand in characterization_candidates(elements, tol):
@@ -479,7 +455,7 @@ def characterization_defect(poly: Polygon,
     pair = _first_distinct_pair(elements, tol)
     if pair is None:
         return 0.0
-    e1, e2 = pair
+    e1, e2, _ = pair
     if isinstance(e1, Circle) and isinstance(e2, Circle):
         d = e1.center.distance(e2.center)
         return max(d - e1.radius - e2.radius,

@@ -1,8 +1,10 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -220,6 +222,48 @@ def test_verify_nonfinite_vertex_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", "--in", str(path))
     assert code == 2
     assert err.startswith("error:")
+
+
+def _polygon_scene(tmp_path, verts):
+    scene = SceneDocument()
+    scene.add_polygon("polygon", Polygon(tuple(Point(*v) for v in verts)))
+    path = tmp_path / "polygon.json"
+    path.write_text(scene.to_json())
+    return path
+
+
+def test_verify_collinear_nonadjacent_vertices_is_searched(capsys, tmp_path):
+    # V0, V2 and V4 lie on y = 0; no two adjacent sides share a line, so
+    # the circle search runs and finds no common point.
+    path = _polygon_scene(tmp_path, [(0, 0), (1, -2), (2, 0), (3.3, 1.1),
+                                     (4, 0), (1.7, 2.9)])
+    code, out, _ = run_cli(capsys, "verify", "--in", str(path))
+    assert code == 4
+    simson = [c for c in json.loads(out)["checks"] if c["name"] == "simson"]
+    assert simson[0]["note"] == \
+        "no common intersection of characterization circles"
+
+
+def test_verify_consecutive_collinear_vertices_exit_3(capsys, tmp_path):
+    path = _polygon_scene(tmp_path, [(0, 0), (1, 0), (2, 0), (0, 1)])
+    code, out, err = run_cli(capsys, "verify", "--in", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: characterization_circles") \
+        and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("scale", [1e110, 1e160, 1e200])
+def test_verify_coordinates_beyond_float_range_exit_3(capsys, tmp_path, scale):
+    # A quadrilateral near (scale, scale): its circle construction
+    # overflows.
+    path = _polygon_scene(tmp_path, [
+        (scale * (1 + a), scale * (1 + b))
+        for a, b in [(0, 0), (0.3, 0.02), (0.25, 0.2), (0.03, 0.11)]])
+    code, out, err = run_cli(capsys, "verify", "--in", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: non-finite") and err.count("\n") == 1
 
 
 # (s, x0, delta, n), rotation, translation and --seed of negative controls
@@ -478,6 +522,14 @@ def test_limit_overflowing_study_exits_3(capsys, argv):
     assert "leaves the float range" in err
 
 
+def test_limit_below_float_precision_exits_3(capsys):
+    code, out, err = run_cli(capsys, "limit", "--s", "1e20", "--m-max", "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "float precision" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["--window", "1e5", "--m-max", "0"],
     ["--window", "4", "--m-max", "12"],
@@ -573,7 +625,10 @@ def test_unknown_flag_exits_2(capsys):
 
 
 def test_module_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "simsonpoly", *OCT_ARGS],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema_version"] == "1"

@@ -220,6 +220,37 @@ def test_overflowing_study_is_refused(s, w):
         convergence_table(s, w, 1)
 
 
+def _oracle_ratios(s, w, m_max):
+    return [h * 16.0 * abs(s) / 4.0 ** -m
+            for m, h in enumerate(reference_table(s, w, m_max))]
+
+
+@pytest.mark.parametrize("s, w, m_max", [(1e9, 2.0, 2), (-1e8, 4.0, 2),
+                                         (1e8, 2.0, 4)])
+def test_study_just_above_precision_is_measured(s, w, m_max):
+    # Finest bound 1.2..9.8 times 1e-12 * max(w, w^2/(4|s|)): the
+    # np.roots oracle still measures the bound to 1e-6, and the table
+    # agrees with it.
+    ratios = _oracle_ratios(s, w, m_max)
+    assert max(abs(r - 1.0) for r in ratios) < 1e-6
+    rows = convergence_table(s, w, m_max)
+    assert [r.hausdorff for r in rows] == pytest.approx(
+        reference_table(s, w, m_max), rel=1e-12)
+
+
+@pytest.mark.parametrize("s, w, m_max", [(3e9, 2.0, 2), (-1e9, 4.0, 2),
+                                         (1e9, 2.0, 4), (1e20, 4.0, 2)])
+def test_study_below_precision_is_refused(s, w, m_max):
+    with pytest.raises(GeometryError, match="float precision"):
+        convergence_table(s, w, m_max)
+
+
+def test_study_far_below_precision_is_noise():
+    # Where the refusal guards against: the oracle's own ratios at
+    # s = 1e14 are off by more than the bound itself.
+    assert max(abs(r - 1.0) for r in _oracle_ratios(1e14, 2.0, 2)) > 1.0
+
+
 @pytest.mark.parametrize("w, m_max", [(1e5, 0), (4.0, 12), (2.0, 10 ** 30)])
 def test_oversized_chain_is_refused(w, m_max):
     with pytest.raises(TooManySegments):

@@ -5,8 +5,8 @@ import pytest
 
 from geomgen import random_convex_polygon, random_quadrilateral, \
     random_triangle, regular_polygon, xy
-from simsonpoly.kernel import DEFAULT_TOLERANCE, Circle, CoincidentPoints, \
-    Line, Point, bbox_diagonal, line_through, point_on_circle
+from simsonpoly.kernel import DEFAULT_TOLERANCE, Circle, Line, Point, \
+    bbox_diagonal, line_through, point_on_circle
 from simsonpoly.simson import (
     CompleteQuadrilateral,
     DegenerateConfiguration,
@@ -52,23 +52,18 @@ def test_nondegenerate_flag():
 
 
 def _nondegenerate_by_triples(poly, tol=DEFAULT_TOLERANCE):
-    """Reference for Polygon.is_nondegenerate: one scalar test per triple."""
+    """Reference for Polygon.is_nondegenerate: one scalar test per triple,
+    |cross(V_j - V_i, V_k - V_i)| <= bound * |V_j - V_i|."""
+    v = poly.vertices
     n = poly.n
-    scale = poly.diameter()
+    bound = tol.bound(poly.diameter())
     for i in range(n - 2):
         for j in range(i + 1, n - 1):
-            line = line_through(poly.vertices[i], poly.vertices[j])
+            dj = v[j] - v[i]
             for k in range(j + 1, n):
-                if line.distance(poly.vertices[k]) <= tol.bound(scale):
+                if abs(dj.cross(v[k] - v[i])) <= bound * dj.norm():
                     return False
     return True
-
-
-def _nondegenerate_outcome(check, poly):
-    try:
-        return check(poly)
-    except CoincidentPoints:
-        return "coincident"
 
 
 def _planted_polygon(rng, case):
@@ -79,9 +74,9 @@ def _planted_polygon(rng, case):
            for three distinct indices in any order.
     same:  a copy of V_a at a non-consecutive index.
     close: V_a moved by 5 collinearity bounds to a non-consecutive index,
-           far enough from the origin that line_through calls the pair
-           coincident.  The offset is kept small enough that the
-           reference's cancellation error stays below 1e-3 bounds.
+           with the polygon ~1e10 bounds from the origin, where a
+           coincidence rule measured at the distance from the origin
+           would call the pair coincident.
     """
     while True:
         n = int(rng.integers(4 if case in ("same", "close") else 3, 14))
@@ -115,15 +110,23 @@ def _planted_polygon(rng, case):
             continue
 
 
+def _translated_to_origin(poly):
+    """The polygon moved so that V_0 sits at the origin."""
+    v0 = poly.vertices[0]
+    return Polygon(tuple(v - v0 for v in poly.vertices))
+
+
 def test_nondegenerate_matches_triple_loop():
     rng = np.random.default_rng(20120103)
-    seen = {True: 0, False: 0, "coincident": 0}
+    seen = {True: 0, False: 0}
     for case in ("free", "near", "same", "close"):
         for _ in range(300):
             poly = _planted_polygon(rng, case)
-            want = _nondegenerate_outcome(_nondegenerate_by_triples, poly)
-            got = _nondegenerate_outcome(Polygon.is_nondegenerate, poly)
-            assert got == want, (case, poly)
+            want = _nondegenerate_by_triples(poly)
+            assert poly.is_nondegenerate() == want, (case, poly)
+            moved = _translated_to_origin(poly)
+            assert _nondegenerate_by_triples(moved) == want, (case, poly)
+            assert moved.is_nondegenerate() == want, (case, poly)
             seen[want] += 1
     assert min(seen.values()) >= 100, seen
 
@@ -277,6 +280,30 @@ def test_quadrilateral_simson_point_is_miquel_point():
 
 
 def test_find_simson_point_rejects_collinear_vertices():
+    flat = Polygon((Point(0, 0), Point(1, 0), Point(2, 0), Point(0, 1)))
+    with pytest.raises(DegenerateConfiguration):
+        find_simson_point(flat)
+
+
+HEXAGON_V0_V2_V4_ON_X_AXIS = Polygon(tuple(
+    Point(*v) for v in [(0, 0), (1, -2), (2, 0), (3.3, 1.1), (4, 0),
+                        (1.7, 2.9)]))
+
+
+def test_collinear_nonadjacent_vertices_are_searched():
+    assert not HEXAGON_V0_V2_V4_ON_X_AXIS.is_nondegenerate()
+    assert find_simson_point(HEXAGON_V0_V2_V4_ON_X_AXIS) is None
+
+
+def test_search_never_calls_the_collinearity_precheck(monkeypatch):
+    def forbidden(self, tol=DEFAULT_TOLERANCE):
+        raise AssertionError("is_nondegenerate was called")
+
+    monkeypatch.setattr(Polygon, "is_nondegenerate", forbidden)
+    trap = Polygon((Point(0, 0), Point(0, 2), Point(3, 2), Point(1, 0)))
+    assert find_simson_point(trap) is not None
+    assert find_simson_point(RIGHT_TRIANGLE) is not None
+    assert find_simson_point(HEXAGON_V0_V2_V4_ON_X_AXIS) is None
     flat = Polygon((Point(0, 0), Point(1, 0), Point(2, 0), Point(0, 1)))
     with pytest.raises(DegenerateConfiguration):
         find_simson_point(flat)
