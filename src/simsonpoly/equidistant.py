@@ -40,14 +40,15 @@ from .kernel import (
     angle_between_rays,
     bbox_diagonal,
     circumcircle,
-    foot_of_perpendicular,
     line_intersection,
-    line_through,
-    reflect_line,
     reflect_point,
 )
 from .report import CheckResult, VerificationReport
 from .simson import Polygon, SimsonCertificate
+
+
+# The Simson line of the canonical frame, y = 0.
+_X_AXIS = Line(0.0, 1.0, 0.0)
 
 
 class InvalidConfig(GeometryError):
@@ -134,7 +135,10 @@ class SimsonPolygonFrame:
 
     projections[i] pairs with vertices so that side (V_i, V_{i+1})
     carries projections[i+1], wrapping; this matches the labeling of
-    the construction module.
+    the construction module.  simson_line must be y = 0, i.e.
+    Line(0, 1, 0), or InvalidConfig is raised: the verifiers read
+    coordinates along L as x and heights over L as y.  The Simson point
+    is not pinned to the y-axis, so an off-frame S can be tested.
     """
 
     vertices: tuple[Point, ...]
@@ -149,6 +153,9 @@ class SimsonPolygonFrame:
             raise InvalidConfig("vertex and projection counts differ")
         if len(self.vertices) < 3:
             raise InvalidConfig("need at least 3 vertices")
+        if self.simson_line != _X_AXIS:
+            raise InvalidConfig(
+                f"simson_line must be y = 0, got {self.simson_line}")
 
     @property
     def n(self) -> int:
@@ -196,7 +203,7 @@ def make_equidistant(cfg: EquidistantConfig) -> EquidistantPolygon:
     feet = tuple(Point(cfg.foot_abscissa(i), 0.0) for i in range(1, n + 1))
     return EquidistantPolygon(vertices=tuple(verts), projections=feet,
                               simson_point=Point(0.0, s),
-                              simson_line=Line(0.0, 1.0, 0.0), config=cfg)
+                              simson_line=_X_AXIS, config=cfg)
 
 
 def associated_parabola(cfg: EquidistantConfig) -> Parabola:
@@ -234,12 +241,6 @@ def w_point(cfg: EquidistantConfig, i: int, j: int) -> Point:
     return Point(2.0 * cfg.x0 + (i + j) * cfg.delta, u * v / cfg.s)
 
 
-def _line_coord(line: Line, p: Point) -> float:
-    """Coordinate of p along the direction of line (pins 'same vertical')."""
-    d = line.direction()
-    return d.x * p.x + d.y * p.y
-
-
 def verify_parallel_chords(poly: EquidistantPolygon,
                            tol: Tolerance = DEFAULT_TOLERANCE
                            ) -> VerificationReport:
@@ -251,15 +252,13 @@ def verify_parallel_chords(poly: EquidistantPolygon,
     * for even j - i the chord is parallel to the tangent of C at the
       middle vertex V_{(i+j)/2},
     * the midpoints of every equal-sum family line up orthogonally to L
-      (equal coordinate along L), the middle vertex included when the
-      family has one.
+      (equal x), the middle vertex included when the family has one.
     """
     report = VerificationReport()
     limit, angle_limit = report.set_limits(poly.scale(), tol)
     chain = poly.chain
     m = len(chain)
-    L = poly.simson_line
-    parab = associated_parabola(poly.config)
+    s = poly.config.s
     groups: dict[int, list[tuple[int, int]]] = {}
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
@@ -274,14 +273,13 @@ def verify_parallel_chords(poly: EquidistantPolygon,
             if (j - i) % 2 == 0:
                 mid = (i + j) // 2
                 x_mid = chain[mid - 1].x
-                tangent_dir = Point(2.0 * parab.s, x_mid)
+                tangent_dir = Point(2.0 * s, x_mid)
                 residual = angle_between_lines(d, tangent_dir)
                 report.judge("chord-tangent", (i, j, mid), residual,
                              angle_limit)
-        coords = [_line_coord(L, chain[i - 1].midpoint(chain[j - 1]))
-                  for i, j in chords]
+        coords = [chain[i - 1].midpoint(chain[j - 1]).x for i, j in chords]
         if sigma % 2 == 0 and 1 <= sigma // 2 <= m:
-            coords.append(_line_coord(L, chain[sigma // 2 - 1]))
+            coords.append(chain[sigma // 2 - 1].x)
         if len(coords) >= 2:
             residual = max(coords) - min(coords)
             report.judge("midpoints-aligned", (sigma,), residual, limit)
@@ -300,17 +298,16 @@ def verify_isogonal(poly: SimsonPolygonFrame,
     limit, angle_limit = report.set_limits(poly.scale(), tol)
     n = poly.n
     S = poly.simson_point
-    L = poly.simson_line
     for iv in range(n):
         v = poly.vertices[iv]
         label = (iv + 1,)
-        if L.distance(v) <= limit:
+        if abs(v.y) <= limit:
             report.add(CheckResult("isogonal", label, 0.0, True,
                                    note="skipped: vertex on the simson line"))
             continue
         x_here = poly.projections[iv]
         x_next = poly.projections[(iv + 1) % n]
-        rays = [reflect_point(v, L) - v, x_here - v, x_next - v, S - v]
+        rays = [Point(0.0, -2.0 * v.y), x_here - v, x_next - v, S - v]
         if min(r.norm() for r in rays) <= limit:
             report.add(CheckResult("isogonal", label, 0.0, True,
                                    note="skipped: degenerate ray"))
@@ -328,19 +325,19 @@ def verify_optical(poly: SimsonPolygonFrame,
 
     The line through the side midpoint orthogonal to L, reflected in the
     side, passes through S.  This is the discrete version of the focal
-    property of C', which carries the midpoints.
+    property of C', which carries the midpoints.  Reflection is an
+    isometry, so the distance from S to the reflected line is the
+    distance from the mirror image of S in the side to the vertical
+    x = x(midpoint); no line is built at the polygon's offset.
     """
     report = VerificationReport()
     limit, _ = report.set_limits(poly.scale(), tol)
     S = poly.simson_point
+    verts = poly.vertices
+    sides = poly.polygon().side_lines()
     for i in range(1, poly.n - 1):
-        v1 = poly.vertices[i - 1]
-        v2 = poly.vertices[i]
-        mid = v1.midpoint(v2)
-        side = line_through(v1, v2)
-        incoming = poly.simson_line.perpendicular_at(mid)
-        reflected = reflect_line(incoming, side)
-        residual = reflected.distance(S)
+        mid = verts[i - 1].midpoint(verts[i])
+        residual = abs(reflect_point(S, sides[i - 1]).x - mid.x)
         report.judge("optical", (i,), residual, limit)
     return report
 
@@ -359,20 +356,19 @@ def verify_archimedes(poly: SimsonPolygonFrame,
     if poly.n < 5:
         raise InvalidConfig("verify_archimedes needs n >= 5")
     limit, _ = report.set_limits(poly.scale(), tol)
-    L = poly.simson_line
     verts = poly.vertices
     n = poly.n
     # sides[i - 1] is the line V_i V_{i+1}, built once for all pairs.
-    sides = [line_through(verts[i - 1], verts[i]) for i in range(1, n - 1)]
+    sides = poly.polygon().side_lines()
 
     def meet_coord(i: int, j: int) -> float:
         cross = line_intersection(sides[i - 1], sides[j - 1], tol)
         if isinstance(cross, AtInfinity):
             raise ParallelSides(f"side lines {i} and {j} are parallel")
-        return _line_coord(L, cross.point)
+        return cross.point.x
 
     def mid_coord(i: int, j: int) -> float:
-        return _line_coord(L, verts[i - 1].midpoint(verts[j - 1]))
+        return verts[i - 1].midpoint(verts[j - 1]).x
 
     w_families: dict[int, list[float]] = {}
     m_families: dict[int, list[float]] = {}
@@ -386,7 +382,7 @@ def verify_archimedes(poly: SimsonPolygonFrame,
     for c in range(1, n):
         for d in range(c, n):
             m_families.setdefault(c + d, []).append(
-                _line_coord(L, verts[c - 1]) if c == d else mid_coord(c, d))
+                verts[c - 1].x if c == d else mid_coord(c, d))
     for sigma, ws in sorted(w_families.items()):
         coords = ws + m_families.get(sigma + 1, [])
         if len(coords) >= 2:
@@ -408,11 +404,10 @@ def verify_lambert(poly: SimsonPolygonFrame, i: int, j: int, k: int,
     idx = (i, j, k)
     if len(set(idx)) != 3 or not all(1 <= t <= n for t in idx):
         raise IndexOutOfRange(f"need three distinct sides in 1..{n}, got {idx}")
-    sides = {t: line_through(poly.vertices[t - 1], poly.vertices[t % n])
-             for t in idx}
+    sides = poly.polygon().side_lines()
     corners = []
     for t1, t2 in combinations(idx, 2):
-        cross = line_intersection(sides[t1], sides[t2], tol)
+        cross = line_intersection(sides[t1 - 1], sides[t2 - 1], tol)
         if isinstance(cross, AtInfinity):
             raise ParallelSides(f"side lines {t1} and {t2} are parallel")
         corners.append(cross.point)
@@ -478,7 +473,7 @@ def frame_from_certificate(poly: Polygon,
     s = frame.to_frame(cert.simson_point)
     return SimsonPolygonFrame(vertices=verts, projections=feet,
                               simson_point=Point(0.0, s.y),
-                              simson_line=Line(0.0, 1.0, 0.0))
+                              simson_line=_X_AXIS)
 
 
 def equidistant_from_frame(fp: SimsonPolygonFrame,

@@ -219,13 +219,11 @@ def reflect_point(p: Point, l: Line) -> Point:
 
 def reflect_line(m: Line, mirror: Line) -> Line:
     """Mirror image of the line m across the line mirror."""
-    # Reflect two distinct points of m; the images stay unit distance apart.
-    p0 = Point(-m.c * m.a, -m.c * m.b)
-    d = m.direction()
-    p1 = Point(p0.x + d.x, p0.y + d.y)
-    q0 = reflect_point(p0, mirror)
-    q1 = reflect_point(p1, mirror)
-    return Line(q0.y - q1.y, q1.x - q0.x, q0.x * q1.y - q1.x * q0.y)
+    # q is on the image iff its mirror image q - 2*(n'.q + c')*n' is on m;
+    # with k = 2*(n.n') that reads (n - k*n').q + (c - k*c') = 0.  The
+    # coefficients are exact to rounding at any offset c.
+    k = 2.0 * (m.a * mirror.a + m.b * mirror.b)
+    return Line(m.a - k * mirror.a, m.b - k * mirror.b, m.c - k * mirror.c)
 
 
 def lines_parallel(l1: Line, l2: Line, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:

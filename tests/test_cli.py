@@ -266,6 +266,30 @@ def test_verify_coordinates_beyond_float_range_exit_3(capsys, tmp_path, scale):
     assert err.startswith("error: non-finite") and err.count("\n") == 1
 
 
+def _scaled_octagon_scene(tmp_path, k):
+    # The equidistant octagon (1, -3.5, 1, 8) scaled by k and moved by
+    # (7, 5) * k, far from the origin at its own size.
+    base = make_equidistant(EquidistantConfig(s=1, x0=-3.5, delta=1, n=8))
+    return _polygon_scene(tmp_path, [(k * (v.x + 7), k * (v.y + 5))
+                                     for v in base.vertices])
+
+
+@pytest.mark.parametrize("k", [1e8, 1e16, 1e30, 1e60, 1e100])
+def test_verify_recognises_scaled_moved_octagon(capsys, tmp_path, k):
+    path = _scaled_octagon_scene(tmp_path, k)
+    code, out, err = run_cli(capsys, "verify", "--in", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["overall"] is True
+
+
+def test_verify_scaled_octagon_beyond_float_range_exits_3(capsys, tmp_path):
+    path = _scaled_octagon_scene(tmp_path, 1e150)
+    code, out, err = run_cli(capsys, "verify", "--in", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: non-finite") and err.count("\n") == 1
+
+
 # (s, x0, delta, n), rotation, translation and --seed of negative controls
 # whose diameter reaches 1e4..1e5.  The tolerance there grows to ~1e-4, the
 # order of the 1e-3 jitter, so a search that fits the focus by least squares

@@ -483,3 +483,24 @@ def test_frame_recognition_rejects_uneven_feet():
     frame = frame_from_certificate(poly, cert)
     with pytest.raises(InvalidConfig):
         equidistant_from_frame(frame)
+
+
+@pytest.mark.parametrize("line", [Line(0, 1, -1), Line(1, 0, 0),
+                                  Line(1, 1, 0), Line(0, -1, 0.5)])
+def test_frame_requires_the_x_axis_as_simson_line(line):
+    with pytest.raises(InvalidConfig):
+        SimsonPolygonFrame(vertices=OCT.vertices, projections=OCT.projections,
+                           simson_point=OCT.simson_point, simson_line=line)
+    with pytest.raises(InvalidConfig):
+        EquidistantPolygon(vertices=OCT.vertices, projections=OCT.projections,
+                           simson_point=OCT.simson_point, simson_line=line,
+                           config=OCT.config)
+
+
+def test_frame_accepts_any_spelling_of_the_x_axis():
+    for line in (Line(0, 1, 0), Line(0, -2, 0), Line(0.0, 1.0, -0.0)):
+        frame = SimsonPolygonFrame(vertices=OCT.vertices,
+                                   projections=OCT.projections,
+                                   simson_point=OCT.simson_point,
+                                   simson_line=line)
+        assert frame.simson_line == Line(0, 1, 0)

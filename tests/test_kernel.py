@@ -204,6 +204,28 @@ def test_reflect_line_vertical_over_diagonal():
     assert lines_equal(out, Line(0, 1, -1))
 
 
+angles = st.floats(0.0, 2.0 * math.pi)
+unit_offsets = st.tuples(st.floats(0.1, 1.0), st.sampled_from([-1.0, 1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(angles, angles, unit_offsets, unit_offsets, st.integers(-3, 100))
+def test_reflect_line_is_exact_far_from_origin(t_m, t_mirror, off_m,
+                                               off_mirror, exponent):
+    # Both lines sit at offsets of one magnitude, up to 1e100, as a side
+    # and the vertical through its midpoint do far from the origin.
+    size = 10.0 ** exponent
+    m = Line(math.cos(t_m), math.sin(t_m), off_m[0] * off_m[1] * size)
+    mirror = Line(math.cos(t_mirror), math.sin(t_mirror),
+                  off_mirror[0] * off_mirror[1] * size)
+    tight = Tolerance(abs_eps=1e-12, rel_eps=1e-12)
+    image = reflect_line(m, mirror)
+    assert lines_equal(reflect_line(image, mirror), m, tight)
+    foot = Point(-m.c * m.a, -m.c * m.b)
+    q = reflect_point(foot, mirror)
+    assert image.distance(q) <= tight.bound(max(abs(m.c), abs(mirror.c)))
+
+
 # ------------------------------------------------------------- point_on_circle
 
 def test_point_on_circle():

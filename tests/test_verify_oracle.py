@@ -1,0 +1,238 @@
+"""The canonical-frame verifiers against their general-line originals.
+
+The verifiers read coordinates along the Simson line as x and heights
+over it as y.  The functions below compute the same residuals for any
+Simson line L: coordinates along L through ``Line.direction()``, the
+mirror image through ``reflect_point(v, L)``, and the optical residual as
+the distance from S to the perpendicular to L at the side midpoint,
+reflected in the side by mirroring two of its points.  In the canonical
+frame every residual but the optical one must agree bitwise; the optical
+one is computed by another route and agrees to rounding.
+"""
+
+import math
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from geomgen import random_equidistant_config
+from simsonpoly.equidistant import (
+    EquidistantPolygon,
+    associated_parabola,
+    frame_from_certificate,
+    make_equidistant,
+    verify_archimedes,
+    verify_isogonal,
+    verify_lambert,
+    verify_optical,
+    verify_parallel_chords,
+)
+from simsonpoly.kernel import DEFAULT_TOLERANCE, Line, Point, \
+    angle_between_lines, angle_between_rays, circumcircle, \
+    line_intersection, line_through, reflect_point
+from simsonpoly.simson import construct_simson_polygon, find_simson_point
+
+
+def _line_coord(line, p):
+    d = line.direction()
+    return d.x * p.x + d.y * p.y
+
+
+def _two_point_reflect_line(m, mirror):
+    p0 = Point(-m.c * m.a, -m.c * m.b)
+    d = m.direction()
+    p1 = Point(p0.x + d.x, p0.y + d.y)
+    q0 = reflect_point(p0, mirror)
+    q1 = reflect_point(p1, mirror)
+    return Line(q0.y - q1.y, q1.x - q0.x, q0.x * q1.y - q1.x * q0.y)
+
+
+def _spread(coords):
+    return max(coords) - min(coords)
+
+
+def oracle_parallel_chords(poly):
+    chain = poly.chain
+    m = len(chain)
+    L = poly.simson_line
+    s = associated_parabola(poly.config).s
+    groups = {}
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
+            groups.setdefault(i + j, []).append((i, j))
+    out = []
+    for sigma in sorted(groups):
+        chords = groups[sigma]
+        dirs = [chain[j - 1] - chain[i - 1] for i, j in chords]
+        if len(chords) >= 2:
+            out.append(("parallel-chords", (sigma,), max(
+                angle_between_lines(dirs[0], d) for d in dirs[1:])))
+        for (i, j), d in zip(chords, dirs):
+            if (j - i) % 2 == 0:
+                mid = (i + j) // 2
+                tangent_dir = Point(2.0 * s, chain[mid - 1].x)
+                out.append(("chord-tangent", (i, j, mid),
+                            angle_between_lines(d, tangent_dir)))
+        coords = [_line_coord(L, chain[i - 1].midpoint(chain[j - 1]))
+                  for i, j in chords]
+        if sigma % 2 == 0 and 1 <= sigma // 2 <= m:
+            coords.append(_line_coord(L, chain[sigma // 2 - 1]))
+        if len(coords) >= 2:
+            out.append(("midpoints-aligned", (sigma,), _spread(coords)))
+    return out
+
+
+def oracle_isogonal(poly):
+    limit = DEFAULT_TOLERANCE.bound(poly.scale())
+    S, L, n = poly.simson_point, poly.simson_line, poly.n
+    out = []
+    for iv in range(n):
+        v = poly.vertices[iv]
+        rays = [reflect_point(v, L) - v, poly.projections[iv] - v,
+                poly.projections[(iv + 1) % n] - v, S - v]
+        if L.distance(v) <= limit or min(r.norm() for r in rays) <= limit:
+            out.append(("isogonal", (iv + 1,), 0.0))
+            continue
+        out.append(("isogonal", (iv + 1,),
+                    abs(angle_between_rays(rays[0], rays[1])
+                        - angle_between_rays(rays[2], rays[3]))))
+    return out
+
+
+def oracle_optical(poly):
+    out = []
+    for i in range(1, poly.n - 1):
+        v1, v2 = poly.vertices[i - 1], poly.vertices[i]
+        incoming = poly.simson_line.perpendicular_at(v1.midpoint(v2))
+        reflected = _two_point_reflect_line(incoming, line_through(v1, v2))
+        out.append(("optical", (i,), reflected.distance(poly.simson_point)))
+    return out
+
+
+def oracle_archimedes(poly):
+    L, verts, n = poly.simson_line, poly.vertices, poly.n
+    sides = [line_through(verts[i - 1], verts[i]) for i in range(1, n - 1)]
+
+    def mid_coord(i, j):
+        return _line_coord(L, verts[i - 1].midpoint(verts[j - 1]))
+
+    out = []
+    w_families, m_families = {}, {}
+    for i in range(1, n - 1):
+        for j in range(i + 1, n - 1):
+            w = _line_coord(L, line_intersection(sides[i - 1],
+                                                 sides[j - 1]).point)
+            w_families.setdefault(i + j, []).append(w)
+            out.append(("archimedes", (i, j), _spread(
+                [w, mid_coord(i, j + 1), mid_coord(i + 1, j)])))
+    for c in range(1, n):
+        for d in range(c, n):
+            m_families.setdefault(c + d, []).append(
+                _line_coord(L, verts[c - 1]) if c == d else mid_coord(c, d))
+    for sigma, ws in sorted(w_families.items()):
+        coords = ws + m_families.get(sigma + 1, [])
+        if len(coords) >= 2:
+            out.append(("archimedes-family", (sigma,), _spread(coords)))
+    return out
+
+
+def oracle_lambert(poly, idx):
+    n = poly.n
+    sides = {t: line_through(poly.vertices[t - 1], poly.vertices[t % n])
+             for t in idx}
+    corners = [line_intersection(sides[a], sides[b]).point
+               for a, b in combinations(idx, 2)]
+    circle = circumcircle(*corners)
+    return [("lambert", idx,
+             abs(poly.simson_point.distance(circle.center) - circle.radius))]
+
+
+def _rows(report):
+    return [(c.name, c.indices, c.residual) for c in report.checks]
+
+
+def _jittered(poly, rng, eps=1e-3):
+    verts = tuple(Point(v.x + dx, v.y + dy) for v, (dx, dy)
+                  in zip(poly.vertices, rng.uniform(-eps, eps, (poly.n, 2))))
+    return EquidistantPolygon(vertices=verts, projections=poly.projections,
+                              simson_point=poly.simson_point,
+                              simson_line=poly.simson_line,
+                              config=poly.config)
+
+
+def _general_frame(rng):
+    """A constructed Simson polygon on a tilted line, brought to frame."""
+    n = int(rng.integers(5, 9))
+    theta = float(rng.uniform(0.0, math.pi))
+    u = Point(math.cos(theta), math.sin(theta))
+    origin = Point(*rng.uniform(-2.0, 2.0, 2))
+    ts = np.cumsum(rng.uniform(0.3, 1.2, n)) - 2.0
+    feet = [origin + u * float(t) for t in ts]
+    height = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.7, 2.0))
+    s = origin + u * float(rng.uniform(-1.0, 1.0)) + \
+        Point(-u.y, u.x) * height
+    poly = construct_simson_polygon(s, line_through(origin, origin + u), feet)
+    cert = find_simson_point(poly)
+    assert cert is not None
+    return frame_from_certificate(poly, cert)
+
+
+def _frames():
+    rng = np.random.default_rng(2718)
+    equidistant = [make_equidistant(random_equidistant_config(rng))
+                   for _ in range(12)]
+    jittered = [_jittered(p, rng) for p in equidistant]
+    general = [_general_frame(rng) for _ in range(12)]
+    return equidistant + jittered, general
+
+
+EQUIDISTANT_FRAMES, GENERAL_FRAMES = _frames()
+
+
+def _assert_matches(report, expected, poly):
+    got = _rows(report)
+    assert [row[:2] for row in got] == [row[:2] for row in expected]
+    for (name, idx, res), (_, _, ref) in zip(got, expected):
+        if name == "optical":
+            assert abs(res - ref) <= 1e-12 * max(1.0, poly.scale()), idx
+        else:
+            assert res == ref, (name, idx)
+
+
+def _lambert_triples(n):
+    return [(1, 2, 3), (1, n // 2, n), (2, n - 1, n)]
+
+
+@pytest.mark.parametrize("k", range(len(EQUIDISTANT_FRAMES)))
+def test_equidistant_verifiers_match_general_line_oracle(k):
+    poly = EQUIDISTANT_FRAMES[k]
+    _assert_matches(verify_parallel_chords(poly), oracle_parallel_chords(poly),
+                    poly)
+    _assert_matches(verify_isogonal(poly), oracle_isogonal(poly), poly)
+    _assert_matches(verify_optical(poly), oracle_optical(poly), poly)
+    _assert_matches(verify_archimedes(poly), oracle_archimedes(poly), poly)
+    for idx in _lambert_triples(poly.n):
+        _assert_matches(verify_lambert(poly, *idx), oracle_lambert(poly, idx),
+                        poly)
+
+
+@pytest.mark.parametrize("k", range(len(GENERAL_FRAMES)))
+def test_general_frame_verifiers_match_general_line_oracle(k):
+    frame = GENERAL_FRAMES[k]
+    _assert_matches(verify_isogonal(frame), oracle_isogonal(frame), frame)
+    _assert_matches(verify_optical(frame), oracle_optical(frame), frame)
+    _assert_matches(verify_archimedes(frame), oracle_archimedes(frame), frame)
+    for idx in _lambert_triples(frame.n):
+        _assert_matches(verify_lambert(frame, *idx),
+                        oracle_lambert(frame, idx), frame)
+
+
+def test_oracle_sees_nonzero_residuals():
+    # Bitwise agreement on all-zero residuals would show little: the
+    # jittered and general frames must carry real deviations.
+    jittered = EQUIDISTANT_FRAMES[len(EQUIDISTANT_FRAMES) // 2:]
+    assert all(max(r for *_, r in oracle_archimedes(p)) > 1e-6
+               for p in jittered + GENERAL_FRAMES)
+    assert all(max(r for *_, r in oracle_optical(p)) > 1e-6
+               for p in jittered)
