@@ -1,5 +1,10 @@
 """Simson polygons: pedal collinearity, the equidistant family, and the
-optimal piecewise-linear approximation of the parabola."""
+optimal piecewise-linear approximation of the parabola.
+
+The limit-study names come from ``limits``, which computes with numpy
+throughout; they are imported on first access (PEP 562), so importing
+the package does not load numpy.
+"""
 
 from .kernel import (
     DEFAULT_TOLERANCE,
@@ -54,16 +59,28 @@ from .approx import (
     segment_l2_error,
     total_error_objective,
 )
-from .limits import (
-    chain_for_window,
-    convergence_table,
-    hausdorff_chain_parabola,
-    observed_orders,
-    point_to_parabola_distance,
-)
 from .scene import SceneDocument, SceneFormatError
 
 __version__ = "0.1.0"
+
+_LIMITS_NAMES = frozenset({
+    "chain_for_window",
+    "convergence_table",
+    "hausdorff_chain_parabola",
+    "observed_orders",
+    "point_to_parabola_distance",
+})
+
+
+def __getattr__(name: str):
+    if name in _LIMITS_NAMES:
+        from . import limits
+        return getattr(limits, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _LIMITS_NAMES)
 
 __all__ = [
     "ApproxProblem",

@@ -17,11 +17,10 @@ other.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .kernel import GeometryError
 
@@ -40,6 +39,24 @@ class UnorderedKnots(GeometryError):
 
 class OutOfDomain(GeometryError):
     """Evaluation point outside [a, b]."""
+
+
+class LeavesFloatRange(GeometryError):
+    """A closed-form error or knot of the problem is not a finite float."""
+
+
+def _power_ratio(count: int, h: float, k: int, denom: float) -> float:
+    """count * h^k / denom, the error of count segments of width h; inf
+    where Python raises instead (h^k overflowing, denom underflowed to 0)."""
+    try:
+        return count * h ** k / denom
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def _require_finite(values, s: float, a: float, b: float) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise LeavesFloatRange(f"s = {s} on [{a}, {b}] leaves the float range")
 
 
 @dataclass(frozen=True)
@@ -80,20 +97,26 @@ class ApproxResult:
 def segment_l1_error(p: ApproxProblem, xi: float, xj: float) -> float:
     """Exact L1 interpolation error on one segment: (xj - xi)^3 / (24|s|).
 
-    Position-free: only the width enters.
+    Position-free: only the width enters.  Raises LeavesFloatRange when
+    it is not a finite float.
     """
     if not xi < xj:
         raise BadInterval(f"need xi < xj, got [{xi}, {xj}]")
-    h = xj - xi
-    return h ** 3 / (24.0 * abs(p.s))
+    err = _power_ratio(1, xj - xi, 3, 24.0 * abs(p.s))
+    _require_finite((err,), p.s, xi, xj)
+    return err
 
 
 def segment_l2_error(p: ApproxProblem, xi: float, xj: float) -> float:
-    """Exact squared L2 interpolation error: (xj - xi)^5 / (480 s^2)."""
+    """Exact squared L2 interpolation error: (xj - xi)^5 / (480 s^2).
+
+    Raises LeavesFloatRange when it is not a finite float.
+    """
     if not xi < xj:
         raise BadInterval(f"need xi < xj, got [{xi}, {xj}]")
-    h = xj - xi
-    return h ** 5 / (480.0 * p.s * p.s)
+    err = _power_ratio(1, xj - xi, 5, 480.0 * p.s * p.s)
+    _require_finite((err,), p.s, xi, xj)
+    return err
 
 
 def _validated(knots: Sequence[float]) -> list[float]:
@@ -112,13 +135,19 @@ def total_error_objective(p: ApproxProblem, interior: Sequence[float]) -> float:
     """Sum of cubed segment widths for the full knot vector [a, *interior, b].
 
     This is the L1 error up to the constant factor 1/(24|s|), which is
-    what the optimality argument actually minimizes.
+    what the optimality argument actually minimizes.  Raises
+    LeavesFloatRange when the sum is not a finite float.
     """
     if len(interior) != p.n - 1:
         raise InvalidProblem(
             f"expected {p.n - 1} interior knots, got {len(interior)}")
     knots = _validated([p.a, *interior, p.b])
-    return sum((v - u) ** 3 for u, v in zip(knots, knots[1:]))
+    try:
+        total = sum((v - u) ** 3 for u, v in zip(knots, knots[1:]))
+    except OverflowError:
+        total = math.inf
+    _require_finite((total,), p.s, p.a, p.b)
+    return total
 
 
 def optimal_knots(p: ApproxProblem) -> ApproxResult:
@@ -126,13 +155,16 @@ def optimal_knots(p: ApproxProblem) -> ApproxResult:
 
     By power mean (or Lagrange) the sum of h_i^3 under fixed total width
     is smallest when all h_i coincide, so the optimum is the arithmetic
-    progression from a to b.
+    progression from a to b.  Raises LeavesFloatRange, before any caller
+    can emit the result, when a knot, knot value or error is not a
+    finite float.
     """
     h = (p.b - p.a) / p.n
     knots = tuple(p.a + i * h for i in range(p.n + 1))
     pts = tuple((x, p.f(x)) for x in knots)
-    l1 = p.n * h ** 3 / (24.0 * abs(p.s))
-    l2 = p.n * h ** 5 / (480.0 * p.s * p.s)
+    l1 = _power_ratio(p.n, h, 3, 24.0 * abs(p.s))
+    l2 = _power_ratio(p.n, h, 5, 480.0 * p.s * p.s)
+    _require_finite((h, l1, l2, *(y for _, y in pts)), p.s, p.a, p.b)
     return ApproxResult(knots=knots, knot_points=pts, l1_error=l1, l2_error=l2)
 
 
@@ -149,7 +181,12 @@ def interpolant_at(p: ApproxProblem, knots: Sequence[float], x: float) -> float:
     return (1.0 - t) * p.f(xi) + t * p.f(xj)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+@functools.cache
+def _gauss_legendre():
+    """Nodes and weights of the 10-point Gauss-Legendre rule, built on
+    first use so that importing this module does not load numpy."""
+    import numpy as np
+    return np.polynomial.legendre.leggauss(10)
 
 
 def _segment_quadrature(p: ApproxProblem, xi: float, xj: float,
@@ -161,16 +198,17 @@ def _segment_quadrature(p: ApproxProblem, xi: float, xj: float,
     one sign per segment, hence the absolute value outside the signed
     integral in the L1 case.
     """
+    nodes, weights = _gauss_legendre()
     mid = 0.5 * (xi + xj)
     half = 0.5 * (xj - xi)
-    x = mid + half * _GL_NODES
+    x = mid + half * nodes
     fi, fj = p.f(xi), p.f(xj)
     chord = fi + (x - xi) * (fj - fi) / (xj - xi)
     fx = (x * x - p.delta * p.delta) / (4.0 * p.s)
     err = fx - chord
     if squared:
-        return half * float(np.dot(_GL_WEIGHTS, err * err))
-    return abs(half * float(np.dot(_GL_WEIGHTS, err)))
+        return half * float(weights.dot(err * err))
+    return abs(half * float(weights.dot(err)))
 
 
 def quadrature_l1(p: ApproxProblem, knots: Sequence[float]) -> float:

@@ -13,8 +13,6 @@ import math
 import sys
 from typing import Callable, Optional, Sequence, TextIO
 
-import numpy as np
-
 from .approx import ApproxProblem, optimal_knots, quadrature_l1, \
     quadrature_l2, total_error_objective
 from .equidistant import EquidistantConfig, IndexOutOfRange, InvalidConfig, \
@@ -22,7 +20,6 @@ from .equidistant import EquidistantConfig, IndexOutOfRange, InvalidConfig, \
     make_equidistant, midpoint_parabola, verify_archimedes, verify_isogonal, \
     verify_lambert, verify_optical, verify_parallel_chords
 from .kernel import DEFAULT_TOLERANCE, GeometryError, Point, Tolerance
-from .limits import TooManySegments, convergence_table, observed_orders
 from .report import CheckResult, VerificationReport
 from .scene import SceneDocument, SceneFormatError, parse_feet_spec, \
     parse_line_spec, parse_point_spec
@@ -181,6 +178,8 @@ def _load_polygon(args) -> Polygon:
 
 
 def _perturbed(poly: Polygon, eps: float, seed: int) -> Polygon:
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     offsets = rng.uniform(-eps, eps, size=(poly.n, 2))
     return Polygon(tuple(Point(v.x + dx, v.y + dy)
@@ -315,11 +314,17 @@ def cmd_approx(args) -> int:
 # -------------------------------------------------------------------- limit
 
 def cmd_limit(args) -> int:
+    # limits computes with numpy throughout; only this command loads it.
+    from .limits import TooManySegments, convergence_table, observed_orders
+
     if args.window <= 0.0:
         raise _CliError("--window must be positive")
     if args.m_max < 0:
         raise _CliError("--m-max must be >= 0")
-    rows = convergence_table(args.s, args.window, args.m_max)
+    try:
+        rows = convergence_table(args.s, args.window, args.m_max)
+    except TooManySegments as exc:
+        raise _CliError(str(exc)) from None
     orders = observed_orders(rows)
     payload = {
         "s": args.s, "window": args.window,
@@ -445,8 +450,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if isinstance(value, float):
                 _require_finite("--" + dest.replace("_", "-"), value)
         return args.func(args)
-    except (_CliError, SceneFormatError, IndexOutOfRange,
-            TooManySegments) as exc:
+    except (_CliError, SceneFormatError, IndexOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GeometryError as exc:

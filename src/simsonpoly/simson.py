@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from .kernel import (
     DEFAULT_TOLERANCE,
     AtInfinity,
@@ -120,8 +118,11 @@ class Polygon:
         V_k - V_i)| <= tol.bound(diameter) * |V_j - V_i|``, so also when
         two of them coincide.  Only vertex differences enter, so the
         verdict does not depend on where the polygon sits.  Each anchor i
-        is one numpy block over all j < k; memory stays O(n^2).
+        is one numpy block over all j < k; memory stays O(n^2).  numpy is
+        imported here, off the search path, so the CLI starts without it.
         """
+        import numpy as np
+
         verts = np.array([(v.x, v.y) for v in self.vertices], dtype=float)
         n = len(verts)
         bound = tol.bound(self.diameter())

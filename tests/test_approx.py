@@ -8,6 +8,7 @@ from simsonpoly.approx import (
     ApproxProblem,
     BadInterval,
     InvalidProblem,
+    LeavesFloatRange,
     OutOfDomain,
     UnorderedKnots,
     interpolant_at,
@@ -103,6 +104,28 @@ def test_segment_errors_reject_bad_interval():
 
 
 # ------------------------------------------------------------------ objective
+
+@pytest.mark.parametrize("s, xi, xj", [
+    (1e-300, -1.0, 1.0),     # 480 s^2 underflows to zero
+    (1e-160, -1.0, 1.0),     # the quotient overflows
+    (1.0, -1e100, 1e100),    # h^5 overflows
+    (1.0, -1e308, 1e308),    # the width itself overflows
+])
+def test_segment_errors_outside_float_range_raise(s, xi, xj):
+    p = ApproxProblem(s=s, delta=0.0, a=xi, b=xj, n=1)
+    with pytest.raises(LeavesFloatRange, match="leaves the float range"):
+        segment_l2_error(p, xi, xj)
+    with pytest.raises(LeavesFloatRange):
+        optimal_knots(p)
+
+
+def test_segment_l1_and_objective_outside_float_range_raise():
+    p = ApproxProblem(s=1.0, delta=0.0, a=-1e200, b=1e200, n=2)
+    with pytest.raises(LeavesFloatRange):
+        segment_l1_error(p, p.a, p.b)
+    with pytest.raises(LeavesFloatRange):
+        total_error_objective(p, [0.0])
+
 
 def test_objective_examples():
     p = ApproxProblem(s=1.0, delta=0.0, a=0.0, b=6.0, n=3)

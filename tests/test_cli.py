@@ -485,6 +485,23 @@ def test_approx_zero_s_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["--s", "1e-300", "--a", "-1", "--b", "1", "--n", "4"],
+    ["--s=1", "--a=-1e100", "--b=1e100", "--n=1"],
+    ["--s", "1e-160", "--a", "-1", "--b", "1", "--n", "4"],
+    ["--s=1", "--a=-1e308", "--b=1e308", "--n=4"],
+], ids=["s2-underflows", "h5-overflows", "l2-overflows", "width-overflows"])
+def test_approx_outside_float_range_exits_3(capsys, tmp_path, argv):
+    out_path, svg_path = tmp_path / "out.json", tmp_path / "out.svg"
+    code, out, err = run_cli(capsys, "approx", *argv, "--out", str(out_path),
+                             "--svg", str(svg_path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "leaves the float range" in err
+    assert not out_path.exists() and not svg_path.exists()
+
+
 def test_approx_svg(tmp_path):
     svg = tmp_path / "approx.svg"
     assert main(["approx", "--s", "1", "--a", "0", "--b", "4", "--n", "4",
