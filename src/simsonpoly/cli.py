@@ -83,7 +83,8 @@ def _emit_json(args, payload) -> None:
     _emit(args, lambda fh: json.dump(payload, fh, indent=2))
 
 
-def _write_svg(args, svg: str) -> None:
+def _write_svg(args, svg: Optional[str]) -> None:
+    """Write svg, built only when --svg was given, to the --svg file."""
     if args.svg:
         with _open_output(args.svg) as fh:
             fh.write(svg)
@@ -130,9 +131,11 @@ def _construct_scene(args, tol: Tolerance) -> SceneDocument:
 def cmd_construct(args) -> int:
     tol = _tolerance(args)
     scene = _construct_scene(args, tol)
+    # The figure is built first: a scene it cannot draw writes nothing.
+    svg = scene_to_svg(scene) if args.svg else None
     text = scene.to_json()
     _emit(args, lambda fh: fh.write(text))
-    _write_svg(args, scene_to_svg(scene))
+    _write_svg(args, svg)
     return EXIT_OK
 
 
@@ -181,7 +184,9 @@ def _perturbed(poly: Polygon, eps: float, seed: int) -> Polygon:
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    offsets = rng.uniform(-eps, eps, size=(poly.n, 2))
+    # Python floats, not numpy scalars: their arithmetic overflows to inf
+    # silently, as the rest of the package's does.
+    offsets = rng.uniform(-eps, eps, size=(poly.n, 2)).tolist()
     return Polygon(tuple(Point(v.x + dx, v.y + dy)
                          for v, (dx, dy) in zip(poly.vertices, offsets)))
 
@@ -306,8 +311,9 @@ def cmd_approx(args) -> int:
                                    "objective_delta": delta_obj}
         if delta_obj <= 0.0:
             exit_code = EXIT_VERIFY
+    svg = approx_figure(problem, result) if args.svg else None
     _emit_json(args, payload)
-    _write_svg(args, approx_figure(problem, result))
+    _write_svg(args, svg)
     return exit_code
 
 

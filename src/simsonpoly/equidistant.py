@@ -36,14 +36,13 @@ from .kernel import (
     Line,
     Point,
     Tolerance,
-    angle_between_lines,
     angle_between_rays,
     bbox_diagonal,
     circumcircle,
     line_intersection,
     reflect_point,
 )
-from .report import CheckResult, VerificationReport
+from .report import VerificationReport
 from .simson import Polygon, SimsonCertificate
 
 
@@ -253,36 +252,47 @@ def verify_parallel_chords(poly: EquidistantPolygon,
       middle vertex V_{(i+j)/2},
     * the midpoints of every equal-sum family line up orthogonally to L
       (equal x), the middle vertex included when the family has one.
+
+    The vertex coordinates are read once into float lists; the angles are
+    those of ``angle_between_lines``, operation for operation.
     """
     report = VerificationReport()
     limit, angle_limit = report.set_limits(poly.scale(), tol)
-    chain = poly.chain
-    m = len(chain)
-    s = poly.config.s
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            groups.setdefault(i + j, []).append((i, j))
-    for sigma in sorted(groups):
-        chords = groups[sigma]
-        dirs = [chain[j - 1] - chain[i - 1] for i, j in chords]
-        if len(chords) >= 2:
-            residual = max(angle_between_lines(dirs[0], d) for d in dirs[1:])
-            report.judge("parallel-chords", (sigma,), residual, angle_limit)
-        for (i, j), d in zip(chords, dirs):
-            if (j - i) % 2 == 0:
-                mid = (i + j) // 2
-                x_mid = chain[mid - 1].x
-                tangent_dir = Point(2.0 * s, x_mid)
-                residual = angle_between_lines(d, tangent_dir)
-                report.judge("chord-tangent", (i, j, mid), residual,
-                             angle_limit)
-        coords = [chain[i - 1].midpoint(chain[j - 1]).x for i, j in chords]
-        if sigma % 2 == 0 and 1 <= sigma // 2 <= m:
-            coords.append(chain[sigma // 2 - 1].x)
+    xs = [v.x for v in poly.chain]
+    ys = [v.y for v in poly.chain]
+    m = len(xs)
+    two_s = 2.0 * poly.config.s
+    atan2 = math.atan2
+    par_idx, par_res = [], []
+    tan_idx, tan_res = [], []
+    mid_idx, mid_res = [], []
+    for sigma in range(3, 2 * m):
+        # The chords V_i V_j with i + j = sigma and i < j, by increasing i.
+        i_range = range(max(1, sigma - m), (sigma - 1) // 2 + 1)
+        dxs = [xs[sigma - i - 1] - xs[i - 1] for i in i_range]
+        dys = [ys[sigma - i - 1] - ys[i - 1] for i in i_range]
+        coords = [0.5 * (xs[i - 1] + xs[sigma - i - 1]) for i in i_range]
+        if len(dxs) >= 2:
+            ux, uy = dxs[0], dys[0]
+            par_idx.append((sigma,))
+            par_res.append(max(atan2(abs(ux * dy - uy * dx),
+                                     abs(ux * dx + uy * dy))
+                               for dx, dy in zip(dxs[1:], dys[1:])))
+        if sigma % 2 == 0:
+            # j - i is even: compare with the tangent at V_{sigma/2}.
+            mid = sigma // 2
+            x_mid = xs[mid - 1]
+            for i, dx, dy in zip(i_range, dxs, dys):
+                tan_idx.append((i, sigma - i, mid))
+                tan_res.append(atan2(abs(dx * x_mid - dy * two_s),
+                                     abs(dx * two_s + dy * x_mid)))
+            coords.append(x_mid)
         if len(coords) >= 2:
-            residual = max(coords) - min(coords)
-            report.judge("midpoints-aligned", (sigma,), residual, limit)
+            mid_idx.append((sigma,))
+            mid_res.append(max(coords) - min(coords))
+    report.judge("parallel-chords", par_idx, par_res, angle_limit)
+    report.judge("chord-tangent", tan_idx, tan_res, angle_limit)
+    report.judge("midpoints-aligned", mid_idx, mid_res, limit)
     return report
 
 
@@ -292,30 +302,35 @@ def verify_isogonal(poly: SimsonPolygonFrame,
 
     With V' the mirror image of V_i across the Simson line, the angle
     V' V_i X_i equals the angle X_{i+1} V_i S.  Vertices lying on the
-    Simson line (V' = V_i) and zero-length rays are skipped with a note.
+    Simson line (V' = V_i) and vertices with a zero-length ray are
+    skipped: their residual is 0 and the note names them.
     """
     report = VerificationReport()
     limit, angle_limit = report.set_limits(poly.scale(), tol)
     n = poly.n
     S = poly.simson_point
+    skipped: dict[str, list[str]] = {}
+    labels, residuals = [], []
     for iv in range(n):
         v = poly.vertices[iv]
-        label = (iv + 1,)
+        labels.append((iv + 1,))
+        residuals.append(0.0)
         if abs(v.y) <= limit:
-            report.add(CheckResult("isogonal", label, 0.0, True,
-                                   note="skipped: vertex on the simson line"))
+            skipped.setdefault("vertex on the simson line", []).append(
+                str(iv + 1))
             continue
         x_here = poly.projections[iv]
         x_next = poly.projections[(iv + 1) % n]
         rays = [Point(0.0, -2.0 * v.y), x_here - v, x_next - v, S - v]
         if min(r.norm() for r in rays) <= limit:
-            report.add(CheckResult("isogonal", label, 0.0, True,
-                                   note="skipped: degenerate ray"))
+            skipped.setdefault("degenerate ray", []).append(str(iv + 1))
             continue
         a1 = angle_between_rays(rays[0], rays[1])
         a2 = angle_between_rays(rays[2], rays[3])
-        residual = abs(a1 - a2)
-        report.judge("isogonal", label, residual, angle_limit)
+        residuals[-1] = abs(a1 - a2)
+    note = "; ".join(f"skipped: {why} at {', '.join(at)}"
+                     for why, at in skipped.items())
+    report.judge("isogonal", labels, residuals, angle_limit, note)
     return report
 
 
@@ -335,10 +350,12 @@ def verify_optical(poly: SimsonPolygonFrame,
     S = poly.simson_point
     verts = poly.vertices
     sides = poly.polygon().side_lines()
+    labels, residuals = [], []
     for i in range(1, poly.n - 1):
         mid = verts[i - 1].midpoint(verts[i])
-        residual = abs(reflect_point(S, sides[i - 1]).x - mid.x)
-        report.judge("optical", (i,), residual, limit)
+        labels.append((i,))
+        residuals.append(abs(reflect_point(S, sides[i - 1]).x - mid.x))
+    report.judge("optical", labels, residuals, limit)
     return report
 
 
@@ -351,43 +368,53 @@ def verify_archimedes(poly: SimsonPolygonFrame,
     M(V_i, V_{j+1}) and M(V_{i+1}, V_j).  On top of the per-pair checks,
     all W with index sum sigma and all midpoints with index sum sigma+1
     share one such orthogonal line, checked per family.
+
+    Vertex abscissae and side-line coefficients are read once into float
+    lists; a meet is computed as ``line_intersection`` computes it, with
+    the same guard on the determinant.
     """
     report = VerificationReport()
     if poly.n < 5:
         raise InvalidConfig("verify_archimedes needs n >= 5")
     limit, _ = report.set_limits(poly.scale(), tol)
-    verts = poly.vertices
     n = poly.n
-    # sides[i - 1] is the line V_i V_{i+1}, built once for all pairs.
+    xs = [v.x for v in poly.vertices]
+    # sides[i - 1] is the line V_i V_{i+1}.
     sides = poly.polygon().side_lines()
-
-    def meet_coord(i: int, j: int) -> float:
-        cross = line_intersection(sides[i - 1], sides[j - 1], tol)
-        if isinstance(cross, AtInfinity):
-            raise ParallelSides(f"side lines {i} and {j} are parallel")
-        return cross.point.x
-
-    def mid_coord(i: int, j: int) -> float:
-        return verts[i - 1].midpoint(verts[j - 1]).x
-
+    a = [line.a for line in sides]
+    b = [line.b for line in sides]
+    c = [line.c for line in sides]
+    parallel = tol.bound(1.0)
+    pair_idx, pair_res = [], []
     w_families: dict[int, list[float]] = {}
-    m_families: dict[int, list[float]] = {}
     for i in range(1, n - 1):
+        ai, bi, ci = a[i - 1], b[i - 1], c[i - 1]
+        x_i, x_next = xs[i - 1], xs[i]
         for j in range(i + 1, n - 1):
-            w = meet_coord(i, j)
+            det = ai * b[j - 1] - a[j - 1] * bi
+            if abs(det) <= parallel:
+                # line_intersection raises IdenticalLines for coincident
+                # sides and returns AtInfinity for parallel ones.
+                line_intersection(sides[i - 1], sides[j - 1], tol)
+                raise ParallelSides(f"side lines {i} and {j} are parallel")
+            w = (bi * c[j - 1] - b[j - 1] * ci) / det
             w_families.setdefault(i + j, []).append(w)
-            coords = [w, mid_coord(i, j + 1), mid_coord(i + 1, j)]
-            residual = max(coords) - min(coords)
-            report.judge("archimedes", (i, j), residual, limit)
-    for c in range(1, n):
-        for d in range(c, n):
-            m_families.setdefault(c + d, []).append(
-                verts[c - 1].x if c == d else mid_coord(c, d))
-    for sigma, ws in sorted(w_families.items()):
-        coords = ws + m_families.get(sigma + 1, [])
-        if len(coords) >= 2:
-            residual = max(coords) - min(coords)
-            report.judge("archimedes-family", (sigma,), residual, limit)
+            m1 = 0.5 * (x_i + xs[j])
+            m2 = 0.5 * (x_next + xs[j - 1])
+            pair_idx.append((i, j))
+            pair_res.append(max(w, m1, m2) - min(w, m1, m2))
+    report.judge("archimedes", pair_idx, pair_res, limit)
+    fam_idx, fam_res = [], []
+    for sigma, coords in sorted(w_families.items()):
+        # The midpoints M(V_c, V_d), c <= d, with c + d = sigma + 1; the
+        # vertex V_c itself when c = d.
+        t = sigma + 1
+        coords += [xs[k - 1] if 2 * k == t
+                   else 0.5 * (xs[k - 1] + xs[t - k - 1])
+                   for k in range(max(1, t - n + 1), t // 2 + 1)]
+        fam_idx.append((sigma,))
+        fam_res.append(max(coords) - min(coords))
+    report.judge("archimedes-family", fam_idx, fam_res, limit)
     return report
 
 
@@ -418,7 +445,7 @@ def verify_lambert(poly: SimsonPolygonFrame, i: int, j: int, k: int,
     # The circle may be far larger than the polygon.
     limit = report.tolerances["lambert_limit"] = tol.bound(
         max(circle.radius, scale))
-    report.judge("lambert", idx, residual, limit)
+    report.judge("lambert", [idx], [residual], limit)
     return report
 
 

@@ -7,8 +7,10 @@ given scene always produces byte-identical SVG.
 
 from __future__ import annotations
 
+import math
+
 from .approx import ApproxProblem, ApproxResult
-from .kernel import Point
+from .kernel import NonFinite, Point
 from .scene import SceneDocument
 
 _DEFAULT_STROKE = {
@@ -28,7 +30,11 @@ def _fmt(v: float) -> str:
 
 
 class SvgCanvas:
-    """Fixed-size canvas mapping a world window to pixel coordinates."""
+    """Fixed-size canvas mapping a world window to pixel coordinates.
+
+    Raises NonFinite when the window is too narrow or too wide for its
+    scale or pixel height to be a positive finite float.
+    """
 
     def __init__(self, xmin: float, ymin: float, xmax: float, ymax: float,
                  width: int = 720):
@@ -42,7 +48,11 @@ class SvgCanvas:
         self.ymin, self.ymax = ymin - pad_y, ymax + pad_y
         self.width = width
         self.scale = width / (self.xmax - self.xmin)
-        self.height = max(int(round((self.ymax - self.ymin) * self.scale)), 40)
+        height = (self.ymax - self.ymin) * self.scale
+        if not (0.0 < self.scale < math.inf and math.isfinite(height)):
+            raise NonFinite(f"figure window [{xmin}, {xmax}] x [{ymin}, "
+                            f"{ymax}] leaves the float range")
+        self.height = max(int(round(height)), 40)
         self._body: list[str] = []
 
     def map(self, p: Point) -> tuple[float, float]:

@@ -205,6 +205,30 @@ def test_verify_negative_control_is_seeded(capsys, tmp_path):
     assert first == second
 
 
+def test_perturbed_draws_python_floats():
+    import numpy as np
+
+    poly = make_equidistant(EquidistantConfig(s=1, x0=-3.5, delta=1, n=8))
+    moved = _perturbed(poly.polygon(), 1e-3, 5)
+    offsets = np.random.default_rng(5).uniform(-1e-3, 1e-3, size=(8, 2))
+    want = [(v.x + dx, v.y + dy)
+            for v, (dx, dy) in zip(poly.vertices, offsets)]
+    assert [(v.x, v.y) for v in moved.vertices] == want
+    assert all(type(t) is float for v in moved.vertices for t in (v.x, v.y))
+
+
+def test_verify_huge_negative_control_exits_3_with_one_line(capsys,
+                                                             tmp_path):
+    # The perturbed sides' coefficients overflow; no numpy warning may
+    # precede the error line.
+    path = octagon_scene(tmp_path)
+    code, out, err = run_cli(capsys, "verify", "--in", str(path),
+                             "--negative-control", "--perturb", "1e300")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: non-finite") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-3", "1e308"])
 def test_verify_negative_control_bad_perturb_exits_2(capsys, tmp_path, value):
     path = octagon_scene(tmp_path)
@@ -490,7 +514,10 @@ def test_approx_zero_s_exits_3(capsys):
     ["--s=1", "--a=-1e100", "--b=1e100", "--n=1"],
     ["--s", "1e-160", "--a", "-1", "--b", "1", "--n", "4"],
     ["--s=1", "--a=-1e308", "--b=1e308", "--n=4"],
-], ids=["s2-underflows", "h5-overflows", "l2-overflows", "width-overflows"])
+    ["--s=2.383236298920392e-14", "--a=-5.6165544297e-314",
+     "--b=6.2922017e-317", "--n=3"],
+], ids=["s2-underflows", "h5-overflows", "l2-overflows", "width-overflows",
+        "figure-scale-overflows"])
 def test_approx_outside_float_range_exits_3(capsys, tmp_path, argv):
     out_path, svg_path = tmp_path / "out.json", tmp_path / "out.svg"
     code, out, err = run_cli(capsys, "approx", *argv, "--out", str(out_path),
@@ -500,6 +527,17 @@ def test_approx_outside_float_range_exits_3(capsys, tmp_path, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "leaves the float range" in err
     assert not out_path.exists() and not svg_path.exists()
+
+
+def test_svg_canvas_outside_float_range_raises():
+    from simsonpoly.kernel import NonFinite
+    from simsonpoly.svgfig import SvgCanvas
+
+    with pytest.raises(NonFinite, match="leaves the float range"):
+        SvgCanvas(-5.6e-314, 0.0, 6.3e-317, 1.0)
+    with pytest.raises(NonFinite, match="leaves the float range"):
+        SvgCanvas(-1e308, 0.0, 1.7e308, 1.0)
+    assert SvgCanvas(0.0, 0.0, 1e-300, 1e-300).height == 720
 
 
 def test_approx_svg(tmp_path):

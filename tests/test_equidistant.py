@@ -27,8 +27,8 @@ from simsonpoly.equidistant import (
     verify_parallel_chords,
     w_point,
 )
-from simsonpoly.kernel import DEFAULT_TOLERANCE, Line, Point, circumcircle, \
-    line_through
+from simsonpoly.kernel import DEFAULT_TOLERANCE, IdenticalLines, Line, Point, \
+    circumcircle, line_through
 from simsonpoly.report import VerificationReport
 from simsonpoly.simson import construct_simson_polygon, find_simson_point, \
     is_simson_point
@@ -232,6 +232,12 @@ def _perturbed(poly, eps=1e-3, which=1):
                               config=poly.config)
 
 
+def _family(report, name):
+    """The one check family of report named name."""
+    [family] = [c for c in report.checks if c.name == name]
+    return family
+
+
 def test_parallel_chords_pass_on_octagon():
     report = verify_parallel_chords(OCT)
     assert report.overall
@@ -243,12 +249,12 @@ def test_parallel_chords_pass_on_octagon():
 def test_parallel_chords_family_of_figure_checks():
     # family i+j = 7 is V1V6, V2V5, V3V4; all slope 3, midpoints share x
     report = verify_parallel_chords(OCT)
-    fams = [c for c in report.checks
-            if c.name == "parallel-chords" and c.indices == (7,)]
-    assert len(fams) == 1 and fams[0].passed
-    mids = [c for c in report.checks
-            if c.name == "midpoints-aligned" and c.indices == (7,)]
-    assert len(mids) == 1 and mids[0].passed
+    fam = _family(report, "parallel-chords")
+    fams = [r for idx, r in fam.rows() if idx == (7,)]
+    assert len(fams) == 1 and fams[0] <= fam.limit
+    mid = _family(report, "midpoints-aligned")
+    mids = [r for idx, r in mid.rows() if idx == (7,)]
+    assert len(mids) == 1 and mids[0] <= mid.limit
 
 
 def test_parallel_chords_vacuous_for_triangle():
@@ -264,7 +270,7 @@ def test_parallel_chords_fail_on_perturbation():
 def test_isogonal_passes_on_octagon():
     report = verify_isogonal(OCT)
     assert report.overall
-    assert len(report.checks) == 8
+    assert len(_family(report, "isogonal").rows()) == 8
 
 
 def test_isogonal_passes_on_general_simson_polygon():
@@ -293,7 +299,7 @@ def test_isogonal_fails_on_perturbation():
 def test_optical_passes_on_octagon():
     report = verify_optical(OCT)
     assert report.overall
-    assert len(report.checks) == 6
+    assert len(_family(report, "optical").rows()) == 6
 
 
 def test_optical_fails_when_focus_moves():
@@ -308,9 +314,9 @@ def test_optical_fails_when_focus_moves():
 def test_archimedes_alignment_example():
     report = verify_archimedes(OCT)
     assert report.overall
-    pair = [c for c in report.checks
-            if c.name == "archimedes" and c.indices == (1, 3)]
-    assert len(pair) == 1 and pair[0].residual < 1e-9
+    pair = [r for idx, r in _family(report, "archimedes").rows()
+            if idx == (1, 3)]
+    assert len(pair) == 1 and pair[0] < 1e-9
 
 
 def test_archimedes_family_shares_coordinate():
@@ -319,9 +325,9 @@ def test_archimedes_family_shares_coordinate():
     assert w_point(cfg, 1, 4).x == pytest.approx(5.0)
     assert w_point(cfg, 2, 3).x == pytest.approx(5.0)
     report = verify_archimedes(OCT)
-    fam = [c for c in report.checks
-           if c.name == "archimedes-family" and c.indices == (5,)]
-    assert len(fam) == 1 and fam[0].passed
+    family = _family(report, "archimedes-family")
+    fam = [r for idx, r in family.rows() if idx == (5,)]
+    assert len(fam) == 1 and fam[0] <= family.limit
 
 
 def test_archimedes_needs_five_sides():
@@ -332,6 +338,23 @@ def test_archimedes_needs_five_sides():
 
 def test_archimedes_fails_on_perturbation():
     assert not verify_archimedes(_perturbed(OCT)).overall
+
+
+def _frame(vertices):
+    pts = tuple(Point(x, y) for x, y in vertices)
+    return SimsonPolygonFrame(vertices=pts, projections=pts,
+                              simson_point=Point(0, 1),
+                              simson_line=Line(0, 1, 0))
+
+
+def test_archimedes_rejects_sides_that_do_not_cross():
+    # Sides 1 and 3 of the first pentagon are parallel; sides 1 and 4 of
+    # the hexagon lie on one line, y = 0.
+    with pytest.raises(ParallelSides, match="side lines 1 and 3"):
+        verify_archimedes(_frame([(0, 0), (4, 0), (5, 2), (1, 2), (-1, 1)]))
+    with pytest.raises(IdenticalLines):
+        verify_archimedes(_frame([(0, 0), (1, 0), (2, 1), (3, 0), (4, 0),
+                                  (2, -3)]))
 
 
 def test_lambert_triangle_circumcircle_hits_simson_point():
@@ -399,8 +422,8 @@ def test_extend_does_not_merge_tolerances():
 
 def test_judge_passes_at_the_limit():
     report = VerificationReport()
-    report.judge("x", (1,), 1e-9, 1e-9)
-    report.judge("y", (2,), 2e-9, 1e-9, note="n")
+    report.judge("x", [(1,)], [1e-9], 1e-9)
+    report.judge("y", [(2,)], [2e-9], 1e-9, note="n")
     assert [c.passed for c in report.checks] == [True, False]
     assert report.checks[1].note == "n"
 

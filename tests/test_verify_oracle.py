@@ -1,13 +1,16 @@
-"""The canonical-frame verifiers against their general-line originals.
+"""The verifiers' check families against two references.
 
-The verifiers read coordinates along the Simson line as x and heights
-over it as y.  The functions below compute the same residuals for any
-Simson line L: coordinates along L through ``Line.direction()``, the
-mirror image through ``reflect_point(v, L)``, and the optical residual as
-the distance from S to the perpendicular to L at the side midpoint,
+``scalar_verifiers`` holds the verifiers as they were before they became
+float passes, one ``Point``/``Line`` computation per pair; every
+family's residual list must equal theirs bitwise, in the same order.
+
+The functions below compute the same residuals for any Simson line L:
+coordinates along L through ``Line.direction()``, the mirror image
+through ``reflect_point(v, L)``, and the optical residual as the
+distance from S to the perpendicular to L at the side midpoint,
 reflected in the side by mirroring two of its points.  In the canonical
-frame every residual but the optical one must agree bitwise; the optical
-one is computed by another route and agrees to rounding.
+frame every residual but the optical one must agree bitwise; the
+optical one is computed by another route and agrees to rounding.
 """
 
 import math
@@ -17,6 +20,8 @@ import numpy as np
 import pytest
 
 from geomgen import random_equidistant_config
+from scalar_verifiers import scalar_archimedes, scalar_isogonal, \
+    scalar_lambert, scalar_optical, scalar_parallel_chords
 from simsonpoly.equidistant import (
     EquidistantPolygon,
     associated_parabola,
@@ -148,8 +153,12 @@ def oracle_lambert(poly, idx):
              abs(poly.simson_point.distance(circle.center) - circle.radius))]
 
 
-def _rows(report):
-    return [(c.name, c.indices, c.residual) for c in report.checks]
+def _families(rows):
+    """{name: [(indices, residual), ...]} of per-check rows, in order."""
+    out = {}
+    for name, idx, res in rows:
+        out.setdefault(name, []).append((idx, res))
+    return out
 
 
 def _jittered(poly, rng, eps=1e-3):
@@ -190,14 +199,24 @@ def _frames():
 EQUIDISTANT_FRAMES, GENERAL_FRAMES = _frames()
 
 
-def _assert_matches(report, expected, poly):
-    got = _rows(report)
-    assert [row[:2] for row in got] == [row[:2] for row in expected]
-    for (name, idx, res), (_, _, ref) in zip(got, expected):
-        if name == "optical":
-            assert abs(res - ref) <= 1e-12 * max(1.0, poly.scale()), idx
-        else:
-            assert res == ref, (name, idx)
+def _assert_matches(report, expected, poly, optical_rel=1e-12):
+    got = {c.name: c.rows() for c in report.checks}
+    assert len(got) == len(report.checks)
+    want = _families(expected)
+    assert sorted(got) == sorted(want)
+    for name, rows in want.items():
+        assert [idx for idx, _ in got[name]] == [idx for idx, _ in rows]
+        for (idx, res), (_, ref) in zip(got[name], rows):
+            if name == "optical":
+                assert abs(res - ref) <= optical_rel * max(1.0, poly.scale()), \
+                    idx
+            else:
+                assert res == ref, (name, idx)
+
+
+def _assert_matches_scalar(report, expected, poly):
+    # The float passes repeat the scalar operations, optical included.
+    _assert_matches(report, expected, poly, optical_rel=0.0)
 
 
 def _lambert_triples(n):
@@ -226,6 +245,31 @@ def test_general_frame_verifiers_match_general_line_oracle(k):
     for idx in _lambert_triples(frame.n):
         _assert_matches(verify_lambert(frame, *idx),
                         oracle_lambert(frame, idx), frame)
+
+
+@pytest.mark.parametrize("k", range(len(EQUIDISTANT_FRAMES)))
+def test_equidistant_families_match_scalar_verifiers(k):
+    poly = EQUIDISTANT_FRAMES[k]
+    _assert_matches_scalar(verify_parallel_chords(poly),
+                           scalar_parallel_chords(poly), poly)
+    _assert_matches_scalar(verify_isogonal(poly), scalar_isogonal(poly), poly)
+    _assert_matches_scalar(verify_optical(poly), scalar_optical(poly), poly)
+    _assert_matches_scalar(verify_archimedes(poly), scalar_archimedes(poly),
+                           poly)
+    for idx in _lambert_triples(poly.n):
+        _assert_matches_scalar(verify_lambert(poly, *idx),
+                               scalar_lambert(poly, *idx), poly)
+
+
+@pytest.mark.parametrize("k", range(len(GENERAL_FRAMES)))
+def test_general_frame_families_match_scalar_verifiers(k):
+    frame = GENERAL_FRAMES[k]
+    _assert_matches_scalar(verify_isogonal(frame), scalar_isogonal(frame),
+                           frame)
+    _assert_matches_scalar(verify_optical(frame), scalar_optical(frame),
+                           frame)
+    _assert_matches_scalar(verify_archimedes(frame), scalar_archimedes(frame),
+                           frame)
 
 
 def test_oracle_sees_nonzero_residuals():
