@@ -350,26 +350,36 @@ def cmd_limit(args) -> int:
 
 # ----------------------------------------------------------------- plumbing
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tolerance", type=float, default=None,
-                        help="absolute and relative epsilon (default 1e-9)")
-    common.add_argument("--out", default=None, metavar="FILE",
-                        help="write JSON output here instead of stdout")
-    common.add_argument("--svg", default=None, metavar="FILE",
-                        help="also write an SVG figure")
-    common.add_argument("--in", dest="infile", default=None, metavar="FILE",
-                        help="input scene JSON ('-' for stdin)")
-    common.add_argument("--quiet", action="store_true",
-                        help="suppress stdout output")
+# Flags that several subcommands read; argparse defaults each valued one
+# to None.
+_SHARED_FLAGS = {
+    "--tolerance": dict(type=float,
+                        help="absolute and relative epsilon (default 1e-9)"),
+    "--out": dict(metavar="FILE",
+                  help="write JSON output here instead of stdout"),
+    "--svg": dict(metavar="FILE", help="also write an SVG figure"),
+    "--in": dict(dest="infile", metavar="FILE",
+                 help="input scene JSON ('-' for stdin)"),
+    "--quiet": dict(action="store_true", help="suppress stdout output"),
+}
 
+
+def _add_shared(p: argparse.ArgumentParser, flags: str) -> None:
+    """Declare the named flags of _SHARED_FLAGS on one subcommand."""
+    for flag in flags.split():
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand declares only the flags it reads; any other flag
+    is an unrecognised argument (exit 2)."""
     parser = argparse.ArgumentParser(
         prog="simsonpoly",
         description="Construct, verify, and approximate Simson polygons.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_con = sub.add_parser("construct", parents=[common],
-                           help="build a Simson polygon scene")
+    p_con = sub.add_parser("construct", help="build a Simson polygon scene")
+    _add_shared(p_con, "--tolerance --out --svg --quiet")
     p_con.add_argument("--equidistant", action="store_true",
                        help="use the equidistant closed form")
     p_con.add_argument("--s", type=float, help="Simson point height")
@@ -382,8 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--simson-line", help="line as 'ax+by+c=0' or 'y=mx+k'")
     p_con.set_defaults(func=cmd_construct)
 
-    p_ver = sub.add_parser("verify", parents=[common],
+    p_ver = sub.add_parser("verify",
                            help="check scene polygon against the theorems")
+    _add_shared(p_ver, "--tolerance --out --in --quiet")
     p_ver.add_argument("--checks", default="all",
                        help="comma list from {%s} or all" % ", ".join(ALL_CHECKS))
     p_ver.add_argument("--triple", default="1,2,3",
@@ -396,8 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed for --negative-control noise")
     p_ver.set_defaults(func=cmd_verify)
 
-    p_app = sub.add_parser("approx", parents=[common],
+    p_app = sub.add_parser("approx",
                            help="optimal piecewise-linear approximation")
+    _add_shared(p_app, "--out --svg --quiet")
     p_app.add_argument("--s", type=float, required=True)
     p_app.add_argument("--a", type=float, required=True)
     p_app.add_argument("--b", type=float, required=True)
@@ -410,8 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="report the objective change of a knot nudge")
     p_app.set_defaults(func=cmd_approx)
 
-    p_lim = sub.add_parser("limit", parents=[common],
+    p_lim = sub.add_parser("limit",
                            help="convergence of the chain to the parabola")
+    _add_shared(p_lim, "--out --quiet")
     p_lim.add_argument("--s", type=float, required=True)
     p_lim.add_argument("--window", type=float, default=4.0,
                        help="half-width of the sampled window")

@@ -46,10 +46,6 @@ from .report import VerificationReport
 from .simson import Polygon, SimsonCertificate
 
 
-# The Simson line of the canonical frame, y = 0.
-_X_AXIS = Line(0.0, 1.0, 0.0)
-
-
 class InvalidConfig(GeometryError):
     """Configuration parameters outside their domain."""
 
@@ -134,16 +130,15 @@ class SimsonPolygonFrame:
 
     projections[i] pairs with vertices so that side (V_i, V_{i+1})
     carries projections[i+1], wrapping; this matches the labeling of
-    the construction module.  simson_line must be y = 0, i.e.
-    Line(0, 1, 0), or InvalidConfig is raised: the verifiers read
-    coordinates along L as x and heights over L as y.  The Simson point
-    is not pinned to the y-axis, so an off-frame S can be tested.
+    the construction module.  The Simson line is y = 0 by construction
+    of the frame: the verifiers read coordinates along L as x and heights
+    over L as y.  The Simson point is not pinned to the y-axis, so an
+    off-frame S can be tested.
     """
 
     vertices: tuple[Point, ...]
     projections: tuple[Point, ...]
     simson_point: Point
-    simson_line: Line
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
@@ -152,9 +147,11 @@ class SimsonPolygonFrame:
             raise InvalidConfig("vertex and projection counts differ")
         if len(self.vertices) < 3:
             raise InvalidConfig("need at least 3 vertices")
-        if self.simson_line != _X_AXIS:
-            raise InvalidConfig(
-                f"simson_line must be y = 0, got {self.simson_line}")
+
+    @property
+    def simson_line(self) -> Line:
+        """The Simson line L, y = 0 in every frame."""
+        return Line(0.0, 1.0, 0.0)
 
     @property
     def n(self) -> int:
@@ -201,8 +198,7 @@ def make_equidistant(cfg: EquidistantConfig) -> EquidistantPolygon:
     verts.append(Point(xn + x1, xn * x1 / s))
     feet = tuple(Point(cfg.foot_abscissa(i), 0.0) for i in range(1, n + 1))
     return EquidistantPolygon(vertices=tuple(verts), projections=feet,
-                              simson_point=Point(0.0, s),
-                              simson_line=_X_AXIS, config=cfg)
+                              simson_point=Point(0.0, s), config=cfg)
 
 
 def associated_parabola(cfg: EquidistantConfig) -> Parabola:
@@ -449,58 +445,35 @@ def verify_lambert(poly: SimsonPolygonFrame, i: int, j: int, k: int,
     return report
 
 
-@dataclass(frozen=True)
-class CanonicalFrame:
-    """Rigid motion taking a (Simson point, Simson line) pair to frame.
-
-    to_frame rotates the line direction onto the x-axis and translates so
-    the line becomes y = 0 with the point at (0, s).
-    """
-
-    cos_t: float
-    sin_t: float
-    shift_x: float
-    shift_y: float
-
-    @classmethod
-    def of(cls, s_point: Point, line: Line) -> "CanonicalFrame":
-        d = line.direction()
-        cos_t, sin_t = d.x, d.y
-        # Rotation by -angle(d): p -> (c*x + s*y, -s*x + c*y).
-        on_line = Point(-line.c * line.a, -line.c * line.b)
-        line_y = -sin_t * on_line.x + cos_t * on_line.y
-        s_x = cos_t * s_point.x + sin_t * s_point.y
-        return cls(cos_t, sin_t, s_x, line_y)
-
-    def to_frame(self, p: Point) -> Point:
-        rx = self.cos_t * p.x + self.sin_t * p.y
-        ry = -self.sin_t * p.x + self.cos_t * p.y
-        return Point(rx - self.shift_x, ry - self.shift_y)
-
-    def from_frame(self, p: Point) -> Point:
-        rx = p.x + self.shift_x
-        ry = p.y + self.shift_y
-        return Point(self.cos_t * rx - self.sin_t * ry,
-                     self.sin_t * rx + self.cos_t * ry)
-
-
 def frame_from_certificate(poly: Polygon,
                            cert: SimsonCertificate) -> SimsonPolygonFrame:
     """Map a certified Simson polygon into the canonical frame.
 
-    The certificate's pedals are in side order; the frame labeling wants
-    projections[i] on the side line through V_{i-1} V_i, which is the
-    same sequence rotated right by one.
+    The rigid motion rotates the Simson line's direction onto the x-axis
+    and translates so the line becomes y = 0 with the Simson point at
+    (0, s).  The certificate's pedals are in side order; the frame
+    labeling wants projections[i] on the side line through V_{i-1} V_i,
+    which is the same sequence rotated right by one.
     """
-    frame = CanonicalFrame.of(cert.simson_point, cert.simson_line)
-    verts = tuple(frame.to_frame(v) for v in poly.vertices)
+    line = cert.simson_line
+    d = line.direction()
+    cos_t, sin_t = d.x, d.y
+    # Rotation by -angle(d): p -> (c*x + s*y, -s*x + c*y), then the shift.
+    on_x, on_y = -line.c * line.a, -line.c * line.b
+    shift_y = -sin_t * on_x + cos_t * on_y
+    shift_x = cos_t * cert.simson_point.x + sin_t * cert.simson_point.y
+
+    def to_frame(p: Point) -> Point:
+        return Point(cos_t * p.x + sin_t * p.y - shift_x,
+                     -sin_t * p.x + cos_t * p.y - shift_y)
+
+    verts = tuple(to_frame(v) for v in poly.vertices)
     pedals = cert.projections
     feet = (pedals[-1],) + pedals[:-1]
-    feet = tuple(frame.to_frame(f) for f in feet)
-    s = frame.to_frame(cert.simson_point)
+    feet = tuple(to_frame(f) for f in feet)
+    s = to_frame(cert.simson_point)
     return SimsonPolygonFrame(vertices=verts, projections=feet,
-                              simson_point=Point(0.0, s.y),
-                              simson_line=_X_AXIS)
+                              simson_point=Point(0.0, s.y))
 
 
 def equidistant_from_frame(fp: SimsonPolygonFrame,
@@ -529,5 +502,4 @@ def equidistant_from_frame(fp: SimsonPolygonFrame,
     cfg = EquidistantConfig(s=fp.simson_point.y, x0=xs[0], delta=delta,
                             n=len(xs))
     return EquidistantPolygon(vertices=vertices, projections=feet,
-                              simson_point=fp.simson_point,
-                              simson_line=fp.simson_line, config=cfg)
+                              simson_point=fp.simson_point, config=cfg)

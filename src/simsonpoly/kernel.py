@@ -148,9 +148,6 @@ class Line:
         """Line through p orthogonal to self."""
         return Line(-self.b, self.a, self.b * p.x - self.a * p.y)
 
-    def parallel_through(self, p: Point) -> "Line":
-        return Line(self.a, self.b, -(self.a * p.x + self.b * p.y))
-
 
 @dataclass(frozen=True)
 class Circle:

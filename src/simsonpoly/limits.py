@@ -28,6 +28,11 @@ chain over [-w, w] at spacing 2^-m_max has 2 w 2^m_max of them."""
 # Parabola samples per block of the parabola-to-chain distances.
 _BLOCK_ROWS = 64
 
+# Samples per chain segment and along the parabola arc of the Hausdorff
+# estimate.
+_PER_SEGMENT = 8
+_PARABOLA_SAMPLES = 2001
+
 
 class TooManySegments(ValueError):
     """The finest chain of a convergence table exceeds MAX_SEGMENTS."""
@@ -114,17 +119,16 @@ def _points_to_polyline(px: np.ndarray, py: np.ndarray,
 
 
 def hausdorff_chain_parabola(chain: list[Point], par: Parabola,
-                             half_width: float, *, per_segment: int = 8,
-                             parabola_samples: int = 2001) -> float:
+                             half_width: float) -> float:
     """Hausdorff distance between the chain and the parabola arc over
     [-w, w], by dense sampling with exact point-to-curve distances in the
     chain-to-parabola direction."""
     v = np.array([[p.x, p.y] for p in chain])
-    t = np.arange(1, per_segment + 1)[:, None] / per_segment
+    t = np.arange(1, _PER_SEGMENT + 1)[:, None] / _PER_SEGMENT
     along = v[:-1, None] + t * (v[1:] - v[:-1])[:, None]
     samples = np.concatenate([v[:1], along.reshape(-1, 2)])
     d1 = float(_parabola_distances(samples[:, 0], samples[:, 1], par).max())
-    xs = np.linspace(-half_width, half_width, parabola_samples)
+    xs = np.linspace(-half_width, half_width, _PARABOLA_SAMPLES)
     ys = (xs * xs - par.c) / (4.0 * par.s)
     d2 = float(_points_to_polyline(xs, ys, v).max())
     return max(d1, d2)

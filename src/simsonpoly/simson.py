@@ -404,7 +404,12 @@ def characterization_candidates(elements: Sequence[CharacterizationElement],
     the whole circle qualifies and the topmost point is returned as the
     deterministic representative.
     """
-    pair = _first_distinct_pair(elements, tol)
+    return _candidates(elements, _first_distinct_pair(elements, tol))
+
+
+def _candidates(elements: Sequence[CharacterizationElement],
+                pair: Optional[tuple]) -> list[Point]:
+    """characterization_candidates, given the first distinct pair."""
     if pair is not None:
         return pair[2]
     if elements and isinstance(elements[0], Circle):
@@ -449,11 +454,11 @@ def characterization_defect(poly: Polygon,
     that pair.
     """
     elements = characterization_circles(poly, tol)
-    candidates = characterization_candidates(elements, tol)
+    pair = _first_distinct_pair(elements, tol)
+    candidates = _candidates(elements, pair)
     if candidates:
         return min(max(element_distance(c, e) for e in elements)
                    for c in candidates)
-    pair = _first_distinct_pair(elements, tol)
     if pair is None:
         return 0.0
     e1, e2, _ = pair

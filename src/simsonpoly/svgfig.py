@@ -23,6 +23,9 @@ _DEFAULT_STROKE = {
 
 _PARABOLA_SAMPLES = 256
 
+# Canvas width in pixels; the height follows the window's aspect ratio.
+_WIDTH = 720
+
 
 def _fmt(v: float) -> str:
     out = f"{v:.2f}"
@@ -36,8 +39,7 @@ class SvgCanvas:
     scale or pixel height to be a positive finite float.
     """
 
-    def __init__(self, xmin: float, ymin: float, xmax: float, ymax: float,
-                 width: int = 720):
+    def __init__(self, xmin: float, ymin: float, xmax: float, ymax: float):
         if xmax <= xmin:
             xmax = xmin + 1.0
         if ymax <= ymin:
@@ -46,8 +48,7 @@ class SvgCanvas:
         pad_y = 0.08 * (ymax - ymin)
         self.xmin, self.xmax = xmin - pad_x, xmax + pad_x
         self.ymin, self.ymax = ymin - pad_y, ymax + pad_y
-        self.width = width
-        self.scale = width / (self.xmax - self.xmin)
+        self.scale = _WIDTH / (self.xmax - self.xmin)
         height = (self.ymax - self.ymin) * self.scale
         if not (0.0 < self.scale < math.inf and math.isfinite(height)):
             raise NonFinite(f"figure window [{xmin}, {xmax}] x [{ymin}, "
@@ -124,9 +125,9 @@ class SvgCanvas:
         head = (
             '<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{self.width}" height="{self.height}" '
-            f'viewBox="0 0 {self.width} {self.height}">\n'
-            f'<rect width="{self.width}" height="{self.height}" '
+            f'width="{_WIDTH}" height="{self.height}" '
+            f'viewBox="0 0 {_WIDTH} {self.height}">\n'
+            f'<rect width="{_WIDTH}" height="{self.height}" '
             'fill="#ffffff"/>\n')
         return head + "\n".join(self._body) + "\n</svg>\n"
 
@@ -154,10 +155,10 @@ def _style(e: dict, key: str, default):
     return e.get("style", {}).get(key, default)
 
 
-def scene_to_svg(scene: SceneDocument, width: int = 720) -> str:
+def scene_to_svg(scene: SceneDocument) -> str:
     """Render a scene document; entity order fixes the stacking order."""
     xmin, ymin, xmax, ymax = _scene_bounds(scene)
-    canvas = SvgCanvas(xmin, ymin, xmax, ymax, width=width)
+    canvas = SvgCanvas(xmin, ymin, xmax, ymax)
     for e in scene.entities:
         t = e["type"]
         if t == "line":
@@ -197,14 +198,13 @@ def scene_to_svg(scene: SceneDocument, width: int = 720) -> str:
     return canvas.render()
 
 
-def approx_figure(p: ApproxProblem, res: ApproxResult,
-                  width: int = 720) -> str:
+def approx_figure(p: ApproxProblem, res: ApproxResult) -> str:
     """Parabola arc over [a, b] with its piecewise-linear interpolant."""
     curve = [Point(x, p.f(x))
              for x in (p.a + (p.b - p.a) * k / _PARABOLA_SAMPLES
                        for k in range(_PARABOLA_SAMPLES + 1))]
     ys = [q.y for q in curve]
-    canvas = SvgCanvas(p.a, min(ys), p.b, max(ys), width=width)
+    canvas = SvgCanvas(p.a, min(ys), p.b, max(ys))
     canvas.polyline(curve, _DEFAULT_STROKE["parabola"], stroke_width=1.2)
     chain = [Point(x, y) for x, y in res.knot_points]
     canvas.polyline(chain, _DEFAULT_STROKE["chain"])

@@ -156,7 +156,6 @@ def test_criterion_7_verifier_suite_with_negative_controls():
             bad = EquidistantPolygon(vertices=tuple(verts),
                                      projections=poly.projections,
                                      simson_point=poly.simson_point,
-                                     simson_line=poly.simson_line,
                                      config=poly.config)
             assert not verify_parallel_chords(bad).overall
             assert not verify_isogonal(bad).overall

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -701,6 +702,54 @@ def test_nonfinite_flag_exits_2(capsys, argv, flag):
 
 def test_unknown_flag_exits_2(capsys):
     assert run_cli(capsys, "limit", "--s", "1", "--frobnicate")[0] == 2
+
+
+# Every flag each subcommand declares, --help included.
+SUBCOMMAND_FLAGS = {
+    "construct": "--tolerance --out --svg --quiet --equidistant --s --delta "
+                 "--n --x0 --feet --simson-point --simson-line --help",
+    "verify": "--tolerance --out --in --quiet --checks --triple "
+              "--negative-control --perturb --seed --help",
+    "approx": "--out --svg --quiet --s --a --b --n --delta "
+              "--compare-quadrature --perturb-knot --help",
+    "limit": "--out --quiet --s --window --m-max --help",
+}
+# A well-formed request of each subcommand.
+SUBCOMMAND_ARGS = {
+    "construct": OCT_ARGS[1:],
+    "verify": ["--in", "{octagon}"],
+    "approx": APPROX[1:],
+    "limit": ["--s", "1", "--m-max", "1"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("construct", "--in"), ("verify", "--svg"), ("approx", "--tolerance"),
+    ("approx", "--in"), ("limit", "--tolerance"), ("limit", "--svg"),
+    ("limit", "--in"),
+])
+def test_flag_of_another_subcommand_exits_2(capsys, tmp_path, command, flag):
+    octagon = octagon_scene(tmp_path)
+    svg = tmp_path / "fig.svg"
+    value = {"--in": str(octagon), "--svg": str(svg), "--tolerance": "1e-6"}
+    argv = [command, *(a.format(octagon=octagon)
+                       for a in SUBCOMMAND_ARGS[command]), flag, value[flag]]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag}" in err
+    out_path = tmp_path / "out.json"
+    if "--svg" in SUBCOMMAND_FLAGS[command].split():
+        argv += ["--svg", str(svg)]
+    assert run_cli(capsys, *argv, "--out", str(out_path))[0] == 2
+    assert not out_path.exists() and not svg.exists()
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+def test_help_lists_exactly_the_subcommand_flags(capsys, command):
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    assert set(re.findall(r"--[a-z0-9-]+", out)) == \
+        set(SUBCOMMAND_FLAGS[command].split())
 
 
 def test_module_entry_point():

@@ -5,7 +5,6 @@ import pytest
 
 from geomgen import random_equidistant_config, xy
 from simsonpoly.equidistant import (
-    CanonicalFrame,
     EquidistantConfig,
     EquidistantPolygon,
     IndexOutOfRange,
@@ -30,8 +29,8 @@ from simsonpoly.equidistant import (
 from simsonpoly.kernel import DEFAULT_TOLERANCE, IdenticalLines, Line, Point, \
     circumcircle, line_through
 from simsonpoly.report import VerificationReport
-from simsonpoly.simson import construct_simson_polygon, find_simson_point, \
-    is_simson_point
+from simsonpoly.simson import Polygon, construct_simson_polygon, \
+    find_simson_point, is_simson_point
 
 OCT = make_equidistant(EquidistantConfig(s=1, x0=0, delta=1, n=8))
 
@@ -228,7 +227,6 @@ def _perturbed(poly, eps=1e-3, which=1):
     return EquidistantPolygon(vertices=tuple(verts),
                               projections=poly.projections,
                               simson_point=poly.simson_point,
-                              simson_line=poly.simson_line,
                               config=poly.config)
 
 
@@ -306,7 +304,6 @@ def test_optical_fails_when_focus_moves():
     moved = EquidistantPolygon(vertices=OCT.vertices,
                                projections=OCT.projections,
                                simson_point=Point(0.0, 1.1),
-                               simson_line=OCT.simson_line,
                                config=OCT.config)
     assert not verify_optical(moved).overall
 
@@ -343,8 +340,7 @@ def test_archimedes_fails_on_perturbation():
 def _frame(vertices):
     pts = tuple(Point(x, y) for x, y in vertices)
     return SimsonPolygonFrame(vertices=pts, projections=pts,
-                              simson_point=Point(0, 1),
-                              simson_line=Line(0, 1, 0))
+                              simson_point=Point(0, 1))
 
 
 def test_archimedes_rejects_sides_that_do_not_cross():
@@ -384,7 +380,6 @@ def test_lambert_fails_off_simson_point():
     moved = EquidistantPolygon(vertices=OCT.vertices,
                                projections=OCT.projections,
                                simson_point=Point(0.01, 1.0),
-                               simson_line=OCT.simson_line,
                                config=OCT.config)
     assert not verify_lambert(moved, 1, 2, 3).overall
 
@@ -439,7 +434,7 @@ def test_lambert_rejects_parallel_sides():
     rect = SimsonPolygonFrame(
         vertices=(Point(0, 0), Point(4, 0), Point(4, 3), Point(0, 3)),
         projections=(Point(0, 0), Point(4, 0), Point(4, 3), Point(0, 3)),
-        simson_point=Point(0, 1), simson_line=Line(0, 1, 0))
+        simson_point=Point(0, 1))
     with pytest.raises(ParallelSides):
         verify_lambert(rect, 1, 2, 3)
 
@@ -477,13 +472,39 @@ def test_chain_is_sandwiched_between_parabolas():
 
 # --------------------------------------------------------------- frame adapter
 
-def test_canonical_frame_round_trips_points():
-    frame = CanonicalFrame.of(Point(2, 3), line_through(Point(0, 1), Point(1, 3)))
+def test_frame_from_certificate_is_a_rigid_motion():
+    # Moved equidistant polygons: the map keeps every distance among the
+    # vertices and S, puts the feet on y = 0 and S at its distance from L.
     rng = np.random.default_rng(1)
-    for _ in range(20):
-        p = Point(*rng.uniform(-5, 5, 2))
-        q = frame.from_frame(frame.to_frame(p))
-        assert p.distance(q) < 1e-12
+    for _ in range(10):
+        cfg = random_equidistant_config(rng)
+        theta = float(rng.uniform(0.0, 2.0 * math.pi))
+        c, s = math.cos(theta), math.sin(theta)
+        tx, ty = (float(t) for t in rng.uniform(-5.0, 5.0, 2))
+        poly = Polygon(tuple(
+            Point(c * v.x - s * v.y + tx, s * v.x + c * v.y + ty)
+            for v in make_equidistant(cfg).vertices))
+        cert = find_simson_point(poly)
+        frame = frame_from_certificate(poly, cert)
+        before = poly.vertices + (cert.simson_point,)
+        after = frame.vertices + (frame.simson_point,)
+        bound = 1e-12 * frame.scale()
+        for p, q in zip(before, after):
+            for p2, q2 in zip(before, after):
+                assert abs(p.distance(p2) - q.distance(q2)) <= bound
+        assert max(abs(f.y) for f in frame.projections) <= 1e-9
+        assert abs(frame.simson_point.y) == pytest.approx(
+            cert.simson_line.distance(cert.simson_point), rel=1e-12)
+
+
+def test_frame_simson_line_is_the_x_axis():
+    for frame in (OCT, _frame([(0, 0), (4, 0), (4, 3), (0, 3)]),
+                  equidistant_from_frame(OCT)):
+        assert frame.simson_line == Line(0, 1, 0)
+    with pytest.raises(TypeError):
+        SimsonPolygonFrame(vertices=OCT.vertices, projections=OCT.projections,
+                           simson_point=OCT.simson_point,
+                           simson_line=Line(0, 1, 0))
 
 
 def test_frame_recognition_round_trip():
@@ -506,24 +527,3 @@ def test_frame_recognition_rejects_uneven_feet():
     frame = frame_from_certificate(poly, cert)
     with pytest.raises(InvalidConfig):
         equidistant_from_frame(frame)
-
-
-@pytest.mark.parametrize("line", [Line(0, 1, -1), Line(1, 0, 0),
-                                  Line(1, 1, 0), Line(0, -1, 0.5)])
-def test_frame_requires_the_x_axis_as_simson_line(line):
-    with pytest.raises(InvalidConfig):
-        SimsonPolygonFrame(vertices=OCT.vertices, projections=OCT.projections,
-                           simson_point=OCT.simson_point, simson_line=line)
-    with pytest.raises(InvalidConfig):
-        EquidistantPolygon(vertices=OCT.vertices, projections=OCT.projections,
-                           simson_point=OCT.simson_point, simson_line=line,
-                           config=OCT.config)
-
-
-def test_frame_accepts_any_spelling_of_the_x_axis():
-    for line in (Line(0, 1, 0), Line(0, -2, 0), Line(0.0, 1.0, -0.0)):
-        frame = SimsonPolygonFrame(vertices=OCT.vertices,
-                                   projections=OCT.projections,
-                                   simson_point=OCT.simson_point,
-                                   simson_line=line)
-        assert frame.simson_line == Line(0, 1, 0)

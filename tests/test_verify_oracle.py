@@ -166,7 +166,6 @@ def _jittered(poly, rng, eps=1e-3):
                   in zip(poly.vertices, rng.uniform(-eps, eps, (poly.n, 2))))
     return EquidistantPolygon(vertices=verts, projections=poly.projections,
                               simson_point=poly.simson_point,
-                              simson_line=poly.simson_line,
                               config=poly.config)
 
 
