@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Callable, Optional, Sequence, TextIO
 
@@ -320,7 +321,7 @@ def cmd_approx(args) -> int:
 # -------------------------------------------------------------------- limit
 
 def cmd_limit(args) -> int:
-    # limits computes with numpy throughout; only this command loads it.
+    # Imported here: construct, verify and approx never need limits.
     from .limits import TooManySegments, convergence_table, observed_orders
 
     if args.window <= 0.0:
@@ -468,7 +469,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for dest, value in vars(args).items():
             if isinstance(value, float):
                 _require_finite("--" + dest.replace("_", "-"), value)
-        return args.func(args)
+        code = args.func(args)
+        # Flush here, so a reader that closed the pipe is caught below
+        # and not only at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # Send what is still buffered to the null device, or the flush at
+        # interpreter exit raises again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     except (_CliError, SceneFormatError, IndexOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

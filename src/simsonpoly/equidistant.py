@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from statistics import fmean
 
 from .kernel import (
     DEFAULT_TOLERANCE,
@@ -496,7 +495,7 @@ def equidistant_from_frame(fp: SimsonPolygonFrame,
     scale = fp.scale()
     if min(gaps) <= 0.0:
         raise InvalidConfig("feet do not march monotonically along the line")
-    delta = fmean(gaps)
+    delta = math.fsum(gaps) / len(gaps)
     if max(abs(g - delta) for g in gaps) > tol.bound(scale):
         raise InvalidConfig("feet are not equally spaced")
     cfg = EquidistantConfig(s=fp.simson_point.y, x0=xs[0], delta=delta,

@@ -9,14 +9,22 @@ over a window containing the apex is D^2/(16 |s|), of quadratic order.
 
 The chain here is the open vertex run V_1..V_{n-1}; the closing vertex
 is a long-range chord and takes no part in the limit.
+
+The Hausdorff distance is measured in both directions by dense sampling,
+in pure Python.  Chain to parabola: each sample's distance is the least
+over the real roots of a depressed cubic, solved in closed form.
+Parabola to chain: the chain is x-monotone, so a segment whose abscissae
+miss [x - d0, x + d0], where d0 is the sample's distance to the segment
+over its own abscissa x, lies more than d0 away horizontally and hence
+more than d0 away; only the few segments that meet that interval are
+measured.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-
-import numpy as np
 
 from .equidistant import EquidistantConfig, Parabola, make_equidistant
 from .kernel import GeometryError, Point
@@ -25,13 +33,13 @@ MAX_SEGMENTS = 2 ** 14
 """Most segments the finest chain of a convergence table may have; the
 chain over [-w, w] at spacing 2^-m_max has 2 w 2^m_max of them."""
 
-# Parabola samples per block of the parabola-to-chain distances.
-_BLOCK_ROWS = 64
-
 # Samples per chain segment and along the parabola arc of the Hausdorff
 # estimate.
 _PER_SEGMENT = 8
 _PARABOLA_SAMPLES = 2001
+_STEPS = tuple(k / _PER_SEGMENT for k in range(1, _PER_SEGMENT + 1))
+
+_THIRD_TURN = 2.0 * math.pi / 3.0
 
 
 class TooManySegments(ValueError):
@@ -73,64 +81,141 @@ def chain_for_window(s: float, half_width: float, delta: float) -> list[Point]:
 
 def point_to_parabola_distance(p: Point, par: Parabola) -> float:
     """Exact Euclidean distance from a point to the parabola."""
-    return float(_parabola_distances(np.array([p.x]), np.array([p.y]), par)[0])
+    return _parabola_distance(p.x, p.y, par.s, par.c)
 
 
-def _parabola_distances(px: np.ndarray, py: np.ndarray,
-                        par: Parabola) -> np.ndarray:
-    """Exact distances from the points (px, py) to the parabola.
+def _parabola_distance(px: float, py: float, s: float, c: float) -> float:
+    """Distance from (px, py) to y = (x^2 - c)/(4 s).
 
-    The stationarity condition is the depressed cubic
-    x^3 + (8 s^2 - c - 4 s py) x - 8 s^2 px = 0.  All cubics are solved in
-    one eigenvalue pass over their companion matrices (the matrix np.roots
-    builds); each distance is the minimum over the real roots.
+    The foot's abscissa solves the stationarity condition
+    x^3 + beta x + gamma = 0 with beta = 8 s^2 - c - 4 s py and
+    gamma = -8 s^2 px, whose real roots have a closed form (Nickalls
+    1993).  With m = sqrt(|beta|/3) and a = 3 gamma / (2 beta m) they are
+
+    - beta < 0, |a| <= 1: 2 m cos(acos(a)/3 - 2 pi k/3), k = 0, 1, 2;
+    - beta < 0, |a| > 1: -2 sign(gamma) m cosh(acosh(|a|)/3);
+    - beta > 0: -2 m sinh(asinh(a)/3);
+    - beta = 0: -cbrt(gamma).
+
+    The distance is the least over the roots.
     """
-    s, c = par.s, par.c
-    beta = 8.0 * s * s - c - 4.0 * s * py
-    gamma = -8.0 * s * s * px
-    companion = np.zeros((len(px), 3, 3))
-    companion[:, 0, 1] = -beta
-    companion[:, 0, 2] = -gamma
-    companion[:, 1, 0] = 1.0
-    companion[:, 2, 1] = 1.0
-    roots = np.linalg.eigvals(companion)
-    x = roots.real
-    real = np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(x))
-    dist = np.hypot(px[:, None] - x, py[:, None] - (x * x - c) / (4.0 * s))
-    return np.where(real, dist, np.inf).min(axis=1)
+    eight_s2 = 8.0 * s * s
+    four_s = 4.0 * s
+    beta = eight_s2 - c - four_s * py
+    gamma = -eight_s2 * px
+    if beta == 0.0:
+        x = -math.copysign(abs(gamma) ** (1.0 / 3.0), gamma)
+    else:
+        m = math.sqrt(abs(beta) / 3.0)
+        a = 1.5 * gamma / beta / m
+        if beta > 0.0:
+            x = -2.0 * m * math.sinh(math.asinh(a) / 3.0)
+        elif a > 1.0 or a < -1.0:
+            x = -2.0 * math.copysign(m, gamma) * math.cosh(
+                math.acosh(abs(a)) / 3.0)
+        else:
+            phi = math.acos(a) / 3.0
+            return min(
+                _root_distance(px, py, c, four_s, beta, gamma,
+                               2.0 * m * math.cos(phi)),
+                _root_distance(px, py, c, four_s, beta, gamma,
+                               2.0 * m * math.cos(phi - _THIRD_TURN)),
+                _root_distance(px, py, c, four_s, beta, gamma,
+                               2.0 * m * math.cos(phi + _THIRD_TURN)))
+    return _root_distance(px, py, c, four_s, beta, gamma, x)
 
 
-def _points_to_polyline(px: np.ndarray, py: np.ndarray,
-                        v: np.ndarray) -> np.ndarray:
-    """Distances from the points (px, py) to the polyline through the rows
-    of v, _BLOCK_ROWS points at a time so memory stays linear in len(v)."""
-    p0 = v[:-1]
-    d = v[1:] - v[:-1]
-    len2 = (d * d).sum(axis=1)
-    out = np.empty(len(px))
-    for i in range(0, len(px), _BLOCK_ROWS):
-        qx = px[i:i + _BLOCK_ROWS, None] - p0[:, 0]
-        qy = py[i:i + _BLOCK_ROWS, None] - p0[:, 1]
-        t = np.clip((qx * d[:, 0] + qy * d[:, 1]) / len2, 0.0, 1.0)
-        rx = qx - t * d[:, 0]
-        ry = qy - t * d[:, 1]
-        out[i:i + _BLOCK_ROWS] = np.sqrt(rx * rx + ry * ry).min(axis=1)
+def _root_distance(px: float, py: float, c: float, four_s: float,
+                   beta: float, gamma: float, x: float) -> float:
+    """Distance from (px, py) to the parabola point over the root x of
+    x^3 + beta x + gamma, after one Newton step on x.  Any abscissa gives
+    an upper bound of the distance, so a step that runs off a flat double
+    root cannot lower the least one."""
+    slope = 3.0 * x * x + beta
+    if slope != 0.0:
+        x -= ((x * x + beta) * x + gamma) / slope
+    return math.hypot(px - x, py - (x * x - c) / four_s)
+
+
+def _points_to_polyline(px: list[float], py: list[float], vx: list[float],
+                        vy: list[float]) -> list[float]:
+    """Distances from the points (px, py) to the polyline through the
+    vertices (vx, vy), whose abscissae vx increase.
+
+    Each point is measured to the segment over its own abscissa x first,
+    at distance d0, and then only to the segments whose abscissae meet
+    [x - d0, x + d0]: any other segment is more than d0 away
+    horizontally.  Each distance is computed as a scan over all segments
+    computes it, so the result is bitwise the same.
+    """
+    segments = [(ax, ay, bx - ax, by - ay,
+                 (bx - ax) * (bx - ax) + (by - ay) * (by - ay))
+                for ax, ay, bx, by in zip(vx, vy, vx[1:], vy[1:])]
+    last = len(segments) - 1
+    out = []
+    for x, y in zip(px, py):
+        own = min(max(bisect_right(vx, x) - 1, 0), last)
+        best = _segment_distance(x, y, segments[own])
+        lo = x - best
+        hi = x + best
+        if lo < vx[own] or hi > vx[own + 1]:
+            for i in range(max(bisect_left(vx, lo) - 1, 0),
+                           min(bisect_right(vx, hi) - 1, last) + 1):
+                d = _segment_distance(x, y, segments[i])
+                if d < best:
+                    best = d
+        out.append(best)
+    return out
+
+
+def _segment_distance(x: float, y: float,
+                      segment: tuple[float, float, float, float, float]
+                      ) -> float:
+    """Distance from (x, y) to the segment (ax, ay, dx, dy, dx^2 + dy^2)
+    from (ax, ay) to (ax + dx, ay + dy)."""
+    ax, ay, dx, dy, len2 = segment
+    qx = x - ax
+    qy = y - ay
+    t = (qx * dx + qy * dy) / len2
+    if t < 0.0:
+        t = 0.0
+    elif t > 1.0:
+        t = 1.0
+    rx = qx - t * dx
+    ry = qy - t * dy
+    return math.sqrt(rx * rx + ry * ry)
+
+
+def _linspace(lo: float, hi: float, num: int) -> list[float]:
+    """num equally spaced values from lo to hi, computed as numpy.linspace
+    computes them: j * step + lo, with the last value set to hi."""
+    step = (hi - lo) / (num - 1)
+    out = [j * step + lo for j in range(num)]
+    out[-1] = hi
     return out
 
 
 def hausdorff_chain_parabola(chain: list[Point], par: Parabola,
                              half_width: float) -> float:
     """Hausdorff distance between the chain and the parabola arc over
-    [-w, w], by dense sampling with exact point-to-curve distances in the
-    chain-to-parabola direction."""
-    v = np.array([[p.x, p.y] for p in chain])
-    t = np.arange(1, _PER_SEGMENT + 1)[:, None] / _PER_SEGMENT
-    along = v[:-1, None] + t * (v[1:] - v[:-1])[:, None]
-    samples = np.concatenate([v[:1], along.reshape(-1, 2)])
-    d1 = float(_parabola_distances(samples[:, 0], samples[:, 1], par).max())
-    xs = np.linspace(-half_width, half_width, _PARABOLA_SAMPLES)
-    ys = (xs * xs - par.c) / (4.0 * par.s)
-    d2 = float(_points_to_polyline(xs, ys, v).max())
+    [-w, w], by dense sampling: exact point-to-curve distances in the
+    chain-to-parabola direction, pruned point-to-chain distances in the
+    other."""
+    vx = [p.x for p in chain]
+    vy = [p.y for p in chain]
+    s, c = par.s, par.c
+    d1 = _parabola_distance(vx[0], vy[0], s, c)
+    for ax, ay, bx, by in zip(vx, vy, vx[1:], vy[1:]):
+        dx = bx - ax
+        dy = by - ay
+        for t in _STEPS:
+            d = _parabola_distance(ax + t * dx, ay + t * dy, s, c)
+            if d > d1:
+                d1 = d
+    xs = _linspace(-half_width, half_width, _PARABOLA_SAMPLES)
+    four_s = 4.0 * s
+    ys = [(x * x - c) / four_s for x in xs]
+    d2 = max(_points_to_polyline(xs, ys, vx, vy))
     return max(d1, d2)
 
 
@@ -138,7 +223,7 @@ def convergence_table(s: float, half_width: float,
                       m_max: int) -> list[ConvergenceRow]:
     """Hausdorff distances for delta = 1, 1/2, ..., 2^-m_max.
 
-    Before any array is built, raises GeometryError when the study's
+    Before any chain is built, raises GeometryError when the study's
     numbers would overflow or its finest bound 4^-m_max/(16|s|) falls
     below 1e-12 max(w, w^2/(4|s|)), near the rounding of its coordinates,
     and TooManySegments when its finest chain would have more than

@@ -760,3 +760,28 @@ def test_module_entry_point():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema_version"] == "1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit", "--s", "1", "--m-max", "0"],
+    ["limit", "--s", "1", "--m-max", "9"],
+    [*OCT_ARGS[:-1], "256"],
+])
+def test_closed_stdout_exits_2(argv):
+    # The reader of stdout is gone before anything is written: the CLI
+    # names the failure in one line and exits 2, the code of an
+    # unwritable --out, without a traceback at exit either.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "simsonpoly", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1

@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -518,6 +519,26 @@ def test_frame_recognition_round_trip():
         eq = equidistant_from_frame(frame)
         assert eq.config.delta == pytest.approx(cfg.delta, rel=1e-9)
         assert abs(eq.config.s) == pytest.approx(abs(cfg.s), rel=1e-9)
+
+
+def test_mean_gap_is_fmean_bitwise():
+    # equidistant_from_frame takes the spacing as fsum(gaps) / len(gaps),
+    # which is what statistics.fmean computes for a list, bit for bit.
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 7, 255):
+        for scale in (1e-9, 1.0, 1e9):
+            gaps = (rng.uniform(0.5, 1.5, n) * scale).tolist()
+            assert math.fsum(gaps) / len(gaps) == statistics.fmean(gaps)
+    for _ in range(10):
+        poly = make_equidistant(random_equidistant_config(rng))
+        frame = frame_from_certificate(poly.polygon(),
+                                       find_simson_point(poly.polygon()))
+        xs = [f.x for f in frame.projections]
+        if xs[-1] < xs[0]:
+            xs = [-x for x in xs]
+        gaps = [b - a for a, b in zip(xs, xs[1:])]
+        assert equidistant_from_frame(frame).config.delta == \
+            statistics.fmean(gaps)
 
 
 def test_frame_recognition_rejects_uneven_feet():

@@ -1,4 +1,6 @@
 import math
+from bisect import bisect_left, bisect_right
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from simsonpoly.limits import (
     MAX_SEGMENTS,
     ConvergenceRow,
     TooManySegments,
-    _parabola_distances,
+    _linspace,
+    _parabola_distance,
     _points_to_polyline,
     chain_for_window,
     convergence_table,
@@ -22,7 +25,8 @@ from simsonpoly.limits import (
 
 
 # Reference: one np.roots call per point and one 2001 x n_seg broadcast,
-# the per-sample form the batched passes replace.
+# the brute-force forms of the closed-form cubic and the pruned
+# parabola-to-chain pass.
 
 def roots_distance(p, par):
     s, c = par.s, par.c
@@ -160,8 +164,23 @@ def _evolute_points(par, ts):
                   (8.0 * s * s - c + 3.0 * t * t) / (4.0 * s)) for t in ts]
 
 
-@pytest.mark.parametrize("s, c", [(1.0, 0.0), (-1.0, 0.0), (0.35, 0.8),
-                                  (-2.6, -1.7)])
+def _branch(p, par):
+    # The closed form of _parabola_distance that the point's cubic takes.
+    s, c = par.s, par.c
+    beta = 8.0 * s * s - c - 4.0 * s * p.y
+    gamma = -8.0 * s * s * p.x
+    if beta == 0.0:
+        return "beta = 0"
+    if beta > 0.0:
+        return "beta > 0"
+    m = math.sqrt(-beta / 3.0)
+    return "one root" if abs(1.5 * gamma / beta / m) > 1.0 else "three roots"
+
+
+PARABOLAS = [(1.0, 0.0), (-1.0, 0.0), (0.35, 0.8), (-2.6, -1.7)]
+
+
+@pytest.mark.parametrize("s, c", PARABOLAS)
 def test_batched_distance_matches_roots_loop(s, c):
     rng = np.random.default_rng(17)
     par = Parabola(s, c)
@@ -172,13 +191,63 @@ def test_batched_distance_matches_roots_loop(s, c):
                                                 rng.uniform(-3, 3, 40)]))
     xs = rng.uniform(-5, 5, 40)
     pts += [par.point_at(x) for x in xs]  # on the curve
-    px = np.array([p.x for p in pts])
-    py = np.array([p.y for p in pts])
-    batched = _parabola_distances(px, py, par)
-    for p, got in zip(pts, batched):
+    branches = set()
+    for p in pts:
+        got = _parabola_distance(p.x, p.y, s, c)
         assert got == pytest.approx(roots_distance(p, par), rel=1e-12,
                                     abs=1e-12)
         assert point_to_parabola_distance(p, par) == got
+        branches.add(_branch(p, par))
+    assert branches >= {"beta > 0", "one root", "three roots"}
+
+
+@pytest.mark.parametrize("s, c", [(1.0, 0.0), (-1.0, 0.0), (0.5, 0.0),
+                                  (-2.0, 1.0)])
+def test_cube_root_branch_matches_roots(s, c):
+    # beta = 8 s^2 - c - 4 s y vanishes exactly on the line y = y0.
+    par = Parabola(s, c)
+    y0 = (8.0 * s * s - c) / (4.0 * s)
+    rng = np.random.default_rng(23)
+    for x in [0.0, -0.0, 1.0, -1.0, 1e-9, *rng.uniform(-5, 5, 40)]:
+        p = Point(float(x), y0)
+        assert _branch(p, par) == "beta = 0"
+        assert point_to_parabola_distance(p, par) == pytest.approx(
+            roots_distance(p, par), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("s, c", PARABOLAS)
+def test_evolute_double_roots_match_roots(s, c):
+    # On the evolute the cubic has a double root, where the closed form
+    # sits on the border between one and three real roots.
+    par = Parabola(s, c)
+    pts = _evolute_points(par, np.linspace(-3.0, 3.0, 241))
+    assert {_branch(p, par) for p in pts} >= {"one root", "three roots"}
+    for p in pts:
+        assert point_to_parabola_distance(p, par) == pytest.approx(
+            roots_distance(p, par), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("s, c", PARABOLAS)
+def test_on_curve_distance_is_rounding(s, c):
+    # A point of the curve is off it only by the rounding of its y, which
+    # Fraction measures exactly.  The computed distance may add the
+    # rounding of (x^2 - c)/(4 s) at the polished root, of the root itself
+    # (times the slope) and of hypot: a few ulps of y, 8 at most.  The
+    # unpolished closed-form root misses by up to ~30 ulps of y.
+    par = Parabola(s, c)
+    rng = np.random.default_rng(3)
+    for x in rng.uniform(-1e4, 1e4, 200).tolist() + \
+            rng.uniform(-50.0, 50.0, 200).tolist():
+        p = par.point_at(x)
+        off = abs(Fraction(p.y) - (Fraction(p.x) ** 2 - Fraction(c))
+                  / (4 * Fraction(s)))
+        assert point_to_parabola_distance(p, par) <= (float(off)
+                                                      + 8 * math.ulp(p.y))
+
+
+@pytest.mark.parametrize("w", [2.0, 3.0, 0.1, 1e3])
+def test_linspace_is_bitwise_numpy(w):
+    assert _linspace(-w, w, 2001) == np.linspace(-w, w, 2001).tolist()
 
 
 @pytest.mark.parametrize("s", [0.7, -0.7, 2.9])
@@ -189,13 +258,41 @@ def test_convergence_table_matches_reference(s, w):
     assert [r.hausdorff for r in rows] == pytest.approx(ref, rel=1e-12)
 
 
+def _pruned_and_brute(chain, xs, ys):
+    vx = [p.x for p in chain]
+    vy = [p.y for p in chain]
+    pruned = _points_to_polyline(xs, ys, vx, vy)
+    brute = broadcast_polyline(np.array(xs), np.array(ys), chain).tolist()
+    return pruned, brute
+
+
 def test_blocked_polyline_is_bitwise_broadcast():
     chain = chain_for_window(-1.9, 3.0, 0.125)
-    xs = np.linspace(-3.0, 3.0, 2001)
-    ys = xs * xs / (4.0 * -1.9)
-    v = np.array([[p.x, p.y] for p in chain])
-    assert np.array_equal(_points_to_polyline(xs, ys, v),
-                          broadcast_polyline(xs, ys, chain))
+    xs = _linspace(-3.0, 3.0, 2001)
+    ys = [x * x / (4.0 * -1.9) for x in xs]
+    pruned, brute = _pruned_and_brute(chain, xs, ys)
+    assert pruned == brute
+
+
+@pytest.mark.parametrize("s, w, delta", [(0.05, 3.0, 1.0), (-0.05, 2.0, 1.0),
+                                         (0.2, 4.0, 0.5), (0.02, 1.0, 0.25)])
+def test_pruned_polyline_is_bitwise_broadcast(s, w, delta):
+    # A steep parabola over a coarse chain: a sample's distance d0 to the
+    # segment over it spans several segments, so the pruned pass has to
+    # search beyond its own segment.
+    chain = chain_for_window(s, w, delta)
+    vx = [p.x for p in chain]
+    xs = _linspace(-w, w, 2001)
+    ys = [x * x / (4.0 * s) for x in xs]
+    rng = np.random.default_rng(5)
+    xs += rng.uniform(-1.5 * w, 1.5 * w, 500).tolist()
+    ys += rng.uniform(-3.0 * w * w / abs(s), 3.0 * w * w / abs(s),
+                      500).tolist()
+    pruned, brute = _pruned_and_brute(chain, xs, ys)
+    assert pruned == brute
+    spans = [bisect_right(vx, x + d) - bisect_left(vx, x - d)
+             for x, d in zip(xs, pruned)]
+    assert max(spans) >= 3
 
 
 def test_hausdorff_never_calls_per_point_distance(monkeypatch):
