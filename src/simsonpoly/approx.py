@@ -17,7 +17,6 @@ other.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -181,12 +180,20 @@ def interpolant_at(p: ApproxProblem, knots: Sequence[float], x: float) -> float:
     return (1.0 - t) * p.f(xi) + t * p.f(xj)
 
 
-@functools.cache
-def _gauss_legendre():
-    """Nodes and weights of the 10-point Gauss-Legendre rule, built on
-    first use so that importing this module does not load numpy."""
-    import numpy as np
-    return np.polynomial.legendre.leggauss(10)
+# The 10-point Gauss-Legendre rule on [-1, 1]: the floats of numpy's
+# ``polynomial.legendre.leggauss(10)``, pinned bitwise by a test.
+_GL_NODES = (
+    -0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
+    -0.4333953941292472, -0.14887433898163122, 0.14887433898163122,
+    0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
+    0.9739065285171717,
+)
+_GL_WEIGHTS = (
+    0.06667134430868814, 0.1494513491505804, 0.219086362515982,
+    0.2692667193099965, 0.2955242247147528, 0.2955242247147528,
+    0.2692667193099965, 0.219086362515982, 0.1494513491505804,
+    0.06667134430868814,
+)
 
 
 def _segment_quadrature(p: ApproxProblem, xi: float, xj: float,
@@ -198,17 +205,18 @@ def _segment_quadrature(p: ApproxProblem, xi: float, xj: float,
     one sign per segment, hence the absolute value outside the signed
     integral in the L1 case.
     """
-    nodes, weights = _gauss_legendre()
     mid = 0.5 * (xi + xj)
     half = 0.5 * (xj - xi)
-    x = mid + half * nodes
     fi, fj = p.f(xi), p.f(xj)
-    chord = fi + (x - xi) * (fj - fi) / (xj - xi)
-    fx = (x * x - p.delta * p.delta) / (4.0 * p.s)
-    err = fx - chord
+    total = 0.0
+    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+        x = mid + half * node
+        chord = fi + (x - xi) * (fj - fi) / (xj - xi)
+        err = (x * x - p.delta * p.delta) / (4.0 * p.s) - chord
+        total += weight * (err * err if squared else err)
     if squared:
-        return half * float(weights.dot(err * err))
-    return abs(half * float(weights.dot(err)))
+        return half * total
+    return abs(half * total)
 
 
 def quadrature_l1(p: ApproxProblem, knots: Sequence[float]) -> float:

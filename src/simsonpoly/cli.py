@@ -14,6 +14,7 @@ import os
 import sys
 from typing import Callable, Optional, Sequence, TextIO
 
+from ._pcg64 import uniform
 from .approx import ApproxProblem, optimal_knots, quadrature_l1, \
     quadrature_l2, total_error_objective
 from .equidistant import EquidistantConfig, IndexOutOfRange, InvalidConfig, \
@@ -182,14 +183,10 @@ def _load_polygon(args) -> Polygon:
 
 
 def _perturbed(poly: Polygon, eps: float, seed: int) -> Polygon:
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    # Python floats, not numpy scalars: their arithmetic overflows to inf
-    # silently, as the rest of the package's does.
-    offsets = rng.uniform(-eps, eps, size=(poly.n, 2)).tolist()
+    offsets = uniform(seed, -eps, eps, 2 * poly.n)
     return Polygon(tuple(Point(v.x + dx, v.y + dy)
-                         for v, (dx, dy) in zip(poly.vertices, offsets)))
+                         for v, dx, dy in zip(poly.vertices, offsets[::2],
+                                              offsets[1::2])))
 
 
 def _run_checks(poly: Polygon, checks: list[str], triple: tuple[int, int, int],
@@ -247,6 +244,8 @@ def cmd_verify(args) -> int:
     triple = _parse_triple(args.triple)
     if args.negative_control and args.perturb <= 0.0:
         raise _CliError(f"--perturb must be positive, got {args.perturb}")
+    if args.seed < 0:
+        raise _CliError("--seed must be non-negative")
     # The noise is drawn from [-perturb, perturb], whose width must be finite.
     _require_finite("--perturb width", 2.0 * args.perturb)
     poly = _load_polygon(args)
@@ -405,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--perturb", type=float, default=1e-3,
                        help="perturbation size for --negative-control")
     p_ver.add_argument("--seed", type=int, default=0,
-                       help="seed for --negative-control noise")
+                       help="seed for --negative-control noise, non-negative; "
+                       "the noise is numpy's default_rng(SEED) stream")
     p_ver.set_defaults(func=cmd_verify)
 
     p_app = sub.add_parser("approx",

@@ -5,6 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from simsonpoly.approx import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     ApproxProblem,
     BadInterval,
     InvalidProblem,
@@ -213,6 +215,12 @@ def test_quadrature_on_uneven_knots():
     knots = [0.0, 0.7, 2.9, 5.0]
     want = sum(segment_l1_error(p, u, v) for u, v in zip(knots, knots[1:]))
     assert quadrature_l1(p, knots) == pytest.approx(want, rel=1e-12)
+
+
+def test_gauss_legendre_table_is_leggauss_bitwise():
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    assert _GL_NODES == tuple(nodes.tolist())
+    assert _GL_WEIGHTS == tuple(weights.tolist())
 
 
 def test_quadrature_rejects_bad_knots():

@@ -240,6 +240,17 @@ def test_verify_negative_control_bad_perturb_exits_2(capsys, tmp_path, value):
     assert err.startswith("error: --perturb")
 
 
+@pytest.mark.parametrize("control", [True, False])
+def test_verify_negative_seed_exits_2(capsys, tmp_path, control):
+    path = octagon_scene(tmp_path)
+    argv = ["verify", "--in", str(path), "--seed", "-1"]
+    code, out, err = run_cli(capsys, *argv,
+                             *(["--negative-control"] if control else []))
+    assert code == 2
+    assert out == ""
+    assert err == "error: --seed must be non-negative\n"
+
+
 def test_verify_nonfinite_vertex_exits_2(capsys, tmp_path):
     path = tmp_path / "nan.json"
     path.write_text('{"schema_version": "1", "entities": [{"type": "polygon",'

@@ -1,11 +1,11 @@
-"""Which requests load numpy, and the package's lazily bound names.
+"""No request loads numpy, and the package's lazily bound names.
 
-construct, limit, verify (without --negative-control) and approx
-(without --compare-quadrature) are pure Python, so they must not pay for
-importing numpy; the limit-study names reach the package namespace on
-first access.  numpy stays loaded once imported, so the requests that
-must leave it out run first.  No wall clock is read: the tests look at
-``sys.modules`` only.
+Every request is pure Python (the negative control's seeded noise and
+the Gauss-Legendre rule included), so none pays for importing numpy;
+the limit-study names reach the package namespace on first access.  All
+seven requests run in one interpreter, and numpy would stay loaded once
+imported.  No wall clock is read: the tests look at ``sys.modules``
+only.
 """
 
 import os
@@ -56,8 +56,8 @@ def test_only_numeric_requests_load_numpy(tmp_path):
         "0 False",  # verify
         "0 False",  # approx --perturb-knot --svg
         "0 False",  # limit
-        "4 True",   # verify --negative-control draws its noise with numpy
-        "0 True",   # approx --compare-quadrature
+        "4 False",  # verify --negative-control
+        "0 False",  # approx --compare-quadrature
         "",
     ]
 
