@@ -218,6 +218,15 @@ def _run_checks(poly: Polygon, checks: list[str], triple: tuple[int, int, int],
         report.tolerances["lambert_limit"] = \
             lambert.tolerances["lambert_limit"]
     wanted = [c for c in checks if c in _EQUIDISTANT_CHECKS]
+    if wanted and poly.n == 3:
+        # Every point of a triangle's circumcircle is a Simson point; the
+        # search returns the topmost one, not the point that built it.
+        for name in _EQUIDISTANT_CHECKS:
+            if name in wanted:
+                report.add(CheckResult(
+                    name, (), 0.0, True,
+                    note="skipped: a triangle's Simson point is not unique"))
+        return report
     if wanted:
         try:
             eq = equidistant_from_frame(frame, tol)

@@ -30,7 +30,6 @@ from itertools import combinations
 
 from .kernel import (
     DEFAULT_TOLERANCE,
-    AtInfinity,
     GeometryError,
     Line,
     Point,
@@ -389,7 +388,7 @@ def verify_archimedes(poly: SimsonPolygonFrame,
             det = ai * b[j - 1] - a[j - 1] * bi
             if abs(det) <= parallel:
                 # line_intersection raises IdenticalLines for coincident
-                # sides and returns AtInfinity for parallel ones.
+                # sides and returns None for parallel ones.
                 line_intersection(sides[i - 1], sides[j - 1], tol)
                 raise ParallelSides(f"side lines {i} and {j} are parallel")
             w = (bi * c[j - 1] - b[j - 1] * ci) / det
@@ -430,9 +429,9 @@ def verify_lambert(poly: SimsonPolygonFrame, i: int, j: int, k: int,
     corners = []
     for t1, t2 in combinations(idx, 2):
         cross = line_intersection(sides[t1 - 1], sides[t2 - 1], tol)
-        if isinstance(cross, AtInfinity):
+        if cross is None:
             raise ParallelSides(f"side lines {t1} and {t2} are parallel")
-        corners.append(cross.point)
+        corners.append(cross)
     circle = circumcircle(*corners, tol=tol)
     residual = abs(poly.simson_point.distance(circle.center) - circle.radius)
     scale = poly.scale()

@@ -6,13 +6,16 @@ The approach is exact-formula-first: operations evaluate closed forms in
 floating point and every predicate decides with an explicit absolute plus
 relative tolerance.  There is no exact rational fallback; degeneracies are
 reported through the error types below instead of being silently absorbed.
+Results are plain values: a point, a line, a circle, a list of points, or
+None where the construction has no finite answer (parallel lines).  The
+module is pure Python on ``math`` alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 
 class GeometryError(ValueError):
@@ -163,23 +166,6 @@ class Circle:
             raise ValueError(f"circle radius must be positive, got {self.radius}")
 
 
-@dataclass(frozen=True)
-class Finite:
-    """Proper intersection point of two lines."""
-
-    point: Point
-
-
-@dataclass(frozen=True)
-class AtInfinity:
-    """Intersection of parallel lines, tagged with their common direction."""
-
-    direction: Point
-
-
-Intersection = Union[Finite, AtInfinity]
-
-
 def bbox_diagonal(points: Iterable[Point]) -> float:
     """Diagonal of the axis-aligned bounding box of a point set."""
     pts = list(points)
@@ -239,21 +225,19 @@ def lines_equal(l1: Line, l2: Line, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
 
 
 def line_intersection(l1: Line, l2: Line,
-                      tol: Tolerance = DEFAULT_TOLERANCE) -> Intersection:
-    """Intersection of two lines.
+                      tol: Tolerance = DEFAULT_TOLERANCE) -> Optional[Point]:
+    """Crossing point of two lines, or None for distinct parallels.
 
-    Returns Finite(point) for a proper crossing and AtInfinity(direction)
-    for distinct parallels.  Raises IdenticalLines when the lines coincide
-    under the tolerance.
+    Raises IdenticalLines when the lines coincide under the tolerance.
     """
     det = l1.a * l2.b - l2.a * l1.b
     if abs(det) <= tol.bound(1.0):
         if lines_equal(l1, l2, tol):
             raise IdenticalLines("line_intersection: lines coincide")
-        return AtInfinity(l1.direction())
+        return None
     x = (l1.b * l2.c - l2.b * l1.c) / det
     y = (l2.a * l1.c - l1.a * l2.c) / det
-    return Finite(Point(x, y))
+    return Point(x, y)
 
 
 def circumcircle(a: Point, b: Point, c: Point,

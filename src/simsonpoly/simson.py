@@ -33,10 +33,8 @@ from typing import Optional, Sequence, Union
 
 from .kernel import (
     DEFAULT_TOLERANCE,
-    AtInfinity,
     Circle,
     CollinearInput,
-    Finite,
     GeometryError,
     IdenticalCircles,
     IdenticalLines,
@@ -117,25 +115,18 @@ class Polygon:
         Vertices i < j < k count as collinear when ``|cross(V_j - V_i,
         V_k - V_i)| <= tol.bound(diameter) * |V_j - V_i|``, so also when
         two of them coincide.  Only vertex differences enter, so the
-        verdict does not depend on where the polygon sits.  Each anchor i
-        is one numpy block over all j < k; memory stays O(n^2).  numpy is
-        imported here, off the search path, so the CLI starts without it.
+        verdict does not depend on where the polygon sits.  The loop is
+        O(n^3) and stops at the first collinear triple; no search or
+        verifier calls it.
         """
-        import numpy as np
-
-        verts = np.array([(v.x, v.y) for v in self.vertices], dtype=float)
-        n = len(verts)
+        v = self.vertices
         bound = tol.bound(self.diameter())
-        above = np.triu(np.ones((n - 1, n - 1), dtype=bool), 1)
-        for i in range(n - 2):
-            d = verts[i + 1:] - verts[i]
-            lengths = np.hypot(d[:, 0], d[:, 1])
-            cross = np.multiply.outer(d[:, 0], d[:, 1])
-            cross -= np.multiply.outer(d[:, 1], d[:, 0])
-            m = len(d)
-            hit = np.abs(cross) <= (bound * lengths)[:, None]
-            if (hit & above[:m, :m]).any():
-                return False
+        for i in range(self.n - 2):
+            d = [w - v[i] for w in v[i + 1:]]
+            for j, dj in enumerate(d):
+                limit = bound * dj.norm()
+                if any(abs(dj.cross(dk)) <= limit for dk in d[j + 1:]):
+                    return False
         return True
 
 
@@ -190,14 +181,14 @@ def is_simson_point(p: Point, poly: Polygon,
     """Certificate if the pedals of p are collinear, else None.
 
     Collinearity is judged against the fitted line with threshold
-    ``tol.bound(scale)`` where scale is the bounding box diagonal of the
-    polygon together with p and the pedals.
+    ``tol.bound(poly.diameter())``.  The threshold does not depend on p,
+    so a far candidate, whose pedals spread far, cannot loosen its own
+    test.
     """
     pedals = pedal_points(p, poly)
     fit = best_fit_line(pedals)
     residual = max(fit.distance(q) for q in pedals)
-    scale = bbox_diagonal(list(poly.vertices) + pedals + [p])
-    if residual > tol.bound(scale):
+    if residual > tol.bound(poly.diameter()):
         return None
     return SimsonCertificate(p, fit, tuple(pedals), residual)
 
@@ -233,10 +224,10 @@ class CompleteQuadrilateral:
                 except IdenticalLines:
                     raise DegenerateConfiguration(
                         f"lines {i} and {j} coincide") from None
-                if isinstance(meet, AtInfinity):
+                if meet is None:
                     raise DegenerateConfiguration(
                         f"lines {i} and {j} are parallel")
-                pts[(i, j)] = meet.point
+                pts[(i, j)] = meet
         scale = bbox_diagonal(pts.values())
         for (i, j), p in pts.items():
             for k in range(4):
@@ -344,11 +335,11 @@ def characterization_circles(poly: Polygon,
             raise DegenerateConfiguration(
                 f"characterization_circles: side lines {(i - 1) % n} and "
                 f"{(i + 1) % n} coincide") from None
-        if isinstance(meet, AtInfinity):
+        if meet is None:
             elements.append(sides[i])
             continue
         try:
-            elements.append(circumcircle(poly.vertex(i), meet.point,
+            elements.append(circumcircle(poly.vertex(i), meet,
                                          poly.vertex(i + 1), tol))
         except CollinearInput:
             raise DegenerateConfiguration(
@@ -374,25 +365,7 @@ def _intersect_elements(e1: CharacterizationElement,
     if isinstance(e2, Circle):
         return line_circle_intersection(e1, e2, tol)
     meet = line_intersection(e1, e2, tol)
-    if isinstance(meet, Finite):
-        return [meet.point]
-    return []
-
-
-def _first_distinct_pair(elements: Sequence[CharacterizationElement],
-                         tol: Tolerance) -> Optional[tuple]:
-    """The first pair (i < j, lexicographic) of elements that differ, as
-    (e1, e2, their intersection points).
-
-    Pairs the kernel calls identical (IdenticalCircles, IdenticalLines)
-    carry no information and are skipped.
-    """
-    for e1, e2 in combinations(elements, 2):
-        try:
-            return e1, e2, _intersect_elements(e1, e2, tol)
-        except (IdenticalCircles, IdenticalLines):
-            continue
-    return None
+    return [] if meet is None else [meet]
 
 
 def characterization_candidates(elements: Sequence[CharacterizationElement],
@@ -400,18 +373,17 @@ def characterization_candidates(elements: Sequence[CharacterizationElement],
                                 ) -> list[Point]:
     """Candidate Simson points from the first pair of distinct elements.
 
-    When every element is the same circle (a triangle reduces to this)
-    the whole circle qualifies and the topmost point is returned as the
-    deterministic representative.
+    Pairs (i < j, lexicographic) that the kernel calls identical
+    (IdenticalCircles, IdenticalLines) carry no information and are
+    skipped.  When every element is the same circle (a triangle reduces
+    to this) the whole circle qualifies and the topmost point is returned
+    as the deterministic representative.
     """
-    return _candidates(elements, _first_distinct_pair(elements, tol))
-
-
-def _candidates(elements: Sequence[CharacterizationElement],
-                pair: Optional[tuple]) -> list[Point]:
-    """characterization_candidates, given the first distinct pair."""
-    if pair is not None:
-        return pair[2]
+    for e1, e2 in combinations(elements, 2):
+        try:
+            return _intersect_elements(e1, e2, tol)
+        except (IdenticalCircles, IdenticalLines):
+            continue
     if elements and isinstance(elements[0], Circle):
         c = elements[0]
         return [Point(c.center.x, c.center.y + c.radius)]
@@ -448,29 +420,15 @@ def characterization_defect(poly: Polygon,
                             tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """How far the circle characterization is from being satisfied.
 
-    Zero (up to roundoff) when a Simson point exists.  Otherwise: the
-    smallest over candidates of the worst element violation, or, when the
-    first distinct element pair does not even intersect, the gap between
-    that pair.
+    Zero (up to roundoff) when a Simson point exists.  Otherwise the
+    smallest over candidates of the worst element violation, and inf when
+    there is no candidate.  The first distinct element pair always shares
+    a vertex, so in exact arithmetic it meets and there is one.
     """
     elements = characterization_circles(poly, tol)
-    pair = _first_distinct_pair(elements, tol)
-    candidates = _candidates(elements, pair)
-    if candidates:
-        return min(max(element_distance(c, e) for e in elements)
-                   for c in candidates)
-    if pair is None:
-        return 0.0
-    e1, e2, _ = pair
-    if isinstance(e1, Circle) and isinstance(e2, Circle):
-        d = e1.center.distance(e2.center)
-        return max(d - e1.radius - e2.radius,
-                   abs(e1.radius - e2.radius) - d, 0.0)
-    if isinstance(e1, Circle) or isinstance(e2, Circle):
-        circ, line = (e1, e2) if isinstance(e1, Circle) else (e2, e1)
-        return max(line.distance(circ.center) - circ.radius, 0.0)
-    return abs(e1.c - e2.c) if e1.a * e2.a + e1.b * e2.b >= 0.0 \
-        else abs(e1.c + e2.c)
+    return min((max(element_distance(c, e) for e in elements)
+                for c in characterization_candidates(elements, tol)),
+               default=math.inf)
 
 
 def construct_simson_polygon(s: Point, l: Line, feet: Sequence[Point],
@@ -506,8 +464,8 @@ def construct_simson_polygon(s: Point, l: Line, feet: Sequence[Point],
     vertices = []
     for i in range(n):
         meet = line_intersection(sides[i], sides[(i + 1) % n], tol)
-        if isinstance(meet, AtInfinity):
+        if meet is None:
             raise DegenerateConfiguration(
                 f"perpendiculars at feet {i} and {(i + 1) % n} are parallel")
-        vertices.append(meet.point)
+        vertices.append(meet)
     return Polygon(tuple(vertices))

@@ -11,7 +11,6 @@ from itertools import combinations
 from simsonpoly.equidistant import ParallelSides
 from simsonpoly.kernel import (
     DEFAULT_TOLERANCE,
-    AtInfinity,
     Point,
     angle_between_lines,
     angle_between_rays,
@@ -93,9 +92,9 @@ def scalar_archimedes(poly, tol=DEFAULT_TOLERANCE):
 
     def meet_coord(i, j):
         cross = line_intersection(sides[i - 1], sides[j - 1], tol)
-        if isinstance(cross, AtInfinity):
+        if cross is None:
             raise ParallelSides(f"side lines {i} and {j} are parallel")
-        return cross.point.x
+        return cross.x
 
     def mid_coord(i, j):
         return verts[i - 1].midpoint(verts[j - 1]).x
@@ -126,9 +125,9 @@ def scalar_lambert(poly, i, j, k, tol=DEFAULT_TOLERANCE):
     corners = []
     for t1, t2 in combinations(idx, 2):
         cross = line_intersection(sides[t1 - 1], sides[t2 - 1], tol)
-        if isinstance(cross, AtInfinity):
+        if cross is None:
             raise ParallelSides(f"side lines {t1} and {t2} are parallel")
-        corners.append(cross.point)
+        corners.append(cross)
     circle = circumcircle(*corners, tol=tol)
     return [("lambert", idx,
              abs(poly.simson_point.distance(circle.center) - circle.radius))]

@@ -379,7 +379,7 @@ def test_verify_tolerances_name_the_limits_checks_faced(capsys, tmp_path):
                                               n=5))
     v = poly.vertices
     sides = [line_through(v[t - 1], v[t % 5]) for t in (1, 2, 5)]
-    corners = [line_intersection(sides[a], sides[b]).point
+    corners = [line_intersection(sides[a], sides[b])
                for a, b in ((0, 1), (0, 2), (1, 2))]
     radius = circumcircle(*corners).radius
     assert radius > 100.0 * scale
@@ -456,6 +456,33 @@ def test_verify_small_polygon_skips_archimedes(capsys, tmp_path):
     assert code == 0
     checks = json.loads(out)["checks"]
     assert checks[-1]["note"] == "skipped: needs n >= 5"
+
+
+TRIANGLE_NOTE = "skipped: a triangle's Simson point is not unique"
+
+
+@pytest.mark.parametrize("n, expected", [
+    (3, [("simson", None), ("isogonal", None), ("lambert", None),
+         ("parallel-chords", TRIANGLE_NOTE), ("optical", TRIANGLE_NOTE),
+         ("archimedes", TRIANGLE_NOTE)]),
+    (4, [("simson", None),
+         ("isogonal", "skipped: vertex on the simson line at 1, 4"),
+         ("lambert", None), ("chord-tangent", None),
+         ("midpoints-aligned", None), ("optical", None),
+         ("archimedes", "skipped: needs n >= 5")]),
+])
+def test_verify_equidistant_round_trip(capsys, tmp_path, n, expected):
+    # Every point of a triangle's circumcircle is a Simson point, so the
+    # search need not return the one that built the triangle: its
+    # equidistant checks pass with a note.  n = 4 runs them.
+    path = tmp_path / "poly.json"
+    assert main(["construct", "--equidistant", "--s", "1", "--delta", "1",
+                 "--n", str(n), "--out", str(path)]) == 0
+    code, out, _ = run_cli(capsys, "verify", "--in", str(path))
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert [(c["name"], c.get("note")) for c in checks] == expected
+    assert all(c["pass"] for c in checks)
 
 
 # ------------------------------------------------------------------- approx

@@ -200,7 +200,7 @@ def test_w_point_matches_side_line_intersection():
         li = line_through(OCT.vertices[i - 1], OCT.vertices[i])
         lj = line_through(OCT.vertices[j - 1], OCT.vertices[j])
         from simsonpoly.kernel import line_intersection
-        got = line_intersection(li, lj).point
+        got = line_intersection(li, lj)
         assert w_point(cfg, i, j).distance(got) < 1e-9
 
 

@@ -179,6 +179,9 @@ def test_square_admits_no_simson_point_anywhere():
     for x in np.linspace(-1.0, 2.0, 13):
         for y in np.linspace(-1.0, 2.0, 13):
             assert is_simson_point(Point(x, y), square) is None
+    # The pedals of (0.3, 1e9) miss a common line by 0.5; a threshold at
+    # the spread of the pedals and the candidate (~1e9) would pass them.
+    assert is_simson_point(Point(0.3, 1e9), square) is None
 
 
 # ----------------------------------------------------- complete quadrilateral

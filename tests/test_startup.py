@@ -5,9 +5,10 @@ the Gauss-Legendre rule included), so none pays for importing numpy;
 the limit-study names reach the package namespace on first access.  All
 seven requests run in one interpreter, and numpy would stay loaded once
 imported.  No wall clock is read: the tests look at ``sys.modules``
-only.
+only.  numpy is a test dependency: no module of the package imports it.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -42,13 +43,16 @@ run("approx", "--s", "1", "--a", "0", "--b", "4", "--n", "4",
 """
 
 
-def test_only_numeric_requests_load_numpy(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _subprocess_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
+def test_only_numeric_requests_load_numpy(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", REQUESTS, str(tmp_path / "octagon.json"),
          str(tmp_path / "figure.svg")],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=_subprocess_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == [
         "0 False",  # construct --equidistant --svg
@@ -60,6 +64,35 @@ def test_only_numeric_requests_load_numpy(tmp_path):
         "0 False",  # approx --compare-quadrature
         "",
     ]
+
+
+def test_no_package_module_imports_numpy():
+    modules = sorted((ROOT / "src" / "simsonpoly").glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] != "numpy", (path.name, node.lineno)
+
+
+def test_nondegeneracy_test_does_not_load_numpy():
+    code = """
+import sys
+from simsonpoly import Point, Polygon
+flat = Polygon((Point(0, 0), Point(1, 0), Point(2, 0), Point(0, 1)))
+square = Polygon((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
+print(flat.is_nondegenerate(), square.is_nondegenerate(), "numpy" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_subprocess_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False True False\n"
 
 
 def test_every_public_name_resolves():

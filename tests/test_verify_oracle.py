@@ -126,8 +126,7 @@ def oracle_archimedes(poly):
     w_families, m_families = {}, {}
     for i in range(1, n - 1):
         for j in range(i + 1, n - 1):
-            w = _line_coord(L, line_intersection(sides[i - 1],
-                                                 sides[j - 1]).point)
+            w = _line_coord(L, line_intersection(sides[i - 1], sides[j - 1]))
             w_families.setdefault(i + j, []).append(w)
             out.append(("archimedes", (i, j), _spread(
                 [w, mid_coord(i, j + 1), mid_coord(i + 1, j)])))
@@ -146,7 +145,7 @@ def oracle_lambert(poly, idx):
     n = poly.n
     sides = {t: line_through(poly.vertices[t - 1], poly.vertices[t % n])
              for t in idx}
-    corners = [line_intersection(sides[a], sides[b]).point
+    corners = [line_intersection(sides[a], sides[b])
                for a, b in combinations(idx, 2)]
     circle = circumcircle(*corners)
     return [("lambert", idx,
