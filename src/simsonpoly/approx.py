@@ -154,17 +154,20 @@ def optimal_knots(p: ApproxProblem) -> ApproxResult:
 
     By power mean (or Lagrange) the sum of h_i^3 under fixed total width
     is smallest when all h_i coincide, so the optimum is the arithmetic
-    progression from a to b.  Raises LeavesFloatRange, before any caller
-    can emit the result, when a knot, knot value or error is not a
-    finite float.
+    progression from a to b, whose last knot is b itself (a + n h can
+    miss it by rounding).  Before any caller can emit the result, raises
+    LeavesFloatRange when a knot, knot value or error is not a finite
+    float, and UnorderedKnots when [a, b] is too narrow for n segments
+    to give strictly increasing floats.
     """
     h = (p.b - p.a) / p.n
-    knots = tuple(p.a + i * h for i in range(p.n + 1))
+    knots = [p.a + i * h for i in range(p.n)] + [p.b]
     pts = tuple((x, p.f(x)) for x in knots)
     l1 = _power_ratio(p.n, h, 3, 24.0 * abs(p.s))
     l2 = _power_ratio(p.n, h, 5, 480.0 * p.s * p.s)
     _require_finite((h, l1, l2, *(y for _, y in pts)), p.s, p.a, p.b)
-    return ApproxResult(knots=knots, knot_points=pts, l1_error=l1, l2_error=l2)
+    return ApproxResult(knots=tuple(_validated(knots)), knot_points=pts,
+                        l1_error=l1, l2_error=l2)
 
 
 def interpolant_at(p: ApproxProblem, knots: Sequence[float], x: float) -> float:

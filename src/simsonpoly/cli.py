@@ -12,22 +12,16 @@ import json
 import math
 import os
 import sys
-from typing import Callable, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TextIO
 
-from ._pcg64 import uniform
-from .approx import ApproxProblem, optimal_knots, quadrature_l1, \
-    quadrature_l2, total_error_objective
-from .equidistant import EquidistantConfig, IndexOutOfRange, InvalidConfig, \
-    associated_parabola, equidistant_from_frame, frame_from_certificate, \
-    make_equidistant, midpoint_parabola, verify_archimedes, verify_isogonal, \
-    verify_lambert, verify_optical, verify_parallel_chords
 from .kernel import DEFAULT_TOLERANCE, GeometryError, Point, Tolerance
-from .report import CheckResult, VerificationReport
-from .scene import SceneDocument, SceneFormatError, parse_feet_spec, \
-    parse_line_spec, parse_point_spec
-from .simson import Polygon, characterization_defect, \
-    construct_simson_polygon, find_simson_point
-from .svgfig import approx_figure, scene_to_svg
+
+# Each command imports the layers it calls inside the function that calls
+# them, so a request loads only the modules its subcommand runs.
+if TYPE_CHECKING:
+    from .report import VerificationReport
+    from .scene import SceneDocument
+    from .simson import Polygon
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -95,8 +89,14 @@ def _write_svg(args, svg: Optional[str]) -> None:
 # ---------------------------------------------------------------- construct
 
 def _construct_scene(args, tol: Tolerance) -> SceneDocument:
+    from .scene import SceneDocument, parse_feet_spec, parse_line_spec, \
+        parse_point_spec
+
     scene = SceneDocument()
     if args.equidistant:
+        from .equidistant import EquidistantConfig, associated_parabola, \
+            make_equidistant, midpoint_parabola
+
         for flag, value in (("--s", args.s), ("--delta", args.delta),
                             ("--n", args.n)):
             if value is None:
@@ -118,6 +118,8 @@ def _construct_scene(args, tol: Tolerance) -> SceneDocument:
                         ("--simson-line", args.simson_line)):
         if value is None:
             raise _CliError(f"construct without --equidistant requires {flag}")
+    from .simson import construct_simson_polygon
+
     feet = parse_feet_spec(args.feet)
     s = parse_point_spec(args.simson_point)
     line = parse_line_spec(args.simson_line)
@@ -131,10 +133,18 @@ def _construct_scene(args, tol: Tolerance) -> SceneDocument:
 
 
 def cmd_construct(args) -> int:
+    from .scene import SceneFormatError
+
     tol = _tolerance(args)
-    scene = _construct_scene(args, tol)
+    try:
+        scene = _construct_scene(args, tol)
+    except SceneFormatError as exc:
+        raise _CliError(str(exc)) from None
     # The figure is built first: a scene it cannot draw writes nothing.
-    svg = scene_to_svg(scene) if args.svg else None
+    svg = None
+    if args.svg:
+        from .svgfig import scene_to_svg
+        svg = scene_to_svg(scene)
     text = scene.to_json()
     _emit(args, lambda fh: fh.write(text))
     _write_svg(args, svg)
@@ -169,6 +179,8 @@ def _parse_triple(spec: str) -> tuple[int, int, int]:
 
 
 def _load_polygon(args) -> Polygon:
+    from .scene import SceneDocument
+
     if args.infile is None:
         raise _CliError("verify requires --in SCENE.json")
     if args.infile == "-":
@@ -183,6 +195,9 @@ def _load_polygon(args) -> Polygon:
 
 
 def _perturbed(poly: Polygon, eps: float, seed: int) -> Polygon:
+    from ._pcg64 import uniform
+    from .simson import Polygon
+
     offsets = uniform(seed, -eps, eps, 2 * poly.n)
     return Polygon(tuple(Point(v.x + dx, v.y + dy)
                          for v, dx, dy in zip(poly.vertices, offsets[::2],
@@ -191,6 +206,12 @@ def _perturbed(poly: Polygon, eps: float, seed: int) -> Polygon:
 
 def _run_checks(poly: Polygon, checks: list[str], triple: tuple[int, int, int],
                 tol: Tolerance) -> VerificationReport:
+    from .equidistant import InvalidConfig, equidistant_from_frame, \
+        frame_from_certificate, verify_archimedes, verify_isogonal, \
+        verify_lambert, verify_optical, verify_parallel_chords
+    from .report import CheckResult, VerificationReport
+    from .simson import characterization_defect, find_simson_point
+
     report = VerificationReport()
     cert = find_simson_point(poly, tol)
     if cert is None:
@@ -257,10 +278,16 @@ def cmd_verify(args) -> int:
         raise _CliError("--seed must be non-negative")
     # The noise is drawn from [-perturb, perturb], whose width must be finite.
     _require_finite("--perturb width", 2.0 * args.perturb)
-    poly = _load_polygon(args)
-    if args.negative_control:
-        poly = _perturbed(poly, args.perturb, args.seed)
-    report = _run_checks(poly, checks, triple, tol)
+    from .equidistant import IndexOutOfRange
+    from .scene import SceneFormatError
+
+    try:
+        poly = _load_polygon(args)
+        if args.negative_control:
+            poly = _perturbed(poly, args.perturb, args.seed)
+        report = _run_checks(poly, checks, triple, tol)
+    except (SceneFormatError, IndexOutOfRange) as exc:
+        raise _CliError(str(exc)) from None
     _emit_json(args, report.to_dict())
     return EXIT_OK if report.overall else EXIT_VERIFY
 
@@ -279,6 +306,9 @@ def _parse_perturb_knot(spec: str) -> tuple[int, float]:
 
 
 def cmd_approx(args) -> int:
+    from .approx import ApproxProblem, optimal_knots, quadrature_l1, \
+        quadrature_l2, total_error_objective
+
     if args.a >= args.b:
         raise _CliError(f"need a < b, got a={args.a}, b={args.b}")
     if args.n < 1:
@@ -320,7 +350,10 @@ def cmd_approx(args) -> int:
                                    "objective_delta": delta_obj}
         if delta_obj <= 0.0:
             exit_code = EXIT_VERIFY
-    svg = approx_figure(problem, result) if args.svg else None
+    svg = None
+    if args.svg:
+        from .svgfig import approx_figure
+        svg = approx_figure(problem, result)
     _emit_json(args, payload)
     _write_svg(args, svg)
     return exit_code
@@ -329,7 +362,8 @@ def cmd_approx(args) -> int:
 # -------------------------------------------------------------------- limit
 
 def cmd_limit(args) -> int:
-    # Imported here: construct, verify and approx never need limits.
+    # limits alone: the chains come from the equidistant closed form, so
+    # neither the Simson nor the equidistant layer is loaded.
     from .limits import TooManySegments, convergence_table, observed_orders
 
     if args.window <= 0.0:
@@ -491,7 +525,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.close(devnull)
         print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
-    except (_CliError, SceneFormatError, IndexOutOfRange) as exc:
+    except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GeometryError as exc:

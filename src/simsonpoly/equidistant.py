@@ -31,7 +31,9 @@ from itertools import combinations
 from .kernel import (
     DEFAULT_TOLERANCE,
     GeometryError,
+    InvalidConfig,
     Line,
+    Parabola,
     Point,
     Tolerance,
     angle_between_rays,
@@ -42,10 +44,6 @@ from .kernel import (
 )
 from .report import VerificationReport
 from .simson import Polygon, SimsonCertificate
-
-
-class InvalidConfig(GeometryError):
-    """Configuration parameters outside their domain."""
 
 
 class IndexOutOfRange(GeometryError):
@@ -85,41 +83,6 @@ class EquidistantConfig:
         if not 1 <= i <= self.n:
             raise IndexOutOfRange(f"foot index {i} outside 1..{self.n}")
         return self.x0 + (i - 1) * self.delta
-
-
-@dataclass(frozen=True)
-class Parabola:
-    """Vertical-axis parabola y = (x^2 - c) / (4 s), s != 0."""
-
-    s: float
-    c: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.s) and self.s != 0.0):
-            raise InvalidConfig(f"parabola needs s != 0, got {self.s}")
-        if not math.isfinite(self.c):
-            raise InvalidConfig(f"parabola offset must be finite, got {self.c}")
-
-    def y_at(self, x: float) -> float:
-        return (x * x - self.c) / (4.0 * self.s)
-
-    def point_at(self, x: float) -> Point:
-        return Point(x, self.y_at(x))
-
-    def slope_at(self, x: float) -> float:
-        return x / (2.0 * self.s)
-
-    def tangent_at(self, x: float) -> Line:
-        # Through (x, y(x)) with slope x/(2s): X*x - 2s*y - (x^2 + c)/2 = 0.
-        return Line(x, -2.0 * self.s, -0.5 * (x * x + self.c))
-
-    @property
-    def vertex(self) -> Point:
-        return Point(0.0, -self.c / (4.0 * self.s))
-
-    @property
-    def focus(self) -> Point:
-        return Point(0.0, self.s - self.c / (4.0 * self.s))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Tolerance-aware 2D primitives: points, lines, circles.
+"""Tolerance-aware 2D primitives: points, lines, circles, parabolas.
 
 Everything downstream is built on the handful of constructions in this
 module (perpendicular feet, reflections, circumcircles, intersections).
@@ -40,6 +40,10 @@ class IdenticalCircles(GeometryError):
 
 class NonFinite(GeometryError):
     """A coordinate, coefficient or radius left the float range."""
+
+
+class InvalidConfig(GeometryError):
+    """Configuration parameters outside their domain."""
 
 
 @dataclass(frozen=True)
@@ -164,6 +168,41 @@ class Circle:
             raise NonFinite(f"non-finite circle radius {self.radius}")
         if not self.radius > 0.0:
             raise ValueError(f"circle radius must be positive, got {self.radius}")
+
+
+@dataclass(frozen=True)
+class Parabola:
+    """Vertical-axis parabola y = (x^2 - c) / (4 s), s != 0."""
+
+    s: float
+    c: float = 0.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.s) and self.s != 0.0):
+            raise InvalidConfig(f"parabola needs s != 0, got {self.s}")
+        if not math.isfinite(self.c):
+            raise InvalidConfig(f"parabola offset must be finite, got {self.c}")
+
+    def y_at(self, x: float) -> float:
+        return (x * x - self.c) / (4.0 * self.s)
+
+    def point_at(self, x: float) -> Point:
+        return Point(x, self.y_at(x))
+
+    def slope_at(self, x: float) -> float:
+        return x / (2.0 * self.s)
+
+    def tangent_at(self, x: float) -> Line:
+        # Through (x, y(x)) with slope x/(2s): X*x - 2s*y - (x^2 + c)/2 = 0.
+        return Line(x, -2.0 * self.s, -0.5 * (x * x + self.c))
+
+    @property
+    def vertex(self) -> Point:
+        return Point(0.0, -self.c / (4.0 * self.s))
+
+    @property
+    def focus(self) -> Point:
+        return Point(0.0, self.s - self.c / (4.0 * self.s))
 
 
 def bbox_diagonal(points: Iterable[Point]) -> float:

@@ -7,8 +7,10 @@ spacing D (foot spacing D/2) interpolates C' shifted down by D^2/(16 s),
 touching C' at the side midpoints, so its Hausdorff distance from C'
 over a window containing the apex is D^2/(16 |s|), of quadratic order.
 
-The chain here is the open vertex run V_1..V_{n-1}; the closing vertex
-is a long-range chord and takes no part in the limit.
+The chain here is the open vertex run V_1..V_{n-1}, computed from the
+closed form of ``equidistant.make_equidistant`` with the same float
+operations, so it is bitwise that polygon's chain; the closing vertex is
+a long-range chord and takes no part in the limit.
 
 The Hausdorff distance is measured in both directions by dense sampling,
 in pure Python.  Chain to parabola: each sample's distance is the least
@@ -26,8 +28,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .equidistant import EquidistantConfig, Parabola, make_equidistant
-from .kernel import GeometryError, Point
+from .kernel import GeometryError, InvalidConfig, Parabola, Point
 
 MAX_SEGMENTS = 2 ** 14
 """Most segments the finest chain of a convergence table may have; the
@@ -62,9 +63,11 @@ class ConvergenceRow:
 def chain_for_window(s: float, half_width: float, delta: float) -> list[Point]:
     """Equidistant vertex chain spanning [-w, w] with knot spacing delta.
 
-    Foot spacing is delta/2 so consecutive vertices are delta apart; the
-    first foot is placed so the vertex abscissae run -w, -w+delta, .., w,
-    which puts a vertex at the apex whenever delta divides w.
+    Foot spacing is d = delta/2 so consecutive vertices are delta apart;
+    the first foot x0 is placed so the vertex abscissae run -w,
+    -w+delta, .., w, which puts a vertex at the apex whenever delta
+    divides w.  The vertices are V_1..V_{n-1} of the equidistant polygon
+    (s, x0, d, n = 2w/delta + 2), from its closed form.
     """
     if delta <= 0.0 or half_width <= 0.0:
         raise GeometryError("window and spacing must be positive")
@@ -73,10 +76,13 @@ def chain_for_window(s: float, half_width: float, delta: float) -> list[Point]:
     if abs(segments - n_seg) > 1e-9 or n_seg < 1:
         raise GeometryError(
             f"spacing {delta} does not tile the window [-{half_width}, {half_width}]")
-    feet_spacing = 0.5 * delta
-    x0 = 0.5 * (-half_width - feet_spacing)
-    cfg = EquidistantConfig(s=s, x0=x0, delta=feet_spacing, n=n_seg + 2)
-    return list(make_equidistant(cfg).chain)
+    if not (math.isfinite(s) and s != 0.0):
+        raise InvalidConfig(f"s must be nonzero and finite, got {s}")
+    d = 0.5 * delta
+    x0 = 0.5 * (-half_width - d)
+    return [Point(2.0 * x0 + (2 * i - 1) * d,
+                  (x0 + (i - 1) * d) * (x0 + i * d) / s)
+            for i in range(1, n_seg + 2)]
 
 
 def point_to_parabola_distance(p: Point, par: Parabola) -> float:

@@ -18,8 +18,7 @@ import math
 import re
 from typing import Iterable, Optional
 
-from .equidistant import Parabola
-from .kernel import Circle, Line, Point
+from .kernel import Circle, Line, Parabola, Point
 from .simson import Polygon
 
 SCHEMA_VERSION = "1"

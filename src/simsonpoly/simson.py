@@ -39,6 +39,7 @@ from .kernel import (
     IdenticalCircles,
     IdenticalLines,
     Line,
+    NonFinite,
     Point,
     Tolerance,
     bbox_diagonal,
@@ -71,9 +72,9 @@ class DuplicateFeet(GeometryError):
 class Polygon:
     """Polygon given by its vertex cycle.  Indices wrap.
 
-    The constructor enforces at least three vertices and pairwise
-    distinct consecutive vertices (at the default tolerance); anything
-    less does not define side lines.  Vertex indices are 0-based.
+    The constructor enforces at least three vertices, a finite diameter
+    and pairwise distinct consecutive vertices (at the default tolerance);
+    anything less does not define side lines.  Vertex indices are 0-based.
     """
 
     vertices: tuple[Point, ...]
@@ -84,6 +85,9 @@ class Polygon:
         if len(verts) < 3:
             raise GeometryError("polygon needs at least 3 vertices")
         scale = bbox_diagonal(verts)
+        # An infinite scale would make every side count as degenerate.
+        if not math.isfinite(scale):
+            raise NonFinite(f"polygon diameter {scale} leaves the float range")
         for i, v in enumerate(verts):
             w = verts[(i + 1) % len(verts)]
             if v.distance(w) <= DEFAULT_TOLERANCE.bound(scale):

@@ -180,6 +180,28 @@ def test_equal_spacing_beats_grid_search():
         assert total_error_objective(p, [t]) >= best - 1e-12
 
 
+def test_optimal_grid_ends_at_b():
+    # a + 3 h rounds to 0.7000000000000002 here; the last knot is b itself.
+    res = optimal_knots(ApproxProblem(s=1.0, delta=0.0, a=-3.0, b=0.7, n=3))
+    assert res.knots[-1] == 0.7
+    assert res.knot_points[-1] == (0.7, 0.7 * 0.7 / 4.0)
+    rng = np.random.default_rng(14)
+    for _ in range(2000):
+        a = float(rng.uniform(-4.0, -0.5))
+        b = float(rng.uniform(0.5, 4.0))
+        p = ApproxProblem(s=1.0, delta=0.0, a=a, b=b, n=int(rng.integers(1, 65)))
+        knots = optimal_knots(p).knots
+        assert (knots[0], knots[-1], len(knots)) == (a, b, p.n + 1)
+        assert all(u < v for u, v in zip(knots, knots[1:]))
+
+
+def test_optimal_grid_too_narrow_for_n_raises():
+    # h = 2^-52 / 3: 1 + h rounds to 1, so the grid would repeat knots.
+    p = ApproxProblem(s=1.0, delta=0.0, a=1.0, b=1.0000000000000002, n=3)
+    with pytest.raises(UnorderedKnots, match="not strictly increasing"):
+        optimal_knots(p)
+
+
 def test_optimal_l1_agrees_with_objective():
     rng = np.random.default_rng(12)
     for _ in range(50):

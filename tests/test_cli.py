@@ -302,6 +302,19 @@ def test_verify_coordinates_beyond_float_range_exit_3(capsys, tmp_path, scale):
     assert err.startswith("error: non-finite") and err.count("\n") == 1
 
 
+def test_verify_polygon_whose_extent_overflows_exits_3(capsys, tmp_path):
+    # Finite vertices whose diameter is inf: not "vertices 0 and 1 coincide".
+    # Written by hand, since a Polygon of them cannot be built.
+    path = tmp_path / "polygon.json"
+    path.write_text(json.dumps({"schema_version": "1", "entities": [
+        {"type": "polygon", "id": "polygon",
+         "vertices": [[1e308, 0.0], [-1e308, 0.0], [0.0, 1e308]]}]}))
+    code, out, err = run_cli(capsys, "verify", "--in", str(path))
+    assert code == 3
+    assert out == ""
+    assert err == "error: polygon diameter inf leaves the float range\n"
+
+
 def _scaled_octagon_scene(tmp_path, k):
     # The equidistant octagon (1, -3.5, 1, 8) scaled by k and moved by
     # (7, 5) * k, far from the origin at its own size.
@@ -548,6 +561,26 @@ def test_approx_zero_s_exits_3(capsys):
     assert code == 3
 
 
+def test_approx_last_knot_is_b(capsys):
+    code, out, err = run_cli(capsys, "approx", "--s", "1", "--a=-3.0",
+                             "--b", "0.7", "--n", "3")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["knots"][0] == -3.0 and payload["knots"][-1] == 0.7
+    assert payload["knot_points"][-1][0] == 0.7
+
+
+def test_approx_interval_too_narrow_for_n_exits_3(capsys, tmp_path):
+    out_path = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, "approx", "--s", "1", "--a", "1",
+                             "--b", "1.0000000000000002", "--n", "3",
+                             "--out", str(out_path))
+    assert code == 3
+    assert out == ""
+    assert err == "error: knots not strictly increasing at 1.0, 1.0\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["--s", "1e-300", "--a", "-1", "--b", "1", "--n", "4"],
     ["--s=1", "--a=-1e100", "--b=1e100", "--n=1"],
@@ -613,6 +646,14 @@ def test_limit_nontiling_window_exits_3(capsys):
     code, _, _ = run_cli(capsys, "limit", "--s", "1", "--window", "0.3",
                          "--m-max", "0")
     assert code == 3
+
+
+@pytest.mark.parametrize("s", ["0", "-0.0"])
+def test_limit_zero_s_exits_3(capsys, s):
+    code, out, err = run_cli(capsys, "limit", "--s", s)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: parabola needs s != 0, got {float(s)}\n"
 
 
 def test_limit_bad_window_exits_2(capsys):

@@ -147,6 +147,15 @@ def test_parabola_tangent_line():
     assert abs(tan.signed_distance(Point(3.0, 2.0))) < 1e-12  # slope 1
 
 
+def test_parabola_and_invalid_config_are_the_kernel_types():
+    # Both live in kernel, so limits can use them without this module.
+    from simsonpoly import kernel
+    assert Parabola is kernel.Parabola
+    assert InvalidConfig is kernel.InvalidConfig
+    with pytest.raises(InvalidConfig, match="parabola needs s != 0"):
+        Parabola(0.0)
+
+
 def test_delta_to_zero_limit_is_midpoint_parabola():
     small = associated_parabola(EquidistantConfig(s=1, x0=0, delta=1e-8, n=4))
     assert small.c == pytest.approx(0.0, abs=1e-15)

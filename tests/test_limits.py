@@ -7,8 +7,9 @@ import pytest
 
 from geomgen import xy
 from simsonpoly import limits
-from simsonpoly.equidistant import Parabola
-from simsonpoly.kernel import GeometryError, Point
+from simsonpoly.equidistant import EquidistantConfig, Parabola, \
+    make_equidistant
+from simsonpoly.kernel import GeometryError, InvalidConfig, Point
 from simsonpoly.limits import (
     MAX_SEGMENTS,
     ConvergenceRow,
@@ -83,6 +84,29 @@ def test_chain_interpolates_shifted_parabola():
     s, w, d = 2.0, 3.0, 0.5
     for p in chain_for_window(s, w, d):
         assert p.y == pytest.approx((p.x * p.x - d * d / 4.0) / (4.0 * s))
+
+
+@pytest.mark.parametrize("w", [2.0, 3.0, 4.0, 8.0])
+def test_chain_is_bitwise_the_equidistant_chain(w):
+    # The closed form in chain_for_window against the polygon it takes
+    # the chain from: spacing d = 2^-m, feet spacing d/2, first foot x0.
+    rng = np.random.default_rng(int(w))
+    for m in range(11):
+        d = 2.0 ** -m
+        for sign in (1.0, -1.0):
+            s = sign * float(rng.uniform(0.05, 20.0))
+            cfg = EquidistantConfig(s, 0.5 * (-w - 0.5 * d), 0.5 * d,
+                                    round(2.0 * w / d) + 2)
+            want = make_equidistant(cfg).chain
+            got = chain_for_window(s, w, d)
+            assert [(p.x.hex(), p.y.hex()) for p in got] == \
+                [(p.x.hex(), p.y.hex()) for p in want], (s, w, m)
+
+
+@pytest.mark.parametrize("s", [0.0, -0.0, math.nan, math.inf])
+def test_chain_needs_finite_nonzero_s(s):
+    with pytest.raises(InvalidConfig, match="s must be nonzero and finite"):
+        chain_for_window(s, 4.0, 1.0)
 
 
 def test_chain_window_must_tile():

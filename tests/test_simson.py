@@ -5,8 +5,8 @@ import pytest
 
 from geomgen import random_convex_polygon, random_quadrilateral, \
     random_triangle, regular_polygon, xy
-from simsonpoly.kernel import DEFAULT_TOLERANCE, Circle, Line, Point, \
-    bbox_diagonal, line_through, point_on_circle
+from simsonpoly.kernel import DEFAULT_TOLERANCE, Circle, Line, NonFinite, \
+    Point, bbox_diagonal, line_through, point_on_circle
 from simsonpoly.simson import (
     CompleteQuadrilateral,
     DegenerateConfiguration,
@@ -38,6 +38,13 @@ def test_polygon_needs_three_vertices():
 def test_polygon_rejects_repeated_consecutive_vertex():
     with pytest.raises(DegenerateSide):
         Polygon((Point(0, 0), Point(0, 0), Point(1, 1)))
+
+
+def test_polygon_whose_extent_overflows_is_non_finite():
+    # Each vertex is finite, but the bounding box diagonal is inf, which
+    # would make every side count as degenerate.
+    with pytest.raises(NonFinite, match="leaves the float range"):
+        Polygon((Point(1e308, 0), Point(-1e308, 0), Point(0, 1e308)))
 
 
 def test_polygon_indices_wrap():
