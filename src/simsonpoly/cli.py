@@ -14,7 +14,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, TextIO
 
-from .kernel import DEFAULT_TOLERANCE, GeometryError, Point, Tolerance
+from .kernel import DEFAULT_TOLERANCE, GeometryError, Point
 
 # Each command imports the layers it calls inside the function that calls
 # them, so a request loads only the modules its subcommand runs.
@@ -41,14 +41,6 @@ def _require_finite(flag: str, value: float) -> float:
     if not math.isfinite(value):
         raise _CliError(f"{flag} must be finite, got {value}")
     return value
-
-
-def _tolerance(args) -> Tolerance:
-    if args.tolerance is None:
-        return DEFAULT_TOLERANCE
-    if args.tolerance <= 0.0:
-        raise _CliError(f"--tolerance must be positive, got {args.tolerance}")
-    return Tolerance(abs_eps=args.tolerance, rel_eps=args.tolerance)
 
 
 def _open_output(path: str) -> TextIO:
@@ -88,7 +80,7 @@ def _write_svg(args, svg: Optional[str]) -> None:
 
 # ---------------------------------------------------------------- construct
 
-def _construct_scene(args, tol: Tolerance) -> SceneDocument:
+def _construct_scene(args) -> SceneDocument:
     from .scene import SceneDocument, parse_feet_spec, parse_line_spec, \
         parse_point_spec
 
@@ -123,7 +115,7 @@ def _construct_scene(args, tol: Tolerance) -> SceneDocument:
     feet = parse_feet_spec(args.feet)
     s = parse_point_spec(args.simson_point)
     line = parse_line_spec(args.simson_line)
-    poly = construct_simson_polygon(s, line, feet, tol=tol)
+    poly = construct_simson_polygon(s, line, feet)
     scene.add_line("L", line)
     scene.add_polygon("polygon", poly)
     for i, foot in enumerate(feet):
@@ -135,9 +127,8 @@ def _construct_scene(args, tol: Tolerance) -> SceneDocument:
 def cmd_construct(args) -> int:
     from .scene import SceneFormatError
 
-    tol = _tolerance(args)
     try:
-        scene = _construct_scene(args, tol)
+        scene = _construct_scene(args)
     except SceneFormatError as exc:
         raise _CliError(str(exc)) from None
     # The figure is built first: a scene it cannot draw writes nothing.
@@ -204,8 +195,8 @@ def _perturbed(poly: Polygon, eps: float, seed: int) -> Polygon:
                                               offsets[1::2])))
 
 
-def _run_checks(poly: Polygon, checks: list[str], triple: tuple[int, int, int],
-                tol: Tolerance) -> VerificationReport:
+def _run_checks(poly: Polygon, checks: list[str],
+                triple: tuple[int, int, int]) -> VerificationReport:
     from .equidistant import InvalidConfig, equidistant_from_frame, \
         frame_from_certificate, verify_archimedes, verify_isogonal, \
         verify_lambert, verify_optical, verify_parallel_chords
@@ -213,11 +204,12 @@ def _run_checks(poly: Polygon, checks: list[str], triple: tuple[int, int, int],
     from .simson import characterization_defect, find_simson_point
 
     report = VerificationReport()
-    cert = find_simson_point(poly, tol)
+    cert = find_simson_point(poly)
     if cert is None:
         # No frame, so no scale: the report names only the raw tolerance.
-        report.tolerances.update(abs_eps=tol.abs_eps, rel_eps=tol.rel_eps)
-        defect = characterization_defect(poly, tol)
+        report.tolerances.update(abs_eps=DEFAULT_TOLERANCE.abs_eps,
+                                 rel_eps=DEFAULT_TOLERANCE.rel_eps)
+        defect = characterization_defect(poly)
         if "simson" in checks:
             report.add(CheckResult(
                 "simson", (), defect, False,
@@ -230,11 +222,11 @@ def _run_checks(poly: Polygon, checks: list[str], triple: tuple[int, int, int],
     if "simson" in checks:
         report.add(CheckResult("simson", (), cert.residual, True))
     frame = frame_from_certificate(poly, cert)
-    report.set_limits(frame.scale(), tol)
+    report.set_limits(frame.scale())
     if "isogonal" in checks:
-        report.extend(verify_isogonal(frame, tol))
+        report.extend(verify_isogonal(frame))
     if "lambert" in checks:
-        lambert = verify_lambert(frame, *triple, tol=tol)
+        lambert = verify_lambert(frame, *triple)
         report.extend(lambert)
         report.tolerances["lambert_limit"] = \
             lambert.tolerances["lambert_limit"]
@@ -250,26 +242,25 @@ def _run_checks(poly: Polygon, checks: list[str], triple: tuple[int, int, int],
         return report
     if wanted:
         try:
-            eq = equidistant_from_frame(frame, tol)
+            eq = equidistant_from_frame(frame)
         except InvalidConfig as exc:
             report.add(CheckResult("equidistant-spacing", (), float("inf"),
                                    False, note=str(exc)))
             return report
         if "parallel-chords" in wanted:
-            report.extend(verify_parallel_chords(eq, tol))
+            report.extend(verify_parallel_chords(eq))
         if "optical" in wanted:
-            report.extend(verify_optical(eq, tol))
+            report.extend(verify_optical(eq))
         if "archimedes" in wanted:
             if eq.n < 5:
                 report.add(CheckResult("archimedes", (), 0.0, True,
                                        note="skipped: needs n >= 5"))
             else:
-                report.extend(verify_archimedes(eq, tol))
+                report.extend(verify_archimedes(eq))
     return report
 
 
 def cmd_verify(args) -> int:
-    tol = _tolerance(args)
     checks = _parse_checks(args.checks)
     triple = _parse_triple(args.triple)
     if args.negative_control and args.perturb <= 0.0:
@@ -285,7 +276,7 @@ def cmd_verify(args) -> int:
         poly = _load_polygon(args)
         if args.negative_control:
             poly = _perturbed(poly, args.perturb, args.seed)
-        report = _run_checks(poly, checks, triple, tol)
+        report = _run_checks(poly, checks, triple)
     except (SceneFormatError, IndexOutOfRange) as exc:
         raise _CliError(str(exc)) from None
     _emit_json(args, report.to_dict())
@@ -396,8 +387,6 @@ def cmd_limit(args) -> int:
 # Flags that several subcommands read; argparse defaults each valued one
 # to None.
 _SHARED_FLAGS = {
-    "--tolerance": dict(type=float,
-                        help="absolute and relative epsilon (default 1e-9)"),
     "--out": dict(metavar="FILE",
                   help="write JSON output here instead of stdout"),
     "--svg": dict(metavar="FILE", help="also write an SVG figure"),
@@ -422,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_con = sub.add_parser("construct", help="build a Simson polygon scene")
-    _add_shared(p_con, "--tolerance --out --svg --quiet")
+    _add_shared(p_con, "--out --svg --quiet")
     p_con.add_argument("--equidistant", action="store_true",
                        help="use the equidistant closed form")
     p_con.add_argument("--s", type=float, help="Simson point height")
@@ -437,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify",
                            help="check scene polygon against the theorems")
-    _add_shared(p_ver, "--tolerance --out --in --quiet")
+    _add_shared(p_ver, "--out --in --quiet")
     p_ver.add_argument("--checks", default="all",
                        help="comma list from {%s} or all" % ", ".join(ALL_CHECKS))
     p_ver.add_argument("--triple", default="1,2,3",

@@ -35,10 +35,10 @@ from .kernel import (
     Line,
     Parabola,
     Point,
-    Tolerance,
     angle_between_rays,
     bbox_diagonal,
     circumcircle,
+    equidistant_chain,
     line_intersection,
     reflect_point,
 )
@@ -151,9 +151,7 @@ def make_equidistant(cfg: EquidistantConfig) -> EquidistantPolygon:
     u, v is the point (u + v, u*v/s).
     """
     s, x0, d, n = cfg.s, cfg.x0, cfg.delta, cfg.n
-    verts = [Point(2.0 * x0 + (2 * i - 1) * d,
-                   (x0 + (i - 1) * d) * (x0 + i * d) / s)
-             for i in range(1, n)]
+    verts = equidistant_chain(s, x0, d, n - 1)
     xn = cfg.foot_abscissa(n)
     x1 = cfg.foot_abscissa(1)
     verts.append(Point(xn + x1, xn * x1 / s))
@@ -197,9 +195,7 @@ def w_point(cfg: EquidistantConfig, i: int, j: int) -> Point:
     return Point(2.0 * cfg.x0 + (i + j) * cfg.delta, u * v / cfg.s)
 
 
-def verify_parallel_chords(poly: EquidistantPolygon,
-                           tol: Tolerance = DEFAULT_TOLERANCE
-                           ) -> VerificationReport:
+def verify_parallel_chords(poly: EquidistantPolygon) -> VerificationReport:
     """Chord family structure of the parabola vertices V_1..V_{n-1}.
 
     Three families of checks, all on numeric vertex data:
@@ -214,7 +210,7 @@ def verify_parallel_chords(poly: EquidistantPolygon,
     those of ``angle_between_lines``, operation for operation.
     """
     report = VerificationReport()
-    limit, angle_limit = report.set_limits(poly.scale(), tol)
+    limit, angle_limit = report.set_limits(poly.scale())
     xs = [v.x for v in poly.chain]
     ys = [v.y for v in poly.chain]
     m = len(xs)
@@ -253,8 +249,7 @@ def verify_parallel_chords(poly: EquidistantPolygon,
     return report
 
 
-def verify_isogonal(poly: SimsonPolygonFrame,
-                    tol: Tolerance = DEFAULT_TOLERANCE) -> VerificationReport:
+def verify_isogonal(poly: SimsonPolygonFrame) -> VerificationReport:
     """Discrete isogonal property at every vertex.
 
     With V' the mirror image of V_i across the Simson line, the angle
@@ -263,7 +258,7 @@ def verify_isogonal(poly: SimsonPolygonFrame,
     skipped: their residual is 0 and the note names them.
     """
     report = VerificationReport()
-    limit, angle_limit = report.set_limits(poly.scale(), tol)
+    limit, angle_limit = report.set_limits(poly.scale())
     n = poly.n
     S = poly.simson_point
     skipped: dict[str, list[str]] = {}
@@ -291,8 +286,7 @@ def verify_isogonal(poly: SimsonPolygonFrame,
     return report
 
 
-def verify_optical(poly: SimsonPolygonFrame,
-                   tol: Tolerance = DEFAULT_TOLERANCE) -> VerificationReport:
+def verify_optical(poly: SimsonPolygonFrame) -> VerificationReport:
     """Reflection property of the sides V_i V_{i+1}, i = 1..n-2.
 
     The line through the side midpoint orthogonal to L, reflected in the
@@ -303,7 +297,7 @@ def verify_optical(poly: SimsonPolygonFrame,
     x = x(midpoint); no line is built at the polygon's offset.
     """
     report = VerificationReport()
-    limit, _ = report.set_limits(poly.scale(), tol)
+    limit, _ = report.set_limits(poly.scale())
     S = poly.simson_point
     verts = poly.vertices
     sides = poly.polygon().side_lines()
@@ -316,8 +310,7 @@ def verify_optical(poly: SimsonPolygonFrame,
     return report
 
 
-def verify_archimedes(poly: SimsonPolygonFrame,
-                      tol: Tolerance = DEFAULT_TOLERANCE) -> VerificationReport:
+def verify_archimedes(poly: SimsonPolygonFrame) -> VerificationReport:
     """Median alignment of the side-line meets, n >= 5.
 
     For 1 <= i < j <= n-2 the meet W_{i,j} of the side lines V_i V_{i+1}
@@ -333,7 +326,7 @@ def verify_archimedes(poly: SimsonPolygonFrame,
     report = VerificationReport()
     if poly.n < 5:
         raise InvalidConfig("verify_archimedes needs n >= 5")
-    limit, _ = report.set_limits(poly.scale(), tol)
+    limit, _ = report.set_limits(poly.scale())
     n = poly.n
     xs = [v.x for v in poly.vertices]
     # sides[i - 1] is the line V_i V_{i+1}.
@@ -341,7 +334,7 @@ def verify_archimedes(poly: SimsonPolygonFrame,
     a = [line.a for line in sides]
     b = [line.b for line in sides]
     c = [line.c for line in sides]
-    parallel = tol.bound(1.0)
+    parallel = DEFAULT_TOLERANCE.bound(1.0)
     pair_idx, pair_res = [], []
     w_families: dict[int, list[float]] = {}
     for i in range(1, n - 1):
@@ -352,7 +345,7 @@ def verify_archimedes(poly: SimsonPolygonFrame,
             if abs(det) <= parallel:
                 # line_intersection raises IdenticalLines for coincident
                 # sides and returns None for parallel ones.
-                line_intersection(sides[i - 1], sides[j - 1], tol)
+                line_intersection(sides[i - 1], sides[j - 1])
                 raise ParallelSides(f"side lines {i} and {j} are parallel")
             w = (bi * c[j - 1] - b[j - 1] * ci) / det
             w_families.setdefault(i + j, []).append(w)
@@ -375,8 +368,8 @@ def verify_archimedes(poly: SimsonPolygonFrame,
     return report
 
 
-def verify_lambert(poly: SimsonPolygonFrame, i: int, j: int, k: int,
-                   tol: Tolerance = DEFAULT_TOLERANCE) -> VerificationReport:
+def verify_lambert(poly: SimsonPolygonFrame, i: int, j: int,
+                   k: int) -> VerificationReport:
     """Circumcircle of the triangle cut out by three side lines hits S.
 
     Sides are 1-based; side n joins V_n back to V_1.  This is the
@@ -391,16 +384,16 @@ def verify_lambert(poly: SimsonPolygonFrame, i: int, j: int, k: int,
     sides = poly.polygon().side_lines()
     corners = []
     for t1, t2 in combinations(idx, 2):
-        cross = line_intersection(sides[t1 - 1], sides[t2 - 1], tol)
+        cross = line_intersection(sides[t1 - 1], sides[t2 - 1])
         if cross is None:
             raise ParallelSides(f"side lines {t1} and {t2} are parallel")
         corners.append(cross)
-    circle = circumcircle(*corners, tol=tol)
+    circle = circumcircle(*corners)
     residual = abs(poly.simson_point.distance(circle.center) - circle.radius)
     scale = poly.scale()
-    report.set_limits(scale, tol)
+    report.set_limits(scale)
     # The circle may be far larger than the polygon.
-    limit = report.tolerances["lambert_limit"] = tol.bound(
+    limit = report.tolerances["lambert_limit"] = DEFAULT_TOLERANCE.bound(
         max(circle.radius, scale))
     report.judge("lambert", [idx], [residual], limit)
     return report
@@ -437,9 +430,7 @@ def frame_from_certificate(poly: Polygon,
                               simson_point=Point(0.0, s.y))
 
 
-def equidistant_from_frame(fp: SimsonPolygonFrame,
-                           tol: Tolerance = DEFAULT_TOLERANCE
-                           ) -> EquidistantPolygon:
+def equidistant_from_frame(fp: SimsonPolygonFrame) -> EquidistantPolygon:
     """Recognize frame data as an equidistant polygon.
 
     Requires the feet to march monotonically along the line with equal
@@ -458,7 +449,7 @@ def equidistant_from_frame(fp: SimsonPolygonFrame,
     if min(gaps) <= 0.0:
         raise InvalidConfig("feet do not march monotonically along the line")
     delta = math.fsum(gaps) / len(gaps)
-    if max(abs(g - delta) for g in gaps) > tol.bound(scale):
+    if max(abs(g - delta) for g in gaps) > DEFAULT_TOLERANCE.bound(scale):
         raise InvalidConfig("feet are not equally spaced")
     cfg = EquidistantConfig(s=fp.simson_point.y, x0=xs[0], delta=delta,
                             n=len(xs))

@@ -3,9 +3,10 @@
 Everything downstream is built on the handful of constructions in this
 module (perpendicular feet, reflections, circumcircles, intersections).
 The approach is exact-formula-first: operations evaluate closed forms in
-floating point and every predicate decides with an explicit absolute plus
-relative tolerance.  There is no exact rational fallback; degeneracies are
-reported through the error types below instead of being silently absorbed.
+floating point and every predicate decides with the package's one
+absolute plus relative tolerance, DEFAULT_TOLERANCE.  There is no exact
+rational fallback; degeneracies are reported through the error types
+below instead of being silently absorbed.
 Results are plain values: a point, a line, a circle, a list of points, or
 None where the construction has no finite answer (parallel lines).  The
 module is pure Python on ``math`` alone.
@@ -48,10 +49,12 @@ class InvalidConfig(GeometryError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute/relative tolerance pair shared by all predicates.
+    """Absolute/relative tolerance pair.
 
     A comparison at length scale ``L`` uses the threshold
-    ``abs_eps + rel_eps * |L|``; see :meth:`bound`.
+    ``abs_eps + rel_eps * |L|``; see :meth:`bound`.  Every predicate and
+    check of the package judges at DEFAULT_TOLERANCE; no caller sets
+    another.
     """
 
     abs_eps: float = 1e-9
@@ -140,9 +143,8 @@ class Line:
     def distance(self, p: Point) -> float:
         return abs(self.signed_distance(p))
 
-    def contains(self, p: Point, tol: Tolerance = DEFAULT_TOLERANCE,
-                 scale: float = 0.0) -> bool:
-        return self.distance(p) <= tol.bound(scale)
+    def contains(self, p: Point, scale: float = 0.0) -> bool:
+        return self.distance(p) <= DEFAULT_TOLERANCE.bound(scale)
 
     def direction(self) -> Point:
         """Unit direction vector, sign-canonical (first nonzero positive)."""
@@ -205,6 +207,18 @@ class Parabola:
         return Point(0.0, self.s - self.c / (4.0 * self.s))
 
 
+def equidistant_chain(s: float, x0: float, d: float, m: int) -> list[Point]:
+    """Vertices V_1..V_m of the equidistant Simson polygon (s, x0, d, n).
+
+    V_i = (2 x0 + (2i - 1) d, (x0 + (i - 1) d)(x0 + i d) / s) is the meet
+    of the perpendiculars at the feet x0 + (i - 1) d and x0 + i d; for
+    m < n these vertices lie on Parabola(s, d^2).
+    """
+    return [Point(2.0 * x0 + (2 * i - 1) * d,
+                  (x0 + (i - 1) * d) * (x0 + i * d) / s)
+            for i in range(1, m + 1)]
+
+
 def bbox_diagonal(points: Iterable[Point]) -> float:
     """Diagonal of the axis-aligned bounding box of a point set."""
     pts = list(points)
@@ -215,14 +229,14 @@ def bbox_diagonal(points: Iterable[Point]) -> float:
     return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
 
 
-def line_through(p: Point, q: Point, tol: Tolerance = DEFAULT_TOLERANCE) -> Line:
+def line_through(p: Point, q: Point) -> Line:
     """Line through two distinct points.
 
     Raises CoincidentPoints when p and q coincide under the tolerance at
     the scale of the inputs.
     """
     scale = max(p.norm(), q.norm())
-    if p.distance(q) <= tol.bound(scale):
+    if p.distance(q) <= DEFAULT_TOLERANCE.bound(scale):
         raise CoincidentPoints(f"line_through: points coincide at {p}")
     return Line(p.y - q.y, q.x - p.x, p.x * q.y - q.x * p.y)
 
@@ -248,30 +262,29 @@ def reflect_line(m: Line, mirror: Line) -> Line:
     return Line(m.a - k * mirror.a, m.b - k * mirror.b, m.c - k * mirror.c)
 
 
-def lines_parallel(l1: Line, l2: Line, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+def lines_parallel(l1: Line, l2: Line) -> bool:
     """True when the normals are parallel.  Unit normals make the cross
     product the sine of the angle between the lines."""
-    return abs(l1.a * l2.b - l2.a * l1.b) <= tol.bound(1.0)
+    return abs(l1.a * l2.b - l2.a * l1.b) <= DEFAULT_TOLERANCE.bound(1.0)
 
 
-def lines_equal(l1: Line, l2: Line, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    if not lines_parallel(l1, l2, tol):
+def lines_equal(l1: Line, l2: Line) -> bool:
+    if not lines_parallel(l1, l2):
         return False
     offset_scale = max(abs(l1.c), abs(l2.c))
     if l1.a * l2.a + l1.b * l2.b >= 0.0:
-        return abs(l1.c - l2.c) <= tol.bound(offset_scale)
-    return abs(l1.c + l2.c) <= tol.bound(offset_scale)
+        return abs(l1.c - l2.c) <= DEFAULT_TOLERANCE.bound(offset_scale)
+    return abs(l1.c + l2.c) <= DEFAULT_TOLERANCE.bound(offset_scale)
 
 
-def line_intersection(l1: Line, l2: Line,
-                      tol: Tolerance = DEFAULT_TOLERANCE) -> Optional[Point]:
+def line_intersection(l1: Line, l2: Line) -> Optional[Point]:
     """Crossing point of two lines, or None for distinct parallels.
 
     Raises IdenticalLines when the lines coincide under the tolerance.
     """
     det = l1.a * l2.b - l2.a * l1.b
-    if abs(det) <= tol.bound(1.0):
-        if lines_equal(l1, l2, tol):
+    if abs(det) <= DEFAULT_TOLERANCE.bound(1.0):
+        if lines_equal(l1, l2):
             raise IdenticalLines("line_intersection: lines coincide")
         return None
     x = (l1.b * l2.c - l2.b * l1.c) / det
@@ -279,8 +292,7 @@ def line_intersection(l1: Line, l2: Line,
     return Point(x, y)
 
 
-def circumcircle(a: Point, b: Point, c: Point,
-                 tol: Tolerance = DEFAULT_TOLERANCE) -> Circle:
+def circumcircle(a: Point, b: Point, c: Point) -> Circle:
     """Circle through three points in general position.
 
     Raises CollinearInput when the points are collinear under the
@@ -293,7 +305,7 @@ def circumcircle(a: Point, b: Point, c: Point,
     cx, cy = c.x - a.x, c.y - a.y
     d = 2.0 * (bx * cy - by * cx)
     base = max(math.hypot(bx, by), math.hypot(cx, cy), 1.0)
-    if abs(d) <= 2.0 * tol.bound(scale) * base:
+    if abs(d) <= 2.0 * DEFAULT_TOLERANCE.bound(scale) * base:
         raise CollinearInput(f"circumcircle: collinear input {a}, {b}, {c}")
     b2 = bx * bx + by * by
     c2 = cx * cx + cy * cy
@@ -303,13 +315,13 @@ def circumcircle(a: Point, b: Point, c: Point,
     return Circle(center, math.hypot(ux, uy))
 
 
-def point_on_circle(p: Point, c: Circle, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+def point_on_circle(p: Point, c: Circle) -> bool:
     """Membership up to tolerance at the scale of the radius."""
-    return abs(p.distance(c.center) - c.radius) <= tol.bound(c.radius)
+    return (abs(p.distance(c.center) - c.radius)
+            <= DEFAULT_TOLERANCE.bound(c.radius))
 
 
-def circle_intersection(c1: Circle, c2: Circle,
-                        tol: Tolerance = DEFAULT_TOLERANCE) -> list[Point]:
+def circle_intersection(c1: Circle, c2: Circle) -> list[Point]:
     """Intersection points of two circles.
 
     Returns two points for a proper crossing, one point at tangency, and
@@ -319,7 +331,7 @@ def circle_intersection(c1: Circle, c2: Circle,
     """
     d = c1.center.distance(c2.center)
     scale = d + c1.radius + c2.radius
-    eps = tol.bound(scale)
+    eps = DEFAULT_TOLERANCE.bound(scale)
     if d <= eps and abs(c1.radius - c2.radius) <= eps:
         raise IdenticalCircles("circle_intersection: circles coincide")
     if d > c1.radius + c2.radius + eps:
@@ -345,11 +357,10 @@ def circle_intersection(c1: Circle, c2: Circle,
     return [Point(mx + h * uy, my - h * ux), Point(mx - h * uy, my + h * ux)]
 
 
-def line_circle_intersection(l: Line, c: Circle,
-                             tol: Tolerance = DEFAULT_TOLERANCE) -> list[Point]:
+def line_circle_intersection(l: Line, c: Circle) -> list[Point]:
     """Intersection points of a line and a circle (0, 1 or 2 points)."""
     d0 = l.signed_distance(c.center)
-    eps = tol.bound(c.radius)
+    eps = DEFAULT_TOLERANCE.bound(c.radius)
     if abs(d0) > c.radius + eps:
         return []
     foot = Point(c.center.x - d0 * l.a, c.center.y - d0 * l.b)
@@ -384,7 +395,7 @@ def best_fit_line(points: Sequence[Point]) -> Line:
     return Line(nx, ny, -(nx * mx + ny * my))
 
 
-def collinear(points: Sequence[Point], tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+def collinear(points: Sequence[Point]) -> bool:
     """Whether a point set is collinear under the tolerance.
 
     Criterion: the maximum distance from any point to the total least
@@ -396,7 +407,7 @@ def collinear(points: Sequence[Point], tol: Tolerance = DEFAULT_TOLERANCE) -> bo
         raise ValueError("collinear needs at least two points")
     fit = best_fit_line(points)
     residual = max(fit.distance(p) for p in points)
-    return residual <= tol.bound(bbox_diagonal(points))
+    return residual <= DEFAULT_TOLERANCE.bound(bbox_diagonal(points))
 
 
 def angle_between_rays(u: Point, v: Point) -> float:

@@ -7,10 +7,10 @@ spacing D (foot spacing D/2) interpolates C' shifted down by D^2/(16 s),
 touching C' at the side midpoints, so its Hausdorff distance from C'
 over a window containing the apex is D^2/(16 |s|), of quadratic order.
 
-The chain here is the open vertex run V_1..V_{n-1}, computed from the
-closed form of ``equidistant.make_equidistant`` with the same float
-operations, so it is bitwise that polygon's chain; the closing vertex is
-a long-range chord and takes no part in the limit.
+The chain here is the open vertex run V_1..V_{n-1}, computed by
+``kernel.equidistant_chain`` as ``equidistant.make_equidistant`` computes
+it, so it is bitwise that polygon's chain; the closing vertex is a
+long-range chord and takes no part in the limit.
 
 The Hausdorff distance is measured in both directions by dense sampling,
 in pure Python.  Chain to parabola: each sample's distance is the least
@@ -28,7 +28,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .kernel import GeometryError, InvalidConfig, Parabola, Point
+from .kernel import GeometryError, InvalidConfig, Parabola, Point, \
+    equidistant_chain
 
 MAX_SEGMENTS = 2 ** 14
 """Most segments the finest chain of a convergence table may have; the
@@ -72,6 +73,10 @@ def chain_for_window(s: float, half_width: float, delta: float) -> list[Point]:
     if delta <= 0.0 or half_width <= 0.0:
         raise GeometryError("window and spacing must be positive")
     segments = 2.0 * half_width / delta
+    if not math.isfinite(segments):
+        raise GeometryError(
+            f"spacing {delta} cuts the window [-{half_width}, {half_width}] "
+            "into no finite number of segments")
     n_seg = round(segments)
     if abs(segments - n_seg) > 1e-9 or n_seg < 1:
         raise GeometryError(
@@ -80,9 +85,7 @@ def chain_for_window(s: float, half_width: float, delta: float) -> list[Point]:
         raise InvalidConfig(f"s must be nonzero and finite, got {s}")
     d = 0.5 * delta
     x0 = 0.5 * (-half_width - d)
-    return [Point(2.0 * x0 + (2 * i - 1) * d,
-                  (x0 + (i - 1) * d) * (x0 + i * d) / s)
-            for i in range(1, n_seg + 2)]
+    return equidistant_chain(s, x0, d, n_seg + 1)
 
 
 def point_to_parabola_distance(p: Point, par: Parabola) -> float:

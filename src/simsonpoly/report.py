@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .kernel import Tolerance
+from .kernel import DEFAULT_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,13 @@ class VerificationReport:
     def add(self, check: CheckResult) -> None:
         self.checks.append(check)
 
-    def set_limits(self, scale: float, tol: Tolerance) -> tuple[float, float]:
+    def set_limits(self, scale: float) -> tuple[float, float]:
         """Record the thresholds at a polygon's scale and return them as
         (length limit, angle limit); angles are judged at max(1, scale)."""
-        length_limit = tol.bound(scale)
-        angle_limit = tol.bound(max(1.0, scale))
-        self.tolerances.update(abs_eps=tol.abs_eps, rel_eps=tol.rel_eps,
+        length_limit = DEFAULT_TOLERANCE.bound(scale)
+        angle_limit = DEFAULT_TOLERANCE.bound(max(1.0, scale))
+        self.tolerances.update(abs_eps=DEFAULT_TOLERANCE.abs_eps,
+                               rel_eps=DEFAULT_TOLERANCE.rel_eps,
                                scale=scale, length_limit=length_limit,
                                angle_limit=angle_limit)
         return length_limit, angle_limit

@@ -41,7 +41,6 @@ from .kernel import (
     Line,
     NonFinite,
     Point,
-    Tolerance,
     bbox_diagonal,
     best_fit_line,
     circle_intersection,
@@ -113,18 +112,18 @@ class Polygon:
     def diameter(self) -> float:
         return bbox_diagonal(self.vertices)
 
-    def is_nondegenerate(self, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
+    def is_nondegenerate(self) -> bool:
         """No three vertices collinear.
 
         Vertices i < j < k count as collinear when ``|cross(V_j - V_i,
-        V_k - V_i)| <= tol.bound(diameter) * |V_j - V_i|``, so also when
-        two of them coincide.  Only vertex differences enter, so the
-        verdict does not depend on where the polygon sits.  The loop is
-        O(n^3) and stops at the first collinear triple; no search or
-        verifier calls it.
+        V_k - V_i)| <= DEFAULT_TOLERANCE.bound(diameter) * |V_j - V_i|``,
+        so also when two of them coincide.  Only vertex differences enter,
+        so the verdict does not depend on where the polygon sits.  The
+        loop is O(n^3) and stops at the first collinear triple; no search
+        or verifier calls it.
         """
         v = self.vertices
-        bound = tol.bound(self.diameter())
+        bound = DEFAULT_TOLERANCE.bound(self.diameter())
         for i in range(self.n - 2):
             d = [w - v[i] for w in v[i + 1:]]
             for j, dj in enumerate(d):
@@ -179,20 +178,18 @@ class SimsonCertificate:
     residual: float
 
 
-def is_simson_point(p: Point, poly: Polygon,
-                    tol: Tolerance = DEFAULT_TOLERANCE
-                    ) -> Optional[SimsonCertificate]:
+def is_simson_point(p: Point, poly: Polygon) -> Optional[SimsonCertificate]:
     """Certificate if the pedals of p are collinear, else None.
 
     Collinearity is judged against the fitted line with threshold
-    ``tol.bound(poly.diameter())``.  The threshold does not depend on p,
-    so a far candidate, whose pedals spread far, cannot loosen its own
-    test.
+    ``DEFAULT_TOLERANCE.bound(poly.diameter())``.  The threshold does not
+    depend on p, so a far candidate, whose pedals spread far, cannot
+    loosen its own test.
     """
     pedals = pedal_points(p, poly)
     fit = best_fit_line(pedals)
     residual = max(fit.distance(q) for q in pedals)
-    if residual > tol.bound(poly.diameter()):
+    if residual > DEFAULT_TOLERANCE.bound(poly.diameter()):
         return None
     return SimsonCertificate(p, fit, tuple(pedals), residual)
 
@@ -275,30 +272,29 @@ class CompleteQuadrilateral:
     def f(self) -> Point:
         return self._meet(1, 3)
 
-    def triangle_circles(self, tol: Tolerance = DEFAULT_TOLERANCE) -> list[Circle]:
+    def triangle_circles(self) -> list[Circle]:
         """Circumcircles of the four omitted-line triangles."""
         triples = [(self.a, self.f, self.c), (self.a, self.b, self.e),
                    (self.b, self.c, self.d), (self.d, self.e, self.f)]
         circles = []
         for t in triples:
             try:
-                circles.append(circumcircle(*t, tol=tol))
+                circles.append(circumcircle(*t))
             except CollinearInput as exc:
                 raise DegenerateConfiguration(str(exc)) from None
         return circles
 
 
-def miquel_point(quad: CompleteQuadrilateral,
-                 tol: Tolerance = DEFAULT_TOLERANCE) -> Point:
+def miquel_point(quad: CompleteQuadrilateral) -> Point:
     """Common point of the four triangle circumcircles.
 
     The first two circles share the point a by construction, so their
     intersection yields at most one further candidate; the one lying on
     the remaining two circles is returned.
     """
-    k1, k2, k3, k4 = quad.triangle_circles(tol)
+    k1, k2, k3, k4 = quad.triangle_circles()
     try:
-        candidates = circle_intersection(k1, k2, tol)
+        candidates = circle_intersection(k1, k2)
     except IdenticalCircles:
         raise DegenerateConfiguration(
             "miquel_point: coincident triangle circumcircles") from None
@@ -308,7 +304,7 @@ def miquel_point(quad: CompleteQuadrilateral,
         res = max(abs(p.distance(k.center) - k.radius) for k in (k3, k4))
         if res < best_res:
             best, best_res = p, res
-    limit = tol.bound(max(k.radius for k in (k1, k2, k3, k4)))
+    limit = DEFAULT_TOLERANCE.bound(max(k.radius for k in (k1, k2, k3, k4)))
     if best is None or best_res > limit:
         raise DegenerateConfiguration(
             "miquel_point: circumcircles have no common point")
@@ -318,9 +314,7 @@ def miquel_point(quad: CompleteQuadrilateral,
 CharacterizationElement = Union[Circle, Line]
 
 
-def characterization_circles(poly: Polygon,
-                             tol: Tolerance = DEFAULT_TOLERANCE
-                             ) -> list[CharacterizationElement]:
+def characterization_circles(poly: Polygon) -> list[CharacterizationElement]:
     """The n circles (or degenerate lines) of the Simson point criterion.
 
     Element i is the circle through V_i, W_i and V_{i+1} where W_i is the
@@ -334,7 +328,7 @@ def characterization_circles(poly: Polygon,
         prev_side = sides[(i - 1) % n]
         next_side = sides[(i + 1) % n]
         try:
-            meet = line_intersection(prev_side, next_side, tol)
+            meet = line_intersection(prev_side, next_side)
         except IdenticalLines:
             raise DegenerateConfiguration(
                 f"characterization_circles: side lines {(i - 1) % n} and "
@@ -344,7 +338,7 @@ def characterization_circles(poly: Polygon,
             continue
         try:
             elements.append(circumcircle(poly.vertex(i), meet,
-                                         poly.vertex(i + 1), tol))
+                                         poly.vertex(i + 1)))
         except CollinearInput:
             raise DegenerateConfiguration(
                 f"characterization_circles: element {i} degenerates, "
@@ -360,20 +354,18 @@ def element_distance(p: Point, elem: CharacterizationElement) -> float:
 
 
 def _intersect_elements(e1: CharacterizationElement,
-                        e2: CharacterizationElement,
-                        tol: Tolerance) -> list[Point]:
+                        e2: CharacterizationElement) -> list[Point]:
     if isinstance(e1, Circle) and isinstance(e2, Circle):
-        return circle_intersection(e1, e2, tol)
+        return circle_intersection(e1, e2)
     if isinstance(e1, Circle):
-        return line_circle_intersection(e2, e1, tol)
+        return line_circle_intersection(e2, e1)
     if isinstance(e2, Circle):
-        return line_circle_intersection(e1, e2, tol)
-    meet = line_intersection(e1, e2, tol)
+        return line_circle_intersection(e1, e2)
+    meet = line_intersection(e1, e2)
     return [] if meet is None else [meet]
 
 
-def characterization_candidates(elements: Sequence[CharacterizationElement],
-                                tol: Tolerance = DEFAULT_TOLERANCE
+def characterization_candidates(elements: Sequence[CharacterizationElement]
                                 ) -> list[Point]:
     """Candidate Simson points from the first pair of distinct elements.
 
@@ -385,7 +377,7 @@ def characterization_candidates(elements: Sequence[CharacterizationElement],
     """
     for e1, e2 in combinations(elements, 2):
         try:
-            return _intersect_elements(e1, e2, tol)
+            return _intersect_elements(e1, e2)
         except (IdenticalCircles, IdenticalLines):
             continue
     if elements and isinstance(elements[0], Circle):
@@ -394,9 +386,7 @@ def characterization_candidates(elements: Sequence[CharacterizationElement],
     return []
 
 
-def find_simson_point(poly: Polygon,
-                      tol: Tolerance = DEFAULT_TOLERANCE
-                      ) -> Optional[SimsonCertificate]:
+def find_simson_point(poly: Polygon) -> Optional[SimsonCertificate]:
     """Search for a Simson point via the circle characterization.
 
     Candidates come from intersecting the first pair of distinct
@@ -408,20 +398,19 @@ def find_simson_point(poly: Polygon,
     characterization_circles, an element that cannot be built, as when
     two adjacent sides lie on one line; other collinear vertices are not.
     """
-    elements = characterization_circles(poly, tol)
+    elements = characterization_circles(poly)
     scale = poly.diameter()
-    for cand in characterization_candidates(elements, tol):
+    for cand in characterization_candidates(elements):
         violation = max(element_distance(cand, e) for e in elements)
-        if violation > tol.bound(max(scale, cand.norm())):
+        if violation > DEFAULT_TOLERANCE.bound(max(scale, cand.norm())):
             continue
-        cert = is_simson_point(cand, poly, tol)
+        cert = is_simson_point(cand, poly)
         if cert is not None:
             return cert
     return None
 
 
-def characterization_defect(poly: Polygon,
-                            tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def characterization_defect(poly: Polygon) -> float:
     """How far the circle characterization is from being satisfied.
 
     Zero (up to roundoff) when a Simson point exists.  Otherwise the
@@ -429,14 +418,14 @@ def characterization_defect(poly: Polygon,
     there is no candidate.  The first distinct element pair always shares
     a vertex, so in exact arithmetic it meets and there is one.
     """
-    elements = characterization_circles(poly, tol)
+    elements = characterization_circles(poly)
     return min((max(element_distance(c, e) for e in elements)
-                for c in characterization_candidates(elements, tol)),
+                for c in characterization_candidates(elements)),
                default=math.inf)
 
 
-def construct_simson_polygon(s: Point, l: Line, feet: Sequence[Point],
-                             tol: Tolerance = DEFAULT_TOLERANCE) -> Polygon:
+def construct_simson_polygon(s: Point, l: Line,
+                             feet: Sequence[Point]) -> Polygon:
     """Polygon with prescribed Simson point s, Simson line l and feet.
 
     Side i is the line through feet[i] orthogonal to the segment from s
@@ -452,14 +441,14 @@ def construct_simson_polygon(s: Point, l: Line, feet: Sequence[Point],
     if n < 3:
         raise GeometryError("construct_simson_polygon needs at least 3 feet")
     scale = bbox_diagonal(list(feet) + [s])
-    if l.distance(s) <= tol.bound(scale):
+    if l.distance(s) <= DEFAULT_TOLERANCE.bound(scale):
         raise PointOnLine("simson point lies on the simson line")
     for i in range(n):
         for j in range(i + 1, n):
-            if feet[i].distance(feet[j]) <= tol.bound(scale):
+            if feet[i].distance(feet[j]) <= DEFAULT_TOLERANCE.bound(scale):
                 raise DuplicateFeet(f"feet {i} and {j} coincide")
     for i, x in enumerate(feet):
-        if l.distance(x) > tol.bound(scale):
+        if l.distance(x) > DEFAULT_TOLERANCE.bound(scale):
             raise GeometryError(f"foot {i} does not lie on the simson line")
     sides = []
     for x in feet:
@@ -467,7 +456,7 @@ def construct_simson_polygon(s: Point, l: Line, feet: Sequence[Point],
         sides.append(Line(nx, ny, -(nx * x.x + ny * x.y)))
     vertices = []
     for i in range(n):
-        meet = line_intersection(sides[i], sides[(i + 1) % n], tol)
+        meet = line_intersection(sides[i], sides[(i + 1) % n])
         if meet is None:
             raise DegenerateConfiguration(
                 f"perpendiculars at feet {i} and {(i + 1) % n} are parallel")

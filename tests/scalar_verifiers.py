@@ -20,7 +20,7 @@ from simsonpoly.kernel import (
 )
 
 
-def scalar_parallel_chords(poly, tol=DEFAULT_TOLERANCE):
+def scalar_parallel_chords(poly):
     chain = poly.chain
     m = len(chain)
     s = poly.config.s
@@ -50,8 +50,8 @@ def scalar_parallel_chords(poly, tol=DEFAULT_TOLERANCE):
     return rows
 
 
-def scalar_isogonal(poly, tol=DEFAULT_TOLERANCE):
-    limit = tol.bound(poly.scale())
+def scalar_isogonal(poly):
+    limit = DEFAULT_TOLERANCE.bound(poly.scale())
     n = poly.n
     S = poly.simson_point
     rows = []
@@ -73,7 +73,7 @@ def scalar_isogonal(poly, tol=DEFAULT_TOLERANCE):
     return rows
 
 
-def scalar_optical(poly, tol=DEFAULT_TOLERANCE):
+def scalar_optical(poly):
     S = poly.simson_point
     verts = poly.vertices
     sides = poly.polygon().side_lines()
@@ -85,13 +85,13 @@ def scalar_optical(poly, tol=DEFAULT_TOLERANCE):
     return rows
 
 
-def scalar_archimedes(poly, tol=DEFAULT_TOLERANCE):
+def scalar_archimedes(poly):
     verts = poly.vertices
     n = poly.n
     sides = poly.polygon().side_lines()
 
     def meet_coord(i, j):
-        cross = line_intersection(sides[i - 1], sides[j - 1], tol)
+        cross = line_intersection(sides[i - 1], sides[j - 1])
         if cross is None:
             raise ParallelSides(f"side lines {i} and {j} are parallel")
         return cross.x
@@ -119,15 +119,15 @@ def scalar_archimedes(poly, tol=DEFAULT_TOLERANCE):
     return rows
 
 
-def scalar_lambert(poly, i, j, k, tol=DEFAULT_TOLERANCE):
+def scalar_lambert(poly, i, j, k):
     idx = (i, j, k)
     sides = poly.polygon().side_lines()
     corners = []
     for t1, t2 in combinations(idx, 2):
-        cross = line_intersection(sides[t1 - 1], sides[t2 - 1], tol)
+        cross = line_intersection(sides[t1 - 1], sides[t2 - 1])
         if cross is None:
             raise ParallelSides(f"side lines {t1} and {t2} are parallel")
         corners.append(cross)
-    circle = circumcircle(*corners, tol=tol)
+    circle = circumcircle(*corners)
     return [("lambert", idx,
              abs(poly.simson_point.distance(circle.center) - circle.radius))]

@@ -127,18 +127,6 @@ def test_construct_bad_feet_spec_exits_2(capsys):
     assert code == 2
 
 
-def test_bad_tolerance_exits_2(capsys):
-    code, _, _ = run_cli(capsys, *OCT_ARGS, "--tolerance", "-1")
-    assert code == 2
-
-
-@pytest.mark.parametrize("value", ["0", "nan", "inf", "-inf"])
-def test_nonpositive_or_nonfinite_tolerance_exits_2(capsys, value):
-    code, _, err = run_cli(capsys, *OCT_ARGS, f"--tolerance={value}")
-    assert code == 2
-    assert err.startswith("error: --tolerance")
-
-
 def test_quiet_suppresses_stdout(capsys):
     code, out, _ = run_cli(capsys, *OCT_ARGS, "--quiet")
     assert code == 0
@@ -785,9 +773,9 @@ def test_unknown_flag_exits_2(capsys):
 
 # Every flag each subcommand declares, --help included.
 SUBCOMMAND_FLAGS = {
-    "construct": "--tolerance --out --svg --quiet --equidistant --s --delta "
+    "construct": "--out --svg --quiet --equidistant --s --delta "
                  "--n --x0 --feet --simson-point --simson-line --help",
-    "verify": "--tolerance --out --in --quiet --checks --triple "
+    "verify": "--out --in --quiet --checks --triple "
               "--negative-control --perturb --seed --help",
     "approx": "--out --svg --quiet --s --a --b --n --delta "
               "--compare-quadrature --perturb-knot --help",
@@ -821,6 +809,26 @@ def test_flag_of_another_subcommand_exits_2(capsys, tmp_path, command, flag):
         argv += ["--svg", str(svg)]
     assert run_cli(capsys, *argv, "--out", str(out_path))[0] == 2
     assert not out_path.exists() and not svg.exists()
+
+
+# No subcommand takes a threshold: every check is judged at the package's
+# DEFAULT_TOLERANCE.  The verify case is a negative control that a
+# tolerance of 1e-3 would have let pass.
+@pytest.mark.parametrize("argv", [
+    [*OCT_ARGS, "--tolerance", "-1"],
+    ["verify", "--in", "{octagon}", "--negative-control",
+     "--tolerance", "1e-3"],
+    [*APPROX, "--tolerance", "1e-6"],
+    ["limit", "--s", "1", "--m-max", "1", "--tolerance", "1e-6"],
+], ids=["construct", "verify", "approx", "limit"])
+def test_tolerance_flag_exits_2(capsys, tmp_path, argv):
+    octagon = octagon_scene(tmp_path)
+    out_path = tmp_path / "out.json"
+    argv = [a.format(octagon=octagon) for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --tolerance" in err
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))

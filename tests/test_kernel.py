@@ -1,10 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geomgen import xy
+from geomgen import TIGHT, lines_equal_tight, xy
 from simsonpoly.kernel import (
     Circle,
     CoincidentPoints,
@@ -214,12 +216,11 @@ def test_reflect_line_is_exact_far_from_origin(t_m, t_mirror, off_m,
     m = Line(math.cos(t_m), math.sin(t_m), off_m[0] * off_m[1] * size)
     mirror = Line(math.cos(t_mirror), math.sin(t_mirror),
                   off_mirror[0] * off_mirror[1] * size)
-    tight = Tolerance(abs_eps=1e-12, rel_eps=1e-12)
     image = reflect_line(m, mirror)
-    assert lines_equal(reflect_line(image, mirror), m, tight)
+    assert lines_equal_tight(reflect_line(image, mirror), m)
     foot = Point(-m.c * m.a, -m.c * m.b)
     q = reflect_point(foot, mirror)
-    assert image.distance(q) <= tight.bound(max(abs(m.c), abs(mirror.c)))
+    assert image.distance(q) <= TIGHT.bound(max(abs(m.c), abs(mirror.c)))
 
 
 # ------------------------------------------------------------- point_on_circle
@@ -241,6 +242,24 @@ def test_tolerance_bound_scales():
 def test_tolerance_rejects_nonpositive():
     with pytest.raises(ValueError):
         Tolerance(abs_eps=0.0, rel_eps=1e-9)
+
+
+def test_no_package_function_takes_a_tolerance():
+    # Every threshold is DEFAULT_TOLERANCE.bound(scale), never a setting.
+    modules = sorted((Path(__file__).resolve().parents[1] / "src"
+                      / "simsonpoly").glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                a for a in (args.vararg, args.kwarg) if a is not None]
+            for param in params:
+                assert param.arg not in ("tol", "tolerance"), \
+                    (path.name, node.lineno)
 
 
 def test_bbox_diagonal():

@@ -118,6 +118,15 @@ def test_chain_window_must_tile():
         chain_for_window(1.0, -1.0, 0.5)
 
 
+# A window or spacing that gives no finite segment count, including the
+# finite (1e300, 1e-300) whose count overflows, is refused before rounding.
+@pytest.mark.parametrize("w, d", [(math.inf, 1.0), (4.0, math.nan),
+                                  (math.nan, 1.0), (1e300, 1e-300)])
+def test_chain_refuses_a_non_finite_segment_count(w, d):
+    with pytest.raises(GeometryError, match="no finite number of segments"):
+        chain_for_window(1.0, w, d)
+
+
 def test_point_to_parabola_distance_frozen():
     par = Parabola(1.0, 0.0)  # y = x^2/4, apex at origin
     assert point_to_parabola_distance(Point(0, 1), par) == pytest.approx(1.0)

@@ -3,9 +3,9 @@ import math
 
 import pytest
 
-from geomgen import xy
+from geomgen import lines_equal_tight, xy
 from simsonpoly.equidistant import Parabola
-from simsonpoly.kernel import Circle, Line, Point, Tolerance, lines_equal
+from simsonpoly.kernel import Circle, Line, Point
 from simsonpoly.scene import (
     SceneDocument,
     SceneFormatError,
@@ -33,7 +33,7 @@ from simsonpoly.simson import Polygon
     ("Y=2X", Line(-2, 1, 0)),
 ])
 def test_parse_line_forms(spec, want):
-    assert lines_equal(parse_line_spec(spec), want, tol=Tolerance(1e-12, 1e-12))
+    assert lines_equal_tight(parse_line_spec(spec), want)
 
 
 @pytest.mark.parametrize("spec", [
@@ -128,7 +128,7 @@ def test_line_eq_string_normalized_on_load():
         {"type": "line", "id": "L", "eq": "y=2x-1"}]})
     e = SceneDocument.from_json(text).find("L")
     assert "eq" not in e
-    assert lines_equal(line_from_entity(e), Line(-2, 1, 1), tol=Tolerance(1e-12, 1e-12))
+    assert lines_equal_tight(line_from_entity(e), Line(-2, 1, 1))
 
 
 def test_first_polygon():
