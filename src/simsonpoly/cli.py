@@ -369,7 +369,8 @@ def cmd_limit(args) -> int:
     payload = {
         "s": args.s, "window": args.window,
         "rows": [{"delta": r.delta, "hausdorff": r.hausdorff,
-                  "bound": r.bound} for r in rows],
+                  "bound": r.bound, "chain_to_parabola": r.chain_to_parabola}
+                 for r in rows],
         "observed_orders": orders,
     }
     exit_code = EXIT_OK

@@ -12,20 +12,31 @@ The chain here is the open vertex run V_1..V_{n-1}, computed by
 it, so it is bitwise that polygon's chain; the closing vertex is a
 long-range chord and takes no part in the limit.
 
-The Hausdorff distance is measured in both directions by dense sampling,
-in pure Python.  Chain to parabola: each sample's distance is the least
-over the real roots of a depressed cubic, solved in closed form.
-Parabola to chain: the chain is x-monotone, so a segment whose abscissae
-miss [x - d0, x + d0], where d0 is the sample's distance to the segment
-over its own abscissa x, lies more than d0 away horizontally and hence
-more than d0 away; only the few segments that meet that interval are
-measured.
+The Hausdorff distance is measured where it is attained, in pure Python:
+
+- Chain to parabola.  The distance to a convex set is convex along a
+  segment.  Every chain segment lies outside the convex side of C' and
+  touches it, so the distance to C' peaks at one of the segment's ends:
+  the largest over the vertices is the largest over the chain.  Each
+  vertex costs one depressed cubic, solved in closed form.
+- Parabola to chain.  Over a knot interval [a, b] the chord of the
+  lowered parabola is off C' vertically by D^2/(16 |s|) minus
+  (x - a)(b - x)/(4 |s|), at most D^2/(16 |s|), reached at the knots.
+  An arc point is no farther from the chain than from the chord point
+  over it, so no arc point is farther than D^2/(16 |s|).  The arc ends
+  (+-w, w^2/(4 s)) lie that far from the end vertices, whose segments
+  turn away from them, so they attain it; each is measured exactly
+  against every segment.
+
+The result is the larger of the two.  For any chain it is a maximum of
+true point-to-set distances and hence a lower bound of the Hausdorff
+distance, as a dense sampling is; for the chains ``chain_for_window``
+builds it is the Hausdorff distance itself.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .kernel import GeometryError, InvalidConfig, Parabola, Point, \
@@ -34,12 +45,6 @@ from .kernel import GeometryError, InvalidConfig, Parabola, Point, \
 MAX_SEGMENTS = 2 ** 14
 """Most segments the finest chain of a convergence table may have; the
 chain over [-w, w] at spacing 2^-m_max has 2 w 2^m_max of them."""
-
-# Samples per chain segment and along the parabola arc of the Hausdorff
-# estimate.
-_PER_SEGMENT = 8
-_PARABOLA_SAMPLES = 2001
-_STEPS = tuple(k / _PER_SEGMENT for k in range(1, _PER_SEGMENT + 1))
 
 _THIRD_TURN = 2.0 * math.pi / 3.0
 
@@ -55,6 +60,10 @@ class ConvergenceRow:
     delta: float
     hausdorff: float
     bound: float
+    chain_to_parabola: float | None = None
+    """The chain-to-parabola part of hausdorff, the largest vertex
+    distance; hausdorff exceeds it when the arc ends attain the
+    distance.  None on a row built without it."""
 
     @property
     def ratio(self) -> float:
@@ -146,37 +155,6 @@ def _root_distance(px: float, py: float, c: float, four_s: float,
     return math.hypot(px - x, py - (x * x - c) / four_s)
 
 
-def _points_to_polyline(px: list[float], py: list[float], vx: list[float],
-                        vy: list[float]) -> list[float]:
-    """Distances from the points (px, py) to the polyline through the
-    vertices (vx, vy), whose abscissae vx increase.
-
-    Each point is measured to the segment over its own abscissa x first,
-    at distance d0, and then only to the segments whose abscissae meet
-    [x - d0, x + d0]: any other segment is more than d0 away
-    horizontally.  Each distance is computed as a scan over all segments
-    computes it, so the result is bitwise the same.
-    """
-    segments = [(ax, ay, bx - ax, by - ay,
-                 (bx - ax) * (bx - ax) + (by - ay) * (by - ay))
-                for ax, ay, bx, by in zip(vx, vy, vx[1:], vy[1:])]
-    last = len(segments) - 1
-    out = []
-    for x, y in zip(px, py):
-        own = min(max(bisect_right(vx, x) - 1, 0), last)
-        best = _segment_distance(x, y, segments[own])
-        lo = x - best
-        hi = x + best
-        if lo < vx[own] or hi > vx[own + 1]:
-            for i in range(max(bisect_left(vx, lo) - 1, 0),
-                           min(bisect_right(vx, hi) - 1, last) + 1):
-                d = _segment_distance(x, y, segments[i])
-                if d < best:
-                    best = d
-        out.append(best)
-    return out
-
-
 def _segment_distance(x: float, y: float,
                       segment: tuple[float, float, float, float, float]
                       ) -> float:
@@ -195,37 +173,40 @@ def _segment_distance(x: float, y: float,
     return math.sqrt(rx * rx + ry * ry)
 
 
-def _linspace(lo: float, hi: float, num: int) -> list[float]:
-    """num equally spaced values from lo to hi, computed as numpy.linspace
-    computes them: j * step + lo, with the last value set to hi."""
-    step = (hi - lo) / (num - 1)
-    out = [j * step + lo for j in range(num)]
-    out[-1] = hi
-    return out
-
-
 def hausdorff_chain_parabola(chain: list[Point], par: Parabola,
                              half_width: float) -> float:
     """Hausdorff distance between the chain and the parabola arc over
-    [-w, w], by dense sampling: exact point-to-curve distances in the
-    chain-to-parabola direction, pruned point-to-chain distances in the
-    other."""
-    vx = [p.x for p in chain]
-    vy = [p.y for p in chain]
+    [-w, w]: the larger of the largest vertex distance to the parabola
+    and the larger distance from an arc end to the chain.
+
+    For the chains ``chain_for_window`` builds this is exact.  Their
+    segments lie outside the convex side of C' and touch it, and the
+    distance to a convex set is convex along a segment, so the chain is
+    farthest from C' at a vertex.  Every arc point is within its vertical
+    gap to the chain, at most D^2/(16 |s|), and the arc ends (+-w,
+    w^2/(4 s)) attain that gap, D^2/(16 |s|) from the end vertices.  For
+    any other chain the result is a lower bound: a maximum of true
+    point-to-set distances from some points of one set to the other.
+    """
+    return max(_directed_distances(chain, par, half_width))
+
+
+def _directed_distances(chain: list[Point], par: Parabola,
+                        half_width: float) -> tuple[float, float]:
+    """(chain to parabola, arc to chain): the largest distance from a
+    vertex of the chain to the parabola, one cubic per vertex, and the
+    larger distance from the arc ends (+-w, (w^2 - c)/(4 s)) to the chain,
+    each measured against every segment."""
     s, c = par.s, par.c
-    d1 = _parabola_distance(vx[0], vy[0], s, c)
-    for ax, ay, bx, by in zip(vx, vy, vx[1:], vy[1:]):
-        dx = bx - ax
-        dy = by - ay
-        for t in _STEPS:
-            d = _parabola_distance(ax + t * dx, ay + t * dy, s, c)
-            if d > d1:
-                d1 = d
-    xs = _linspace(-half_width, half_width, _PARABOLA_SAMPLES)
+    near = max(_parabola_distance(p.x, p.y, s, c) for p in chain)
+    segments = [(a.x, a.y, b.x - a.x, b.y - a.y,
+                 (b.x - a.x) * (b.x - a.x) + (b.y - a.y) * (b.y - a.y))
+                for a, b in zip(chain, chain[1:])]
     four_s = 4.0 * s
-    ys = [(x * x - c) / four_s for x in xs]
-    d2 = max(_points_to_polyline(xs, ys, vx, vy))
-    return max(d1, d2)
+    far = max(min(_segment_distance(x, (x * x - c) / four_s, segment)
+                  for segment in segments)
+              for x in (-half_width, half_width))
+    return near, far
 
 
 def convergence_table(s: float, half_width: float,
@@ -263,9 +244,10 @@ def convergence_table(s: float, half_width: float,
     for m in range(m_max + 1):
         delta = 2.0 ** (-m)
         chain = chain_for_window(s, half_width, delta)
-        dist = hausdorff_chain_parabola(chain, target, half_width)
-        rows.append(ConvergenceRow(delta=delta, hausdorff=dist,
-                                   bound=delta * delta / (16.0 * abs(s))))
+        near, far = _directed_distances(chain, target, half_width)
+        rows.append(ConvergenceRow(delta=delta, hausdorff=max(near, far),
+                                   bound=delta * delta / (16.0 * abs(s)),
+                                   chain_to_parabola=near))
     return rows
 
 

@@ -621,6 +621,20 @@ def test_limit_orders_are_quadratic(capsys):
         assert row["hausdorff"] == pytest.approx(row["bound"], rel=1e-9)
 
 
+def test_limit_rows_name_the_vertex_maximum(capsys):
+    # With delta = 1 over [-1.5, 1.5] no vertex sits at the apex, so the
+    # arc ends, not the vertices, attain the distance.
+    code, out, _ = run_cli(capsys, "limit", "--s", "1", "--window", "1.5",
+                           "--m-max", "1")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [list(row) for row in rows] == \
+        [["delta", "hausdorff", "bound", "chain_to_parabola"]] * 2
+    assert rows[0]["chain_to_parabola"] < rows[0]["hausdorff"]
+    assert rows[1]["chain_to_parabola"] == pytest.approx(rows[1]["hausdorff"],
+                                                         rel=1e-12)
+
+
 def test_limit_single_row_has_no_order_flag(capsys):
     code, out, _ = run_cli(capsys, "limit", "--s", "1", "--m-max", "0")
     assert code == 0

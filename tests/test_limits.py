@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from geomgen import xy
+from limits_oracle import dense_hausdorff, linspace, points_to_polyline
 from simsonpoly import limits
 from simsonpoly.equidistant import EquidistantConfig, Parabola, \
     make_equidistant
@@ -14,9 +17,7 @@ from simsonpoly.limits import (
     MAX_SEGMENTS,
     ConvergenceRow,
     TooManySegments,
-    _linspace,
     _parabola_distance,
-    _points_to_polyline,
     chain_for_window,
     convergence_table,
     hausdorff_chain_parabola,
@@ -280,7 +281,7 @@ def test_on_curve_distance_is_rounding(s, c):
 
 @pytest.mark.parametrize("w", [2.0, 3.0, 0.1, 1e3])
 def test_linspace_is_bitwise_numpy(w):
-    assert _linspace(-w, w, 2001) == np.linspace(-w, w, 2001).tolist()
+    assert linspace(-w, w, 2001) == np.linspace(-w, w, 2001).tolist()
 
 
 @pytest.mark.parametrize("s", [0.7, -0.7, 2.9])
@@ -294,14 +295,14 @@ def test_convergence_table_matches_reference(s, w):
 def _pruned_and_brute(chain, xs, ys):
     vx = [p.x for p in chain]
     vy = [p.y for p in chain]
-    pruned = _points_to_polyline(xs, ys, vx, vy)
+    pruned = points_to_polyline(xs, ys, vx, vy)
     brute = broadcast_polyline(np.array(xs), np.array(ys), chain).tolist()
     return pruned, brute
 
 
 def test_blocked_polyline_is_bitwise_broadcast():
     chain = chain_for_window(-1.9, 3.0, 0.125)
-    xs = _linspace(-3.0, 3.0, 2001)
+    xs = linspace(-3.0, 3.0, 2001)
     ys = [x * x / (4.0 * -1.9) for x in xs]
     pruned, brute = _pruned_and_brute(chain, xs, ys)
     assert pruned == brute
@@ -315,7 +316,7 @@ def test_pruned_polyline_is_bitwise_broadcast(s, w, delta):
     # search beyond its own segment.
     chain = chain_for_window(s, w, delta)
     vx = [p.x for p in chain]
-    xs = _linspace(-w, w, 2001)
+    xs = linspace(-w, w, 2001)
     ys = [x * x / (4.0 * s) for x in xs]
     rng = np.random.default_rng(5)
     xs += rng.uniform(-1.5 * w, 1.5 * w, 500).tolist()
@@ -341,6 +342,64 @@ def test_hausdorff_never_calls_per_point_distance(monkeypatch):
     hausdorff_chain_parabola(chain, Parabola(1.0, 0.0), 2.0)
     convergence_table(1.0, 2.0, 2)
     assert calls == []
+
+
+@pytest.mark.parametrize("s, w, m_max", [(1.0, 2.0, 3), (-0.7, 3.0, 4),
+                                         (2.5, 0.5, 2), (0.05, 8.0, 5)])
+def test_table_measures_each_vertex_once(monkeypatch, s, w, m_max):
+    # One cubic per vertex per level, so no per-sample loop comes back.
+    calls = []
+    original = limits._parabola_distance
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(limits, "_parabola_distance", counted)
+    convergence_table(s, w, m_max)
+    assert len(calls) == sum(round(2 * w * 2 ** m) + 1
+                             for m in range(m_max + 1))
+
+
+def test_rows_record_the_vertex_maximum():
+    # Apex vertices (delta divides w) sit D^2/(16|s|) below C', as far as
+    # the arc ends from the chain; without one, the vertices are nearer.
+    s = -1.3
+    for w, apex in [(4.0, True), (1.5, False)]:
+        for r in convergence_table(s, w, 3):
+            chain = chain_for_window(s, w, r.delta)
+            near = max(_parabola_distance(p.x, p.y, s, 0.0) for p in chain)
+            assert r.chain_to_parabola == near
+            assert r.chain_to_parabola <= r.hausdorff
+            if apex or r.delta < 1.0:
+                assert near == pytest.approx(r.bound, rel=1e-12)
+            else:
+                assert near < r.bound
+
+
+_U = 2.0 ** -53
+
+
+@seed(16)
+@settings(max_examples=150, deadline=None)
+@given(st.floats(0.01, 10.0), st.sampled_from([1.0, -1.0]),
+       st.sampled_from([0.5 * k for k in range(1, 17)]),
+       st.integers(0, 6))
+def test_hausdorff_is_the_bound_and_above_the_dense_oracle(mag, sign, w,
+                                                           m_max):
+    # The chain's vertices and the arc ends are rounded at the study's
+    # scale max(w, w^2/(4|s|)): a vertex y = (a b)/s with rounded a and
+    # b to 4 u |y|, an end y = x^2/(4 s) to 2 u |y|.  The distance is
+    # their difference, so it is off the bound by up to 8 u scale beyond
+    # the bound's own 1e-12.  The dense oracle samples true distances,
+    # so it may not exceed the closed form by more than 1e-12 bound.
+    s = sign * mag
+    par = Parabola(s, 0.0)
+    scale = max(w, w * w / (4.0 * mag))
+    for r in convergence_table(s, w, m_max):
+        assert abs(r.hausdorff - r.bound) <= 1e-12 * r.bound + 8 * _U * scale
+        chain = chain_for_window(s, w, r.delta)
+        assert r.hausdorff >= dense_hausdorff(chain, par, w) - 1e-12 * r.bound
 
 
 @pytest.mark.parametrize("s, w", [(1e-310, 4.0), (1e300, 4.0),
