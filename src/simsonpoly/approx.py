@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from .kernel import GeometryError
+from .kernel import Frozen, GeometryError
 
 
 class InvalidProblem(GeometryError):
@@ -58,39 +57,42 @@ def _require_finite(values, s: float, a: float, b: float) -> None:
         raise LeavesFloatRange(f"s = {s} on [{a}, {b}] leaves the float range")
 
 
-@dataclass(frozen=True)
-class ApproxProblem:
+class ApproxProblem(Frozen):
     """Approximate f(x) = (x^2 - delta^2)/(4 s) on [a, b] with n segments."""
 
-    s: float
-    delta: float
-    a: float
-    b: float
-    n: int
+    __slots__ = _fields = ("s", "delta", "a", "b", "n")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.s) and self.s != 0.0):
-            raise InvalidProblem(f"s must be nonzero, got {self.s}")
-        if not (math.isfinite(self.delta) and self.delta >= 0.0):
-            raise InvalidProblem(f"delta must be >= 0, got {self.delta}")
-        if not (math.isfinite(self.a) and math.isfinite(self.b)
-                and self.a < self.b):
-            raise InvalidProblem(f"need a < b, got [{self.a}, {self.b}]")
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise InvalidProblem(f"n must be an integer >= 1, got {self.n}")
+    def __init__(self, s: float, delta: float, a: float, b: float, n: int):
+        if not (math.isfinite(s) and s != 0.0):
+            raise InvalidProblem(f"s must be nonzero, got {s}")
+        if not (math.isfinite(delta) and delta >= 0.0):
+            raise InvalidProblem(f"delta must be >= 0, got {delta}")
+        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            raise InvalidProblem(f"need a < b, got [{a}, {b}]")
+        if not (isinstance(n, int) and n >= 1):
+            raise InvalidProblem(f"n must be an integer >= 1, got {n}")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "n", n)
 
     def f(self, x: float) -> float:
         return (x * x - self.delta * self.delta) / (4.0 * self.s)
 
 
-@dataclass(frozen=True)
-class ApproxResult:
+class ApproxResult(Frozen):
     """Optimal knot grid with its exact L1 and L2 interpolation errors."""
 
-    knots: tuple[float, ...]
-    knot_points: tuple[tuple[float, float], ...]
-    l1_error: float
-    l2_error: float
+    __slots__ = _fields = ("knots", "knot_points", "l1_error", "l2_error")
+
+    def __init__(self, knots: tuple[float, ...],
+                 knot_points: tuple[tuple[float, float], ...],
+                 l1_error: float, l2_error: float):
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "knot_points", knot_points)
+        object.__setattr__(self, "l1_error", l1_error)
+        object.__setattr__(self, "l2_error", l2_error)
 
 
 def segment_l1_error(p: ApproxProblem, xi: float, xj: float) -> float:

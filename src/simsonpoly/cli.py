@@ -174,14 +174,16 @@ def _load_polygon(args) -> Polygon:
 
     if args.infile is None:
         raise _CliError("verify requires --in SCENE.json")
-    if args.infile == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.infile == "-":
+            text = sys.stdin.read()
+        else:
             with open(args.infile, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise _CliError(f"cannot read {args.infile}: {exc.strerror}")
+    except OSError as exc:
+        raise _CliError(f"cannot read {args.infile}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"cannot read {args.infile}: {exc}")
     return SceneDocument.from_json(text).first_polygon()
 
 

@@ -25,11 +25,12 @@ labels V_1..V_n; the functions taking chord or side indices follow it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 from .kernel import (
     DEFAULT_TOLERANCE,
+    Frozen,
     GeometryError,
     InvalidConfig,
     Line,
@@ -54,8 +55,7 @@ class ParallelSides(GeometryError):
     """Side lines required to meet are parallel."""
 
 
-@dataclass(frozen=True)
-class EquidistantConfig:
+class EquidistantConfig(Frozen):
     """Parameters (s, x0, delta, n) of an equidistant Simson polygon.
 
     s is the signed height of the Simson point over the Simson line,
@@ -63,20 +63,21 @@ class EquidistantConfig:
     n the number of sides.
     """
 
-    s: float
-    x0: float
-    delta: float
-    n: int
+    __slots__ = _fields = ("s", "x0", "delta", "n")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.s) and self.s != 0.0):
-            raise InvalidConfig(f"s must be nonzero and finite, got {self.s}")
-        if not math.isfinite(self.x0):
-            raise InvalidConfig(f"x0 must be finite, got {self.x0}")
-        if not (math.isfinite(self.delta) and self.delta > 0.0):
-            raise InvalidConfig(f"delta must be positive, got {self.delta}")
-        if not (isinstance(self.n, int) and self.n >= 3):
-            raise InvalidConfig(f"n must be an integer >= 3, got {self.n}")
+    def __init__(self, s: float, x0: float, delta: float, n: int):
+        if not (math.isfinite(s) and s != 0.0):
+            raise InvalidConfig(f"s must be nonzero and finite, got {s}")
+        if not math.isfinite(x0):
+            raise InvalidConfig(f"x0 must be finite, got {x0}")
+        if not (math.isfinite(delta) and delta > 0.0):
+            raise InvalidConfig(f"delta must be positive, got {delta}")
+        if not (isinstance(n, int) and n >= 3):
+            raise InvalidConfig(f"n must be an integer >= 3, got {n}")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "n", n)
 
     def foot_abscissa(self, i: int) -> float:
         """x-coordinate of the i-th pedal foot, 1-based."""
@@ -85,8 +86,7 @@ class EquidistantConfig:
         return self.x0 + (i - 1) * self.delta
 
 
-@dataclass(frozen=True)
-class SimsonPolygonFrame:
+class SimsonPolygonFrame(Frozen):
     """Simson polygon data in the canonical frame (L = x-axis, S = (0, s)).
 
     projections[i] pairs with vertices so that side (V_i, V_{i+1})
@@ -97,17 +97,18 @@ class SimsonPolygonFrame:
     off-frame S can be tested.
     """
 
-    vertices: tuple[Point, ...]
-    projections: tuple[Point, ...]
-    simson_point: Point
+    __slots__ = _fields = ("vertices", "projections", "simson_point")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "projections", tuple(self.projections))
-        if len(self.vertices) != len(self.projections):
+    def __init__(self, vertices: Sequence[Point],
+                 projections: Sequence[Point], simson_point: Point):
+        vertices, projections = tuple(vertices), tuple(projections)
+        if len(vertices) != len(projections):
             raise InvalidConfig("vertex and projection counts differ")
-        if len(self.vertices) < 3:
+        if len(vertices) < 3:
             raise InvalidConfig("need at least 3 vertices")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "projections", projections)
+        object.__setattr__(self, "simson_point", simson_point)
 
     @property
     def simson_line(self) -> Line:
@@ -125,11 +126,17 @@ class SimsonPolygonFrame:
         return Polygon(self.vertices)
 
 
-@dataclass(frozen=True)
 class EquidistantPolygon(SimsonPolygonFrame):
     """Frame data plus the generating equidistant configuration."""
 
-    config: EquidistantConfig
+    __slots__ = ("config",)
+    _fields = SimsonPolygonFrame._fields + __slots__
+
+    def __init__(self, vertices: Sequence[Point],
+                 projections: Sequence[Point], simson_point: Point,
+                 config: EquidistantConfig):
+        super().__init__(vertices, projections, simson_point)
+        object.__setattr__(self, "config", config)
 
     @property
     def chain(self) -> tuple[Point, ...]:

@@ -15,7 +15,6 @@ module is pure Python on ``math`` alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 
@@ -47,8 +46,52 @@ class InvalidConfig(GeometryError):
     """Configuration parameters outside their domain."""
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class Frozen:
+    """Immutable value over the slots named in ``_fields``.
+
+    It has the semantics of a frozen dataclass: equality holds only
+    between instances of the same class with equal field tuples, the
+    hash is that of the field tuple, the repr is ``Name(f=v, ...)``, and
+    assigning or deleting an attribute raises AttributeError.  A subclass
+    lists its slots in ``__slots__`` and its fields in ``_fields``, and
+    sets them in ``__init__`` with ``object.__setattr__``.  ``pickle`` and
+    ``copy`` restore the slots directly, so ``__init__`` (which may
+    normalise its arguments) does not run again.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # object.__reduce_ex__ hands a slotted instance's state over as
+        # (None, {slot: value}).
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class Tolerance(Frozen):
     """Absolute/relative tolerance pair.
 
     A comparison at length scale ``L`` uses the threshold
@@ -57,12 +100,13 @@ class Tolerance:
     another.
     """
 
-    abs_eps: float = 1e-9
-    rel_eps: float = 1e-9
+    __slots__ = _fields = ("abs_eps", "rel_eps")
 
-    def __post_init__(self):
-        if not (self.abs_eps > 0.0 and self.rel_eps > 0.0):
+    def __init__(self, abs_eps: float = 1e-9, rel_eps: float = 1e-9):
+        if not (abs_eps > 0.0 and rel_eps > 0.0):
             raise ValueError("tolerance components must be positive")
+        object.__setattr__(self, "abs_eps", abs_eps)
+        object.__setattr__(self, "rel_eps", rel_eps)
 
     def bound(self, scale: float = 0.0) -> float:
         """Comparison threshold at the given length scale."""
@@ -72,16 +116,16 @@ class Tolerance:
 DEFAULT_TOLERANCE = Tolerance()
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Frozen):
     """Point in the Euclidean plane.  Coordinates must be finite."""
 
-    x: float
-    y: float
+    __slots__ = _fields = ("x", "y")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise NonFinite(f"non-finite point ({self.x}, {self.y})")
+    def __init__(self, x: float, y: float):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise NonFinite(f"non-finite point ({x}, {y})")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def __add__(self, other: "Point") -> "Point":
         return Point(self.x + other.x, self.y + other.y)
@@ -110,8 +154,7 @@ class Point:
         return Point(0.5 * (self.x + other.x), 0.5 * (self.y + other.y))
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(Frozen):
     """Line ``{(x, y) : a*x + b*y + c = 0}`` in normalized implicit form.
 
     The constructor accepts any nonzero ``(a, b)`` and normalizes so that
@@ -120,17 +163,15 @@ class Line:
     line, which keeps every residual in this package scale-honest.
     """
 
-    a: float
-    b: float
-    c: float
+    __slots__ = _fields = ("a", "b", "c")
 
-    def __post_init__(self):
-        n = math.hypot(self.a, self.b)
-        if not (math.isfinite(n) and math.isfinite(self.c)):
-            raise NonFinite(f"non-finite line ({self.a}, {self.b}, {self.c})")
+    def __init__(self, a: float, b: float, c: float):
+        n = math.hypot(a, b)
+        if not (math.isfinite(n) and math.isfinite(c)):
+            raise NonFinite(f"non-finite line ({a}, {b}, {c})")
         if n == 0.0:
             raise ValueError("line requires (a, b) != (0, 0)")
-        a, b, c = self.a / n, self.b / n, self.c / n
+        a, b, c = a / n, b / n, c / n
         if a < 0.0 or (a == 0.0 and b < 0.0):
             a, b, c = -a, -b, -c
         object.__setattr__(self, "a", a)
@@ -158,32 +199,32 @@ class Line:
         return Line(-self.b, self.a, self.b * p.x - self.a * p.y)
 
 
-@dataclass(frozen=True)
-class Circle:
+class Circle(Frozen):
     """Circle with positive radius.  Point-circles are rejected."""
 
-    center: Point
-    radius: float
+    __slots__ = _fields = ("center", "radius")
 
-    def __post_init__(self):
-        if not math.isfinite(self.radius):
-            raise NonFinite(f"non-finite circle radius {self.radius}")
-        if not self.radius > 0.0:
-            raise ValueError(f"circle radius must be positive, got {self.radius}")
+    def __init__(self, center: Point, radius: float):
+        if not math.isfinite(radius):
+            raise NonFinite(f"non-finite circle radius {radius}")
+        if not radius > 0.0:
+            raise ValueError(f"circle radius must be positive, got {radius}")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
 
 
-@dataclass(frozen=True)
-class Parabola:
+class Parabola(Frozen):
     """Vertical-axis parabola y = (x^2 - c) / (4 s), s != 0."""
 
-    s: float
-    c: float = 0.0
+    __slots__ = _fields = ("s", "c")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.s) and self.s != 0.0):
-            raise InvalidConfig(f"parabola needs s != 0, got {self.s}")
-        if not math.isfinite(self.c):
-            raise InvalidConfig(f"parabola offset must be finite, got {self.c}")
+    def __init__(self, s: float, c: float = 0.0):
+        if not (math.isfinite(s) and s != 0.0):
+            raise InvalidConfig(f"parabola needs s != 0, got {s}")
+        if not math.isfinite(c):
+            raise InvalidConfig(f"parabola offset must be finite, got {c}")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "c", c)
 
     def y_at(self, x: float) -> float:
         return (x * x - self.c) / (4.0 * self.s)

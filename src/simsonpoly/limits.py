@@ -37,9 +37,8 @@ builds it is the Hausdorff distance itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .kernel import GeometryError, InvalidConfig, Parabola, Point, \
+from .kernel import Frozen, GeometryError, InvalidConfig, Parabola, Point, \
     equidistant_chain
 
 MAX_SEGMENTS = 2 ** 14
@@ -53,17 +52,22 @@ class TooManySegments(ValueError):
     """The finest chain of a convergence table exceeds MAX_SEGMENTS."""
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    """One refinement level of the limit study."""
+class ConvergenceRow(Frozen):
+    """One refinement level of the limit study.
 
-    delta: float
-    hausdorff: float
-    bound: float
-    chain_to_parabola: float | None = None
-    """The chain-to-parabola part of hausdorff, the largest vertex
-    distance; hausdorff exceeds it when the arc ends attain the
-    distance.  None on a row built without it."""
+    chain_to_parabola is the chain-to-parabola part of hausdorff, the
+    largest vertex distance; hausdorff exceeds it when the arc ends
+    attain the distance.  None on a row built without it.
+    """
+
+    __slots__ = _fields = ("delta", "hausdorff", "bound", "chain_to_parabola")
+
+    def __init__(self, delta: float, hausdorff: float, bound: float,
+                 chain_to_parabola: float | None = None):
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "hausdorff", hausdorff)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "chain_to_parabola", chain_to_parabola)
 
     @property
     def ratio(self) -> float:

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .kernel import DEFAULT_TOLERANCE
+from .kernel import DEFAULT_TOLERANCE, Frozen
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Frozen):
     """Outcome of one check family: every instance of a property.
 
     name identifies the property.  pair_indices and residuals hold one
@@ -22,19 +20,23 @@ class CheckResult:
     skip) has none and a single instance.
     """
 
-    name: str
-    indices: tuple[int, ...]
-    residual: float
-    passed: bool
-    note: str = ""
-    limit: Optional[float] = None
-    pair_indices: Sequence[tuple[int, ...]] = ()
-    residuals: Sequence[float] = ()
+    __slots__ = _fields = ("name", "indices", "residual", "passed", "note",
+                           "limit", "pair_indices", "residuals")
 
-    def __post_init__(self):
-        if not self.residuals:
-            object.__setattr__(self, "pair_indices", (self.indices,))
-            object.__setattr__(self, "residuals", (self.residual,))
+    def __init__(self, name: str, indices: tuple[int, ...], residual: float,
+                 passed: bool, note: str = "", limit: Optional[float] = None,
+                 pair_indices: Sequence[tuple[int, ...]] = (),
+                 residuals: Sequence[float] = ()):
+        if not residuals:
+            pair_indices, residuals = (indices,), (residual,)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "note", note)
+        object.__setattr__(self, "limit", limit)
+        object.__setattr__(self, "pair_indices", pair_indices)
+        object.__setattr__(self, "residuals", residuals)
 
     @property
     def count(self) -> int:
@@ -60,12 +62,20 @@ class CheckResult:
         return d
 
 
-@dataclass
-class VerificationReport:
-    """Check family outcomes plus the tolerances they were judged at."""
+class VerificationReport(Frozen):
+    """Check family outcomes plus the tolerances they were judged at.
 
-    checks: list[CheckResult] = field(default_factory=list)
-    tolerances: dict[str, float] = field(default_factory=dict)
+    The attributes are fixed; the list and the dict they hold grow.
+    """
+
+    __slots__ = _fields = ("checks", "tolerances")
+    __hash__ = None
+
+    def __init__(self, checks: Optional[list[CheckResult]] = None,
+                 tolerances: Optional[dict[str, float]] = None):
+        object.__setattr__(self, "checks", [] if checks is None else checks)
+        object.__setattr__(self, "tolerances",
+                           {} if tolerances is None else tolerances)
 
     @property
     def overall(self) -> bool:

@@ -176,7 +176,9 @@ class SceneDocument:
     def from_json(cls, text: str) -> "SceneDocument":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # A RecursionError: nesting deeper than the interpreter's
+            # recursion limit.
             raise SceneFormatError(f"invalid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise SceneFormatError("scene document must be a JSON object")

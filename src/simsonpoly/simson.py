@@ -27,14 +27,14 @@ report pedals in side order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .kernel import (
     DEFAULT_TOLERANCE,
     Circle,
     CollinearInput,
+    Frozen,
     GeometryError,
     IdenticalCircles,
     IdenticalLines,
@@ -67,8 +67,7 @@ class DuplicateFeet(GeometryError):
     """Two prescribed pedal feet coincide."""
 
 
-@dataclass(frozen=True)
-class Polygon:
+class Polygon(Frozen):
     """Polygon given by its vertex cycle.  Indices wrap.
 
     The constructor enforces at least three vertices, a finite diameter
@@ -76,10 +75,10 @@ class Polygon:
     anything less does not define side lines.  Vertex indices are 0-based.
     """
 
-    vertices: tuple[Point, ...]
+    __slots__ = _fields = ("vertices",)
 
-    def __post_init__(self):
-        verts = tuple(self.vertices)
+    def __init__(self, vertices: Iterable[Point]):
+        verts = tuple(vertices)
         object.__setattr__(self, "vertices", verts)
         if len(verts) < 3:
             raise GeometryError("polygon needs at least 3 vertices")
@@ -162,8 +161,7 @@ def pedal_points(p: Point, poly: Polygon) -> list[Point]:
     return [foot_of_perpendicular(p, poly.side_line(i)) for i in range(poly.n)]
 
 
-@dataclass(frozen=True)
-class SimsonCertificate:
+class SimsonCertificate(Frozen):
     """Witness that a point is a Simson point of some polygon.
 
     simson_line is the total least squares line through the pedal points
@@ -172,10 +170,15 @@ class SimsonCertificate:
     position i).
     """
 
-    simson_point: Point
-    simson_line: Line
-    projections: tuple[Point, ...]
-    residual: float
+    __slots__ = _fields = ("simson_point", "simson_line", "projections",
+                           "residual")
+
+    def __init__(self, simson_point: Point, simson_line: Line,
+                 projections: tuple[Point, ...], residual: float):
+        object.__setattr__(self, "simson_point", simson_point)
+        object.__setattr__(self, "simson_line", simson_line)
+        object.__setattr__(self, "projections", projections)
+        object.__setattr__(self, "residual", residual)
 
 
 def is_simson_point(p: Point, poly: Polygon) -> Optional[SimsonCertificate]:
@@ -194,8 +197,7 @@ def is_simson_point(p: Point, poly: Polygon) -> Optional[SimsonCertificate]:
     return SimsonCertificate(p, fit, tuple(pedals), residual)
 
 
-@dataclass(frozen=True)
-class CompleteQuadrilateral:
+class CompleteQuadrilateral(Frozen):
     """Four lines in general position and their six intersection points.
 
     General position means no two lines parallel and no three concurrent.
@@ -210,10 +212,11 @@ class CompleteQuadrilateral:
     (d, e, f), (b, c, d), (a, c, f) and (a, b, e).
     """
 
-    lines: tuple[Line, Line, Line, Line]
+    _fields = ("lines",)
+    __slots__ = (*_fields, "_pts")
 
-    def __post_init__(self):
-        lines = tuple(self.lines)
+    def __init__(self, lines: Sequence[Line]):
+        lines = tuple(lines)
         object.__setattr__(self, "lines", lines)
         if len(lines) != 4:
             raise GeometryError("complete quadrilateral needs exactly 4 lines")

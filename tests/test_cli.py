@@ -423,6 +423,29 @@ def test_verify_unreadable_file_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_verify_non_utf8_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    code, out, err = run_cli(capsys, "verify", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't "
+                          "decode byte 0xff")
+    assert err.count("\n") == 1
+
+
+def test_verify_scene_nested_beyond_the_recursion_limit_exits_2(
+        capsys, tmp_path, monkeypatch):
+    scene = octagon_scene(tmp_path).read_text().rstrip()
+    depth = 100_000
+    assert depth > sys.getrecursionlimit()
+    deep = scene[:-1] + ', "x": ' + "[" * depth + "]" * depth + "}"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(deep))
+    code, out, err = run_cli(capsys, "verify", "--in", "-")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid JSON: maximum recursion depth")
+    assert err.count("\n") == 1
+
+
 def test_verify_malformed_scene_exits_2(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -6,7 +6,8 @@ The package namespace binds its public names on first access, and the
 CLI imports each layer inside the command that calls it: ``limit``
 loads ``kernel`` and ``limits`` only, ``approx`` never loads the Simson,
 equidistant or scene modules, and only ``verify --negative-control``
-loads the noise generator ``_pcg64``.  Each request runs as
+loads the noise generator ``_pcg64``.  No request loads ``dataclasses``
+or the ``inspect`` module it pulls in.  Each request runs as
 ``python -X importtime -m simsonpoly`` in a fresh interpreter, whose
 import-time log names every module it adds to ``sys.modules``.  No wall
 clock is read.  numpy is a test dependency: no module of the package
@@ -87,6 +88,8 @@ def test_request_imports_only_its_layers(tmp_path, octagon, argv, code,
     assert ("simsonpoly._pcg64" in imported) == \
         ("--negative-control" in argv)
     assert "numpy" not in imported
+    # The value types are slotted classes: no dataclasses, so no inspect.
+    assert not {"dataclasses", "inspect"} & imported
 
 
 def test_only_numeric_requests_load_numpy(tmp_path):
