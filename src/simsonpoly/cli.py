@@ -306,6 +306,14 @@ def cmd_approx(args) -> int:
         raise _CliError(f"need a < b, got a={args.a}, b={args.b}")
     if args.n < 1:
         raise _CliError("--n must be at least 1")
+    if args.perturb_knot:
+        idx, eps = _parse_perturb_knot(args.perturb_knot)
+        if args.n == 1:
+            raise _CliError("--perturb-knot needs an interior knot; "
+                            "--n 1 has none")
+        if not 1 <= idx <= args.n - 1:
+            raise _CliError(
+                f"--perturb-knot index must be interior (1..{args.n - 1})")
     problem = ApproxProblem(s=args.s, delta=args.delta, a=args.a, b=args.b,
                             n=args.n)
     result = optimal_knots(problem)
@@ -330,10 +338,6 @@ def cmd_approx(args) -> int:
             / max(result.l2_error, 1e-300),
         }
     if args.perturb_knot:
-        idx, eps = _parse_perturb_knot(args.perturb_knot)
-        if not 1 <= idx <= problem.n - 1:
-            raise _CliError(
-                f"--perturb-knot index must be interior (1..{problem.n - 1})")
         interior = list(result.knots[1:-1])
         moved = list(interior)
         moved[idx - 1] += eps

@@ -224,35 +224,43 @@ def verify_parallel_chords(poly: EquidistantPolygon) -> VerificationReport:
     two_s = 2.0 * poly.config.s
     atan2 = math.atan2
     par_idx, par_res = [], []
-    tan_idx, tan_res = [], []
     mid_idx, mid_res = [], []
-    for sigma in range(3, 2 * m):
-        # The chords V_i V_j with i + j = sigma and i < j, by increasing i.
-        i_range = range(max(1, sigma - m), (sigma - 1) // 2 + 1)
-        dxs = [xs[sigma - i - 1] - xs[i - 1] for i in i_range]
-        dys = [ys[sigma - i - 1] - ys[i - 1] for i in i_range]
-        coords = [0.5 * (xs[i - 1] + xs[sigma - i - 1]) for i in i_range]
-        if len(dxs) >= 2:
-            ux, uy = dxs[0], dys[0]
-            par_idx.append((sigma,))
-            par_res.append(max(atan2(abs(ux * dy - uy * dx),
-                                     abs(ux * dx + uy * dy))
-                               for dx, dy in zip(dxs[1:], dys[1:])))
-        if sigma % 2 == 0:
-            # j - i is even: compare with the tangent at V_{sigma/2}.
-            mid = sigma // 2
-            x_mid = xs[mid - 1]
-            for i, dx, dy in zip(i_range, dxs, dys):
-                tan_idx.append((i, sigma - i, mid))
-                tan_res.append(atan2(abs(dx * x_mid - dy * two_s),
-                                     abs(dx * two_s + dy * x_mid)))
-            coords.append(x_mid)
-        if len(coords) >= 2:
-            mid_idx.append((sigma,))
-            mid_res.append(max(coords) - min(coords))
-    report.judge("parallel-chords", par_idx, par_res, angle_limit)
-    report.judge("chord-tangent", tan_idx, tan_res, angle_limit)
-    report.judge("midpoints-aligned", mid_idx, mid_res, limit)
+
+    def tangent_blocks():
+        for sigma in range(3, 2 * m):
+            # The chords V_i V_j with i + j = sigma and i < j, by increasing i.
+            i_range = range(max(1, sigma - m), (sigma - 1) // 2 + 1)
+            dxs = [xs[sigma - i - 1] - xs[i - 1] for i in i_range]
+            dys = [ys[sigma - i - 1] - ys[i - 1] for i in i_range]
+            coords = [0.5 * (xs[i - 1] + xs[sigma - i - 1]) for i in i_range]
+            if len(dxs) >= 2:
+                ux, uy = dxs[0], dys[0]
+                par_idx.append((sigma,))
+                par_res.append(max(atan2(abs(ux * dy - uy * dx),
+                                         abs(ux * dx + uy * dy))
+                                   for dx, dy in zip(dxs[1:], dys[1:])))
+            if sigma % 2 == 0:
+                # j - i is even: compare with the tangent at V_{sigma/2}.
+                mid = sigma // 2
+                x_mid = xs[mid - 1]
+                yield ([atan2(abs(dx * x_mid - dy * two_s),
+                              abs(dx * two_s + dy * x_mid))
+                        for dx, dy in zip(dxs, dys)],
+                       lambda k, i0=i_range[0], sigma=sigma, mid=mid:
+                       (i0 + k, sigma - i0 - k, mid))
+                coords.append(x_mid)
+            if len(coords) >= 2:
+                mid_idx.append((sigma,))
+                mid_res.append(max(coords) - min(coords))
+
+    # chord-tangent is reduced while the other two families are gathered,
+    # and reported between them.
+    tangent = VerificationReport()
+    tangent.judge("chord-tangent", tangent_blocks(), angle_limit)
+    report.judge("parallel-chords", [(par_res, par_idx.__getitem__)],
+                 angle_limit)
+    report.extend(tangent)
+    report.judge("midpoints-aligned", [(mid_res, mid_idx.__getitem__)], limit)
     return report
 
 
@@ -269,10 +277,9 @@ def verify_isogonal(poly: SimsonPolygonFrame) -> VerificationReport:
     n = poly.n
     S = poly.simson_point
     skipped: dict[str, list[str]] = {}
-    labels, residuals = [], []
+    residuals = []
     for iv in range(n):
         v = poly.vertices[iv]
-        labels.append((iv + 1,))
         residuals.append(0.0)
         if abs(v.y) <= limit:
             skipped.setdefault("vertex on the simson line", []).append(
@@ -289,7 +296,8 @@ def verify_isogonal(poly: SimsonPolygonFrame) -> VerificationReport:
         residuals[-1] = abs(a1 - a2)
     note = "; ".join(f"skipped: {why} at {', '.join(at)}"
                      for why, at in skipped.items())
-    report.judge("isogonal", labels, residuals, angle_limit, note)
+    report.judge("isogonal", [(residuals, lambda k: (k + 1,))], angle_limit,
+                 note)
     return report
 
 
@@ -308,12 +316,11 @@ def verify_optical(poly: SimsonPolygonFrame) -> VerificationReport:
     S = poly.simson_point
     verts = poly.vertices
     sides = poly.polygon().side_lines()
-    labels, residuals = [], []
+    residuals = []
     for i in range(1, poly.n - 1):
         mid = verts[i - 1].midpoint(verts[i])
-        labels.append((i,))
         residuals.append(abs(reflect_point(S, sides[i - 1]).x - mid.x))
-    report.judge("optical", labels, residuals, limit)
+    report.judge("optical", [(residuals, lambda k: (k + 1,))], limit)
     return report
 
 
@@ -342,36 +349,46 @@ def verify_archimedes(poly: SimsonPolygonFrame) -> VerificationReport:
     b = [line.b for line in sides]
     c = [line.c for line in sides]
     parallel = DEFAULT_TOLERANCE.bound(1.0)
-    pair_idx, pair_res = [], []
-    w_families: dict[int, list[float]] = {}
-    for i in range(1, n - 1):
-        ai, bi, ci = a[i - 1], b[i - 1], c[i - 1]
-        x_i, x_next = xs[i - 1], xs[i]
-        for j in range(i + 1, n - 1):
-            det = ai * b[j - 1] - a[j - 1] * bi
-            if abs(det) <= parallel:
-                # line_intersection raises IdenticalLines for coincident
-                # sides and returns None for parallel ones.
-                line_intersection(sides[i - 1], sides[j - 1])
-                raise ParallelSides(f"side lines {i} and {j} are parallel")
-            w = (bi * c[j - 1] - b[j - 1] * ci) / det
-            w_families.setdefault(i + j, []).append(w)
-            m1 = 0.5 * (x_i + xs[j])
-            m2 = 0.5 * (x_next + xs[j - 1])
-            pair_idx.append((i, j))
-            pair_res.append(max(w, m1, m2) - min(w, m1, m2))
-    report.judge("archimedes", pair_idx, pair_res, limit)
-    fam_idx, fam_res = [], []
-    for sigma, coords in sorted(w_families.items()):
+    # hi[sigma - 3] and lo[sigma - 3] fold the meets W with index sum
+    # sigma as builtin max and min would fold their list, in pair order.
+    hi: list[float] = []
+    lo: list[float] = []
+
+    def pair_blocks():
+        for i in range(1, n - 1):
+            ai, bi, ci = a[i - 1], b[i - 1], c[i - 1]
+            x_i, x_next = xs[i - 1], xs[i]
+            ws, residuals = [], []
+            for j in range(i + 1, n - 1):
+                det = ai * b[j - 1] - a[j - 1] * bi
+                if abs(det) <= parallel:
+                    # line_intersection raises IdenticalLines for coincident
+                    # sides and returns None for parallel ones.
+                    line_intersection(sides[i - 1], sides[j - 1])
+                    raise ParallelSides(f"side lines {i} and {j} are parallel")
+                w = (bi * c[j - 1] - b[j - 1] * ci) / det
+                ws.append(w)
+                m1 = 0.5 * (x_i + xs[j])
+                m2 = 0.5 * (x_next + xs[j - 1])
+                residuals.append(max(w, m1, m2) - min(w, m1, m2))
+            # Row i's meets have the index sums 2i + 1 .. i + n - 2, of
+            # which only the last is new (all of them in row 1).
+            first = 2 * i - 2
+            hi[first:] = [*map(max, hi[first:], ws), *ws[len(hi) - first:]]
+            lo[first:] = [*map(min, lo[first:], ws), *ws[len(lo) - first:]]
+            yield residuals, lambda k, i=i: (i, i + 1 + k)
+
+    report.judge("archimedes", pair_blocks(), limit)
+    fam_res = []
+    for sigma, top, bottom in zip(range(3, 2 * n), hi, lo):
         # The midpoints M(V_c, V_d), c <= d, with c + d = sigma + 1; the
         # vertex V_c itself when c = d.
         t = sigma + 1
-        coords += [xs[k - 1] if 2 * k == t
-                   else 0.5 * (xs[k - 1] + xs[t - k - 1])
-                   for k in range(max(1, t - n + 1), t // 2 + 1)]
-        fam_idx.append((sigma,))
-        fam_res.append(max(coords) - min(coords))
-    report.judge("archimedes-family", fam_idx, fam_res, limit)
+        coords = [xs[k - 1] if 2 * k == t
+                  else 0.5 * (xs[k - 1] + xs[t - k - 1])
+                  for k in range(max(1, t - n + 1), t // 2 + 1)]
+        fam_res.append(max(top, *coords) - min(bottom, *coords))
+    report.judge("archimedes-family", [(fam_res, lambda k: (k + 3,))], limit)
     return report
 
 
@@ -402,7 +419,7 @@ def verify_lambert(poly: SimsonPolygonFrame, i: int, j: int,
     # The circle may be far larger than the polygon.
     limit = report.tolerances["lambert_limit"] = DEFAULT_TOLERANCE.bound(
         max(circle.radius, scale))
-    report.judge("lambert", [idx], [residual], limit)
+    report.judge("lambert", [([residual], lambda k: idx)], limit)
     return report
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .kernel import DEFAULT_TOLERANCE, Frozen
 
@@ -11,40 +11,28 @@ from .kernel import DEFAULT_TOLERANCE, Frozen
 class CheckResult(Frozen):
     """Outcome of one check family: every instance of a property.
 
-    name identifies the property.  pair_indices and residuals hold one
-    entry per instance (see rows()): the vertices/sides involved and the
-    measured deviation in the natural units of the check (length for
-    incidence, radians for angles).  indices and residual are those of
-    the worst instance, a NaN counting as worst.  limit is the threshold
-    the family was judged at; a fixed verdict (the ``simson`` check, a
-    skip) has none and a single instance.
+    name identifies the property and count the number of instances
+    judged.  indices and residual are those of the worst instance, a NaN
+    counting as worst: the vertices/sides involved and the measured
+    deviation in the natural units of the check (length for incidence,
+    radians for angles).  limit is the threshold the family was judged
+    at; a fixed verdict (the ``simson`` check, a skip) has none and a
+    single instance.
     """
 
     __slots__ = _fields = ("name", "indices", "residual", "passed", "note",
-                           "limit", "pair_indices", "residuals")
+                           "limit", "count")
 
     def __init__(self, name: str, indices: tuple[int, ...], residual: float,
                  passed: bool, note: str = "", limit: Optional[float] = None,
-                 pair_indices: Sequence[tuple[int, ...]] = (),
-                 residuals: Sequence[float] = ()):
-        if not residuals:
-            pair_indices, residuals = (indices,), (residual,)
+                 count: int = 1):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "residual", residual)
         object.__setattr__(self, "passed", passed)
         object.__setattr__(self, "note", note)
         object.__setattr__(self, "limit", limit)
-        object.__setattr__(self, "pair_indices", pair_indices)
-        object.__setattr__(self, "residuals", residuals)
-
-    @property
-    def count(self) -> int:
-        return len(self.residuals)
-
-    def rows(self) -> list[tuple[tuple[int, ...], float]]:
-        """(indices, residual) of every instance, in check order."""
-        return list(zip(self.pair_indices, self.residuals))
+        object.__setattr__(self, "count", count)
 
     def to_dict(self) -> dict:
         d = {
@@ -96,32 +84,41 @@ class VerificationReport(Frozen):
                                angle_limit=angle_limit)
         return length_limit, angle_limit
 
-    def judge(self, name: str, indices: Sequence[tuple[int, ...]],
-              residuals: Sequence[float], limit: float,
-              note: str = "") -> None:
-        """Add the family ``name``, one residual per entry of indices.
+    def judge(self, name: str,
+              blocks: Iterable[tuple[Sequence[float],
+                                     Callable[[int], tuple[int, ...]]]],
+              limit: float, note: str = "") -> None:
+        """Add the family ``name``, reduced block by block.
 
-        It passes when every residual is at most ``limit``, so a NaN
-        fails.  Its reported instance is the first NaN, else the first
-        maximum.  A family without instances adds no entry.
+        A block is a list of residuals and a function naming instance k
+        of it; only the count and the worst instance are kept, so the
+        blocks may be made one at a time.  The family passes when every
+        residual is at most ``limit``, so a NaN fails.  Its reported
+        instance is the first NaN, else the first maximum, in block
+        order.  A family without instances adds no entry.
         """
-        if not residuals:
-            return
-        if any(map(math.isnan, residuals)):
-            worst = next(k for k, r in enumerate(residuals) if math.isnan(r))
-        else:
-            worst = residuals.index(max(residuals))
-        residual = residuals[worst]
-        self.checks.append(CheckResult(
-            name, tuple(indices[worst]), residual, residual <= limit, note,
-            limit, indices, residuals))
+        count, worst, indices = 0, None, ()
+        for residuals, index_of in blocks:
+            count += len(residuals)
+            # A NaN worst is final.
+            if not residuals or worst != worst:
+                continue
+            if any(map(math.isnan, residuals)):
+                k = next(k for k, r in enumerate(residuals) if math.isnan(r))
+            else:
+                top = max(residuals)
+                if worst is not None and not top > worst:
+                    continue
+                k = residuals.index(top)
+            worst, indices = residuals[k], tuple(index_of(k))
+        if count:
+            self.checks.append(CheckResult(name, indices, worst,
+                                           worst <= limit, note, limit,
+                                           count))
 
     def extend(self, other: "VerificationReport") -> None:
         """Append the checks of other; its tolerances are not merged."""
         self.checks.extend(other.checks)
-
-    def max_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
 
     def to_dict(self) -> dict:
         return {

@@ -553,6 +553,24 @@ def test_approx_perturb_knot_bad_index_exits_2(capsys):
         assert code == 2
 
 
+# --perturb-knot is a usage error before any knot is computed, even when
+# the computation itself would fail (exit 3).
+@pytest.mark.parametrize("argv, message", [
+    (["--s", "1", "--a", "1", "--b", "1.0000000000000002", "--n", "3",
+      "--perturb-knot", "x"], "--perturb-knot expects INDEX,EPS"),
+    (["--s", "1e-300", "--a", "0", "--b", "1", "--n", "3",
+      "--perturb-knot", "9,1"], "--perturb-knot index must be interior (1..2)"),
+    (["--s", "1", "--a", "0", "--b", "4", "--n", "1",
+      "--perturb-knot", "1,1e-3"], "--n 1 has none"),
+])
+def test_approx_perturb_knot_is_checked_before_computing(capsys, argv,
+                                                          message):
+    code, out, err = run_cli(capsys, "approx", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
 def test_approx_empty_interval_exits_2(capsys):
     code, _, err = run_cli(capsys, "approx", "--s", "1", "--a", "2",
                            "--b", "2", "--n", "1")

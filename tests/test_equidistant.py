@@ -27,6 +27,7 @@ from simsonpoly.equidistant import (
     verify_parallel_chords,
     w_point,
 )
+from judged import max_residual
 from simsonpoly.kernel import DEFAULT_TOLERANCE, IdenticalLines, Line, Point, \
     circumcircle, line_through
 from simsonpoly.report import VerificationReport
@@ -249,19 +250,20 @@ def _family(report, name):
 def test_parallel_chords_pass_on_octagon():
     report = verify_parallel_chords(OCT)
     assert report.overall
-    assert report.max_residual() < 1e-9
+    assert max_residual(report) < 1e-9
     names = {c.name for c in report.checks}
     assert names == {"parallel-chords", "chord-tangent", "midpoints-aligned"}
 
 
-def test_parallel_chords_family_of_figure_checks():
+def test_parallel_chords_family_of_figure_checks(judged):
     # family i+j = 7 is V1V6, V2V5, V3V4; all slope 3, midpoints share x
     report = verify_parallel_chords(OCT)
+    rows = judged.rows(report)
     fam = _family(report, "parallel-chords")
-    fams = [r for idx, r in fam.rows() if idx == (7,)]
+    fams = [r for idx, r in rows[fam.name] if idx == (7,)]
     assert len(fams) == 1 and fams[0] <= fam.limit
     mid = _family(report, "midpoints-aligned")
-    mids = [r for idx, r in mid.rows() if idx == (7,)]
+    mids = [r for idx, r in rows[mid.name] if idx == (7,)]
     assert len(mids) == 1 and mids[0] <= mid.limit
 
 
@@ -275,10 +277,10 @@ def test_parallel_chords_fail_on_perturbation():
     assert not verify_parallel_chords(_perturbed(OCT)).overall
 
 
-def test_isogonal_passes_on_octagon():
+def test_isogonal_passes_on_octagon(judged):
     report = verify_isogonal(OCT)
     assert report.overall
-    assert len(_family(report, "isogonal").rows()) == 8
+    assert len(judged.rows(report)["isogonal"]) == 8
 
 
 def test_isogonal_passes_on_general_simson_polygon():
@@ -304,10 +306,10 @@ def test_isogonal_fails_on_perturbation():
     assert not verify_isogonal(_perturbed(OCT)).overall
 
 
-def test_optical_passes_on_octagon():
+def test_optical_passes_on_octagon(judged):
     report = verify_optical(OCT)
     assert report.overall
-    assert len(_family(report, "optical").rows()) == 6
+    assert len(judged.rows(report)["optical"]) == 6
 
 
 def test_optical_fails_when_focus_moves():
@@ -318,22 +320,22 @@ def test_optical_fails_when_focus_moves():
     assert not verify_optical(moved).overall
 
 
-def test_archimedes_alignment_example():
+def test_archimedes_alignment_example(judged):
     report = verify_archimedes(OCT)
     assert report.overall
-    pair = [r for idx, r in _family(report, "archimedes").rows()
+    pair = [r for idx, r in judged.rows(report)["archimedes"]
             if idx == (1, 3)]
     assert len(pair) == 1 and pair[0] < 1e-9
 
 
-def test_archimedes_family_shares_coordinate():
+def test_archimedes_family_shares_coordinate(judged):
     # W_{1,4} and W_{2,3} both sit at x = 2*x0 + 5*delta = 5
     cfg = OCT.config
     assert w_point(cfg, 1, 4).x == pytest.approx(5.0)
     assert w_point(cfg, 2, 3).x == pytest.approx(5.0)
     report = verify_archimedes(OCT)
     family = _family(report, "archimedes-family")
-    fam = [r for idx, r in family.rows() if idx == (5,)]
+    fam = [r for idx, r in judged.rows(report)[family.name] if idx == (5,)]
     assert len(fam) == 1 and fam[0] <= family.limit
 
 
@@ -427,8 +429,8 @@ def test_extend_does_not_merge_tolerances():
 
 def test_judge_passes_at_the_limit():
     report = VerificationReport()
-    report.judge("x", [(1,)], [1e-9], 1e-9)
-    report.judge("y", [(2,)], [2e-9], 1e-9, note="n")
+    report.judge("x", [([1e-9], lambda k: (1,))], 1e-9)
+    report.judge("y", [([2e-9], lambda k: (2,))], 1e-9, note="n")
     assert [c.passed for c in report.checks] == [True, False]
     assert report.checks[1].note == "n"
 
@@ -458,7 +460,7 @@ def test_verifier_suite_on_random_configs():
                        verify_optical(poly), verify_archimedes(poly),
                        verify_lambert(poly, 1, 2, 3)):
             assert report.overall
-            assert report.max_residual() <= 1e-9 * scale
+            assert max_residual(report) <= 1e-9 * scale
 
 
 # ------------------------------------------------------------------- sandwich

@@ -64,7 +64,7 @@ CASES = [
      f"projections={FEET!r}, simson_point={P2!r}, config={CONFIG!r})"),
     (CheckResult, dict(name="x", indices=(1,), residual=0.5, passed=True),
      "CheckResult(name='x', indices=(1,), residual=0.5, passed=True, "
-     "note='', limit=None, pair_indices=((1,),), residuals=(0.5,))"),
+     "note='', limit=None, count=1)"),
     (VerificationReport, dict(checks=[CHECK], tolerances={"scale": 2.0}),
      f"VerificationReport(checks=[{CHECK!r}], tolerances={{'scale': 2.0}})"),
     (ConvergenceRow, dict(delta=0.5, hausdorff=0.125, bound=0.125),
@@ -143,11 +143,8 @@ def test_defaults():
     assert Tolerance() == Tolerance(abs_eps=1e-9, rel_eps=1e-9)
     assert Parabola(2.0) == Parabola(s=2.0, c=0.0)
     check = CheckResult("x", (1, 2), 0.5, True)
-    assert (check.note, check.limit, check.pair_indices, check.residuals) \
-        == ("", None, ((1, 2),), (0.5,))
-    kept = CheckResult("x", (2,), 0.5, True, pair_indices=[(1,), (2,)],
-                       residuals=[0.0, 0.5])
-    assert (kept.pair_indices, kept.residuals) == ([(1,), (2,)], [0.0, 0.5])
+    assert (check.note, check.limit, check.count) == ("", None, 1)
+    assert CheckResult("x", (2,), 0.5, True, count=2).count == 2
     assert ConvergenceRow(0.5, 0.1, 0.1).chain_to_parabola is None
     report, other = VerificationReport(), VerificationReport()
     assert (report.checks, report.tolerances) == ([], {})

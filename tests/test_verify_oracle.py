@@ -197,9 +197,11 @@ def _frames():
 EQUIDISTANT_FRAMES, GENERAL_FRAMES = _frames()
 
 
-def _assert_matches(report, expected, poly, optical_rel=1e-12):
-    got = {c.name: c.rows() for c in report.checks}
+def _assert_matches(judged, report, expected, poly, optical_rel=1e-12):
+    got = judged.rows(report)
     assert len(got) == len(report.checks)
+    assert [c.count for c in report.checks] == \
+        [len(got[c.name]) for c in report.checks]
     want = _families(expected)
     assert sorted(got) == sorted(want)
     for name, rows in want.items():
@@ -212,9 +214,9 @@ def _assert_matches(report, expected, poly, optical_rel=1e-12):
                 assert res == ref, (name, idx)
 
 
-def _assert_matches_scalar(report, expected, poly):
+def _assert_matches_scalar(judged, report, expected, poly):
     # The float passes repeat the scalar operations, optical included.
-    _assert_matches(report, expected, poly, optical_rel=0.0)
+    _assert_matches(judged, report, expected, poly, optical_rel=0.0)
 
 
 def _lambert_triples(n):
@@ -222,52 +224,59 @@ def _lambert_triples(n):
 
 
 @pytest.mark.parametrize("k", range(len(EQUIDISTANT_FRAMES)))
-def test_equidistant_verifiers_match_general_line_oracle(k):
+def test_equidistant_verifiers_match_general_line_oracle(judged, k):
     poly = EQUIDISTANT_FRAMES[k]
-    _assert_matches(verify_parallel_chords(poly), oracle_parallel_chords(poly),
+    _assert_matches(judged, verify_parallel_chords(poly),
+                    oracle_parallel_chords(poly), poly)
+    _assert_matches(judged, verify_isogonal(poly), oracle_isogonal(poly),
                     poly)
-    _assert_matches(verify_isogonal(poly), oracle_isogonal(poly), poly)
-    _assert_matches(verify_optical(poly), oracle_optical(poly), poly)
-    _assert_matches(verify_archimedes(poly), oracle_archimedes(poly), poly)
+    _assert_matches(judged, verify_optical(poly), oracle_optical(poly), poly)
+    _assert_matches(judged, verify_archimedes(poly), oracle_archimedes(poly),
+                    poly)
     for idx in _lambert_triples(poly.n):
-        _assert_matches(verify_lambert(poly, *idx), oracle_lambert(poly, idx),
-                        poly)
+        _assert_matches(judged, verify_lambert(poly, *idx),
+                        oracle_lambert(poly, idx), poly)
 
 
 @pytest.mark.parametrize("k", range(len(GENERAL_FRAMES)))
-def test_general_frame_verifiers_match_general_line_oracle(k):
+def test_general_frame_verifiers_match_general_line_oracle(judged, k):
     frame = GENERAL_FRAMES[k]
-    _assert_matches(verify_isogonal(frame), oracle_isogonal(frame), frame)
-    _assert_matches(verify_optical(frame), oracle_optical(frame), frame)
-    _assert_matches(verify_archimedes(frame), oracle_archimedes(frame), frame)
+    _assert_matches(judged, verify_isogonal(frame), oracle_isogonal(frame),
+                    frame)
+    _assert_matches(judged, verify_optical(frame), oracle_optical(frame),
+                    frame)
+    _assert_matches(judged, verify_archimedes(frame),
+                    oracle_archimedes(frame), frame)
     for idx in _lambert_triples(frame.n):
-        _assert_matches(verify_lambert(frame, *idx),
+        _assert_matches(judged, verify_lambert(frame, *idx),
                         oracle_lambert(frame, idx), frame)
 
 
 @pytest.mark.parametrize("k", range(len(EQUIDISTANT_FRAMES)))
-def test_equidistant_families_match_scalar_verifiers(k):
+def test_equidistant_families_match_scalar_verifiers(judged, k):
     poly = EQUIDISTANT_FRAMES[k]
-    _assert_matches_scalar(verify_parallel_chords(poly),
+    _assert_matches_scalar(judged, verify_parallel_chords(poly),
                            scalar_parallel_chords(poly), poly)
-    _assert_matches_scalar(verify_isogonal(poly), scalar_isogonal(poly), poly)
-    _assert_matches_scalar(verify_optical(poly), scalar_optical(poly), poly)
-    _assert_matches_scalar(verify_archimedes(poly), scalar_archimedes(poly),
-                           poly)
+    _assert_matches_scalar(judged, verify_isogonal(poly),
+                           scalar_isogonal(poly), poly)
+    _assert_matches_scalar(judged, verify_optical(poly),
+                           scalar_optical(poly), poly)
+    _assert_matches_scalar(judged, verify_archimedes(poly),
+                           scalar_archimedes(poly), poly)
     for idx in _lambert_triples(poly.n):
-        _assert_matches_scalar(verify_lambert(poly, *idx),
+        _assert_matches_scalar(judged, verify_lambert(poly, *idx),
                                scalar_lambert(poly, *idx), poly)
 
 
 @pytest.mark.parametrize("k", range(len(GENERAL_FRAMES)))
-def test_general_frame_families_match_scalar_verifiers(k):
+def test_general_frame_families_match_scalar_verifiers(judged, k):
     frame = GENERAL_FRAMES[k]
-    _assert_matches_scalar(verify_isogonal(frame), scalar_isogonal(frame),
-                           frame)
-    _assert_matches_scalar(verify_optical(frame), scalar_optical(frame),
-                           frame)
-    _assert_matches_scalar(verify_archimedes(frame), scalar_archimedes(frame),
-                           frame)
+    _assert_matches_scalar(judged, verify_isogonal(frame),
+                           scalar_isogonal(frame), frame)
+    _assert_matches_scalar(judged, verify_optical(frame),
+                           scalar_optical(frame), frame)
+    _assert_matches_scalar(judged, verify_archimedes(frame),
+                           scalar_archimedes(frame), frame)
 
 
 def test_oracle_sees_nonzero_residuals():
