@@ -350,7 +350,9 @@ def verify_archimedes(poly: SimsonPolygonFrame) -> VerificationReport:
     c = [line.c for line in sides]
     parallel = DEFAULT_TOLERANCE.bound(1.0)
     # hi[sigma - 3] and lo[sigma - 3] fold the meets W with index sum
-    # sigma as builtin max and min would fold their list, in pair order.
+    # sigma as builtin max and min would fold their list, in pair order:
+    # a later value replaces the kept one only if it compares greater
+    # (smaller), so every comparison below is the builtins' own.
     hi: list[float] = []
     lo: list[float] = []
 
@@ -370,12 +372,18 @@ def verify_archimedes(poly: SimsonPolygonFrame) -> VerificationReport:
                 ws.append(w)
                 m1 = 0.5 * (x_i + xs[j])
                 m2 = 0.5 * (x_next + xs[j - 1])
-                residuals.append(max(w, m1, m2) - min(w, m1, m2))
+                top = m1 if m1 > w else w
+                bottom = m1 if m1 < w else w
+                residuals.append((m2 if m2 > top else top)
+                                 - (m2 if m2 < bottom else bottom))
             # Row i's meets have the index sums 2i + 1 .. i + n - 2, of
             # which only the last is new (all of them in row 1).
             first = 2 * i - 2
-            hi[first:] = [*map(max, hi[first:], ws), *ws[len(hi) - first:]]
-            lo[first:] = [*map(min, lo[first:], ws), *ws[len(lo) - first:]]
+            new = ws[len(hi) - first:]
+            hi[first:] = [w if w > h else h
+                          for h, w in zip(hi[first:], ws)] + new
+            lo[first:] = [w if w < h else h
+                          for h, w in zip(lo[first:], ws)] + new
             yield residuals, lambda k, i=i: (i, i + 1 + k)
 
     report.judge("archimedes", pair_blocks(), limit)

@@ -427,6 +427,33 @@ def characterization_defect(poly: Polygon) -> float:
                default=math.inf)
 
 
+def _first_close_pair(points: Sequence[Point],
+                      bound: float) -> Optional[tuple[int, int]]:
+    """First pair i < j, in (i, j) order, with ``distance <= bound``.
+
+    Two points that close are at most that far apart along either axis,
+    so a sweep along the axis of the larger extent tests only the pairs
+    whose gap there is within the bound (widened by a few ulps), with
+    the same ``distance <= bound`` test as a scan of all pairs.
+    """
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
+    key = xs if max(xs) - min(xs) >= max(ys) - min(ys) else ys
+    order = sorted(range(len(points)), key=key.__getitem__)
+    window = bound + 4 * math.ulp(bound)
+    best = None
+    for pos, first in enumerate(order):
+        for later in range(pos + 1, len(order)):
+            second = order[later]
+            if key[second] - key[first] > window:
+                break
+            pair = (first, second) if first < second else (second, first)
+            if (best is None or pair < best) and \
+                    points[pair[0]].distance(points[pair[1]]) <= bound:
+                best = pair
+    return best
+
+
 def construct_simson_polygon(s: Point, l: Line,
                              feet: Sequence[Point]) -> Polygon:
     """Polygon with prescribed Simson point s, Simson line l and feet.
@@ -437,21 +464,27 @@ def construct_simson_polygon(s: Point, l: Line,
     module and the pedals of s are exactly the feet, cyclically shifted
     by one (pedal onto side i is feet[i+1]).
 
-    Raises PointOnLine when s lies on l, DuplicateFeet when two feet
-    coincide, and GeometryError when a foot is off the line l.
+    Raises NonFinite when the extent of the feet and s overflows,
+    PointOnLine when s lies on l, DuplicateFeet when two feet coincide
+    (naming the first such pair i < j), and GeometryError when a foot is
+    off the line l.
     """
     n = len(feet)
     if n < 3:
         raise GeometryError("construct_simson_polygon needs at least 3 feet")
     scale = bbox_diagonal(list(feet) + [s])
-    if l.distance(s) <= DEFAULT_TOLERANCE.bound(scale):
+    # An infinite scale would make every tolerance test pass.
+    if not math.isfinite(scale):
+        raise NonFinite(f"diameter {scale} of the feet and the simson point "
+                        "leaves the float range")
+    bound = DEFAULT_TOLERANCE.bound(scale)
+    if l.distance(s) <= bound:
         raise PointOnLine("simson point lies on the simson line")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if feet[i].distance(feet[j]) <= DEFAULT_TOLERANCE.bound(scale):
-                raise DuplicateFeet(f"feet {i} and {j} coincide")
+    pair = _first_close_pair(feet, bound)
+    if pair is not None:
+        raise DuplicateFeet(f"feet {pair[0]} and {pair[1]} coincide")
     for i, x in enumerate(feet):
-        if l.distance(x) > DEFAULT_TOLERANCE.bound(scale):
+        if l.distance(x) > bound:
             raise GeometryError(f"foot {i} does not lie on the simson line")
     sides = []
     for x in feet:

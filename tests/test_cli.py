@@ -121,6 +121,18 @@ def test_construct_point_on_line_exits_3(capsys):
     assert code == 3
 
 
+def test_construct_overflowing_feet_exit_3_naming_the_float_range(capsys):
+    # The extent overflows; s is not on L, whatever an infinite tolerance
+    # would say.
+    code, out, err = run_cli(capsys, "construct",
+                             "--feet=0,0;1e308,0;-1e308,0",
+                             "--simson-point=0,1", "--simson-line=y=0")
+    assert code == 3
+    assert out == ""
+    assert "leaves the float range" in err
+    assert "simson line" not in err
+
+
 def test_construct_bad_feet_spec_exits_2(capsys):
     code, _, _ = run_cli(capsys, "construct", "--feet", "zebra",
                          "--simson-point", "0,1", "--simson-line", "y=0")
@@ -927,3 +939,121 @@ def test_closed_stdout_exits_2(argv):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: cannot write stdout: ")
     assert proc.stderr.count("\n") == 1
+
+
+# ------------------------------------------------------------- process exit
+# A CLI process ends with os._exit once its output is flushed and the
+# atexit callbacks have run; in process, main() returns its code.
+
+LIMIT = ["limit", "--s", "1", "--m-max", "2"]
+
+# A script that runs the package as ``python -m simsonpoly`` would, with
+# an object whose finalizer prints at interpreter teardown.
+EXIT_PROBE = """
+import atexit, runpy, sys
+class Noisy:
+    def __del__(self):
+        print("teardown", flush=True)
+noisy = Noisy()
+atexit.register(print, "atexit hook")
+{setup}
+sys.argv = ["simsonpoly", *{argv!r}]
+runpy.run_module("simsonpoly", run_name="__main__", alter_sys=True)
+"""
+
+
+def _src_env():
+    # Without PYTHONUNBUFFERED a piped stdout is block-buffered, so output
+    # that no flush sends is lost.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return dict(env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.parametrize("setup, teardown", [
+    ("", False),
+    # A tracer (coverage, ``python -m trace``) or a profiler takes the
+    # ordinary exit.  Neither is defined in the script: a function of its
+    # own would keep its globals, and so ``noisy``, alive at teardown.
+    ("import functools, io; "
+     "sys.settrace(functools.partial(print, file=io.StringIO()))", True),
+    ("sys.setprofile(slice)", True),
+], ids=["plain", "traced", "profiled"])
+@pytest.mark.parametrize("argv, code", [
+    ([*LIMIT, "--quiet"], 0),
+    (["limit", "--s", "0", "--m-max", "2"], 3),
+    (["limit", "--s", "1", "--window", "x"], 2),
+], ids=["ok", "degenerate", "usage"])
+def test_process_skips_teardown_unless_traced(argv, code, setup, teardown):
+    script = EXIT_PROBE.format(setup=setup, argv=argv)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == code, proc.stderr
+    expected = "atexit hook\n" + ("teardown\n" if teardown else "")
+    assert proc.stdout == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--in", "{scene}"],
+    [*OCT_ARGS[:-1], "256"],
+], ids=["verify", "construct"])
+def test_piped_stdout_equals_out_file(tmp_path, argv):
+    # Everything written reaches the pipe before the process ends.
+    scene = tmp_path / "scene.json"
+    assert main([*OCT_ARGS[:-1], "256", "--out", str(scene)]) == 0
+    argv = [a.format(scene=scene) for a in argv]
+    out = tmp_path / "out.json"
+    cmd = [sys.executable, "-m", "simsonpoly", *argv]
+    piped = subprocess.run(cmd, capture_output=True, env=_src_env(),
+                           timeout=120)
+    filed = subprocess.run([*cmd, "--out", str(out)], capture_output=True,
+                           env=_src_env(), timeout=120)
+    assert piped.returncode == filed.returncode == 0, piped.stderr
+    assert filed.stdout == b""
+    assert piped.stdout == out.read_bytes()
+
+
+def test_profiler_still_prints_its_table():
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "simsonpoly", *LIMIT,
+         "--quiet"],
+        capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "function calls" in proc.stdout
+    assert "Ordered by" in proc.stdout
+
+
+def test_main_returns_in_process(capsys, monkeypatch):
+    def refuse(code):
+        raise AssertionError(f"os._exit({code}) in process")
+
+    monkeypatch.setattr(os, "_exit", refuse)
+    assert main([*LIMIT, "--quiet"]) == 0
+    assert main(["limit", "--s", "0", "--m-max", "2"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (LIMIT, 0),
+    (["limit", "--s", "0", "--m-max", "2"], 3),
+    (["bogus"], 2),
+    (["verify", "--help"], 0),
+], ids=["ok", "degenerate", "usage", "help"])
+def test_console_script_entry_point(capsys, argv, code):
+    # Run the [project.scripts] function as an installed console script
+    # runs it.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        entry = tomllib.load(fh)["project"]["scripts"]["simsonpoly"]
+    module, func = entry.split(":")
+    wrapper = EXIT_PROBE.split("{setup}")[0] + (
+        f"from {module} import {func}\nsys.exit({func}())\n")
+    proc = subprocess.run([sys.executable, "-c", wrapper, *argv],
+                          capture_output=True, text=True, env=_src_env(),
+                          timeout=120)
+    assert (main(argv), proc.returncode) == (code, code)
+    out, err = capsys.readouterr()
+    assert proc.stdout == out + "atexit hook\n"
+    assert proc.stderr == err

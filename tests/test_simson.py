@@ -5,8 +5,8 @@ import pytest
 
 from geomgen import random_convex_polygon, random_quadrilateral, \
     random_triangle, regular_polygon, xy
-from simsonpoly.kernel import DEFAULT_TOLERANCE, Circle, Line, NonFinite, \
-    Point, bbox_diagonal, line_through, point_on_circle
+from simsonpoly.kernel import DEFAULT_TOLERANCE, Circle, GeometryError, Line, \
+    NonFinite, Point, bbox_diagonal, line_through, point_on_circle
 from simsonpoly.simson import (
     CompleteQuadrilateral,
     DegenerateConfiguration,
@@ -375,6 +375,92 @@ def test_construct_rejects_foot_off_line():
     with pytest.raises(ValueError):
         construct_simson_polygon(Point(0, 1), Line(0, 1, 0),
                                  [Point(0, 0.5), Point(1, 0), Point(2, 0)])
+
+
+def test_construct_checks_run_in_order():
+    # PointOnLine before DuplicateFeet before a foot off the line.
+    dup_off_line = [Point(0, 0), Point(0, 0), Point(1, 0.5)]
+    with pytest.raises(PointOnLine):
+        construct_simson_polygon(Point(2, 0), Line(0, 1, 0), dup_off_line)
+    with pytest.raises(DuplicateFeet):
+        construct_simson_polygon(Point(0, 1), Line(0, 1, 0), dup_off_line)
+
+
+def test_construct_rejects_overflowing_extent():
+    # The feet span more than the float range: an infinite scale would
+    # make every tolerance test pass, s on L included.
+    feet = [Point(0, 0), Point(1e308, 0), Point(-1e308, 0)]
+    with pytest.raises(NonFinite, match="leaves the float range"):
+        construct_simson_polygon(Point(0, 1), Line(0, 1, 0), feet)
+
+
+def _first_duplicate_pair(feet, s):
+    bound = DEFAULT_TOLERANCE.bound(bbox_diagonal(list(feet) + [s]))
+    n = len(feet)
+    return next(((i, j) for i in range(n) for j in range(i + 1, n)
+                 if feet[i].distance(feet[j]) <= bound), None)
+
+
+def _duplicate_set(rng, n):
+    """Feet on a line of random direction (axis-parallel ones included),
+    some repeated, some moved off a foot, often along the line, by a
+    multiple of the bound near 1, and some moved off the line."""
+    angle = float(rng.choice([0.0, math.pi / 2, rng.uniform(0, math.pi)]))
+    u = Point(math.cos(angle), math.sin(angle))
+    ts = [float(t) for t in rng.uniform(-10, 10, n)]
+    feet = [Point(3 + t * u.x, -2 + t * u.y) for t in ts]
+    bound = DEFAULT_TOLERANCE.bound(30.0)
+    for _ in range(int(rng.integers(0, 4))):
+        i, j = (int(k) for k in rng.choice(n, 2, replace=False))
+        factor = float(rng.choice([0.0, 0.5, 1.0, 1.0 + 1e-9, 1.5, 3.0]))
+        phi = float(rng.choice([angle, rng.uniform(0, 2 * math.pi)]))
+        feet[j] = Point(feet[i].x + factor * bound * math.cos(phi),
+                        feet[i].y + factor * bound * math.sin(phi))
+    if rng.uniform() < 0.2:
+        k = int(rng.integers(n))
+        feet[k] = Point(feet[k].x - u.y, feet[k].y + u.x)
+    return feet, Point(3 - 5 * u.y, -2 + 5 * u.x)
+
+
+def test_duplicate_feet_names_the_first_pair_of_all_pairs():
+    rng = np.random.default_rng(2024)
+    found = 0
+    for _ in range(400):
+        feet, s = _duplicate_set(rng, int(rng.integers(3, 40)))
+        want = _first_duplicate_pair(feet, s)
+        line = line_through(Point(3, -2), s).perpendicular_at(Point(3, -2))
+        try:
+            construct_simson_polygon(s, line, feet)
+        except DuplicateFeet as exc:
+            assert str(exc) == f"feet {want[0]} and {want[1]} coincide"
+            found += 1
+        except GeometryError:
+            assert want is None
+        else:
+            assert want is None
+    assert 100 < found < 400
+
+
+def test_duplicate_feet_scan_compares_few_pairs(monkeypatch):
+    # All pairs would take n(n - 1)/2 distances; the sweep along the
+    # line (vertical here, so along y) takes none for spaced feet.
+    n = 2000
+    calls = []
+    distance = Point.distance
+
+    def counted(self, other):
+        calls.append(1)
+        return distance(self, other)
+
+    monkeypatch.setattr(Point, "distance", counted)
+    feet = [Point(1.0, 0.37 * k) for k in range(n)]
+    construct_simson_polygon(Point(3.0, 5.0), Line(1, 0, -1), feet)
+    assert len(calls) <= 2 * n
+    calls.clear()
+    with pytest.raises(DuplicateFeet, match="feet 0 and 1999 coincide"):
+        construct_simson_polygon(Point(3.0, 5.0), Line(1, 0, -1),
+                                 feet[:-1] + feet[:1])
+    assert len(calls) <= n
 
 
 def test_construct_round_trip_recovers_simson_data():
