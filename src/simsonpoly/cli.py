@@ -7,16 +7,16 @@ contract: 0 success, 2 usage or parse error, 3 geometric degeneracy,
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NoReturn, Optional, Sequence, \
     TextIO
 
-from .kernel import DEFAULT_TOLERANCE, GeometryError, Point
+from .kernel import DEFAULT_TOLERANCE, MAX_SEGMENTS, GeometryError, Point
 
 # Each command imports the layers it calls inside the function that calls
 # them, so a request loads only the modules its subcommand runs.
@@ -36,7 +36,7 @@ ALL_CHECKS = ("simson", "parallel-chords", "isogonal", "optical",
 
 
 class _CliError(Exception):
-    """Usage-level problem detected after argparse."""
+    """A usage error: one ``error:`` line on stderr and exit 2."""
 
 
 def _require_finite(flag: str, value: float) -> float:
@@ -308,6 +308,8 @@ def cmd_approx(args) -> int:
         raise _CliError(f"need a < b, got a={args.a}, b={args.b}")
     if args.n < 1:
         raise _CliError("--n must be at least 1")
+    if args.n > MAX_SEGMENTS:
+        raise _CliError(f"--n must be at most {MAX_SEGMENTS}")
     if args.perturb_knot:
         idx, eps = _parse_perturb_knot(args.perturb_knot)
         if args.n == 1:
@@ -393,124 +395,193 @@ def cmd_limit(args) -> int:
 
 # ----------------------------------------------------------------- plumbing
 
-# Flags that several subcommands read; argparse defaults each valued one
-# to None.
-_SHARED_FLAGS = {
-    "--out": dict(metavar="FILE",
-                  help="write JSON output here instead of stdout"),
-    "--svg": dict(metavar="FILE", help="also write an SVG figure"),
-    "--in": dict(dest="infile", metavar="FILE",
-                 help="input scene JSON ('-' for stdin)"),
-    "--quiet": dict(action="store_true", help="suppress stdout output"),
+class _Flag:
+    """One flag of the command line.
+
+    ``type`` is float, int or str for a flag that takes a value, or None
+    for a switch, which is False unless given.  ``dest`` is the attribute
+    the command reads; it defaults to the name without its dashes, with
+    ``_`` for ``-``.
+    """
+
+    __slots__ = ("name", "dest", "type", "default", "required", "metavar",
+                 "help")
+
+    def __init__(self, name: str, type: Optional[type], help: str, *,
+                 default=None, required: bool = False,
+                 metavar: Optional[str] = None, dest: Optional[str] = None):
+        self.name = name
+        self.dest = dest or name[2:].replace("-", "_")
+        self.type = type
+        self.default = False if type is None else default
+        self.required = required
+        self.metavar = metavar or self.dest.upper()
+        self.help = help
+
+
+_OUT = _Flag("--out", str, "write JSON output here instead of stdout",
+             metavar="FILE")
+_SVG = _Flag("--svg", str, "also write an SVG figure", metavar="FILE")
+_IN = _Flag("--in", str, "input scene JSON ('-' for stdin)", metavar="FILE",
+            dest="infile")
+_QUIET = _Flag("--quiet", None, "suppress stdout output")
+
+# The command line: each subcommand with its function, its summary and
+# the only flags it reads.  The parser, --help and every usage error read
+# this table; any other flag is an unrecognised argument (exit 2).
+COMMANDS = {
+    "construct": (cmd_construct, "build a Simson polygon scene", (
+        _OUT, _SVG, _QUIET,
+        _Flag("--equidistant", None, "use the equidistant closed form"),
+        _Flag("--s", float, "Simson point height"),
+        _Flag("--delta", float, "foot spacing"),
+        _Flag("--n", int, "number of sides"),
+        _Flag("--x0", float, "first foot abscissa", default=0.0),
+        _Flag("--feet", str, "feet as 'x,y;x,y;...'"),
+        _Flag("--simson-point", str, "point as 'x,y'"),
+        _Flag("--simson-line", str, "line as 'ax+by+c=0' or 'y=mx+k'"),
+    )),
+    "verify": (cmd_verify, "check scene polygon against the theorems", (
+        _OUT, _IN, _QUIET,
+        _Flag("--checks", str, "comma list from {%s} or all"
+              % ", ".join(ALL_CHECKS), default="all"),
+        _Flag("--triple", str, "side indices i,j,k for the lambert check",
+              default="1,2,3"),
+        _Flag("--negative-control", None, "perturb vertices before checking"),
+        _Flag("--perturb", float,
+              "perturbation size for --negative-control", default=1e-3),
+        _Flag("--seed", int, "seed for --negative-control noise, "
+              "non-negative; the noise is numpy's default_rng(SEED) "
+              "stream, reproduced without numpy", default=0),
+    )),
+    "approx": (cmd_approx, "optimal piecewise-linear approximation", (
+        _OUT, _SVG, _QUIET,
+        _Flag("--s", float, "parabola y = (x^2 - delta^2)/(4 s)",
+              required=True),
+        _Flag("--a", float, "left end of the interval", required=True),
+        _Flag("--b", float, "right end of the interval", required=True),
+        _Flag("--n", int, f"number of segments, at most {MAX_SEGMENTS}",
+              required=True),
+        _Flag("--delta", float, "parabola offset", default=0.0),
+        _Flag("--compare-quadrature", None,
+              "also integrate the error numerically"),
+        _Flag("--perturb-knot", str,
+              "report the objective change of a knot nudge",
+              metavar="INDEX,EPS"),
+    )),
+    "limit": (cmd_limit, "convergence of the chain to the parabola", (
+        _OUT, _QUIET,
+        _Flag("--s", float, "parabola y = x^2/(4 s)", required=True),
+        _Flag("--window", float, "half-width of the sampled window",
+              default=4.0),
+        _Flag("--m-max", int, "number of times delta = 1 is halved",
+              default=6),
+    )),
 }
 
-
-def _add_shared(p: argparse.ArgumentParser, flags: str) -> None:
-    """Declare the named flags of _SHARED_FLAGS on one subcommand."""
-    for flag in flags.split():
-        p.add_argument(flag, **_SHARED_FLAGS[flag])
+_HELP = ("-h", "--help")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Each subcommand declares only the flags it reads; any other flag
-    is an unrecognised argument (exit 2)."""
-    parser = argparse.ArgumentParser(
-        prog="simsonpoly",
-        description="Construct, verify, and approximate Simson polygons.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_con = sub.add_parser("construct", help="build a Simson polygon scene")
-    _add_shared(p_con, "--out --svg --quiet")
-    p_con.add_argument("--equidistant", action="store_true",
-                       help="use the equidistant closed form")
-    p_con.add_argument("--s", type=float, help="Simson point height")
-    p_con.add_argument("--delta", type=float, help="foot spacing")
-    p_con.add_argument("--n", type=int, help="number of sides")
-    p_con.add_argument("--x0", type=float, default=0.0,
-                       help="first foot abscissa (default 0)")
-    p_con.add_argument("--feet", help="feet as 'x,y;x,y;...'")
-    p_con.add_argument("--simson-point", help="point as 'x,y'")
-    p_con.add_argument("--simson-line", help="line as 'ax+by+c=0' or 'y=mx+k'")
-    p_con.set_defaults(func=cmd_construct)
-
-    p_ver = sub.add_parser("verify",
-                           help="check scene polygon against the theorems")
-    _add_shared(p_ver, "--out --in --quiet")
-    p_ver.add_argument("--checks", default="all",
-                       help="comma list from {%s} or all" % ", ".join(ALL_CHECKS))
-    p_ver.add_argument("--triple", default="1,2,3",
-                       help="side indices i,j,k for the lambert check")
-    p_ver.add_argument("--negative-control", action="store_true",
-                       help="perturb vertices before checking")
-    p_ver.add_argument("--perturb", type=float, default=1e-3,
-                       help="perturbation size for --negative-control")
-    p_ver.add_argument("--seed", type=int, default=0,
-                       help="seed for --negative-control noise, non-negative; "
-                       "the noise is numpy's default_rng(SEED) stream")
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_app = sub.add_parser("approx",
-                           help="optimal piecewise-linear approximation")
-    _add_shared(p_app, "--out --svg --quiet")
-    p_app.add_argument("--s", type=float, required=True)
-    p_app.add_argument("--a", type=float, required=True)
-    p_app.add_argument("--b", type=float, required=True)
-    p_app.add_argument("--n", type=int, required=True,
-                       help="number of segments")
-    p_app.add_argument("--delta", type=float, default=0.0)
-    p_app.add_argument("--compare-quadrature", action="store_true",
-                       help="also integrate the error numerically")
-    p_app.add_argument("--perturb-knot", default=None, metavar="INDEX,EPS",
-                       help="report the objective change of a knot nudge")
-    p_app.set_defaults(func=cmd_approx)
-
-    p_lim = sub.add_parser("limit",
-                           help="convergence of the chain to the parabola")
-    _add_shared(p_lim, "--out --quiet")
-    p_lim.add_argument("--s", type=float, required=True)
-    p_lim.add_argument("--window", type=float, default=4.0,
-                       help="half-width of the sampled window")
-    p_lim.add_argument("--m-max", type=int, default=6,
-                       help="number of times delta = 1 is halved")
-    p_lim.set_defaults(func=cmd_limit)
-    return parser
+def _top_help() -> str:
+    rows = "".join(f"\n  {name:<11}{summary}"
+                   for name, (_, summary, _) in COMMANDS.items())
+    return (f"usage: simsonpoly {{{','.join(COMMANDS)}}} [options]\n\n"
+            "Construct, verify, and approximate Simson polygons.\n\n"
+            f"commands:{rows}\n\n"
+            "Run 'simsonpoly COMMAND --help' for the flags of a command.")
 
 
-# Flags whose values may start with "-" (e.g. --feet "-1,0;0,0;1,0"),
-# which argparse would otherwise read as an option string.
-_DASH_VALUE_FLAGS = ("--feet", "--simson-point", "--simson-line",
-                     "--perturb-knot", "--triple")
-
-
-def _glue_dash_values(argv: list[str]) -> list[str]:
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else ""
-        if (tok in _DASH_VALUE_FLAGS and len(nxt) > 1
-                and nxt[0] == "-" and nxt[1] in "0123456789.xy"):
-            out.append(f"{tok}={nxt}")
-            i += 2
+def _command_help(command: str) -> str:
+    _, summary, flags = COMMANDS[command]
+    rows = [("-h, --help", "show this help message and exit")]
+    for f in flags:
+        if f.type is None:
+            rows.append((f.name, f.help))
+        elif f.default is None:
+            rows.append((f"{f.name} {f.metavar}", f.help))
         else:
-            out.append(tok)
-            i += 1
-    return out
+            rows.append((f"{f.name} {f.metavar}",
+                         f"{f.help} (default {f.default})"))
+    width = max(len(spelling) for spelling, _ in rows) + 2
+    required = "".join(f" {f.name} {f.metavar}" for f in flags if f.required)
+    return (f"usage: simsonpoly {command}{required} [options]\n\n"
+            f"{summary}\n\noptions:"
+            + "".join(f"\n  {spelling:<{width}}{text}"
+                      for spelling, text in rows))
+
+
+def _parse(argv: Sequence[str]):
+    """Read ``COMMAND [--flag VALUE | --flag=VALUE | --switch]...``.
+
+    Returns the command's function and its arguments, or the help text
+    that ``-h`` or ``--help`` asks for.  A valued flag takes the next
+    token unless that starts with ``--``, so ``-1,0;0,0;1,0``, ``-3`` and
+    ``-`` are values.  A repeated flag keeps its last value; names must
+    match exactly.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        if argv and argv[0] in _HELP:
+            return _top_help()
+        choices = ", ".join(repr(name) for name in COMMANDS)
+        if not argv:
+            raise _CliError("the following arguments are required: "
+                            f"command (choose from {choices})")
+        raise _CliError(f"argument command: invalid choice: {argv[0]!r} "
+                        f"(choose from {choices})")
+    func, _, flags = COMMANDS[argv[0]]
+    by_name = {f.name: f for f in flags}
+    values = {f.dest: f.default for f in flags}
+    unrecognized = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in _HELP:
+            return _command_help(argv[0])
+        name, eq, value = token.partition("=")
+        flag = by_name.get(name) if token.startswith("--") else None
+        if flag is None:
+            unrecognized.append(token)
+            continue
+        if flag.type is None:
+            if eq:
+                raise _CliError(f"argument {name}: ignored explicit "
+                                f"argument {value!r}")
+            values[flag.dest] = True
+            continue
+        if not eq:
+            value = next(tokens, "--")
+            if value.startswith("--"):
+                raise _CliError(f"argument {name}: expected one argument")
+        try:
+            values[flag.dest] = flag.type(value)
+        except ValueError:
+            raise _CliError(f"argument {name}: invalid "
+                            f"{flag.type.__name__} value: {value!r}") from None
+    # A required flag has no default.
+    missing = [f.name for f in flags if f.required and values[f.dest] is None]
+    if missing:
+        raise _CliError("the following arguments are required: "
+                        + ", ".join(missing))
+    if unrecognized:
+        raise _CliError("unrecognized arguments: " + " ".join(unrecognized))
+    for f in flags:
+        if f.type is float and values[f.dest] is not None:
+            _require_finite(f.name, values[f.dest])
+    return func, SimpleNamespace(**values)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    raw = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(_glue_dash_values(raw))
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        # Every float flag, named by its argparse dest, must be finite.
-        for dest, value in vars(args).items():
-            if isinstance(value, float):
-                _require_finite("--" + dest.replace("_", "-"), value)
-        code = args.func(args)
+        parsed = _parse(sys.argv[1:] if argv is None else argv)
+        if isinstance(parsed, str):
+            # As with argparse, help that cannot be written is dropped and
+            # the exit code stays 0.
+            try:
+                print(parsed)
+            except OSError:
+                pass
+            return EXIT_OK
+        func, args = parsed
+        code = func(args)
         # Flush here, so a reader that closed the pipe is caught below
         # and not only at interpreter exit.
         sys.stdout.flush()

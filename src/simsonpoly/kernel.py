@@ -115,6 +115,11 @@ class Tolerance(Frozen):
 
 DEFAULT_TOLERANCE = Tolerance()
 
+MAX_SEGMENTS = 2 ** 14
+"""Most segments of the finest chain of a convergence table (the chain
+over [-w, w] at spacing 2^-m_max has 2 w 2^m_max of them) and of the
+knot grid of ``simsonpoly approx --n``."""
+
 
 class Point(Frozen):
     """Point in the Euclidean plane.  Coordinates must be finite."""

@@ -38,12 +38,8 @@ from __future__ import annotations
 
 import math
 
-from .kernel import Frozen, GeometryError, InvalidConfig, Parabola, Point, \
-    equidistant_chain
-
-MAX_SEGMENTS = 2 ** 14
-"""Most segments the finest chain of a convergence table may have; the
-chain over [-w, w] at spacing 2^-m_max has 2 w 2^m_max of them."""
+from .kernel import MAX_SEGMENTS, Frozen, GeometryError, InvalidConfig, \
+    Parabola, Point, equidistant_chain
 
 _THIRD_TURN = 2.0 * math.pi / 3.0
 

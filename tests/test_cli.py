@@ -11,8 +11,8 @@ import pytest
 
 from geomgen import regular_polygon
 from simsonpoly import EquidistantConfig, Point, Polygon, make_equidistant
-from simsonpoly.cli import _perturbed, main
-from simsonpoly.kernel import DEFAULT_TOLERANCE, circumcircle, \
+from simsonpoly.cli import COMMANDS, _perturbed, main
+from simsonpoly.kernel import DEFAULT_TOLERANCE, MAX_SEGMENTS, circumcircle, \
     line_intersection, line_through
 from simsonpoly.scene import SceneDocument
 from simsonpoly.simson import find_simson_point
@@ -596,6 +596,16 @@ def test_approx_zero_segments_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n, code", [(MAX_SEGMENTS, 0),
+                                     (MAX_SEGMENTS + 1, 2)])
+def test_approx_segments_are_capped(capsys, n, code):
+    # Refused before any knot is built: a huge --n would exhaust memory.
+    got = run_cli(capsys, "approx", "--s", "1", "--a", "0", "--b", "1",
+                  "--n", str(n), "--quiet")
+    assert got == (code, "", f"error: --n must be at most {MAX_SEGMENTS}\n"
+                   if code else "")
+
+
 def test_approx_zero_s_exits_3(capsys):
     code, _, _ = run_cli(capsys, "approx", "--s", "0", "--a", "0",
                          "--b", "1", "--n", "1")
@@ -809,10 +819,6 @@ def test_unwritable_svg_exits_2(capsys, tmp_path):
 
 # ----------------------------------------------------------------- plumbing
 
-def test_no_command_exits_2(capsys):
-    assert run_cli(capsys)[0] == 2
-
-
 EQUI_5 = ["construct", "--equidistant", "--s", "1", "--delta", "1", "--n", "5"]
 APPROX = ["approx", "--s", "1", "--a", "0", "--b", "1", "--n", "2"]
 
@@ -834,8 +840,101 @@ def test_nonfinite_flag_exits_2(capsys, argv, flag):
     assert err.startswith(f"error: {flag} must be finite")
 
 
-def test_unknown_flag_exits_2(capsys):
-    assert run_cli(capsys, "limit", "--s", "1", "--frobnicate")[0] == 2
+COMMAND_CHOICES = "(choose from 'construct', 'verify', 'approx', 'limit')"
+
+
+# Each usage error is one line on stderr, with no traceback and no output.
+@pytest.mark.parametrize("argv, message", [
+    (["limit", "--s", "1", "--frobnicate"],
+     "unrecognized arguments: --frobnicate"),
+    (["limit", "--s", "1", "extra"], "unrecognized arguments: extra"),
+    # Flags are spelled in full: --neg is not --negative-control.
+    (["verify", "--neg"], "unrecognized arguments: --neg"),
+    ([], "the following arguments are required: command " + COMMAND_CHOICES),
+    (["bogus"],
+     "argument command: invalid choice: 'bogus' " + COMMAND_CHOICES),
+    (["approx", "--s", "1", "--a", "0", "--n", "2"],
+     "the following arguments are required: --b"),
+    (["limit", "--s", "x"], "argument --s: invalid float value: 'x'"),
+    (["limit", "--s", "1", "--m-max", "1.5"],
+     "argument --m-max: invalid int value: '1.5'"),
+    (["limit", "--s", "1", "--out"], "argument --out: expected one argument"),
+    (["limit", "--s", "1", "--out", "--quiet"],
+     "argument --out: expected one argument"),
+    ([*EQUI_5, "--equidistant=1"],
+     "argument --equidistant: ignored explicit argument '1'"),
+], ids=["unknown-flag", "stray-value", "abbreviation", "no-command",
+        "unknown-command", "missing-required", "bad-float", "bad-int",
+        "value-missing-at-end", "value-missing-before-flag",
+        "switch-with-value"])
+def test_unknown_flag_exits_2(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+FEET_ARGS = ["construct", "--feet", "0,0;1,0;2.5,0;4,0",
+             "--simson-point", "0.5,1", "--simson-line", "y=0"]
+VERIFY_ARGS = ["verify", "--in", "{octagon}"]
+LIMIT_ARGS = ["limit", "--s", "1", "--m-max", "1"]
+# For each valued flag, a well-formed request and another value of the
+# flag that the request still accepts; {octagon} is a scene file and
+# {written} a directory for --out and --svg.
+VALUED_FLAGS = {
+    ("construct", "--out"): (OCT_ARGS, "{written}/out.json"),
+    ("construct", "--svg"): (OCT_ARGS, "{written}/fig.svg"),
+    ("construct", "--s"): (OCT_ARGS, "2"),
+    ("construct", "--delta"): (OCT_ARGS, "0.5"),
+    ("construct", "--n"): (OCT_ARGS, "6"),
+    ("construct", "--x0"): (OCT_ARGS, "-3"),
+    ("construct", "--feet"): (FEET_ARGS, "-1,0;0,0;1,0"),
+    ("construct", "--simson-point"): (FEET_ARGS, "-0.5,2"),
+    ("construct", "--simson-line"): (FEET_ARGS, "-2y=0"),
+    ("verify", "--out"): (VERIFY_ARGS, "{written}/out.json"),
+    ("verify", "--in"): (VERIFY_ARGS, "-"),
+    ("verify", "--checks"): (VERIFY_ARGS, "simson,lambert"),
+    ("verify", "--triple"): (VERIFY_ARGS, "2,4,6"),
+    ("verify", "--perturb"): ([*VERIFY_ARGS, "--negative-control"], "1e-2"),
+    ("verify", "--seed"): ([*VERIFY_ARGS, "--negative-control"], "7"),
+    ("approx", "--out"): (APPROX, "{written}/out.json"),
+    ("approx", "--svg"): (APPROX, "{written}/fig.svg"),
+    ("approx", "--s"): (APPROX, "-2"),
+    ("approx", "--a"): (APPROX, "-1"),
+    ("approx", "--b"): (APPROX, "3"),
+    ("approx", "--n"): (APPROX, "5"),
+    ("approx", "--delta"): (APPROX, "0.5"),
+    ("approx", "--perturb-knot"): (APPROX, "1,-1e-3"),
+    ("limit", "--out"): (LIMIT_ARGS, "{written}/out.json"),
+    ("limit", "--s"): (LIMIT_ARGS, "-2"),
+    ("limit", "--window"): (LIMIT_ARGS, "2"),
+    ("limit", "--m-max"): (LIMIT_ARGS, "2"),
+}
+
+
+@pytest.mark.parametrize("command, flag, kind", [
+    pytest.param(command, f.name, f.type, id=command + f.name)
+    for command, (_, _, flags) in COMMANDS.items()
+    for f in flags if f.type is not None])
+def test_valued_flag_spellings_agree(capsys, tmp_path, monkeypatch,
+                                     command, flag, kind):
+    # --flag VALUE, --flag=VALUE and a repeated flag whose last value is
+    # VALUE make one request.  The first of the repeated values is of the
+    # flag's type but refused by the command, so it cannot win unseen.
+    octagon = octagon_scene(tmp_path)
+    written = tmp_path / "written"
+    written.mkdir()
+    request, value = VALUED_FLAGS[command, flag]
+    request = [a.format(octagon=octagon) for a in request]
+    value = value.format(written=written)
+    refused = {float: "nan", int: "-1", str: str(tmp_path / "none" / "x")}
+    results = []
+    for spelling in ([flag, value], [f"{flag}={value}"],
+                     [flag, refused[kind], flag, value]):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(octagon.read_text()))
+        results.append((*run_cli(capsys, *request, *spelling),
+                         {p.name: p.read_bytes() for p in written.iterdir()}))
+        for path in written.iterdir():
+            path.unlink()
+    assert results[0][0] in (0, 4), results[0][2]
+    assert results[1] == results[0] and results[2] == results[0]
 
 
 # Every flag each subcommand declares, --help included.
@@ -860,12 +959,14 @@ SUBCOMMAND_ARGS = {
 @pytest.mark.parametrize("command, flag", [
     ("construct", "--in"), ("verify", "--svg"), ("approx", "--tolerance"),
     ("approx", "--in"), ("limit", "--tolerance"), ("limit", "--svg"),
-    ("limit", "--in"),
+    ("limit", "--in"), ("verify", "--s"), ("approx", "--x0"),
+    ("construct", "--window"), ("limit", "--n"),
 ])
 def test_flag_of_another_subcommand_exits_2(capsys, tmp_path, command, flag):
     octagon = octagon_scene(tmp_path)
     svg = tmp_path / "fig.svg"
-    value = {"--in": str(octagon), "--svg": str(svg), "--tolerance": "1e-6"}
+    value = {"--in": str(octagon), "--svg": str(svg), "--tolerance": "1e-6",
+             "--s": "1", "--x0": "-3", "--window": "4", "--n": "2"}
     argv = [command, *(a.format(octagon=octagon)
                        for a in SUBCOMMAND_ARGS[command]), flag, value[flag]]
     code, out, err = run_cli(capsys, *argv)
@@ -904,6 +1005,25 @@ def test_help_lists_exactly_the_subcommand_flags(capsys, command):
     assert code == 0
     assert set(re.findall(r"--[a-z0-9-]+", out)) == \
         set(SUBCOMMAND_FLAGS[command].split())
+
+
+def test_top_level_help_lists_the_commands(capsys):
+    code, out, err = run_cli(capsys, "-h")
+    assert (code, err) == (0, "")
+    assert re.findall(r"^  (\w+) ", out, re.M) == list(COMMANDS)
+
+
+def test_readme_flag_table_is_the_cli_table():
+    # README, --help and the parser cannot drift apart: the README's table
+    # lists each subcommand's flags in the order of the CLI's table.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Each subcommand takes only the flags it reads:")[1]
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \| `([^`]*)` \|$",
+                      table.split("\n\n")[1], re.M)
+    assert {command: f"{io_flags} {own}".split()
+            for command, io_flags, own in rows} == \
+        {command: [f.name for f in flags]
+         for command, (_, _, flags) in COMMANDS.items()}
 
 
 def test_module_entry_point():
@@ -1039,7 +1159,17 @@ def test_main_returns_in_process(capsys, monkeypatch):
     (["limit", "--s", "0", "--m-max", "2"], 3),
     (["bogus"], 2),
     (["verify", "--help"], 0),
-], ids=["ok", "degenerate", "usage", "help"])
+    (["-h"], 0),
+    (["--help"], 0),
+    (["construct", "-h"], 0),
+    (["approx", "--help"], 0),
+    (["limit", "-h"], 0),
+    (["construct", "--feet", "-1,0;0,0;1,0", "--simson-point", "0,1",
+      "--simson-line", "y=0"], 0),
+    ([*LIMIT, "--out"], 2),
+], ids=["ok", "degenerate", "usage", "help", "top-help", "top-help-long",
+        "construct-help", "approx-help", "limit-help", "dash-value",
+        "missing-value"])
 def test_console_script_entry_point(capsys, argv, code):
     # Run the [project.scripts] function as an installed console script
     # runs it.

@@ -7,7 +7,9 @@ CLI imports each layer inside the command that calls it: ``limit``
 loads ``kernel`` and ``limits`` only, ``approx`` never loads the Simson,
 equidistant or scene modules, and only ``verify --negative-control``
 loads the noise generator ``_pcg64``.  No request loads ``dataclasses``
-or the ``inspect`` module it pulls in.  Each request runs as
+or the ``inspect`` module it pulls in, nor ``argparse`` and the
+``gettext``, ``locale`` and ``textwrap`` modules it uses: the CLI reads
+its own flag table.  Each request runs as
 ``python -X importtime -m simsonpoly`` in a fresh interpreter, whose
 import-time log names every module it adds to ``sys.modules``.  No wall
 clock is read.  numpy is a test dependency: no module of the package
@@ -90,6 +92,7 @@ def test_request_imports_only_its_layers(tmp_path, octagon, argv, code,
     assert "numpy" not in imported
     # The value types are slotted classes: no dataclasses, so no inspect.
     assert not {"dataclasses", "inspect"} & imported
+    assert not {"argparse", "gettext", "locale", "textwrap"} & imported
 
 
 def test_only_numeric_requests_load_numpy(tmp_path):
