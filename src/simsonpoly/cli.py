@@ -569,6 +569,13 @@ def _parse(argv: Sequence[str]):
     return func, SimpleNamespace(**values)
 
 
+def _drop_stdout() -> None:
+    """Point stdout at the null device, where a later flush cannot fail."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         parsed = _parse(sys.argv[1:] if argv is None else argv)
@@ -576,9 +583,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # As with argparse, help that cannot be written is dropped and
             # the exit code stays 0.
             try:
-                print(parsed)
+                print(parsed, flush=True)
             except OSError:
-                pass
+                _drop_stdout()
             return EXIT_OK
         func, args = parsed
         code = func(args)
@@ -587,11 +594,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError as exc:
-        # Send what is still buffered to the null device, or the flush at
-        # interpreter exit raises again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _drop_stdout()
         print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     except _CliError as exc:

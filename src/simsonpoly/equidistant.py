@@ -329,13 +329,13 @@ def verify_archimedes(poly: SimsonPolygonFrame) -> VerificationReport:
 
     For 1 <= i < j <= n-2 the meet W_{i,j} of the side lines V_i V_{i+1}
     and V_j V_{j+1} lines up orthogonally to L with the chord midpoints
-    M(V_i, V_{j+1}) and M(V_{i+1}, V_j).  On top of the per-pair checks,
-    all W with index sum sigma and all midpoints with index sum sigma+1
-    share one such orthogonal line, checked per family.
+    M(V_i, V_{j+1}) and M(V_{i+1}, V_j).  All W with index sum sigma and
+    all midpoints with index sum sigma+1 share one such orthogonal line,
+    checked once per sigma; it holds the three points of each pair.
 
-    Vertex abscissae and side-line coefficients are read once into float
-    lists; a meet is computed as ``line_intersection`` computes it, with
-    the same guard on the determinant.
+    A meet is computed as ``line_intersection`` computes it, with the
+    same guard on the determinant; of the side lines that do not cross,
+    the first pair (i, j) in lexicographic order is reported.
     """
     report = VerificationReport()
     if poly.n < 5:
@@ -349,54 +349,32 @@ def verify_archimedes(poly: SimsonPolygonFrame) -> VerificationReport:
     b = [line.b for line in sides]
     c = [line.c for line in sides]
     parallel = DEFAULT_TOLERANCE.bound(1.0)
-    # hi[sigma - 3] and lo[sigma - 3] fold the meets W with index sum
-    # sigma as builtin max and min would fold their list, in pair order:
-    # a later value replaces the kept one only if it compares greater
-    # (smaller), so every comparison below is the builtins' own.
-    hi: list[float] = []
-    lo: list[float] = []
-
-    def pair_blocks():
-        for i in range(1, n - 1):
-            ai, bi, ci = a[i - 1], b[i - 1], c[i - 1]
-            x_i, x_next = xs[i - 1], xs[i]
-            ws, residuals = [], []
-            for j in range(i + 1, n - 1):
-                det = ai * b[j - 1] - a[j - 1] * bi
-                if abs(det) <= parallel:
-                    # line_intersection raises IdenticalLines for coincident
-                    # sides and returns None for parallel ones.
-                    line_intersection(sides[i - 1], sides[j - 1])
-                    raise ParallelSides(f"side lines {i} and {j} are parallel")
-                w = (bi * c[j - 1] - b[j - 1] * ci) / det
-                ws.append(w)
-                m1 = 0.5 * (x_i + xs[j])
-                m2 = 0.5 * (x_next + xs[j - 1])
-                top = m1 if m1 > w else w
-                bottom = m1 if m1 < w else w
-                residuals.append((m2 if m2 > top else top)
-                                 - (m2 if m2 < bottom else bottom))
-            # Row i's meets have the index sums 2i + 1 .. i + n - 2, of
-            # which only the last is new (all of them in row 1).
-            first = 2 * i - 2
-            new = ws[len(hi) - first:]
-            hi[first:] = [w if w > h else h
-                          for h, w in zip(hi[first:], ws)] + new
-            lo[first:] = [w if w < h else h
-                          for h, w in zip(lo[first:], ws)] + new
-            yield residuals, lambda k, i=i: (i, i + 1 + k)
-
-    report.judge("archimedes", pair_blocks(), limit)
-    fam_res = []
-    for sigma, top, bottom in zip(range(3, 2 * n), hi, lo):
-        # The midpoints M(V_c, V_d), c <= d, with c + d = sigma + 1; the
-        # vertex V_c itself when c = d.
-        t = sigma + 1
-        coords = [xs[k - 1] if 2 * k == t
-                  else 0.5 * (xs[k - 1] + xs[t - k - 1])
-                  for k in range(max(1, t - n + 1), t // 2 + 1)]
-        fam_res.append(max(top, *coords) - min(bottom, *coords))
-    report.judge("archimedes-family", [(fam_res, lambda k: (k + 3,))], limit)
+    parallel_pairs, residuals = [], []
+    for sigma in range(3, 2 * n - 4):
+        ws = []
+        for i in range(max(1, sigma - n + 2), (sigma + 1) // 2):
+            j = sigma - i
+            det = a[i - 1] * b[j - 1] - a[j - 1] * b[i - 1]
+            if abs(det) <= parallel:
+                parallel_pairs.append((i, j))
+            else:
+                ws.append((b[i - 1] * c[j - 1] - b[j - 1] * c[i - 1]) / det)
+        if parallel_pairs:
+            continue
+        # The midpoints M(V_k, V_l), k <= l, with k + l = sigma + 1; the
+        # vertex V_k itself when k = l.
+        coords = [xs[k - 1] if 2 * k == sigma + 1
+                  else 0.5 * (xs[k - 1] + xs[sigma - k])
+                  for k in range(max(1, sigma - n + 2), (sigma + 3) // 2)]
+        residuals.append(max(*ws, *coords) - min(*ws, *coords))
+    if parallel_pairs:
+        i, j = min(parallel_pairs)
+        # line_intersection raises IdenticalLines for coincident sides and
+        # returns None for parallel ones.
+        line_intersection(sides[i - 1], sides[j - 1])
+        raise ParallelSides(f"side lines {i} and {j} are parallel")
+    report.judge("archimedes-family", [(residuals, lambda k: (k + 3,))],
+                 limit)
     return report
 
 
@@ -413,10 +391,11 @@ def verify_lambert(poly: SimsonPolygonFrame, i: int, j: int,
     idx = (i, j, k)
     if len(set(idx)) != 3 or not all(1 <= t <= n for t in idx):
         raise IndexOutOfRange(f"need three distinct sides in 1..{n}, got {idx}")
-    sides = poly.polygon().side_lines()
+    polygon = poly.polygon()
+    sides = {t: polygon.side_line(t - 1) for t in idx}
     corners = []
     for t1, t2 in combinations(idx, 2):
-        cross = line_intersection(sides[t1 - 1], sides[t2 - 1])
+        cross = line_intersection(sides[t1], sides[t2])
         if cross is None:
             raise ParallelSides(f"side lines {t1} and {t2} are parallel")
         corners.append(cross)

@@ -101,63 +101,51 @@ class SceneDocument:
 
     def __init__(self, entities: Optional[list[dict]] = None):
         self.entities: list[dict] = []
+        # self.entities by id, so an insert checks uniqueness in O(1).
+        self._by_id: dict[str, dict] = {}
         for e in entities or []:
             self._insert(e)
 
-    def _insert(self, entity: dict) -> None:
+    def _insert(self, entity: dict, style: Optional[dict] = None) -> None:
+        """Append entity, with style as its last key when one is given."""
         etype = entity.get("type")
         if etype not in ENTITY_TYPES:
             raise SceneFormatError(f"unknown entity type {etype!r}")
         eid = entity.get("id")
         if not isinstance(eid, str) or not eid:
             raise SceneFormatError(f"entity of type {etype!r} needs a string id")
-        if any(e["id"] == eid for e in self.entities):
+        if eid in self._by_id:
             raise SceneFormatError(f"duplicate entity id {eid!r}")
+        if style:
+            entity["style"] = style
+        self._by_id[eid] = entity
         self.entities.append(entity)
 
     def add_point(self, eid: str, p: Point, **style) -> None:
-        e = {"type": "point", "id": eid, "x": p.x, "y": p.y}
-        if style:
-            e["style"] = style
-        self._insert(e)
+        self._insert({"type": "point", "id": eid, "x": p.x, "y": p.y}, style)
 
     def add_line(self, eid: str, l: Line, **style) -> None:
-        e = {"type": "line", "id": eid, "a": l.a, "b": l.b, "c": l.c}
-        if style:
-            e["style"] = style
-        self._insert(e)
+        self._insert({"type": "line", "id": eid, "a": l.a, "b": l.b,
+                      "c": l.c}, style)
 
     def add_circle(self, eid: str, c: Circle, **style) -> None:
-        e = {"type": "circle", "id": eid, "cx": c.center.x, "cy": c.center.y,
-             "r": c.radius}
-        if style:
-            e["style"] = style
-        self._insert(e)
+        self._insert({"type": "circle", "id": eid, "cx": c.center.x,
+                      "cy": c.center.y, "r": c.radius}, style)
 
     def add_polygon(self, eid: str, poly: Polygon, **style) -> None:
-        e = {"type": "polygon", "id": eid,
-             "vertices": [[v.x, v.y] for v in poly.vertices]}
-        if style:
-            e["style"] = style
-        self._insert(e)
+        self._insert({"type": "polygon", "id": eid,
+                      "vertices": [[v.x, v.y] for v in poly.vertices]}, style)
 
     def add_parabola(self, eid: str, par: Parabola, **style) -> None:
-        e = {"type": "parabola", "id": eid, "s": par.s, "c": par.c}
-        if style:
-            e["style"] = style
-        self._insert(e)
+        self._insert({"type": "parabola", "id": eid, "s": par.s, "c": par.c},
+                     style)
 
     def add_annotation(self, eid: str, p: Point, text: str, **style) -> None:
-        e = {"type": "annotation", "id": eid, "x": p.x, "y": p.y, "text": text}
-        if style:
-            e["style"] = style
-        self._insert(e)
+        self._insert({"type": "annotation", "id": eid, "x": p.x, "y": p.y,
+                      "text": text}, style)
 
     def find(self, eid: str) -> dict:
-        for e in self.entities:
-            if e["id"] == eid:
-                return e
-        raise KeyError(eid)
+        return self._by_id[eid]
 
     def of_type(self, etype: str) -> list[dict]:
         return [e for e in self.entities if e["type"] == etype]

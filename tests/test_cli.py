@@ -155,7 +155,8 @@ def test_verify_octagon_all_checks_pass(capsys, tmp_path):
     assert report["overall"] is True
     names = {c["name"] for c in report["checks"]}
     assert {"simson", "parallel-chords", "isogonal", "optical",
-            "archimedes", "lambert"} <= names
+            "archimedes-family", "lambert"} <= names
+    assert len(report["checks"]) == 8
     assert all(c["pass"] for c in report["checks"])
     assert max(c["residual"] for c in report["checks"]) < 1e-9
 
@@ -1026,6 +1027,34 @@ def test_readme_flag_table_is_the_cli_table():
          for command, (_, _, flags) in COMMANDS.items()}
 
 
+def test_readme_tolerance_table_names_the_judged_families(capsys,
+                                                          tmp_path):
+    # README's tolerance table cannot drift from the report.  The octagon
+    # at 1/100 size has a scale below 1, so its length and angle limits
+    # differ, and the limit of each family names the rows listing it.
+    path = tmp_path / "small-octagon.json"
+    assert main(["construct", "--equidistant", "--s", "0.01", "--delta",
+                 "0.01", "--n", "8", "--out", str(path)]) == 0
+    code, out, _ = run_cli(capsys, "verify", "--in", str(path))
+    assert code == 0
+    report = json.loads(out)
+    tolerances = report["tolerances"]
+    assert tolerances["length_limit"] != tolerances["angle_limit"]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+_limit)` = [^|]*\| ([^|]*) \|$", readme,
+                      re.M)
+    assert [key for key, _ in rows] == ["length_limit", "angle_limit",
+                                        "lambert_limit"]
+    documented, judged = {}, {}
+    for key, text in rows:
+        documented.setdefault(tolerances[key], set()).update(
+            re.findall(r"`([\w-]+)`", text))
+    for check in report["checks"]:
+        if "limit" in check:
+            judged.setdefault(check["limit"], set()).add(check["name"])
+    assert judged == documented
+
+
 def test_module_entry_point():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -1059,6 +1088,22 @@ def test_closed_stdout_exits_2(argv):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: cannot write stdout: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["limit", "--help"],
+                                  ["verify", "-h"]])
+def test_help_into_closed_stdout_exits_0(argv):
+    # Help that cannot be written is dropped, as argparse dropped it: exit
+    # 0 and nothing on stderr, also with a block-buffered stdout.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "simsonpoly", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=_src_env(), timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 # ------------------------------------------------------------- process exit

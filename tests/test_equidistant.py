@@ -323,9 +323,10 @@ def test_optical_fails_when_focus_moves():
 def test_archimedes_alignment_example(judged):
     report = verify_archimedes(OCT)
     assert report.overall
-    pair = [r for idx, r in judged.rows(report)["archimedes"]
-            if idx == (1, 3)]
-    assert len(pair) == 1 and pair[0] < 1e-9
+    # W_{1,3}, M(V_1, V_4) and M(V_2, V_3) are judged in the family 4.
+    family = [r for idx, r in judged.rows(report)["archimedes-family"]
+              if idx == (4,)]
+    assert len(family) == 1 and family[0] < 1e-9
 
 
 def test_archimedes_family_shares_coordinate(judged):
@@ -363,6 +364,15 @@ def test_archimedes_rejects_sides_that_do_not_cross():
     with pytest.raises(IdenticalLines):
         verify_archimedes(_frame([(0, 0), (1, 0), (2, 1), (3, 0), (4, 0),
                                   (2, -3)]))
+
+
+def test_archimedes_names_the_first_pair_of_sides_that_do_not_cross():
+    # Sides 2 and 4 (index sum 6) and sides 1 and 6 (index sum 7) are
+    # parallel.  The meets are formed by index sum, but the error names
+    # the first such pair in lexicographic order.
+    with pytest.raises(ParallelSides, match="side lines 1 and 6"):
+        verify_archimedes(_frame([(0, 0), (4, 0), (5, 2), (4, 4), (5, 6),
+                                  (2, 7), (-1, 7), (-2, 3)]))
 
 
 def test_lambert_triangle_circumcircle_hits_simson_point():
@@ -433,6 +443,15 @@ def test_judge_passes_at_the_limit():
     report.judge("y", [([2e-9], lambda k: (2,))], 1e-9, note="n")
     assert [c.passed for c in report.checks] == [True, False]
     assert report.checks[1].note == "n"
+
+
+def test_lambert_builds_only_its_three_side_lines(monkeypatch):
+    built = []
+    real = Polygon.side_line
+    monkeypatch.setattr(Polygon, "side_line",
+                        lambda self, i: built.append(i) or real(self, i))
+    assert verify_lambert(OCT, 2, 5, 8).overall
+    assert sorted(built) == [1, 4, 7]
 
 
 def test_lambert_rejects_bad_indices():

@@ -101,8 +101,39 @@ def test_round_trip_preserves_awkward_floats():
 def test_duplicate_ids_rejected():
     scene = SceneDocument()
     scene.add_point("p", Point(0, 0))
-    with pytest.raises(SceneFormatError):
+    with pytest.raises(SceneFormatError, match="^duplicate entity id 'p'$"):
         scene.add_point("p", Point(1, 1))
+    text = json.dumps({"schema_version": "1", "entities": [
+        {"type": "point", "id": "q", "x": 0, "y": 0},
+        {"type": "point", "id": "q", "x": 1, "y": 1}]})
+    with pytest.raises(SceneFormatError, match="^duplicate entity id 'q'$"):
+        SceneDocument.from_json(text)
+
+
+class _CountedId(str):
+    """An entity id that counts the equality tests made on it."""
+
+    comparisons = 0
+
+    def __eq__(self, other):
+        _CountedId.comparisons += 1
+        return str.__eq__(self, other)
+
+    __hash__ = str.__hash__
+
+
+@pytest.mark.parametrize("n", [500, 2000])
+def test_scene_build_compares_ids_linearly(monkeypatch, n):
+    # Checking each new id against every earlier one made building a
+    # scene of n entities quadratic in n (construct --equidistant --n).
+    monkeypatch.setattr(_CountedId, "comparisons", 0)
+    scene = SceneDocument()
+    for i in range(n):
+        scene.add_point(_CountedId(f"X{i}"), Point(i, 0))
+    copy = SceneDocument(scene.entities)
+    assert len(copy.entities) == n
+    assert _CountedId.comparisons <= n
+    assert copy.find("X7") is scene.entities[7]
 
 
 def test_unknown_type_rejected():

@@ -11,6 +11,11 @@ distance from S to the perpendicular to L at the side midpoint,
 reflected in the side by mirroring two of its points.  In the canonical
 frame every residual but the optical one must agree bitwise; the
 optical one is computed by another route and agrees to rounding.
+
+Both references also list the per-pair Archimedes spreads, which the
+report has no entry for: each pair's three points belong to its index
+sum's ``archimedes-family``, and the subsumption tests below check that
+no pair spread exceeds its family's residual.
 """
 
 import math
@@ -23,7 +28,9 @@ from geomgen import random_equidistant_config
 from scalar_verifiers import scalar_archimedes, scalar_isogonal, \
     scalar_lambert, scalar_optical, scalar_parallel_chords
 from simsonpoly.equidistant import (
+    EquidistantConfig,
     EquidistantPolygon,
+    SimsonPolygonFrame,
     associated_parabola,
     frame_from_certificate,
     make_equidistant,
@@ -33,10 +40,11 @@ from simsonpoly.equidistant import (
     verify_optical,
     verify_parallel_chords,
 )
-from simsonpoly.kernel import DEFAULT_TOLERANCE, Line, Point, \
+from simsonpoly.kernel import DEFAULT_TOLERANCE, Line, NonFinite, Point, \
     angle_between_lines, angle_between_rays, circumcircle, \
     line_intersection, line_through, reflect_point
-from simsonpoly.simson import construct_simson_polygon, find_simson_point
+from simsonpoly.simson import Polygon, construct_simson_polygon, \
+    find_simson_point
 
 
 def _line_coord(line, p):
@@ -160,6 +168,12 @@ def _families(rows):
     return out
 
 
+def _families_judged(rows):
+    """The rows of the families a report holds: the per-pair
+    ``archimedes`` rows are left to the subsumption tests."""
+    return [row for row in rows if row[0] != "archimedes"]
+
+
 def _jittered(poly, rng, eps=1e-3):
     verts = tuple(Point(v.x + dx, v.y + dy) for v, (dx, dy)
                   in zip(poly.vertices, rng.uniform(-eps, eps, (poly.n, 2))))
@@ -231,8 +245,8 @@ def test_equidistant_verifiers_match_general_line_oracle(judged, k):
     _assert_matches(judged, verify_isogonal(poly), oracle_isogonal(poly),
                     poly)
     _assert_matches(judged, verify_optical(poly), oracle_optical(poly), poly)
-    _assert_matches(judged, verify_archimedes(poly), oracle_archimedes(poly),
-                    poly)
+    _assert_matches(judged, verify_archimedes(poly),
+                    _families_judged(oracle_archimedes(poly)), poly)
     for idx in _lambert_triples(poly.n):
         _assert_matches(judged, verify_lambert(poly, *idx),
                         oracle_lambert(poly, idx), poly)
@@ -246,7 +260,7 @@ def test_general_frame_verifiers_match_general_line_oracle(judged, k):
     _assert_matches(judged, verify_optical(frame), oracle_optical(frame),
                     frame)
     _assert_matches(judged, verify_archimedes(frame),
-                    oracle_archimedes(frame), frame)
+                    _families_judged(oracle_archimedes(frame)), frame)
     for idx in _lambert_triples(frame.n):
         _assert_matches(judged, verify_lambert(frame, *idx),
                         oracle_lambert(frame, idx), frame)
@@ -262,7 +276,7 @@ def test_equidistant_families_match_scalar_verifiers(judged, k):
     _assert_matches_scalar(judged, verify_optical(poly),
                            scalar_optical(poly), poly)
     _assert_matches_scalar(judged, verify_archimedes(poly),
-                           scalar_archimedes(poly), poly)
+                           _families_judged(scalar_archimedes(poly)), poly)
     for idx in _lambert_triples(poly.n):
         _assert_matches_scalar(judged, verify_lambert(poly, *idx),
                                scalar_lambert(poly, *idx), poly)
@@ -276,7 +290,7 @@ def test_general_frame_families_match_scalar_verifiers(judged, k):
     _assert_matches_scalar(judged, verify_optical(frame),
                            scalar_optical(frame), frame)
     _assert_matches_scalar(judged, verify_archimedes(frame),
-                           scalar_archimedes(frame), frame)
+                           _families_judged(scalar_archimedes(frame)), frame)
 
 
 def test_oracle_sees_nonzero_residuals():
@@ -287,3 +301,90 @@ def test_oracle_sees_nonzero_residuals():
                for p in jittered + GENERAL_FRAMES)
     assert all(max(r for *_, r in oracle_optical(p)) > 1e-6
                for p in jittered)
+
+
+def _moved_frame(cfg, theta, shift=(3.0, -2.0)):
+    """An equidistant polygon under a rigid motion, brought back to frame
+    by its Simson certificate."""
+    c, s = math.cos(theta), math.sin(theta)
+    poly = Polygon(tuple(Point(c * v.x - s * v.y + shift[0],
+                               s * v.x + c * v.y + shift[1])
+                         for v in make_equidistant(cfg).vertices))
+    cert = find_simson_point(poly)
+    assert cert is not None
+    return frame_from_certificate(poly, cert)
+
+
+def _random_frame(rng):
+    """Random vertices: a frame of a polygon with no Simson point."""
+    pts = tuple(Point(float(x), float(y)) for x, y
+                in rng.uniform(-3.0, 3.0, (int(rng.integers(5, 13)), 2)))
+    return SimsonPolygonFrame(vertices=pts, projections=pts,
+                              simson_point=Point(0.0, 1.0))
+
+
+def _scaled(frame, k):
+    def scale(p):
+        return Point(k * float(p.x), k * float(p.y))
+
+    return SimsonPolygonFrame(vertices=tuple(map(scale, frame.vertices)),
+                              projections=tuple(map(scale,
+                                                    frame.projections)),
+                              simson_point=scale(frame.simson_point))
+
+
+def _subsumption_frames():
+    rng = np.random.default_rng(1618)
+    moved = [_moved_frame(EquidistantConfig(s, x0, delta, n), 0.4 * k)
+             for n in (8, 32)
+             for k, (s, x0, delta) in enumerate(
+                 ((1.0, -3.5, 1.0), (-0.6, 2.2, 0.7), (2.5, 0.0, 1.3)))]
+    random = [_random_frame(rng) for _ in range(100)]
+    half = len(EQUIDISTANT_FRAMES) // 2
+    return {
+        "equidistant": EQUIDISTANT_FRAMES[:half],
+        "jittered": EQUIDISTANT_FRAMES[half:],
+        "moved": moved,
+        "constructed": GENERAL_FRAMES,
+        "random": random,
+        # The largest decade at which these frames' side lines stay finite.
+        "scaled-1e150": [_scaled(f, 1e150) for f in moved + random[:20]],
+    }
+
+
+SUBSUMPTION_FRAMES = _subsumption_frames()
+
+
+@pytest.mark.parametrize("group", sorted(SUBSUMPTION_FRAMES))
+def test_archimedes_pairs_are_subsumed_by_their_family(judged, group):
+    # The pair (i, j) spreads W_{i,j}, M(V_i, V_{j+1}) and M(V_{i+1}, V_j),
+    # all of which the family i + j holds: no pair spread may exceed the
+    # family residual, and a pair that fails its limit, or is NaN, must
+    # leave its family failing too.  So a per-pair entry could not change
+    # a verdict.
+    for frame in SUBSUMPTION_FRAMES[group]:
+        report = verify_archimedes(frame)
+        family = dict(judged.rows(report)["archimedes-family"])
+        limit = report.tolerances["length_limit"]
+        for oracle in (scalar_archimedes, oracle_archimedes):
+            pairs = [(idx, r) for name, idx, r in oracle(frame)
+                     if name == "archimedes"]
+            assert len(pairs) == (frame.n - 2) * (frame.n - 3) // 2
+            for (i, j), spread in pairs:
+                residual = family[(i + j,)]
+                assert not spread > residual, (group, i, j)
+                if not spread <= limit:
+                    assert not residual <= limit, (group, i, j)
+
+
+@pytest.mark.parametrize("k", [1e160, 1e305])
+def test_frames_past_the_float_range_form_no_meet(k):
+    # Scaled this far, with coordinates up to about 1e307, a side line's
+    # offset p.x*q.y - q.x*p.y overflows and the line is refused before
+    # any meet or midpoint is formed, so no infinite spread reaches a
+    # pair or a family.
+    for frame in (EQUIDISTANT_FRAMES[0], GENERAL_FRAMES[0],
+                  SUBSUMPTION_FRAMES["random"][0]):
+        scaled = _scaled(frame, k)
+        with pytest.raises(NonFinite, match="non-finite line"):
+            verify_archimedes(scaled)
