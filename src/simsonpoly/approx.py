@@ -16,7 +16,6 @@ other.
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import Sequence
 
@@ -27,16 +26,8 @@ class InvalidProblem(GeometryError):
     """Approximation problem parameters outside their domain."""
 
 
-class BadInterval(GeometryError):
-    """Segment endpoints out of order."""
-
-
 class UnorderedKnots(GeometryError):
     """Knot sequence not strictly increasing."""
-
-
-class OutOfDomain(GeometryError):
-    """Evaluation point outside [a, b]."""
 
 
 class LeavesFloatRange(GeometryError):
@@ -95,31 +86,6 @@ class ApproxResult(Frozen):
         object.__setattr__(self, "l2_error", l2_error)
 
 
-def segment_l1_error(p: ApproxProblem, xi: float, xj: float) -> float:
-    """Exact L1 interpolation error on one segment: (xj - xi)^3 / (24|s|).
-
-    Position-free: only the width enters.  Raises LeavesFloatRange when
-    it is not a finite float.
-    """
-    if not xi < xj:
-        raise BadInterval(f"need xi < xj, got [{xi}, {xj}]")
-    err = _power_ratio(1, xj - xi, 3, 24.0 * abs(p.s))
-    _require_finite((err,), p.s, xi, xj)
-    return err
-
-
-def segment_l2_error(p: ApproxProblem, xi: float, xj: float) -> float:
-    """Exact squared L2 interpolation error: (xj - xi)^5 / (480 s^2).
-
-    Raises LeavesFloatRange when it is not a finite float.
-    """
-    if not xi < xj:
-        raise BadInterval(f"need xi < xj, got [{xi}, {xj}]")
-    err = _power_ratio(1, xj - xi, 5, 480.0 * p.s * p.s)
-    _require_finite((err,), p.s, xi, xj)
-    return err
-
-
 def _validated(knots: Sequence[float]) -> list[float]:
     """The knots as a list; raises UnorderedKnots unless there are at
     least two and they strictly increase."""
@@ -130,6 +96,30 @@ def _validated(knots: Sequence[float]) -> list[float]:
         if not u < v:
             raise UnorderedKnots(f"knots not strictly increasing at {u}, {v}")
     return ks
+
+
+def segment_l1_error(p: ApproxProblem, xi: float, xj: float) -> float:
+    """Exact L1 interpolation error on one segment: (xj - xi)^3 / (24|s|).
+
+    Position-free: only the width enters.  Raises UnorderedKnots unless
+    xi < xj, and LeavesFloatRange when the error is not a finite float.
+    """
+    _validated((xi, xj))
+    err = _power_ratio(1, xj - xi, 3, 24.0 * abs(p.s))
+    _require_finite((err,), p.s, xi, xj)
+    return err
+
+
+def segment_l2_error(p: ApproxProblem, xi: float, xj: float) -> float:
+    """Exact squared L2 interpolation error: (xj - xi)^5 / (480 s^2).
+
+    Raises UnorderedKnots unless xi < xj, and LeavesFloatRange when the
+    error is not a finite float.
+    """
+    _validated((xi, xj))
+    err = _power_ratio(1, xj - xi, 5, 480.0 * p.s * p.s)
+    _require_finite((err,), p.s, xi, xj)
+    return err
 
 
 def total_error_objective(p: ApproxProblem, interior: Sequence[float]) -> float:
@@ -170,19 +160,6 @@ def optimal_knots(p: ApproxProblem) -> ApproxResult:
     _require_finite((h, l1, l2, *(y for _, y in pts)), p.s, p.a, p.b)
     return ApproxResult(knots=tuple(_validated(knots)), knot_points=pts,
                         l1_error=l1, l2_error=l2)
-
-
-def interpolant_at(p: ApproxProblem, knots: Sequence[float], x: float) -> float:
-    """Piecewise linear interpolant of f at the given knots, evaluated at x."""
-    ks = _validated(knots)
-    slack = 1e-12 * (ks[-1] - ks[0])
-    if x < ks[0] - slack or x > ks[-1] + slack:
-        raise OutOfDomain(f"{x} outside [{ks[0]}, {ks[-1]}]")
-    x = min(max(x, ks[0]), ks[-1])
-    i = min(max(bisect.bisect_right(ks, x) - 1, 0), len(ks) - 2)
-    xi, xj = ks[i], ks[i + 1]
-    t = (x - xi) / (xj - xi)
-    return (1.0 - t) * p.f(xi) + t * p.f(xj)
 
 
 # The 10-point Gauss-Legendre rule on [-1, 1]: the floats of numpy's

@@ -45,9 +45,12 @@ def _require_finite(flag: str, value: float) -> float:
     return value
 
 
-def _open_output(path: str) -> TextIO:
+def _write_file(path: str, write: Callable[[TextIO], object]) -> None:
+    """Run ``write`` on a new file at path; a failure to open, write or
+    close it is a usage error."""
     try:
-        return open(path, "w", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            write(fh)
     except OSError as exc:
         raise _CliError(f"cannot write {path}: {exc.strerror}") from None
 
@@ -55,13 +58,14 @@ def _open_output(path: str) -> TextIO:
 def _emit(args, write: Callable[[TextIO], object]) -> None:
     """Run ``write`` on the --out file, or on stdout unless --quiet, and
     end the output with a newline."""
+    def write_line(fh: TextIO) -> None:
+        write(fh)
+        fh.write("\n")
+
     if args.out:
-        with _open_output(args.out) as fh:
-            write(fh)
-            fh.write("\n")
+        _write_file(args.out, write_line)
     elif not args.quiet:
-        write(sys.stdout)
-        sys.stdout.write("\n")
+        write_line(sys.stdout)
 
 
 def _emit_json(args, payload) -> None:
@@ -76,8 +80,7 @@ def _emit_json(args, payload) -> None:
 def _write_svg(args, svg: Optional[str]) -> None:
     """Write svg, built only when --svg was given, to the --svg file."""
     if args.svg:
-        with _open_output(args.svg) as fh:
-            fh.write(svg)
+        _write_file(args.svg, lambda fh: fh.write(svg))
 
 
 # ---------------------------------------------------------------- construct
@@ -150,14 +153,12 @@ def _parse_checks(spec: str) -> list[str]:
     names = [c.strip() for c in spec.split(",") if c.strip()]
     if not names:
         raise _CliError("--checks must name at least one check")
-    if "all" in names:
-        return list(ALL_CHECKS)
     for name in names:
-        if name not in ALL_CHECKS:
+        if name != "all" and name not in ALL_CHECKS:
             raise _CliError(
                 f"unknown check {name!r}; choose from "
                 f"{', '.join(ALL_CHECKS)} or all")
-    return names
+    return list(ALL_CHECKS) if "all" in names else names
 
 
 def _parse_triple(spec: str) -> tuple[int, int, int]:
@@ -297,7 +298,10 @@ def _parse_perturb_knot(spec: str) -> tuple[int, float]:
         idx, eps = int(parts[0]), float(parts[1])
     except ValueError:
         raise _CliError(f"bad --perturb-knot value {spec!r}")
-    return idx, _require_finite("--perturb-knot", eps)
+    # A zero nudge moves no knot, so it cannot test optimality.
+    if _require_finite("--perturb-knot", eps) == 0.0:
+        raise _CliError("--perturb-knot EPS must be nonzero")
+    return idx, eps
 
 
 def cmd_approx(args) -> int:
@@ -589,11 +593,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_OK
         func, args = parsed
         code = func(args)
-        # Flush here, so a reader that closed the pipe is caught below
-        # and not only at interpreter exit.
+        # Flush here, so a failed write to stdout (a closed pipe, a full
+        # disk) is caught below and not only at interpreter exit.
         sys.stdout.flush()
         return code
-    except BrokenPipeError as exc:
+    except OSError as exc:
+        # Every file a command opens turns its own OSError into a usage
+        # error, so this one is stdout's.
         _drop_stdout()
         print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE

@@ -144,12 +144,6 @@ class EquidistantPolygon(SimsonPolygonFrame):
         return self.vertices[:-1]
 
 
-def foot_line(cfg: EquidistantConfig, i: int) -> Line:
-    """Perpendicular to S X_i raised at X_i; the side line carrying X_i."""
-    x = cfg.foot_abscissa(i)
-    return Line(x, -cfg.s, -x * x)
-
-
 def make_equidistant(cfg: EquidistantConfig) -> EquidistantPolygon:
     """Build the equidistant Simson polygon for cfg, in canonical frame.
 
@@ -177,31 +171,6 @@ def midpoint_parabola(cfg: EquidistantConfig) -> Parabola:
     return Parabola(cfg.s, 0.0)
 
 
-def chord_slope(cfg: EquidistantConfig, i: int, j: int) -> float:
-    """Slope of the chord V_i V_j, 1 <= i < j <= n-1.
-
-    Depends on i and j only through i + j, which is what makes the
-    equal-sum chord families parallel.
-    """
-    if not (1 <= i < j <= cfg.n - 1):
-        raise IndexOutOfRange(f"chord ({i}, {j}) outside 1 <= i < j <= {cfg.n - 1}")
-    return (2.0 * cfg.x0 + (i + j - 1) * cfg.delta) / (2.0 * cfg.s)
-
-
-def w_point(cfg: EquidistantConfig, i: int, j: int) -> Point:
-    """Meet W_{i,j} of the side lines V_i V_{i+1} and V_j V_{j+1}.
-
-    Valid for 1 <= i, j <= n-2, i != j.  Closed form
-    (2X + (i+j) d, (X + i d)(X + j d)/s); note w_point(i, i+1) = V_{i+1}.
-    """
-    if i == j or not (1 <= i <= cfg.n - 2 and 1 <= j <= cfg.n - 2):
-        raise IndexOutOfRange(
-            f"w_point ({i}, {j}) outside 1 <= i != j <= {cfg.n - 2}")
-    u = cfg.x0 + i * cfg.delta
-    v = cfg.x0 + j * cfg.delta
-    return Point(2.0 * cfg.x0 + (i + j) * cfg.delta, u * v / cfg.s)
-
-
 def verify_parallel_chords(poly: EquidistantPolygon) -> VerificationReport:
     """Chord family structure of the parabola vertices V_1..V_{n-1}.
 
@@ -214,7 +183,8 @@ def verify_parallel_chords(poly: EquidistantPolygon) -> VerificationReport:
       (equal x), the middle vertex included when the family has one.
 
     The vertex coordinates are read once into float lists; the angles are
-    those of ``angle_between_lines``, operation for operation.
+    those of the ``angle_between_lines`` oracle in ``tests/geomgen.py``,
+    operation for operation.
     """
     report = VerificationReport()
     limit, angle_limit = report.set_limits(poly.scale())
@@ -400,7 +370,7 @@ def verify_lambert(poly: SimsonPolygonFrame, i: int, j: int,
             raise ParallelSides(f"side lines {t1} and {t2} are parallel")
         corners.append(cross)
     circle = circumcircle(*corners)
-    residual = abs(poly.simson_point.distance(circle.center) - circle.radius)
+    residual = circle.distance(poly.simson_point)
     scale = poly.scale()
     report.set_limits(scale)
     # The circle may be far larger than the polygon.

@@ -189,19 +189,12 @@ class Line(Frozen):
     def distance(self, p: Point) -> float:
         return abs(self.signed_distance(p))
 
-    def contains(self, p: Point, scale: float = 0.0) -> bool:
-        return self.distance(p) <= DEFAULT_TOLERANCE.bound(scale)
-
     def direction(self) -> Point:
         """Unit direction vector, sign-canonical (first nonzero positive)."""
         dx, dy = -self.b, self.a
         if dx < 0.0 or (dx == 0.0 and dy < 0.0):
             dx, dy = -dx, -dy
         return Point(dx, dy)
-
-    def perpendicular_at(self, p: Point) -> "Line":
-        """Line through p orthogonal to self."""
-        return Line(-self.b, self.a, self.b * p.x - self.a * p.y)
 
 
 class Circle(Frozen):
@@ -216,6 +209,10 @@ class Circle(Frozen):
             raise ValueError(f"circle radius must be positive, got {radius}")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", radius)
+
+    def distance(self, p: Point) -> float:
+        """Distance of p from the circle, as ``Line.distance`` for a line."""
+        return abs(p.distance(self.center) - self.radius)
 
 
 class Parabola(Frozen):
@@ -236,21 +233,6 @@ class Parabola(Frozen):
 
     def point_at(self, x: float) -> Point:
         return Point(x, self.y_at(x))
-
-    def slope_at(self, x: float) -> float:
-        return x / (2.0 * self.s)
-
-    def tangent_at(self, x: float) -> Line:
-        # Through (x, y(x)) with slope x/(2s): X*x - 2s*y - (x^2 + c)/2 = 0.
-        return Line(x, -2.0 * self.s, -0.5 * (x * x + self.c))
-
-    @property
-    def vertex(self) -> Point:
-        return Point(0.0, -self.c / (4.0 * self.s))
-
-    @property
-    def focus(self) -> Point:
-        return Point(0.0, self.s - self.c / (4.0 * self.s))
 
 
 def equidistant_chain(s: float, x0: float, d: float, m: int) -> list[Point]:
@@ -275,6 +257,11 @@ def bbox_diagonal(points: Iterable[Point]) -> float:
     return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
 
 
+def join_points(p: Point, q: Point) -> Line:
+    """Line through p and q, which the caller has proved distinct."""
+    return Line(p.y - q.y, q.x - p.x, p.x * q.y - q.x * p.y)
+
+
 def line_through(p: Point, q: Point) -> Line:
     """Line through two distinct points.
 
@@ -284,7 +271,7 @@ def line_through(p: Point, q: Point) -> Line:
     scale = max(p.norm(), q.norm())
     if p.distance(q) <= DEFAULT_TOLERANCE.bound(scale):
         raise CoincidentPoints(f"line_through: points coincide at {p}")
-    return Line(p.y - q.y, q.x - p.x, p.x * q.y - q.x * p.y)
+    return join_points(p, q)
 
 
 def foot_of_perpendicular(p: Point, l: Line) -> Point:
@@ -359,12 +346,6 @@ def circumcircle(a: Point, b: Point, c: Point) -> Circle:
     uy = (bx * c2 - cx * b2) / d
     center = Point(a.x + ux, a.y + uy)
     return Circle(center, math.hypot(ux, uy))
-
-
-def point_on_circle(p: Point, c: Circle) -> bool:
-    """Membership up to tolerance at the scale of the radius."""
-    return (abs(p.distance(c.center) - c.radius)
-            <= DEFAULT_TOLERANCE.bound(c.radius))
 
 
 def circle_intersection(c1: Circle, c2: Circle) -> list[Point]:
@@ -459,8 +440,3 @@ def collinear(points: Sequence[Point]) -> bool:
 def angle_between_rays(u: Point, v: Point) -> float:
     """Unsigned angle between two direction vectors, in [0, pi]."""
     return math.atan2(abs(u.cross(v)), u.dot(v))
-
-
-def angle_between_lines(u: Point, v: Point) -> float:
-    """Angle between two undirected directions, in [0, pi/2]."""
-    return math.atan2(abs(u.cross(v)), abs(u.dot(v)))

@@ -247,11 +247,3 @@ def _normalize_entity(entity: dict) -> dict:
 def polygon_from_entity(entity: dict) -> Polygon:
     return Polygon(tuple(Point(float(x), float(y))
                          for x, y in entity["vertices"]))
-
-
-def line_from_entity(entity: dict) -> Line:
-    return Line(entity["a"], entity["b"], entity["c"])
-
-
-def point_from_entity(entity: dict) -> Point:
-    return Point(entity["x"], entity["y"])

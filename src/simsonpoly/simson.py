@@ -46,6 +46,7 @@ from .kernel import (
     circle_intersection,
     circumcircle,
     foot_of_perpendicular,
+    join_points,
     line_circle_intersection,
     line_intersection,
 )
@@ -102,8 +103,7 @@ class Polygon(Frozen):
     def side_line(self, i: int) -> Line:
         """Line carrying the side from vertex i to vertex i+1 (0-based);
         the constructor proved the two distinct at the polygon's scale."""
-        p, q = self.vertex(i), self.vertex(i + 1)
-        return Line(p.y - q.y, q.x - p.x, p.x * q.y - q.x * p.y)
+        return join_points(self.vertex(i), self.vertex(i + 1))
 
     def side_lines(self) -> list[Line]:
         return [self.side_line(i) for i in range(self.n)]
@@ -213,7 +213,7 @@ class CompleteQuadrilateral(Frozen):
     """
 
     _fields = ("lines",)
-    __slots__ = (*_fields, "_pts")
+    __slots__ = (*_fields, "a", "b", "c", "d", "e", "f")
 
     def __init__(self, lines: Sequence[Line]):
         lines = tuple(lines)
@@ -240,40 +240,15 @@ class CompleteQuadrilateral(Frozen):
                 if lines[k].distance(p) <= DEFAULT_TOLERANCE.bound(scale):
                     raise DegenerateConfiguration(
                         f"lines {i}, {j} and {k} are concurrent")
-        object.__setattr__(self, "_pts", pts)
+        for name, pair in zip("abcdef", ((0, 1), (0, 2), (0, 3), (2, 3),
+                                          (1, 2), (1, 3))):
+            object.__setattr__(self, name, pts[pair])
 
     @classmethod
     def from_polygon(cls, poly: Polygon) -> "CompleteQuadrilateral":
         if poly.n != 4:
             raise GeometryError("expected a quadrilateral")
         return cls(tuple(poly.side_lines()))
-
-    def _meet(self, i: int, j: int) -> Point:
-        return self._pts[(i, j)]
-
-    @property
-    def a(self) -> Point:
-        return self._meet(0, 1)
-
-    @property
-    def b(self) -> Point:
-        return self._meet(0, 2)
-
-    @property
-    def c(self) -> Point:
-        return self._meet(0, 3)
-
-    @property
-    def d(self) -> Point:
-        return self._meet(2, 3)
-
-    @property
-    def e(self) -> Point:
-        return self._meet(1, 2)
-
-    @property
-    def f(self) -> Point:
-        return self._meet(1, 3)
 
     def triangle_circles(self) -> list[Circle]:
         """Circumcircles of the four omitted-line triangles."""
@@ -304,7 +279,7 @@ def miquel_point(quad: CompleteQuadrilateral) -> Point:
     best = None
     best_res = math.inf
     for p in candidates:
-        res = max(abs(p.distance(k.center) - k.radius) for k in (k3, k4))
+        res = max(k.distance(p) for k in (k3, k4))
         if res < best_res:
             best, best_res = p, res
     limit = DEFAULT_TOLERANCE.bound(max(k.radius for k in (k1, k2, k3, k4)))
@@ -347,13 +322,6 @@ def characterization_circles(poly: Polygon) -> list[CharacterizationElement]:
                 f"characterization_circles: element {i} degenerates, "
                 f"W_{i} lies on side {i}") from None
     return elements
-
-
-def element_distance(p: Point, elem: CharacterizationElement) -> float:
-    """Distance of p from membership in a circle or line element."""
-    if isinstance(elem, Circle):
-        return abs(p.distance(elem.center) - elem.radius)
-    return elem.distance(p)
 
 
 def _intersect_elements(e1: CharacterizationElement,
@@ -404,7 +372,7 @@ def find_simson_point(poly: Polygon) -> Optional[SimsonCertificate]:
     elements = characterization_circles(poly)
     scale = poly.diameter()
     for cand in characterization_candidates(elements):
-        violation = max(element_distance(cand, e) for e in elements)
+        violation = max(e.distance(cand) for e in elements)
         if violation > DEFAULT_TOLERANCE.bound(max(scale, cand.norm())):
             continue
         cert = is_simson_point(cand, poly)
@@ -422,7 +390,7 @@ def characterization_defect(poly: Polygon) -> float:
     a vertex, so in exact arithmetic it meets and there is one.
     """
     elements = characterization_circles(poly)
-    return min((max(element_distance(c, e) for e in elements)
+    return min((max(e.distance(c) for e in elements)
                 for c in characterization_candidates(elements)),
                default=math.inf)
 

@@ -1,8 +1,11 @@
-"""Random geometry generators shared across test modules.
+"""Random geometry generators and closed-form oracles shared across test
+modules.
 
-Everything takes an explicit numpy Generator so tests stay reproducible;
-the rejection loops enforce conditioning margins (angle gaps, side
-non-parallelism) rather than hoping for good draws.
+Every generator takes an explicit numpy Generator so tests stay
+reproducible; the rejection loops enforce conditioning margins (angle
+gaps, side non-parallelism) rather than hoping for good draws.  The
+oracles are the paper's closed forms for the equidistant polygon, which
+the package builds and verifies numerically instead.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ import math
 
 import numpy as np
 
-from simsonpoly import EquidistantConfig, Point, Polygon, Tolerance
+from simsonpoly import EquidistantConfig, Line, Point, Polygon, Tolerance
+from simsonpoly.equidistant import IndexOutOfRange
 
 
 def xy(p):
@@ -99,3 +103,42 @@ def regular_polygon(n, radius=1.0, phase=math.pi / 2.0):
                         radius * math.sin(phase + 2.0 * math.pi * k / n))
                   for k in range(n))
     return Polygon(verts)
+
+
+# ------------------------------------------------------- closed-form oracles
+# Indices are 1-based, as the vertex labels V_1..V_n of the paper.
+
+def angle_between_lines(u, v):
+    """Angle between two undirected directions, in [0, pi/2]."""
+    return math.atan2(abs(u.cross(v)), abs(u.dot(v)))
+
+
+def foot_line(cfg, i):
+    """Perpendicular to S X_i raised at X_i; the side line carrying X_i."""
+    x = cfg.foot_abscissa(i)
+    return Line(x, -cfg.s, -x * x)
+
+
+def chord_slope(cfg, i, j):
+    """Slope of the chord V_i V_j, 1 <= i < j <= n-1.
+
+    Depends on i and j only through i + j, which is what makes the
+    equal-sum chord families parallel.
+    """
+    if not (1 <= i < j <= cfg.n - 1):
+        raise IndexOutOfRange(f"chord ({i}, {j}) outside 1 <= i < j <= {cfg.n - 1}")
+    return (2.0 * cfg.x0 + (i + j - 1) * cfg.delta) / (2.0 * cfg.s)
+
+
+def w_point(cfg, i, j):
+    """Meet W_{i,j} of the side lines V_i V_{i+1} and V_j V_{j+1}.
+
+    Valid for 1 <= i, j <= n-2, i != j.  Closed form
+    (2X + (i+j) d, (X + i d)(X + j d)/s); note w_point(i, i+1) = V_{i+1}.
+    """
+    if i == j or not (1 <= i <= cfg.n - 2 and 1 <= j <= cfg.n - 2):
+        raise IndexOutOfRange(
+            f"w_point ({i}, {j}) outside 1 <= i != j <= {cfg.n - 2}")
+    u = cfg.x0 + i * cfg.delta
+    v = cfg.x0 + j * cfg.delta
+    return Point(2.0 * cfg.x0 + (i + j) * cfg.delta, u * v / cfg.s)

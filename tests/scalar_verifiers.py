@@ -8,11 +8,11 @@ library's check families must hold the same residuals, bitwise.
 
 from itertools import combinations
 
+from geomgen import angle_between_lines
 from simsonpoly.equidistant import ParallelSides
 from simsonpoly.kernel import (
     DEFAULT_TOLERANCE,
     Point,
-    angle_between_lines,
     angle_between_rays,
     circumcircle,
     line_intersection,

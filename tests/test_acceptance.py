@@ -25,7 +25,7 @@ from simsonpoly.kernel import DEFAULT_TOLERANCE, Line, Point, \
 from simsonpoly.limits import convergence_table, observed_orders
 from simsonpoly.simson import CompleteQuadrilateral, Polygon, \
     characterization_candidates, characterization_circles, \
-    construct_simson_polygon, element_distance, find_simson_point, \
+    construct_simson_polygon, find_simson_point, \
     miquel_point, pedal_points
 
 
@@ -134,7 +134,7 @@ def test_criterion_6_convex_polygons_admit_no_simson_point():
             elements = characterization_circles(poly)
             floor = 1e3 * DEFAULT_TOLERANCE.bound(poly.diameter())
             for cand in characterization_candidates(elements):
-                worst = max(element_distance(cand, e) for e in elements)
+                worst = max(e.distance(cand) for e in elements)
                 assert worst > floor
 
 

@@ -8,12 +8,9 @@ from simsonpoly.approx import (
     _GL_NODES,
     _GL_WEIGHTS,
     ApproxProblem,
-    BadInterval,
     InvalidProblem,
     LeavesFloatRange,
-    OutOfDomain,
     UnorderedKnots,
-    interpolant_at,
     optimal_knots,
     quadrature_l1,
     quadrature_l2,
@@ -32,6 +29,11 @@ def _random_problem(rng):
     b = a + rng.uniform(0.5, 5.0)
     return ApproxProblem(s=s, delta=rng.uniform(0.0, 1.0), a=a, b=b,
                          n=int(rng.integers(1, 7)))
+
+
+def _chord(p, knots, x):
+    """The interpolant of f at the knots, evaluated at x, by numpy."""
+    return float(np.interp(x, knots, [p.f(k) for k in knots]))
 
 
 # ----------------------------------------------------------------- validation
@@ -75,7 +77,7 @@ def test_segment_l1_negative_s():
 
 def test_segment_l1_matches_direct_integral():
     p = ApproxProblem(s=1.3, delta=0.4, a=0.0, b=3.0, n=1)
-    got, _ = quad(lambda x: abs(p.f(x) - interpolant_at(p, [0.5, 2.1], x)),
+    got, _ = quad(lambda x: abs(p.f(x) - _chord(p, [0.5, 2.1], x)),
                   0.5, 2.1)
     assert segment_l1_error(p, 0.5, 2.1) == pytest.approx(got, rel=1e-9)
 
@@ -93,16 +95,19 @@ def test_segment_l2_width_scaling():
 
 def test_segment_l2_matches_direct_integral():
     p = ApproxProblem(s=-1.6, delta=0.2, a=0.0, b=3.0, n=1)
-    got, _ = quad(lambda x: (p.f(x) - interpolant_at(p, [0.4, 2.6], x)) ** 2,
+    got, _ = quad(lambda x: (p.f(x) - _chord(p, [0.4, 2.6], x)) ** 2,
                   0.4, 2.6)
     assert segment_l2_error(p, 0.4, 2.6) == pytest.approx(got, rel=1e-9)
 
 
 def test_segment_errors_reject_bad_interval():
-    with pytest.raises(BadInterval):
-        segment_l1_error(P_UNIT, 1.0, 1.0)
-    with pytest.raises(BadInterval):
-        segment_l2_error(P_UNIT, 2.0, 1.0)
+    # The ends are checked as a two-knot grid: reversed, equal or NaN.
+    for segment_error in (segment_l1_error, segment_l2_error):
+        for xi, xj in [(2.0, 1.0), (1.0, 1.0), (math.nan, 1.0),
+                       (1.0, math.nan)]:
+            with pytest.raises(UnorderedKnots,
+                               match="not strictly increasing"):
+                segment_error(P_UNIT, xi, xj)
 
 
 # ------------------------------------------------------------------ objective
@@ -255,15 +260,18 @@ def test_quadrature_rejects_bad_knots():
 # ---------------------------------------------------------------- interpolant
 
 def test_interpolant_exact_at_knots():
-    knots = [0.0, 1.0, 2.5, 4.0]
-    for x in knots:
-        assert interpolant_at(P_UNIT, knots, x) == pytest.approx(P_UNIT.f(x))
+    # The interpolant the package reports, its knot points, meets f there.
+    res = optimal_knots(P_UNIT)
+    assert len(res.knot_points) == P_UNIT.n + 1
+    for (x, y), k in zip(res.knot_points, res.knots):
+        assert x == k and y == pytest.approx(P_UNIT.f(x))
 
 
 def test_interpolant_midpoint_value():
     # chord of x^2/4 over [0, 2] at x=1 gives 1/2, not the curve's 1/4
     p = ApproxProblem(s=1.0, delta=0.0, a=0.0, b=2.0, n=1)
-    assert interpolant_at(p, [0.0, 2.0], 1.0) == pytest.approx(0.5)
+    xs, ys = zip(*optimal_knots(p).knot_points)
+    assert np.interp(1.0, xs, ys) == pytest.approx(0.5)
 
 
 def test_interpolant_chord_identity():
@@ -275,16 +283,10 @@ def test_interpolant_chord_identity():
         xj = rng.uniform(xi + 0.1, p.b + 0.5)
         x = rng.uniform(xi, xj)
         want = (x * (xi + xj) - xi * xj - p.delta ** 2) / (4.0 * p.s)
-        assert interpolant_at(p, [xi, xj], x) == pytest.approx(want, abs=1e-12)
-
-
-def test_interpolant_domain_errors():
-    with pytest.raises(OutOfDomain):
-        interpolant_at(P_UNIT, [0.0, 4.0], -0.5)
-    with pytest.raises(OutOfDomain):
-        interpolant_at(P_UNIT, [0.0, 4.0], 4.5)
-    with pytest.raises(UnorderedKnots):
-        interpolant_at(P_UNIT, [0.0, 0.0], 0.0)
+        assert _chord(p, [xi, xj], x) == pytest.approx(want, abs=1e-12)
+        # so f - l = (x - xi)(x - xj)/(4s), of one sign on the segment
+        assert p.f(x) - _chord(p, [xi, xj], x) == pytest.approx(
+            (x - xi) * (x - xj) / (4.0 * p.s), abs=1e-12)
 
 
 def test_sup_norm_peaks_at_segment_midpoints():
@@ -295,10 +297,12 @@ def test_sup_norm_peaks_at_segment_midpoints():
         h = (p.b - p.a) / p.n
         cap = h * h / (16.0 * abs(p.s))
         xs = np.linspace(p.a, p.b, 2001)
-        gaps = [abs(p.f(x) - interpolant_at(p, res.knots, x)) for x in xs]
+        # The interpolant the package reports: the chain of its knot points.
+        kx, ky = zip(*res.knot_points)
+        gaps = [abs(p.f(x) - np.interp(x, kx, ky)) for x in xs]
         assert max(gaps) <= cap + 1e-10
         mid = p.a + 0.5 * h
-        worst = abs(p.f(mid) - interpolant_at(p, res.knots, mid))
+        worst = abs(p.f(mid) - np.interp(mid, kx, ky))
         assert worst == pytest.approx(cap, rel=1e-10)
 
 
@@ -323,5 +327,7 @@ def test_knot_points_lie_on_equidistant_chain():
 
 @pytest.mark.parametrize("knots", [[], [0.5]])
 def test_interpolant_needs_two_knots(knots):
-    with pytest.raises(UnorderedKnots, match="need at least two knots"):
-        interpolant_at(P_UNIT, knots, 0.5)
+    # The quadratures integrate f minus the interpolant over the knots.
+    for quadrature in (quadrature_l1, quadrature_l2):
+        with pytest.raises(UnorderedKnots, match="need at least two knots"):
+            quadrature(P_UNIT, knots)

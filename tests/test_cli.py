@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import math
@@ -425,6 +426,17 @@ def test_verify_unknown_check_exits_2(capsys, tmp_path):
     assert "voodoo" in err
 
 
+@pytest.mark.parametrize("checks", ["all,bogus", "bogus,all"])
+def test_verify_unknown_check_next_to_all_exits_2(capsys, tmp_path, checks):
+    # "all" does not excuse an unknown name beside it.
+    path = octagon_scene(tmp_path)
+    code, out, err = run_cli(capsys, "verify", "--in", str(path),
+                             "--checks", checks)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown check 'bogus'")
+    assert err.count("\n") == 1
+
+
 def test_verify_missing_in_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify")
     assert code == 2
@@ -582,6 +594,21 @@ def test_approx_perturb_knot_is_checked_before_computing(capsys, argv,
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
+
+
+# A zero nudge moves no knot, so it cannot test the optimum: a usage
+# error, also where computing the knots would exit 3.
+@pytest.mark.parametrize("argv", [
+    ["--s", "1", "--a", "0", "--b", "4", "--n", "4", "--perturb-knot", "2,0"],
+    ["--s", "1", "--a", "0", "--b", "4", "--n", "4", "--perturb-knot",
+     "2,-0.0"],
+    ["--s", "1e-300", "--a", "0", "--b", "1", "--n", "3", "--perturb-knot",
+     "1,0e9"],
+])
+def test_approx_zero_perturb_knot_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "approx", *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: --perturb-knot EPS must be nonzero\n"
 
 
 def test_approx_empty_interval_exits_2(capsys):
@@ -1088,6 +1115,27 @@ def test_closed_stdout_exits_2(argv):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: cannot write stdout: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv, target", [
+    (["limit", "--s", "1", "--m-max", "2"], "stdout"),
+    (["limit", "--s", "1", "--m-max", "2", "--out", "/dev/full"],
+     "/dev/full"),
+    ([*OCT_ARGS, "--quiet", "--svg", "/dev/full"], "/dev/full"),
+])
+def test_failed_write_exits_2_with_one_line(argv, target):
+    # Writing to /dev/full fails with ENOSPC after a successful open; on
+    # stdout, on --out and on --svg the failure is one usage error line.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "simsonpoly", *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=_src_env(), timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: cannot write {target}: "
+                           f"{os.strerror(errno.ENOSPC)}\n")
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["limit", "--help"],

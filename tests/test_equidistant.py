@@ -4,7 +4,8 @@ import statistics
 import numpy as np
 import pytest
 
-from geomgen import random_equidistant_config, xy
+from geomgen import chord_slope, foot_line, lines_equal_tight, \
+    random_equidistant_config, w_point, xy
 from simsonpoly.equidistant import (
     EquidistantConfig,
     EquidistantPolygon,
@@ -14,9 +15,7 @@ from simsonpoly.equidistant import (
     ParallelSides,
     SimsonPolygonFrame,
     associated_parabola,
-    chord_slope,
     equidistant_from_frame,
-    foot_line,
     frame_from_certificate,
     make_equidistant,
     midpoint_parabola,
@@ -25,7 +24,6 @@ from simsonpoly.equidistant import (
     verify_lambert,
     verify_optical,
     verify_parallel_chords,
-    w_point,
 )
 from judged import max_residual
 from simsonpoly.kernel import DEFAULT_TOLERANCE, IdenticalLines, Line, Point, \
@@ -97,10 +95,13 @@ def test_vertices_match_perpendicular_construction():
 
 def test_foot_line_is_tangent_to_midpoint_parabola():
     cfg = OCT.config
+    polygon = OCT.polygon()
     for i in range(1, cfg.n + 1):
-        line = foot_line(cfg, i)
+        # Side V_{i-1} V_i, 0-based side i - 2, carries the foot X_i.
+        line = polygon.side_line(i - 2)
+        assert lines_equal_tight(line, foot_line(cfg, i))
         x = cfg.foot_abscissa(i)
-        assert line.contains(Point(x, 0.0))
+        assert line.distance(Point(x, 0.0)) < 1e-12
         # tangency point of the side line on C'
         assert abs(line.signed_distance(Point(2 * x, x * x / cfg.s))) < 1e-12
 
@@ -129,23 +130,20 @@ def test_midpoint_parabola_and_tangency():
     m1 = OCT.vertices[0].midpoint(OCT.vertices[1])
     assert xy(m1) == pytest.approx((2.0, 1.0))
     assert par.y_at(2.0) == pytest.approx(1.0)
-    # side V1V2 has slope 1, the parabola slope at M1
-    assert par.slope_at(m1.x) == pytest.approx(1.0)
+    # side V1V2 has slope 1, the slope x/(2s) of the parabola at M1
+    side = OCT.polygon().side_line(0)
+    assert -side.a / side.b == pytest.approx(1.0)
+    assert m1.x / (2.0 * par.s) == pytest.approx(1.0)
 
 
 def test_midpoint_parabola_focus_is_simson_point():
     for s in (1.0, -2.0, 0.5):
         cfg = EquidistantConfig(s=s, x0=0.3, delta=0.7, n=6)
         par = midpoint_parabola(cfg)
-        assert xy(par.focus) == pytest.approx((0.0, s))
+        # y = (x^2 - c)/(4s) has its focus at (0, s - c/(4s)).
+        focus = (0.0, par.s - par.c / (4.0 * par.s))
+        assert focus == pytest.approx((0.0, s))
         assert xy(make_equidistant(cfg).simson_point) == pytest.approx((0.0, s))
-
-
-def test_parabola_tangent_line():
-    par = Parabola(1.0, 0.0)
-    tan = par.tangent_at(2.0)
-    assert tan.contains(Point(2.0, 1.0))
-    assert abs(tan.signed_distance(Point(3.0, 2.0))) < 1e-12  # slope 1
 
 
 def test_parabola_and_invalid_config_are_the_kernel_types():

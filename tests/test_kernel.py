@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geomgen import TIGHT, lines_equal_tight, xy
+from geomgen import TIGHT, angle_between_lines, lines_equal_tight, xy
 from simsonpoly.kernel import (
     Circle,
     CoincidentPoints,
@@ -17,7 +17,6 @@ from simsonpoly.kernel import (
     Line,
     Point,
     Tolerance,
-    angle_between_lines,
     bbox_diagonal,
     circle_intersection,
     circumcircle,
@@ -28,7 +27,6 @@ from simsonpoly.kernel import (
     line_through,
     lines_equal,
     lines_parallel,
-    point_on_circle,
     reflect_line,
     reflect_point,
 )
@@ -55,7 +53,8 @@ def test_line_through_diagonal():
     # y = x - 1, normalized with positive leading coefficient
     l = line_through(Point(1, 0), Point(3, 2))
     assert (l.a, l.b, l.c) == pytest.approx((1 / ROOT2, -1 / ROOT2, -1 / ROOT2))
-    assert l.contains(Point(1, 0)) and l.contains(Point(3, 2))
+    assert l.distance(Point(1, 0)) <= DEFAULT_TOLERANCE.bound()
+    assert l.distance(Point(3, 2)) <= DEFAULT_TOLERANCE.bound()
 
 
 def test_line_through_coincident_raises():
@@ -226,9 +225,12 @@ def test_reflect_line_is_exact_far_from_origin(t_m, t_mirror, off_m,
 # ------------------------------------------------------------- point_on_circle
 
 def test_point_on_circle():
+    # Circle.distance is the distance from the curve, as Line.distance is.
     unit = Circle(Point(0, 0), 1.0)
-    assert point_on_circle(Point(1, 0), unit)
-    assert not point_on_circle(Point(2, 0), unit)
+    assert unit.distance(Point(1, 0)) == 0.0
+    assert unit.distance(Point(2, 0)) == 1.0
+    assert unit.distance(Point(0, 0)) == 1.0
+    assert unit.distance(Point(0.6, 0.8)) <= DEFAULT_TOLERANCE.bound(1.0)
 
 
 # ----------------------------------------------------------- tolerance plumbing

@@ -9,11 +9,9 @@ from simsonpoly.kernel import Circle, Line, Point
 from simsonpoly.scene import (
     SceneDocument,
     SceneFormatError,
-    line_from_entity,
     parse_feet_spec,
     parse_line_spec,
     parse_point_spec,
-    point_from_entity,
     polygon_from_entity,
 )
 from simsonpoly.simson import Polygon
@@ -159,7 +157,7 @@ def test_line_eq_string_normalized_on_load():
         {"type": "line", "id": "L", "eq": "y=2x-1"}]})
     e = SceneDocument.from_json(text).find("L")
     assert "eq" not in e
-    assert lines_equal_tight(line_from_entity(e), Line(-2, 1, 1))
+    assert lines_equal_tight(Line(e["a"], e["b"], e["c"]), Line(-2, 1, 1))
 
 
 def test_first_polygon():
@@ -172,7 +170,8 @@ def test_first_polygon():
 
 def test_entity_accessors():
     scene = _sample_scene()
-    assert xy(point_from_entity(scene.find("S"))) == pytest.approx((0.0, 1.0))
+    s = scene.find("S")
+    assert (s["x"], s["y"]) == pytest.approx((0.0, 1.0))
     poly = polygon_from_entity(scene.find("poly"))
     assert len(poly.vertices) == 3
 
@@ -236,4 +235,4 @@ def test_nonfinite_json_numbers_rejected(number):
 
 def test_integer_coordinates_accepted():
     e = _load_one({"type": "point", "id": "p", "x": 3, "y": -2}).find("p")
-    assert xy(point_from_entity(e)) == pytest.approx((3.0, -2.0))
+    assert (e["x"], e["y"]) == pytest.approx((3.0, -2.0))

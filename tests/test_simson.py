@@ -6,7 +6,7 @@ import pytest
 from geomgen import random_convex_polygon, random_quadrilateral, \
     random_triangle, regular_polygon, xy
 from simsonpoly.kernel import DEFAULT_TOLERANCE, Circle, GeometryError, Line, \
-    NonFinite, Point, bbox_diagonal, line_through, point_on_circle
+    NonFinite, Point, bbox_diagonal, line_through
 from simsonpoly.simson import (
     CompleteQuadrilateral,
     DegenerateConfiguration,
@@ -17,7 +17,6 @@ from simsonpoly.simson import (
     characterization_candidates,
     characterization_circles,
     construct_simson_polygon,
-    element_distance,
     find_simson_point,
     is_convex,
     is_simson_point,
@@ -50,6 +49,23 @@ def test_polygon_whose_extent_overflows_is_non_finite():
 def test_polygon_indices_wrap():
     assert RIGHT_TRIANGLE.vertex(3) == RIGHT_TRIANGLE.vertex(0)
     assert RIGHT_TRIANGLE.vertex(-1) == RIGHT_TRIANGLE.vertex(2)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e5])
+def test_side_line_is_line_through_its_vertices(offset):
+    # Both build the line from one kernel formula, so a change to it (such
+    # as one for polygons far from the origin) changes both at once.
+    rng = np.random.default_rng(4301)
+    for _ in range(200):
+        n = int(rng.integers(3, 12))
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        dx, dy = offset * math.cos(angle), offset * math.sin(angle)
+        poly = Polygon(tuple(Point(float(x) + dx, float(y) + dy)
+                             for x, y in rng.uniform(-5.0, 5.0, (n, 2))))
+        for i in range(n):
+            side = poly.side_line(i)
+            line = line_through(poly.vertex(i), poly.vertex(i + 1))
+            assert (side.a, side.b, side.c) == (line.a, line.b, line.c)
 
 
 def test_nondegenerate_flag():
@@ -230,7 +246,7 @@ def test_miquel_point_of_four_lines():
     m = miquel_point(quad)
     assert xy(m) == pytest.approx(xy(MIQUEL_OF_FOUR_LINES), abs=1e-12)
     for circle in quad.triangle_circles():
-        assert point_on_circle(m, circle)
+        assert circle.distance(m) <= DEFAULT_TOLERANCE.bound(circle.radius)
 
 
 def test_trapezoid_simson_point_is_side_meet():
@@ -257,7 +273,7 @@ def test_characterization_of_quadrilateral_meets_at_miquel():
     elems = characterization_circles(poly)
     m = miquel_point(CompleteQuadrilateral.from_polygon(poly))
     for e in elems:
-        assert element_distance(m, e) <= 1e-8 * poly.diameter()
+        assert e.distance(m) <= 1e-8 * poly.diameter()
 
 
 def test_characterization_trapezoid_contains_line_element():
@@ -329,8 +345,8 @@ def test_triangle_candidates_lie_on_circumcircle():
     # the search degenerates and a representative point is returned
     cert = find_simson_point(RIGHT_TRIANGLE)
     assert cert is not None
-    assert point_on_circle(cert.simson_point,
-                           Circle(Point(2.0, 1.5), 2.5))
+    assert Circle(Point(2.0, 1.5), 2.5).distance(cert.simson_point) \
+        <= DEFAULT_TOLERANCE.bound(2.5)
 
 
 # ------------------------------------------------------ construct_simson_polygon
@@ -428,7 +444,9 @@ def test_duplicate_feet_names_the_first_pair_of_all_pairs():
     for _ in range(400):
         feet, s = _duplicate_set(rng, int(rng.integers(3, 40)))
         want = _first_duplicate_pair(feet, s)
-        line = line_through(Point(3, -2), s).perpendicular_at(Point(3, -2))
+        # The line through p orthogonal to s - p.
+        p = Point(3, -2)
+        line = Line(s.x - p.x, s.y - p.y, -(s - p).dot(p))
         try:
             construct_simson_polygon(s, line, feet)
         except DuplicateFeet as exc:

@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from geomgen import random_equidistant_config
+from geomgen import angle_between_lines, random_equidistant_config
 from scalar_verifiers import scalar_archimedes, scalar_isogonal, \
     scalar_lambert, scalar_optical, scalar_parallel_chords
 from simsonpoly.equidistant import (
@@ -41,8 +41,8 @@ from simsonpoly.equidistant import (
     verify_parallel_chords,
 )
 from simsonpoly.kernel import DEFAULT_TOLERANCE, Line, NonFinite, Point, \
-    angle_between_lines, angle_between_rays, circumcircle, \
-    line_intersection, line_through, reflect_point
+    angle_between_rays, circumcircle, line_intersection, line_through, \
+    reflect_point
 from simsonpoly.simson import Polygon, construct_simson_polygon, \
     find_simson_point
 
@@ -117,7 +117,9 @@ def oracle_optical(poly):
     out = []
     for i in range(1, poly.n - 1):
         v1, v2 = poly.vertices[i - 1], poly.vertices[i]
-        incoming = poly.simson_line.perpendicular_at(v1.midpoint(v2))
+        # The perpendicular to L at the side midpoint.
+        L, mid = poly.simson_line, v1.midpoint(v2)
+        incoming = Line(-L.b, L.a, L.b * mid.x - L.a * mid.y)
         reflected = _two_point_reflect_line(incoming, line_through(v1, v2))
         out.append(("optical", (i,), reflected.distance(poly.simson_point)))
     return out
