@@ -191,13 +191,15 @@ def _load_polygon(args) -> Polygon:
 
 
 def _perturbed(poly: Polygon, eps: float, seed: int) -> Polygon:
-    from ._pcg64 import uniform
+    """Move each vertex by -eps + 2 * eps * random() in x, then in y."""
+    import random
     from .simson import Polygon
 
-    offsets = uniform(seed, -eps, eps, 2 * poly.n)
-    return Polygon(tuple(Point(v.x + dx, v.y + dy)
-                         for v, dx, dy in zip(poly.vertices, offsets[::2],
-                                              offsets[1::2])))
+    # An int seed fixes the random() stream in every Python version.
+    draw = random.Random(seed).random
+    return Polygon(tuple(Point(v.x + (-eps + 2 * eps * draw()),
+                               v.y + (-eps + 2 * eps * draw()))
+                         for v in poly.vertices))
 
 
 def _run_checks(poly: Polygon, checks: list[str],
@@ -325,6 +327,13 @@ def cmd_approx(args) -> int:
     problem = ApproxProblem(s=args.s, delta=args.delta, a=args.a, b=args.b,
                             n=args.n)
     result = optimal_knots(problem)
+    if args.perturb_knot:
+        # A nudge lost to rounding or past a neighbour tests no optimum.
+        before, knot, after = result.knots[idx - 1:idx + 2]
+        if knot + eps == knot or not before < knot + eps < after:
+            raise _CliError(f"--perturb-knot must move knot {idx} off "
+                            f"{knot} to strictly between {before} and "
+                            f"{after}, not to {knot + eps}")
     payload = {
         "s": problem.s, "delta": problem.delta,
         "a": problem.a, "b": problem.b, "n": problem.n,
@@ -346,9 +355,8 @@ def cmd_approx(args) -> int:
             / max(result.l2_error, 1e-300),
         }
     if args.perturb_knot:
-        interior = list(result.knots[1:-1])
-        moved = list(interior)
-        moved[idx - 1] += eps
+        interior = result.knots[1:-1]
+        moved = (*interior[:idx - 1], knot + eps, *interior[idx:])
         delta_obj = (total_error_objective(problem, moved)
                      - total_error_objective(problem, interior))
         payload["perturb_knot"] = {"index": idx, "eps": eps,
@@ -455,8 +463,8 @@ COMMANDS = {
         _Flag("--perturb", float,
               "perturbation size for --negative-control", default=1e-3),
         _Flag("--seed", int, "seed for --negative-control noise, "
-              "non-negative; the noise is numpy's default_rng(SEED) "
-              "stream, reproduced without numpy", default=0),
+              "non-negative; the noise is random.Random(SEED)'s stream",
+              default=0),
     )),
     "approx": (cmd_approx, "optimal piecewise-linear approximation", (
         _OUT, _SVG, _QUIET,

@@ -75,14 +75,13 @@ class SvgCanvas:
             f'<{tag} points="{coords}" fill="none" stroke="{stroke}"'
             f' stroke-width="{stroke_width}"{dash_attr}/>')
 
-    def segment(self, a: Point, b: Point, stroke: str, *, dash: str = "",
-                stroke_width: float = 1.5) -> None:
+    def segment(self, a: Point, b: Point, stroke: str, dash: str) -> None:
         (x1, y1), (x2, y2) = self.map(a), self.map(b)
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self._body.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}"'
             f' y2="{_fmt(y2)}" stroke="{stroke}"'
-            f' stroke-width="{stroke_width}"{dash_attr}/>')
+            f' stroke-width="1.5"{dash_attr}/>')
 
     def circle(self, center: Point, radius: float, stroke: str) -> None:
         cx, cy = self.map(center)

@@ -208,14 +208,36 @@ def test_verify_negative_control_is_seeded(capsys, tmp_path):
     assert first == second
 
 
+def test_verify_negative_control_is_the_same_in_every_process(tmp_path):
+    # The noise must not depend on anything a fresh interpreter varies,
+    # such as its string hash seed.
+    path = octagon_scene(tmp_path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def control(seed, hash_seed):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "simsonpoly", "verify", "--in", str(path),
+             "--negative-control", "--seed", seed],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (4, "")
+        return proc.stdout
+
+    first = control("5", "0")
+    assert control("5", "1") == first
+    assert control("6", "0") != first
+
+
 def test_perturbed_draws_python_floats():
-    import numpy as np
+    from random import Random
 
     poly = make_equidistant(EquidistantConfig(s=1, x0=-3.5, delta=1, n=8))
     moved = _perturbed(poly.polygon(), 1e-3, 5)
-    offsets = np.random.default_rng(5).uniform(-1e-3, 1e-3, size=(8, 2))
-    want = [(v.x + dx, v.y + dy)
-            for v, (dx, dy) in zip(poly.vertices, offsets)]
+    rng = Random(5)
+    want = [(v.x + (-1e-3 + 2e-3 * rng.random()),
+             v.y + (-1e-3 + 2e-3 * rng.random())) for v in poly.vertices]
     assert [(v.x, v.y) for v in moved.vertices] == want
     assert all(type(t) is float for v in moved.vertices for t in (v.x, v.y))
 
@@ -341,10 +363,11 @@ def test_verify_scaled_octagon_beyond_float_range_exits_3(capsys, tmp_path):
     assert err.startswith("error: non-finite") and err.count("\n") == 1
 
 
-# (s, x0, delta, n), rotation, translation and --seed of negative controls
-# whose diameter reaches 1e4..1e5.  The tolerance there grows to ~1e-4, the
-# order of the 1e-3 jitter, so a search that fits the focus by least squares
-# can absorb the jitter; the circle search must keep rejecting them.
+# (s, x0, delta, n), rotation, translation and numpy seed of negative
+# controls whose diameter reaches 1e4..1e5.  The tolerance there grows to
+# ~1e-4, the order of the 1e-3 jitter, so a search that fits the focus by
+# least squares can absorb the jitter; the circle search must keep
+# rejecting them.
 LARGE_CONTROLS = [
     ((0.514357032366184, 1.3158146182234223, 1.2612101222584773, 128),
      1.3254208359861885, (1.4000208037694826, 9.641796730157996), 1853074593),
@@ -355,6 +378,8 @@ LARGE_CONTROLS = [
 
 @pytest.mark.parametrize("params, theta, shift, seed", LARGE_CONTROLS)
 def test_large_negative_controls_stay_rejected(params, theta, shift, seed):
+    import numpy as np
+
     s, x0, delta, n = params
     base = make_equidistant(EquidistantConfig(s=s, x0=x0, delta=delta, n=n))
     cos_t, sin_t = math.cos(theta), math.sin(theta)
@@ -363,7 +388,12 @@ def test_large_negative_controls_stay_rejected(params, theta, shift, seed):
               sin_t * v.x + cos_t * v.y + shift[1])
         for v in base.polygon().vertices))
     assert find_simson_point(moved) is not None
-    assert find_simson_point(_perturbed(moved, 1e-3, seed)) is None
+    # The jitter is numpy's, as when these controls were found, so they
+    # stay the same polygons whatever --negative-control draws from.
+    offsets = np.random.default_rng(seed).uniform(-1e-3, 1e-3, size=(n, 2))
+    jittered = Polygon(tuple(Point(v.x + float(dx), v.y + float(dy))
+                             for v, (dx, dy) in zip(moved.vertices, offsets)))
+    assert find_simson_point(jittered) is None
 
 
 def test_verify_lambert_custom_triple(capsys, tmp_path):
@@ -609,6 +639,45 @@ def test_approx_zero_perturb_knot_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, "approx", *argv)
     assert (code, out) == (2, "")
     assert err == "error: --perturb-knot EPS must be nonzero\n"
+
+
+# A nudge that rounding absorbs, or that reaches or passes a neighbouring
+# knot, cannot test the optimum either: the knots of --n 3 on [0, 1] are
+# 0, 1/3, 2/3 and 1.
+@pytest.mark.parametrize("spec, message", [
+    ("1,1e-300", "knot 1 off 0.3333333333333333 to strictly between 0.0 "
+     "and 0.6666666666666666, not to 0.3333333333333333"),
+    ("1,1e-17", "knot 1 off 0.3333333333333333 to strictly between 0.0 "
+     "and 0.6666666666666666, not to 0.3333333333333333"),
+    ("1,-0.34", "knot 1 off 0.3333333333333333 to strictly between 0.0 "
+     "and 0.6666666666666666, not to -0.00666666666666671"),
+    ("1,0.3333333333333333", "knot 1 off 0.3333333333333333 to strictly "
+     "between 0.0 and 0.6666666666666666, not to 0.6666666666666666"),
+    ("2,0.5", "knot 2 off 0.6666666666666666 to strictly between "
+     "0.3333333333333333 and 1.0, not to 1.1666666666666665"),
+])
+def test_approx_perturb_knot_that_tests_nothing_exits_2(capsys, tmp_path,
+                                                         spec, message):
+    out_path = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, "approx", "--s", "1", "--a", "0",
+                             "--b", "1", "--n", "3", "--perturb-knot", spec,
+                             "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: --perturb-knot must move {message}\n"
+    assert not out_path.exists()
+
+
+def test_approx_perturb_knot_checks_follow_the_knots(capsys):
+    # Knots that cannot be built exit 3 before the nudge is judged.
+    code, _, err = run_cli(capsys, "approx", "--s", "1", "--a", "1",
+                           "--b", "1.0000000000000002", "--n", "3",
+                           "--perturb-knot", "1,1e-300")
+    assert (code, err) == (3, "error: knots not strictly increasing at "
+                              "1.0, 1.0\n")
+    code, out, _ = run_cli(capsys, "approx", "--s", "1", "--a", "0",
+                           "--b", "1", "--n", "3", "--perturb-knot", "2,1e-3")
+    assert code == 0
+    assert json.loads(out)["perturb_knot"]["objective_delta"] > 0.0
 
 
 def test_approx_empty_interval_exits_2(capsys):
