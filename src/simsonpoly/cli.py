@@ -105,24 +105,22 @@ def _construct_scene(args) -> SceneDocument:
         scene.add_parabola("C", associated_parabola(cfg), dash="4 3")
         scene.add_parabola("Cprime", midpoint_parabola(cfg), dash="2 3",
                            stroke="#777777")
-        scene.add_polygon("polygon", poly.polygon())
-        for i, foot in enumerate(poly.projections):
-            scene.add_point(f"X{i + 1}", foot, fill="#808080")
-        scene.add_point("S", poly.simson_point, fill="#b03030")
-        return scene
-    for flag, value in (("--feet", args.feet),
-                        ("--simson-point", args.simson_point),
-                        ("--simson-line", args.simson_line)):
-        if value is None:
-            raise _CliError(f"construct without --equidistant requires {flag}")
-    from .simson import construct_simson_polygon
+        polygon, feet, s = poly.polygon(), poly.projections, poly.simson_point
+    else:
+        for flag, value in (("--feet", args.feet),
+                            ("--simson-point", args.simson_point),
+                            ("--simson-line", args.simson_line)):
+            if value is None:
+                raise _CliError(
+                    f"construct without --equidistant requires {flag}")
+        from .simson import construct_simson_polygon
 
-    feet = parse_feet_spec(args.feet)
-    s = parse_point_spec(args.simson_point)
-    line = parse_line_spec(args.simson_line)
-    poly = construct_simson_polygon(s, line, feet)
-    scene.add_line("L", line)
-    scene.add_polygon("polygon", poly)
+        feet = parse_feet_spec(args.feet)
+        s = parse_point_spec(args.simson_point)
+        line = parse_line_spec(args.simson_line)
+        polygon = construct_simson_polygon(s, line, feet)
+        scene.add_line("L", line)
+    scene.add_polygon("polygon", polygon)
     for i, foot in enumerate(feet):
         scene.add_point(f"X{i + 1}", foot, fill="#808080")
     scene.add_point("S", s, fill="#b03030")

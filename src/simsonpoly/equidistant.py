@@ -415,12 +415,18 @@ def equidistant_from_frame(fp: SimsonPolygonFrame) -> EquidistantPolygon:
     """Recognize frame data as an equidistant polygon.
 
     Requires the feet to march monotonically along the line with equal
-    spacing (up to tolerance).  A descending march is mirrored, which is
-    another rigid motion of the frame.  Raises InvalidConfig otherwise.
+    spacing (up to tolerance).  The labels are first rotated to start
+    after the longest step between cyclically adjacent feet, which is
+    the one step against the march when the polygon is listed from
+    another vertex or in reverse.  A descending march is then mirrored,
+    which is another rigid motion of the frame.  Raises InvalidConfig
+    otherwise.
     """
     xs = [f.x for f in fp.projections]
-    vertices = fp.vertices
-    feet = fp.projections
+    k = max(range(len(xs)), key=lambda i: abs(xs[i] - xs[i - 1]))
+    vertices = fp.vertices[k:] + fp.vertices[:k]
+    feet = fp.projections[k:] + fp.projections[:k]
+    xs = xs[k:] + xs[:k]
     if len(xs) >= 2 and xs[-1] < xs[0]:
         vertices = tuple(Point(-v.x, v.y) for v in vertices)
         feet = tuple(Point(-f.x, f.y) for f in feet)

@@ -295,29 +295,18 @@ def reflect_line(m: Line, mirror: Line) -> Line:
     return Line(m.a - k * mirror.a, m.b - k * mirror.b, m.c - k * mirror.c)
 
 
-def lines_parallel(l1: Line, l2: Line) -> bool:
-    """True when the normals are parallel.  Unit normals make the cross
-    product the sine of the angle between the lines."""
-    return abs(l1.a * l2.b - l2.a * l1.b) <= DEFAULT_TOLERANCE.bound(1.0)
-
-
-def lines_equal(l1: Line, l2: Line) -> bool:
-    if not lines_parallel(l1, l2):
-        return False
-    offset_scale = max(abs(l1.c), abs(l2.c))
-    if l1.a * l2.a + l1.b * l2.b >= 0.0:
-        return abs(l1.c - l2.c) <= DEFAULT_TOLERANCE.bound(offset_scale)
-    return abs(l1.c + l2.c) <= DEFAULT_TOLERANCE.bound(offset_scale)
-
-
 def line_intersection(l1: Line, l2: Line) -> Optional[Point]:
     """Crossing point of two lines, or None for distinct parallels.
 
     Raises IdenticalLines when the lines coincide under the tolerance.
     """
+    # Unit normals make det the sine of the angle between the lines.
     det = l1.a * l2.b - l2.a * l1.b
     if abs(det) <= DEFAULT_TOLERANCE.bound(1.0):
-        if lines_equal(l1, l2):
+        # Normals pointing opposite ways flip the sign of one offset.
+        offset = l1.c - l2.c if l1.a * l2.a + l1.b * l2.b >= 0.0 \
+            else l1.c + l2.c
+        if abs(offset) <= DEFAULT_TOLERANCE.bound(max(abs(l1.c), abs(l2.c))):
             raise IdenticalLines("line_intersection: lines coincide")
         return None
     x = (l1.b * l2.c - l2.b * l1.c) / det
@@ -390,7 +379,7 @@ def line_circle_intersection(l: Line, c: Circle) -> list[Point]:
     eps = DEFAULT_TOLERANCE.bound(c.radius)
     if abs(d0) > c.radius + eps:
         return []
-    foot = Point(c.center.x - d0 * l.a, c.center.y - d0 * l.b)
+    foot = foot_of_perpendicular(c.center, l)
     if abs(d0) >= c.radius - eps:
         return [foot]
     h = math.sqrt(max(c.radius ** 2 - d0 * d0, 0.0))

@@ -20,7 +20,6 @@ if TYPE_CHECKING:
 
 _DEFAULT_STROKE = {
     "line": "#555555",
-    "circle": "#888888",
     "polygon": "#1f3d7a",
     "parabola": "#b03030",
     "chain": "#1f3d7a",
@@ -83,26 +82,18 @@ class SvgCanvas:
             f' y2="{_fmt(y2)}" stroke="{stroke}"'
             f' stroke-width="1.5"{dash_attr}/>')
 
-    def circle(self, center: Point, radius: float, stroke: str) -> None:
-        cx, cy = self.map(center)
-        self._body.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}"'
-            f' r="{_fmt(radius * self.scale)}" fill="none"'
-            f' stroke="{stroke}" stroke-width="1.5"/>')
-
     def dot(self, p: Point, fill: str = "#202020", radius: float = 3.0) -> None:
         cx, cy = self.map(p)
         self._body.append(
             f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}"'
             f' fill="{fill}"/>')
 
-    def text(self, p: Point, label: str, *, dx: float = 6.0,
-             dy: float = -6.0) -> None:
+    def text(self, p: Point, label: str) -> None:
         cx, cy = self.map(p)
         safe = (label.replace("&", "&amp;").replace("<", "&lt;")
                 .replace(">", "&gt;"))
         self._body.append(
-            f'<text x="{_fmt(cx + dx)}" y="{_fmt(cy + dy)}"'
+            f'<text x="{_fmt(cx + 6.0)}" y="{_fmt(cy - 6.0)}"'
             f' font-family="sans-serif" font-size="12">{safe}</text>')
 
     def infinite_line(self, a: float, b: float, c: float, stroke: str, *,
@@ -141,12 +132,9 @@ def _scene_bounds(scene: SceneDocument) -> tuple[float, float, float, float]:
     ys: list[float] = []
     for e in scene.entities:
         t = e["type"]
-        if t in ("point", "annotation"):
+        if t == "point":
             xs.append(e["x"])
             ys.append(e["y"])
-        elif t == "circle":
-            xs.extend([e["cx"] - e["r"], e["cx"] + e["r"]])
-            ys.extend([e["cy"] - e["r"], e["cy"] + e["r"]])
         elif t == "polygon":
             xs.extend(v[0] for v in e["vertices"])
             ys.extend(v[1] for v in e["vertices"])
@@ -160,7 +148,8 @@ def _style(e: dict, key: str, default):
 
 
 def scene_to_svg(scene: SceneDocument) -> str:
-    """Render a scene document; entity order fixes the stacking order."""
+    """Render a scene's lines, parabolas, polygons and points, stacked in
+    entity order; circle and annotation entities are not drawn."""
     xmin, ymin, xmax, ymax = _scene_bounds(scene)
     canvas = SvgCanvas(xmin, ymin, xmax, ymax)
     for e in scene.entities:
@@ -169,9 +158,6 @@ def scene_to_svg(scene: SceneDocument) -> str:
             canvas.infinite_line(e["a"], e["b"], e["c"],
                                  _style(e, "stroke", _DEFAULT_STROKE["line"]),
                                  dash=_style(e, "dash", ""))
-        elif t == "circle":
-            canvas.circle(Point(e["cx"], e["cy"]), e["r"],
-                          _style(e, "stroke", _DEFAULT_STROKE["circle"]))
         elif t == "polygon":
             pts = [Point(x, y) for x, y in e["vertices"]]
             canvas.polyline(pts, _style(e, "stroke", _DEFAULT_STROKE["polygon"]),
@@ -192,8 +178,6 @@ def scene_to_svg(scene: SceneDocument) -> str:
                 canvas.polyline(pts,
                                 _style(e, "stroke", _DEFAULT_STROKE["parabola"]),
                                 dash=_style(e, "dash", "4 3"), stroke_width=1.2)
-        elif t == "annotation":
-            canvas.text(Point(e["x"], e["y"]), e["text"], dx=0.0, dy=0.0)
     # Points drawn last so markers sit on top of everything else.
     for e in scene.of_type("point"):
         p = Point(e["x"], e["y"])

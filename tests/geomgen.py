@@ -27,8 +27,9 @@ TIGHT = Tolerance(abs_eps=1e-12, rel_eps=1e-12)
 
 
 def lines_equal_tight(l1, l2):
-    """``kernel.lines_equal`` judged at TIGHT, not at the package's
-    DEFAULT_TOLERANCE, for a test that pins a line more tightly."""
+    """Whether two lines coincide, as ``kernel.line_intersection`` judges
+    it but at TIGHT, not at the package's DEFAULT_TOLERANCE, for a test
+    that pins a line more tightly."""
     if abs(l1.a * l2.b - l2.a * l1.b) > TIGHT.bound(1.0):
         return False
     offset = l1.c - l2.c if l1.a * l2.a + l1.b * l2.b >= 0.0 else l1.c + l2.c

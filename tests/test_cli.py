@@ -86,6 +86,18 @@ def test_construct_svg_is_wellformed(tmp_path):
     assert "polyline" in text
 
 
+def test_construct_svg_clips_a_slanted_line_at_top_and_bottom(tmp_path):
+    # y = 2x leaves the figure's window through its top and bottom edges.
+    svg = tmp_path / "fig.svg"
+    assert main(["construct", "--feet", "-1,-2;0,0;1,2;2,4",
+                 "--simson-point=-2,1", "--simson-line", "y=2x", "--quiet",
+                 "--svg", str(svg)]) == 0
+    lines = [row for row in svg.read_text().splitlines()
+             if row.startswith("<line")]
+    assert lines == ['<line x1="102.86" y1="1028.57" x2="617.14" y2="0.00"'
+                     ' stroke="#555555" stroke-width="1.5"/>']
+
+
 def test_construct_degenerate_height_exits_3(capsys):
     code, _, err = run_cli(capsys, "construct", "--equidistant", "--s", "0",
                            "--delta", "1", "--n", "8")
@@ -347,12 +359,15 @@ def _scaled_octagon_scene(tmp_path, k):
                                      for v in base.vertices])
 
 
-@pytest.mark.parametrize("k", [1e8, 1e16, 1e30, 1e60, 1e100])
+# k = -1 turns the octagon by pi: its feet march against the direction of
+# its Simson line, so equidistant_from_frame mirrors the frame.
+@pytest.mark.parametrize("k", [-1.0, 1e8, 1e16, 1e30, 1e60, 1e100])
 def test_verify_recognises_scaled_moved_octagon(capsys, tmp_path, k):
     path = _scaled_octagon_scene(tmp_path, k)
     code, out, err = run_cli(capsys, "verify", "--in", str(path))
     assert (code, err) == (0, "")
-    assert json.loads(out)["overall"] is True
+    report = json.loads(out)
+    assert report["overall"] is True and len(report["checks"]) == 8
 
 
 def test_verify_scaled_octagon_beyond_float_range_exits_3(capsys, tmp_path):
@@ -524,6 +539,28 @@ def test_verify_uneven_feet_general_checks_pass(capsys, tmp_path):
                            "--checks", "simson,isogonal,lambert")
     assert code == 0
     assert json.loads(out)["overall"] is True
+
+
+def test_verify_feet_out_of_order_fail_equidistant_spacing(capsys, tmp_path):
+    path = tmp_path / "scene.json"
+    assert main(["construct", "--feet", "0,0;2,0;1,0;3,0", "--simson-point",
+                 "0,1", "--simson-line", "y=0", "--out", str(path)]) == 0
+    code, out, _ = run_cli(capsys, "verify", "--in", str(path))
+    assert code == 4
+    spacing = json.loads(out)["checks"][-1]
+    assert (spacing["name"], spacing["pass"]) == ("equidistant-spacing", False)
+    assert spacing["note"] == "feet do not march monotonically along the line"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="kernel.join_points computes c = p.x*q.y - q.x*p.y, "
+                          "which overflows near 1e153 (ROADMAP item 9)")
+def test_verify_recognises_a_polygon_built_near_1e153(capsys, tmp_path):
+    path = tmp_path / "scene.json"
+    assert main(["construct", "--equidistant", "--s=1e152", "--x0=1e153",
+                 "--delta=1e153", "--n", "8", "--out", str(path)]) == 0
+    code, _, err = run_cli(capsys, "verify", "--in", str(path))
+    assert (code, err) == (0, "")
 
 
 def test_verify_small_polygon_skips_archimedes(capsys, tmp_path):

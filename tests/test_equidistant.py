@@ -26,8 +26,8 @@ from simsonpoly.equidistant import (
     verify_parallel_chords,
 )
 from judged import max_residual
-from simsonpoly.kernel import DEFAULT_TOLERANCE, IdenticalLines, Line, Point, \
-    circumcircle, line_through
+from simsonpoly.kernel import DEFAULT_TOLERANCE, IdenticalLines, Line, \
+    NonFinite, Point, circumcircle, line_through
 from simsonpoly.report import VerificationReport
 from simsonpoly.simson import Polygon, construct_simson_polygon, \
     find_simson_point, is_simson_point
@@ -342,6 +342,26 @@ def test_archimedes_needs_five_sides():
     small = make_equidistant(EquidistantConfig(s=1, x0=0, delta=1, n=4))
     with pytest.raises(InvalidConfig):
         verify_archimedes(small)
+
+
+# Its y-coordinates reach 2.7e156, so an x times a y, in a side line's
+# offset or a chord's cross product, overflows and a difference of two
+# such products is inf - inf.
+NEAR_1E153 = make_equidistant(EquidistantConfig(1e150, 1e153, 1e152, 8))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ux * dy - uy * dx is inf - inf (ROADMAP item 9)")
+def test_parallel_chords_residuals_are_finite_near_1e153():
+    report = verify_parallel_chords(NEAR_1E153)
+    assert all(c.passed for c in report.checks)
+
+
+@pytest.mark.xfail(strict=True, raises=NonFinite,
+                   reason="kernel.join_points computes c = p.x*q.y - q.x*p.y, "
+                          "which is inf - inf (ROADMAP item 9)")
+def test_archimedes_side_lines_are_finite_near_1e153():
+    assert verify_archimedes(NEAR_1E153).overall
 
 
 def test_archimedes_fails_on_perturbation():

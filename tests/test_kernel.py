@@ -25,8 +25,6 @@ from simsonpoly.kernel import (
     line_circle_intersection,
     line_intersection,
     line_through,
-    lines_equal,
-    lines_parallel,
     reflect_line,
     reflect_point,
 )
@@ -108,6 +106,13 @@ def test_intersection_identical_raises():
     l = line_through(Point(0, 0), Point(1, 1))
     with pytest.raises(IdenticalLines):
         line_intersection(l, l)
+
+
+def test_intersection_identical_with_opposite_normals_raises():
+    # Normalising keeps a > 0 in the first line and b > 0 in the second,
+    # so the normals of this one line y = 3 point opposite ways.
+    with pytest.raises(IdenticalLines):
+        line_intersection(Line(1e-12, -1, 3), Line(0, 1, -3))
 
 
 # ---------------------------------------------------------------- circumcircle
@@ -198,7 +203,7 @@ def test_reflect_line_vertical_over_diagonal():
     mirror = line_through(Point(1, 0), Point(3, 2))
     vertical = Line(1, 0, -2)
     out = reflect_line(vertical, mirror)
-    assert lines_equal(out, Line(0, 1, -1))
+    assert lines_equal_tight(out, Line(0, 1, -1))
 
 
 angles = st.floats(0.0, 2.0 * math.pi)
@@ -307,7 +312,7 @@ def test_circumcircle_permutation_symmetric(a, b, c):
 def test_line_intersection_symmetric(p, q, r, s):
     assume(p.distance(q) > 1e-3 and r.distance(s) > 1e-3)
     l1, l2 = line_through(p, q), line_through(r, s)
-    assume(not lines_parallel(l1, l2))
+    assume(abs(l1.a * l2.b - l2.a * l1.b) > DEFAULT_TOLERANCE.bound(1.0))
     a = line_intersection(l1, l2)
     b = line_intersection(l2, l1)
     assert a.distance(b) <= 1e-9 * (1.0 + a.norm())

@@ -88,6 +88,18 @@ def test_document_round_trip_is_bit_identical():
     assert again.to_json() == text
 
 
+def test_figure_draws_no_circle_or_annotation():
+    from simsonpoly.svgfig import scene_to_svg
+
+    bare = SceneDocument()
+    bare.add_point("S", Point(0, 1))
+    full = SceneDocument()
+    full.add_circle("k", Circle(Point(0, 6), 5.0))
+    full.add_point("S", Point(0, 1))
+    full.add_annotation("note", Point(0.1, 1.1), "S")
+    assert scene_to_svg(full) == scene_to_svg(bare)
+
+
 def test_round_trip_preserves_awkward_floats():
     scene = SceneDocument()
     scene.add_point("p", Point(0.1 + 0.2, 1.0 / 3.0))
