@@ -162,6 +162,25 @@ def optimal_knots(p: ApproxProblem) -> ApproxResult:
                         l1_error=l1, l2_error=l2)
 
 
+def width_spread(p: ApproxProblem) -> float:
+    """A bound R on |h1 - h2| for any two adjacent widths of the grid
+    :func:`optimal_knots` builds, each the float difference of its knots.
+
+    In exact arithmetic the widths are equal; R adds up the roundings.
+    Every value the construction rounds is below 4M, M = max(|a|, |b|),
+    so each rounding is off by at most q = ulp(4M)/2 = 2 ulp(M).  Against
+    a + i h, with h the float (b - a)/n, an interior knot is off by at
+    most 2q (i h, then a + i h), x_0 = a by nothing, and x_n = b by
+    |b - a - n h| <= q + n ulp(h)/2 (b - a, then its quotient by n).  Two
+    adjacent exact widths therefore differ by at most 8q, or by
+    7q + n ulp(h)/2 at the last knot, and rounding the two widths adds
+    2q: R = 10q + n ulp(h)/2.  The float returned has q + n ulp(h)/2 to
+    spare, more than the rounding of its own sum.
+    """
+    q = 2.0 * math.ulp(max(abs(p.a), abs(p.b)))
+    return 11.0 * q + p.n * math.ulp((p.b - p.a) / p.n)
+
+
 # The 10-point Gauss-Legendre rule on [-1, 1]: the floats of numpy's
 # ``polynomial.legendre.leggauss(10)``, pinned bitwise by a test.
 _GL_NODES = (

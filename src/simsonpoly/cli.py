@@ -306,7 +306,7 @@ def _parse_perturb_knot(spec: str) -> tuple[int, float]:
 
 def cmd_approx(args) -> int:
     from .approx import ApproxProblem, optimal_knots, quadrature_l1, \
-        quadrature_l2, total_error_objective
+        quadrature_l2, width_spread
 
     if args.a >= args.b:
         raise _CliError(f"need a < b, got a={args.a}, b={args.b}")
@@ -325,13 +325,6 @@ def cmd_approx(args) -> int:
     problem = ApproxProblem(s=args.s, delta=args.delta, a=args.a, b=args.b,
                             n=args.n)
     result = optimal_knots(problem)
-    if args.perturb_knot:
-        # A nudge lost to rounding or past a neighbour tests no optimum.
-        before, knot, after = result.knots[idx - 1:idx + 2]
-        if knot + eps == knot or not before < knot + eps < after:
-            raise _CliError(f"--perturb-knot must move knot {idx} off "
-                            f"{knot} to strictly between {before} and "
-                            f"{after}, not to {knot + eps}")
     payload = {
         "s": problem.s, "delta": problem.delta,
         "a": problem.a, "b": problem.b, "n": problem.n,
@@ -353,13 +346,20 @@ def cmd_approx(args) -> int:
             / max(result.l2_error, 1e-300),
         }
     if args.perturb_knot:
-        interior = result.knots[1:-1]
-        moved = (*interior[:idx - 1], knot + eps, *interior[idx:])
-        delta_obj = (total_error_objective(problem, moved)
-                     - total_error_objective(problem, interior))
-        payload["perturb_knot"] = {"index": idx, "eps": eps,
-                                   "objective_delta": delta_obj}
-        if delta_obj <= 0.0:
+        # Moving the knot by e changes only its two widths, to h1 + e and
+        # h2 - e, and their cubes by 3e(h1 + h2)(h1 - h2 + e): no cancelling.
+        before, knot, after = result.knots[idx - 1:idx + 2]
+        h1, h2, e = knot - before, after - knot, (knot + eps) - knot
+        # A nudge lost to rounding or past a neighbour tests no optimum.
+        if e == 0.0 or not before < knot + eps < after:
+            raise _CliError(f"--perturb-knot must move knot {idx} off "
+                            f"{knot} to strictly between {before} and "
+                            f"{after}, not to {knot + eps}")
+        payload["perturb_knot"] = {"index": idx, "eps": eps, "objective_delta":
+                                   3.0 * e * (h1 + h2) * (h1 - h2 + e)}
+        # Widths equal up to R = width_spread give sign(e)(h1 - h2 + e)
+        # >= |e| - R > -R: only knots off the optimum fall below -R.
+        if math.copysign(1.0, e) * (h1 - h2 + e) < -width_spread(problem):
             exit_code = EXIT_VERIFY
     svg = None
     if args.svg:

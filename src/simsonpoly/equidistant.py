@@ -192,7 +192,7 @@ def verify_parallel_chords(poly: EquidistantPolygon) -> VerificationReport:
     ys = [v.y for v in poly.chain]
     m = len(xs)
     two_s = 2.0 * poly.config.s
-    atan2 = math.atan2
+    atan2, frexp, ldexp = math.atan2, math.frexp, math.ldexp
     par_idx, par_res = [], []
     mid_idx, mid_res = [], []
 
@@ -200,8 +200,16 @@ def verify_parallel_chords(poly: EquidistantPolygon) -> VerificationReport:
         for sigma in range(3, 2 * m):
             # The chords V_i V_j with i + j = sigma and i < j, by increasing i.
             i_range = range(max(1, sigma - m), (sigma - 1) // 2 + 1)
-            dxs = [xs[sigma - i - 1] - xs[i - 1] for i in i_range]
-            dys = [ys[sigma - i - 1] - ys[i - 1] for i in i_range]
+            # Each block is scaled by the power of two that brings its
+            # widest chord, the first, near 1, and so is (x_mid, 2s) below.
+            # That is exact: an angle keeps its bits wherever its products
+            # stayed normal floats, and near 1e153 they no longer overflow.
+            lo, hi = i_range[0] - 1, sigma - i_range[0] - 1
+            shift = -frexp(max(abs(xs[hi] - xs[lo]), abs(ys[hi] - ys[lo])))[1]
+            dxs = [ldexp(xs[sigma - i - 1] - xs[i - 1], shift)
+                   for i in i_range]
+            dys = [ldexp(ys[sigma - i - 1] - ys[i - 1], shift)
+                   for i in i_range]
             coords = [0.5 * (xs[i - 1] + xs[sigma - i - 1]) for i in i_range]
             if len(dxs) >= 2:
                 ux, uy = dxs[0], dys[0]
@@ -213,8 +221,9 @@ def verify_parallel_chords(poly: EquidistantPolygon) -> VerificationReport:
                 # j - i is even: compare with the tangent at V_{sigma/2}.
                 mid = sigma // 2
                 x_mid = xs[mid - 1]
-                yield ([atan2(abs(dx * x_mid - dy * two_s),
-                              abs(dx * two_s + dy * x_mid))
+                shift = -frexp(max(abs(x_mid), abs(two_s)))[1]
+                tx, ts = ldexp(x_mid, shift), ldexp(two_s, shift)
+                yield ([atan2(abs(dx * tx - dy * ts), abs(dx * ts + dy * tx))
                         for dx, dy in zip(dxs, dys)],
                        lambda k, i0=i_range[0], sigma=sigma, mid=mid:
                        (i0 + k, sigma - i0 - k, mid))

@@ -482,6 +482,14 @@ def test_verify_unknown_check_next_to_all_exits_2(capsys, tmp_path, checks):
     assert err.count("\n") == 1
 
 
+def test_verify_checks_naming_no_check_exits_2(capsys, tmp_path):
+    path = octagon_scene(tmp_path)
+    code, out, err = run_cli(capsys, "verify", "--in", str(path),
+                             "--checks", ",")
+    assert (code, out) == (2, "")
+    assert err == "error: --checks must name at least one check\n"
+
+
 def test_verify_missing_in_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify")
     assert code == 2
@@ -654,6 +662,8 @@ def test_approx_perturb_knot_bad_index_exits_2(capsys):
       "--perturb-knot", "9,1"], "--perturb-knot index must be interior (1..2)"),
     (["--s", "1", "--a", "0", "--b", "4", "--n", "1",
       "--perturb-knot", "1,1e-3"], "--n 1 has none"),
+    (["--s", "1e-300", "--a", "0", "--b", "1", "--n", "3",
+      "--perturb-knot", "1,x"], "error: bad --perturb-knot value '1,x'"),
 ])
 def test_approx_perturb_knot_is_checked_before_computing(capsys, argv,
                                                           message):
@@ -715,6 +725,57 @@ def test_approx_perturb_knot_checks_follow_the_knots(capsys):
                            "--b", "1", "--n", "3", "--perturb-knot", "2,1e-3")
     assert code == 0
     assert json.loads(out)["perturb_knot"]["objective_delta"] > 0.0
+
+
+# On [1000, 1001] a nudge of 1e-9 changes the sum of cubed widths by about
+# 2e-18, below one ulp of the sum; the change of the two widths it moves
+# still shows it.  2e-13 is two ulps of the knot, near the grid's own
+# rounding of its widths.
+@pytest.mark.parametrize("spec", ["1,1e-9", "1,-1e-9", "2,1e-10", "1,2e-13"])
+def test_approx_perturb_knot_below_the_sums_rounding_exits_0(capsys, spec):
+    code, out, _ = run_cli(capsys, "approx", "--s", "1", "--a", "1000",
+                           "--b", "1001", "--n", "3", "--perturb-knot", spec)
+    assert code == 0
+    nudge = json.loads(out)["perturb_knot"]
+    assert list(nudge) == ["index", "eps", "objective_delta"]
+    assert 0.0 < nudge["objective_delta"] < 1e-17
+
+
+def _off_optimum(monkeypatch):
+    """Make approx build the knots 0, 1.1, 2, 3, 4 for [0, 4] with n = 4:
+    knot 1 sits 0.1 right of the optimum, far beyond width_spread."""
+    from simsonpoly import approx
+
+    optimal = approx.optimal_knots
+
+    def knots(p):
+        res = optimal(p)
+        xs = (0.0, 1.1, *res.knots[2:])
+        return approx.ApproxResult(xs, tuple((x, p.f(x)) for x in xs),
+                                   res.l1_error, res.l2_error)
+
+    monkeypatch.setattr(approx, "optimal_knots", knots)
+    assert approx.width_spread(approx.ApproxProblem(1.0, 0.0, 0.0, 4.0, 4)) \
+        < 1e-12
+
+
+@pytest.mark.parametrize("eps, code, sign", [
+    ("-0.01", 4, -1.0),   # toward the optimum: the sum falls
+    ("0.01", 0, 1.0),     # away from it: the sum rises
+    ("-0.3", 0, 1.0),     # past the optimum, to 0.2 below it: it rises
+])
+def test_approx_perturb_knot_off_the_optimum(capsys, monkeypatch, eps, code,
+                                             sign):
+    _off_optimum(monkeypatch)
+    got, out, _ = run_cli(capsys, "approx", "--s", "1", "--a", "0", "--b",
+                          "4", "--n", "4", "--perturb-knot", f"1,{eps}")
+    assert got == code
+    doc = json.loads(out)
+    assert doc["knots"][1] == 1.1
+    # 3e(h1 + h2)(h1 - h2 + e) with h1 = 1.1, h2 = 0.9.
+    delta = doc["perturb_knot"]["objective_delta"]
+    assert delta == pytest.approx(3 * float(eps) * 2.0 * (0.2 + float(eps)))
+    assert math.copysign(1.0, delta) == sign
 
 
 def test_approx_empty_interval_exits_2(capsys):
@@ -839,6 +900,33 @@ def test_limit_single_row_has_no_order_flag(capsys):
     assert len(payload["rows"]) == 1
     assert "order_ok" not in payload
     assert payload["observed_orders"] == []
+
+
+def test_limit_order_below_1_9_exits_4(capsys, monkeypatch):
+    # The last row's distance is raised so that its observed order is 1.
+    from simsonpoly import limits
+
+    table = limits.convergence_table
+
+    def slow(s, window, m_max):
+        rows = table(s, window, m_max)
+        last = rows[-1]
+        return rows[:-1] + [limits.ConvergenceRow(
+            last.delta, 2.0 * last.hausdorff, last.bound,
+            last.chain_to_parabola)]
+
+    monkeypatch.setattr(limits, "convergence_table", slow)
+    code, out, _ = run_cli(capsys, "limit", "--s", "1", "--m-max", "2")
+    assert code == 4
+    payload = json.loads(out)
+    assert payload["order_ok"] is False
+    assert payload["observed_orders"][-1] == pytest.approx(1.0)
+
+
+def test_limit_negative_m_max_exits_2(capsys):
+    code, out, err = run_cli(capsys, "limit", "--s", "1", "--m-max", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --m-max must be >= 0\n"
 
 
 def test_limit_nontiling_window_exits_3(capsys):

@@ -300,6 +300,16 @@ def test_isogonal_skips_vertices_on_line():
     assert any("skipped" in c.note for c in report.checks)
 
 
+def test_isogonal_skips_a_vertex_at_s():
+    # V_1 = S leaves its ray toward S with no length.
+    frame = SimsonPolygonFrame(
+        vertices=[Point(0, 1), Point(2, -1), Point(-2, -1)],
+        projections=[Point(-1, 0), Point(1, 0), Point(0, 0)],
+        simson_point=Point(0, 1))
+    (check,) = verify_isogonal(frame).checks
+    assert check.note == "skipped: degenerate ray at 1"
+
+
 def test_isogonal_fails_on_perturbation():
     assert not verify_isogonal(_perturbed(OCT)).overall
 
@@ -350,8 +360,6 @@ def test_archimedes_needs_five_sides():
 NEAR_1E153 = make_equidistant(EquidistantConfig(1e150, 1e153, 1e152, 8))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ux * dy - uy * dx is inf - inf (ROADMAP item 9)")
 def test_parallel_chords_residuals_are_finite_near_1e153():
     report = verify_parallel_chords(NEAR_1E153)
     assert all(c.passed for c in report.checks)

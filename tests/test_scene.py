@@ -100,6 +100,24 @@ def test_figure_draws_no_circle_or_annotation():
     assert scene_to_svg(full) == scene_to_svg(bare)
 
 
+EMPTY_FIGURE = (
+    '<?xml version="1.0" encoding="UTF-8"?>\n'
+    '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="720" '
+    'height="720" viewBox="0 0 720 720">\n'
+    '<rect width="720" height="720" fill="#ffffff"/>\n\n</svg>\n')
+
+
+def test_figure_of_a_scene_without_points_or_polygons():
+    # With nothing to bound it the window is [-1, 1] x [-1, 1], and the
+    # line y = 5 misses it, so nothing is drawn.
+    from simsonpoly.svgfig import scene_to_svg
+
+    assert scene_to_svg(SceneDocument()) == EMPTY_FIGURE
+    scene = SceneDocument()
+    scene.add_line("L", Line(0, 1, -5))
+    assert scene_to_svg(scene) == EMPTY_FIGURE
+
+
 def test_round_trip_preserves_awkward_floats():
     scene = SceneDocument()
     scene.add_point("p", Point(0.1 + 0.2, 1.0 / 3.0))
