@@ -212,8 +212,7 @@ def _run_checks(poly: Polygon, checks: list[str],
     cert = find_simson_point(poly)
     if cert is None:
         # No frame, so no scale: the report names only the raw tolerance.
-        report.tolerances.update(abs_eps=DEFAULT_TOLERANCE.abs_eps,
-                                 rel_eps=DEFAULT_TOLERANCE.rel_eps)
+        report.tolerances["rel_eps"] = DEFAULT_TOLERANCE.rel_eps
         defect = characterization_defect(poly)
         if "simson" in checks:
             report.add(CheckResult(

@@ -348,9 +348,6 @@ def verify_archimedes(poly: SimsonPolygonFrame) -> VerificationReport:
         residuals.append(max(*ws, *coords) - min(*ws, *coords))
     if parallel_pairs:
         i, j = min(parallel_pairs)
-        # line_intersection raises IdenticalLines for coincident sides and
-        # returns None for parallel ones.
-        line_intersection(sides[i - 1], sides[j - 1])
         raise ParallelSides(f"side lines {i} and {j} are parallel")
     report.judge("archimedes-family", [(residuals, lambda k: (k + 3,))],
                  limit)

@@ -4,9 +4,9 @@ Everything downstream is built on the handful of constructions in this
 module (perpendicular feet, reflections, circumcircles, intersections).
 The approach is exact-formula-first: operations evaluate closed forms in
 floating point and every predicate decides with the package's one
-absolute plus relative tolerance, DEFAULT_TOLERANCE.  There is no exact
-rational fallback; degeneracies are reported through the error types
-below instead of being silently absorbed.
+relative tolerance, DEFAULT_TOLERANCE, at a length scale of its data.
+There is no exact rational fallback; degeneracies are reported through
+the error types below instead of being silently absorbed.
 Results are plain values: a point, a line, a circle, a list of points, or
 None where the construction has no finite answer (parallel lines).  The
 module is pure Python on ``math`` alone.
@@ -24,10 +24,6 @@ class GeometryError(ValueError):
 
 class CoincidentPoints(GeometryError):
     """Two points expected to be distinct coincide under the tolerance."""
-
-
-class IdenticalLines(GeometryError):
-    """Two lines expected to be distinct coincide under the tolerance."""
 
 
 class CollinearInput(GeometryError):
@@ -92,25 +88,24 @@ class Frozen:
 
 
 class Tolerance(Frozen):
-    """Absolute/relative tolerance pair.
+    """Relative tolerance.
 
     A comparison at length scale ``L`` uses the threshold
-    ``abs_eps + rel_eps * |L|``; see :meth:`bound`.  Every predicate and
-    check of the package judges at DEFAULT_TOLERANCE; no caller sets
-    another.
+    ``rel_eps * |L|``; see :meth:`bound`.  A dimensionless quantity is
+    judged at ``L = 1``.  Every predicate and check of the package judges
+    at DEFAULT_TOLERANCE; no caller sets another.
     """
 
-    __slots__ = _fields = ("abs_eps", "rel_eps")
+    __slots__ = _fields = ("rel_eps",)
 
-    def __init__(self, abs_eps: float = 1e-9, rel_eps: float = 1e-9):
-        if not (abs_eps > 0.0 and rel_eps > 0.0):
+    def __init__(self, rel_eps: float = 1e-9):
+        if not rel_eps > 0.0:
             raise ValueError("tolerance components must be positive")
-        object.__setattr__(self, "abs_eps", abs_eps)
         object.__setattr__(self, "rel_eps", rel_eps)
 
-    def bound(self, scale: float = 0.0) -> float:
+    def bound(self, scale: float) -> float:
         """Comparison threshold at the given length scale."""
-        return self.abs_eps + self.rel_eps * abs(scale)
+        return self.rel_eps * abs(scale)
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -296,18 +291,15 @@ def reflect_line(m: Line, mirror: Line) -> Line:
 
 
 def line_intersection(l1: Line, l2: Line) -> Optional[Point]:
-    """Crossing point of two lines, or None for distinct parallels.
+    """Crossing point of two lines, or None when they are parallel.
 
-    Raises IdenticalLines when the lines coincide under the tolerance.
+    Coincident lines count as parallel: two lines carry no length scale
+    (their offsets measure the distance from the origin), so a caller
+    that must tell them apart judges at the scale of its own data.
     """
     # Unit normals make det the sine of the angle between the lines.
     det = l1.a * l2.b - l2.a * l1.b
     if abs(det) <= DEFAULT_TOLERANCE.bound(1.0):
-        # Normals pointing opposite ways flip the sign of one offset.
-        offset = l1.c - l2.c if l1.a * l2.a + l1.b * l2.b >= 0.0 \
-            else l1.c + l2.c
-        if abs(offset) <= DEFAULT_TOLERANCE.bound(max(abs(l1.c), abs(l2.c))):
-            raise IdenticalLines("line_intersection: lines coincide")
         return None
     x = (l1.b * l2.c - l2.b * l1.c) / det
     y = (l2.a * l1.c - l1.a * l2.c) / det
@@ -320,21 +312,25 @@ def circumcircle(a: Point, b: Point, c: Point) -> Circle:
     Raises CollinearInput when the points are collinear under the
     tolerance at the scale of their bounding box.
     """
-    scale = bbox_diagonal([a, b, c])
-    # Collinearity test via the height of c over line(a, b); symmetric
-    # enough for a guard, the solve below is what actually fails.
     bx, by = b.x - a.x, b.y - a.y
     cx, cy = c.x - a.x, c.y - a.y
+    # Exact power-of-two scaling keeps the cubic solve in the float range.
+    e = -math.frexp(max(abs(bx), abs(by), abs(cx), abs(cy)))[1]
+    bx, by = math.ldexp(bx, e), math.ldexp(by, e)
+    cx, cy = math.ldexp(cx, e), math.ldexp(cy, e)
+    scale = math.ldexp(bbox_diagonal([a, b, c]), e)
+    # Collinearity test via the height of c over line(a, b); symmetric
+    # enough for a guard, the solve below is what actually fails.
     d = 2.0 * (bx * cy - by * cx)
-    base = max(math.hypot(bx, by), math.hypot(cx, cy), 1.0)
+    base = max(math.hypot(bx, by), math.hypot(cx, cy))
     if abs(d) <= 2.0 * DEFAULT_TOLERANCE.bound(scale) * base:
         raise CollinearInput(f"circumcircle: collinear input {a}, {b}, {c}")
     b2 = bx * bx + by * by
     c2 = cx * cx + cy * cy
     ux = (cy * b2 - by * c2) / d
     uy = (bx * c2 - cx * b2) / d
-    center = Point(a.x + ux, a.y + uy)
-    return Circle(center, math.hypot(ux, uy))
+    center = Point(a.x + math.ldexp(ux, -e), a.y + math.ldexp(uy, -e))
+    return Circle(center, math.ldexp(math.hypot(ux, uy), -e))
 
 
 def circle_intersection(c1: Circle, c2: Circle) -> list[Point]:

@@ -78,8 +78,7 @@ class VerificationReport(Frozen):
         (length limit, angle limit); angles are judged at max(1, scale)."""
         length_limit = DEFAULT_TOLERANCE.bound(scale)
         angle_limit = DEFAULT_TOLERANCE.bound(max(1.0, scale))
-        self.tolerances.update(abs_eps=DEFAULT_TOLERANCE.abs_eps,
-                               rel_eps=DEFAULT_TOLERANCE.rel_eps,
+        self.tolerances.update(rel_eps=DEFAULT_TOLERANCE.rel_eps,
                                scale=scale, length_limit=length_limit,
                                angle_limit=angle_limit)
         return length_limit, angle_limit

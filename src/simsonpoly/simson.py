@@ -37,7 +37,6 @@ from .kernel import (
     Frozen,
     GeometryError,
     IdenticalCircles,
-    IdenticalLines,
     Line,
     NonFinite,
     Point,
@@ -223,11 +222,7 @@ class CompleteQuadrilateral(Frozen):
         pts = {}
         for i in range(4):
             for j in range(i + 1, 4):
-                try:
-                    meet = line_intersection(lines[i], lines[j])
-                except IdenticalLines:
-                    raise DegenerateConfiguration(
-                        f"lines {i} and {j} coincide") from None
+                meet = line_intersection(lines[i], lines[j])
                 if meet is None:
                     raise DegenerateConfiguration(
                         f"lines {i} and {j} are parallel")
@@ -297,21 +292,22 @@ def characterization_circles(poly: Polygon) -> list[CharacterizationElement]:
 
     Element i is the circle through V_i, W_i and V_{i+1} where W_i is the
     meet of the two side lines adjacent to side i.  If those side lines
-    are parallel the element degenerates to the side line itself.
+    are parallel the element degenerates to the side line itself; if V_i
+    also lies on the next one, at the polygon's diameter, they coincide
+    and DegenerateConfiguration is raised.
     """
     n = poly.n
     sides = poly.side_lines()
+    bound = DEFAULT_TOLERANCE.bound(poly.diameter())
     elements: list[CharacterizationElement] = []
     for i in range(n):
-        prev_side = sides[(i - 1) % n]
         next_side = sides[(i + 1) % n]
-        try:
-            meet = line_intersection(prev_side, next_side)
-        except IdenticalLines:
-            raise DegenerateConfiguration(
-                f"characterization_circles: side lines {(i - 1) % n} and "
-                f"{(i + 1) % n} coincide") from None
+        meet = line_intersection(sides[(i - 1) % n], next_side)
         if meet is None:
+            if next_side.distance(poly.vertex(i)) <= bound:
+                raise DegenerateConfiguration(
+                    f"characterization_circles: side lines {(i - 1) % n} "
+                    f"and {(i + 1) % n} coincide")
             elements.append(sides[i])
             continue
         try:
@@ -340,16 +336,16 @@ def characterization_candidates(elements: Sequence[CharacterizationElement]
                                 ) -> list[Point]:
     """Candidate Simson points from the first pair of distinct elements.
 
-    Pairs (i < j, lexicographic) that the kernel calls identical
-    (IdenticalCircles, IdenticalLines) carry no information and are
-    skipped.  When every element is the same circle (a triangle reduces
-    to this) the whole circle qualifies and the topmost point is returned
-    as the deterministic representative.
+    Pairs (i < j, lexicographic) of circles that the kernel calls
+    identical (IdenticalCircles) carry no information and are skipped.
+    When every element is the same circle (a triangle reduces to this)
+    the whole circle qualifies and the topmost point is returned as the
+    deterministic representative.
     """
     for e1, e2 in combinations(elements, 2):
         try:
             return _intersect_elements(e1, e2)
-        except (IdenticalCircles, IdenticalLines):
+        except IdenticalCircles:
             continue
     if elements and isinstance(elements[0], Circle):
         c = elements[0]

@@ -99,16 +99,19 @@ class SvgCanvas:
     def infinite_line(self, a: float, b: float, c: float, stroke: str, *,
                       dash: str = "") -> None:
         """Clip a*x + b*y + c = 0 to the canvas window and draw it."""
+        # A crossing within 1e-9 of the window's extent is on its edge.
+        slack_x = 1e-9 * (self.xmax - self.xmin)
+        slack_y = 1e-9 * (self.ymax - self.ymin)
         pts = []
         for x in (self.xmin, self.xmax):
             if b != 0.0:
                 y = -(a * x + c) / b
-                if self.ymin - 1e-9 <= y <= self.ymax + 1e-9:
+                if self.ymin - slack_y <= y <= self.ymax + slack_y:
                     pts.append(Point(x, y))
         for y in (self.ymin, self.ymax):
             if a != 0.0:
                 x = -(b * y + c) / a
-                if self.xmin - 1e-9 <= x <= self.xmax + 1e-9:
+                if self.xmin - slack_x <= x <= self.xmax + slack_x:
                     pts.append(Point(x, y))
         if len(pts) < 2:
             return

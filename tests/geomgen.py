@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from simsonpoly import EquidistantConfig, Line, Point, Polygon, Tolerance
+from simsonpoly import EquidistantConfig, Line, Point, Polygon
 from simsonpoly.equidistant import IndexOutOfRange
 
 
@@ -23,17 +23,25 @@ def xy(p):
     return (p.x, p.y)
 
 
-TIGHT = Tolerance(abs_eps=1e-12, rel_eps=1e-12)
+def tight_bound(scale):
+    """1e-12 + 1e-12 * |scale|: a threshold far tighter than the package's
+    DEFAULT_TOLERANCE, for a test that pins a value more tightly."""
+    return 1e-12 + 1e-12 * abs(scale)
+
+
+# Scales k of the octagon (k, -3.5k, k, 8), on both sides of 1e-9, where
+# an absolute tolerance term of 1e-9 would take over from a relative one.
+OCTAGON_SCALES = [10.0 ** e for e in (-100, -50, -12, -10, -9, -6, -5, 0, 3,
+                                      100)]
 
 
 def lines_equal_tight(l1, l2):
-    """Whether two lines coincide, as ``kernel.line_intersection`` judges
-    it but at TIGHT, not at the package's DEFAULT_TOLERANCE, for a test
-    that pins a line more tightly."""
-    if abs(l1.a * l2.b - l2.a * l1.b) > TIGHT.bound(1.0):
+    """Whether two lines coincide at tight_bound: their normals agree to
+    tight_bound(1) and their offsets to tight_bound of the larger."""
+    if abs(l1.a * l2.b - l2.a * l1.b) > tight_bound(1.0):
         return False
     offset = l1.c - l2.c if l1.a * l2.a + l1.b * l2.b >= 0.0 else l1.c + l2.c
-    return abs(offset) <= TIGHT.bound(max(abs(l1.c), abs(l2.c)))
+    return abs(offset) <= tight_bound(max(abs(l1.c), abs(l2.c)))
 
 
 def sorted_angles(rng, n, min_gap):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from geomgen import regular_polygon
+from geomgen import OCTAGON_SCALES, regular_polygon
 from simsonpoly import EquidistantConfig, Point, Polygon, make_equidistant
 from simsonpoly.cli import COMMANDS, _perturbed, main
 from simsonpoly.kernel import DEFAULT_TOLERANCE, MAX_SEGMENTS, circumcircle, \
@@ -96,6 +96,23 @@ def test_construct_svg_clips_a_slanted_line_at_top_and_bottom(tmp_path):
              if row.startswith("<line")]
     assert lines == ['<line x1="102.86" y1="1028.57" x2="617.14" y2="0.00"'
                      ' stroke="#555555" stroke-width="1.5"/>']
+
+
+@pytest.mark.parametrize("k", [-100, -40, 40, 100])
+def test_construct_svg_does_not_depend_on_units(tmp_path, k):
+    # Scaling by 2^k is exact, so the request scaled by it draws the same
+    # figure, byte for byte.
+    def figure(k, name):
+        def xy(x, y):
+            return f"{math.ldexp(x, k)!r},{math.ldexp(y, k)!r}"
+        svg = tmp_path / name
+        feet = ";".join(xy(x, y) for x, y in [(-1, -2), (0, 0), (1, 2), (2, 4)])
+        assert main(["construct", "--feet", feet,
+                     f"--simson-point={xy(-2, 1)}", "--simson-line", "y=2x",
+                     "--quiet", "--svg", str(svg)]) == 0
+        return svg.read_bytes()
+
+    assert figure(k, "scaled.svg") == figure(0, "unit.svg")
 
 
 def test_construct_degenerate_height_exits_3(capsys):
@@ -325,13 +342,30 @@ def test_verify_consecutive_collinear_vertices_exit_3(capsys, tmp_path):
         and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("scale", [1e110, 1e160, 1e200])
-def test_verify_coordinates_beyond_float_range_exit_3(capsys, tmp_path, scale):
-    # A quadrilateral near (scale, scale): its circle construction
-    # overflows.
-    path = _polygon_scene(tmp_path, [
+def _far_quadrilateral_scene(tmp_path, scale):
+    # A quadrilateral near (scale, scale), of size about scale / 3.
+    return _polygon_scene(tmp_path, [
         (scale * (1 + a), scale * (1 + b))
         for a, b in [(0, 0), (0.3, 0.02), (0.25, 0.2), (0.03, 0.11)]])
+
+
+@pytest.mark.parametrize("scale", [1e110, 1e154])
+def test_verify_far_quadrilateral_finds_its_simson_point(capsys, tmp_path,
+                                                         scale):
+    # The circumcircles solve on differences scaled near 1, so they stay
+    # finite while a side line's offset (an x times a y) does.
+    path = _far_quadrilateral_scene(tmp_path, scale)
+    code, out, err = run_cli(capsys, "verify", "--in", str(path),
+                             "--checks", "simson,isogonal,lambert")
+    assert (code, err) == (0, "")
+    assert [c["name"] for c in json.loads(out)["checks"]] == \
+        ["simson", "isogonal", "lambert"]
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+def test_verify_coordinates_beyond_float_range_exit_3(capsys, tmp_path, scale):
+    # A side line's offset overflows.
+    path = _far_quadrilateral_scene(tmp_path, scale)
     code, out, err = run_cli(capsys, "verify", "--in", str(path))
     assert code == 3
     assert out == ""
@@ -361,7 +395,8 @@ def _scaled_octagon_scene(tmp_path, k):
 
 # k = -1 turns the octagon by pi: its feet march against the direction of
 # its Simson line, so equidistant_from_frame mirrors the frame.
-@pytest.mark.parametrize("k", [-1.0, 1e8, 1e16, 1e30, 1e60, 1e100])
+@pytest.mark.parametrize("k", [-1.0, 1e8, 1e16, 1e30, 1e60, 1e100, 1e150,
+                               1e-110])
 def test_verify_recognises_scaled_moved_octagon(capsys, tmp_path, k):
     path = _scaled_octagon_scene(tmp_path, k)
     code, out, err = run_cli(capsys, "verify", "--in", str(path))
@@ -371,11 +406,39 @@ def test_verify_recognises_scaled_moved_octagon(capsys, tmp_path, k):
 
 
 def test_verify_scaled_octagon_beyond_float_range_exits_3(capsys, tmp_path):
-    path = _scaled_octagon_scene(tmp_path, 1e150)
+    # A side line's offset, an x times a y, overflows.
+    path = _scaled_octagon_scene(tmp_path, 1e155)
     code, out, err = run_cli(capsys, "verify", "--in", str(path))
     assert code == 3
     assert out == ""
-    assert err.startswith("error: non-finite") and err.count("\n") == 1
+    assert err.startswith("error: non-finite line") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("k", OCTAGON_SCALES)
+def test_scaled_octagon_is_built_and_recognised(capsys, tmp_path, k):
+    path = tmp_path / "octagon.json"
+    code, _, err = run_cli(capsys, "construct", "--equidistant", f"--s={k}",
+                           f"--x0={-3.5 * k}", f"--delta={k}", "--n", "8",
+                           "--out", str(path))
+    assert (code, err) == (0, "")
+    code, out, err = run_cli(capsys, "verify", "--in", str(path))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["overall"] is True and len(report["checks"]) == 8
+
+
+def test_verify_all_collinear_pentagon_through_the_origin_exits_3(capsys,
+                                                                  tmp_path):
+    # Every side lies on one line through the origin, whose offset is 0:
+    # the side lines coincide at every turn of the line.
+    for r in range(0, 300, 7):
+        c, s = math.cos(r * math.pi / 150), math.sin(r * math.pi / 150)
+        path = _polygon_scene(tmp_path, [(t * c, t * s)
+                                         for t in (-2.0, 1.0, 3.0, -1.0, 2.0)])
+        code, out, err = run_cli(capsys, "verify", "--in", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: characterization_circles: side lines") \
+            and err.endswith("coincide\n")
 
 
 # (s, x0, delta, n), rotation, translation and numpy seed of negative

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geomgen import TIGHT, angle_between_lines, lines_equal_tight, xy
+from geomgen import angle_between_lines, lines_equal_tight, tight_bound, xy
 from simsonpoly.kernel import (
     Circle,
     CoincidentPoints,
     CollinearInput,
     DEFAULT_TOLERANCE,
     IdenticalCircles,
-    IdenticalLines,
     Line,
     Point,
     Tolerance,
@@ -51,8 +50,8 @@ def test_line_through_diagonal():
     # y = x - 1, normalized with positive leading coefficient
     l = line_through(Point(1, 0), Point(3, 2))
     assert (l.a, l.b, l.c) == pytest.approx((1 / ROOT2, -1 / ROOT2, -1 / ROOT2))
-    assert l.distance(Point(1, 0)) <= DEFAULT_TOLERANCE.bound()
-    assert l.distance(Point(3, 2)) <= DEFAULT_TOLERANCE.bound()
+    assert l.distance(Point(1, 0)) <= DEFAULT_TOLERANCE.bound(1.0)
+    assert l.distance(Point(3, 2)) <= DEFAULT_TOLERANCE.bound(1.0)
 
 
 def test_line_through_coincident_raises():
@@ -102,17 +101,13 @@ def test_intersection_of_two_chords():
     assert xy(cross) == pytest.approx((4.0, 3.0))
 
 
-def test_intersection_identical_raises():
+def test_intersection_of_coincident_lines_is_none():
+    # Coincident lines are parallel: through the origin, and y = 3 with
+    # normals pointing opposite ways (normalising keeps a > 0 in the first
+    # line and b > 0 in the second).
     l = line_through(Point(0, 0), Point(1, 1))
-    with pytest.raises(IdenticalLines):
-        line_intersection(l, l)
-
-
-def test_intersection_identical_with_opposite_normals_raises():
-    # Normalising keeps a > 0 in the first line and b > 0 in the second,
-    # so the normals of this one line y = 3 point opposite ways.
-    with pytest.raises(IdenticalLines):
-        line_intersection(Line(1e-12, -1, 3), Line(0, 1, -3))
+    assert line_intersection(l, l) is None
+    assert line_intersection(Line(1e-12, -1, 3), Line(0, 1, -3)) is None
 
 
 # ---------------------------------------------------------------- circumcircle
@@ -224,7 +219,7 @@ def test_reflect_line_is_exact_far_from_origin(t_m, t_mirror, off_m,
     assert lines_equal_tight(reflect_line(image, mirror), m)
     foot = Point(-m.c * m.a, -m.c * m.b)
     q = reflect_point(foot, mirror)
-    assert image.distance(q) <= TIGHT.bound(max(abs(m.c), abs(mirror.c)))
+    assert image.distance(q) <= tight_bound(max(abs(m.c), abs(mirror.c)))
 
 
 # ------------------------------------------------------------- point_on_circle
@@ -241,14 +236,15 @@ def test_point_on_circle():
 # ----------------------------------------------------------- tolerance plumbing
 
 def test_tolerance_bound_scales():
-    tol = Tolerance(abs_eps=1e-9, rel_eps=1e-6)
-    assert tol.bound(0.0) == pytest.approx(1e-9)
-    assert tol.bound(100.0) == pytest.approx(1e-9 + 1e-4)
+    tol = Tolerance(rel_eps=1e-6)
+    assert tol.bound(0.0) == 0.0
+    assert tol.bound(100.0) == pytest.approx(1e-4)
+    assert tol.bound(-100.0) == tol.bound(100.0)
 
 
 def test_tolerance_rejects_nonpositive():
     with pytest.raises(ValueError):
-        Tolerance(abs_eps=0.0, rel_eps=1e-9)
+        Tolerance(rel_eps=0.0)
 
 
 def test_no_package_function_takes_a_tolerance():

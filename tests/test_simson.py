@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from geomgen import random_convex_polygon, random_quadrilateral, \
-    random_triangle, regular_polygon, xy
+from geomgen import OCTAGON_SCALES, random_convex_polygon, \
+    random_quadrilateral, random_triangle, regular_polygon, xy
 from simsonpoly.kernel import DEFAULT_TOLERANCE, Circle, GeometryError, Line, \
     NonFinite, Point, bbox_diagonal, line_through
 from simsonpoly.simson import (
@@ -513,6 +513,23 @@ def test_equidistant_octagon_is_not_convex():
     from simsonpoly.equidistant import EquidistantConfig, make_equidistant
     poly = make_equidistant(EquidistantConfig(s=1, x0=0, delta=1, n=8))
     assert not is_convex(poly.polygon())
+
+
+@pytest.mark.parametrize("k", OCTAGON_SCALES)
+def test_jitter_of_a_scaled_octagon_is_no_simson_polygon(k):
+    # Moving each vertex by up to 1e-4 of the diameter breaks the pedal
+    # line at the true S, at every scale: no tolerance floor absorbs it.
+    from simsonpoly.equidistant import EquidistantConfig, make_equidistant
+    octagon = make_equidistant(EquidistantConfig(k, -3.5 * k, k, 8))
+    assert is_simson_point(octagon.simson_point, octagon.polygon())
+    jitter = 1e-4 * octagon.polygon().diameter()
+    rng = np.random.default_rng(2801)
+    for _ in range(20):
+        moved = Polygon(tuple(Point(v.x + jitter * dx, v.y + jitter * dy)
+                              for v, (dx, dy) in zip(
+                                  octagon.vertices,
+                                  rng.uniform(-1.0, 1.0, (8, 2)).tolist())))
+        assert is_simson_point(octagon.simson_point, moved) is None
 
 
 # ------------------------------------------------------------ property harnesses

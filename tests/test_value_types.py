@@ -35,8 +35,7 @@ FEET = (Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 0.0))
 
 # (class, keyword arguments, repr)
 CASES = [
-    (Tolerance, dict(abs_eps=1e-9, rel_eps=1e-6),
-     "Tolerance(abs_eps=1e-09, rel_eps=1e-06)"),
+    (Tolerance, dict(rel_eps=1e-6), "Tolerance(rel_eps=1e-06)"),
     (Point, dict(x=1.0, y=2.0), "Point(x=1.0, y=2.0)"),
     (Line, dict(a=0.0, b=1.0, c=2.0), "Line(a=0.0, b=1.0, c=2.0)"),
     (Line, dict(a=1.0, b=1.0, c=1.0), "Line(a=0.7071067811865475, "
@@ -140,7 +139,7 @@ def test_copies_skip_the_constructor():
 
 
 def test_defaults():
-    assert Tolerance() == Tolerance(abs_eps=1e-9, rel_eps=1e-9)
+    assert Tolerance() == Tolerance(rel_eps=1e-9)
     assert Parabola(2.0) == Parabola(s=2.0, c=0.0)
     check = CheckResult("x", (1, 2), 0.5, True)
     assert (check.note, check.limit, check.count) == ("", None, 1)
@@ -153,7 +152,7 @@ def test_defaults():
 
 
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: Tolerance(0.0, 1e-9), ValueError,
+    (lambda: Tolerance(0.0), ValueError,
      "tolerance components must be positive"),
     (lambda: Point(math.inf, 0.0), NonFinite, r"non-finite point \(inf, 0.0\)"),
     (lambda: Line(0.0, 0.0, 1.0), ValueError,

@@ -10,7 +10,12 @@ first, then runs as ``python -m simsonpoly`` with each tree's ``src`` on
 PYTHONPATH, in order, on a fresh copy of those inputs, so a request that
 reads an earlier request's output reads its own tree's.  A request whose
 exit code, stdout, stderr, ``--out`` bytes or ``--svg`` bytes differ is
-printed with the first differing line of each such output.  Exits 1 if
+printed with the first differing line of each such output.  Where both
+``--out`` files are ``verify`` reports, it prints instead ``overall`` and
+each entry whose name, pass, indices, residual, count or note differ,
+then the other keys that differ (such as ``limit``).  The last line
+counts the requests that differ and those among them whose exit code or
+a verdict (``overall``, or an entry's name or pass) differs.  Exits 1 if
 any request differs, else 0.  Standard library only; the manifest step
 needs numpy, as the benchmark does.
 """
@@ -24,9 +29,11 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 WORKLOADS = ("verify-sweep", "cli-small", "limit-refine")
+VERDICT_KEYS = ("name", "pass", "indices", "residual", "count", "note")
 
 
 def _env(tree: Path) -> dict:
@@ -74,9 +81,46 @@ def _first_difference(a: bytes | None, b: bytes | None) -> str:
     return f"{len(a)} -> {len(b)} bytes"
 
 
+def _report(data: bytes | None) -> dict | None:
+    """The verify report in an --out file's bytes, or None."""
+    try:
+        report = json.loads(data)
+    except (TypeError, ValueError):
+        return None
+    return report if isinstance(report, dict) and "checks" in report \
+        else None
+
+
+def _report_changes(a: dict, b: dict) -> tuple[list[str], bool]:
+    """Lines naming what differs between two verify reports, and whether
+    a verdict (overall, or an entry's name or pass) is among it."""
+    lines, verdict, other = [], False, set()
+    if a["overall"] != b["overall"]:
+        lines.append(f"overall {a['overall']} -> {b['overall']}")
+        verdict = True
+    # repr compares a NaN residual equal to itself.
+    for k, (ca, cb) in enumerate(zip_longest(a["checks"], b["checks"],
+                                             fillvalue={})):
+        keys = [key for key in VERDICT_KEYS
+                if repr(ca.get(key)) != repr(cb.get(key))]
+        if keys:
+            verdict |= "name" in keys or "pass" in keys
+            lines.append(f"entry {k}: " + ", ".join(
+                f"{key} {ca.get(key)!r} -> {cb.get(key)!r}" for key in keys))
+        other |= {key for key in ca.keys() | cb.keys()
+                  if key not in VERDICT_KEYS
+                  and repr(ca.get(key)) != repr(cb.get(key))}
+    if a.get("tolerances") != b.get("tolerances"):
+        other.add("tolerances")
+    if other:
+        lines.append("also differ: " + ", ".join(sorted(other)))
+    return lines, verdict
+
+
 def replay(old: Path, new: Path, workload: str, seed: int, cycles: int,
-           scratch: Path) -> int:
-    """Print every request of one manifest that differs; return how many."""
+           scratch: Path) -> tuple[int, int]:
+    """Print every request of one manifest that differs; return how many,
+    and how many of them differ in exit code or a verdict."""
     pristine, inputs = scratch / "pristine", scratch / "inputs"
     shutil.rmtree(pristine, ignore_errors=True)
     # The manifest names its files under --dir, so it is built where the
@@ -91,21 +135,31 @@ def replay(old: Path, new: Path, workload: str, seed: int, cycles: int,
     requests = manifest["warmup"] + [r for c in manifest["cycles"] for r in c]
     before = _run(old, requests, pristine, inputs)
     after = _run(new, requests, pristine, inputs)
-    differing = 0
+    differing = verdicts = 0
     for k, (req, a, b) in enumerate(zip(requests, before, after)):
         fields = [f for f in a if a[f] != b[f]]
         if not fields:
             continue
         differing += 1
+        moved = "exit" in fields
         print(f"{workload} seed {seed} request {k}: simsonpoly "
               + " ".join(req["argv"]))
         for f in fields:
+            reports = (_report(a[f]), _report(b[f])) if f == "out" \
+                else (None, None)
+            if None not in reports:
+                lines, verdict = _report_changes(*reports)
+                moved |= verdict
+                for line in lines:
+                    print(f"  {f}: {line}")
+                continue
             detail = f"{a[f]} -> {b[f]}" if f == "exit" \
                 else _first_difference(a[f], b[f])
             print(f"  {f}: {detail}")
+        verdicts += moved
     print(f"{workload} seed {seed}: {len(requests)} requests, "
-          f"{differing} differ")
-    return differing
+          f"{differing} differ, {verdicts} in exit code or a verdict")
+    return differing, verdicts
 
 
 def main() -> int:
@@ -119,12 +173,14 @@ def main() -> int:
     ap.add_argument("--cycles", type=int, default=3)
     args = ap.parse_args()
     old, new = args.old.resolve(), args.new.resolve()
-    differing = 0
+    differing = verdicts = 0
     with tempfile.TemporaryDirectory(prefix="replay-") as tmp:
         for workload in args.workload or WORKLOADS:
             for seed in args.seed or [811]:
-                differing += replay(old, new, workload, seed, args.cycles,
-                                    Path(tmp))
+                d, v = replay(old, new, workload, seed, args.cycles,
+                              Path(tmp))
+                differing, verdicts = differing + d, verdicts + v
+    print(f"{differing} differ, {verdicts} in exit code or a verdict")
     return 1 if differing else 0
 
 
