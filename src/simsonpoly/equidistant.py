@@ -149,13 +149,15 @@ def make_equidistant(cfg: EquidistantConfig) -> EquidistantPolygon:
 
     V_1..V_{n-1} come from the closed form; the closing vertex V_n is the
     meet of the perpendiculars at X_n and X_1, which for foot abscissae
-    u, v is the point (u + v, u*v/s).
+    u, v is the point (u + v, u*v/s).  Its y is the chain's formula over
+    the two feet x0 and x0 + (n - 1) delta.
     """
     s, x0, d, n = cfg.s, cfg.x0, cfg.delta, cfg.n
     verts = equidistant_chain(s, x0, d, n - 1)
     xn = cfg.foot_abscissa(n)
     x1 = cfg.foot_abscissa(1)
-    verts.append(Point(xn + x1, xn * x1 / s))
+    closing = equidistant_chain(s, x0, (n - 1) * d, 1)[0]
+    verts.append(Point(xn + x1, closing.y))
     feet = tuple(Point(cfg.foot_abscissa(i), 0.0) for i in range(1, n + 1))
     return EquidistantPolygon(vertices=tuple(verts), projections=feet,
                               simson_point=Point(0.0, s), config=cfg)

@@ -1,7 +1,7 @@
 """Tolerance-aware 2D primitives: points, lines, circles, parabolas.
 
 Everything downstream is built on the handful of constructions in this
-module (perpendicular feet, reflections, circumcircles, intersections).
+module (perpendicular feet, reflections, circumcircles, line meets).
 The approach is exact-formula-first: operations evaluate closed forms in
 floating point and every predicate decides with the package's one
 relative tolerance, DEFAULT_TOLERANCE, at a length scale of its data.
@@ -28,10 +28,6 @@ class CoincidentPoints(GeometryError):
 
 class CollinearInput(GeometryError):
     """Three points expected to be in general position are collinear."""
-
-
-class IdenticalCircles(GeometryError):
-    """Two circles expected to be distinct coincide under the tolerance."""
 
 
 class NonFinite(GeometryError):
@@ -236,9 +232,17 @@ def equidistant_chain(s: float, x0: float, d: float, m: int) -> list[Point]:
     V_i = (2 x0 + (2i - 1) d, (x0 + (i - 1) d)(x0 + i d) / s) is the meet
     of the perpendiculars at the feet x0 + (i - 1) d and x0 + i d; for
     m < n these vertices lie on Parabola(s, d^2).
+
+    The feet and s are scaled by the power of two of max(|x0|, |d|)
+    before the product of two feet, and each y is scaled back.
+    Power-of-two scaling commutes with rounding, so the bits are the
+    plain formula's wherever its values are normal floats, and the
+    product no longer underflows or overflows at a tiny or huge scale.
     """
+    e = math.frexp(max(abs(x0), abs(d)))[1]
+    u, v, t = math.ldexp(x0, -e), math.ldexp(d, -e), math.ldexp(s, -e)
     return [Point(2.0 * x0 + (2 * i - 1) * d,
-                  (x0 + (i - 1) * d) * (x0 + i * d) / s)
+                  math.ldexp((u + (i - 1) * v) * (u + i * v) / t, e))
             for i in range(1, m + 1)]
 
 
@@ -331,57 +335,6 @@ def circumcircle(a: Point, b: Point, c: Point) -> Circle:
     uy = (bx * c2 - cx * b2) / d
     center = Point(a.x + math.ldexp(ux, -e), a.y + math.ldexp(uy, -e))
     return Circle(center, math.ldexp(math.hypot(ux, uy), -e))
-
-
-def circle_intersection(c1: Circle, c2: Circle) -> list[Point]:
-    """Intersection points of two circles.
-
-    Returns two points for a proper crossing, one point at tangency, and
-    an empty list when the circles are disjoint.  Raises IdenticalCircles
-    when the circles coincide under the tolerance.  The two-point case is
-    ordered deterministically (radical axis orientation).
-    """
-    d = c1.center.distance(c2.center)
-    scale = d + c1.radius + c2.radius
-    eps = DEFAULT_TOLERANCE.bound(scale)
-    if d <= eps and abs(c1.radius - c2.radius) <= eps:
-        raise IdenticalCircles("circle_intersection: circles coincide")
-    if d > c1.radius + c2.radius + eps:
-        return []
-    if d < abs(c1.radius - c2.radius) - eps:
-        return []
-    ux = (c2.center.x - c1.center.x) / d
-    uy = (c2.center.y - c1.center.y) / d
-    if abs(d - (c1.radius + c2.radius)) <= eps or \
-            abs(d - abs(c1.radius - c2.radius)) <= eps:
-        # Tangency: the touch point sits on the center line at distance r1
-        # from c1; pick the side consistent with c2.
-        cand1 = Point(c1.center.x + ux * c1.radius, c1.center.y + uy * c1.radius)
-        cand2 = Point(c1.center.x - ux * c1.radius, c1.center.y - uy * c1.radius)
-        if abs(cand1.distance(c2.center) - c2.radius) <= \
-                abs(cand2.distance(c2.center) - c2.radius):
-            return [cand1]
-        return [cand2]
-    a = (c1.radius ** 2 - c2.radius ** 2 + d * d) / (2.0 * d)
-    h = math.sqrt(max(c1.radius ** 2 - a * a, 0.0))
-    mx = c1.center.x + a * ux
-    my = c1.center.y + a * uy
-    return [Point(mx + h * uy, my - h * ux), Point(mx - h * uy, my + h * ux)]
-
-
-def line_circle_intersection(l: Line, c: Circle) -> list[Point]:
-    """Intersection points of a line and a circle (0, 1 or 2 points)."""
-    d0 = l.signed_distance(c.center)
-    eps = DEFAULT_TOLERANCE.bound(c.radius)
-    if abs(d0) > c.radius + eps:
-        return []
-    foot = foot_of_perpendicular(c.center, l)
-    if abs(d0) >= c.radius - eps:
-        return [foot]
-    h = math.sqrt(max(c.radius ** 2 - d0 * d0, 0.0))
-    dx, dy = -l.b, l.a
-    return [Point(foot.x + h * dx, foot.y + h * dy),
-            Point(foot.x - h * dx, foot.y - h * dy)]
 
 
 def best_fit_line(points: Sequence[Point]) -> Line:

@@ -27,7 +27,6 @@ report pedals in side order.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from typing import Iterable, Optional, Sequence, Union
 
 from .kernel import (
@@ -36,17 +35,14 @@ from .kernel import (
     CollinearInput,
     Frozen,
     GeometryError,
-    IdenticalCircles,
     Line,
     NonFinite,
     Point,
     bbox_diagonal,
     best_fit_line,
-    circle_intersection,
     circumcircle,
     foot_of_perpendicular,
     join_points,
-    line_circle_intersection,
     line_intersection,
 )
 
@@ -258,30 +254,34 @@ class CompleteQuadrilateral(Frozen):
         return circles
 
 
+def _second_meet(p: Point, o: Point, d: Point) -> Point:
+    """Mirror image of p in the line through o along d.
+
+    Two circles through p meet again at this point when their centres
+    lie on that line.  The unit direction comes from hypot, so the
+    result scales with its data by any power of two.
+    """
+    norm = d.norm()
+    ux, uy = d.x / norm, d.y / norm
+    qx, qy = p.x - o.x, p.y - o.y
+    t = 2.0 * (qx * ux + qy * uy)
+    return Point(o.x + t * ux - qx, o.y + t * uy - qy)
+
+
 def miquel_point(quad: CompleteQuadrilateral) -> Point:
     """Common point of the four triangle circumcircles.
 
     The first two circles share the point a by construction, so their
-    intersection yields at most one further candidate; the one lying on
-    the remaining two circles is returned.
+    other common point is a's mirror image in their line of centres; it
+    is returned when it lies on the remaining two circles.
     """
     k1, k2, k3, k4 = quad.triangle_circles()
-    try:
-        candidates = circle_intersection(k1, k2)
-    except IdenticalCircles:
-        raise DegenerateConfiguration(
-            "miquel_point: coincident triangle circumcircles") from None
-    best = None
-    best_res = math.inf
-    for p in candidates:
-        res = max(k.distance(p) for k in (k3, k4))
-        if res < best_res:
-            best, best_res = p, res
+    m = _second_meet(quad.a, k1.center, k2.center - k1.center)
     limit = DEFAULT_TOLERANCE.bound(max(k.radius for k in (k1, k2, k3, k4)))
-    if best is None or best_res > limit:
+    if max(k.distance(m) for k in (k3, k4)) > limit:
         raise DegenerateConfiguration(
             "miquel_point: circumcircles have no common point")
-    return best
+    return m
 
 
 CharacterizationElement = Union[Circle, Line]
@@ -320,75 +320,83 @@ def characterization_circles(poly: Polygon) -> list[CharacterizationElement]:
     return elements
 
 
-def _intersect_elements(e1: CharacterizationElement,
-                        e2: CharacterizationElement) -> list[Point]:
-    if isinstance(e1, Circle) and isinstance(e2, Circle):
-        return circle_intersection(e1, e2)
-    if isinstance(e1, Circle):
-        return line_circle_intersection(e2, e1)
-    if isinstance(e2, Circle):
-        return line_circle_intersection(e1, e2)
-    meet = line_intersection(e1, e2)
-    return [] if meet is None else [meet]
+def _normal_at(e: CharacterizationElement, p: Point) -> Point:
+    """Unit normal of element e at its point p."""
+    if isinstance(e, Line):
+        return Point(e.a, e.b)
+    return Point((p.x - e.center.x) / e.radius, (p.y - e.center.y) / e.radius)
 
 
-def characterization_candidates(elements: Sequence[CharacterizationElement]
-                                ) -> list[Point]:
-    """Candidate Simson points from the first pair of distinct elements.
+def characterization_candidate(poly: Polygon,
+                               elements: Sequence[CharacterizationElement]
+                               ) -> Optional[Point]:
+    """The one candidate Simson point, from elements 0 and 1 if they cross.
 
-    Pairs (i < j, lexicographic) of circles that the kernel calls
-    identical (IdenticalCircles) carry no information and are skipped.
-    When every element is the same circle (a triangle reduces to this)
-    the whole circle qualifies and the topmost point is returned as the
-    deterministic representative.
+    Elements i and i+1 both pass through V_{i+1}, so they meet again at
+    its mirror image in their line of centres; a line element counts as
+    a circle centred at infinity along its normal, and two lines meet
+    only at V_{i+1}.  A pair whose unit normals at V_{i+1} cross at a
+    sine of at most ``bound(1.0)``, as ``line_intersection`` rules,
+    gives no point and the next pair is tried.  When none crosses, as
+    for a triangle, whose elements are all its circumcircle, element 0's
+    topmost point represents it; None when element 0 is a line.
     """
-    for e1, e2 in combinations(elements, 2):
-        try:
-            return _intersect_elements(e1, e2)
-        except IdenticalCircles:
+    n = len(elements)
+    for i in range(n):
+        e1, e2 = elements[i], elements[(i + 1) % n]
+        p = poly.vertex(i + 1)
+        n1, n2 = _normal_at(e1, p), _normal_at(e2, p)
+        if abs(n1.cross(n2)) <= DEFAULT_TOLERANCE.bound(1.0):
             continue
-    if elements and isinstance(elements[0], Circle):
-        c = elements[0]
-        return [Point(c.center.x, c.center.y + c.radius)]
-    return []
+        if isinstance(e1, Circle) and isinstance(e2, Circle):
+            return _second_meet(p, e1.center, e2.center - e1.center)
+        if isinstance(e1, Circle):
+            return _second_meet(p, e1.center, n2)
+        if isinstance(e2, Circle):
+            return _second_meet(p, e2.center, n1)
+        return p
+    c = elements[0]
+    if isinstance(c, Circle):
+        return Point(c.center.x, c.center.y + c.radius)
+    return None
+
+
+def _candidate_violation(poly: Polygon) -> tuple[Optional[Point], float]:
+    """The candidate and its worst element distance (inf without one)."""
+    elements = characterization_circles(poly)
+    cand = characterization_candidate(poly, elements)
+    if cand is None:
+        return None, math.inf
+    return cand, max(e.distance(cand) for e in elements)
 
 
 def find_simson_point(poly: Polygon) -> Optional[SimsonCertificate]:
     """Search for a Simson point via the circle characterization.
 
-    Candidates come from intersecting the first pair of distinct
-    characterization elements; each is validated against every element
-    and then against the pedal collinearity test itself.  Returns None
-    when no candidate survives (in particular for parallelograms, whose
-    only formal candidate lies at infinity, and for any convex polygon
-    with five or more vertices).  The only degeneracy is that of
-    characterization_circles, an element that cannot be built, as when
-    two adjacent sides lie on one line; other collinear vertices are not.
+    The one point of characterization_candidate is validated against
+    every element and then against the pedal collinearity test itself.
+    Returns None when it fails either (in particular for parallelograms
+    and for any convex polygon with five or more vertices).  The only
+    degeneracy is that of characterization_circles, an element that
+    cannot be built, as when two adjacent sides lie on one line; other
+    collinear vertices are not.
     """
-    elements = characterization_circles(poly)
-    scale = poly.diameter()
-    for cand in characterization_candidates(elements):
-        violation = max(e.distance(cand) for e in elements)
-        if violation > DEFAULT_TOLERANCE.bound(max(scale, cand.norm())):
-            continue
-        cert = is_simson_point(cand, poly)
-        if cert is not None:
-            return cert
-    return None
+    cand, violation = _candidate_violation(poly)
+    if cand is None or violation > DEFAULT_TOLERANCE.bound(
+            max(poly.diameter(), cand.norm())):
+        return None
+    return is_simson_point(cand, poly)
 
 
 def characterization_defect(poly: Polygon) -> float:
     """How far the circle characterization is from being satisfied.
 
     Zero (up to roundoff) when a Simson point exists.  Otherwise the
-    smallest over candidates of the worst element violation, and inf when
-    there is no candidate.  The first distinct element pair always shares
-    a vertex, so in exact arithmetic it meets and there is one.
+    worst element distance of the one candidate, and inf when there is
+    none (no pair of consecutive elements crosses and element 0 is a
+    line).
     """
-    elements = characterization_circles(poly)
-    return min((max(e.distance(c) for e in elements)
-                for c in characterization_candidates(elements)),
-               default=math.inf)
+    return _candidate_violation(poly)[1]
 
 
 def _first_close_pair(points: Sequence[Point],

@@ -24,7 +24,7 @@ from simsonpoly.kernel import DEFAULT_TOLERANCE, Line, Point, \
     best_fit_line, line_through
 from simsonpoly.limits import convergence_table, observed_orders
 from simsonpoly.simson import CompleteQuadrilateral, Polygon, \
-    characterization_candidates, characterization_circles, \
+    characterization_candidate, characterization_circles, \
     construct_simson_polygon, find_simson_point, \
     miquel_point, pedal_points
 
@@ -133,9 +133,9 @@ def test_criterion_6_convex_polygons_admit_no_simson_point():
             assert find_simson_point(poly) is None
             elements = characterization_circles(poly)
             floor = 1e3 * DEFAULT_TOLERANCE.bound(poly.diameter())
-            for cand in characterization_candidates(elements):
-                worst = max(e.distance(cand) for e in elements)
-                assert worst > floor
+            cand = characterization_candidate(poly, elements)
+            assert cand is not None
+            assert max(e.distance(cand) for e in elements) > floor
 
 
 def test_criterion_7_verifier_suite_with_negative_controls():

@@ -71,6 +71,19 @@ def test_negative_s_flips_below_line():
     assert xy(poly.vertices[1]) == pytest.approx((3.0, -2.0))
 
 
+def test_scaled_octagon_is_the_unit_octagon_scaled_bit_for_bit():
+    # Scaling (s, x0, delta) by 2^k scales every vertex and foot exactly,
+    # so the product of two feet must not leave the float range where
+    # the vertex it builds does not.
+    unit = make_equidistant(EquidistantConfig(1.0, -3.5, 1.0, 8))
+    for k in range(-1020, 1021):
+        poly = make_equidistant(EquidistantConfig(
+            math.ldexp(1.0, k), math.ldexp(-3.5, k), math.ldexp(1.0, k), 8))
+        for got, want in zip(poly.vertices + poly.projections,
+                             unit.vertices + unit.projections):
+            assert xy(got) == (math.ldexp(want.x, k), math.ldexp(want.y, k)), k
+
+
 def test_generated_polygon_admits_its_simson_point():
     cert = is_simson_point(Point(0, 1), OCT.polygon())
     assert cert is not None

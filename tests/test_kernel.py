@@ -12,16 +12,13 @@ from simsonpoly.kernel import (
     CoincidentPoints,
     CollinearInput,
     DEFAULT_TOLERANCE,
-    IdenticalCircles,
     Line,
     Point,
     Tolerance,
     bbox_diagonal,
-    circle_intersection,
     circumcircle,
     collinear,
     foot_of_perpendicular,
-    line_circle_intersection,
     line_intersection,
     line_through,
     reflect_line,
@@ -127,39 +124,6 @@ def test_circumcircle_right_triangle():
 def test_circumcircle_collinear_raises():
     with pytest.raises(CollinearInput):
         circumcircle(Point(0, 0), Point(1, 0), Point(2, 0))
-
-
-# ---------------------------------------------------------- circle_intersection
-
-def test_circle_intersection_tangent():
-    pts = circle_intersection(Circle(Point(0, 0), 1.0), Circle(Point(2, 0), 1.0))
-    assert len(pts) == 1
-    assert xy(pts[0]) == pytest.approx((1.0, 0.0))
-
-
-def test_circle_intersection_two_points():
-    pts = circle_intersection(Circle(Point(0, 0), 1.0), Circle(Point(1, 0), 1.0))
-    assert len(pts) == 2
-    ys = sorted(p.y for p in pts)
-    assert ys == pytest.approx([-math.sqrt(3) / 2, math.sqrt(3) / 2])
-    assert all(p.x == pytest.approx(0.5) for p in pts)
-
-
-def test_circle_intersection_disjoint():
-    assert circle_intersection(Circle(Point(0, 0), 1.0),
-                               Circle(Point(5, 0), 1.0)) == []
-
-
-def test_circle_intersection_identical_raises():
-    c = Circle(Point(0, 0), 1.0)
-    with pytest.raises(IdenticalCircles):
-        circle_intersection(c, Circle(Point(0, 0), 1.0))
-
-
-def test_line_circle_intersection():
-    pts = line_circle_intersection(Line(0, 1, 0), Circle(Point(0, 0), 1.0))
-    assert sorted(p.x for p in pts) == pytest.approx([-1.0, 1.0])
-    assert line_circle_intersection(Line(0, 1, -2), Circle(Point(0, 0), 1.0)) == []
 
 
 # ------------------------------------------------------------------- collinear

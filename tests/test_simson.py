@@ -14,7 +14,7 @@ from simsonpoly.simson import (
     DuplicateFeet,
     PointOnLine,
     Polygon,
-    characterization_candidates,
+    characterization_candidate,
     characterization_circles,
     construct_simson_polygon,
     find_simson_point,
@@ -250,11 +250,23 @@ def test_miquel_point_of_four_lines():
 
 
 def test_trapezoid_simson_point_is_side_meet():
-    # right-angled trapezoid: S = AB cap CD = (0, -1)
-    trap = Polygon((Point(0, 0), Point(0, 2), Point(3, 2), Point(1, 0)))
-    cert = find_simson_point(trap)
-    assert cert is not None
-    assert xy(cert.simson_point) == pytest.approx((0.0, -1.0), abs=1e-9)
+    # right-angled trapezoid: S = AB cap CD = (0, -1).  Its elements
+    # alternate line and circle, so over its 8 listings the candidate
+    # comes from both a line-then-circle and a circle-then-line pair.
+    vs = [Point(0, 0), Point(0, 2), Point(3, 2), Point(1, 0)]
+    pairs = set()
+    for order in (vs, vs[::-1]):
+        for k in range(4):
+            trap = Polygon(tuple(order[k:] + order[:k]))
+            elems = characterization_circles(trap)
+            pairs.add((type(elems[0]), type(elems[1])))
+            assert xy(characterization_candidate(trap, elems)) == \
+                pytest.approx((0.0, -1.0), abs=1e-12)
+            cert = find_simson_point(trap)
+            assert cert is not None
+            assert xy(cert.simson_point) == pytest.approx((0.0, -1.0),
+                                                          abs=1e-12)
+    assert pairs == {(Line, Circle), (Circle, Line)}
 
 
 # ---------------------------------------------------- characterization circles

@@ -47,8 +47,8 @@ KEEP = {
 # it as an attribute of a value, and that call).
 CALLERS = {
     "kernel.Point.dot": ("kernel", "angle_between_rays: u.dot(v)"),
-    "kernel.Point.distance": ("kernel", "circle_intersection: "
-                              "c1.center.distance(c2.center)"),
+    "kernel.Point.distance": ("kernel", "Circle.distance: "
+                              "p.distance(self.center)"),
     "kernel.Line.distance": ("simson", "is_simson_point: "
                              "fit.distance(q) over the pedal feet"),
     "kernel.Circle.distance": ("equidistant", "verify_lambert: "
