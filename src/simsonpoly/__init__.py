@@ -15,9 +15,8 @@ __version__ = "0.1.0"
 _MODULE_OF = {
     **dict.fromkeys((
         "Circle", "DEFAULT_TOLERANCE", "GeometryError", "Line", "Parabola",
-        "Point", "Tolerance", "circumcircle", "collinear",
-        "foot_of_perpendicular", "line_intersection", "line_through",
-        "reflect_line", "reflect_point"), "kernel"),
+        "Point", "Tolerance", "circumcircle", "foot_of_perpendicular",
+        "line_intersection", "line_through", "reflect_point"), "kernel"),
     **dict.fromkeys(("CheckResult", "VerificationReport"), "report"),
     **dict.fromkeys((
         "CompleteQuadrilateral", "Polygon", "SimsonCertificate",

@@ -222,9 +222,6 @@ class Parabola(Frozen):
     def y_at(self, x: float) -> float:
         return (x * x - self.c) / (4.0 * self.s)
 
-    def point_at(self, x: float) -> Point:
-        return Point(x, self.y_at(x))
-
 
 def equidistant_chain(s: float, x0: float, d: float, m: int) -> list[Point]:
     """Vertices V_1..V_m of the equidistant Simson polygon (s, x0, d, n).
@@ -233,17 +230,21 @@ def equidistant_chain(s: float, x0: float, d: float, m: int) -> list[Point]:
     of the perpendiculars at the feet x0 + (i - 1) d and x0 + i d; for
     m < n these vertices lie on Parabola(s, d^2).
 
-    The feet and s are scaled by the power of two of max(|x0|, |d|)
-    before the product of two feet, and each y is scaled back.
-    Power-of-two scaling commutes with rounding, so the bits are the
-    plain formula's wherever its values are normal floats, and the
-    product no longer underflows or overflows at a tiny or huge scale.
+    Each foot and s are split into a mantissa and a power of two before
+    the product of two feet, and each y is scaled back once.  Power-of-two
+    scaling commutes with rounding, so the bits are the plain formula's
+    wherever its values are normal floats, and no product or quotient
+    underflows or overflows on the way.  A y beyond the float range
+    raises NonFinite.
     """
-    e = math.frexp(max(abs(x0), abs(d)))[1]
-    u, v, t = math.ldexp(x0, -e), math.ldexp(d, -e), math.ldexp(s, -e)
-    return [Point(2.0 * x0 + (2 * i - 1) * d,
-                  math.ldexp((u + (i - 1) * v) * (u + i * v) / t, e))
-            for i in range(1, m + 1)]
+    t, f = math.frexp(s)
+    feet = [math.frexp(x0 + i * d) for i in range(m + 1)]
+    try:
+        return [Point(2.0 * x0 + (2 * i - 1) * d,
+                      math.ldexp(a * b / t, ea + eb - f))
+                for i, ((a, ea), (b, eb)) in enumerate(zip(feet, feet[1:]), 1)]
+    except OverflowError:
+        raise NonFinite("equidistant vertex beyond the float range") from None
 
 
 def bbox_diagonal(points: Iterable[Point]) -> float:
@@ -283,15 +284,6 @@ def reflect_point(p: Point, l: Line) -> Point:
     """Mirror image of p across l."""
     d = l.signed_distance(p)
     return Point(p.x - 2.0 * d * l.a, p.y - 2.0 * d * l.b)
-
-
-def reflect_line(m: Line, mirror: Line) -> Line:
-    """Mirror image of the line m across the line mirror."""
-    # q is on the image iff its mirror image q - 2*(n'.q + c')*n' is on m;
-    # with k = 2*(n.n') that reads (n - k*n').q + (c - k*c') = 0.  The
-    # coefficients are exact to rounding at any offset c.
-    k = 2.0 * (m.a * mirror.a + m.b * mirror.b)
-    return Line(m.a - k * mirror.a, m.b - k * mirror.b, m.c - k * mirror.c)
 
 
 def line_intersection(l1: Line, l2: Line) -> Optional[Point]:
@@ -358,21 +350,6 @@ def best_fit_line(points: Sequence[Point]) -> Line:
     theta = 0.5 * math.atan2(2.0 * sxy, sxx - syy)
     nx, ny = -math.sin(theta), math.cos(theta)
     return Line(nx, ny, -(nx * mx + ny * my))
-
-
-def collinear(points: Sequence[Point]) -> bool:
-    """Whether a point set is collinear under the tolerance.
-
-    Criterion: the maximum distance from any point to the total least
-    squares line through the set stays below the tolerance at the scale
-    of the bounding box diagonal.  Scale awareness keeps the answer
-    invariant under rigid motions and robust under uniform scaling.
-    """
-    if len(points) < 2:
-        raise ValueError("collinear needs at least two points")
-    fit = best_fit_line(points)
-    residual = max(fit.distance(p) for p in points)
-    return residual <= DEFAULT_TOLERANCE.bound(bbox_diagonal(points))
 
 
 def angle_between_rays(u: Point, v: Point) -> float:

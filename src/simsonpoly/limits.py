@@ -65,10 +65,6 @@ class ConvergenceRow(Frozen):
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "chain_to_parabola", chain_to_parabola)
 
-    @property
-    def ratio(self) -> float:
-        return self.hausdorff / self.bound
-
 
 def chain_for_window(s: float, half_width: float, delta: float) -> list[Point]:
     """Equidistant vertex chain spanning [-w, w] with knot spacing delta.

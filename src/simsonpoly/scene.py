@@ -18,7 +18,7 @@ import math
 import re
 from typing import Iterable, Optional
 
-from .kernel import Circle, Line, Parabola, Point
+from .kernel import Line, Parabola, Point
 from .simson import Polygon
 
 SCHEMA_VERSION = "1"
@@ -101,8 +101,8 @@ class SceneDocument:
 
     def __init__(self, entities: Optional[list[dict]] = None):
         self.entities: list[dict] = []
-        # self.entities by id, so an insert checks uniqueness in O(1).
-        self._by_id: dict[str, dict] = {}
+        # The ids of self.entities, so an insert checks uniqueness in O(1).
+        self._ids: set[str] = set()
         for e in entities or []:
             self._insert(e)
 
@@ -114,11 +114,11 @@ class SceneDocument:
         eid = entity.get("id")
         if not isinstance(eid, str) or not eid:
             raise SceneFormatError(f"entity of type {etype!r} needs a string id")
-        if eid in self._by_id:
+        if eid in self._ids:
             raise SceneFormatError(f"duplicate entity id {eid!r}")
         if style:
             entity["style"] = style
-        self._by_id[eid] = entity
+        self._ids.add(eid)
         self.entities.append(entity)
 
     def add_point(self, eid: str, p: Point, **style) -> None:
@@ -128,10 +128,6 @@ class SceneDocument:
         self._insert({"type": "line", "id": eid, "a": l.a, "b": l.b,
                       "c": l.c}, style)
 
-    def add_circle(self, eid: str, c: Circle, **style) -> None:
-        self._insert({"type": "circle", "id": eid, "cx": c.center.x,
-                      "cy": c.center.y, "r": c.radius}, style)
-
     def add_polygon(self, eid: str, poly: Polygon, **style) -> None:
         self._insert({"type": "polygon", "id": eid,
                       "vertices": [[v.x, v.y] for v in poly.vertices]}, style)
@@ -139,13 +135,6 @@ class SceneDocument:
     def add_parabola(self, eid: str, par: Parabola, **style) -> None:
         self._insert({"type": "parabola", "id": eid, "s": par.s, "c": par.c},
                      style)
-
-    def add_annotation(self, eid: str, p: Point, text: str, **style) -> None:
-        self._insert({"type": "annotation", "id": eid, "x": p.x, "y": p.y,
-                      "text": text}, style)
-
-    def find(self, eid: str) -> dict:
-        return self._by_id[eid]
 
     def of_type(self, etype: str) -> list[dict]:
         return [e for e in self.entities if e["type"] == etype]

@@ -235,12 +235,6 @@ class CompleteQuadrilateral(Frozen):
                                           (1, 2), (1, 3))):
             object.__setattr__(self, name, pts[pair])
 
-    @classmethod
-    def from_polygon(cls, poly: Polygon) -> "CompleteQuadrilateral":
-        if poly.n != 4:
-            raise GeometryError("expected a quadrilateral")
-        return cls(tuple(poly.side_lines()))
-
     def triangle_circles(self) -> list[Circle]:
         """Circumcircles of the four omitted-line triangles."""
         triples = [(self.a, self.f, self.c), (self.a, self.b, self.e),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .kernel import NonFinite, Point
+from .kernel import NonFinite, Parabola, Point
 
 if TYPE_CHECKING:
     # Annotations only: a figure request loads the layer it draws, not
@@ -169,12 +169,12 @@ def scene_to_svg(scene: SceneDocument) -> str:
                 canvas.dot(p, fill="#1f3d7a", radius=2.5)
                 canvas.text(p, f"V{i + 1}")
         elif t == "parabola":
-            s, c = e["s"], e["c"]
+            par = Parabola(e["s"], e["c"])
             lo, hi = canvas.xmin, canvas.xmax
             pts = []
             for k in range(_PARABOLA_SAMPLES + 1):
                 x = lo + (hi - lo) * k / _PARABOLA_SAMPLES
-                y = (x * x - c) / (4.0 * s)
+                y = par.y_at(x)
                 if canvas.ymin <= y <= canvas.ymax:
                     pts.append(Point(x, y))
             if len(pts) >= 2:

@@ -118,7 +118,7 @@ def test_criterion_5_quadrilateral_simson_is_miquel():
             diam = poly.diameter()
             cert = find_simson_point(poly)
             assert cert is not None
-            m = miquel_point(CompleteQuadrilateral.from_polygon(poly))
+            m = miquel_point(CompleteQuadrilateral(poly.side_lines()))
             assert cert.simson_point.distance(m) <= 1e-7 * diam
             feet = pedal_points(cert.simson_point, poly)
             fit = best_fit_line(feet)

@@ -56,13 +56,13 @@ def test_construct_equidistant_scene(capsys):
     code, out, _ = run_cli(capsys, *OCT_ARGS)
     assert code == 0
     scene = SceneDocument.from_json(out)
-    ids = [e["id"] for e in scene.entities]
-    assert ids[:4] == ["L", "C", "Cprime", "polygon"]
-    assert "X1" in ids and "X8" in ids and "S" in ids
-    verts = scene.find("polygon")["vertices"]
+    by_id = {e["id"]: e for e in scene.entities}
+    assert list(by_id)[:4] == ["L", "C", "Cprime", "polygon"]
+    assert "X1" in by_id and "X8" in by_id and "S" in by_id
+    verts = by_id["polygon"]["vertices"]
     assert len(verts) == 8
     assert verts[1] == pytest.approx([3.0, 2.0])
-    assert [scene.find("S")["x"], scene.find("S")["y"]] == [0.0, 1.0]
+    assert [by_id["S"]["x"], by_id["S"]["y"]] == [0.0, 1.0]
 
 
 def test_construct_is_deterministic(tmp_path):
@@ -133,7 +133,7 @@ def test_construct_feet_triangle(capsys):
     code, out, _ = run_cli(capsys, "construct", "--feet", "-1,0;0,0;1,0",
                            "--simson-point", "0,1", "--simson-line", "y=0")
     assert code == 0
-    verts = SceneDocument.from_json(out).find("polygon")["vertices"]
+    verts = SceneDocument.from_json(out).of_type("polygon")[0]["vertices"]
     for got, want in zip(verts, [[-1, 0], [1, 0], [0, -1]]):
         assert got == pytest.approx(want, abs=1e-12)
     assert len(verts) == 3
@@ -161,6 +161,20 @@ def test_construct_overflowing_feet_exit_3_naming_the_float_range(capsys):
     assert out == ""
     assert "leaves the float range" in err
     assert "simson line" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--s", "1", "--delta", "1", "--n", "8", "--x0", "1e160"],
+    ["--s=-1e10", "--delta=1e100", "--x0=1e200", "--n", "3"],
+    # s scaled by the feet's power of two would underflow to 0 here.
+    ["--s=-1e-160", "--delta=1e-200", "--x0=1e200", "--n", "3"],
+])
+def test_construct_equidistant_vertex_beyond_float_range_exits_3(capsys,
+                                                                 argv):
+    code, out, err = run_cli(capsys, "construct", "--equidistant", *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "error: equidistant vertex beyond the float range\n"
 
 
 def test_construct_bad_feet_spec_exits_2(capsys):

@@ -1,5 +1,6 @@
 import math
 import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -82,6 +83,50 @@ def test_scaled_octagon_is_the_unit_octagon_scaled_bit_for_bit():
         for got, want in zip(poly.vertices + poly.projections,
                              unit.vertices + unit.projections):
             assert xy(got) == (math.ldexp(want.x, k), math.ldexp(want.y, k)), k
+
+
+def test_vertex_beyond_the_float_range_is_non_finite():
+    # V_8's y is about 1e320, and with s = -1e-160 against feet near
+    # 1e200 the closing y is about 1e560.
+    with pytest.raises(NonFinite):
+        make_equidistant(EquidistantConfig(1.0, 1e160, 1.0, 8))
+    with pytest.raises(NonFinite):
+        make_equidistant(EquidistantConfig(-1e-160, 1e200, 1e-200, 3))
+
+
+def _plain_y(s, x0, d, i):
+    """V_i's y by the plain formula, or None when its product or its
+    quotient underflows or overflows."""
+    u, v = x0 + (i - 1) * d, x0 + i * d
+    y = u * v / s
+    if u == 0.0 or v == 0.0 or all(
+            sys.float_info.min <= abs(t) <= sys.float_info.max
+            for t in (u * v, y)):
+        return y
+    return None
+
+
+def test_vertices_are_the_plain_formula_wherever_it_stays_normal():
+    # Feet and s from 1e-320 to 1e308: the scaled products keep the plain
+    # formula's bits wherever it has them, and otherwise give a finite
+    # vertex or NonFinite, never another error.
+    rng = np.random.default_rng(30)
+    compared = 0
+    for _ in range(3000):
+        s, x0, delta = (float(rng.choice([-1.0, 1.0])
+                              * 10.0 ** rng.uniform(-320.0, 308.0))
+                        for _ in range(3))
+        cfg = EquidistantConfig(s, x0, abs(delta), int(rng.integers(3, 18)))
+        try:
+            chain = make_equidistant(cfg).chain
+        except NonFinite:
+            continue
+        for i, v in enumerate(chain, 1):
+            want = _plain_y(cfg.s, cfg.x0, cfg.delta, i)
+            if want is not None:
+                assert v.y == want, (cfg, i)
+                compared += 1
+    assert compared > 1000
 
 
 def test_generated_polygon_admits_its_simson_point():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geomgen import angle_between_lines, lines_equal_tight, tight_bound, xy
+from geomgen import angle_between_lines, xy
 from simsonpoly.kernel import (
     Circle,
     CoincidentPoints,
@@ -17,11 +17,9 @@ from simsonpoly.kernel import (
     Tolerance,
     bbox_diagonal,
     circumcircle,
-    collinear,
     foot_of_perpendicular,
     line_intersection,
     line_through,
-    reflect_line,
     reflect_point,
 )
 
@@ -126,26 +124,6 @@ def test_circumcircle_collinear_raises():
         circumcircle(Point(0, 0), Point(1, 0), Point(2, 0))
 
 
-# ------------------------------------------------------------------- collinear
-
-def test_collinear_on_diagonal():
-    assert collinear([Point(0, 0), Point(1, 1), Point(2, 2)])
-
-
-def test_collinear_right_angle_false():
-    assert not collinear([Point(0, 0), Point(1, 0), Point(0, 1)])
-
-
-def test_collinear_pedal_points_of_circumcircle_point():
-    # (0,1) is on the circumcircle of the triangle inscribed in the unit
-    # circle, so its pedal feet line up (Simson-Wallace).
-    tri = [Point(1, 0), Point(-1, 0), Point(0, -1)]
-    p = Point(0, 1)
-    feet = [foot_of_perpendicular(p, line_through(tri[i], tri[(i + 1) % 3]))
-            for i in range(3)]
-    assert collinear(feet)
-
-
 # ------------------------------------------------------------------ reflection
 
 def test_reflect_point_over_x_axis():
@@ -155,35 +133,6 @@ def test_reflect_point_over_x_axis():
 def test_reflect_point_on_line_fixed():
     l = line_through(Point(1, 0), Point(3, 2))
     assert xy(reflect_point(Point(1, 0), l)) == pytest.approx((1.0, 0.0))
-
-
-def test_reflect_line_vertical_over_diagonal():
-    # vertical through (2, 1) across y = x - 1 becomes horizontal y = 1
-    mirror = line_through(Point(1, 0), Point(3, 2))
-    vertical = Line(1, 0, -2)
-    out = reflect_line(vertical, mirror)
-    assert lines_equal_tight(out, Line(0, 1, -1))
-
-
-angles = st.floats(0.0, 2.0 * math.pi)
-unit_offsets = st.tuples(st.floats(0.1, 1.0), st.sampled_from([-1.0, 1.0]))
-
-
-@settings(max_examples=300, deadline=None)
-@given(angles, angles, unit_offsets, unit_offsets, st.integers(-3, 100))
-def test_reflect_line_is_exact_far_from_origin(t_m, t_mirror, off_m,
-                                               off_mirror, exponent):
-    # Both lines sit at offsets of one magnitude, up to 1e100, as a side
-    # and the vertical through its midpoint do far from the origin.
-    size = 10.0 ** exponent
-    m = Line(math.cos(t_m), math.sin(t_m), off_m[0] * off_m[1] * size)
-    mirror = Line(math.cos(t_mirror), math.sin(t_mirror),
-                  off_mirror[0] * off_mirror[1] * size)
-    image = reflect_line(m, mirror)
-    assert lines_equal_tight(reflect_line(image, mirror), m)
-    foot = Point(-m.c * m.a, -m.c * m.b)
-    q = reflect_point(foot, mirror)
-    assert image.distance(q) <= tight_bound(max(abs(m.c), abs(mirror.c)))
 
 
 # ------------------------------------------------------------- point_on_circle
@@ -276,19 +225,6 @@ def test_line_intersection_symmetric(p, q, r, s):
     a = line_intersection(l1, l2)
     b = line_intersection(l2, l1)
     assert a.distance(b) <= 1e-9 * (1.0 + a.norm())
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.floats(0, 2 * math.pi), coords, coords)
-def test_collinear_rigid_motion_invariant(theta, tx, ty):
-    pts = [Point(0, 0), Point(1, 0.5), Point(2, 1), Point(4, 2)]
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    moved = [Point(cos_t * p.x - sin_t * p.y + tx,
-                   sin_t * p.x + cos_t * p.y + ty) for p in pts]
-    assert collinear(moved)
-    bent = list(moved)
-    bent[1] = Point(bent[1].x, bent[1].y + 0.3)
-    assert not collinear(bent)
 
 
 def test_angle_between_lines_is_unsigned():

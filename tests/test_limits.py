@@ -36,8 +36,9 @@ def roots_distance(p, par):
                       -8.0 * s * s * p.x])
     best = math.inf
     for r in roots:
-        if abs(r.imag) <= 1e-8 * (1.0 + abs(r.real)):
-            best = min(best, p.distance(par.point_at(float(r.real))))
+        x = float(r.real)
+        if abs(r.imag) <= 1e-8 * (1.0 + abs(x)):
+            best = min(best, p.distance(Point(x, par.y_at(x))))
     return best
 
 
@@ -163,7 +164,7 @@ def test_convergence_table_frozen():
     for r in rows:
         assert r.bound == pytest.approx(r.delta ** 2 / 16.0)
         assert r.hausdorff == pytest.approx(r.bound, rel=1e-9)
-        assert r.ratio == pytest.approx(1.0, rel=1e-9)
+        assert r.hausdorff / r.bound == pytest.approx(1.0, rel=1e-9)
 
 
 def test_observed_orders_are_quadratic():
@@ -187,7 +188,8 @@ def test_table_rejects_negative_depth():
 
 def test_rows_are_value_objects():
     row = ConvergenceRow(delta=0.5, hausdorff=0.015625, bound=0.015625)
-    assert row.ratio == pytest.approx(1.0)
+    assert row == ConvergenceRow(0.5, 0.015625, 0.015625, None)
+    assert row.hausdorff / row.bound == pytest.approx(1.0)
 
 
 def _evolute_points(par, ts):
@@ -224,7 +226,7 @@ def test_batched_distance_matches_roots_loop(s, c):
     pts += _evolute_points(par, np.concatenate([[0.0, 1.0, -1.0],
                                                 rng.uniform(-3, 3, 40)]))
     xs = rng.uniform(-5, 5, 40)
-    pts += [par.point_at(x) for x in xs]  # on the curve
+    pts += [Point(x, par.y_at(x)) for x in xs]  # on the curve
     branches = set()
     for p in pts:
         got = _parabola_distance(p.x, p.y, s, c)
@@ -272,7 +274,7 @@ def test_on_curve_distance_is_rounding(s, c):
     rng = np.random.default_rng(3)
     for x in rng.uniform(-1e4, 1e4, 200).tolist() + \
             rng.uniform(-50.0, 50.0, 200).tolist():
-        p = par.point_at(x)
+        p = Point(x, par.y_at(x))
         off = abs(Fraction(p.y) - (Fraction(p.x) ** 2 - Fraction(c))
                   / (4 * Fraction(s)))
         assert point_to_parabola_distance(p, par) <= (float(off)

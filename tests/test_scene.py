@@ -5,7 +5,7 @@ import pytest
 
 from geomgen import lines_equal_tight, xy
 from simsonpoly.equidistant import Parabola
-from simsonpoly.kernel import Circle, Line, Point
+from simsonpoly.kernel import Line, Point
 from simsonpoly.scene import (
     SceneDocument,
     SceneFormatError,
@@ -70,15 +70,30 @@ def test_parse_feet_rejects_garbage():
 
 # ------------------------------------------------------------------- document
 
+# The schema's circle and annotation entities, which no command writes:
+# a scene holds them only as read from a document.
+CIRCLE = {"type": "circle", "id": "k", "cx": 0.0, "cy": 6.0, "r": 5.0}
+NOTE = {"type": "annotation", "id": "note", "x": 0.1, "y": 1.1, "text": "S"}
+
+
+def _read(scene: SceneDocument, *entities: dict) -> SceneDocument:
+    """scene, with entities appended, written out and read back."""
+    doc = json.loads(scene.to_json())
+    doc["entities"] += entities
+    return SceneDocument.from_json(json.dumps(doc))
+
+
+def _entity(scene: SceneDocument, eid: str) -> dict:
+    return next(e for e in scene.entities if e["id"] == eid)
+
+
 def _sample_scene() -> SceneDocument:
     scene = SceneDocument()
     scene.add_line("L", Line(0, 1, 0), stroke="#333333")
     scene.add_parabola("C", Parabola(1.0, 1.0), dash="4 3")
     scene.add_polygon("poly", Polygon((Point(1, 0), Point(3, 2), Point(3, 0))))
-    scene.add_circle("k", Circle(Point(0, 6), 5.0))
     scene.add_point("S", Point(0, 1), fill="#b03030")
-    scene.add_annotation("note", Point(0.1, 1.1), "S")
-    return scene
+    return _read(scene, CIRCLE, NOTE)
 
 
 def test_document_round_trip_is_bit_identical():
@@ -93,10 +108,9 @@ def test_figure_draws_no_circle_or_annotation():
 
     bare = SceneDocument()
     bare.add_point("S", Point(0, 1))
-    full = SceneDocument()
-    full.add_circle("k", Circle(Point(0, 6), 5.0))
-    full.add_point("S", Point(0, 1))
-    full.add_annotation("note", Point(0.1, 1.1), "S")
+    full = _read(bare, CIRCLE, NOTE)
+    assert [e["type"] for e in full.entities] == ["point", "circle",
+                                                  "annotation"]
     assert scene_to_svg(full) == scene_to_svg(bare)
 
 
@@ -121,7 +135,7 @@ def test_figure_of_a_scene_without_points_or_polygons():
 def test_round_trip_preserves_awkward_floats():
     scene = SceneDocument()
     scene.add_point("p", Point(0.1 + 0.2, 1.0 / 3.0))
-    back = SceneDocument.from_json(scene.to_json()).find("p")
+    back = _entity(SceneDocument.from_json(scene.to_json()), "p")
     assert back["x"] == 0.1 + 0.2
     assert back["y"] == 1.0 / 3.0
 
@@ -161,7 +175,7 @@ def test_scene_build_compares_ids_linearly(monkeypatch, n):
     copy = SceneDocument(scene.entities)
     assert len(copy.entities) == n
     assert _CountedId.comparisons <= n
-    assert copy.find("X7") is scene.entities[7]
+    assert copy.entities[7] is scene.entities[7]
 
 
 def test_unknown_type_rejected():
@@ -176,16 +190,16 @@ def test_missing_id_rejected():
 
 def test_find_and_of_type():
     scene = _sample_scene()
-    assert scene.find("S")["type"] == "point"
-    with pytest.raises(KeyError):
-        scene.find("missing")
+    assert _entity(scene, "S")["type"] == "point"
+    assert _entity(scene, "k") == CIRCLE
+    assert _entity(scene, "note") == NOTE
     assert [e["id"] for e in scene.of_type("point")] == ["S"]
 
 
 def test_line_eq_string_normalized_on_load():
     text = json.dumps({"schema_version": "1", "entities": [
         {"type": "line", "id": "L", "eq": "y=2x-1"}]})
-    e = SceneDocument.from_json(text).find("L")
+    e = _entity(SceneDocument.from_json(text), "L")
     assert "eq" not in e
     assert lines_equal_tight(Line(e["a"], e["b"], e["c"]), Line(-2, 1, 1))
 
@@ -200,9 +214,9 @@ def test_first_polygon():
 
 def test_entity_accessors():
     scene = _sample_scene()
-    s = scene.find("S")
+    s = _entity(scene, "S")
     assert (s["x"], s["y"]) == pytest.approx((0.0, 1.0))
-    poly = polygon_from_entity(scene.find("poly"))
+    poly = polygon_from_entity(_entity(scene, "poly"))
     assert len(poly.vertices) == 3
 
 
@@ -264,5 +278,5 @@ def test_nonfinite_json_numbers_rejected(number):
 
 
 def test_integer_coordinates_accepted():
-    e = _load_one({"type": "point", "id": "p", "x": 3, "y": -2}).find("p")
+    e = _entity(_load_one({"type": "point", "id": "p", "x": 3, "y": -2}), "p")
     assert (e["x"], e["y"]) == pytest.approx((3.0, -2.0))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomgen import OCTAGON_SCALES, random_convex_polygon, \
     random_quadrilateral, random_triangle, regular_polygon, xy
@@ -193,6 +195,30 @@ def test_simson_certificate_on_circumcircle():
     assert cert.simson_line.distance(Point(0, 3)) < 1e-9
 
 
+def test_simson_wallace_on_the_unit_circle():
+    # (0, 1) is on the circumcircle of the triangle inscribed in the unit
+    # circle, so its pedal feet line up (Simson-Wallace).
+    tri = Polygon((Point(1, 0), Point(-1, 0), Point(0, -1)))
+    assert is_simson_point(Point(0, 1), tri) is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0, 2 * math.pi), st.floats(-100.0, 100.0),
+       st.floats(-100.0, 100.0))
+def test_simson_verdict_is_rigid_motion_invariant(theta, tx, ty):
+    # The right triangle with (4, 3) on its circumcircle, and the point
+    # moved 0.3 off it along y: the verdicts survive any rigid motion.
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+
+    def move(p):
+        return Point(cos_t * p.x - sin_t * p.y + tx,
+                     sin_t * p.x + cos_t * p.y + ty)
+
+    tri = Polygon(tuple(move(v) for v in RIGHT_TRIANGLE.vertices))
+    assert is_simson_point(move(Point(4, 3)), tri) is not None
+    assert is_simson_point(move(Point(4, 3.3)), tri) is None
+
+
 def test_centroid_is_not_simson_point():
     assert is_simson_point(Point(4 / 3, 1.0), RIGHT_TRIANGLE) is None
 
@@ -283,7 +309,7 @@ def test_characterization_of_quadrilateral_meets_at_miquel():
     rng = np.random.default_rng(5)
     poly = random_quadrilateral(rng)
     elems = characterization_circles(poly)
-    m = miquel_point(CompleteQuadrilateral.from_polygon(poly))
+    m = miquel_point(CompleteQuadrilateral(poly.side_lines()))
     for e in elems:
         assert e.distance(m) <= 1e-8 * poly.diameter()
 
@@ -313,7 +339,7 @@ def test_quadrilateral_simson_point_is_miquel_point():
         poly = random_quadrilateral(rng)
         cert = find_simson_point(poly)
         assert cert is not None
-        m = miquel_point(CompleteQuadrilateral.from_polygon(poly))
+        m = miquel_point(CompleteQuadrilateral(poly.side_lines()))
         assert cert.simson_point.distance(m) <= 1e-7 * poly.diameter()
 
 
