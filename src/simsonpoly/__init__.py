@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 
 _MODULE_OF = {
     **dict.fromkeys((
-        "Circle", "DEFAULT_TOLERANCE", "GeometryError", "Line", "Parabola",
-        "Point", "Tolerance", "circumcircle", "foot_of_perpendicular",
+        "Circle", "GeometryError", "Line", "Parabola", "Point", "REL_EPS",
+        "bound", "circumcircle", "foot_of_perpendicular",
         "line_intersection", "line_through", "reflect_point"), "kernel"),
     **dict.fromkeys(("CheckResult", "VerificationReport"), "report"),
     **dict.fromkeys((

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .kernel import Frozen, GeometryError
+from .kernel import Frozen, GeometryError, Parabola
 
 
 class InvalidProblem(GeometryError):
@@ -49,9 +49,13 @@ def _require_finite(values, s: float, a: float, b: float) -> None:
 
 
 class ApproxProblem(Frozen):
-    """Approximate f(x) = (x^2 - delta^2)/(4 s) on [a, b] with n segments."""
+    """Approximate f(x) = (x^2 - delta^2)/(4 s) on [a, b] with n segments.
 
-    __slots__ = _fields = ("s", "delta", "a", "b", "n")
+    ``parabola``, not a field, is that curve; LeavesFloatRange is raised
+    when its offset delta^2 is not a finite float."""
+
+    _fields = ("s", "delta", "a", "b", "n")
+    __slots__ = (*_fields, "parabola")
 
     def __init__(self, s: float, delta: float, a: float, b: float, n: int):
         if not (math.isfinite(s) and s != 0.0):
@@ -62,14 +66,17 @@ class ApproxProblem(Frozen):
             raise InvalidProblem(f"need a < b, got [{a}, {b}]")
         if not (isinstance(n, int) and n >= 1):
             raise InvalidProblem(f"n must be an integer >= 1, got {n}")
+        c = delta * delta
+        _require_finite((c,), s, a, b)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "parabola", Parabola(s, c))
 
     def f(self, x: float) -> float:
-        return (x * x - self.delta * self.delta) / (4.0 * self.s)
+        return self.parabola.y_at(x)
 
 
 class ApproxResult(Frozen):
@@ -206,14 +213,15 @@ def _segment_quadrature(p: ApproxProblem, xi: float, xj: float,
     one sign per segment, hence the absolute value outside the signed
     integral in the L1 case.
     """
+    f = p.parabola.y_at
     mid = 0.5 * (xi + xj)
     half = 0.5 * (xj - xi)
-    fi, fj = p.f(xi), p.f(xj)
+    fi, fj = f(xi), f(xj)
     total = 0.0
     for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
         x = mid + half * node
         chord = fi + (x - xi) * (fj - fi) / (xj - xi)
-        err = (x * x - p.delta * p.delta) / (4.0 * p.s) - chord
+        err = f(x) - chord
         total += weight * (err * err if squared else err)
     if squared:
         return half * total

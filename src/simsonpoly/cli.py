@@ -16,7 +16,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NoReturn, Optional, Sequence, \
     TextIO
 
-from .kernel import DEFAULT_TOLERANCE, MAX_SEGMENTS, GeometryError, Point
+from .kernel import MAX_SEGMENTS, REL_EPS, GeometryError, Point
 
 # Each command imports the layers it calls inside the function that calls
 # them, so a request loads only the modules its subcommand runs.
@@ -212,7 +212,7 @@ def _run_checks(poly: Polygon, checks: list[str],
     cert = find_simson_point(poly)
     if cert is None:
         # No frame, so no scale: the report names only the raw tolerance.
-        report.tolerances["rel_eps"] = DEFAULT_TOLERANCE.rel_eps
+        report.tolerances["rel_eps"] = REL_EPS
         defect = characterization_defect(poly)
         if "simson" in checks:
             report.add(CheckResult(

@@ -29,7 +29,6 @@ from itertools import combinations
 from typing import Sequence
 
 from .kernel import (
-    DEFAULT_TOLERANCE,
     Frozen,
     GeometryError,
     InvalidConfig,
@@ -38,6 +37,7 @@ from .kernel import (
     Point,
     angle_between_rays,
     bbox_diagonal,
+    bound,
     circumcircle,
     equidistant_chain,
     line_intersection,
@@ -329,7 +329,7 @@ def verify_archimedes(poly: SimsonPolygonFrame) -> VerificationReport:
     a = [line.a for line in sides]
     b = [line.b for line in sides]
     c = [line.c for line in sides]
-    parallel = DEFAULT_TOLERANCE.bound(1.0)
+    parallel = bound(1.0)
     parallel_pairs, residuals = [], []
     for sigma in range(3, 2 * n - 4):
         ws = []
@@ -382,7 +382,7 @@ def verify_lambert(poly: SimsonPolygonFrame, i: int, j: int,
     scale = poly.scale()
     report.set_limits(scale)
     # The circle may be far larger than the polygon.
-    limit = report.tolerances["lambert_limit"] = DEFAULT_TOLERANCE.bound(
+    limit = report.tolerances["lambert_limit"] = bound(
         max(circle.radius, scale))
     report.judge("lambert", [([residual], lambda k: idx)], limit)
     return report
@@ -444,7 +444,7 @@ def equidistant_from_frame(fp: SimsonPolygonFrame) -> EquidistantPolygon:
     if min(gaps) <= 0.0:
         raise InvalidConfig("feet do not march monotonically along the line")
     delta = math.fsum(gaps) / len(gaps)
-    if max(abs(g - delta) for g in gaps) > DEFAULT_TOLERANCE.bound(scale):
+    if max(abs(g - delta) for g in gaps) > bound(scale):
         raise InvalidConfig("feet are not equally spaced")
     cfg = EquidistantConfig(s=fp.simson_point.y, x0=xs[0], delta=delta,
                             n=len(xs))

@@ -1,10 +1,11 @@
-"""Tolerance-aware 2D primitives: points, lines, circles, parabolas.
+"""2D primitives: points, lines, circles, parabolas, and the tolerance.
 
 Everything downstream is built on the handful of constructions in this
 module (perpendicular feet, reflections, circumcircles, line meets).
 The approach is exact-formula-first: operations evaluate closed forms in
 floating point and every predicate decides with the package's one
-relative tolerance, DEFAULT_TOLERANCE, at a length scale of its data.
+relative tolerance REL_EPS, at the threshold ``bound(scale)`` =
+REL_EPS * |scale| for a length scale of its data.
 There is no exact rational fallback; degeneracies are reported through
 the error types below instead of being silently absorbed.
 Results are plain values: a point, a line, a circle, a list of points, or
@@ -83,28 +84,14 @@ class Frozen:
             object.__setattr__(self, name, value)
 
 
-class Tolerance(Frozen):
-    """Relative tolerance.
-
-    A comparison at length scale ``L`` uses the threshold
-    ``rel_eps * |L|``; see :meth:`bound`.  A dimensionless quantity is
-    judged at ``L = 1``.  Every predicate and check of the package judges
-    at DEFAULT_TOLERANCE; no caller sets another.
-    """
-
-    __slots__ = _fields = ("rel_eps",)
-
-    def __init__(self, rel_eps: float = 1e-9):
-        if not rel_eps > 0.0:
-            raise ValueError("tolerance components must be positive")
-        object.__setattr__(self, "rel_eps", rel_eps)
-
-    def bound(self, scale: float) -> float:
-        """Comparison threshold at the given length scale."""
-        return self.rel_eps * abs(scale)
+REL_EPS = 1e-9
+"""The package's one relative tolerance: every predicate and check judges
+at ``bound(L)`` for a length scale L of its data, a ratio at L = 1."""
 
 
-DEFAULT_TOLERANCE = Tolerance()
+def bound(scale: float) -> float:
+    """Comparison threshold at the given length scale: REL_EPS * |scale|."""
+    return REL_EPS * abs(scale)
 
 MAX_SEGMENTS = 2 ** 14
 """Most segments of the finest chain of a convergence table (the chain
@@ -269,7 +256,7 @@ def line_through(p: Point, q: Point) -> Line:
     the scale of the inputs.
     """
     scale = max(p.norm(), q.norm())
-    if p.distance(q) <= DEFAULT_TOLERANCE.bound(scale):
+    if p.distance(q) <= bound(scale):
         raise CoincidentPoints(f"line_through: points coincide at {p}")
     return join_points(p, q)
 
@@ -295,7 +282,7 @@ def line_intersection(l1: Line, l2: Line) -> Optional[Point]:
     """
     # Unit normals make det the sine of the angle between the lines.
     det = l1.a * l2.b - l2.a * l1.b
-    if abs(det) <= DEFAULT_TOLERANCE.bound(1.0):
+    if abs(det) <= bound(1.0):
         return None
     x = (l1.b * l2.c - l2.b * l1.c) / det
     y = (l2.a * l1.c - l1.a * l2.c) / det
@@ -319,7 +306,7 @@ def circumcircle(a: Point, b: Point, c: Point) -> Circle:
     # enough for a guard, the solve below is what actually fails.
     d = 2.0 * (bx * cy - by * cx)
     base = max(math.hypot(bx, by), math.hypot(cx, cy))
-    if abs(d) <= 2.0 * DEFAULT_TOLERANCE.bound(scale) * base:
+    if abs(d) <= 2.0 * bound(scale) * base:
         raise CollinearInput(f"circumcircle: collinear input {a}, {b}, {c}")
     b2 = bx * bx + by * by
     c2 = cx * cx + cy * cy

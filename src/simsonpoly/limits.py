@@ -95,10 +95,10 @@ def chain_for_window(s: float, half_width: float, delta: float) -> list[Point]:
 
 def point_to_parabola_distance(p: Point, par: Parabola) -> float:
     """Exact Euclidean distance from a point to the parabola."""
-    return _parabola_distance(p.x, p.y, par.s, par.c)
+    return _parabola_distance(p.x, p.y, par)
 
 
-def _parabola_distance(px: float, py: float, s: float, c: float) -> float:
+def _parabola_distance(px: float, py: float, par: Parabola) -> float:
     """Distance from (px, py) to y = (x^2 - c)/(4 s).
 
     The foot's abscissa solves the stationarity condition
@@ -113,9 +113,8 @@ def _parabola_distance(px: float, py: float, s: float, c: float) -> float:
 
     The distance is the least over the roots.
     """
-    eight_s2 = 8.0 * s * s
-    four_s = 4.0 * s
-    beta = eight_s2 - c - four_s * py
+    eight_s2 = 8.0 * par.s * par.s
+    beta = eight_s2 - par.c - 4.0 * par.s * py
     gamma = -eight_s2 * px
     if beta == 0.0:
         x = -math.copysign(abs(gamma) ** (1.0 / 3.0), gamma)
@@ -130,16 +129,16 @@ def _parabola_distance(px: float, py: float, s: float, c: float) -> float:
         else:
             phi = math.acos(a) / 3.0
             return min(
-                _root_distance(px, py, c, four_s, beta, gamma,
+                _root_distance(px, py, par, beta, gamma,
                                2.0 * m * math.cos(phi)),
-                _root_distance(px, py, c, four_s, beta, gamma,
+                _root_distance(px, py, par, beta, gamma,
                                2.0 * m * math.cos(phi - _THIRD_TURN)),
-                _root_distance(px, py, c, four_s, beta, gamma,
+                _root_distance(px, py, par, beta, gamma,
                                2.0 * m * math.cos(phi + _THIRD_TURN)))
-    return _root_distance(px, py, c, four_s, beta, gamma, x)
+    return _root_distance(px, py, par, beta, gamma, x)
 
 
-def _root_distance(px: float, py: float, c: float, four_s: float,
+def _root_distance(px: float, py: float, par: Parabola,
                    beta: float, gamma: float, x: float) -> float:
     """Distance from (px, py) to the parabola point over the root x of
     x^3 + beta x + gamma, after one Newton step on x.  Any abscissa gives
@@ -148,7 +147,7 @@ def _root_distance(px: float, py: float, c: float, four_s: float,
     slope = 3.0 * x * x + beta
     if slope != 0.0:
         x -= ((x * x + beta) * x + gamma) / slope
-    return math.hypot(px - x, py - (x * x - c) / four_s)
+    return math.hypot(px - x, py - par.y_at(x))
 
 
 def _segment_distance(x: float, y: float,
@@ -193,13 +192,11 @@ def _directed_distances(chain: list[Point], par: Parabola,
     vertex of the chain to the parabola, one cubic per vertex, and the
     larger distance from the arc ends (+-w, (w^2 - c)/(4 s)) to the chain,
     each measured against every segment."""
-    s, c = par.s, par.c
-    near = max(_parabola_distance(p.x, p.y, s, c) for p in chain)
+    near = max(_parabola_distance(p.x, p.y, par) for p in chain)
     segments = [(a.x, a.y, b.x - a.x, b.y - a.y,
                  (b.x - a.x) * (b.x - a.x) + (b.y - a.y) * (b.y - a.y))
                 for a, b in zip(chain, chain[1:])]
-    four_s = 4.0 * s
-    far = max(min(_segment_distance(x, (x * x - c) / four_s, segment)
+    far = max(min(_segment_distance(x, par.y_at(x), segment)
                   for segment in segments)
               for x in (-half_width, half_width))
     return near, far

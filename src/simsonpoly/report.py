@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Optional, Sequence
 
-from .kernel import DEFAULT_TOLERANCE, Frozen
+from .kernel import REL_EPS, Frozen, bound
 
 
 class CheckResult(Frozen):
@@ -76,9 +76,9 @@ class VerificationReport(Frozen):
     def set_limits(self, scale: float) -> tuple[float, float]:
         """Record the thresholds at a polygon's scale and return them as
         (length limit, angle limit); angles are judged at max(1, scale)."""
-        length_limit = DEFAULT_TOLERANCE.bound(scale)
-        angle_limit = DEFAULT_TOLERANCE.bound(max(1.0, scale))
-        self.tolerances.update(rel_eps=DEFAULT_TOLERANCE.rel_eps,
+        length_limit = bound(scale)
+        angle_limit = bound(max(1.0, scale))
+        self.tolerances.update(rel_eps=REL_EPS,
                                scale=scale, length_limit=length_limit,
                                angle_limit=angle_limit)
         return length_limit, angle_limit

@@ -30,7 +30,6 @@ import math
 from typing import Iterable, Optional, Sequence, Union
 
 from .kernel import (
-    DEFAULT_TOLERANCE,
     Circle,
     CollinearInput,
     Frozen,
@@ -40,6 +39,7 @@ from .kernel import (
     Point,
     bbox_diagonal,
     best_fit_line,
+    bound,
     circumcircle,
     foot_of_perpendicular,
     join_points,
@@ -84,7 +84,7 @@ class Polygon(Frozen):
             raise NonFinite(f"polygon diameter {scale} leaves the float range")
         for i, v in enumerate(verts):
             w = verts[(i + 1) % len(verts)]
-            if v.distance(w) <= DEFAULT_TOLERANCE.bound(scale):
+            if v.distance(w) <= bound(scale):
                 raise DegenerateSide(f"consecutive vertices {i} and "
                                      f"{(i + 1) % len(verts)} coincide")
 
@@ -110,18 +110,18 @@ class Polygon(Frozen):
         """No three vertices collinear.
 
         Vertices i < j < k count as collinear when ``|cross(V_j - V_i,
-        V_k - V_i)| <= DEFAULT_TOLERANCE.bound(diameter) * |V_j - V_i|``,
+        V_k - V_i)| <= bound(diameter) * |V_j - V_i|``,
         so also when two of them coincide.  Only vertex differences enter,
         so the verdict does not depend on where the polygon sits.  The
         loop is O(n^3) and stops at the first collinear triple; no search
         or verifier calls it.
         """
         v = self.vertices
-        bound = DEFAULT_TOLERANCE.bound(self.diameter())
+        eps = bound(self.diameter())
         for i in range(self.n - 2):
             d = [w - v[i] for w in v[i + 1:]]
             for j, dj in enumerate(d):
-                limit = bound * dj.norm()
+                limit = eps * dj.norm()
                 if any(abs(dj.cross(dk)) <= limit for dk in d[j + 1:]):
                     return False
         return True
@@ -180,14 +180,13 @@ def is_simson_point(p: Point, poly: Polygon) -> Optional[SimsonCertificate]:
     """Certificate if the pedals of p are collinear, else None.
 
     Collinearity is judged against the fitted line with threshold
-    ``DEFAULT_TOLERANCE.bound(poly.diameter())``.  The threshold does not
-    depend on p, so a far candidate, whose pedals spread far, cannot
-    loosen its own test.
+    ``bound(poly.diameter())``.  The threshold does not depend on p, so
+    a far candidate, whose pedals spread far, cannot loosen its own test.
     """
     pedals = pedal_points(p, poly)
     fit = best_fit_line(pedals)
     residual = max(fit.distance(q) for q in pedals)
-    if residual > DEFAULT_TOLERANCE.bound(poly.diameter()):
+    if residual > bound(poly.diameter()):
         return None
     return SimsonCertificate(p, fit, tuple(pedals), residual)
 
@@ -228,7 +227,7 @@ class CompleteQuadrilateral(Frozen):
             for k in range(4):
                 if k in (i, j):
                     continue
-                if lines[k].distance(p) <= DEFAULT_TOLERANCE.bound(scale):
+                if lines[k].distance(p) <= bound(scale):
                     raise DegenerateConfiguration(
                         f"lines {i}, {j} and {k} are concurrent")
         for name, pair in zip("abcdef", ((0, 1), (0, 2), (0, 3), (2, 3),
@@ -271,7 +270,7 @@ def miquel_point(quad: CompleteQuadrilateral) -> Point:
     """
     k1, k2, k3, k4 = quad.triangle_circles()
     m = _second_meet(quad.a, k1.center, k2.center - k1.center)
-    limit = DEFAULT_TOLERANCE.bound(max(k.radius for k in (k1, k2, k3, k4)))
+    limit = bound(max(k.radius for k in (k1, k2, k3, k4)))
     if max(k.distance(m) for k in (k3, k4)) > limit:
         raise DegenerateConfiguration(
             "miquel_point: circumcircles have no common point")
@@ -292,13 +291,13 @@ def characterization_circles(poly: Polygon) -> list[CharacterizationElement]:
     """
     n = poly.n
     sides = poly.side_lines()
-    bound = DEFAULT_TOLERANCE.bound(poly.diameter())
+    limit = bound(poly.diameter())
     elements: list[CharacterizationElement] = []
     for i in range(n):
         next_side = sides[(i + 1) % n]
         meet = line_intersection(sides[(i - 1) % n], next_side)
         if meet is None:
-            if next_side.distance(poly.vertex(i)) <= bound:
+            if next_side.distance(poly.vertex(i)) <= limit:
                 raise DegenerateConfiguration(
                     f"characterization_circles: side lines {(i - 1) % n} "
                     f"and {(i + 1) % n} coincide")
@@ -340,7 +339,7 @@ def characterization_candidate(poly: Polygon,
         e1, e2 = elements[i], elements[(i + 1) % n]
         p = poly.vertex(i + 1)
         n1, n2 = _normal_at(e1, p), _normal_at(e2, p)
-        if abs(n1.cross(n2)) <= DEFAULT_TOLERANCE.bound(1.0):
+        if abs(n1.cross(n2)) <= bound(1.0):
             continue
         if isinstance(e1, Circle) and isinstance(e2, Circle):
             return _second_meet(p, e1.center, e2.center - e1.center)
@@ -376,8 +375,7 @@ def find_simson_point(poly: Polygon) -> Optional[SimsonCertificate]:
     collinear vertices are not.
     """
     cand, violation = _candidate_violation(poly)
-    if cand is None or violation > DEFAULT_TOLERANCE.bound(
-            max(poly.diameter(), cand.norm())):
+    if cand is None or violation > bound(max(poly.diameter(), cand.norm())):
         return None
     return is_simson_point(cand, poly)
 
@@ -443,14 +441,14 @@ def construct_simson_polygon(s: Point, l: Line,
     if not math.isfinite(scale):
         raise NonFinite(f"diameter {scale} of the feet and the simson point "
                         "leaves the float range")
-    bound = DEFAULT_TOLERANCE.bound(scale)
-    if l.distance(s) <= bound:
+    limit = bound(scale)
+    if l.distance(s) <= limit:
         raise PointOnLine("simson point lies on the simson line")
-    pair = _first_close_pair(feet, bound)
+    pair = _first_close_pair(feet, limit)
     if pair is not None:
         raise DuplicateFeet(f"feet {pair[0]} and {pair[1]} coincide")
     for i, x in enumerate(feet):
-        if l.distance(x) > bound:
+        if l.distance(x) > limit:
             raise GeometryError(f"foot {i} does not lie on the simson line")
     sides = []
     for x in feet:

@@ -25,7 +25,7 @@ def xy(p):
 
 def tight_bound(scale):
     """1e-12 + 1e-12 * |scale|: a threshold far tighter than the package's
-    DEFAULT_TOLERANCE, for a test that pins a value more tightly."""
+    bound(scale), for a test that pins a value more tightly."""
     return 1e-12 + 1e-12 * abs(scale)
 
 

@@ -63,17 +63,15 @@ def dense_hausdorff(chain, par, half_width):
     other."""
     vx = [p.x for p in chain]
     vy = [p.y for p in chain]
-    s, c = par.s, par.c
-    d1 = _parabola_distance(vx[0], vy[0], s, c)
+    d1 = _parabola_distance(vx[0], vy[0], par)
     for ax, ay, bx, by in zip(vx, vy, vx[1:], vy[1:]):
         dx = bx - ax
         dy = by - ay
         for t in _STEPS:
-            d = _parabola_distance(ax + t * dx, ay + t * dy, s, c)
+            d = _parabola_distance(ax + t * dx, ay + t * dy, par)
             if d > d1:
                 d1 = d
     xs = linspace(-half_width, half_width, PARABOLA_SAMPLES)
-    four_s = 4.0 * s
-    ys = [(x * x - c) / four_s for x in xs]
+    ys = [par.y_at(x) for x in xs]
     d2 = max(points_to_polyline(xs, ys, vx, vy))
     return max(d1, d2)

@@ -11,9 +11,9 @@ from itertools import combinations
 from geomgen import angle_between_lines
 from simsonpoly.equidistant import ParallelSides
 from simsonpoly.kernel import (
-    DEFAULT_TOLERANCE,
     Point,
     angle_between_rays,
+    bound,
     circumcircle,
     line_intersection,
     reflect_point,
@@ -51,7 +51,7 @@ def scalar_parallel_chords(poly):
 
 
 def scalar_isogonal(poly):
-    limit = DEFAULT_TOLERANCE.bound(poly.scale())
+    limit = bound(poly.scale())
     n = poly.n
     S = poly.simson_point
     rows = []

@@ -20,8 +20,7 @@ from simsonpoly.approx import ApproxProblem, optimal_knots, quadrature_l1, \
 from simsonpoly.equidistant import EquidistantConfig, EquidistantPolygon, \
     associated_parabola, make_equidistant, verify_archimedes, \
     verify_isogonal, verify_lambert, verify_optical, verify_parallel_chords
-from simsonpoly.kernel import DEFAULT_TOLERANCE, Line, Point, \
-    best_fit_line, line_through
+from simsonpoly.kernel import Line, Point, best_fit_line, bound, line_through
 from simsonpoly.limits import convergence_table, observed_orders
 from simsonpoly.simson import CompleteQuadrilateral, Polygon, \
     characterization_candidate, characterization_circles, \
@@ -132,7 +131,7 @@ def test_criterion_6_convex_polygons_admit_no_simson_point():
             poly = random_convex_polygon(rng, int(rng.integers(5, 11)))
             assert find_simson_point(poly) is None
             elements = characterization_circles(poly)
-            floor = 1e3 * DEFAULT_TOLERANCE.bound(poly.diameter())
+            floor = 1e3 * bound(poly.diameter())
             cand = characterization_candidate(poly, elements)
             assert cand is not None
             assert max(e.distance(cand) for e in elements) > floor

@@ -13,7 +13,7 @@ import pytest
 from geomgen import OCTAGON_SCALES, regular_polygon
 from simsonpoly import EquidistantConfig, Point, Polygon, make_equidistant
 from simsonpoly.cli import COMMANDS, _perturbed, main
-from simsonpoly.kernel import DEFAULT_TOLERANCE, MAX_SEGMENTS, circumcircle, \
+from simsonpoly.kernel import MAX_SEGMENTS, bound, circumcircle, \
     line_intersection, line_through
 from simsonpoly.scene import SceneDocument
 from simsonpoly.simson import find_simson_point
@@ -508,10 +508,9 @@ def test_verify_tolerances_name_the_limits_checks_faced(capsys, tmp_path):
                            "--triple", "1,2,5")
     assert code == 0
     tolerances = json.loads(out)["tolerances"]
-    tol = DEFAULT_TOLERANCE
     scale = tolerances["scale"]
-    assert tolerances["length_limit"] == tol.bound(scale)
-    assert tolerances["angle_limit"] == tol.bound(max(1.0, scale))
+    assert tolerances["length_limit"] == bound(scale)
+    assert tolerances["angle_limit"] == bound(max(1.0, scale))
     poly = make_equidistant(EquidistantConfig(s=0.01, x0=-20.0, delta=1.0,
                                               n=5))
     v = poly.vertices
@@ -521,7 +520,7 @@ def test_verify_tolerances_name_the_limits_checks_faced(capsys, tmp_path):
     radius = circumcircle(*corners).radius
     assert radius > 100.0 * scale
     assert tolerances["lambert_limit"] == pytest.approx(
-        tol.bound(max(radius, scale)), rel=1e-9)
+        bound(max(radius, scale)), rel=1e-9)
 
 
 def test_verify_malformed_triple_exits_2(capsys, tmp_path):
@@ -1279,7 +1278,7 @@ def test_flag_of_another_subcommand_exits_2(capsys, tmp_path, command, flag):
 
 
 # No subcommand takes a threshold: every check is judged at the package's
-# DEFAULT_TOLERANCE.  The verify case is a negative control that a
+# REL_EPS.  The verify case is a negative control that a
 # tolerance of 1e-3 would have let pass.
 @pytest.mark.parametrize("argv", [
     [*OCT_ARGS, "--tolerance", "-1"],

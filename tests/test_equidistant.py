@@ -27,8 +27,8 @@ from simsonpoly.equidistant import (
     verify_parallel_chords,
 )
 from judged import max_residual
-from simsonpoly.kernel import DEFAULT_TOLERANCE, Line, NonFinite, \
-    Point, circumcircle, line_through
+from simsonpoly.kernel import Line, NonFinite, Point, bound, circumcircle, \
+    line_through
 from simsonpoly.report import VerificationReport
 from simsonpoly.simson import Polygon, construct_simson_polygon, \
     find_simson_point, is_simson_point
@@ -495,13 +495,12 @@ def test_lambert_limit_has_its_own_key():
     # than the polygon, so lambert is judged at the polygon scale.
     report = verify_lambert(OCT, 1, 2, 3)
     tol = report.tolerances
-    assert tol["length_limit"] == DEFAULT_TOLERANCE.bound(OCT.scale())
-    assert tol["lambert_limit"] == DEFAULT_TOLERANCE.bound(
-        max(5.0, OCT.scale()))
+    assert tol["length_limit"] == bound(OCT.scale())
+    assert tol["lambert_limit"] == bound(max(5.0, OCT.scale()))
     flat = make_equidistant(EquidistantConfig(s=0.01, x0=-20, delta=1, n=5))
     tol = verify_lambert(flat, 1, 2, 5).tolerances
     assert tol["lambert_limit"] > 100.0 * tol["length_limit"]
-    assert tol["length_limit"] == DEFAULT_TOLERANCE.bound(flat.scale())
+    assert tol["length_limit"] == bound(flat.scale())
 
 
 def test_every_verifier_reports_the_same_limits():

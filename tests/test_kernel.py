@@ -11,11 +11,11 @@ from simsonpoly.kernel import (
     Circle,
     CoincidentPoints,
     CollinearInput,
-    DEFAULT_TOLERANCE,
     Line,
     Point,
-    Tolerance,
+    REL_EPS,
     bbox_diagonal,
+    bound,
     circumcircle,
     foot_of_perpendicular,
     line_intersection,
@@ -45,8 +45,8 @@ def test_line_through_diagonal():
     # y = x - 1, normalized with positive leading coefficient
     l = line_through(Point(1, 0), Point(3, 2))
     assert (l.a, l.b, l.c) == pytest.approx((1 / ROOT2, -1 / ROOT2, -1 / ROOT2))
-    assert l.distance(Point(1, 0)) <= DEFAULT_TOLERANCE.bound(1.0)
-    assert l.distance(Point(3, 2)) <= DEFAULT_TOLERANCE.bound(1.0)
+    assert l.distance(Point(1, 0)) <= bound(1.0)
+    assert l.distance(Point(3, 2)) <= bound(1.0)
 
 
 def test_line_through_coincident_raises():
@@ -143,25 +143,20 @@ def test_point_on_circle():
     assert unit.distance(Point(1, 0)) == 0.0
     assert unit.distance(Point(2, 0)) == 1.0
     assert unit.distance(Point(0, 0)) == 1.0
-    assert unit.distance(Point(0.6, 0.8)) <= DEFAULT_TOLERANCE.bound(1.0)
+    assert unit.distance(Point(0.6, 0.8)) <= bound(1.0)
 
 
 # ----------------------------------------------------------- tolerance plumbing
 
 def test_tolerance_bound_scales():
-    tol = Tolerance(rel_eps=1e-6)
-    assert tol.bound(0.0) == 0.0
-    assert tol.bound(100.0) == pytest.approx(1e-4)
-    assert tol.bound(-100.0) == tol.bound(100.0)
-
-
-def test_tolerance_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        Tolerance(rel_eps=0.0)
+    assert REL_EPS == 1e-9
+    assert bound(0.0) == 0.0
+    assert bound(100.0) == pytest.approx(1e-7)
+    assert bound(-100.0) == bound(100.0)
 
 
 def test_no_package_function_takes_a_tolerance():
-    # Every threshold is DEFAULT_TOLERANCE.bound(scale), never a setting.
+    # Every threshold is bound(scale), never a setting.
     modules = sorted((Path(__file__).resolve().parents[1] / "src"
                       / "simsonpoly").glob("*.py"))
     assert modules
@@ -221,7 +216,7 @@ def test_circumcircle_permutation_symmetric(a, b, c):
 def test_line_intersection_symmetric(p, q, r, s):
     assume(p.distance(q) > 1e-3 and r.distance(s) > 1e-3)
     l1, l2 = line_through(p, q), line_through(r, s)
-    assume(abs(l1.a * l2.b - l2.a * l1.b) > DEFAULT_TOLERANCE.bound(1.0))
+    assume(abs(l1.a * l2.b - l2.a * l1.b) > bound(1.0))
     a = line_intersection(l1, l2)
     b = line_intersection(l2, l1)
     assert a.distance(b) <= 1e-9 * (1.0 + a.norm())

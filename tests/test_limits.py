@@ -229,7 +229,7 @@ def test_batched_distance_matches_roots_loop(s, c):
     pts += [Point(x, par.y_at(x)) for x in xs]  # on the curve
     branches = set()
     for p in pts:
-        got = _parabola_distance(p.x, p.y, s, c)
+        got = _parabola_distance(p.x, p.y, par)
         assert got == pytest.approx(roots_distance(p, par), rel=1e-12,
                                     abs=1e-12)
         assert point_to_parabola_distance(p, par) == got
@@ -370,7 +370,7 @@ def test_rows_record_the_vertex_maximum():
     for w, apex in [(4.0, True), (1.5, False)]:
         for r in convergence_table(s, w, 3):
             chain = chain_for_window(s, w, r.delta)
-            near = max(_parabola_distance(p.x, p.y, s, 0.0) for p in chain)
+            near = max(_parabola_distance(p.x, p.y, Parabola(s)) for p in chain)
             assert r.chain_to_parabola == near
             assert r.chain_to_parabola <= r.hausdorff
             if apex or r.delta < 1.0:

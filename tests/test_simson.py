@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from geomgen import OCTAGON_SCALES, random_convex_polygon, \
     random_quadrilateral, random_triangle, regular_polygon, xy
-from simsonpoly.kernel import DEFAULT_TOLERANCE, Circle, GeometryError, Line, \
-    NonFinite, Point, bbox_diagonal, line_through
+from simsonpoly.kernel import Circle, GeometryError, Line, NonFinite, Point, \
+    bbox_diagonal, bound, line_through
 from simsonpoly.simson import (
     CompleteQuadrilateral,
     DegenerateConfiguration,
@@ -76,17 +76,17 @@ def test_nondegenerate_flag():
     assert not flat.is_nondegenerate()
 
 
-def _nondegenerate_by_triples(poly, tol=DEFAULT_TOLERANCE):
+def _nondegenerate_by_triples(poly):
     """Reference for Polygon.is_nondegenerate: one scalar test per triple,
-    |cross(V_j - V_i, V_k - V_i)| <= bound * |V_j - V_i|."""
+    |cross(V_j - V_i, V_k - V_i)| <= bound(diameter) * |V_j - V_i|."""
     v = poly.vertices
     n = poly.n
-    bound = tol.bound(poly.diameter())
+    eps = bound(poly.diameter())
     for i in range(n - 2):
         for j in range(i + 1, n - 1):
             dj = v[j] - v[i]
             for k in range(j + 1, n):
-                if abs(dj.cross(v[k] - v[i])) <= bound * dj.norm():
+                if abs(dj.cross(v[k] - v[i])) <= eps * dj.norm():
                     return False
     return True
 
@@ -107,7 +107,7 @@ def _planted_polygon(rng, case):
         n = int(rng.integers(4 if case in ("same", "close") else 3, 14))
         scale = 10.0 ** rng.uniform(-2.0, 4.0)
         verts = rng.uniform(-scale, scale, (n, 2))
-        bound = DEFAULT_TOLERANCE.bound(2.0 * math.sqrt(2.0) * scale)
+        limit = bound(2.0 * math.sqrt(2.0) * scale)
         unit = rng.normal(size=2)
         unit /= np.hypot(*unit)
         if case == "near":
@@ -121,14 +121,14 @@ def _planted_polygon(rng, case):
             a, c = rng.choice(n, 2, replace=False)
             if (a - c) % n in (1, n - 1):
                 continue
-            verts[c] = verts[a] + (5.0 * bound * unit if case == "close" else 0)
-        offset = (1e10 * bound * unit if case == "close"
+            verts[c] = verts[a] + (5.0 * limit * unit if case == "close" else 0)
+        offset = (1e10 * limit * unit if case == "close"
                   else rng.uniform(-10.0, 10.0, 2) * scale)
         verts += offset
         if case == "near":
             # Place V_c against the bound of the polygon as finally built.
             diam = bbox_diagonal([Point(*v) for v in verts])
-            verts[c] += factor * DEFAULT_TOLERANCE.bound(diam) * normal
+            verts[c] += factor * bound(diam) * normal
         try:
             return Polygon(tuple(Point(*v) for v in verts))
         except DegenerateSide:
@@ -188,7 +188,7 @@ def test_pedals_collinear_for_circumcircle_point():
 def test_simson_certificate_on_circumcircle():
     cert = is_simson_point(Point(4, 3), RIGHT_TRIANGLE)
     assert cert is not None
-    assert cert.residual <= DEFAULT_TOLERANCE.bound(10.0)
+    assert cert.residual <= bound(10.0)
     assert len(cert.projections) == 3
     # the pedal line here is the side line through (4,0) and (0,3)
     assert cert.simson_line.distance(Point(4, 0)) < 1e-9
@@ -272,7 +272,7 @@ def test_miquel_point_of_four_lines():
     m = miquel_point(quad)
     assert xy(m) == pytest.approx(xy(MIQUEL_OF_FOUR_LINES), abs=1e-12)
     for circle in quad.triangle_circles():
-        assert circle.distance(m) <= DEFAULT_TOLERANCE.bound(circle.radius)
+        assert circle.distance(m) <= bound(circle.radius)
 
 
 def test_trapezoid_simson_point_is_side_meet():
@@ -360,7 +360,7 @@ def test_collinear_nonadjacent_vertices_are_searched():
 
 
 def test_search_never_calls_the_collinearity_precheck(monkeypatch):
-    def forbidden(self, tol=DEFAULT_TOLERANCE):
+    def forbidden(self):
         raise AssertionError("is_nondegenerate was called")
 
     monkeypatch.setattr(Polygon, "is_nondegenerate", forbidden)
@@ -384,7 +384,7 @@ def test_triangle_candidates_lie_on_circumcircle():
     cert = find_simson_point(RIGHT_TRIANGLE)
     assert cert is not None
     assert Circle(Point(2.0, 1.5), 2.5).distance(cert.simson_point) \
-        <= DEFAULT_TOLERANCE.bound(2.5)
+        <= bound(2.5)
 
 
 # ------------------------------------------------------ construct_simson_polygon
@@ -449,10 +449,10 @@ def test_construct_rejects_overflowing_extent():
 
 
 def _first_duplicate_pair(feet, s):
-    bound = DEFAULT_TOLERANCE.bound(bbox_diagonal(list(feet) + [s]))
+    limit = bound(bbox_diagonal(list(feet) + [s]))
     n = len(feet)
     return next(((i, j) for i in range(n) for j in range(i + 1, n)
-                 if feet[i].distance(feet[j]) <= bound), None)
+                 if feet[i].distance(feet[j]) <= limit), None)
 
 
 def _duplicate_set(rng, n):
@@ -463,13 +463,13 @@ def _duplicate_set(rng, n):
     u = Point(math.cos(angle), math.sin(angle))
     ts = [float(t) for t in rng.uniform(-10, 10, n)]
     feet = [Point(3 + t * u.x, -2 + t * u.y) for t in ts]
-    bound = DEFAULT_TOLERANCE.bound(30.0)
+    limit = bound(30.0)
     for _ in range(int(rng.integers(0, 4))):
         i, j = (int(k) for k in rng.choice(n, 2, replace=False))
         factor = float(rng.choice([0.0, 0.5, 1.0, 1.0 + 1e-9, 1.5, 3.0]))
         phi = float(rng.choice([angle, rng.uniform(0, 2 * math.pi)]))
-        feet[j] = Point(feet[i].x + factor * bound * math.cos(phi),
-                        feet[i].y + factor * bound * math.sin(phi))
+        feet[j] = Point(feet[i].x + factor * limit * math.cos(phi),
+                        feet[i].y + factor * limit * math.sin(phi))
     if rng.uniform() < 0.2:
         k = int(rng.integers(n))
         feet[k] = Point(feet[k].x - u.y, feet[k].y + u.x)

@@ -12,11 +12,12 @@ import pickle
 
 import pytest
 
-from simsonpoly.approx import ApproxProblem, ApproxResult, InvalidProblem
+from simsonpoly.approx import ApproxProblem, ApproxResult, InvalidProblem, \
+    LeavesFloatRange
 from simsonpoly.equidistant import EquidistantConfig, EquidistantPolygon, \
     SimsonPolygonFrame, make_equidistant
 from simsonpoly.kernel import Circle, GeometryError, InvalidConfig, Line, \
-    NonFinite, Parabola, Point, Tolerance
+    NonFinite, Parabola, Point
 from simsonpoly.limits import ConvergenceRow
 from simsonpoly.report import CheckResult, VerificationReport
 from simsonpoly.simson import CompleteQuadrilateral, DegenerateSide, \
@@ -35,7 +36,10 @@ FEET = (Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 0.0))
 
 # (class, keyword arguments, repr)
 CASES = [
-    (Tolerance, dict(rel_eps=1e-6), "Tolerance(rel_eps=1e-06)"),
+    # The parabola Parabola(s, delta^2) is a slot outside the fields, so
+    # the repr and equality leave it out.
+    (ApproxProblem, dict(s=-2.0, delta=0.5, a=-1.0, b=3.0, n=2),
+     "ApproxProblem(s=-2.0, delta=0.5, a=-1.0, b=3.0, n=2)"),
     (Point, dict(x=1.0, y=2.0), "Point(x=1.0, y=2.0)"),
     (Line, dict(a=0.0, b=1.0, c=2.0), "Line(a=0.0, b=1.0, c=2.0)"),
     (Line, dict(a=1.0, b=1.0, c=1.0), "Line(a=0.7071067811865475, "
@@ -136,10 +140,13 @@ def test_copies_skip_the_constructor():
             [quad.a, quad.b, quad.c, quad.d, quad.e, quad.f]
     assert copy.deepcopy(OCTAGON) == OCTAGON
     assert copy.deepcopy(OCTAGON).chain == OCTAGON.chain
+    # So is the approximation problem's parabola.
+    problem = ApproxProblem(-2.0, 0.5, -1.0, 3.0, 2)
+    for clone in (pickle.loads(pickle.dumps(problem)), copy.copy(problem)):
+        assert clone.parabola == Parabola(-2.0, 0.25) == problem.parabola
 
 
 def test_defaults():
-    assert Tolerance() == Tolerance(rel_eps=1e-9)
     assert Parabola(2.0) == Parabola(s=2.0, c=0.0)
     check = CheckResult("x", (1, 2), 0.5, True)
     assert (check.note, check.limit, check.count) == ("", None, 1)
@@ -152,8 +159,6 @@ def test_defaults():
 
 
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: Tolerance(0.0), ValueError,
-     "tolerance components must be positive"),
     (lambda: Point(math.inf, 0.0), NonFinite, r"non-finite point \(inf, 0.0\)"),
     (lambda: Line(0.0, 0.0, 1.0), ValueError,
      r"line requires \(a, b\) != \(0, 0\)"),
@@ -183,6 +188,8 @@ def test_defaults():
      r"need a < b, got \[1.0, 1.0\]"),
     (lambda: ApproxProblem(1.0, 0.0, 0.0, 1.0, 1.5), InvalidProblem,
      "n must be an integer >= 1, got 1.5"),
+    (lambda: ApproxProblem(1.0, 1e200, -1.0, 1.0, 2), LeavesFloatRange,
+     r"s = 1.0 on \[-1.0, 1.0\] leaves the float range"),
 ])
 def test_validation_errors(build, error, message):
     with pytest.raises(error, match=f"^{message}$"):

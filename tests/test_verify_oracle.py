@@ -40,9 +40,8 @@ from simsonpoly.equidistant import (
     verify_optical,
     verify_parallel_chords,
 )
-from simsonpoly.kernel import DEFAULT_TOLERANCE, Line, NonFinite, Point, \
-    angle_between_rays, circumcircle, line_intersection, line_through, \
-    reflect_point
+from simsonpoly.kernel import Line, NonFinite, Point, angle_between_rays, \
+    bound, circumcircle, line_intersection, line_through, reflect_point
 from simsonpoly.simson import Polygon, construct_simson_polygon, \
     find_simson_point
 
@@ -97,7 +96,7 @@ def oracle_parallel_chords(poly):
 
 
 def oracle_isogonal(poly):
-    limit = DEFAULT_TOLERANCE.bound(poly.scale())
+    limit = bound(poly.scale())
     S, L, n = poly.simson_point, poly.simson_line, poly.n
     out = []
     for iv in range(n):
