@@ -323,15 +323,23 @@ def best_fit_line(points: Sequence[Point]) -> Line:
     direction comes from the closed-form eigenvector of the 2x2 scatter
     matrix, so there is no iteration and no linear algebra dependency.
     For a set of identical points any line through them is optimal; the
-    horizontal one is returned.
+    horizontal one is returned.  The offsets from the centroid are scaled
+    by the power of two of their extent before the sums, so no square
+    leaves the float range and the fit commutes exactly with scaling by
+    a power of two.
     """
     if len(points) < 2:
         raise ValueError("best_fit_line needs at least two points")
     mx = sum(p.x for p in points) / len(points)
     my = sum(p.y for p in points) / len(points)
-    sxx = sum((p.x - mx) ** 2 for p in points)
-    syy = sum((p.y - my) ** 2 for p in points)
-    sxy = sum((p.x - mx) * (p.y - my) for p in points)
+    dx = [p.x - mx for p in points]
+    dy = [p.y - my for p in points]
+    e = -math.frexp(max(map(abs, dx + dy)))[1]
+    dx = [math.ldexp(u, e) for u in dx]
+    dy = [math.ldexp(v, e) for v in dy]
+    sxx = sum(u * u for u in dx)
+    syy = sum(v * v for v in dy)
+    sxy = sum(u * v for u, v in zip(dx, dy))
     if sxx + syy == 0.0:
         return Line(0.0, 1.0, -my)
     theta = 0.5 * math.atan2(2.0 * sxy, sxx - syy)

@@ -218,7 +218,7 @@ def convergence_table(s: float, half_width: float,
     # Largest coordinate (w, w^2/(4|s|)) or cubic coefficient
     # (8 s^2 + w^2, 8 s^2 w) of the study; the distances square differences
     # of such numbers, so 16 times its square must stay finite.
-    coord = half_width * half_width / (4.0 * abs(s))
+    coord = abs(target.y_at(half_width))
     big = max(half_width, coord, 8.0 * s * s + half_width * half_width,
               8.0 * s * s * half_width)
     if not math.isfinite(16.0 * big * big):

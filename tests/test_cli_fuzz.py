@@ -2,17 +2,21 @@
 
 Seeded argv draws for ``construct --equidistant``, ``construct --feet``,
 ``approx`` and ``limit``, with numbers from 1e-320 to 1.7e308 of either
-sign and sizes up to 17, run through ``cli.main`` in process.  Each must
-return 0, 2, 3 or 4, raise nothing, and write exactly one ``error:``
-line when it returns 2 or 3 (ROADMAP item 4).  The test is bounded by
-its number of draws.
+sign and sizes up to 17, and seeded scenes for ``verify``, run through
+``cli.main`` in process.  Each must return 0, 2, 3 or 4, raise nothing,
+and write exactly one ``error:`` line when it returns 2 or 3 (ROADMAP
+items 4 and 12).  Each test is bounded by its number of draws.
 """
 
+import math
 import random
 
 from simsonpoly.cli import main
+from simsonpoly.equidistant import EquidistantConfig, make_equidistant
+from simsonpoly.scene import SceneDocument
 
 DRAWS = 800
+VERIFY_DRAWS = 300
 
 
 class _Numbers:
@@ -76,22 +80,68 @@ def _limit(rng, num):
             "--m-max", str(rng.randint(-1, 8))]
 
 
+def _scene(rng):
+    """Scene JSON of an equidistant or a random polygon (n 3..17), rotated,
+    moved and then scaled by 10^k for k from -320 to 308.  The vertices
+    are written as computed, so they may have left the float range or
+    coincide."""
+    n = rng.randint(3, 17)
+    if rng.random() < 0.5:
+        s = rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 3.0)
+        cfg = EquidistantConfig(s=s, x0=rng.uniform(-3.0, 3.0),
+                                delta=rng.uniform(0.25, 1.5), n=n)
+        vertices = [(v.x, v.y) for v in make_equidistant(cfg).vertices]
+    else:
+        vertices = [(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+                    for _ in range(n)]
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    tx, ty = rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)
+    scale = 10.0 ** rng.uniform(-320.0, 308.0)
+    moved = [[(cos_t * x - sin_t * y + tx) * scale,
+              (sin_t * x + cos_t * y + ty) * scale] for x, y in vertices]
+    return SceneDocument([{"type": "polygon", "id": "polygon",
+                           "vertices": moved}]).to_json()
+
+
+def _broken(capsys, argv):
+    """Why running argv broke the exit contract, or None if it kept it."""
+    try:
+        code = main(argv)
+    except Exception as exc:
+        capsys.readouterr()
+        return f"raised {type(exc).__name__}: {exc}"
+    err = capsys.readouterr().err
+    if code not in (0, 2, 3, 4):
+        return f"exit {code}"
+    if code in (2, 3) and not (err.startswith("error: ")
+                               and err.count("\n") == 1):
+        return f"exit {code} wrote {err!r}"
+    return None
+
+
 def test_every_command_line_ends_in_a_documented_exit(capsys):
     rng = random.Random(4)
     broken = []
     for draw in range(DRAWS):
         command = (_equidistant, _feet, _approx, _limit)[draw % 4]
         argv = command(rng, _Numbers(rng))
-        try:
-            code = main(argv)
-        except Exception as exc:
-            capsys.readouterr()
-            broken.append((argv, f"raised {type(exc).__name__}: {exc}"))
-            continue
-        err = capsys.readouterr().err
-        if code not in (0, 2, 3, 4):
-            broken.append((argv, f"exit {code}"))
-        elif code in (2, 3) and not (err.startswith("error: ")
-                                     and err.count("\n") == 1):
-            broken.append((argv, f"exit {code} wrote {err!r}"))
+        why = _broken(capsys, argv)
+        if why:
+            broken.append((argv, why))
+    assert broken == []
+
+
+def test_every_verify_ends_in_a_documented_exit(capsys, tmp_path):
+    rng = random.Random(12)
+    path = tmp_path / "scene.json"
+    broken = []
+    for _ in range(VERIFY_DRAWS):
+        path.write_text(_scene(rng), encoding="utf-8")
+        control = ["--negative-control", "--seed", str(rng.randint(0, 999))]
+        for argv in (["verify", "--in", str(path)],
+                     ["verify", "--in", str(path), *control]):
+            why = _broken(capsys, argv)
+            if why:
+                broken.append((path.read_text(encoding="utf-8"), argv, why))
     assert broken == []

@@ -1,5 +1,6 @@
 import ast
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from simsonpoly.kernel import (
     Point,
     REL_EPS,
     bbox_diagonal,
+    best_fit_line,
     bound,
     circumcircle,
     foot_of_perpendicular,
@@ -171,6 +173,19 @@ def test_no_package_function_takes_a_tolerance():
             for param in params:
                 assert param.arg not in ("tol", "tolerance"), \
                     (path.name, node.lineno)
+
+
+def test_best_fit_line_commutes_with_power_of_two_scaling():
+    rng = random.Random(7)
+    for _ in range(300):
+        pts = [Point(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
+               for _ in range(rng.randint(2, 9))]
+        fit = best_fit_line(pts)
+        for k in (-900, -1, 1, 900):
+            scaled = best_fit_line([Point(math.ldexp(p.x, k),
+                                          math.ldexp(p.y, k)) for p in pts])
+            assert (scaled.a, scaled.b, scaled.c) == \
+                (fit.a, fit.b, math.ldexp(fit.c, k))
 
 
 def test_bbox_diagonal():

@@ -228,9 +228,16 @@ def test_square_admits_no_simson_point_anywhere():
     for x in np.linspace(-1.0, 2.0, 13):
         for y in np.linspace(-1.0, 2.0, 13):
             assert is_simson_point(Point(x, y), square) is None
-    # The pedals of (0.3, 1e9) miss a common line by 0.5; a threshold at
-    # the spread of the pedals and the candidate (~1e9) would pass them.
-    assert is_simson_point(Point(0.3, 1e9), square) is None
+
+
+@pytest.mark.parametrize("y", [1e9, 1e150, 1e160, 1e200, 1e300])
+def test_far_candidate_is_rejected_without_overflow(y):
+    # The pedals of (0.3, y) miss a common line by 0.5; a threshold at
+    # the spread of the pedals and the candidate (~y) would pass them.
+    # Two pedals lie near y, and the fit squares their offsets from the
+    # centroid, which overflowed from about 1e155 on.
+    square = Polygon((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
+    assert is_simson_point(Point(0.3, y), square) is None
 
 
 # ----------------------------------------------------- complete quadrilateral

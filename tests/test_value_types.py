@@ -140,7 +140,7 @@ def test_copies_skip_the_constructor():
             [quad.a, quad.b, quad.c, quad.d, quad.e, quad.f]
     assert copy.deepcopy(OCTAGON) == OCTAGON
     assert copy.deepcopy(OCTAGON).chain == OCTAGON.chain
-    # So is the approximation problem's parabola.
+    # The approximation problem's parabola is such a slot too.
     problem = ApproxProblem(-2.0, 0.5, -1.0, 3.0, 2)
     for clone in (pickle.loads(pickle.dumps(problem)), copy.copy(problem)):
         assert clone.parabola == Parabola(-2.0, 0.25) == problem.parabola
