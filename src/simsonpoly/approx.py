@@ -68,12 +68,8 @@ class ApproxProblem(Frozen):
             raise InvalidProblem(f"n must be an integer >= 1, got {n}")
         c = delta * delta
         _require_finite((c,), s, a, b)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "parabola", Parabola(s, c))
+        self._set(s, delta, a, b, n)
 
     def f(self, x: float) -> float:
         return self.parabola.y_at(x)
@@ -87,10 +83,7 @@ class ApproxResult(Frozen):
     def __init__(self, knots: tuple[float, ...],
                  knot_points: tuple[tuple[float, float], ...],
                  l1_error: float, l2_error: float):
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "knot_points", knot_points)
-        object.__setattr__(self, "l1_error", l1_error)
-        object.__setattr__(self, "l2_error", l2_error)
+        self._set(knots, knot_points, l1_error, l2_error)
 
 
 def _validated(knots: Sequence[float]) -> list[float]:

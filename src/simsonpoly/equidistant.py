@@ -74,10 +74,7 @@ class EquidistantConfig(Frozen):
             raise InvalidConfig(f"delta must be positive, got {delta}")
         if not (isinstance(n, int) and n >= 3):
             raise InvalidConfig(f"n must be an integer >= 3, got {n}")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "n", n)
+        self._set(s, x0, delta, n)
 
     def foot_abscissa(self, i: int) -> float:
         """x-coordinate of the i-th pedal foot, 1-based."""
@@ -106,9 +103,7 @@ class SimsonPolygonFrame(Frozen):
             raise InvalidConfig("vertex and projection counts differ")
         if len(vertices) < 3:
             raise InvalidConfig("need at least 3 vertices")
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "projections", projections)
-        object.__setattr__(self, "simson_point", simson_point)
+        self._set(vertices, projections, simson_point)
 
     @property
     def simson_line(self) -> Line:

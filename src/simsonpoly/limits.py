@@ -60,10 +60,7 @@ class ConvergenceRow(Frozen):
 
     def __init__(self, delta: float, hausdorff: float, bound: float,
                  chain_to_parabola: float | None = None):
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "hausdorff", hausdorff)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "chain_to_parabola", chain_to_parabola)
+        self._set(delta, hausdorff, bound, chain_to_parabola)
 
 
 def chain_for_window(s: float, half_width: float, delta: float) -> list[Point]:

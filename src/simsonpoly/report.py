@@ -26,13 +26,7 @@ class CheckResult(Frozen):
     def __init__(self, name: str, indices: tuple[int, ...], residual: float,
                  passed: bool, note: str = "", limit: Optional[float] = None,
                  count: int = 1):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "note", note)
-        object.__setattr__(self, "limit", limit)
-        object.__setattr__(self, "count", count)
+        self._set(name, indices, residual, passed, note, limit, count)
 
     def to_dict(self) -> dict:
         d = {
@@ -61,9 +55,8 @@ class VerificationReport(Frozen):
 
     def __init__(self, checks: Optional[list[CheckResult]] = None,
                  tolerances: Optional[dict[str, float]] = None):
-        object.__setattr__(self, "checks", [] if checks is None else checks)
-        object.__setattr__(self, "tolerances",
-                           {} if tolerances is None else tolerances)
+        self._set([] if checks is None else checks,
+                  {} if tolerances is None else tolerances)
 
     @property
     def overall(self) -> bool:

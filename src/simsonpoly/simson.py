@@ -75,7 +75,6 @@ class Polygon(Frozen):
 
     def __init__(self, vertices: Iterable[Point]):
         verts = tuple(vertices)
-        object.__setattr__(self, "vertices", verts)
         if len(verts) < 3:
             raise GeometryError("polygon needs at least 3 vertices")
         scale = bbox_diagonal(verts)
@@ -87,6 +86,7 @@ class Polygon(Frozen):
             if v.distance(w) <= bound(scale):
                 raise DegenerateSide(f"consecutive vertices {i} and "
                                      f"{(i + 1) % len(verts)} coincide")
+        self._set(verts)
 
     @property
     def n(self) -> int:
@@ -170,10 +170,7 @@ class SimsonCertificate(Frozen):
 
     def __init__(self, simson_point: Point, simson_line: Line,
                  projections: tuple[Point, ...], residual: float):
-        object.__setattr__(self, "simson_point", simson_point)
-        object.__setattr__(self, "simson_line", simson_line)
-        object.__setattr__(self, "projections", projections)
-        object.__setattr__(self, "residual", residual)
+        self._set(simson_point, simson_line, projections, residual)
 
 
 def is_simson_point(p: Point, poly: Polygon) -> Optional[SimsonCertificate]:
@@ -211,7 +208,6 @@ class CompleteQuadrilateral(Frozen):
 
     def __init__(self, lines: Sequence[Line]):
         lines = tuple(lines)
-        object.__setattr__(self, "lines", lines)
         if len(lines) != 4:
             raise GeometryError("complete quadrilateral needs exactly 4 lines")
         pts = {}
@@ -233,6 +229,7 @@ class CompleteQuadrilateral(Frozen):
         for name, pair in zip("abcdef", ((0, 1), (0, 2), (0, 3), (2, 3),
                                           (1, 2), (1, 3))):
             object.__setattr__(self, name, pts[pair])
+        self._set(lines)
 
     def triangle_circles(self) -> list[Circle]:
         """Circumcircles of the four omitted-line triangles."""
