@@ -360,32 +360,59 @@ def _candidate_violation(poly: Polygon) -> tuple[Optional[Point], float]:
     return cand, max(e.distance(cand) for e in elements)
 
 
-def find_simson_point(poly: Polygon) -> Optional[SimsonCertificate]:
-    """Search for a Simson point via the circle characterization.
+def _centred(poly: Polygon) -> tuple[Polygon, Point]:
+    """The polygon moved by minus o, and o, the centre of its bounding box."""
+    xs = [v.x for v in poly.vertices]
+    ys = [v.y for v in poly.vertices]
+    o = Point(min(xs) + 0.5 * (max(xs) - min(xs)),
+              min(ys) + 0.5 * (max(ys) - min(ys)))
+    return Polygon(v - o for v in poly.vertices), o
 
-    The one point of characterization_candidate is validated against
-    every element and then against the pedal collinearity test itself.
-    Returns None when it fails either (in particular for parallelograms
-    and for any convex polygon with five or more vertices).  The only
-    degeneracy is that of characterization_circles, an element that
-    cannot be built, as when two adjacent sides lie on one line; other
-    collinear vertices are not.
-    """
+
+def _search(poly: Polygon) -> Optional[SimsonCertificate]:
+    """Certificate of the one candidate if it passes both tests, else None."""
     cand, violation = _candidate_violation(poly)
     if cand is None or violation > bound(max(poly.diameter(), cand.norm())):
         return None
     return is_simson_point(cand, poly)
 
 
+def find_simson_point(poly: Polygon) -> Optional[SimsonCertificate]:
+    """Search for a Simson point via the circle characterization.
+
+    The one point of characterization_candidate is validated against
+    every element and then against the pedal collinearity test itself.
+    The search runs first on the polygon moved so that its bounding-box
+    centre o is the origin, where side offsets and circle centres do
+    not cancel, and the certificate is moved back by o.  Only when that
+    finds nothing does it run on the polygon as given, where a candidate
+    far from o but near the origin keeps more digits.  A miss therefore
+    runs the search twice.  Returns None when both fail (in particular for
+    parallelograms and for any convex polygon with five or more
+    vertices).  The only degeneracy is that of characterization_circles,
+    an element that cannot be built, as when two adjacent sides lie on
+    one line; other collinear vertices are not.
+    """
+    centred, o = _centred(poly)
+    cert = _search(centred)
+    if cert is None:
+        return _search(poly)
+    line = cert.simson_line
+    return SimsonCertificate(
+        cert.simson_point + o,
+        Line(line.a, line.b, line.c - (line.a * o.x + line.b * o.y)),
+        tuple(q + o for q in cert.projections), cert.residual)
+
+
 def characterization_defect(poly: Polygon) -> float:
     """How far the circle characterization is from being satisfied.
 
     Zero (up to roundoff) when a Simson point exists.  Otherwise the
-    worst element distance of the one candidate, and inf when there is
-    none (no pair of consecutive elements crosses and element 0 is a
-    line).
+    worst element distance of the one candidate of the polygon centred
+    as in find_simson_point, and inf when there is none (no pair of
+    consecutive elements crosses and element 0 is a line).
     """
-    return _candidate_violation(poly)[1]
+    return _candidate_violation(_centred(poly)[0])[1]
 
 
 def _first_close_pair(points: Sequence[Point],

@@ -1,12 +1,14 @@
 """verify recognises every polygon that make_equidistant builds.
 
-The equidistant polygons below are the ones on which the circle search
-of ``find_simson_point`` misses S or meets a degenerate element, each
-built canonically and moved by 0.7 rad and (3, -2).  ``verify`` exits 4
-on each today, except (1, 1e5, 1, 8), on which it exits 3 because two
-side lines "coincide", and the canonical (10, -32, 0.5, 128), which
-passes.  Each is a strict xfail until ROADMAP item 1's search (fit the
-tangent parabola, refine, certify by backward error) recognises it.
+The equidistant polygons in CASES are the ones on which the circle
+search of ``find_simson_point`` misses S or meets a degenerate element,
+each built canonically and moved by 0.7 rad and (3, -2).  ``verify``
+exits 4 on each today, except (1, 1e5, 1, 8), on which it exits 3
+because two side lines "coincide".  Each is a strict xfail until ROADMAP
+item 1's search (fit the tangent parabola, refine, certify by backward
+error) recognises it.  The search missed FOUND_CENTRED too, except the
+canonical (10, -32, 0.5, 128), until it searched about the polygon's
+bounding-box centre.
 """
 
 import math
@@ -24,8 +26,8 @@ ITEM_1 = pytest.mark.xfail(
            "or finds it too roughly for archimedes-family")
 
 CASES = [(1.0, -64.0, 0.5, 256), (1.0, -128.0, 0.5, 512),
-         (1.0, 1000.0, 1.0, 8), (1.0, -3.5, 1e-3, 8), (1.0, -3.5, 1e-4, 8),
-         (1.0, 1e5, 1.0, 8)]
+         (1.0, -3.5, 1e-3, 8), (1.0, -3.5, 1e-4, 8), (1.0, 1e5, 1.0, 8)]
+FOUND_CENTRED = [(1.0, 1000.0, 1.0, 8), (10.0, -32.0, 0.5, 128)]
 
 
 def _case(config, moved, marks=()):
@@ -46,8 +48,8 @@ def _vertices(config, moved):
 @pytest.mark.parametrize("config,moved", [
     *(_case(config, moved, ITEM_1)
       for config in CASES for moved in (False, True)),
-    _case((10.0, -32.0, 0.5, 128), False),
-    _case((10.0, -32.0, 0.5, 128), True, ITEM_1),
+    *(_case(config, moved)
+      for config in FOUND_CENTRED for moved in (False, True)),
 ])
 def test_verify_recognises_the_equidistant_polygon(capsys, tmp_path, config,
                                                    moved):

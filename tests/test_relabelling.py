@@ -60,11 +60,26 @@ def test_every_listing_of_a_moved_equidistant_polygon_verifies(capsys,
             assert _verify(capsys, tmp_path, listing) == (0, entries)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1: the circle search inherits the "
-                          "conditioning of the first pair of elements")
 def test_search_finds_s_from_every_listing():
     cfg = EquidistantConfig(7.634746602506871, 1.7304169298849992, 0.05, 10)
     found = [find_simson_point(Polygon(tuple(vs))) is not None
              for vs in _listings(_moved(cfg, 0.7, (3.0, -2.0)))]
     assert found == [True] * 20
+
+
+def test_search_finds_s_of_seeded_polygons_from_every_listing():
+    # Searched about the origin only, 3 of these 100 draws are found from
+    # some listings and missed from others.
+    rng = np.random.default_rng(2026)
+    missed = []
+    for draw in range(100):
+        n = int(rng.integers(4, 33))
+        cfg = EquidistantConfig(
+            s=float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0)),
+            x0=float(rng.uniform(-3.0, 3.0)),
+            delta=float(rng.choice([0.05, 0.25, 1.0])), n=n)
+        vertices = _moved(cfg, float(rng.uniform(0.0, 2.0 * math.pi)),
+                          rng.uniform(-10.0, 10.0, 2))
+        missed += [(draw, k) for k, vs in enumerate(_listings(vertices))
+                   if find_simson_point(Polygon(tuple(vs))) is None]
+    assert missed == []

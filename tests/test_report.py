@@ -11,6 +11,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -225,6 +226,24 @@ def test_benchmark_classes_search_defect_as_known(run, tmp_path):
     req = _request(out, cfg.n)
     assert run.check_output(req, code) is not None
     assert run.is_known_defect(req, code, "")
+
+
+def test_constructed_polygon_with_s_far_from_its_centre_verifies(tmp_path,
+                                                                  capsys):
+    # verify-sweep seed 820, cycle 3, kind c, n = 256: the candidate S lies
+    # 7.3 from the origin and 68 471 from the polygon's bounding-box
+    # centre, where its element violation exceeds the bound, so the
+    # search must still try the polygon as given.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cycles = workloads.verify_sweep(np.random.default_rng(820), tmp_path, 3)
+    [req] = [r for r in cycles[2] if r["kind"] == "c" and r["n"] == 256]
+    assert req["argv"][req["argv"].index("--checks") + 1] == \
+        "simson,isogonal,lambert"
+    assert main(req["argv"]) == 0
+    capsys.readouterr()
 
 
 def test_entry_count_depends_on_checks_and_n_only(tmp_path):

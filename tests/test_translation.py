@@ -2,12 +2,12 @@
 
 A translation by (T, -T) moves the same polygon, so every moved
 equidistant polygon that verify accepts must still be accepted there
-(ROADMAP item 9).  Far from the origin it is not yet: the side lines'
-offset c = p.x q.y - q.x p.y cancels, and the circle search inherits
-that error.  The seeded draws below pass 60 of 60 at T = 0, 59 at 1e3,
-32 at 1e4 and 3 at 1e5.  With c = -(a p.x + b p.y) in
-``kernel.join_points`` (ROADMAP item 1) they pass 60 of 60 up to 1e4
-and 58 of 60 at 1e5, where the rest waits on item 1's refined search.
+(ROADMAP item 9).  Far from the origin the side lines' offset
+c = p.x q.y - q.x p.y cancels, so ``find_simson_point`` searches about
+the polygon's bounding-box centre first.  Searched about the origin
+only, the seeded draws below passed 60 of 60 at T = 0, 59 at 1e3, 32 at
+1e4 and 3 at 1e5; searched about the centre they pass 60 of 60 up to
+1e5, 59 at 1e6 and 37 at 1e7.
 """
 
 import math
@@ -38,14 +38,7 @@ def _polygons():
                    for v in make_equidistant(cfg).vertices]
 
 
-ITEM_1 = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="ROADMAP item 1: join_points' offset cancels far from the "
-           "origin, and the circle search inherits the error")
-
-
-@pytest.mark.parametrize("t", [0.0, pytest.param(1e4, marks=ITEM_1),
-                               pytest.param(1e5, marks=ITEM_1)])
+@pytest.mark.parametrize("t", [0.0, 1e4, 1e5])
 def test_translation_keeps_the_verdict(capsys, tmp_path, t):
     path = tmp_path / "scene.json"
     codes = []
