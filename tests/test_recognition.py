@@ -6,9 +6,9 @@ each built canonically and moved by 0.7 rad and (3, -2).  ``verify``
 exits 4 on each today, except (1, 1e5, 1, 8), on which it exits 3
 because two side lines "coincide".  Each is a strict xfail until ROADMAP
 item 1's search (fit the tangent parabola, refine, certify by backward
-error) recognises it.  The search missed FOUND_CENTRED too, except the
-canonical (10, -32, 0.5, 128), until it searched about the polygon's
-bounding-box centre.
+error) recognises it.  On three of the four FOUND_CENTRED cases the
+search finds S only because it searches about the polygon's bounding-box
+centre first.
 """
 
 import math
