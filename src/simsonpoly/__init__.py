@@ -19,9 +19,9 @@ _MODULE_OF = {
         "line_intersection", "line_through", "reflect_point"), "kernel"),
     **dict.fromkeys(("CheckResult", "VerificationReport"), "report"),
     **dict.fromkeys((
-        "CompleteQuadrilateral", "Polygon", "SimsonCertificate",
-        "construct_simson_polygon", "find_simson_point", "is_convex",
-        "is_simson_point", "miquel_point", "pedal_points"), "simson"),
+        "Polygon", "SimsonCertificate", "construct_simson_polygon",
+        "find_simson_point", "is_convex", "is_simson_point",
+        "pedal_points"), "simson"),
     **dict.fromkeys((
         "EquidistantConfig", "EquidistantPolygon", "SimsonPolygonFrame",
         "associated_parabola", "equidistant_from_frame",
@@ -30,8 +30,7 @@ _MODULE_OF = {
         "verify_optical", "verify_parallel_chords"), "equidistant"),
     **dict.fromkeys((
         "ApproxProblem", "ApproxResult", "optimal_knots", "quadrature_l1",
-        "quadrature_l2", "segment_l1_error", "segment_l2_error",
-        "total_error_objective"), "approx"),
+        "quadrature_l2", "total_error_objective"), "approx"),
     **dict.fromkeys(("SceneDocument", "SceneFormatError"), "scene"),
     **dict.fromkeys((
         "chain_for_window", "convergence_table", "hausdorff_chain_parabola",

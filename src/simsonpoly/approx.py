@@ -8,10 +8,11 @@ one segment is f - l = (x - x_i)(x - x_{i+1})/(4 s), of one sign, so
 
 The total L1 error is therefore Sum h_i^3 / (24 |s|), minimized over
 interior knots exactly when the h_i are equal; the position of the
-interval never enters.  The quadrature routines below integrate the
-error polynomial per segment with Gauss-Legendre nodes and are kept free
-of the closed forms so the two routes stay independent checks of each
-other.
+interval never enters.  One segment's errors are those that
+optimal_knots gives for n = 1.  The quadrature routines below integrate
+the error polynomial per segment with Gauss-Legendre nodes and are kept
+free of the closed forms so the two routes stay independent checks of
+each other.
 """
 
 from __future__ import annotations
@@ -96,30 +97,6 @@ def _validated(knots: Sequence[float]) -> list[float]:
         if not u < v:
             raise UnorderedKnots(f"knots not strictly increasing at {u}, {v}")
     return ks
-
-
-def segment_l1_error(p: ApproxProblem, xi: float, xj: float) -> float:
-    """Exact L1 interpolation error on one segment: (xj - xi)^3 / (24|s|).
-
-    Position-free: only the width enters.  Raises UnorderedKnots unless
-    xi < xj, and LeavesFloatRange when the error is not a finite float.
-    """
-    _validated((xi, xj))
-    err = _power_ratio(1, xj - xi, 3, 24.0 * abs(p.s))
-    _require_finite((err,), p.s, xi, xj)
-    return err
-
-
-def segment_l2_error(p: ApproxProblem, xi: float, xj: float) -> float:
-    """Exact squared L2 interpolation error: (xj - xi)^5 / (480 s^2).
-
-    Raises UnorderedKnots unless xi < xj, and LeavesFloatRange when the
-    error is not a finite float.
-    """
-    _validated((xi, xj))
-    err = _power_ratio(1, xj - xi, 5, 480.0 * p.s * p.s)
-    _require_finite((err,), p.s, xi, xj)
-    return err
 
 
 def total_error_objective(p: ApproxProblem, interior: Sequence[float]) -> float:

@@ -267,7 +267,7 @@ def _run_checks(poly: Polygon, checks: list[str],
 def cmd_verify(args) -> int:
     checks = _parse_checks(args.checks)
     triple = _parse_triple(args.triple)
-    if args.negative_control and args.perturb <= 0.0:
+    if args.perturb <= 0.0:
         raise _CliError(f"--perturb must be positive, got {args.perturb}")
     if args.seed < 0:
         raise _CliError("--seed must be non-negative")

@@ -12,10 +12,12 @@ the polygon admits a Simson point if and only if all circles through
 (V_i, W_i, V_{i+1}) share a common point.  When the two sides flanking
 side i are parallel, W_i escapes to infinity and the circle degenerates
 to the side line V_iV_{i+1} itself; the common-point condition then uses
-that line.  This module implements the pedal machinery, the circle
-characterization, the Miquel point of a complete quadrilateral, and the
-inverse construction of a polygon from a prescribed Simson point, Simson
-line and pedal feet.
+that line.  For a quadrilateral the n circles are the circumcircles of
+the four triangles that three of its side lines cut out, so its Simson
+point is the Miquel point of the complete quadrilateral of those lines.
+This module implements the pedal machinery, the circle characterization
+with its one search, and the inverse construction of a polygon from a
+prescribed Simson point, Simson line and pedal feet.
 
 Vertex/foot labeling convention used throughout: vertex V_i is the meet
 of the perpendiculars raised at feet X_i and X_{i+1} (indices wrap), so
@@ -188,62 +190,6 @@ def is_simson_point(p: Point, poly: Polygon) -> Optional[SimsonCertificate]:
     return SimsonCertificate(p, fit, tuple(pedals), residual)
 
 
-class CompleteQuadrilateral(Frozen):
-    """Four lines in general position and their six intersection points.
-
-    General position means no two lines parallel and no three concurrent.
-    The six points are labeled so that the collinear triples are
-    (a, b, c) on line 1, (a, e, f) on line 2, (b, d, e) on line 3 and
-    (c, d, f) on line 4:
-
-        a = l1^l2   b = l1^l3   c = l1^l4
-        d = l3^l4   e = l2^l3   f = l2^l4
-
-    The triangles cut out by omitting one line in turn are then
-    (d, e, f), (b, c, d), (a, c, f) and (a, b, e).
-    """
-
-    _fields = ("lines",)
-    __slots__ = (*_fields, "a", "b", "c", "d", "e", "f")
-
-    def __init__(self, lines: Sequence[Line]):
-        lines = tuple(lines)
-        if len(lines) != 4:
-            raise GeometryError("complete quadrilateral needs exactly 4 lines")
-        pts = {}
-        for i in range(4):
-            for j in range(i + 1, 4):
-                meet = line_intersection(lines[i], lines[j])
-                if meet is None:
-                    raise DegenerateConfiguration(
-                        f"lines {i} and {j} are parallel")
-                pts[(i, j)] = meet
-        scale = bbox_diagonal(pts.values())
-        for (i, j), p in pts.items():
-            for k in range(4):
-                if k in (i, j):
-                    continue
-                if lines[k].distance(p) <= bound(scale):
-                    raise DegenerateConfiguration(
-                        f"lines {i}, {j} and {k} are concurrent")
-        for name, pair in zip("abcdef", ((0, 1), (0, 2), (0, 3), (2, 3),
-                                          (1, 2), (1, 3))):
-            object.__setattr__(self, name, pts[pair])
-        self._set(lines)
-
-    def triangle_circles(self) -> list[Circle]:
-        """Circumcircles of the four omitted-line triangles."""
-        triples = [(self.a, self.f, self.c), (self.a, self.b, self.e),
-                   (self.b, self.c, self.d), (self.d, self.e, self.f)]
-        circles = []
-        for t in triples:
-            try:
-                circles.append(circumcircle(*t))
-            except CollinearInput as exc:
-                raise DegenerateConfiguration(str(exc)) from None
-        return circles
-
-
 def _second_meet(p: Point, o: Point, d: Point) -> Point:
     """Mirror image of p in the line through o along d.
 
@@ -256,22 +202,6 @@ def _second_meet(p: Point, o: Point, d: Point) -> Point:
     qx, qy = p.x - o.x, p.y - o.y
     t = 2.0 * (qx * ux + qy * uy)
     return Point(o.x + t * ux - qx, o.y + t * uy - qy)
-
-
-def miquel_point(quad: CompleteQuadrilateral) -> Point:
-    """Common point of the four triangle circumcircles.
-
-    The first two circles share the point a by construction, so their
-    other common point is a's mirror image in their line of centres; it
-    is returned when it lies on the remaining two circles.
-    """
-    k1, k2, k3, k4 = quad.triangle_circles()
-    m = _second_meet(quad.a, k1.center, k2.center - k1.center)
-    limit = bound(max(k.radius for k in (k1, k2, k3, k4)))
-    if max(k.distance(m) for k in (k3, k4)) > limit:
-        raise DegenerateConfiguration(
-            "miquel_point: circumcircles have no common point")
-    return m
 
 
 CharacterizationElement = Union[Circle, Line]

@@ -11,10 +11,12 @@ the package builds and verifies numerically instead.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 
-from simsonpoly import EquidistantConfig, Line, Point, Polygon
+from simsonpoly import EquidistantConfig, Line, Point, Polygon, \
+    circumcircle, line_intersection
 from simsonpoly.equidistant import IndexOutOfRange
 
 
@@ -95,6 +97,16 @@ def random_quadrilateral(rng, parallel_margin=0.05):
                     ok = False
         if ok:
             return poly
+
+
+def triangle_circles(lines):
+    """Circumcircles of the four triangles that three of four lines cut
+    out, each through the three meets of its lines.  A quadrilateral's
+    Simson point is the Miquel point of its side lines: the one point
+    common to these four circles."""
+    return [circumcircle(*(line_intersection(p, q) for p, q in
+                           combinations(lines[:k] + lines[k + 1:], 2)))
+            for k in range(4)]
 
 
 def random_equidistant_config(rng, s_range=(0.7, 2.5), delta_range=(0.5, 1.5),

@@ -13,19 +13,17 @@ import numpy as np
 import pytest
 
 from geomgen import random_convex_polygon, random_equidistant_config, \
-    random_quadrilateral
+    random_quadrilateral, triangle_circles
 from judged import max_residual
-from simsonpoly.approx import ApproxProblem, optimal_knots, quadrature_l1, \
-    segment_l1_error
+from simsonpoly.approx import ApproxProblem, optimal_knots, quadrature_l1
 from simsonpoly.equidistant import EquidistantConfig, EquidistantPolygon, \
     associated_parabola, make_equidistant, verify_archimedes, \
     verify_isogonal, verify_lambert, verify_optical, verify_parallel_chords
 from simsonpoly.kernel import Line, Point, best_fit_line, bound, line_through
 from simsonpoly.limits import convergence_table, observed_orders
-from simsonpoly.simson import CompleteQuadrilateral, Polygon, \
-    characterization_candidate, characterization_circles, \
-    construct_simson_polygon, find_simson_point, \
-    miquel_point, pedal_points
+from simsonpoly.simson import Polygon, characterization_candidate, \
+    characterization_circles, construct_simson_polygon, find_simson_point, \
+    pedal_points
 
 
 @contextmanager
@@ -100,12 +98,11 @@ def test_criterion_4_segment_error_is_position_free():
         rng = np.random.default_rng(44)
         for _ in range(100):
             s = rng.uniform(0.1, 5.0) * rng.choice([-1.0, 1.0])
-            p = ApproxProblem(s=s, delta=rng.uniform(0.0, 2.0),
-                              a=-100.0, b=100.0, n=1)
+            delta = rng.uniform(0.0, 2.0)
             t = rng.uniform(-10.0, 10.0)
             h = rng.uniform(1e-3, 3.0)
-            ref = segment_l1_error(p, 0.0, h)
-            got = segment_l1_error(p, t, t + h)
+            ref = optimal_knots(ApproxProblem(s, delta, 0.0, h, 1)).l1_error
+            got = optimal_knots(ApproxProblem(s, delta, t, t + h, 1)).l1_error
             assert abs(got - ref) <= 1e-12 * ref
 
 
@@ -117,8 +114,9 @@ def test_criterion_5_quadrilateral_simson_is_miquel():
             diam = poly.diameter()
             cert = find_simson_point(poly)
             assert cert is not None
-            m = miquel_point(CompleteQuadrilateral(poly.side_lines()))
-            assert cert.simson_point.distance(m) <= 1e-7 * diam
+            for k in triangle_circles(poly.side_lines()):
+                assert k.distance(cert.simson_point) <= \
+                    bound(max(k.radius, diam))
             feet = pedal_points(cert.simson_point, poly)
             fit = best_fit_line(feet)
             assert max(fit.distance(f) for f in feet) <= 1e-8 * diam

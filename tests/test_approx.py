@@ -14,8 +14,6 @@ from simsonpoly.approx import (
     optimal_knots,
     quadrature_l1,
     quadrature_l2,
-    segment_l1_error,
-    segment_l2_error,
     total_error_objective,
 )
 from simsonpoly.equidistant import EquidistantConfig, make_equidistant
@@ -29,6 +27,12 @@ def _random_problem(rng):
     b = a + rng.uniform(0.5, 5.0)
     return ApproxProblem(s=s, delta=rng.uniform(0.0, 1.0), a=a, b=b,
                          n=int(rng.integers(1, 7)))
+
+
+def _segment(p, xi, xj):
+    """The optimal grid of the one segment [xi, xj] of p's parabola, whose
+    errors are that segment's."""
+    return optimal_knots(ApproxProblem(p.s, p.delta, xi, xj, 1))
 
 
 def _chord(p, knots, x):
@@ -60,36 +64,36 @@ def test_target_function():
 # ------------------------------------------------------------- segment errors
 
 def test_segment_l1_unit_case():
-    assert segment_l1_error(P_UNIT, 0.0, 1.0) == pytest.approx(1.0 / 24.0)
+    assert _segment(P_UNIT, 0.0, 1.0).l1_error == pytest.approx(1.0 / 24.0)
 
 
 def test_segment_l1_is_translation_invariant():
     p = ApproxProblem(s=1.7, delta=0.3, a=-10.0, b=10.0, n=1)
-    base = segment_l1_error(p, 0.0, 1.3)
+    base = _segment(p, 0.0, 1.3).l1_error
     for shift in (-4.0, 2.5, 7.0):
-        assert segment_l1_error(p, shift, shift + 1.3) == pytest.approx(base)
+        assert _segment(p, shift, shift + 1.3).l1_error == pytest.approx(base)
 
 
 def test_segment_l1_negative_s():
     p = ApproxProblem(s=-2.0, delta=0.0, a=0.0, b=2.0, n=1)
-    assert segment_l1_error(p, 0.0, 2.0) == pytest.approx(8.0 / 48.0)
+    assert _segment(p, 0.0, 2.0).l1_error == pytest.approx(8.0 / 48.0)
 
 
 def test_segment_l1_matches_direct_integral():
     p = ApproxProblem(s=1.3, delta=0.4, a=0.0, b=3.0, n=1)
     got, _ = quad(lambda x: abs(p.f(x) - _chord(p, [0.5, 2.1], x)),
                   0.5, 2.1)
-    assert segment_l1_error(p, 0.5, 2.1) == pytest.approx(got, rel=1e-9)
+    assert _segment(p, 0.5, 2.1).l1_error == pytest.approx(got, rel=1e-9)
 
 
 def test_segment_l2_unit_case():
-    assert segment_l2_error(P_UNIT, 0.0, 1.0) == pytest.approx(1.0 / 480.0)
+    assert _segment(P_UNIT, 0.0, 1.0).l2_error == pytest.approx(1.0 / 480.0)
 
 
 def test_segment_l2_width_scaling():
     # fifth power law: doubling the width scales by 32
-    one = segment_l2_error(P_UNIT, 0.0, 1.0)
-    two = segment_l2_error(P_UNIT, 0.0, 2.0)
+    one = _segment(P_UNIT, 0.0, 1.0).l2_error
+    two = _segment(P_UNIT, 0.0, 2.0).l2_error
     assert two == pytest.approx(32.0 * one)
 
 
@@ -97,17 +101,14 @@ def test_segment_l2_matches_direct_integral():
     p = ApproxProblem(s=-1.6, delta=0.2, a=0.0, b=3.0, n=1)
     got, _ = quad(lambda x: (p.f(x) - _chord(p, [0.4, 2.6], x)) ** 2,
                   0.4, 2.6)
-    assert segment_l2_error(p, 0.4, 2.6) == pytest.approx(got, rel=1e-9)
+    assert _segment(p, 0.4, 2.6).l2_error == pytest.approx(got, rel=1e-9)
 
 
 def test_segment_errors_reject_bad_interval():
-    # The ends are checked as a two-knot grid: reversed, equal or NaN.
-    for segment_error in (segment_l1_error, segment_l2_error):
-        for xi, xj in [(2.0, 1.0), (1.0, 1.0), (math.nan, 1.0),
-                       (1.0, math.nan)]:
-            with pytest.raises(UnorderedKnots,
-                               match="not strictly increasing"):
-                segment_error(P_UNIT, xi, xj)
+    # The ends are checked as the problem's interval: reversed, equal or NaN.
+    for xi, xj in [(2.0, 1.0), (1.0, 1.0), (math.nan, 1.0), (1.0, math.nan)]:
+        with pytest.raises(InvalidProblem, match="need a < b"):
+            _segment(P_UNIT, xi, xj)
 
 
 # ------------------------------------------------------------------ objective
@@ -121,15 +122,13 @@ def test_segment_errors_reject_bad_interval():
 def test_segment_errors_outside_float_range_raise(s, xi, xj):
     p = ApproxProblem(s=s, delta=0.0, a=xi, b=xj, n=1)
     with pytest.raises(LeavesFloatRange, match="leaves the float range"):
-        segment_l2_error(p, xi, xj)
-    with pytest.raises(LeavesFloatRange):
         optimal_knots(p)
 
 
 def test_segment_l1_and_objective_outside_float_range_raise():
     p = ApproxProblem(s=1.0, delta=0.0, a=-1e200, b=1e200, n=2)
     with pytest.raises(LeavesFloatRange):
-        segment_l1_error(p, p.a, p.b)
+        _segment(p, p.a, p.b)
     with pytest.raises(LeavesFloatRange):
         total_error_objective(p, [0.0])
 
@@ -240,7 +239,8 @@ def test_quadrature_matches_closed_form_random():
 def test_quadrature_on_uneven_knots():
     p = ApproxProblem(s=1.4, delta=0.6, a=0.0, b=5.0, n=3)
     knots = [0.0, 0.7, 2.9, 5.0]
-    want = sum(segment_l1_error(p, u, v) for u, v in zip(knots, knots[1:]))
+    want = sum((v - u) ** 3 for u, v in zip(knots, knots[1:])) \
+        / (24.0 * abs(p.s))
     assert quadrature_l1(p, knots) == pytest.approx(want, rel=1e-12)
 
 

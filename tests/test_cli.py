@@ -297,11 +297,18 @@ def test_verify_huge_negative_control_exits_3_with_one_line(capsys,
     assert err.startswith("error: non-finite") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-3", "1e308"])
-def test_verify_negative_control_bad_perturb_exits_2(capsys, tmp_path, value):
+# --perturb is checked with or without --negative-control, as --seed is;
+# the ids of the runs with the flag are the value alone.
+@pytest.mark.parametrize("value, control", [
+    pytest.param(value, control, id=value if control else f"{value}-False")
+    for control in (True, False)
+    for value in ("nan", "inf", "0", "-1e-3", "1e308")])
+def test_verify_negative_control_bad_perturb_exits_2(capsys, tmp_path, value,
+                                                     control):
     path = octagon_scene(tmp_path)
     code, out, err = run_cli(capsys, "verify", "--in", str(path),
-                             "--negative-control", f"--perturb={value}")
+                             f"--perturb={value}",
+                             *(["--negative-control"] if control else []))
     assert code == 2
     assert out == ""
     assert err.startswith("error: --perturb")
@@ -439,6 +446,42 @@ def test_scaled_octagon_is_built_and_recognised(capsys, tmp_path, k):
     assert (code, err) == (0, "")
     report = json.loads(out)
     assert report["overall"] is True and len(report["checks"]) == 8
+
+
+def _octagon_argv(k):
+    """``construct`` argv of the octagon (2^k, -3.5·2^k, 2^k, 8)."""
+    x = math.ldexp(1.0, k)
+    return ["construct", "--equidistant", f"--s={x!r}", f"--x0={-3.5 * x!r}",
+            f"--delta={x!r}", "--n", "8"]
+
+
+def test_construct_octagon_up_to_2_pow_511(capsys, tmp_path):
+    # Above 2^511 the associated parabola's offset delta^2 overflows.
+    path = tmp_path / "octagon.json"
+    code, _, err = run_cli(capsys, *_octagon_argv(511), "--out", str(path))
+    assert (code, err) == (0, "")
+    code, out, err = run_cli(capsys, *_octagon_argv(512))
+    assert (code, out) == (3, "")
+    assert err == "error: parabola offset must be finite, got inf\n"
+
+
+def _underflow(what):
+    return pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason=f"the side lines' offsets underflow and verify {what} "
+               "(ROADMAP item 12(b))")
+
+
+@pytest.mark.parametrize("k", [
+    -535,
+    pytest.param(-536, marks=_underflow("exits 4")),
+    pytest.param(-541, marks=_underflow("exits 3, circumcircle: collinear "
+                                        "input"))])
+def test_verify_recognises_the_octagon_at_small_scale(capsys, tmp_path, k):
+    path = tmp_path / "octagon.json"
+    assert run_cli(capsys, *_octagon_argv(k), "--out", str(path))[0] == 0
+    code, _, err = run_cli(capsys, "verify", "--in", str(path))
+    assert (code, err) == (0, "")
 
 
 def test_verify_all_collinear_pentagon_through_the_origin_exits_3(capsys,

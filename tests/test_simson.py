@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomgen import OCTAGON_SCALES, random_convex_polygon, \
-    random_quadrilateral, random_triangle, regular_polygon, xy
+    random_quadrilateral, random_triangle, regular_polygon, \
+    triangle_circles, xy
 from simsonpoly.kernel import Circle, GeometryError, Line, NonFinite, Point, \
-    bbox_diagonal, bound, line_through
+    bbox_diagonal, bound, line_intersection, line_through
 from simsonpoly.simson import (
-    CompleteQuadrilateral,
     DegenerateConfiguration,
     DegenerateSide,
     DuplicateFeet,
@@ -22,7 +22,6 @@ from simsonpoly.simson import (
     find_simson_point,
     is_convex,
     is_simson_point,
-    miquel_point,
     pedal_points,
 )
 
@@ -250,35 +249,14 @@ FOUR_LINES = (Line(0, 1, 0),                         # y = 0
 MIQUEL_OF_FOUR_LINES = Point(12 / 17, -3 / 17)
 
 
-def test_quadrilateral_labels():
-    quad = CompleteQuadrilateral(FOUR_LINES)
-    assert xy(quad.a) == pytest.approx((0.0, 0.0))
-    assert xy(quad.b) == pytest.approx((1.0, 0.0))
-    assert xy(quad.c) == pytest.approx((1.5, 0.0))
-    assert xy(quad.d) == pytest.approx((2.0, -1.0))
-    assert xy(quad.e) == pytest.approx((0.0, 1.0))
-    assert xy(quad.f) == pytest.approx((0.0, 3.0))
-
-
-def test_quadrilateral_rejects_parallel_lines():
-    with pytest.raises(DegenerateConfiguration):
-        CompleteQuadrilateral((Line(0, 1, 0), Line(0, 1, -1),
-                               FOUR_LINES[2], FOUR_LINES[3]))
-
-
-def test_quadrilateral_rejects_concurrent_lines():
-    # y = x passes through the meet of the first two lines
-    with pytest.raises(DegenerateConfiguration):
-        CompleteQuadrilateral((Line(0, 1, 0), Line(1, 0, 0),
-                               line_through(Point(0, 0), Point(1, 1)),
-                               FOUR_LINES[3]))
-
-
 def test_miquel_point_of_four_lines():
-    quad = CompleteQuadrilateral(FOUR_LINES)
-    m = miquel_point(quad)
+    # The quadrilateral whose side i lies on line i: vertex i is the meet
+    # of lines i - 1 and i.
+    poly = Polygon(line_intersection(FOUR_LINES[i - 1], FOUR_LINES[i])
+                   for i in range(4))
+    m = find_simson_point(poly).simson_point
     assert xy(m) == pytest.approx(xy(MIQUEL_OF_FOUR_LINES), abs=1e-12)
-    for circle in quad.triangle_circles():
+    for circle in triangle_circles(FOUR_LINES):
         assert circle.distance(m) <= bound(circle.radius)
 
 
@@ -313,12 +291,21 @@ def test_characterization_of_triangle_is_circumcircle():
 
 
 def test_characterization_of_quadrilateral_meets_at_miquel():
+    # Element i passes through the three meets of side lines i - 1, i and
+    # i + 1, so it is the circle of the triangle that omits side i + 2,
+    # and the candidate lies on all four such circles.
     rng = np.random.default_rng(5)
     poly = random_quadrilateral(rng)
+    eps = bound(poly.diameter())
     elems = characterization_circles(poly)
-    m = miquel_point(CompleteQuadrilateral(poly.side_lines()))
-    for e in elems:
-        assert e.distance(m) <= 1e-8 * poly.diameter()
+    circles = triangle_circles(poly.side_lines())
+    for i, e in enumerate(elems):
+        k = circles[(i + 2) % 4]
+        assert e.center.distance(k.center) <= eps
+        assert abs(e.radius - k.radius) <= eps
+    m = characterization_candidate(poly, elems)
+    for k in circles:
+        assert k.distance(m) <= 1e-8 * poly.diameter()
 
 
 def test_characterization_trapezoid_contains_line_element():
@@ -346,8 +333,9 @@ def test_quadrilateral_simson_point_is_miquel_point():
         poly = random_quadrilateral(rng)
         cert = find_simson_point(poly)
         assert cert is not None
-        m = miquel_point(CompleteQuadrilateral(poly.side_lines()))
-        assert cert.simson_point.distance(m) <= 1e-7 * poly.diameter()
+        for k in triangle_circles(poly.side_lines()):
+            assert k.distance(cert.simson_point) <= \
+                bound(max(k.radius, poly.diameter()))
 
 
 def test_find_simson_point_rejects_collinear_vertices():

@@ -42,12 +42,6 @@ UNCALLED_PUBLIC = {
     "total_error_objective": "perfbench/traced.py spans it",
     "is_convex": "tests: a Simson polygon with n >= 5 sides, as the "
                  "equidistant octagon, is not convex",
-    "miquel_point": "tests: the Simson point of a quadrilateral is the "
-                    "Miquel point of its four side lines",
-    "segment_l1_error": "tests: a segment's L1 error is (xj - xi)^3/(24|s|), "
-                        "so it depends on the width alone",
-    "segment_l2_error": "tests: a segment's squared L2 error is "
-                        "(xj - xi)^5/(480 s^2)",
 }
 
 

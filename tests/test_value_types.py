@@ -20,16 +20,13 @@ from simsonpoly.kernel import Circle, GeometryError, InvalidConfig, Line, \
     NonFinite, Parabola, Point
 from simsonpoly.limits import ConvergenceRow
 from simsonpoly.report import CheckResult, VerificationReport
-from simsonpoly.simson import CompleteQuadrilateral, DegenerateSide, \
-    Polygon, SimsonCertificate
+from simsonpoly.simson import DegenerateSide, Polygon, SimsonCertificate
 
 P0, P1, P2 = Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.0)
 # Renormalising its unit coefficients changes their last bits, so a copy
 # that ran the constructor again would differ.
 DIAGONAL = Line(1.0, 1.0, 1.0)
 CHECK = CheckResult("x", (1,), 0.5, True)
-QUAD_LINES = (Line(0.0, 1.0, 0.0), Line(1.0, 0.0, 0.0),
-              Line(1.0, 1.0, -1.0), Line(1.0, -2.0, -3.0))
 CONFIG = EquidistantConfig(1.0, 0.0, 1.0, 4)
 OCTAGON = make_equidistant(EquidistantConfig(1.0, -1.5, 1.0, 8))
 FEET = (Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 0.0))
@@ -53,8 +50,8 @@ CASES = [
                              projections=(P0, P1), residual=0.0),
      f"SimsonCertificate(simson_point={P2!r}, simson_line={DIAGONAL!r}, "
      f"projections=({P0!r}, {P1!r}), residual=0.0)"),
-    (CompleteQuadrilateral, dict(lines=QUAD_LINES),
-     f"CompleteQuadrilateral(lines={QUAD_LINES!r})"),
+    # The sign of a zero and a subnormal survive every copy.
+    (Point, dict(x=-0.0, y=5e-324), "Point(x=-0.0, y=5e-324)"),
     (EquidistantConfig, dict(s=1.0, x0=0.0, delta=1.0, n=4),
      "EquidistantConfig(s=1.0, x0=0.0, delta=1.0, n=4)"),
     (SimsonPolygonFrame, dict(vertices=(P0, P1, P2), projections=FEET,
@@ -133,14 +130,10 @@ def test_copies_skip_the_constructor():
     # Line's constructor renormalises; a copy keeps the stored bits.
     assert Line(DIAGONAL.a, DIAGONAL.b, DIAGONAL.c) != DIAGONAL
     assert pickle.loads(pickle.dumps(DIAGONAL)) == DIAGONAL
-    # The quadrilateral's meets live in a slot outside its fields.
-    quad = CompleteQuadrilateral(QUAD_LINES)
-    for clone in (pickle.loads(pickle.dumps(quad)), copy.deepcopy(quad)):
-        assert [clone.a, clone.b, clone.c, clone.d, clone.e, clone.f] == \
-            [quad.a, quad.b, quad.c, quad.d, quad.e, quad.f]
     assert copy.deepcopy(OCTAGON) == OCTAGON
     assert copy.deepcopy(OCTAGON).chain == OCTAGON.chain
-    # The approximation problem's parabola is such a slot too.
+    # The approximation problem's parabola lives in a slot outside its
+    # fields.
     problem = ApproxProblem(-2.0, 0.5, -1.0, 3.0, 2)
     for clone in (pickle.loads(pickle.dumps(problem)), copy.copy(problem)):
         assert clone.parabola == Parabola(-2.0, 0.25) == problem.parabola
@@ -174,8 +167,6 @@ def test_defaults():
      "polygon needs at least 3 vertices"),
     (lambda: Polygon((P0, P1, P1)), DegenerateSide,
      "consecutive vertices 1 and 2 coincide"),
-    (lambda: CompleteQuadrilateral(QUAD_LINES[:3]), GeometryError,
-     "complete quadrilateral needs exactly 4 lines"),
     (lambda: EquidistantConfig(1.0, 0.0, 1.0, 2), InvalidConfig,
      "n must be an integer >= 3, got 2"),
     (lambda: EquidistantConfig(1.0, 0.0, -1.0, 4), InvalidConfig,
