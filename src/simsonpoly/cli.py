@@ -3,6 +3,9 @@
 Subcommands: construct, verify, approx, limit.  Exit codes form a stable
 contract: 0 success, 2 usage or parse error, 3 geometric degeneracy,
 4 verification failure (the report is still emitted).
+
+Each command returns its JSON text, its SVG figure (None unless --svg
+was given) and its exit code; :func:`main` alone writes them.
 """
 
 from __future__ import annotations
@@ -13,8 +16,7 @@ import math
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, NoReturn, Optional, Sequence, \
-    TextIO
+from typing import TYPE_CHECKING, NoReturn, Optional, Sequence
 
 from .kernel import MAX_SEGMENTS, REL_EPS, GeometryError, Point
 
@@ -45,42 +47,14 @@ def _require_finite(flag: str, value: float) -> float:
     return value
 
 
-def _write_file(path: str, write: Callable[[TextIO], object]) -> None:
-    """Run ``write`` on a new file at path; a failure to open, write or
+def _write_file(path: str, text: str) -> None:
+    """Write text to a new file at path; a failure to open, write or
     close it is a usage error."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            write(fh)
+            fh.write(text)
     except OSError as exc:
         raise _CliError(f"cannot write {path}: {exc.strerror}") from None
-
-
-def _emit(args, write: Callable[[TextIO], object]) -> None:
-    """Run ``write`` on the --out file, or on stdout unless --quiet, and
-    end the output with a newline."""
-    def write_line(fh: TextIO) -> None:
-        write(fh)
-        fh.write("\n")
-
-    if args.out:
-        _write_file(args.out, write_line)
-    elif not args.quiet:
-        write_line(sys.stdout)
-
-
-def _emit_json(args, payload) -> None:
-    """Write ``json.dumps(payload, indent=2) + "\\n"`` without building it.
-
-    ``json.dump`` streams the encoder's chunks into the file, so a large
-    report is never held as one string (nor as its list of chunks).
-    """
-    _emit(args, lambda fh: json.dump(payload, fh, indent=2))
-
-
-def _write_svg(args, svg: Optional[str]) -> None:
-    """Write svg, built only when --svg was given, to the --svg file."""
-    if args.svg:
-        _write_file(args.svg, lambda fh: fh.write(svg))
 
 
 # ---------------------------------------------------------------- construct
@@ -127,7 +101,7 @@ def _construct_scene(args) -> SceneDocument:
     return scene
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> tuple[str, Optional[str], int]:
     from .scene import SceneFormatError
 
     try:
@@ -139,10 +113,7 @@ def cmd_construct(args) -> int:
     if args.svg:
         from .svgfig import scene_to_svg
         svg = scene_to_svg(scene)
-    text = scene.to_json()
-    _emit(args, lambda fh: fh.write(text))
-    _write_svg(args, svg)
-    return EXIT_OK
+    return scene.to_json(), svg, EXIT_OK
 
 
 # ------------------------------------------------------------------- verify
@@ -264,7 +235,7 @@ def _run_checks(poly: Polygon, checks: list[str],
     return report
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, None, int]:
     checks = _parse_checks(args.checks)
     triple = _parse_triple(args.triple)
     if args.perturb <= 0.0:
@@ -283,8 +254,8 @@ def cmd_verify(args) -> int:
         report = _run_checks(poly, checks, triple)
     except (SceneFormatError, IndexOutOfRange) as exc:
         raise _CliError(str(exc)) from None
-    _emit_json(args, report.to_dict())
-    return EXIT_OK if report.overall else EXIT_VERIFY
+    return (json.dumps(report.to_dict(), indent=2), None,
+            EXIT_OK if report.overall else EXIT_VERIFY)
 
 
 # ------------------------------------------------------------------- approx
@@ -303,7 +274,7 @@ def _parse_perturb_knot(spec: str) -> tuple[int, float]:
     return idx, eps
 
 
-def cmd_approx(args) -> int:
+def cmd_approx(args) -> tuple[str, Optional[str], int]:
     from .approx import ApproxProblem, optimal_knots, quadrature_l1, \
         quadrature_l2, width_spread
 
@@ -364,14 +335,12 @@ def cmd_approx(args) -> int:
     if args.svg:
         from .svgfig import approx_figure
         svg = approx_figure(problem, result)
-    _emit_json(args, payload)
-    _write_svg(args, svg)
-    return exit_code
+    return json.dumps(payload, indent=2), svg, exit_code
 
 
 # -------------------------------------------------------------------- limit
 
-def cmd_limit(args) -> int:
+def cmd_limit(args) -> tuple[str, None, int]:
     # limits alone: the chains come from the equidistant closed form, so
     # neither the Simson nor the equidistant layer is loaded.
     from .limits import TooManySegments, convergence_table, observed_orders
@@ -398,8 +367,7 @@ def cmd_limit(args) -> int:
         payload["order_ok"] = order_ok
         if not order_ok:
             exit_code = EXIT_VERIFY
-    _emit_json(args, payload)
-    return exit_code
+    return json.dumps(payload, indent=2), None, exit_code
 
 
 # ----------------------------------------------------------------- plumbing
@@ -597,7 +565,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 _drop_stdout()
             return EXIT_OK
         func, args = parsed
-        code = func(args)
+        text, svg, code = func(args)
+        # A command that fails raises before this, so it writes nothing.
+        if args.out:
+            _write_file(args.out, text + "\n")
+        elif not args.quiet:
+            sys.stdout.write(text + "\n")
+        if svg is not None:
+            _write_file(args.svg, svg)
         # Flush here, so a failed write to stdout (a closed pipe, a full
         # disk) is caught below and not only at interpreter exit.
         sys.stdout.flush()
