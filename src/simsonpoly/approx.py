@@ -111,7 +111,7 @@ def total_error_objective(p: ApproxProblem, interior: Sequence[float]) -> float:
             f"expected {p.n - 1} interior knots, got {len(interior)}")
     knots = _validated([p.a, *interior, p.b])
     try:
-        total = sum((v - u) ** 3 for u, v in zip(knots, knots[1:]))
+        total = math.fsum((v - u) ** 3 for u, v in zip(knots, knots[1:]))
     except OverflowError:
         total = math.inf
     _require_finite((total,), p.s, p.a, p.b)
@@ -198,18 +198,25 @@ def _segment_quadrature(p: ApproxProblem, xi: float, xj: float,
     return abs(half * total)
 
 
+def _quadrature(p: ApproxProblem, knots: Sequence[float],
+                squared: bool) -> float:
+    ks = _validated(knots)
+    try:
+        return math.fsum(_segment_quadrature(p, u, v, squared)
+                         for u, v in zip(ks, ks[1:]))
+    except OverflowError:
+        # The segments' integrals are >= 0: their sum passed the float range.
+        return math.inf
+
+
 def quadrature_l1(p: ApproxProblem, knots: Sequence[float]) -> float:
     """L1 interpolation error by per-segment quadrature.
 
     Independent oracle for the closed form: no h^3 shortcut is used.
     """
-    ks = _validated(knots)
-    return sum(_segment_quadrature(p, u, v, squared=False)
-               for u, v in zip(ks, ks[1:]))
+    return _quadrature(p, knots, squared=False)
 
 
 def quadrature_l2(p: ApproxProblem, knots: Sequence[float]) -> float:
     """Squared L2 interpolation error by per-segment quadrature."""
-    ks = _validated(knots)
-    return sum(_segment_quadrature(p, u, v, squared=True)
-               for u, v in zip(ks, ks[1:]))
+    return _quadrature(p, knots, squared=True)

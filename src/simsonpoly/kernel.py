@@ -331,20 +331,27 @@ def best_fit_line(points: Sequence[Point]) -> Line:
     horizontal one is returned.  The offsets from the centroid are scaled
     by the power of two of their extent before the sums, so no square
     leaves the float range and the fit commutes exactly with scaling by
-    a power of two.
+    a power of two.  Every sum is ``math.fsum``, correctly rounded, so
+    the fit does not depend on the order of the points nor on the
+    Python version (``sum`` of floats compensates from 3.12 on).
+    Raises NonFinite when a coordinate sum leaves the float range.
     """
     if len(points) < 2:
         raise ValueError("best_fit_line needs at least two points")
-    mx = sum(p.x for p in points) / len(points)
-    my = sum(p.y for p in points) / len(points)
+    try:
+        mx = math.fsum(p.x for p in points) / len(points)
+        my = math.fsum(p.y for p in points) / len(points)
+    except OverflowError:
+        raise NonFinite("best_fit_line: the coordinate sum leaves the "
+                        "float range") from None
     dx = [p.x - mx for p in points]
     dy = [p.y - my for p in points]
     e = -math.frexp(max(map(abs, dx + dy)))[1]
     dx = [math.ldexp(u, e) for u in dx]
     dy = [math.ldexp(v, e) for v in dy]
-    sxx = sum(u * u for u in dx)
-    syy = sum(v * v for v in dy)
-    sxy = sum(u * v for u, v in zip(dx, dy))
+    sxx = math.fsum(u * u for u in dx)
+    syy = math.fsum(v * v for v in dy)
+    sxy = math.fsum(u * v for u, v in zip(dx, dy))
     if sxx + syy == 0.0:
         return Line(0.0, 1.0, -my)
     theta = 0.5 * math.atan2(2.0 * sxy, sxx - syy)

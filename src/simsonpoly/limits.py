@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 
 from .kernel import MAX_SEGMENTS, Frozen, GeometryError, InvalidConfig, \
-    Parabola, Point, equidistant_chain
+    Parabola, Point, bound, equidistant_chain
 
 _THIRD_TURN = 2.0 * math.pi / 3.0
 
@@ -80,7 +80,7 @@ def chain_for_window(s: float, half_width: float, delta: float) -> list[Point]:
             f"spacing {delta} cuts the window [-{half_width}, {half_width}] "
             "into no finite number of segments")
     n_seg = round(segments)
-    if abs(segments - n_seg) > 1e-9 or n_seg < 1:
+    if abs(segments - n_seg) > bound(1.0) or n_seg < 1:
         raise GeometryError(
             f"spacing {delta} does not tile the window [-{half_width}, {half_width}]")
     if not (math.isfinite(s) and s != 0.0):

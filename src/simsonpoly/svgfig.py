@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .kernel import NonFinite, Parabola, Point
+from .kernel import NonFinite, Parabola, Point, bound
 
 if TYPE_CHECKING:
     # Annotations only: a figure request loads the layer it draws, not
@@ -99,9 +99,9 @@ class SvgCanvas:
     def infinite_line(self, a: float, b: float, c: float, stroke: str, *,
                       dash: str = "") -> None:
         """Clip a*x + b*y + c = 0 to the canvas window and draw it."""
-        # A crossing within 1e-9 of the window's extent is on its edge.
-        slack_x = 1e-9 * (self.xmax - self.xmin)
-        slack_y = 1e-9 * (self.ymax - self.ymin)
+        # A crossing within bound() of the window's extent is on its edge.
+        slack_x = bound(self.xmax - self.xmin)
+        slack_y = bound(self.ymax - self.ymin)
         pts = []
         for x in (self.xmin, self.xmax):
             if b != 0.0:

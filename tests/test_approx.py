@@ -257,6 +257,16 @@ def test_quadrature_rejects_bad_knots():
         quadrature_l2(P_UNIT, [0.0, 2.0, 1.0])
 
 
+def test_quadrature_sum_past_float_range_is_inf():
+    # Each segment's integral is finite, and their sum is not.  The first
+    # segment is symmetric about the apex, so its chord is flat.
+    knots = [-8.1e102, 8.1e102, 1.31e103]
+    segments = [quadrature_l1(P_UNIT, knots[i:i + 2]) for i in (0, 1)]
+    assert all(math.isfinite(q) for q in segments)
+    assert segments[0] + segments[1] == math.inf
+    assert quadrature_l1(P_UNIT, knots) == math.inf
+
+
 # ---------------------------------------------------------------- interpolant
 
 def test_interpolant_exact_at_knots():

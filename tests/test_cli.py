@@ -12,7 +12,7 @@ import pytest
 
 from geomgen import OCTAGON_SCALES, regular_polygon
 from simsonpoly import EquidistantConfig, Point, Polygon, make_equidistant
-from simsonpoly.cli import COMMANDS, _perturbed, main
+from simsonpoly.cli import COMMANDS, _observed, _perturbed, main
 from simsonpoly.kernel import MAX_SEGMENTS, bound, circumcircle, \
     line_intersection, line_through
 from simsonpoly.scene import SceneDocument
@@ -1524,7 +1524,10 @@ def test_process_skips_teardown_unless_traced(argv, code, setup, teardown):
 @pytest.mark.parametrize("argv", [
     ["verify", "--in", "{scene}"],
     [*OCT_ARGS[:-1], "256"],
-], ids=["verify", "construct"])
+    ["approx", "--s", "1", "--a", "0", "--b", "4", "--n", "16",
+     "--compare-quadrature", "--perturb-knot", "2,1e-3"],
+    LIMIT,
+], ids=["verify", "construct", "approx", "limit"])
 def test_piped_stdout_equals_out_file(tmp_path, argv):
     # Everything written reaches the pipe before the process ends.
     scene = tmp_path / "scene.json"
@@ -1539,6 +1542,30 @@ def test_piped_stdout_equals_out_file(tmp_path, argv):
     assert piped.returncode == filed.returncode == 0, piped.stderr
     assert filed.stdout == b""
     assert piped.stdout == out.read_bytes()
+
+
+class _Monitoring:
+    """A stand-in for ``sys.monitoring`` with the given tool ids in use."""
+
+    def __init__(self, used):
+        self.used = used
+
+    def get_tool(self, tool_id):
+        return "tool" if tool_id in self.used else None
+
+
+@pytest.mark.parametrize("used, observed", [
+    ((), False),
+    ((0,), True),
+    ((5,), True),
+], ids=["none", "debugger-id", "last-id"])
+def test_observed_reads_sys_monitoring(monkeypatch, used, observed):
+    # From Python 3.12 on a tracer may register there, with neither
+    # settrace nor setprofile.
+    monkeypatch.setattr(sys, "gettrace", lambda: None)
+    monkeypatch.setattr(sys, "getprofile", lambda: None)
+    monkeypatch.setattr(sys, "monitoring", _Monitoring(used), raising=False)
+    assert _observed() is observed
 
 
 def test_profiler_still_prints_its_table():

@@ -13,6 +13,7 @@ from simsonpoly.kernel import (
     CoincidentPoints,
     CollinearInput,
     Line,
+    NonFinite,
     Point,
     REL_EPS,
     bbox_diagonal,
@@ -186,6 +187,30 @@ def test_best_fit_line_commutes_with_power_of_two_scaling():
                                           math.ldexp(p.y, k)) for p in pts])
             assert (scaled.a, scaled.b, scaled.c) == \
                 (fit.a, fit.b, math.ldexp(fit.c, k))
+
+
+def test_best_fit_line_ignores_point_order():
+    # Near-collinear sets along a random line: the fit of the set read
+    # backwards is the same float line.
+    rng = random.Random(11)
+    for draw in range(200):
+        n = (8, 32, 128, 256)[draw % 4]
+        ox, oy = rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)
+        t = rng.uniform(0.0, math.pi)
+        ux, uy = math.cos(t), math.sin(t)
+        pts = []
+        for _ in range(n):
+            along, off = rng.uniform(-50.0, 50.0), rng.uniform(-1e-9, 1e-9)
+            pts.append(Point(ox + along * ux - off * uy,
+                             oy + along * uy + off * ux))
+        fit, backwards = best_fit_line(pts), best_fit_line(pts[::-1])
+        assert (backwards.a, backwards.b, backwards.c) == \
+            (fit.a, fit.b, fit.c), (draw, n)
+
+
+def test_best_fit_line_centroid_past_float_range_raises():
+    with pytest.raises(NonFinite):
+        best_fit_line([Point(1e308, 0.0), Point(1e308, 1.0)])
 
 
 def test_bbox_diagonal():
