@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -1544,16 +1545,6 @@ def test_piped_stdout_equals_out_file(tmp_path, argv):
     assert piped.stdout == out.read_bytes()
 
 
-class _Monitoring:
-    """A stand-in for ``sys.monitoring`` with the given tool ids in use."""
-
-    def __init__(self, used):
-        self.used = used
-
-    def get_tool(self, tool_id):
-        return "tool" if tool_id in self.used else None
-
-
 @pytest.mark.parametrize("used, observed", [
     ((), False),
     ((0,), True),
@@ -1564,7 +1555,9 @@ def test_observed_reads_sys_monitoring(monkeypatch, used, observed):
     # settrace nor setprofile.
     monkeypatch.setattr(sys, "gettrace", lambda: None)
     monkeypatch.setattr(sys, "getprofile", lambda: None)
-    monkeypatch.setattr(sys, "monitoring", _Monitoring(used), raising=False)
+    monitoring = SimpleNamespace(
+        get_tool=lambda tool: "tool" if tool in used else None)
+    monkeypatch.setattr(sys, "monitoring", monitoring, raising=False)
     assert _observed() is observed
 
 
