@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 _MODULE_OF = {
     **dict.fromkeys((
         "Circle", "GeometryError", "Line", "Parabola", "Point", "REL_EPS",
-        "bound", "circumcircle", "foot_of_perpendicular",
+        "UsageError", "bound", "circumcircle", "foot_of_perpendicular",
         "line_intersection", "line_through", "reflect_point"), "kernel"),
     **dict.fromkeys(("CheckResult", "VerificationReport"), "report"),
     **dict.fromkeys((

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: construct, verify, approx, limit.  Exit codes form a stable
-contract: 0 success, 2 usage or parse error, 3 geometric degeneracy,
-4 verification failure (the report is still emitted).
+contract: 0 success, 2 usage or parse error (a ``UsageError``), 3
+geometric degeneracy (a ``GeometryError``), 4 verification failure (the
+report is still emitted).  An error's type alone decides its code.
 
 Each command returns its JSON text, its SVG figure (None unless --svg
 was given) and its exit code; :func:`main` alone writes them.
@@ -18,7 +19,7 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NoReturn, Optional, Sequence
 
-from .kernel import MAX_SEGMENTS, REL_EPS, GeometryError, Point
+from .kernel import MAX_SEGMENTS, REL_EPS, GeometryError, Point, UsageError
 
 # Each command imports the layers it calls inside the function that calls
 # them, so a request loads only the modules its subcommand runs.
@@ -37,13 +38,9 @@ ALL_CHECKS = ("simson", "parallel-chords", "isogonal", "optical",
               "archimedes", "lambert")
 
 
-class _CliError(Exception):
-    """A usage error: one ``error:`` line on stderr and exit 2."""
-
-
 def _require_finite(flag: str, value: float) -> float:
     if not math.isfinite(value):
-        raise _CliError(f"{flag} must be finite, got {value}")
+        raise UsageError(f"{flag} must be finite, got {value}")
     return value
 
 
@@ -54,7 +51,7 @@ def _write_file(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _CliError(f"cannot write {path}: {exc.strerror}") from None
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------- construct
@@ -71,7 +68,7 @@ def _construct_scene(args) -> SceneDocument:
         for flag, value in (("--s", args.s), ("--delta", args.delta),
                             ("--n", args.n)):
             if value is None:
-                raise _CliError(f"--equidistant requires {flag}")
+                raise UsageError(f"--equidistant requires {flag}")
         cfg = EquidistantConfig(s=args.s, x0=args.x0, delta=args.delta,
                                 n=args.n)
         poly = make_equidistant(cfg)
@@ -85,7 +82,7 @@ def _construct_scene(args) -> SceneDocument:
                             ("--simson-point", args.simson_point),
                             ("--simson-line", args.simson_line)):
             if value is None:
-                raise _CliError(
+                raise UsageError(
                     f"construct without --equidistant requires {flag}")
         from .simson import construct_simson_polygon
 
@@ -102,12 +99,7 @@ def _construct_scene(args) -> SceneDocument:
 
 
 def cmd_construct(args) -> tuple[str, Optional[str], int]:
-    from .scene import SceneFormatError
-
-    try:
-        scene = _construct_scene(args)
-    except SceneFormatError as exc:
-        raise _CliError(str(exc)) from None
+    scene = _construct_scene(args)
     # The figure is built first: a scene it cannot draw writes nothing.
     svg = None
     if args.svg:
@@ -121,10 +113,10 @@ def cmd_construct(args) -> tuple[str, Optional[str], int]:
 def _parse_checks(spec: str) -> list[str]:
     names = [c.strip() for c in spec.split(",") if c.strip()]
     if not names:
-        raise _CliError("--checks must name at least one check")
+        raise UsageError("--checks must name at least one check")
     for name in names:
         if name != "all" and name not in ALL_CHECKS:
-            raise _CliError(
+            raise UsageError(
                 f"unknown check {name!r}; choose from "
                 f"{', '.join(ALL_CHECKS)} or all")
     return list(ALL_CHECKS) if "all" in names else names
@@ -133,11 +125,11 @@ def _parse_checks(spec: str) -> list[str]:
 def _parse_triple(spec: str) -> tuple[int, int, int]:
     parts = spec.split(",")
     if len(parts) != 3:
-        raise _CliError("--triple expects three comma-separated side indices")
+        raise UsageError("--triple expects three comma-separated side indices")
     try:
         i, j, k = (int(p) for p in parts)
     except ValueError:
-        raise _CliError(f"--triple indices must be integers, got {spec!r}")
+        raise UsageError(f"--triple indices must be integers, got {spec!r}")
     return i, j, k
 
 
@@ -145,7 +137,7 @@ def _load_polygon(args) -> Polygon:
     from .scene import SceneDocument
 
     if args.infile is None:
-        raise _CliError("verify requires --in SCENE.json")
+        raise UsageError("verify requires --in SCENE.json")
     try:
         if args.infile == "-":
             text = sys.stdin.read()
@@ -153,9 +145,9 @@ def _load_polygon(args) -> Polygon:
             with open(args.infile, "r", encoding="utf-8") as fh:
                 text = fh.read()
     except OSError as exc:
-        raise _CliError(f"cannot read {args.infile}: {exc.strerror}")
+        raise UsageError(f"cannot read {args.infile}: {exc.strerror}")
     except UnicodeDecodeError as exc:
-        raise _CliError(f"cannot read {args.infile}: {exc}")
+        raise UsageError(f"cannot read {args.infile}: {exc}")
     return SceneDocument.from_json(text).first_polygon()
 
 
@@ -239,21 +231,18 @@ def cmd_verify(args) -> tuple[str, None, int]:
     checks = _parse_checks(args.checks)
     triple = _parse_triple(args.triple)
     if args.perturb <= 0.0:
-        raise _CliError(f"--perturb must be positive, got {args.perturb}")
+        raise UsageError(f"--perturb must be positive, got {args.perturb}")
     if args.seed < 0:
-        raise _CliError("--seed must be non-negative")
+        raise UsageError("--seed must be non-negative")
     # The noise is drawn from [-perturb, perturb], whose width must be finite.
     _require_finite("--perturb width", 2.0 * args.perturb)
-    from .equidistant import IndexOutOfRange
-    from .scene import SceneFormatError
-
-    try:
-        poly = _load_polygon(args)
-        if args.negative_control:
-            poly = _perturbed(poly, args.perturb, args.seed)
-        report = _run_checks(poly, checks, triple)
-    except (SceneFormatError, IndexOutOfRange) as exc:
-        raise _CliError(str(exc)) from None
+    poly = _load_polygon(args)
+    if "lambert" in checks:  # judged before a search that may miss
+        from .equidistant import check_triple
+        check_triple(poly.n, triple)
+    if args.negative_control:
+        poly = _perturbed(poly, args.perturb, args.seed)
+    report = _run_checks(poly, checks, triple)
     return (json.dumps(report.to_dict(), indent=2), None,
             EXIT_OK if report.overall else EXIT_VERIFY)
 
@@ -263,14 +252,14 @@ def cmd_verify(args) -> tuple[str, None, int]:
 def _parse_perturb_knot(spec: str) -> tuple[int, float]:
     parts = spec.split(",")
     if len(parts) != 2:
-        raise _CliError("--perturb-knot expects INDEX,EPS")
+        raise UsageError("--perturb-knot expects INDEX,EPS")
     try:
         idx, eps = int(parts[0]), float(parts[1])
     except ValueError:
-        raise _CliError(f"bad --perturb-knot value {spec!r}")
+        raise UsageError(f"bad --perturb-knot value {spec!r}")
     # A zero nudge moves no knot, so it cannot test optimality.
     if _require_finite("--perturb-knot", eps) == 0.0:
-        raise _CliError("--perturb-knot EPS must be nonzero")
+        raise UsageError("--perturb-knot EPS must be nonzero")
     return idx, eps
 
 
@@ -279,18 +268,18 @@ def cmd_approx(args) -> tuple[str, Optional[str], int]:
         quadrature_l2, width_spread
 
     if args.a >= args.b:
-        raise _CliError(f"need a < b, got a={args.a}, b={args.b}")
+        raise UsageError(f"need a < b, got a={args.a}, b={args.b}")
     if args.n < 1:
-        raise _CliError("--n must be at least 1")
+        raise UsageError("--n must be at least 1")
     if args.n > MAX_SEGMENTS:
-        raise _CliError(f"--n must be at most {MAX_SEGMENTS}")
+        raise UsageError(f"--n must be at most {MAX_SEGMENTS}")
     if args.perturb_knot:
         idx, eps = _parse_perturb_knot(args.perturb_knot)
         if args.n == 1:
-            raise _CliError("--perturb-knot needs an interior knot; "
-                            "--n 1 has none")
+            raise UsageError("--perturb-knot needs an interior knot; "
+                             "--n 1 has none")
         if not 1 <= idx <= args.n - 1:
-            raise _CliError(
+            raise UsageError(
                 f"--perturb-knot index must be interior (1..{args.n - 1})")
     problem = ApproxProblem(s=args.s, delta=args.delta, a=args.a, b=args.b,
                             n=args.n)
@@ -322,9 +311,9 @@ def cmd_approx(args) -> tuple[str, Optional[str], int]:
         h1, h2, e = knot - before, after - knot, (knot + eps) - knot
         # A nudge lost to rounding or past a neighbour tests no optimum.
         if e == 0.0 or not before < knot + eps < after:
-            raise _CliError(f"--perturb-knot must move knot {idx} off "
-                            f"{knot} to strictly between {before} and "
-                            f"{after}, not to {knot + eps}")
+            raise UsageError(f"--perturb-knot must move knot {idx} off "
+                             f"{knot} to strictly between {before} and "
+                             f"{after}, not to {knot + eps}")
         payload["perturb_knot"] = {"index": idx, "eps": eps, "objective_delta":
                                    3.0 * e * (h1 + h2) * (h1 - h2 + e)}
         # Widths equal up to R = width_spread give sign(e)(h1 - h2 + e)
@@ -343,16 +332,13 @@ def cmd_approx(args) -> tuple[str, Optional[str], int]:
 def cmd_limit(args) -> tuple[str, None, int]:
     # limits alone: the chains come from the equidistant closed form, so
     # neither the Simson nor the equidistant layer is loaded.
-    from .limits import TooManySegments, convergence_table, observed_orders
+    from .limits import convergence_table, observed_orders
 
     if args.window <= 0.0:
-        raise _CliError("--window must be positive")
+        raise UsageError("--window must be positive")
     if args.m_max < 0:
-        raise _CliError("--m-max must be >= 0")
-    try:
-        rows = convergence_table(args.s, args.window, args.m_max)
-    except TooManySegments as exc:
-        raise _CliError(str(exc)) from None
+        raise UsageError("--m-max must be >= 0")
+    rows = convergence_table(args.s, args.window, args.m_max)
     orders = observed_orders(rows)
     payload = {
         "s": args.s, "window": args.window,
@@ -501,10 +487,10 @@ def _parse(argv: Sequence[str]):
             return _top_help()
         choices = ", ".join(repr(name) for name in COMMANDS)
         if not argv:
-            raise _CliError("the following arguments are required: "
-                            f"command (choose from {choices})")
-        raise _CliError(f"argument command: invalid choice: {argv[0]!r} "
-                        f"(choose from {choices})")
+            raise UsageError("the following arguments are required: "
+                             f"command (choose from {choices})")
+        raise UsageError(f"argument command: invalid choice: {argv[0]!r} "
+                         f"(choose from {choices})")
     func, _, flags = COMMANDS[argv[0]]
     by_name = {f.name: f for f in flags}
     values = {f.dest: f.default for f in flags}
@@ -520,26 +506,26 @@ def _parse(argv: Sequence[str]):
             continue
         if flag.type is None:
             if eq:
-                raise _CliError(f"argument {name}: ignored explicit "
-                                f"argument {value!r}")
+                raise UsageError(f"argument {name}: ignored explicit "
+                                 f"argument {value!r}")
             values[flag.dest] = True
             continue
         if not eq:
             value = next(tokens, "--")
             if value.startswith("--"):
-                raise _CliError(f"argument {name}: expected one argument")
+                raise UsageError(f"argument {name}: expected one argument")
         try:
             values[flag.dest] = flag.type(value)
         except ValueError:
-            raise _CliError(f"argument {name}: invalid "
-                            f"{flag.type.__name__} value: {value!r}") from None
+            raise UsageError(f"argument {name}: invalid {flag.type.__name__}"
+                             f" value: {value!r}") from None
     # A required flag has no default.
     missing = [f.name for f in flags if f.required and values[f.dest] is None]
     if missing:
-        raise _CliError("the following arguments are required: "
-                        + ", ".join(missing))
+        raise UsageError("the following arguments are required: "
+                         + ", ".join(missing))
     if unrecognized:
-        raise _CliError("unrecognized arguments: " + " ".join(unrecognized))
+        raise UsageError("unrecognized arguments: " + " ".join(unrecognized))
     for f in flags:
         if f.type is float and values[f.dest] is not None:
             _require_finite(f.name, values[f.dest])
@@ -583,12 +569,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _drop_stdout()
         print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
-    except _CliError as exc:
+    except (UsageError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_DEGENERATE
 
 
 def _observed() -> bool:

@@ -35,6 +35,7 @@ from .kernel import (
     Line,
     Parabola,
     Point,
+    UsageError,
     angle_between_rays,
     bbox_diagonal,
     bound,
@@ -47,7 +48,7 @@ from .report import VerificationReport
 from .simson import Polygon, SimsonCertificate
 
 
-class IndexOutOfRange(GeometryError):
+class IndexOutOfRange(UsageError):
     """Vertex or side index outside the valid 1-based range."""
 
 
@@ -168,6 +169,13 @@ def midpoint_parabola(cfg: EquidistantConfig) -> Parabola:
     return Parabola(cfg.s, 0.0)
 
 
+def _index_sums(count: int):
+    """Each sum sigma of the index pairs 1 <= i < j <= count, with the
+    range of i over the pairs (i, sigma - i), increasing."""
+    for sigma in range(3, 2 * count):
+        yield sigma, range(max(1, sigma - count), (sigma - 1) // 2 + 1)
+
+
 def verify_parallel_chords(poly: EquidistantPolygon) -> VerificationReport:
     """Chord family structure of the parabola vertices V_1..V_{n-1}.
 
@@ -194,9 +202,8 @@ def verify_parallel_chords(poly: EquidistantPolygon) -> VerificationReport:
     mid_idx, mid_res = [], []
 
     def tangent_blocks():
-        for sigma in range(3, 2 * m):
-            # The chords V_i V_j with i + j = sigma and i < j, by increasing i.
-            i_range = range(max(1, sigma - m), (sigma - 1) // 2 + 1)
+        # The chords V_i V_j with i + j = sigma and i < j, by increasing i.
+        for sigma, i_range in _index_sums(m):
             # Each block is scaled by the power of two that brings its
             # widest chord, the first, near 1, and so is (x_mid, 2s) below.
             # That is exact: an angle keeps its bits wherever its products
@@ -317,7 +324,6 @@ def verify_archimedes(poly: SimsonPolygonFrame) -> VerificationReport:
     if poly.n < 5:
         raise InvalidConfig("verify_archimedes needs n >= 5")
     limit, _ = report.set_limits(poly.scale())
-    n = poly.n
     xs = [v.x for v in poly.vertices]
     # sides[i - 1] is the line V_i V_{i+1}.
     sides = poly.polygon().side_lines()
@@ -326,9 +332,9 @@ def verify_archimedes(poly: SimsonPolygonFrame) -> VerificationReport:
     c = [line.c for line in sides]
     parallel = bound(1.0)
     parallel_pairs, residuals = [], []
-    for sigma in range(3, 2 * n - 4):
+    for sigma, i_range in _index_sums(poly.n - 2):
         ws = []
-        for i in range(max(1, sigma - n + 2), (sigma + 1) // 2):
+        for i in i_range:
             j = sigma - i
             det = a[i - 1] * b[j - 1] - a[j - 1] * b[i - 1]
             if abs(det) <= parallel:
@@ -341,7 +347,7 @@ def verify_archimedes(poly: SimsonPolygonFrame) -> VerificationReport:
         # vertex V_k itself when k = l.
         coords = [xs[k - 1] if 2 * k == sigma + 1
                   else 0.5 * (xs[k - 1] + xs[sigma - k])
-                  for k in range(max(1, sigma - n + 2), (sigma + 3) // 2)]
+                  for k in range(i_range.start, i_range.stop + 1)]
         residuals.append(max(*ws, *coords) - min(*ws, *coords))
     if parallel_pairs:
         i, j = min(parallel_pairs)
@@ -349,6 +355,12 @@ def verify_archimedes(poly: SimsonPolygonFrame) -> VerificationReport:
     report.judge("archimedes-family", [(residuals, lambda k: (k + 3,))],
                  limit)
     return report
+
+
+def check_triple(n: int, idx: tuple[int, int, int]) -> None:
+    """Raise IndexOutOfRange unless idx is three distinct sides in 1..n."""
+    if len(set(idx)) != 3 or not all(1 <= t <= n for t in idx):
+        raise IndexOutOfRange(f"need three distinct sides in 1..{n}, got {idx}")
 
 
 def verify_lambert(poly: SimsonPolygonFrame, i: int, j: int,
@@ -360,10 +372,8 @@ def verify_lambert(poly: SimsonPolygonFrame, i: int, j: int,
     holds for any Simson polygon, not only equidistant ones.
     """
     report = VerificationReport()
-    n = poly.n
     idx = (i, j, k)
-    if len(set(idx)) != 3 or not all(1 <= t <= n for t in idx):
-        raise IndexOutOfRange(f"need three distinct sides in 1..{n}, got {idx}")
+    check_triple(poly.n, idx)
     polygon = poly.polygon()
     sides = {t: polygon.side_line(t - 1) for t in idx}
     corners = []

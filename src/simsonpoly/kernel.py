@@ -19,6 +19,10 @@ import math
 from typing import Iterable, Optional, Sequence
 
 
+class UsageError(ValueError):
+    """Base class for malformed input, such as an index out of range."""
+
+
 class GeometryError(ValueError):
     """Base class for geometric failure modes raised by this package."""
 

@@ -39,12 +39,12 @@ from __future__ import annotations
 import math
 
 from .kernel import MAX_SEGMENTS, Frozen, GeometryError, InvalidConfig, \
-    Parabola, Point, bound, equidistant_chain
+    Parabola, Point, UsageError, bound, equidistant_chain
 
 _THIRD_TURN = 2.0 * math.pi / 3.0
 
 
-class TooManySegments(ValueError):
+class TooManySegments(UsageError):
     """The finest chain of a convergence table exceeds MAX_SEGMENTS."""
 
 

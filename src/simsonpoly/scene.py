@@ -18,7 +18,7 @@ import math
 import re
 from typing import Iterable, Optional
 
-from .kernel import Line, Parabola, Point
+from .kernel import Line, Parabola, Point, UsageError
 from .simson import Polygon
 
 SCHEMA_VERSION = "1"
@@ -26,7 +26,7 @@ SCHEMA_VERSION = "1"
 ENTITY_TYPES = ("point", "line", "circle", "polygon", "parabola", "annotation")
 
 
-class SceneFormatError(ValueError):
+class SceneFormatError(UsageError):
     """Malformed scene document or entity specification."""
 
 

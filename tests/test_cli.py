@@ -1,8 +1,10 @@
 import errno
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -11,11 +13,12 @@ from types import SimpleNamespace
 
 import pytest
 
+import simsonpoly
 from geomgen import OCTAGON_SCALES, regular_polygon
 from simsonpoly import EquidistantConfig, Point, Polygon, make_equidistant
 from simsonpoly.cli import COMMANDS, _observed, _perturbed, main
-from simsonpoly.kernel import MAX_SEGMENTS, bound, circumcircle, \
-    line_intersection, line_through
+from simsonpoly.kernel import MAX_SEGMENTS, GeometryError, UsageError, \
+    bound, circumcircle, line_intersection, line_through
 from simsonpoly.scene import SceneDocument
 from simsonpoly.simson import find_simson_point
 
@@ -575,12 +578,21 @@ def test_verify_malformed_triple_exits_2(capsys, tmp_path):
         assert code == 2
 
 
-def test_verify_out_of_range_triple_exits_2(capsys, tmp_path):
+@pytest.mark.parametrize("control", [False, True])
+@pytest.mark.parametrize("spec", ["1,2,9", "1,1,2"])
+def test_verify_out_of_range_triple_exits_2(capsys, tmp_path, spec, control):
+    # Judged before the search: the perturbed octagon has no Simson point,
+    # and a search miss must not turn a bad triple into a failed report.
     path = octagon_scene(tmp_path)
-    code, _, err = run_cli(capsys, "verify", "--in", str(path),
-                           "--checks", "lambert", "--triple", "1,2,9")
+    out = tmp_path / "report.json"
+    argv = ["verify", "--in", str(path), "--checks", "lambert", "--triple",
+            spec, "--out", str(out)]
+    code, _, err = run_cli(capsys, *argv,
+                           *(["--negative-control"] if control else []))
     assert code == 2
-    assert "error:" in err
+    assert err.startswith("error: need three distinct sides in 1..8")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_verify_unknown_check_exits_2(capsys, tmp_path):
@@ -1161,6 +1173,25 @@ def test_unwritable_svg_exits_2(capsys, tmp_path):
 
 
 # ----------------------------------------------------------------- plumbing
+
+def test_every_error_class_has_one_exit_code():
+    # main gives a UsageError exit 2 and a GeometryError exit 3.  A class
+    # of both would take the code of whichever clause comes first, and a
+    # class of neither would escape main as a traceback.
+    errors = []
+    for info in pkgutil.iter_modules(simsonpoly.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"simsonpoly.{info.name}")
+        errors += [obj for obj in vars(module).values()
+                   if isinstance(obj, type) and issubclass(obj, Exception)
+                   and obj.__module__ == module.__name__]
+    assert UsageError in errors and GeometryError in errors
+    both_or_neither = [cls.__qualname__ for cls in errors
+                       if issubclass(cls, UsageError)
+                       == issubclass(cls, GeometryError)]
+    assert both_or_neither == []
+
 
 EQUI_5 = ["construct", "--equidistant", "--s", "1", "--delta", "1", "--n", "5"]
 APPROX = ["approx", "--s", "1", "--a", "0", "--b", "1", "--n", "2"]
