@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .kernel import Frozen, GeometryError, Parabola
+from .kernel import MAX_SEGMENTS, Frozen, GeometryError, Parabola, \
+    TooManySegments, UsageError
 
 
 class InvalidProblem(GeometryError):
@@ -52,24 +53,27 @@ def _require_finite(values, s: float, a: float, b: float) -> None:
 class ApproxProblem(Frozen):
     """Approximate f(x) = (x^2 - delta^2)/(4 s) on [a, b] with n segments.
 
-    ``parabola``, not a field, is that curve; LeavesFloatRange is raised
-    when its offset delta^2 is not a finite float."""
+    ``parabola``, not a field, is that curve.  [a, b] and n are judged
+    first, as usage errors; then s and delta, as geometry errors."""
 
     _fields = ("s", "delta", "a", "b", "n")
     __slots__ = (*_fields, "parabola")
 
     def __init__(self, s: float, delta: float, a: float, b: float, n: int):
+        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            raise UsageError(f"need a < b, got [{a}, {b}]")
+        if not (isinstance(n, int) and n >= 1):
+            raise UsageError(f"n must be an integer >= 1, got {n}")
+        if n > MAX_SEGMENTS:
+            raise TooManySegments(f"n must be at most {MAX_SEGMENTS}, got {n}")
         if not (math.isfinite(s) and s != 0.0):
             raise InvalidProblem(f"s must be nonzero, got {s}")
         if not (math.isfinite(delta) and delta >= 0.0):
             raise InvalidProblem(f"delta must be >= 0, got {delta}")
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            raise InvalidProblem(f"need a < b, got [{a}, {b}]")
-        if not (isinstance(n, int) and n >= 1):
-            raise InvalidProblem(f"n must be an integer >= 1, got {n}")
-        c = delta * delta
-        _require_finite((c,), s, a, b)
-        object.__setattr__(self, "parabola", Parabola(s, c))
+        if not math.isfinite(delta * delta):
+            raise LeavesFloatRange(
+                f"delta = {delta} leaves the float range when squared")
+        object.__setattr__(self, "parabola", Parabola(s, delta * delta))
         self._set(s, delta, a, b, n)
 
     def f(self, x: float) -> float:

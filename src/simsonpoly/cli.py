@@ -267,12 +267,6 @@ def cmd_approx(args) -> tuple[str, Optional[str], int]:
     from .approx import ApproxProblem, optimal_knots, quadrature_l1, \
         quadrature_l2, width_spread
 
-    if args.a >= args.b:
-        raise UsageError(f"need a < b, got a={args.a}, b={args.b}")
-    if args.n < 1:
-        raise UsageError("--n must be at least 1")
-    if args.n > MAX_SEGMENTS:
-        raise UsageError(f"--n must be at most {MAX_SEGMENTS}")
     if args.perturb_knot:
         idx, eps = _parse_perturb_knot(args.perturb_knot)
         if args.n == 1:
@@ -334,10 +328,6 @@ def cmd_limit(args) -> tuple[str, None, int]:
     # neither the Simson nor the equidistant layer is loaded.
     from .limits import convergence_table, observed_orders
 
-    if args.window <= 0.0:
-        raise UsageError("--window must be positive")
-    if args.m_max < 0:
-        raise UsageError("--m-max must be >= 0")
     rows = convergence_table(args.s, args.window, args.m_max)
     orders = observed_orders(rows)
     payload = {

@@ -103,9 +103,12 @@ def bound(scale: float) -> float:
     return REL_EPS * abs(scale)
 
 MAX_SEGMENTS = 2 ** 14
-"""Most segments of the finest chain of a convergence table (the chain
-over [-w, w] at spacing 2^-m_max has 2 w 2^m_max of them) and of the
-knot grid of ``simsonpoly approx --n``."""
+
+
+class TooManySegments(UsageError):
+    """More than MAX_SEGMENTS segments in the finest chain of a convergence
+    table (the chain over [-w, w] at spacing 2^-m_max has 2 w 2^m_max of
+    them) or in the knot grid of an approximation problem."""
 
 
 class Point(Frozen):

@@ -39,13 +39,9 @@ from __future__ import annotations
 import math
 
 from .kernel import MAX_SEGMENTS, Frozen, GeometryError, InvalidConfig, \
-    Parabola, Point, UsageError, bound, equidistant_chain
+    Parabola, Point, TooManySegments, UsageError, bound, equidistant_chain
 
 _THIRD_TURN = 2.0 * math.pi / 3.0
-
-
-class TooManySegments(UsageError):
-    """The finest chain of a convergence table exceeds MAX_SEGMENTS."""
 
 
 class ConvergenceRow(Frozen):
@@ -63,6 +59,11 @@ class ConvergenceRow(Frozen):
         self._set(delta, hausdorff, bound, chain_to_parabola)
 
 
+def _require_positive(name: str, value: float) -> None:
+    if value <= 0.0:
+        raise UsageError(f"{name} must be positive, got {value}")
+
+
 def chain_for_window(s: float, half_width: float, delta: float) -> list[Point]:
     """Equidistant vertex chain spanning [-w, w] with knot spacing delta.
 
@@ -72,8 +73,8 @@ def chain_for_window(s: float, half_width: float, delta: float) -> list[Point]:
     divides w.  The vertices are V_1..V_{n-1} of the equidistant polygon
     (s, x0, d, n = 2w/delta + 2), from its closed form.
     """
-    if delta <= 0.0 or half_width <= 0.0:
-        raise GeometryError("window and spacing must be positive")
+    _require_positive("window", half_width)
+    _require_positive("spacing", delta)
     segments = 2.0 * half_width / delta
     if not math.isfinite(segments):
         raise GeometryError(
@@ -203,14 +204,15 @@ def convergence_table(s: float, half_width: float,
                       m_max: int) -> list[ConvergenceRow]:
     """Hausdorff distances for delta = 1, 1/2, ..., 2^-m_max.
 
-    Before any chain is built, raises GeometryError when the study's
-    numbers would overflow or its finest bound 4^-m_max/(16|s|) falls
-    below 1e-12 max(w, w^2/(4|s|)), near the rounding of its coordinates,
-    and TooManySegments when its finest chain would have more than
-    MAX_SEGMENTS segments.
+    Before any chain is built, raises a UsageError for a window w <= 0 or
+    m_max < 0, GeometryError when the study's numbers would overflow or
+    its finest bound 4^-m_max/(16|s|) falls below 1e-12 max(w, w^2/(4|s|)),
+    near the rounding of its coordinates, and TooManySegments when its
+    finest chain would have more than MAX_SEGMENTS segments.
     """
+    _require_positive("window", half_width)
     if m_max < 0:
-        raise GeometryError("m_max must be >= 0")
+        raise UsageError(f"m_max must be >= 0, got {m_max}")
     target = Parabola(s, 0.0)
     # Largest coordinate (w, w^2/(4|s|)) or cubic coefficient
     # (8 s^2 + w^2, 8 s^2 w) of the study; the distances square differences

@@ -17,6 +17,7 @@ from simsonpoly.approx import (
     total_error_objective,
 )
 from simsonpoly.equidistant import EquidistantConfig, make_equidistant
+from simsonpoly.kernel import MAX_SEGMENTS, TooManySegments, UsageError
 
 P_UNIT = ApproxProblem(s=1.0, delta=0.0, a=0.0, b=4.0, n=4)
 
@@ -47,12 +48,27 @@ def test_problem_validation():
         ApproxProblem(s=0.0, delta=0.0, a=0.0, b=1.0, n=1)
     with pytest.raises(InvalidProblem):
         ApproxProblem(s=1.0, delta=-0.1, a=0.0, b=1.0, n=1)
-    with pytest.raises(InvalidProblem):
+    # The interval and the segment count are the caller's choice: usage
+    # errors, not shapes that fail to exist.
+    with pytest.raises(UsageError):
         ApproxProblem(s=1.0, delta=0.0, a=1.0, b=1.0, n=1)
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(UsageError):
         ApproxProblem(s=1.0, delta=0.0, a=2.0, b=1.0, n=1)
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(UsageError):
         ApproxProblem(s=1.0, delta=0.0, a=0.0, b=1.0, n=0)
+
+
+def test_problem_segments_are_capped():
+    assert ApproxProblem(1.0, 0.0, 0.0, 1.0, MAX_SEGMENTS).n == MAX_SEGMENTS
+    with pytest.raises(TooManySegments, match=f"at most {MAX_SEGMENTS}"):
+        ApproxProblem(1.0, 0.0, 0.0, 1.0, MAX_SEGMENTS + 1)
+
+
+def test_problem_usage_rules_come_before_the_parabola():
+    # An empty interval with s = 0 is refused as the interval, so the
+    # command line keeps exit 2 for it whatever s is.
+    with pytest.raises(UsageError, match="need a < b"):
+        ApproxProblem(s=0.0, delta=-1.0, a=1.0, b=0.0, n=1)
 
 
 def test_target_function():
@@ -107,7 +123,7 @@ def test_segment_l2_matches_direct_integral():
 def test_segment_errors_reject_bad_interval():
     # The ends are checked as the problem's interval: reversed, equal or NaN.
     for xi, xj in [(2.0, 1.0), (1.0, 1.0), (math.nan, 1.0), (1.0, math.nan)]:
-        with pytest.raises(InvalidProblem, match="need a < b"):
+        with pytest.raises(UsageError, match="need a < b"):
             _segment(P_UNIT, xi, xj)
 
 

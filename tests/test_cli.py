@@ -694,7 +694,7 @@ def test_verify_feet_out_of_order_fail_equidistant_spacing(capsys, tmp_path):
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="kernel.join_points computes c = p.x*q.y - q.x*p.y, "
-                          "which overflows near 1e153 (ROADMAP item 9)")
+                          "which overflows near 1e153 (ROADMAP item 12(b))")
 def test_verify_recognises_a_polygon_built_near_1e153(capsys, tmp_path):
     path = tmp_path / "scene.json"
     assert main(["construct", "--equidistant", "--s=1e152", "--x0=1e153",
@@ -929,8 +929,8 @@ def test_approx_segments_are_capped(capsys, n, code):
     # Refused before any knot is built: a huge --n would exhaust memory.
     got = run_cli(capsys, "approx", "--s", "1", "--a", "0", "--b", "1",
                   "--n", str(n), "--quiet")
-    assert got == (code, "", f"error: --n must be at most {MAX_SEGMENTS}\n"
-                   if code else "")
+    assert got == (code, "", f"error: n must be at most {MAX_SEGMENTS}, "
+                   f"got {n}\n" if code else "")
 
 
 def test_approx_zero_s_exits_3(capsys):
@@ -1059,7 +1059,7 @@ def test_limit_order_below_1_9_exits_4(capsys, monkeypatch):
 def test_limit_negative_m_max_exits_2(capsys):
     code, out, err = run_cli(capsys, "limit", "--s", "1", "--m-max", "-1")
     assert (code, out) == (2, "")
-    assert err == "error: --m-max must be >= 0\n"
+    assert err == "error: m_max must be >= 0, got -1\n"
 
 
 def test_limit_nontiling_window_exits_3(capsys):

@@ -2,7 +2,8 @@
 
 Seeded argv draws for ``construct --equidistant``, ``construct --feet``,
 ``approx`` and ``limit``, with numbers from 1e-320 to 1.7e308 of either
-sign and sizes up to 17, and seeded scenes for ``verify``, run through
+sign and sizes up to 17, or at the segment cap MAX_SEGMENTS and one
+segment above it, and seeded scenes for ``verify``, run through
 ``cli.main`` in process.  Each must return 0, 2, 3 or 4, raise nothing,
 and write exactly one ``error:`` line when it returns 2 or 3 (ROADMAP
 items 4 and 12).  Each test is bounded by its number of draws.
@@ -13,10 +14,12 @@ import random
 
 from simsonpoly.cli import main
 from simsonpoly.equidistant import EquidistantConfig, make_equidistant
+from simsonpoly.kernel import MAX_SEGMENTS
 from simsonpoly.scene import SceneDocument
 
 DRAWS = 800
 VERIFY_DRAWS = 300
+CAP_DRAWS = 6
 
 
 class _Numbers:
@@ -80,6 +83,21 @@ def _limit(rng, num):
             "--m-max", str(rng.randint(-1, 8))]
 
 
+def _approx_at_cap(rng, num, over):
+    argv = _approx(rng, num)
+    argv[argv.index("--n") + 1] = str(MAX_SEGMENTS + over)
+    return argv
+
+
+def _limit_at_cap(rng, num, over):
+    # The finest chain has 2 * window * 2^m_max segments: the cap, or one
+    # more, which still tiles the window at spacing 1.
+    m_max = rng.randint(0, 11)
+    window = (MAX_SEGMENTS + over) / 2 ** (m_max + 1)
+    return ["limit", f"--s={num()}", f"--window={window!r}",
+            "--m-max", str(m_max)]
+
+
 def _scene(rng):
     """Scene JSON of an equidistant or a random polygon (n 3..17), rotated,
     moved and then scaled by 10^k for k from -320 to 308.  The vertices
@@ -104,15 +122,16 @@ def _scene(rng):
                            "vertices": moved}]).to_json()
 
 
-def _broken(capsys, argv):
-    """Why running argv broke the exit contract, or None if it kept it."""
+def _broken(capsys, argv, codes=None):
+    """Why running argv broke the exit contract, or None if it kept it;
+    codes, if given, are the only exits allowed."""
     try:
         code = main(argv)
     except Exception as exc:
         capsys.readouterr()
         return f"raised {type(exc).__name__}: {exc}"
     err = capsys.readouterr().err
-    if code not in (0, 2, 3, 4):
+    if code not in (codes or (0, 2, 3, 4)):
         return f"exit {code}"
     if code in (2, 3) and not (err.startswith("error: ")
                                and err.count("\n") == 1):
@@ -129,6 +148,21 @@ def test_every_command_line_ends_in_a_documented_exit(capsys):
         why = _broken(capsys, argv)
         if why:
             broken.append((argv, why))
+    assert broken == []
+
+
+def test_sizes_at_the_segment_cap_end_in_a_documented_exit(capsys):
+    # One segment above the cap is refused (exit 2 or, for a value that
+    # is refused first, 3); it never runs.
+    rng = random.Random(16)
+    broken = []
+    for over in (0, 1):
+        for command in (_approx_at_cap, _limit_at_cap):
+            for _ in range(CAP_DRAWS):
+                argv = command(rng, _Numbers(rng), over)
+                why = _broken(capsys, argv, codes=(2, 3) if over else None)
+                if why:
+                    broken.append((argv, why))
     assert broken == []
 
 

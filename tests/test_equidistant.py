@@ -425,7 +425,7 @@ def test_parallel_chords_residuals_are_finite_near_1e153():
 
 @pytest.mark.xfail(strict=True, raises=NonFinite,
                    reason="kernel.join_points computes c = p.x*q.y - q.x*p.y, "
-                          "which is inf - inf (ROADMAP item 9)")
+                          "which is inf - inf (ROADMAP item 12(b))")
 def test_archimedes_side_lines_are_finite_near_1e153():
     assert verify_archimedes(NEAR_1E153).overall
 

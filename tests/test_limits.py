@@ -12,7 +12,7 @@ from limits_oracle import dense_hausdorff, linspace, points_to_polyline
 from simsonpoly import limits
 from simsonpoly.equidistant import EquidistantConfig, Parabola, \
     make_equidistant
-from simsonpoly.kernel import GeometryError, InvalidConfig, Point
+from simsonpoly.kernel import GeometryError, InvalidConfig, Point, UsageError
 from simsonpoly.limits import (
     MAX_SEGMENTS,
     ConvergenceRow,
@@ -114,9 +114,10 @@ def test_chain_needs_finite_nonzero_s(s):
 def test_chain_window_must_tile():
     with pytest.raises(GeometryError):
         chain_for_window(1.0, 4.0, 0.3)
-    with pytest.raises(GeometryError):
+    # A window or spacing that is not positive is the caller's error.
+    with pytest.raises(UsageError, match="spacing must be positive"):
         chain_for_window(1.0, 4.0, 0.0)
-    with pytest.raises(GeometryError):
+    with pytest.raises(UsageError, match="window must be positive"):
         chain_for_window(1.0, -1.0, 0.5)
 
 
@@ -182,8 +183,22 @@ def test_sign_of_s_does_not_matter():
 
 
 def test_table_rejects_negative_depth():
-    with pytest.raises(GeometryError):
+    with pytest.raises(UsageError, match="m_max must be >= 0, got -1"):
         convergence_table(1.0, 4.0, -1)
+
+
+@pytest.mark.parametrize("s", [1.0, 0.0, 1e300])
+def test_table_judges_the_window_sign_first(s):
+    # Before the parabola and the float-range guard, which would give a
+    # GeometryError for s = 0, s = 1e300 or a window of -1e300.
+    with pytest.raises(UsageError, match="window must be positive"):
+        convergence_table(s, -1e300, 2)
+
+
+def test_segment_cap_is_the_kernel_class():
+    from simsonpoly import kernel
+    assert TooManySegments is kernel.TooManySegments
+    assert issubclass(TooManySegments, UsageError)
 
 
 def test_rows_are_value_objects():

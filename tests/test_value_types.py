@@ -12,12 +12,11 @@ import pickle
 
 import pytest
 
-from simsonpoly.approx import ApproxProblem, ApproxResult, InvalidProblem, \
-    LeavesFloatRange
+from simsonpoly.approx import ApproxProblem, ApproxResult, LeavesFloatRange
 from simsonpoly.equidistant import EquidistantConfig, EquidistantPolygon, \
     SimsonPolygonFrame, make_equidistant
 from simsonpoly.kernel import Circle, GeometryError, InvalidConfig, Line, \
-    NonFinite, Parabola, Point
+    NonFinite, Parabola, Point, UsageError
 from simsonpoly.limits import ConvergenceRow
 from simsonpoly.report import CheckResult, VerificationReport
 from simsonpoly.simson import DegenerateSide, Polygon, SimsonCertificate
@@ -175,12 +174,12 @@ def test_defaults():
      "vertex and projection counts differ"),
     (lambda: EquidistantPolygon((P0, P1), FEET[:2], P2, CONFIG),
      InvalidConfig, "need at least 3 vertices"),
-    (lambda: ApproxProblem(1.0, 0.0, 1.0, 1.0, 4), InvalidProblem,
+    (lambda: ApproxProblem(1.0, 0.0, 1.0, 1.0, 4), UsageError,
      r"need a < b, got \[1.0, 1.0\]"),
-    (lambda: ApproxProblem(1.0, 0.0, 0.0, 1.0, 1.5), InvalidProblem,
+    (lambda: ApproxProblem(1.0, 0.0, 0.0, 1.0, 1.5), UsageError,
      "n must be an integer >= 1, got 1.5"),
     (lambda: ApproxProblem(1.0, 1e200, -1.0, 1.0, 2), LeavesFloatRange,
-     r"s = 1.0 on \[-1.0, 1.0\] leaves the float range"),
+     r"delta = 1e\+200 leaves the float range when squared"),
 ])
 def test_validation_errors(build, error, message):
     with pytest.raises(error, match=f"^{message}$"):
