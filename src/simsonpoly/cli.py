@@ -269,9 +269,9 @@ def cmd_approx(args) -> tuple[str, Optional[str], int]:
 
     if args.perturb_knot:
         idx, eps = _parse_perturb_knot(args.perturb_knot)
-        if args.n == 1:
+        if args.n < 2:
             raise UsageError("--perturb-knot needs an interior knot; "
-                             "--n 1 has none")
+                             f"--n {args.n} has none")
         if not 1 <= idx <= args.n - 1:
             raise UsageError(
                 f"--perturb-knot index must be interior (1..{args.n - 1})")

@@ -281,15 +281,6 @@ def characterization_candidate(poly: Polygon,
     return None
 
 
-def _candidate_violation(poly: Polygon) -> tuple[Optional[Point], float]:
-    """The candidate and its worst element distance (inf without one)."""
-    elements = characterization_circles(poly)
-    cand = characterization_candidate(poly, elements)
-    if cand is None:
-        return None, math.inf
-    return cand, max(e.distance(cand) for e in elements)
-
-
 def _centred(poly: Polygon) -> tuple[Polygon, Point]:
     """The polygon moved by minus o, and o, the centre of its bounding box."""
     xs = [v.x for v in poly.vertices]
@@ -300,10 +291,21 @@ def _centred(poly: Polygon) -> tuple[Polygon, Point]:
 
 
 def _search(poly: Polygon) -> Optional[SimsonCertificate]:
-    """Certificate of the one candidate if it passes both tests, else None."""
-    cand, violation = _candidate_violation(poly)
-    if cand is None or violation > bound(max(poly.diameter(), cand.norm())):
+    """Certificate of the one candidate if it passes both tests, else None.
+
+    A circle's distance carries rounding in proportion to its radius, so
+    circle element i is judged at ``bound(max(diameter, |cand|, r_i))``
+    and a line element at ``bound(max(diameter, |cand|))``.
+    """
+    elements = characterization_circles(poly)
+    cand = characterization_candidate(poly, elements)
+    if cand is None:
         return None
+    scale = max(poly.diameter(), cand.norm())
+    for e in elements:
+        radius = e.radius if isinstance(e, Circle) else 0.0
+        if e.distance(cand) > bound(max(scale, radius)):
+            return None
     return is_simson_point(cand, poly)
 
 
@@ -312,21 +314,18 @@ def find_simson_point(poly: Polygon) -> Optional[SimsonCertificate]:
 
     The one point of characterization_candidate is validated against
     every element and then against the pedal collinearity test itself.
-    The search runs first on the polygon moved so that its bounding-box
+    The search runs once, on the polygon moved so that its bounding-box
     centre o is the origin, where side offsets and circle centres do
-    not cancel, and the certificate is moved back by o.  Only when that
-    finds nothing does it run on the polygon as given, where a candidate
-    far from o but near the origin keeps more digits.  A miss therefore
-    runs the search twice.  Returns None when both fail (in particular for
-    parallelograms and for any convex polygon with five or more
-    vertices).  The only degeneracy is that of characterization_circles,
-    an element that cannot be built, as when two adjacent sides lie on
-    one line; other collinear vertices are not.
+    not cancel, and the certificate is moved back by o.  Returns None
+    when it fails (in particular for parallelograms and for any convex
+    polygon with five or more vertices).  The only degeneracy is that of
+    characterization_circles, an element that cannot be built, as when
+    two adjacent sides lie on one line; other collinear vertices are not.
     """
     centred, o = _centred(poly)
     cert = _search(centred)
     if cert is None:
-        return _search(poly)
+        return None
     line = cert.simson_line
     return SimsonCertificate(
         cert.simson_point + o,
@@ -342,7 +341,12 @@ def characterization_defect(poly: Polygon) -> float:
     as in find_simson_point, and inf when there is none (no pair of
     consecutive elements crosses and element 0 is a line).
     """
-    return _candidate_violation(_centred(poly)[0])[1]
+    centred = _centred(poly)[0]
+    elements = characterization_circles(centred)
+    cand = characterization_candidate(centred, elements)
+    if cand is None:
+        return math.inf
+    return max(e.distance(cand) for e in elements)
 
 
 def _first_close_pair(points: Sequence[Point],

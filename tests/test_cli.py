@@ -796,6 +796,10 @@ def test_approx_perturb_knot_bad_index_exits_2(capsys):
       "--perturb-knot", "1,1e-3"], "--n 1 has none"),
     (["--s", "1e-300", "--a", "0", "--b", "1", "--n", "3",
       "--perturb-knot", "1,x"], "error: bad --perturb-knot value '1,x'"),
+    (["--s", "1", "--a", "0", "--b", "1", "--n", "0",
+      "--perturb-knot", "1,1"], "--n 0 has none"),
+    (["--s", "1", "--a", "0", "--b", "1", "--n", "-1",
+      "--perturb-knot", "1,1"], "--n -1 has none"),
 ])
 def test_approx_perturb_knot_is_checked_before_computing(capsys, argv,
                                                           message):

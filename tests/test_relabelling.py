@@ -1,8 +1,9 @@
 """verify judges the polygon, not the vertex it is listed from.
 
 A cyclic shift of the vertices and their reversal list the same polygon,
-so every listing must get the same verdict and the same report entries
-(ROADMAP item 9).
+so every listing must get the same verdict and the same report entries.
+The paper's circle criterion does not depend on where the vertex cycle
+starts or which way it runs, so neither may a verdict.
 """
 
 import json

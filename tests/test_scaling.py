@@ -4,9 +4,10 @@ Scaling every coordinate by 2^k is exact in binary floating point while
 no value leaves the normal floats, and every threshold is relative to a
 length of the data, so the scaled polygon must get the same exit code,
 the same entries and verdicts, and, for the length families, the same
-residual-to-limit ratio, bit for bit (ROADMAP item 9).  The angle
-families are judged at max(1, scale), so their ratios still move with k
-(ROADMAP item 3).
+residual-to-limit ratio, bit for bit: ROADMAP's correctness aim asks
+that tolerances come from the scale of the data.  The angle families
+are judged at max(1, scale), so their ratios still move with k (ROADMAP
+item 3).
 """
 
 import json

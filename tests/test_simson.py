@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from geomgen import OCTAGON_SCALES, random_convex_polygon, \
     random_quadrilateral, random_triangle, regular_polygon, \
     triangle_circles, xy
+from simsonpoly import simson
 from simsonpoly.kernel import Circle, GeometryError, Line, NonFinite, Point, \
     bbox_diagonal, bound, line_intersection, line_through
 from simsonpoly.simson import (
@@ -371,6 +372,19 @@ def test_search_never_calls_the_collinearity_precheck(monkeypatch):
 def test_parallelogram_yields_no_simson_point():
     para = Polygon((Point(0, 0), Point(2, 0), Point(3, 1), Point(1, 1)))
     assert find_simson_point(para) is None
+
+
+def test_a_miss_searches_once(monkeypatch):
+    # One search, on the centred polygon: a miss builds the elements once.
+    calls = []
+
+    def counted(poly):
+        calls.append(poly)
+        return characterization_circles(poly)
+
+    monkeypatch.setattr(simson, "characterization_circles", counted)
+    assert find_simson_point(regular_polygon(5)) is None
+    assert len(calls) == 1
 
 
 def test_triangle_candidates_lie_on_circumcircle():

@@ -1,13 +1,15 @@
 """verify judges the polygon, not where it is placed.
 
 A translation by (T, -T) moves the same polygon, so every moved
-equidistant polygon that verify accepts must still be accepted there
-(ROADMAP item 9).  Far from the origin the side lines' offset
-c = p.x q.y - q.x p.y cancels, so ``find_simson_point`` searches about
-the polygon's bounding-box centre first.  Searched about the origin
-only, the seeded draws below passed 60 of 60 at T = 0, 59 at 1e3, 32 at
-1e4 and 3 at 1e5; searched about the centre they pass 60 of 60 up to
-1e5, 59 at 1e6 and 37 at 1e7.
+equidistant polygon that verify accepts must still be accepted there:
+ROADMAP's correctness aim asks that every polygon the package builds be
+recognised under any rigid motion.  Far from the origin the side lines'
+offset c = p.x q.y - q.x p.y cancels, so ``find_simson_point`` searches
+about the polygon's bounding-box centre.  Searched about the origin, the
+seeded draws below passed 60 of 60 at T = 0, 59 at 1e3, 32 at 1e4 and 3
+at 1e5.  Searched about the centre, with each circle judged at its own
+radius, they pass 60 of 60 up to 1e5, 59 at 1e6 and 47 at 1e7; the
+last two are not pinned.
 """
 
 import math
