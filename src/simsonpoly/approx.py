@@ -18,7 +18,6 @@ each other.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from .kernel import MAX_SEGMENTS, Frozen, GeometryError, Parabola, \
     TooManySegments, UsageError

@@ -17,16 +17,11 @@ import math
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, NoReturn, Optional, Sequence
 
-from .kernel import MAX_SEGMENTS, REL_EPS, GeometryError, Point, UsageError
-
-# Each command imports the layers it calls inside the function that calls
-# them, so a request loads only the modules its subcommand runs.
-if TYPE_CHECKING:
-    from .report import VerificationReport
-    from .scene import SceneDocument
-    from .simson import Polygon
+# Besides kernel, each command imports the layers it calls inside the
+# function that calls them, so a request loads only the modules it runs.
+from .kernel import MAX_SEGMENTS, REL_EPS, GeometryError, InvalidConfig, \
+    Point, UsageError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -36,6 +31,9 @@ EXIT_VERIFY = 4
 _EQUIDISTANT_CHECKS = ("parallel-chords", "optical", "archimedes")
 ALL_CHECKS = ("simson", "parallel-chords", "isogonal", "optical",
               "archimedes", "lambert")
+# A hit reports the search, then the checks of any Simson polygon, then
+# the equidistant ones; a miss lists its entries in the same order.
+_REPORT_ORDER = ("simson", "isogonal", "lambert") + _EQUIDISTANT_CHECKS
 
 
 def _require_finite(flag: str, value: float) -> float:
@@ -98,7 +96,7 @@ def _construct_scene(args) -> SceneDocument:
     return scene
 
 
-def cmd_construct(args) -> tuple[str, Optional[str], int]:
+def cmd_construct(args) -> tuple[str, str | None, int]:
     scene = _construct_scene(args)
     # The figure is built first: a scene it cannot draw writes nothing.
     svg = None
@@ -111,6 +109,7 @@ def cmd_construct(args) -> tuple[str, Optional[str], int]:
 # ------------------------------------------------------------------- verify
 
 def _parse_checks(spec: str) -> list[str]:
+    """The checks spec names, each once, in the order a report lists them."""
     names = [c.strip() for c in spec.split(",") if c.strip()]
     if not names:
         raise UsageError("--checks must name at least one check")
@@ -119,7 +118,7 @@ def _parse_checks(spec: str) -> list[str]:
             raise UsageError(
                 f"unknown check {name!r}; choose from "
                 f"{', '.join(ALL_CHECKS)} or all")
-    return list(ALL_CHECKS) if "all" in names else names
+    return [c for c in _REPORT_ORDER if "all" in names or c in names]
 
 
 def _parse_triple(spec: str) -> tuple[int, int, int]:
@@ -165,9 +164,7 @@ def _perturbed(poly: Polygon, eps: float, seed: int) -> Polygon:
 
 def _run_checks(poly: Polygon, checks: list[str],
                 triple: tuple[int, int, int]) -> VerificationReport:
-    from .equidistant import InvalidConfig, equidistant_from_frame, \
-        frame_from_certificate, verify_archimedes, verify_isogonal, \
-        verify_lambert, verify_optical, verify_parallel_chords
+    """The report of checks, as ``_parse_checks`` lists them, on poly."""
     from .report import CheckResult, VerificationReport
     from .simson import characterization_defect, find_simson_point
 
@@ -177,15 +174,17 @@ def _run_checks(poly: Polygon, checks: list[str],
         # No frame, so no scale: the report names only the raw tolerance.
         report.tolerances["rel_eps"] = REL_EPS
         defect = characterization_defect(poly)
-        if "simson" in checks:
-            report.add(CheckResult(
-                "simson", (), defect, False,
-                note="no common intersection of characterization circles"))
         for name in checks:
-            if name != "simson":
-                report.add(CheckResult(name, (), defect, False,
-                                       note="skipped: no simson point"))
+            report.add(CheckResult(
+                name, (), defect, False,
+                note="no common intersection of characterization circles"
+                if name == "simson" else "skipped: no simson point"))
         return report
+    # The frame layer runs only once a Simson point is found.
+    from .equidistant import equidistant_from_frame, frame_from_certificate, \
+        verify_archimedes, verify_isogonal, verify_lambert, verify_optical, \
+        verify_parallel_chords
+
     if "simson" in checks:
         report.add(CheckResult("simson", (), cert.residual, True))
     frame = frame_from_certificate(poly, cert)
@@ -201,11 +200,10 @@ def _run_checks(poly: Polygon, checks: list[str],
     if wanted and poly.n == 3:
         # Every point of a triangle's circumcircle is a Simson point; the
         # search returns the topmost one, not the point that built it.
-        for name in _EQUIDISTANT_CHECKS:
-            if name in wanted:
-                report.add(CheckResult(
-                    name, (), 0.0, True,
-                    note="skipped: a triangle's Simson point is not unique"))
+        for name in wanted:
+            report.add(CheckResult(
+                name, (), 0.0, True,
+                note="skipped: a triangle's Simson point is not unique"))
         return report
     if wanted:
         try:
@@ -238,7 +236,7 @@ def cmd_verify(args) -> tuple[str, None, int]:
     _require_finite("--perturb width", 2.0 * args.perturb)
     poly = _load_polygon(args)
     if "lambert" in checks:  # judged before a search that may miss
-        from .equidistant import check_triple
+        from .simson import check_triple
         check_triple(poly.n, triple)
     if args.negative_control:
         poly = _perturbed(poly, args.perturb, args.seed)
@@ -263,7 +261,7 @@ def _parse_perturb_knot(spec: str) -> tuple[int, float]:
     return idx, eps
 
 
-def cmd_approx(args) -> tuple[str, Optional[str], int]:
+def cmd_approx(args) -> tuple[str, str | None, int]:
     from .approx import ApproxProblem, optimal_knots, quadrature_l1, \
         quadrature_l2, width_spread
 
@@ -360,9 +358,9 @@ class _Flag:
     __slots__ = ("name", "dest", "type", "default", "required", "metavar",
                  "help")
 
-    def __init__(self, name: str, type: Optional[type], help: str, *,
+    def __init__(self, name: str, type: type | None, help: str, *,
                  default=None, required: bool = False,
-                 metavar: Optional[str] = None, dest: Optional[str] = None):
+                 metavar: str | None = None, dest: str | None = None):
         self.name = name
         self.dest = dest or name[2:].replace("-", "_")
         self.type = type
@@ -529,7 +527,7 @@ def _drop_stdout() -> None:
     os.close(devnull)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     try:
         parsed = _parse(sys.argv[1:] if argv is None else argv)
         if isinstance(parsed, str):

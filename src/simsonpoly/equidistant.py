@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Sequence
 
 from .kernel import (
     Frozen,
@@ -35,7 +34,6 @@ from .kernel import (
     Line,
     Parabola,
     Point,
-    UsageError,
     angle_between_rays,
     bbox_diagonal,
     bound,
@@ -45,11 +43,7 @@ from .kernel import (
     reflect_point,
 )
 from .report import VerificationReport
-from .simson import Polygon, SimsonCertificate
-
-
-class IndexOutOfRange(UsageError):
-    """Vertex or side index outside the valid 1-based range."""
+from .simson import IndexOutOfRange, Polygon, SimsonCertificate, check_triple
 
 
 class ParallelSides(GeometryError):
@@ -355,12 +349,6 @@ def verify_archimedes(poly: SimsonPolygonFrame) -> VerificationReport:
     report.judge("archimedes-family", [(residuals, lambda k: (k + 3,))],
                  limit)
     return report
-
-
-def check_triple(n: int, idx: tuple[int, int, int]) -> None:
-    """Raise IndexOutOfRange unless idx is three distinct sides in 1..n."""
-    if len(set(idx)) != 3 or not all(1 <= t <= n for t in idx):
-        raise IndexOutOfRange(f"need three distinct sides in 1..{n}, got {idx}")
 
 
 def verify_lambert(poly: SimsonPolygonFrame, i: int, j: int,

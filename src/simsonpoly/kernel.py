@@ -16,7 +16,6 @@ module is pure Python on ``math`` alone.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence
 
 
 class UsageError(ValueError):
@@ -246,13 +245,10 @@ def equidistant_chain(s: float, x0: float, d: float, m: int) -> list[Point]:
         raise NonFinite("equidistant vertex beyond the float range") from None
 
 
-def bbox_diagonal(points: Iterable[Point]) -> float:
-    """Diagonal of the axis-aligned bounding box of a point set."""
-    pts = list(points)
-    if not pts:
-        return 0.0
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
+def bbox_diagonal(points: Sequence[Point]) -> float:
+    """Diagonal of the axis-aligned bounding box of a non-empty point set."""
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
     return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
 
 
@@ -285,7 +281,7 @@ def reflect_point(p: Point, l: Line) -> Point:
     return Point(p.x - 2.0 * d * l.a, p.y - 2.0 * d * l.b)
 
 
-def line_intersection(l1: Line, l2: Line) -> Optional[Point]:
+def line_intersection(l1: Line, l2: Line) -> Point | None:
     """Crossing point of two lines, or None when they are parallel.
 
     Coincident lines count as parallel: two lines carry no length scale

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Optional, Sequence
 
 from .kernel import REL_EPS, Frozen, bound
 
@@ -24,7 +23,7 @@ class CheckResult(Frozen):
                            "limit", "count")
 
     def __init__(self, name: str, indices: tuple[int, ...], residual: float,
-                 passed: bool, note: str = "", limit: Optional[float] = None,
+                 passed: bool, note: str = "", limit: float | None = None,
                  count: int = 1):
         self._set(name, indices, residual, passed, note, limit, count)
 
@@ -53,8 +52,8 @@ class VerificationReport(Frozen):
     __slots__ = _fields = ("checks", "tolerances")
     __hash__ = None
 
-    def __init__(self, checks: Optional[list[CheckResult]] = None,
-                 tolerances: Optional[dict[str, float]] = None):
+    def __init__(self, checks: list[CheckResult] | None = None,
+                 tolerances: dict[str, float] | None = None):
         self._set([] if checks is None else checks,
                   {} if tolerances is None else tolerances)
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Iterable, Optional
 
 from .kernel import Line, Parabola, Point, UsageError
 from .simson import Polygon
@@ -99,14 +98,14 @@ def parse_feet_spec(text: str) -> list[Point]:
 class SceneDocument:
     """Ordered collection of uniquely identified scene entities."""
 
-    def __init__(self, entities: Optional[list[dict]] = None):
+    def __init__(self, entities: list[dict] | None = None):
         self.entities: list[dict] = []
         # The ids of self.entities, so an insert checks uniqueness in O(1).
         self._ids: set[str] = set()
         for e in entities or []:
             self._insert(e)
 
-    def _insert(self, entity: dict, style: Optional[dict] = None) -> None:
+    def _insert(self, entity: dict, style: dict | None = None) -> None:
         """Append entity, with style as its last key when one is given."""
         etype = entity.get("type")
         if etype not in ENTITY_TYPES:

@@ -16,8 +16,9 @@ that line.  For a quadrilateral the n circles are the circumcircles of
 the four triangles that three of its side lines cut out, so its Simson
 point is the Miquel point of the complete quadrilateral of those lines.
 This module implements the pedal machinery, the circle characterization
-with its one search, and the inverse construction of a polygon from a
-prescribed Simson point, Simson line and pedal feet.
+with its one search, the inverse construction of a polygon from a
+prescribed Simson point, Simson line and pedal feet, and the rule for
+three side indices (check_triple).
 
 Vertex/foot labeling convention used throughout: vertex V_i is the meet
 of the perpendiculars raised at feet X_i and X_{i+1} (indices wrap), so
@@ -29,7 +30,6 @@ report pedals in side order.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence, Union
 
 from .kernel import (
     Circle,
@@ -39,6 +39,7 @@ from .kernel import (
     Line,
     NonFinite,
     Point,
+    UsageError,
     bbox_diagonal,
     best_fit_line,
     bound,
@@ -63,6 +64,10 @@ class PointOnLine(GeometryError):
 
 class DuplicateFeet(GeometryError):
     """Two prescribed pedal feet coincide."""
+
+
+class IndexOutOfRange(UsageError):
+    """Vertex or side index outside the valid 1-based range."""
 
 
 class Polygon(Frozen):
@@ -129,6 +134,12 @@ class Polygon(Frozen):
         return True
 
 
+def check_triple(n: int, idx: tuple[int, int, int]) -> None:
+    """Raise IndexOutOfRange unless idx is three distinct sides in 1..n."""
+    if len(set(idx)) != 3 or not all(1 <= t <= n for t in idx):
+        raise IndexOutOfRange(f"need three distinct sides in 1..{n}, got {idx}")
+
+
 def is_convex(poly: Polygon) -> bool:
     """Strict convexity: all consecutive edge cross products share a sign.
 
@@ -175,7 +186,7 @@ class SimsonCertificate(Frozen):
         self._set(simson_point, simson_line, projections, residual)
 
 
-def is_simson_point(p: Point, poly: Polygon) -> Optional[SimsonCertificate]:
+def is_simson_point(p: Point, poly: Polygon) -> SimsonCertificate | None:
     """Certificate if the pedals of p are collinear, else None.
 
     Collinearity is judged against the fitted line with threshold
@@ -204,7 +215,7 @@ def _second_meet(p: Point, o: Point, d: Point) -> Point:
     return Point(o.x + t * ux - qx, o.y + t * uy - qy)
 
 
-CharacterizationElement = Union[Circle, Line]
+CharacterizationElement = Circle | Line
 
 
 def characterization_circles(poly: Polygon) -> list[CharacterizationElement]:
@@ -249,7 +260,7 @@ def _normal_at(e: CharacterizationElement, p: Point) -> Point:
 
 def characterization_candidate(poly: Polygon,
                                elements: Sequence[CharacterizationElement]
-                               ) -> Optional[Point]:
+                               ) -> Point | None:
     """The one candidate Simson point, from elements 0 and 1 if they cross.
 
     Elements i and i+1 both pass through V_{i+1}, so they meet again at
@@ -290,7 +301,7 @@ def _centred(poly: Polygon) -> tuple[Polygon, Point]:
     return Polygon(v - o for v in poly.vertices), o
 
 
-def _search(poly: Polygon) -> Optional[SimsonCertificate]:
+def _search(poly: Polygon) -> SimsonCertificate | None:
     """Certificate of the one candidate if it passes both tests, else None.
 
     A circle's distance carries rounding in proportion to its radius, so
@@ -309,7 +320,7 @@ def _search(poly: Polygon) -> Optional[SimsonCertificate]:
     return is_simson_point(cand, poly)
 
 
-def find_simson_point(poly: Polygon) -> Optional[SimsonCertificate]:
+def find_simson_point(poly: Polygon) -> SimsonCertificate | None:
     """Search for a Simson point via the circle characterization.
 
     The one point of characterization_candidate is validated against
@@ -350,7 +361,7 @@ def characterization_defect(poly: Polygon) -> float:
 
 
 def _first_close_pair(points: Sequence[Point],
-                      bound: float) -> Optional[tuple[int, int]]:
+                      bound: float) -> tuple[int, int] | None:
     """First pair i < j, in (i, j) order, with ``distance <= bound``.
 
     Two points that close are at most that far apart along either axis,

@@ -8,15 +8,8 @@ given scene always produces byte-identical SVG.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .kernel import NonFinite, Parabola, Point, bound
-
-if TYPE_CHECKING:
-    # Annotations only: a figure request loads the layer it draws, not
-    # the other one.
-    from .approx import ApproxProblem, ApproxResult
-    from .scene import SceneDocument
 
 _DEFAULT_STROKE = {
     "line": "#555555",

@@ -277,6 +277,56 @@ def test_verify_negative_control_is_the_same_in_every_process(tmp_path):
     assert control("6", "0") != first
 
 
+@pytest.mark.parametrize("checks, hit, miss", [
+    ("isogonal,isogonal", ["isogonal"], ["isogonal"]),
+    ("lambert,archimedes,isogonal",
+     ["isogonal", "lambert", "archimedes-family"],
+     ["isogonal", "lambert", "archimedes"]),
+    ("all", ["simson", "isogonal", "lambert", "parallel-chords",
+             "chord-tangent", "midpoints-aligned", "optical",
+             "archimedes-family"],
+     ["simson", "isogonal", "lambert", "parallel-chords", "optical",
+      "archimedes"]),
+])
+def test_verify_lists_each_check_once_in_report_order(capsys, tmp_path,
+                                                      checks, hit, miss):
+    # However --checks repeats or orders its names, a hit and a miss list
+    # the checks once each: simson, isogonal, lambert, then the
+    # equidistant ones.
+    path = octagon_scene(tmp_path)
+    for control, code, names in (([], 0, hit),
+                                 (["--negative-control"], 4, miss)):
+        got, out, _ = run_cli(capsys, "verify", "--in", str(path),
+                              "--checks", checks, *control)
+        assert got == code
+        assert [c["name"] for c in json.loads(out)["checks"]] == names
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="characterization_defect builds the circles again "
+                          "for a miss's residual; perfbench spans both it "
+                          "and find_simson_point, so the one-pass fix waits "
+                          "for ROADMAP items 0 and 1(b)")
+def test_a_verify_miss_builds_the_circles_once(capsys, tmp_path,
+                                               monkeypatch):
+    from simsonpoly.simson import characterization_circles
+
+    path = tmp_path / "octagon.json"
+    assert main(["construct", "--equidistant", "--s", "1", "--x0=-3.5",
+                 "--delta", "1", "--n", "8", "--out", str(path)]) == 0
+    calls = []
+
+    def counted(poly):
+        calls.append(poly)
+        return characterization_circles(poly)
+
+    monkeypatch.setattr("simsonpoly.simson.characterization_circles", counted)
+    code, _, _ = run_cli(capsys, "verify", "--in", str(path),
+                         "--negative-control", "--seed", "1")
+    assert code == 4
+    assert len(calls) == 1
+
+
 def test_perturbed_draws_python_floats():
     from random import Random
 

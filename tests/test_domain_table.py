@@ -15,13 +15,12 @@ import pytest
 
 from simsonpoly import cli
 from simsonpoly.approx import ApproxProblem, optimal_knots
-from simsonpoly.equidistant import EquidistantConfig, check_triple, \
-    make_equidistant
+from simsonpoly.equidistant import EquidistantConfig, make_equidistant
 from simsonpoly.kernel import GeometryError, UsageError
 from simsonpoly.limits import convergence_table
 from simsonpoly.scene import parse_feet_spec, parse_line_spec, \
     parse_point_spec
-from simsonpoly.simson import construct_simson_polygon
+from simsonpoly.simson import check_triple, construct_simson_polygon
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SECTION = "### The domain of each number flag"
@@ -80,8 +79,8 @@ LAYERS = {
     "construct_simson_polygon": lambda a: construct_simson_polygon(
         parse_point_spec(a.simson_point), parse_line_spec(a.simson_line),
         parse_feet_spec(a.feet)),
-    "check_triple": lambda a: check_triple(cli._load_polygon(a).n,
-                                           cli._parse_triple(a.triple)),
+    "simson.check_triple": lambda a: check_triple(
+        cli._load_polygon(a).n, cli._parse_triple(a.triple)),
     "ApproxProblem": _problem,
     "optimal_knots": lambda a: optimal_knots(_problem(a)),
     "convergence_table": lambda a: convergence_table(a.s, a.window, a.m_max),

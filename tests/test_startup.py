@@ -8,11 +8,16 @@ loads ``kernel`` and ``limits`` only, and ``approx`` never loads the
 Simson, equidistant or scene modules.  No request loads ``dataclasses``
 or the ``inspect`` module it pulls in, nor ``argparse`` and the
 ``gettext``, ``locale`` and ``textwrap`` modules it uses: the CLI reads
-its own flag table.  Each request runs as
-``python -X importtime -m simsonpoly`` in a fresh interpreter, whose
-import-time log names every module it adds to ``sys.modules``.  No wall
-clock is read.  numpy is a test dependency: no module of the package
-imports it.
+its own flag table.  ``verify`` loads the equidistant (frame) layer
+only once the search finds a Simson point, so a miss, every negative
+control included, and a ``--triple`` rejected before the search never
+load it.  No module imports ``typing``: annotations are never evaluated
+(``from __future__ import annotations``), so the names they use need
+no import.  Each request runs as ``python -X importtime -m simsonpoly``
+in a fresh interpreter, whose import-time log names every module it adds
+to ``sys.modules``, and again with ``-S``, since ``site`` may import
+``typing`` itself.  No wall clock is read.  numpy is a test dependency:
+no module of the package imports it.
 """
 
 import ast
@@ -30,7 +35,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 OCTAGON = ("construct", "--equidistant", "--s", "1", "--delta", "1",
            "--n", "8")
-VERIFY = "cli kernel scene simson equidistant report"
+VERIFY_MISS = "cli kernel scene simson report"
+VERIFY = VERIFY_MISS + " equidistant"
 
 # Each request with its exit code and the package modules it loads (the
 # package itself always); {octagon} and {svg} name files.
@@ -47,9 +53,11 @@ REQUESTS = [
     (("limit", "--s", "1", "--m-max", "2", "--quiet"), 0,
      "cli kernel limits"),
     (("verify", "--in", "{octagon}", "--quiet", "--negative-control"), 4,
-     VERIFY),
+     VERIFY_MISS),
     (("approx", "--s", "1", "--a", "0", "--b", "4", "--n", "4",
       "--compare-quadrature", "--quiet"), 0, "cli kernel approx"),
+    (("verify", "--in", "{octagon}", "--quiet", "--triple", "1,2,9"), 2,
+     "cli kernel scene simson"),
 ]
 
 
@@ -72,24 +80,30 @@ def octagon(tmp_path_factory):
 @pytest.mark.parametrize("argv, code, modules", REQUESTS, ids=[
     "construct-equidistant-svg", "construct-feet-svg", "verify",
     "approx-perturb-knot-svg", "limit", "verify-negative-control",
-    "approx-compare-quadrature"])
+    "approx-compare-quadrature", "verify-out-of-range-triple"])
 def test_request_imports_only_its_layers(tmp_path, octagon, argv, code,
                                          modules):
     argv = _argv(argv, octagon, str(tmp_path / "figure.svg"))
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "simsonpoly", *argv],
-        capture_output=True, text=True, env=_subprocess_env(), timeout=120)
-    # "import time: <self us> | <cumulative us> | <indented name>"
-    imported = {line.rsplit("|", 1)[1].strip()
-                for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
-    assert proc.returncode == code, proc.stderr
-    assert {m for m in imported if m.split(".")[0] == "simsonpoly"} == \
-        {"simsonpoly", *("simsonpoly." + m for m in modules.split())}
-    assert "numpy" not in imported
-    # The value types are slotted classes: no dataclasses, so no inspect.
-    assert not {"dataclasses", "inspect"} & imported
-    assert not {"argparse", "gettext", "locale", "textwrap"} & imported
+    for site in ([], ["-S"]):
+        proc = subprocess.run(
+            [sys.executable, *site, "-X", "importtime", "-m", "simsonpoly",
+             *argv],
+            capture_output=True, text=True, env=_subprocess_env(),
+            timeout=120)
+        # "import time: <self us> | <cumulative us> | <indented name>"
+        imported = {line.rsplit("|", 1)[1].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert proc.returncode == code, proc.stderr
+        assert {m for m in imported if m.split(".")[0] == "simsonpoly"} == \
+            {"simsonpoly", *("simsonpoly." + m for m in modules.split())}
+        assert "numpy" not in imported
+        # The value types are slotted classes: no dataclasses, so no
+        # inspect.
+        assert not {"dataclasses", "inspect"} & imported
+        assert not {"argparse", "gettext", "locale", "textwrap"} & imported
+    # Without site, typing is loaded only if the request imports it.
+    assert "typing" not in imported
 
 
 def test_only_numeric_requests_load_numpy(tmp_path):
