@@ -19,20 +19,12 @@ from __future__ import annotations
 
 import math
 
-from .kernel import MAX_SEGMENTS, Frozen, GeometryError, Parabola, \
-    TooManySegments, UsageError
-
-
-class InvalidProblem(GeometryError):
-    """Approximation problem parameters outside their domain."""
+from .kernel import MAX_SEGMENTS, Frozen, GeometryError, InvalidConfig, \
+    NonFinite, Parabola, TooManySegments, UsageError
 
 
 class UnorderedKnots(GeometryError):
     """Knot sequence not strictly increasing."""
-
-
-class LeavesFloatRange(GeometryError):
-    """A closed-form error or knot of the problem is not a finite float."""
 
 
 def _power_ratio(count: int, h: float, k: int, denom: float) -> float:
@@ -46,7 +38,7 @@ def _power_ratio(count: int, h: float, k: int, denom: float) -> float:
 
 def _require_finite(values, s: float, a: float, b: float) -> None:
     if not all(math.isfinite(v) for v in values):
-        raise LeavesFloatRange(f"s = {s} on [{a}, {b}] leaves the float range")
+        raise NonFinite(f"s = {s} on [{a}, {b}] leaves the float range")
 
 
 class ApproxProblem(Frozen):
@@ -66,11 +58,11 @@ class ApproxProblem(Frozen):
         if n > MAX_SEGMENTS:
             raise TooManySegments(f"n must be at most {MAX_SEGMENTS}, got {n}")
         if not (math.isfinite(s) and s != 0.0):
-            raise InvalidProblem(f"s must be nonzero, got {s}")
+            raise InvalidConfig(f"s must be nonzero, got {s}")
         if not (math.isfinite(delta) and delta >= 0.0):
-            raise InvalidProblem(f"delta must be >= 0, got {delta}")
+            raise InvalidConfig(f"delta must be >= 0, got {delta}")
         if not math.isfinite(delta * delta):
-            raise LeavesFloatRange(
+            raise NonFinite(
                 f"delta = {delta} leaves the float range when squared")
         object.__setattr__(self, "parabola", Parabola(s, delta * delta))
         self._set(s, delta, a, b, n)
@@ -107,10 +99,10 @@ def total_error_objective(p: ApproxProblem, interior: Sequence[float]) -> float:
 
     This is the L1 error up to the constant factor 1/(24|s|), which is
     what the optimality argument actually minimizes.  Raises
-    LeavesFloatRange when the sum is not a finite float.
+    NonFinite when the sum is not a finite float.
     """
     if len(interior) != p.n - 1:
-        raise InvalidProblem(
+        raise InvalidConfig(
             f"expected {p.n - 1} interior knots, got {len(interior)}")
     knots = _validated([p.a, *interior, p.b])
     try:
@@ -128,9 +120,9 @@ def optimal_knots(p: ApproxProblem) -> ApproxResult:
     is smallest when all h_i coincide, so the optimum is the arithmetic
     progression from a to b, whose last knot is b itself (a + n h can
     miss it by rounding).  Before any caller can emit the result, raises
-    LeavesFloatRange when a knot, knot value or error is not a finite
-    float, and UnorderedKnots when [a, b] is too narrow for n segments
-    to give strictly increasing floats.
+    NonFinite when a knot, knot value or error is not a finite float,
+    and UnorderedKnots when [a, b] is too narrow for n segments to give
+    strictly increasing floats.
     """
     h = (p.b - p.a) / p.n
     knots = [p.a + i * h for i in range(p.n)] + [p.b]

@@ -28,12 +28,13 @@ import math
 from itertools import combinations
 
 from .kernel import (
+    DegenerateConfiguration,
     Frozen,
-    GeometryError,
     InvalidConfig,
     Line,
     Parabola,
     Point,
+    UsageError,
     angle_between_rays,
     bbox_diagonal,
     bound,
@@ -44,10 +45,6 @@ from .kernel import (
 )
 from .report import VerificationReport
 from .simson import IndexOutOfRange, Polygon, SimsonCertificate, check_triple
-
-
-class ParallelSides(GeometryError):
-    """Side lines required to meet are parallel."""
 
 
 class EquidistantConfig(Frozen):
@@ -68,7 +65,7 @@ class EquidistantConfig(Frozen):
         if not (math.isfinite(delta) and delta > 0.0):
             raise InvalidConfig(f"delta must be positive, got {delta}")
         if not (isinstance(n, int) and n >= 3):
-            raise InvalidConfig(f"n must be an integer >= 3, got {n}")
+            raise UsageError(f"n must be an integer >= 3, got {n}")
         self._set(s, x0, delta, n)
 
     def foot_abscissa(self, i: int) -> float:
@@ -97,7 +94,7 @@ class SimsonPolygonFrame(Frozen):
         if len(vertices) != len(projections):
             raise InvalidConfig("vertex and projection counts differ")
         if len(vertices) < 3:
-            raise InvalidConfig("need at least 3 vertices")
+            raise UsageError("need at least 3 vertices")
         self._set(vertices, projections, simson_point)
 
     @property
@@ -345,7 +342,7 @@ def verify_archimedes(poly: SimsonPolygonFrame) -> VerificationReport:
         residuals.append(max(*ws, *coords) - min(*ws, *coords))
     if parallel_pairs:
         i, j = min(parallel_pairs)
-        raise ParallelSides(f"side lines {i} and {j} are parallel")
+        raise DegenerateConfiguration(f"side lines {i} and {j} are parallel")
     report.judge("archimedes-family", [(residuals, lambda k: (k + 3,))],
                  limit)
     return report
@@ -368,7 +365,7 @@ def verify_lambert(poly: SimsonPolygonFrame, i: int, j: int,
     for t1, t2 in combinations(idx, 2):
         cross = line_intersection(sides[t1], sides[t2])
         if cross is None:
-            raise ParallelSides(f"side lines {t1} and {t2} are parallel")
+            raise DegenerateConfiguration(f"side lines {t1} and {t2} are parallel")
         corners.append(cross)
     circle = circumcircle(*corners)
     residual = circle.distance(poly.simson_point)

@@ -42,6 +42,11 @@ class InvalidConfig(GeometryError):
     """Configuration parameters outside their domain."""
 
 
+class DegenerateConfiguration(GeometryError):
+    """Input is too degenerate for the requested construction, such as
+    two lines that must meet being parallel."""
+
+
 class Frozen:
     """Immutable value over the slots named in ``_fields``.
 
@@ -166,7 +171,7 @@ class Line(Frozen):
         if not (math.isfinite(n) and math.isfinite(c)):
             raise NonFinite(f"non-finite line ({a}, {b}, {c})")
         if n == 0.0:
-            raise ValueError("line requires (a, b) != (0, 0)")
+            raise InvalidConfig("line requires (a, b) != (0, 0)")
         a, b, c = a / n, b / n, c / n
         if a < 0.0 or (a == 0.0 and b < 0.0):
             a, b, c = -a, -b, -c
@@ -197,7 +202,7 @@ class Circle(Frozen):
         if not math.isfinite(radius):
             raise NonFinite(f"non-finite circle radius {radius}")
         if not radius > 0.0:
-            raise ValueError(f"circle radius must be positive, got {radius}")
+            raise InvalidConfig(f"circle radius must be positive, got {radius}")
         self._set(center, radius)
 
     def distance(self, p: Point) -> float:
@@ -340,7 +345,7 @@ def best_fit_line(points: Sequence[Point]) -> Line:
     Raises NonFinite when a coordinate sum leaves the float range.
     """
     if len(points) < 2:
-        raise ValueError("best_fit_line needs at least two points")
+        raise UsageError("best_fit_line needs at least two points")
     try:
         mx = math.fsum(p.x for p in points) / len(points)
         my = math.fsum(p.y for p in points) / len(points)

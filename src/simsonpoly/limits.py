@@ -39,7 +39,8 @@ from __future__ import annotations
 import math
 
 from .kernel import MAX_SEGMENTS, Frozen, GeometryError, InvalidConfig, \
-    Parabola, Point, TooManySegments, UsageError, bound, equidistant_chain
+    NonFinite, Parabola, Point, TooManySegments, UsageError, bound, \
+    equidistant_chain
 
 _THIRD_TURN = 2.0 * math.pi / 3.0
 
@@ -77,7 +78,7 @@ def chain_for_window(s: float, half_width: float, delta: float) -> list[Point]:
     _require_positive("spacing", delta)
     segments = 2.0 * half_width / delta
     if not math.isfinite(segments):
-        raise GeometryError(
+        raise NonFinite(
             f"spacing {delta} cuts the window [-{half_width}, {half_width}] "
             "into no finite number of segments")
     n_seg = round(segments)
@@ -205,10 +206,11 @@ def convergence_table(s: float, half_width: float,
     """Hausdorff distances for delta = 1, 1/2, ..., 2^-m_max.
 
     Before any chain is built, raises a UsageError for a window w <= 0 or
-    m_max < 0, GeometryError when the study's numbers would overflow or
-    its finest bound 4^-m_max/(16|s|) falls below 1e-12 max(w, w^2/(4|s|)),
-    near the rounding of its coordinates, and TooManySegments when its
-    finest chain would have more than MAX_SEGMENTS segments.
+    m_max < 0, NonFinite when the study's numbers would overflow,
+    GeometryError when its finest bound 4^-m_max/(16|s|) falls below
+    1e-12 max(w, w^2/(4|s|)), near the rounding of its coordinates, and
+    TooManySegments when its finest chain would have more than
+    MAX_SEGMENTS segments.
     """
     _require_positive("window", half_width)
     if m_max < 0:
@@ -221,7 +223,7 @@ def convergence_table(s: float, half_width: float,
     big = max(half_width, coord, 8.0 * s * s + half_width * half_width,
               8.0 * s * s * half_width)
     if not math.isfinite(16.0 * big * big):
-        raise GeometryError(
+        raise NonFinite(
             f"s = {s} with window {half_width} leaves the float range")
     if half_width > math.ldexp(MAX_SEGMENTS, -m_max - 1):
         raise TooManySegments(

@@ -33,7 +33,9 @@ import math
 
 from .kernel import (
     Circle,
+    CoincidentPoints,
     CollinearInput,
+    DegenerateConfiguration,
     Frozen,
     GeometryError,
     Line,
@@ -50,20 +52,8 @@ from .kernel import (
 )
 
 
-class DegenerateSide(GeometryError):
-    """Consecutive polygon vertices coincide."""
-
-
-class DegenerateConfiguration(GeometryError):
-    """Input is too degenerate for the requested construction."""
-
-
 class PointOnLine(GeometryError):
     """The prescribed Simson point lies on the prescribed Simson line."""
-
-
-class DuplicateFeet(GeometryError):
-    """Two prescribed pedal feet coincide."""
 
 
 class IndexOutOfRange(UsageError):
@@ -83,7 +73,7 @@ class Polygon(Frozen):
     def __init__(self, vertices: Iterable[Point]):
         verts = tuple(vertices)
         if len(verts) < 3:
-            raise GeometryError("polygon needs at least 3 vertices")
+            raise UsageError("polygon needs at least 3 vertices")
         scale = bbox_diagonal(verts)
         # An infinite scale would make every side count as degenerate.
         if not math.isfinite(scale):
@@ -91,8 +81,8 @@ class Polygon(Frozen):
         for i, v in enumerate(verts):
             w = verts[(i + 1) % len(verts)]
             if v.distance(w) <= bound(scale):
-                raise DegenerateSide(f"consecutive vertices {i} and "
-                                     f"{(i + 1) % len(verts)} coincide")
+                raise CoincidentPoints(f"consecutive vertices {i} and "
+                                       f"{(i + 1) % len(verts)} coincide")
         self._set(verts)
 
     @property
@@ -397,14 +387,14 @@ def construct_simson_polygon(s: Point, l: Line,
     module and the pedals of s are exactly the feet, cyclically shifted
     by one (pedal onto side i is feet[i+1]).
 
-    Raises NonFinite when the extent of the feet and s overflows,
-    PointOnLine when s lies on l, DuplicateFeet when two feet coincide
-    (naming the first such pair i < j), and GeometryError when a foot is
-    off the line l.
+    Raises UsageError for fewer than three feet, NonFinite when the
+    extent of the feet and s overflows, PointOnLine when s lies on l,
+    CoincidentPoints when two feet coincide (naming the first such pair
+    i < j), and GeometryError when a foot is off the line l.
     """
     n = len(feet)
     if n < 3:
-        raise GeometryError("construct_simson_polygon needs at least 3 feet")
+        raise UsageError("construct_simson_polygon needs at least 3 feet")
     scale = bbox_diagonal(list(feet) + [s])
     # An infinite scale would make every tolerance test pass.
     if not math.isfinite(scale):
@@ -415,7 +405,7 @@ def construct_simson_polygon(s: Point, l: Line,
         raise PointOnLine("simson point lies on the simson line")
     pair = _first_close_pair(feet, limit)
     if pair is not None:
-        raise DuplicateFeet(f"feet {pair[0]} and {pair[1]} coincide")
+        raise CoincidentPoints(f"feet {pair[0]} and {pair[1]} coincide")
     for i, x in enumerate(feet):
         if l.distance(x) > limit:
             raise GeometryError(f"foot {i} does not lie on the simson line")

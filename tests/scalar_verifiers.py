@@ -9,8 +9,8 @@ library's check families must hold the same residuals, bitwise.
 from itertools import combinations
 
 from geomgen import angle_between_lines
-from simsonpoly.equidistant import ParallelSides
 from simsonpoly.kernel import (
+    DegenerateConfiguration,
     Point,
     angle_between_rays,
     bound,
@@ -93,7 +93,7 @@ def scalar_archimedes(poly):
     def meet_coord(i, j):
         cross = line_intersection(sides[i - 1], sides[j - 1])
         if cross is None:
-            raise ParallelSides(f"side lines {i} and {j} are parallel")
+            raise DegenerateConfiguration(f"side lines {i} and {j} are parallel")
         return cross.x
 
     def mid_coord(i, j):
@@ -126,7 +126,7 @@ def scalar_lambert(poly, i, j, k):
     for t1, t2 in combinations(idx, 2):
         cross = line_intersection(sides[t1 - 1], sides[t2 - 1])
         if cross is None:
-            raise ParallelSides(f"side lines {t1} and {t2} are parallel")
+            raise DegenerateConfiguration(f"side lines {t1} and {t2} are parallel")
         corners.append(cross)
     circle = circumcircle(*corners)
     return [("lambert", idx,

@@ -8,8 +8,6 @@ from simsonpoly.approx import (
     _GL_NODES,
     _GL_WEIGHTS,
     ApproxProblem,
-    InvalidProblem,
-    LeavesFloatRange,
     UnorderedKnots,
     optimal_knots,
     quadrature_l1,
@@ -17,7 +15,8 @@ from simsonpoly.approx import (
     total_error_objective,
 )
 from simsonpoly.equidistant import EquidistantConfig, make_equidistant
-from simsonpoly.kernel import MAX_SEGMENTS, TooManySegments, UsageError
+from simsonpoly.kernel import MAX_SEGMENTS, InvalidConfig, NonFinite, \
+    TooManySegments, UsageError
 
 P_UNIT = ApproxProblem(s=1.0, delta=0.0, a=0.0, b=4.0, n=4)
 
@@ -44,9 +43,9 @@ def _chord(p, knots, x):
 # ----------------------------------------------------------------- validation
 
 def test_problem_validation():
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InvalidConfig, match="^s must be nonzero, got 0.0$"):
         ApproxProblem(s=0.0, delta=0.0, a=0.0, b=1.0, n=1)
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InvalidConfig, match="^delta must be >= 0, got -0.1$"):
         ApproxProblem(s=1.0, delta=-0.1, a=0.0, b=1.0, n=1)
     # The interval and the segment count are the caller's choice: usage
     # errors, not shapes that fail to exist.
@@ -137,15 +136,16 @@ def test_segment_errors_reject_bad_interval():
 ])
 def test_segment_errors_outside_float_range_raise(s, xi, xj):
     p = ApproxProblem(s=s, delta=0.0, a=xi, b=xj, n=1)
-    with pytest.raises(LeavesFloatRange, match="leaves the float range"):
+    with pytest.raises(NonFinite, match="leaves the float range"):
         optimal_knots(p)
 
 
 def test_segment_l1_and_objective_outside_float_range_raise():
     p = ApproxProblem(s=1.0, delta=0.0, a=-1e200, b=1e200, n=2)
-    with pytest.raises(LeavesFloatRange):
+    message = r"^s = 1.0 on \[-1e\+200, 1e\+200\] leaves the float range$"
+    with pytest.raises(NonFinite, match=message):
         _segment(p, p.a, p.b)
-    with pytest.raises(LeavesFloatRange):
+    with pytest.raises(NonFinite, match=message):
         total_error_objective(p, [0.0])
 
 
@@ -158,7 +158,8 @@ def test_objective_examples():
 
 def test_objective_knot_count_and_order():
     p = ApproxProblem(s=1.0, delta=0.0, a=0.0, b=6.0, n=3)
-    with pytest.raises(InvalidProblem):
+    with pytest.raises(InvalidConfig,
+                       match="^expected 2 interior knots, got 1$"):
         total_error_objective(p, [1.0])
     with pytest.raises(UnorderedKnots):
         total_error_objective(p, [3.0, 1.0])

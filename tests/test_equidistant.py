@@ -13,7 +13,6 @@ from simsonpoly.equidistant import (
     IndexOutOfRange,
     InvalidConfig,
     Parabola,
-    ParallelSides,
     SimsonPolygonFrame,
     associated_parabola,
     equidistant_from_frame,
@@ -27,8 +26,8 @@ from simsonpoly.equidistant import (
     verify_parallel_chords,
 )
 from judged import max_residual
-from simsonpoly.kernel import Line, NonFinite, Point, bound, circumcircle, \
-    line_through
+from simsonpoly.kernel import DegenerateConfiguration, Line, NonFinite, Point, \
+    UsageError, bound, circumcircle, line_through
 from simsonpoly.report import VerificationReport
 from simsonpoly.simson import Polygon, construct_simson_polygon, \
     find_simson_point, is_simson_point
@@ -45,7 +44,7 @@ def test_config_validation():
         EquidistantConfig(s=1, x0=0, delta=0, n=8)
     with pytest.raises(InvalidConfig):
         EquidistantConfig(s=1, x0=0, delta=-1, n=8)
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(UsageError, match="^n must be an integer >= 3, got 2$"):
         EquidistantConfig(s=1, x0=0, delta=1, n=2)
 
 
@@ -443,9 +442,9 @@ def _frame(vertices):
 def test_archimedes_rejects_sides_that_do_not_cross():
     # Sides 1 and 3 of the first pentagon are parallel; sides 1 and 4 of
     # the hexagon lie on one line, y = 0.
-    with pytest.raises(ParallelSides, match="side lines 1 and 3"):
+    with pytest.raises(DegenerateConfiguration, match="side lines 1 and 3"):
         verify_archimedes(_frame([(0, 0), (4, 0), (5, 2), (1, 2), (-1, 1)]))
-    with pytest.raises(ParallelSides, match="side lines 1 and 4"):
+    with pytest.raises(DegenerateConfiguration, match="side lines 1 and 4"):
         verify_archimedes(_frame([(0, 0), (1, 0), (2, 1), (3, 0), (4, 0),
                                   (2, -3)]))
 
@@ -454,7 +453,7 @@ def test_archimedes_names_the_first_pair_of_sides_that_do_not_cross():
     # Sides 2 and 4 (index sum 6) and sides 1 and 6 (index sum 7) are
     # parallel.  The meets are formed by index sum, but the error names
     # the first such pair in lexicographic order.
-    with pytest.raises(ParallelSides, match="side lines 1 and 6"):
+    with pytest.raises(DegenerateConfiguration, match="side lines 1 and 6"):
         verify_archimedes(_frame([(0, 0), (4, 0), (5, 2), (4, 4), (5, 6),
                                   (2, 7), (-1, 7), (-2, 3)]))
 
@@ -549,7 +548,8 @@ def test_lambert_rejects_parallel_sides():
         vertices=(Point(0, 0), Point(4, 0), Point(4, 3), Point(0, 3)),
         projections=(Point(0, 0), Point(4, 0), Point(4, 3), Point(0, 3)),
         simson_point=Point(0, 1))
-    with pytest.raises(ParallelSides):
+    with pytest.raises(DegenerateConfiguration,
+                       match="^side lines 1 and 3 are parallel$"):
         verify_lambert(rect, 1, 2, 3)
 
 

@@ -12,10 +12,12 @@ from simsonpoly.kernel import (
     Circle,
     CoincidentPoints,
     CollinearInput,
+    InvalidConfig,
     Line,
     NonFinite,
     Point,
     REL_EPS,
+    UsageError,
     bbox_diagonal,
     best_fit_line,
     bound,
@@ -58,8 +60,16 @@ def test_line_through_coincident_raises():
 
 
 def test_line_normalization_rejects_zero_normal():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig,
+                       match=r"^line requires \(a, b\) != \(0, 0\)$"):
         Line(0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0])
+def test_circle_rejects_a_radius_that_is_not_positive(radius):
+    with pytest.raises(InvalidConfig,
+                       match=f"^circle radius must be positive, got {radius}$"):
+        Circle(Point(0, 0), radius)
 
 
 # ------------------------------------------------------- foot_of_perpendicular
@@ -206,6 +216,12 @@ def test_best_fit_line_ignores_point_order():
         fit, backwards = best_fit_line(pts), best_fit_line(pts[::-1])
         assert (backwards.a, backwards.b, backwards.c) == \
             (fit.a, fit.b, fit.c), (draw, n)
+
+
+def test_best_fit_line_needs_two_points():
+    with pytest.raises(UsageError,
+                       match="^best_fit_line needs at least two points$"):
+        best_fit_line([Point(1, 2)])
 
 
 def test_best_fit_line_centroid_past_float_range_raises():

@@ -12,7 +12,8 @@ from limits_oracle import dense_hausdorff, linspace, points_to_polyline
 from simsonpoly import limits
 from simsonpoly.equidistant import EquidistantConfig, Parabola, \
     make_equidistant
-from simsonpoly.kernel import GeometryError, InvalidConfig, Point, UsageError
+from simsonpoly.kernel import GeometryError, InvalidConfig, NonFinite, Point, \
+    UsageError
 from simsonpoly.limits import (
     MAX_SEGMENTS,
     ConvergenceRow,
@@ -126,7 +127,7 @@ def test_chain_window_must_tile():
 @pytest.mark.parametrize("w, d", [(math.inf, 1.0), (4.0, math.nan),
                                   (math.nan, 1.0), (1e300, 1e-300)])
 def test_chain_refuses_a_non_finite_segment_count(w, d):
-    with pytest.raises(GeometryError, match="no finite number of segments"):
+    with pytest.raises(NonFinite, match="no finite number of segments"):
         chain_for_window(1.0, w, d)
 
 
@@ -422,7 +423,7 @@ def test_hausdorff_is_the_bound_and_above_the_dense_oracle(mag, sign, w,
 @pytest.mark.parametrize("s, w", [(1e-310, 4.0), (1e300, 4.0),
                                   (1.0, 1e300), (-1e-160, 4.0)])
 def test_overflowing_study_is_refused(s, w):
-    with pytest.raises(GeometryError, match="float range"):
+    with pytest.raises(NonFinite, match="float range"):
         convergence_table(s, w, 1)
 
 

@@ -1,0 +1,66 @@
+"""``tools/replay.py`` pairs the entries of two verify reports by name.
+
+A report lists each check once under its name, so two reports that hold
+the same entries in another order differ in no verdict; a flipped
+``pass`` and an entry that one side lacks do.
+"""
+
+import copy
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from simsonpoly import cli
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "replay.py"
+
+
+def _load_replay():
+    spec = importlib.util.spec_from_file_location("replay", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+replay = _load_replay()
+
+
+@pytest.fixture(scope="module")
+def report(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("replay")
+    scene, out = tmp / "octagon.json", tmp / "report.json"
+    assert cli.main(["construct", "--equidistant", "--s", "1", "--delta", "1",
+                     "--n", "8", "--out", str(scene)]) == 0
+    assert cli.main(["verify", "--in", str(scene), "--out", str(out)]) == 0
+    data = json.loads(out.read_text("utf-8"))
+    assert len(data["checks"]) >= 3
+    return data
+
+
+def test_reordered_entries_differ_in_nothing(report):
+    permuted = copy.deepcopy(report)
+    permuted["checks"].reverse()
+    assert permuted["checks"] != report["checks"]
+    assert replay._report_changes(report, permuted) == ([], False)
+
+
+def test_a_flipped_pass_is_a_verdict(report):
+    flipped = copy.deepcopy(report)
+    flipped["checks"].reverse()
+    entry = flipped["checks"][0]
+    entry["pass"] = not entry["pass"]
+    lines, verdict = replay._report_changes(report, flipped)
+    assert verdict
+    assert lines == [f"entry {entry['name']!r}: pass {not entry['pass']!r} "
+                     f"-> {entry['pass']!r}"]
+
+
+def test_an_entry_on_one_side_only_is_a_verdict(report):
+    shorter = copy.deepcopy(report)
+    dropped = shorter["checks"].pop(1)
+    assert replay._report_changes(report, shorter) == (
+        [f"entry {dropped['name']!r}: present -> missing"], True)
+    assert replay._report_changes(shorter, report) == (
+        [f"entry {dropped['name']!r}: missing -> present"], True)

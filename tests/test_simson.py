@@ -9,12 +9,11 @@ from geomgen import OCTAGON_SCALES, random_convex_polygon, \
     random_quadrilateral, random_triangle, regular_polygon, \
     triangle_circles, xy
 from simsonpoly import simson
-from simsonpoly.kernel import Circle, GeometryError, Line, NonFinite, Point, \
-    bbox_diagonal, bound, line_intersection, line_through
+from simsonpoly.kernel import Circle, CoincidentPoints, GeometryError, Line, \
+    NonFinite, Point, UsageError, bbox_diagonal, bound, line_intersection, \
+    line_through
 from simsonpoly.simson import (
     DegenerateConfiguration,
-    DegenerateSide,
-    DuplicateFeet,
     PointOnLine,
     Polygon,
     characterization_candidate,
@@ -32,12 +31,14 @@ RIGHT_TRIANGLE = Polygon((Point(0, 0), Point(4, 0), Point(0, 3)))
 # --------------------------------------------------------------- polygon type
 
 def test_polygon_needs_three_vertices():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError,
+                       match="^polygon needs at least 3 vertices$"):
         Polygon((Point(0, 0), Point(1, 0)))
 
 
 def test_polygon_rejects_repeated_consecutive_vertex():
-    with pytest.raises(DegenerateSide):
+    with pytest.raises(CoincidentPoints,
+                       match="^consecutive vertices 0 and 1 coincide$"):
         Polygon((Point(0, 0), Point(0, 0), Point(1, 1)))
 
 
@@ -131,7 +132,7 @@ def _planted_polygon(rng, case):
             verts[c] += factor * bound(diam) * normal
         try:
             return Polygon(tuple(Point(*v) for v in verts))
-        except DegenerateSide:
+        except CoincidentPoints:
             continue
 
 
@@ -429,7 +430,7 @@ def test_construct_rejects_point_on_line():
 
 
 def test_construct_rejects_duplicate_feet():
-    with pytest.raises(DuplicateFeet):
+    with pytest.raises(CoincidentPoints, match="^feet 0 and 1 coincide$"):
         construct_simson_polygon(Point(0, 1), Line(0, 1, 0),
                                  [Point(0, 0), Point(0, 0), Point(1, 0)])
 
@@ -441,11 +442,11 @@ def test_construct_rejects_foot_off_line():
 
 
 def test_construct_checks_run_in_order():
-    # PointOnLine before DuplicateFeet before a foot off the line.
+    # PointOnLine before coincident feet before a foot off the line.
     dup_off_line = [Point(0, 0), Point(0, 0), Point(1, 0.5)]
     with pytest.raises(PointOnLine):
         construct_simson_polygon(Point(2, 0), Line(0, 1, 0), dup_off_line)
-    with pytest.raises(DuplicateFeet):
+    with pytest.raises(CoincidentPoints, match="^feet 0 and 1 coincide$"):
         construct_simson_polygon(Point(0, 1), Line(0, 1, 0), dup_off_line)
 
 
@@ -496,7 +497,7 @@ def test_duplicate_feet_names_the_first_pair_of_all_pairs():
         line = Line(s.x - p.x, s.y - p.y, -(s - p).dot(p))
         try:
             construct_simson_polygon(s, line, feet)
-        except DuplicateFeet as exc:
+        except CoincidentPoints as exc:
             assert str(exc) == f"feet {want[0]} and {want[1]} coincide"
             found += 1
         except GeometryError:
@@ -522,7 +523,7 @@ def test_duplicate_feet_scan_compares_few_pairs(monkeypatch):
     construct_simson_polygon(Point(3.0, 5.0), Line(1, 0, -1), feet)
     assert len(calls) <= 2 * n
     calls.clear()
-    with pytest.raises(DuplicateFeet, match="feet 0 and 1999 coincide"):
+    with pytest.raises(CoincidentPoints, match="feet 0 and 1999 coincide"):
         construct_simson_polygon(Point(3.0, 5.0), Line(1, 0, -1),
                                  feet[:-1] + feet[:1])
     assert len(calls) <= n

@@ -8,8 +8,11 @@ offset c = p.x q.y - q.x p.y cancels, so ``find_simson_point`` searches
 about the polygon's bounding-box centre.  Searched about the origin, the
 seeded draws below passed 60 of 60 at T = 0, 59 at 1e3, 32 at 1e4 and 3
 at 1e5.  Searched about the centre, with each circle judged at its own
-radius, they pass 60 of 60 up to 1e5, 59 at 1e6 and 47 at 1e7; the
-last two are not pinned.
+radius, they pass 60 of 60 up to 1e5, 59 at 1e6 and 47 at 1e7.  The
+last two are strict xfails (ROADMAP item 1(b)): rounding the vertices
+at |V| ~ T moves them by about T * 2^-53, near ``bound(diameter)`` for
+a diameter of a few units, the limit that the search's element test and
+the checks judge at.
 """
 
 import math
@@ -40,7 +43,15 @@ def _polygons():
                    for v in make_equidistant(cfg).vertices]
 
 
-@pytest.mark.parametrize("t", [0.0, 1e4, 1e5])
+FAR = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 1(b): vertices rounded this far from the origin "
+           "move by about bound(diameter), where the search and the "
+           "checks judge")
+
+
+@pytest.mark.parametrize("t", [0.0, 1e4, 1e5, pytest.param(1e6, marks=FAR),
+                               pytest.param(1e7, marks=FAR)])
 def test_translation_keeps_the_verdict(capsys, tmp_path, t):
     path = tmp_path / "scene.json"
     codes = []

@@ -12,14 +12,14 @@ import pickle
 
 import pytest
 
-from simsonpoly.approx import ApproxProblem, ApproxResult, LeavesFloatRange
+from simsonpoly.approx import ApproxProblem, ApproxResult
 from simsonpoly.equidistant import EquidistantConfig, EquidistantPolygon, \
     SimsonPolygonFrame, make_equidistant
-from simsonpoly.kernel import Circle, GeometryError, InvalidConfig, Line, \
+from simsonpoly.kernel import Circle, CoincidentPoints, InvalidConfig, Line, \
     NonFinite, Parabola, Point, UsageError
 from simsonpoly.limits import ConvergenceRow
 from simsonpoly.report import CheckResult, VerificationReport
-from simsonpoly.simson import DegenerateSide, Polygon, SimsonCertificate
+from simsonpoly.simson import Polygon, SimsonCertificate
 
 P0, P1, P2 = Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.0)
 # Renormalising its unit coefficients changes their last bits, so a copy
@@ -162,23 +162,23 @@ def test_defaults():
     (lambda: Parabola(0.0), InvalidConfig, "parabola needs s != 0, got 0.0"),
     (lambda: Parabola(1.0, math.nan), InvalidConfig,
      "parabola offset must be finite, got nan"),
-    (lambda: Polygon((P0, P1)), GeometryError,
+    (lambda: Polygon((P0, P1)), UsageError,
      "polygon needs at least 3 vertices"),
-    (lambda: Polygon((P0, P1, P1)), DegenerateSide,
+    (lambda: Polygon((P0, P1, P1)), CoincidentPoints,
      "consecutive vertices 1 and 2 coincide"),
-    (lambda: EquidistantConfig(1.0, 0.0, 1.0, 2), InvalidConfig,
+    (lambda: EquidistantConfig(1.0, 0.0, 1.0, 2), UsageError,
      "n must be an integer >= 3, got 2"),
     (lambda: EquidistantConfig(1.0, 0.0, -1.0, 4), InvalidConfig,
      "delta must be positive, got -1.0"),
     (lambda: SimsonPolygonFrame((P0, P1, P2), FEET[:2], P2), InvalidConfig,
      "vertex and projection counts differ"),
     (lambda: EquidistantPolygon((P0, P1), FEET[:2], P2, CONFIG),
-     InvalidConfig, "need at least 3 vertices"),
+     UsageError, "need at least 3 vertices"),
     (lambda: ApproxProblem(1.0, 0.0, 1.0, 1.0, 4), UsageError,
      r"need a < b, got \[1.0, 1.0\]"),
     (lambda: ApproxProblem(1.0, 0.0, 0.0, 1.0, 1.5), UsageError,
      "n must be an integer >= 1, got 1.5"),
-    (lambda: ApproxProblem(1.0, 1e200, -1.0, 1.0, 2), LeavesFloatRange,
+    (lambda: ApproxProblem(1.0, 1e200, -1.0, 1.0, 2), NonFinite,
      r"delta = 1e\+200 leaves the float range when squared"),
 ])
 def test_validation_errors(build, error, message):

@@ -12,12 +12,14 @@ reads an earlier request's output reads its own tree's.  A request whose
 exit code, stdout, stderr, ``--out`` bytes or ``--svg`` bytes differ is
 printed with the first differing line of each such output.  Where both
 ``--out`` files are ``verify`` reports, it prints instead ``overall`` and
-each entry whose name, pass, indices, residual, count or note differ,
-then the other keys that differ (such as ``limit``).  The last line
-counts the requests that differ and those among them whose exit code or
-a verdict (``overall``, or an entry's name or pass) differs.  Exits 1 if
-any request differs, else 0.  Standard library only; the manifest step
-needs numpy, as the benchmark does.
+each entry, paired with the entry of its name on the other side, whose
+pass, indices, residual, count or note differ, or that one side lacks,
+then the other keys that differ (such as ``limit``); where that names
+nothing, as for entries only reordered, the first differing line.  The
+last line counts the requests that differ and those among them whose
+exit code or a verdict (``overall``, or an entry's pass or presence)
+differs.  Exits 1 if any request differs, else 0.  Standard library
+only; the manifest step needs numpy, as the benchmark does.
 """
 
 from __future__ import annotations
@@ -29,11 +31,10 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from itertools import zip_longest
 from pathlib import Path
 
 WORKLOADS = ("verify-sweep", "cli-small", "limit-refine")
-VERDICT_KEYS = ("name", "pass", "indices", "residual", "count", "note")
+VERDICT_KEYS = ("pass", "indices", "residual", "count", "note")
 
 
 def _env(tree: Path) -> dict:
@@ -70,10 +71,14 @@ def _run(tree: Path, requests: list[dict], pristine: Path, inputs: Path
     return results
 
 
+def _presence(a, b) -> str:
+    return f"{'missing' if a is None else 'present'} -> " \
+           f"{'missing' if b is None else 'present'}"
+
+
 def _first_difference(a: bytes | None, b: bytes | None) -> str:
     if a is None or b is None:
-        return f"{'missing' if a is None else 'present'} -> " \
-               f"{'missing' if b is None else 'present'}"
+        return _presence(a, b)
     for line_a, line_b in zip(a.splitlines(), b.splitlines()):
         if line_a != line_b:
             return f"{line_a.decode(errors='replace').strip()!r} -> " \
@@ -93,19 +98,26 @@ def _report(data: bytes | None) -> dict | None:
 
 def _report_changes(a: dict, b: dict) -> tuple[list[str], bool]:
     """Lines naming what differs between two verify reports, and whether
-    a verdict (overall, or an entry's name or pass) is among it."""
+    a verdict (overall, or an entry's pass or presence) is among it.
+    Entries are paired by name, which is unique within a report."""
     lines, verdict, other = [], False, set()
     if a["overall"] != b["overall"]:
         lines.append(f"overall {a['overall']} -> {b['overall']}")
         verdict = True
-    # repr compares a NaN residual equal to itself.
-    for k, (ca, cb) in enumerate(zip_longest(a["checks"], b["checks"],
-                                             fillvalue={})):
+    entries_a = {c["name"]: c for c in a["checks"]}
+    entries_b = {c["name"]: c for c in b["checks"]}
+    for name in [*entries_a, *(n for n in entries_b if n not in entries_a)]:
+        ca, cb = entries_a.get(name), entries_b.get(name)
+        if ca is None or cb is None:
+            verdict = True
+            lines.append(f"entry {name!r}: {_presence(ca, cb)}")
+            continue
+        # repr compares a NaN residual equal to itself.
         keys = [key for key in VERDICT_KEYS
                 if repr(ca.get(key)) != repr(cb.get(key))]
         if keys:
-            verdict |= "name" in keys or "pass" in keys
-            lines.append(f"entry {k}: " + ", ".join(
+            verdict |= "pass" in keys
+            lines.append(f"entry {name!r}: " + ", ".join(
                 f"{key} {ca.get(key)!r} -> {cb.get(key)!r}" for key in keys))
         other |= {key for key in ca.keys() | cb.keys()
                   if key not in VERDICT_KEYS
@@ -150,7 +162,7 @@ def replay(old: Path, new: Path, workload: str, seed: int, cycles: int,
             if None not in reports:
                 lines, verdict = _report_changes(*reports)
                 moved |= verdict
-                for line in lines:
+                for line in lines or [_first_difference(a[f], b[f])]:
                     print(f"  {f}: {line}")
                 continue
             detail = f"{a[f]} -> {b[f]}" if f == "exit" \
