@@ -45,7 +45,8 @@ class ApproxProblem(Frozen):
     """Approximate f(x) = (x^2 - delta^2)/(4 s) on [a, b] with n segments.
 
     ``parabola``, not a field, is that curve.  [a, b] and n are judged
-    first, as usage errors; then s and delta, as geometry errors."""
+    first, as usage errors; then delta, and s as the curve is built, as
+    geometry errors."""
 
     _fields = ("s", "delta", "a", "b", "n")
     __slots__ = (*_fields, "parabola")
@@ -57,8 +58,6 @@ class ApproxProblem(Frozen):
             raise UsageError(f"n must be an integer >= 1, got {n}")
         if n > MAX_SEGMENTS:
             raise TooManySegments(f"n must be at most {MAX_SEGMENTS}, got {n}")
-        if not (math.isfinite(s) and s != 0.0):
-            raise InvalidConfig(f"s must be nonzero, got {s}")
         if not (math.isfinite(delta) and delta >= 0.0):
             raise InvalidConfig(f"delta must be >= 0, got {delta}")
         if not math.isfinite(delta * delta):

@@ -20,8 +20,8 @@ from types import SimpleNamespace
 
 # Besides kernel, each command imports the layers it calls inside the
 # function that calls them, so a request loads only the modules it runs.
-from .kernel import MAX_SEGMENTS, REL_EPS, GeometryError, InvalidConfig, \
-    Point, UsageError
+from .kernel import MAX_SEGMENTS, GeometryError, InvalidConfig, Point, \
+    UsageError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -29,11 +29,8 @@ EXIT_DEGENERATE = 3
 EXIT_VERIFY = 4
 
 _EQUIDISTANT_CHECKS = ("parallel-chords", "optical", "archimedes")
-ALL_CHECKS = ("simson", "parallel-chords", "isogonal", "optical",
-              "archimedes", "lambert")
-# A hit reports the search, then the checks of any Simson polygon, then
-# the equidistant ones; a miss lists its entries in the same order.
-_REPORT_ORDER = ("simson", "isogonal", "lambert") + _EQUIDISTANT_CHECKS
+# Report order: the search, any Simson polygon's checks, the equidistant ones.
+ALL_CHECKS = ("simson", "isogonal", "lambert") + _EQUIDISTANT_CHECKS
 
 
 def _require_finite(flag: str, value: float) -> float:
@@ -118,7 +115,7 @@ def _parse_checks(spec: str) -> list[str]:
             raise UsageError(
                 f"unknown check {name!r}; choose from "
                 f"{', '.join(ALL_CHECKS)} or all")
-    return [c for c in _REPORT_ORDER if "all" in names or c in names]
+    return [c for c in ALL_CHECKS if "all" in names or c in names]
 
 
 def _parse_triple(spec: str) -> tuple[int, int, int]:
@@ -171,8 +168,6 @@ def _run_checks(poly: Polygon, checks: list[str],
     report = VerificationReport()
     cert = find_simson_point(poly)
     if cert is None:
-        # No frame, so no scale: the report names only the raw tolerance.
-        report.tolerances["rel_eps"] = REL_EPS
         defect = characterization_defect(poly)
         for name in checks:
             report.add(CheckResult(
@@ -192,10 +187,7 @@ def _run_checks(poly: Polygon, checks: list[str],
     if "isogonal" in checks:
         report.extend(verify_isogonal(frame))
     if "lambert" in checks:
-        lambert = verify_lambert(frame, *triple)
-        report.extend(lambert)
-        report.tolerances["lambert_limit"] = \
-            lambert.tolerances["lambert_limit"]
+        report.extend(verify_lambert(frame, *triple))
     wanted = [c for c in checks if c in _EQUIDISTANT_CHECKS]
     if wanted and poly.n == 3:
         # Every point of a triangle's circumcircle is a Simson point; the

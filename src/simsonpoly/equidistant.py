@@ -42,6 +42,7 @@ from .kernel import (
     equidistant_chain,
     line_intersection,
     reflect_point,
+    require_height,
 )
 from .report import VerificationReport
 from .simson import IndexOutOfRange, Polygon, SimsonCertificate, check_triple
@@ -58,8 +59,7 @@ class EquidistantConfig(Frozen):
     __slots__ = _fields = ("s", "x0", "delta", "n")
 
     def __init__(self, s: float, x0: float, delta: float, n: int):
-        if not (math.isfinite(s) and s != 0.0):
-            raise InvalidConfig(f"s must be nonzero and finite, got {s}")
+        require_height(s)
         if not math.isfinite(x0):
             raise InvalidConfig(f"x0 must be finite, got {x0}")
         if not (math.isfinite(delta) and delta > 0.0):
@@ -372,9 +372,8 @@ def verify_lambert(poly: SimsonPolygonFrame, i: int, j: int,
     scale = poly.scale()
     report.set_limits(scale)
     # The circle may be far larger than the polygon.
-    limit = report.tolerances["lambert_limit"] = bound(
-        max(circle.radius, scale))
-    report.judge("lambert", [([residual], lambda k: idx)], limit)
+    report.judge("lambert", [([residual], lambda k: idx)],
+                 bound(max(circle.radius, scale)))
     return report
 
 

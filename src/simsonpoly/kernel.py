@@ -210,14 +210,19 @@ class Circle(Frozen):
         return abs(p.distance(self.center) - self.radius)
 
 
+def require_height(s: float) -> None:
+    """Raise InvalidConfig unless the height s is nonzero and finite."""
+    if not (math.isfinite(s) and s != 0.0):
+        raise InvalidConfig(f"s must be nonzero and finite, got {s}")
+
+
 class Parabola(Frozen):
     """Vertical-axis parabola y = (x^2 - c) / (4 s), s != 0."""
 
     __slots__ = _fields = ("s", "c")
 
     def __init__(self, s: float, c: float = 0.0):
-        if not (math.isfinite(s) and s != 0.0):
-            raise InvalidConfig(f"parabola needs s != 0, got {s}")
+        require_height(s)
         if not math.isfinite(c):
             raise InvalidConfig(f"parabola offset must be finite, got {c}")
         self._set(s, c)

@@ -38,9 +38,9 @@ from __future__ import annotations
 
 import math
 
-from .kernel import MAX_SEGMENTS, Frozen, GeometryError, InvalidConfig, \
-    NonFinite, Parabola, Point, TooManySegments, UsageError, bound, \
-    equidistant_chain
+from .kernel import MAX_SEGMENTS, Frozen, GeometryError, NonFinite, \
+    Parabola, Point, TooManySegments, UsageError, bound, equidistant_chain, \
+    require_height
 
 _THIRD_TURN = 2.0 * math.pi / 3.0
 
@@ -85,8 +85,7 @@ def chain_for_window(s: float, half_width: float, delta: float) -> list[Point]:
     if abs(segments - n_seg) > bound(1.0) or n_seg < 1:
         raise GeometryError(
             f"spacing {delta} does not tile the window [-{half_width}, {half_width}]")
-    if not (math.isfinite(s) and s != 0.0):
-        raise InvalidConfig(f"s must be nonzero and finite, got {s}")
+    require_height(s)
     d = 0.5 * delta
     x0 = 0.5 * (-half_width - d)
     return equidistant_chain(s, x0, d, n_seg + 1)

@@ -44,7 +44,7 @@ class CheckResult(Frozen):
 
 
 class VerificationReport(Frozen):
-    """Check family outcomes plus the tolerances they were judged at.
+    """Check family outcomes plus the scale they were judged at.
 
     The attributes are fixed; the list and the dict they hold grow.
     """
@@ -66,14 +66,11 @@ class VerificationReport(Frozen):
         self.checks.append(check)
 
     def set_limits(self, scale: float) -> tuple[float, float]:
-        """Record the thresholds at a polygon's scale and return them as
-        (length limit, angle limit); angles are judged at max(1, scale)."""
-        length_limit = bound(scale)
-        angle_limit = bound(max(1.0, scale))
-        self.tolerances.update(rel_eps=REL_EPS,
-                               scale=scale, length_limit=length_limit,
-                               angle_limit=angle_limit)
-        return length_limit, angle_limit
+        """Record a polygon's scale and return the thresholds at it as
+        (length limit, angle limit); angles are judged at max(1, scale).
+        Each entry states the limit it was judged at."""
+        self.tolerances["scale"] = scale
+        return bound(scale), bound(max(1.0, scale))
 
     def judge(self, name: str,
               blocks: Iterable[tuple[Sequence[float],
@@ -115,5 +112,6 @@ class VerificationReport(Frozen):
         return {
             "checks": [c.to_dict() for c in self.checks],
             "overall": self.overall,
-            "tolerances": dict(self.tolerances),
+            # A report without a scale (no Simson point) names REL_EPS too.
+            "tolerances": {"rel_eps": REL_EPS, **self.tolerances},
         }

@@ -17,7 +17,7 @@ import json
 import math
 import re
 
-from .kernel import Line, Parabola, Point, UsageError
+from .kernel import Line, NonFinite, Parabola, Point, UsageError
 from .simson import Polygon
 
 SCHEMA_VERSION = "1"
@@ -84,6 +84,8 @@ def parse_point_spec(text: str) -> Point:
         raise SceneFormatError(f"point spec {text!r} must be 'x,y'")
     try:
         return Point(float(parts[0]), float(parts[1]))
+    except NonFinite:  # float() reads 'nan', 'inf' and '1e400'
+        raise SceneFormatError(f"point spec {text!r} must be finite") from None
     except ValueError:
         raise SceneFormatError(f"point spec {text!r} must be numeric") from None
 

@@ -7,7 +7,12 @@ judge and records every block it is given, so a test can still compare
 each instance against a reference.
 """
 
+from simsonpoly.kernel import bound
 from simsonpoly.report import VerificationReport
+
+# The families judged at a length limit and at an angle limit.
+LENGTH_FAMILIES = ("midpoints-aligned", "optical", "archimedes-family")
+ANGLE_FAMILIES = ("parallel-chords", "chord-tangent", "isogonal")
 
 
 class JudgedRows:
@@ -39,6 +44,17 @@ class JudgedRows:
         of report, each in check order."""
         return {check.name: rows for c in report.checks
                 for check, rows in self._judged if check is c}
+
+
+def rule_limit(name, scale, radius=0.0):
+    """The limit family name is judged at, by its rule, at the report's
+    scale; lambert's circle of the given radius may be larger."""
+    if name == "lambert":
+        return bound(max(radius, scale))
+    if name in ANGLE_FAMILIES:
+        return bound(max(1.0, scale))
+    assert name in LENGTH_FAMILIES, name
+    return bound(scale)
 
 
 def max_residual(report):

@@ -43,7 +43,8 @@ def _chord(p, knots, x):
 # ----------------------------------------------------------------- validation
 
 def test_problem_validation():
-    with pytest.raises(InvalidConfig, match="^s must be nonzero, got 0.0$"):
+    with pytest.raises(InvalidConfig,
+                       match="^s must be nonzero and finite, got 0.0$"):
         ApproxProblem(s=0.0, delta=0.0, a=0.0, b=1.0, n=1)
     with pytest.raises(InvalidConfig, match="^delta must be >= 0, got -0.1$"):
         ApproxProblem(s=1.0, delta=-0.1, a=0.0, b=1.0, n=1)

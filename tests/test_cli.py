@@ -15,10 +15,11 @@ import pytest
 
 import simsonpoly
 from geomgen import OCTAGON_SCALES, regular_polygon
+from judged import ANGLE_FAMILIES, LENGTH_FAMILIES, rule_limit
 from simsonpoly import EquidistantConfig, Point, Polygon, make_equidistant
 from simsonpoly.cli import COMMANDS, _observed, _perturbed, main
-from simsonpoly.kernel import MAX_SEGMENTS, GeometryError, UsageError, \
-    bound, circumcircle, line_intersection, line_through
+from simsonpoly.kernel import MAX_SEGMENTS, REL_EPS, GeometryError, \
+    UsageError, bound, circumcircle, line_intersection, line_through
 from simsonpoly.scene import SceneDocument
 from simsonpoly.simson import find_simson_point
 
@@ -187,6 +188,23 @@ def test_construct_bad_feet_spec_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("feet, point, message", [
+    ("nan,0;1,0;2,0", "0,1", "point spec 'nan,0' must be finite"),
+    ("-1,0;0,0;1,0", "nan,1", "point spec 'nan,1' must be finite"),
+    ("1e400,0;1,0;2,0", "0,1", "point spec '1e400,0' must be finite"),
+    ("0,0;1,0;2,0", "-inf,1", "point spec '-inf,1' must be finite"),
+    ("0,0;1,0;x,0", "0,1", "point spec 'x,0' must be numeric"),
+])
+def test_construct_point_spec_names_what_is_wrong(capsys, feet, point,
+                                                  message):
+    # float() reads nan, inf and 1e400; only what it cannot read is not
+    # numeric.
+    code, out, err = run_cli(capsys, "construct", f"--feet={feet}",
+                             f"--simson-point={point}", "--simson-line=y=0")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_quiet_suppresses_stdout(capsys):
     code, out, _ = run_cli(capsys, *OCT_ARGS, "--quiet")
     assert code == 0
@@ -243,7 +261,10 @@ def test_verify_negative_control_fails(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", "--in", str(path),
                            "--negative-control")
     assert code == 4
-    assert json.loads(out)["overall"] is False
+    report = json.loads(out)
+    assert report["overall"] is False
+    # No Simson point, so no frame and no scale.
+    assert report["tolerances"] == {"rel_eps": REL_EPS}
 
 
 def test_verify_negative_control_is_seeded(capsys, tmp_path):
@@ -596,18 +617,23 @@ def test_verify_lambert_custom_triple(capsys, tmp_path):
 
 def test_verify_tolerances_name_the_limits_checks_faced(capsys, tmp_path):
     # A flat polygon (s = 0.01) whose lambert circle is ~900 times larger
-    # than the polygon: lambert's own limit must not stand in for the
-    # length limit that optical and archimedes were judged at.
+    # than the polygon.  The tolerances name the scale, and each entry its
+    # limit by its family's rule at that scale: lambert's own limit must
+    # not stand in for the length limit optical and archimedes faced.
     path = tmp_path / "flat.json"
     assert main(["construct", "--equidistant", "--s", "0.01", "--x0", "-20",
                  "--delta", "1", "--n", "5", "--out", str(path)]) == 0
     code, out, _ = run_cli(capsys, "verify", "--in", str(path),
                            "--triple", "1,2,5")
     assert code == 0
-    tolerances = json.loads(out)["tolerances"]
-    scale = tolerances["scale"]
-    assert tolerances["length_limit"] == bound(scale)
-    assert tolerances["angle_limit"] == bound(max(1.0, scale))
+    report = json.loads(out)
+    scale = report["tolerances"]["scale"]
+    assert report["tolerances"] == {"rel_eps": REL_EPS, "scale": scale}
+    limits = {c["name"]: c["limit"] for c in report["checks"] if "limit" in c}
+    assert sorted(limits) == sorted(LENGTH_FAMILIES + ANGLE_FAMILIES
+                                    + ("lambert",))
+    for name in LENGTH_FAMILIES + ANGLE_FAMILIES:
+        assert limits[name] == rule_limit(name, scale), name
     poly = make_equidistant(EquidistantConfig(s=0.01, x0=-20.0, delta=1.0,
                                               n=5))
     v = poly.vertices
@@ -616,8 +642,9 @@ def test_verify_tolerances_name_the_limits_checks_faced(capsys, tmp_path):
                for a, b in ((0, 1), (0, 2), (1, 2))]
     radius = circumcircle(*corners).radius
     assert radius > 100.0 * scale
-    assert tolerances["lambert_limit"] == pytest.approx(
-        bound(max(radius, scale)), rel=1e-9)
+    assert limits["lambert"] == pytest.approx(
+        rule_limit("lambert", scale, radius), rel=1e-9)
+    assert limits["lambert"] > 100.0 * limits["optical"]
 
 
 def test_verify_malformed_triple_exits_2(capsys, tmp_path):
@@ -651,6 +678,31 @@ def test_verify_unknown_check_exits_2(capsys, tmp_path):
                            "--checks", "simson,voodoo")
     assert code == 2
     assert "voodoo" in err
+
+
+def test_verify_lists_its_checks_in_report_order(capsys, tmp_path):
+    # --help, the unknown-check error and a report name the checks in one
+    # order: the search, the checks of any Simson polygon, then the
+    # equidistant ones.
+    order = ["simson", "isogonal", "lambert", "parallel-chords", "optical",
+             "archimedes"]
+    code, out, _ = run_cli(capsys, "verify", "--help")
+    assert code == 0
+    assert re.search(r"comma list from \{(.*)\} or all", out)[1] == \
+        ", ".join(order)
+    path = octagon_scene(tmp_path)
+    code, out, err = run_cli(capsys, "verify", "--in", str(path),
+                             "--checks", "bogus")
+    assert (code, out) == (2, "")
+    assert err == (f"error: unknown check 'bogus'; choose from "
+                   f"{', '.join(order)} or all\n")
+    code, out, _ = run_cli(capsys, "verify", "--in", str(path),
+                           "--checks", ",".join(reversed(order)))
+    assert code == 0
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert names == ["simson", "isogonal", "lambert", "parallel-chords",
+                     "chord-tangent", "midpoints-aligned", "optical",
+                     "archimedes-family"]
 
 
 @pytest.mark.parametrize("checks", ["all,bogus", "bogus,all"])
@@ -1127,7 +1179,7 @@ def test_limit_zero_s_exits_3(capsys, s):
     code, out, err = run_cli(capsys, "limit", "--s", s)
     assert code == 3
     assert out == ""
-    assert err == f"error: parabola needs s != 0, got {float(s)}\n"
+    assert err == f"error: s must be nonzero and finite, got {float(s)}\n"
 
 
 def test_limit_bad_window_exits_2(capsys):
@@ -1456,9 +1508,11 @@ def test_readme_flag_table_is_the_cli_table():
 
 def test_readme_tolerance_table_names_the_judged_families(capsys,
                                                           tmp_path):
-    # README's tolerance table cannot drift from the report.  The octagon
-    # at 1/100 size has a scale below 1, so its length and angle limits
-    # differ, and the limit of each family names the rows listing it.
+    # README's limit table cannot drift from the report: each row's rule,
+    # evaluated at the report's tolerances, is the limit of every family
+    # it lists, and the rows list exactly the families judged.  The
+    # octagon at 1/100 size has a scale below 1, so its length and angle
+    # rules give different limits.
     path = tmp_path / "small-octagon.json"
     assert main(["construct", "--equidistant", "--s", "0.01", "--delta",
                  "0.01", "--n", "8", "--out", str(path)]) == 0
@@ -1466,19 +1520,25 @@ def test_readme_tolerance_table_names_the_judged_families(capsys,
     assert code == 0
     report = json.loads(out)
     tolerances = report["tolerances"]
-    assert tolerances["length_limit"] != tolerances["angle_limit"]
+    assert set(tolerances) == {"rel_eps", "scale"}
+    assert tolerances["scale"] < 1.0
+    v = make_equidistant(EquidistantConfig(s=0.01, x0=0.0, delta=0.01,
+                                           n=8)).vertices
+    sides = [line_through(v[t - 1], v[t]) for t in (1, 2, 3)]
+    radius = circumcircle(*(line_intersection(sides[a], sides[b])
+                            for a, b in ((0, 1), (0, 2), (1, 2)))).radius
+    eps, scale = tolerances["rel_eps"], tolerances["scale"]
+    rules = {"rel_eps * scale": eps * scale,
+             "rel_eps * max(1, scale)": eps * max(1.0, scale),
+             "rel_eps * max(radius, scale)": eps * max(radius, scale)}
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    rows = re.findall(r"^\| `(\w+_limit)` = [^|]*\| ([^|]*) \|$", readme,
+    rows = re.findall(r"^\| `(rel_eps \* [^`]*)` \| ([^|]*) \|$", readme,
                       re.M)
-    assert [key for key, _ in rows] == ["length_limit", "angle_limit",
-                                        "lambert_limit"]
-    documented, judged = {}, {}
-    for key, text in rows:
-        documented.setdefault(tolerances[key], set()).update(
-            re.findall(r"`([\w-]+)`", text))
-    for check in report["checks"]:
-        if "limit" in check:
-            judged.setdefault(check["limit"], set()).add(check["name"])
+    assert [rule for rule, _ in rows] == list(rules)
+    documented = {name: rules[rule] for rule, text in rows
+                  for name in re.findall(r"`([\w-]+)`", text)}
+    judged = {c["name"]: c["limit"] for c in report["checks"]
+              if "limit" in c}
     assert judged == documented
 
 

@@ -76,6 +76,7 @@ LAYERS = {
     "EquidistantConfig": _config,
     "make_equidistant": lambda a: make_equidistant(_config(a)),
     "parse_feet_spec": lambda a: parse_feet_spec(a.feet),
+    "parse_point_spec": lambda a: parse_point_spec(a.simson_point),
     "construct_simson_polygon": lambda a: construct_simson_polygon(
         parse_point_spec(a.simson_point), parse_line_spec(a.simson_line),
         parse_feet_spec(a.feet)),

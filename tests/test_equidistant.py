@@ -25,9 +25,9 @@ from simsonpoly.equidistant import (
     verify_optical,
     verify_parallel_chords,
 )
-from judged import max_residual
-from simsonpoly.kernel import DegenerateConfiguration, Line, NonFinite, Point, \
-    UsageError, bound, circumcircle, line_through
+from judged import max_residual, rule_limit
+from simsonpoly.kernel import REL_EPS, DegenerateConfiguration, Line, \
+    NonFinite, Point, UsageError, bound, circumcircle, line_through
 from simsonpoly.report import VerificationReport
 from simsonpoly.simson import Polygon, construct_simson_polygon, \
     find_simson_point, is_simson_point
@@ -208,7 +208,8 @@ def test_parabola_and_invalid_config_are_the_kernel_types():
     from simsonpoly import kernel
     assert Parabola is kernel.Parabola
     assert InvalidConfig is kernel.InvalidConfig
-    with pytest.raises(InvalidConfig, match="parabola needs s != 0"):
+    with pytest.raises(InvalidConfig,
+                       match="^s must be nonzero and finite, got 0.0$"):
         Parabola(0.0)
 
 
@@ -489,27 +490,39 @@ def test_lambert_fails_off_simson_point():
     assert not verify_lambert(moved, 1, 2, 3).overall
 
 
-def test_lambert_limit_has_its_own_key():
+def test_lambert_is_judged_at_its_own_limit():
     # Sides 1, 2, 3 of the octagon meet on a circle of radius 5, smaller
-    # than the polygon, so lambert is judged at the polygon scale.
+    # than the polygon, so lambert is judged at the polygon scale; the
+    # report records only that scale.
     report = verify_lambert(OCT, 1, 2, 3)
-    tol = report.tolerances
-    assert tol["length_limit"] == bound(OCT.scale())
-    assert tol["lambert_limit"] == bound(max(5.0, OCT.scale()))
+    assert report.tolerances == {"scale": OCT.scale()}
+    assert report.checks[0].limit == bound(max(5.0, OCT.scale()))
     flat = make_equidistant(EquidistantConfig(s=0.01, x0=-20, delta=1, n=5))
-    tol = verify_lambert(flat, 1, 2, 5).tolerances
-    assert tol["lambert_limit"] > 100.0 * tol["length_limit"]
-    assert tol["length_limit"] == bound(flat.scale())
+    report = verify_lambert(flat, 1, 2, 5)
+    assert report.tolerances == {"scale": flat.scale()}
+    assert report.checks[0].limit > 100.0 * bound(flat.scale())
 
 
 def test_every_verifier_reports_the_same_limits():
-    keys = ("rel_eps", "scale", "length_limit", "angle_limit")
-    reports = [verify_parallel_chords(OCT), verify_isogonal(OCT),
-               verify_optical(OCT), verify_archimedes(OCT),
-               verify_lambert(OCT, 1, 2, 3)]
-    for report in reports:
-        assert {k: report.tolerances[k] for k in keys} == \
-            {k: reports[0].tolerances[k] for k in keys}
+    # Every verifier records the polygon's scale, and each of its entries
+    # is judged by its family's rule at that scale.  The octagon at 1/100
+    # size has a scale below 1, where the length and angle rules differ.
+    small = make_equidistant(EquidistantConfig(s=0.01, x0=0, delta=0.01,
+                                               n=8))
+    for poly, radius in ((OCT, 5.0), (small, 0.05)):
+        scale = poly.scale()
+        reports = [verify_parallel_chords(poly), verify_isogonal(poly),
+                   verify_optical(poly), verify_archimedes(poly),
+                   verify_lambert(poly, 1, 2, 3)]
+        for report in reports:
+            assert report.tolerances == {"scale": scale}
+            assert report.to_dict()["tolerances"] == \
+                {"rel_eps": REL_EPS, "scale": scale}
+            for check in report.checks:
+                assert check.limit == rule_limit(check.name, scale, radius), \
+                    check.name
+        limits = {c.name: c.limit for r in reports for c in r.checks}
+        assert (limits["optical"] == limits["isogonal"]) == (scale >= 1.0)
 
 
 def test_extend_does_not_merge_tolerances():

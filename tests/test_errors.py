@@ -13,10 +13,17 @@ modules whose ``raise`` names it.
 import ast
 import builtins
 import importlib
+import math
 from collections import defaultdict
 from pathlib import Path
 
-from simsonpoly.kernel import GeometryError, UsageError
+import pytest
+
+from simsonpoly.approx import ApproxProblem
+from simsonpoly.equidistant import EquidistantConfig
+from simsonpoly.kernel import GeometryError, InvalidConfig, Parabola, \
+    UsageError
+from simsonpoly.limits import chain_for_window, convergence_table
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "simsonpoly"
@@ -122,3 +129,20 @@ def test_readme_errors_table_matches_src():
         assert int(code) == (2 if issubclass(cls, UsageError) else 3), name
         assert set(modules.replace("`", "").split(", ")) == \
             raised_by[cls], name
+
+
+@pytest.mark.parametrize("s", [0.0, math.inf, math.nan])
+@pytest.mark.parametrize("build", [
+    Parabola,
+    lambda s: ApproxProblem(s=s, delta=0.0, a=0.0, b=1.0, n=1),
+    lambda s: EquidistantConfig(s=s, x0=0.0, delta=1.0, n=8),
+    lambda s: chain_for_window(s, 4.0, 1.0),
+    lambda s: convergence_table(s, 4.0, 1),
+], ids=["Parabola", "ApproxProblem", "EquidistantConfig", "chain_for_window",
+        "convergence_table"])
+def test_every_entry_point_judges_s_by_one_rule(build, s):
+    # The height s of a Simson point, or of a parabola's focus data, has
+    # one rule and one message wherever it enters the package.
+    with pytest.raises(InvalidConfig) as raised:
+        build(s)
+    assert str(raised.value) == f"s must be nonzero and finite, got {s}"

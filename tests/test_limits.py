@@ -108,7 +108,8 @@ def test_chain_is_bitwise_the_equidistant_chain(w):
 
 @pytest.mark.parametrize("s", [0.0, -0.0, math.nan, math.inf])
 def test_chain_needs_finite_nonzero_s(s):
-    with pytest.raises(InvalidConfig, match="s must be nonzero and finite"):
+    with pytest.raises(InvalidConfig,
+                       match=f"^s must be nonzero and finite, got {s}$"):
         chain_for_window(s, 4.0, 1.0)
 
 

@@ -159,7 +159,8 @@ def test_defaults():
     (lambda: Circle(P0, 0.0), ValueError,
      "circle radius must be positive, got 0.0"),
     (lambda: Circle(P0, math.inf), NonFinite, "non-finite circle radius inf"),
-    (lambda: Parabola(0.0), InvalidConfig, "parabola needs s != 0, got 0.0"),
+    (lambda: Parabola(0.0), InvalidConfig,
+     "s must be nonzero and finite, got 0.0"),
     (lambda: Parabola(1.0, math.nan), InvalidConfig,
      "parabola offset must be finite, got nan"),
     (lambda: Polygon((P0, P1)), UsageError,

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from geomgen import angle_between_lines, random_equidistant_config
+from judged import rule_limit
 from scalar_verifiers import scalar_archimedes, scalar_isogonal, \
     scalar_lambert, scalar_optical, scalar_parallel_chords
 from simsonpoly.equidistant import (
@@ -366,7 +367,8 @@ def test_archimedes_pairs_are_subsumed_by_their_family(judged, group):
     for frame in SUBSUMPTION_FRAMES[group]:
         report = verify_archimedes(frame)
         family = dict(judged.rows(report)["archimedes-family"])
-        limit = report.tolerances["length_limit"]
+        limit = rule_limit("archimedes-family", report.tolerances["scale"])
+        assert [c.limit for c in report.checks] == [limit]
         for oracle in (scalar_archimedes, oracle_archimedes):
             pairs = [(idx, r) for name, idx, r in oracle(frame)
                      if name == "archimedes"]
