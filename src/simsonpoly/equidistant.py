@@ -381,31 +381,31 @@ def frame_from_certificate(poly: Polygon,
                            cert: SimsonCertificate) -> SimsonPolygonFrame:
     """Map a certified Simson polygon into the canonical frame.
 
-    The rigid motion rotates the Simson line's direction onto the x-axis
-    and translates so the line becomes y = 0 with the Simson point at
-    (0, s).  The certificate's pedals are in side order; the frame
-    labeling wants projections[i] on the side line through V_{i-1} V_i,
-    which is the same sequence rotated right by one.
+    The rigid motion is one rotation about the Simson point S: with d
+    the line's canonical direction and d' = (-d.y, d.x), p maps to
+    (d.(p - S), h + d'.(p - S)), where h is S's signed height over the
+    line along d'.  Only h is computed from input coordinates; the
+    rotation acts on differences from S, so it adds no rounding in
+    proportion to where the polygon sits.  The certificate's pedals are
+    in side order; the frame labeling wants projections[i] on the side
+    line through V_{i-1} V_i: the same sequence rotated right by one.
     """
-    line = cert.simson_line
+    line, s = cert.simson_line, cert.simson_point
     d = line.direction()
-    cos_t, sin_t = d.x, d.y
-    # Rotation by -angle(d): p -> (c*x + s*y, -s*x + c*y), then the shift.
-    on_x, on_y = -line.c * line.a, -line.c * line.b
-    shift_y = -sin_t * on_x + cos_t * on_y
-    shift_x = cos_t * cert.simson_point.x + sin_t * cert.simson_point.y
+    # d' is (a, b) or -(a, b); signed_distance measures along (a, b).
+    h = line.signed_distance(s)
+    if d.x * line.b - d.y * line.a < 0.0:
+        h = -h
 
     def to_frame(p: Point) -> Point:
-        return Point(cos_t * p.x + sin_t * p.y - shift_x,
-                     -sin_t * p.x + cos_t * p.y - shift_y)
+        x, y = p.x - s.x, p.y - s.y
+        return Point(d.x * x + d.y * y, h + (d.x * y - d.y * x))
 
-    verts = tuple(to_frame(v) for v in poly.vertices)
     pedals = cert.projections
-    feet = (pedals[-1],) + pedals[:-1]
-    feet = tuple(to_frame(f) for f in feet)
-    s = to_frame(cert.simson_point)
-    return SimsonPolygonFrame(vertices=verts, projections=feet,
-                              simson_point=Point(0.0, s.y))
+    return SimsonPolygonFrame(
+        vertices=tuple(to_frame(v) for v in poly.vertices),
+        projections=tuple(to_frame(f) for f in pedals[-1:] + pedals[:-1]),
+        simson_point=Point(0.0, h))
 
 
 def equidistant_from_frame(fp: SimsonPolygonFrame) -> EquidistantPolygon:

@@ -17,7 +17,8 @@ import json
 import math
 import re
 
-from .kernel import Line, NonFinite, Parabola, Point, UsageError
+from .kernel import Circle, GeometryError, Line, NonFinite, Parabola, \
+    Point, UsageError
 from .simson import Polygon
 
 SCHEMA_VERSION = "1"
@@ -170,7 +171,12 @@ class SceneDocument:
         for e in entities:
             if not isinstance(e, dict):
                 raise SceneFormatError("entities must be JSON objects")
-            scene._insert(_normalize_entity(dict(e)))
+            try:
+                entity = _normalize_entity(dict(e))
+            except GeometryError as exc:
+                # The kernel value an entity describes states its rule.
+                raise SceneFormatError(str(exc)) from None
+            scene._insert(entity)
         return scene
 
 
@@ -200,16 +206,11 @@ def _normalize_entity(entity: dict) -> dict:
             line = parse_line_spec(entity.pop("eq"))
             entity["a"], entity["b"], entity["c"] = line.a, line.b, line.c
         _require_numbers(entity, ("a", "b", "c"))
-        try:
-            line = Line(entity["a"], entity["b"], entity["c"])
-        except ValueError as exc:
-            raise SceneFormatError(str(exc)) from None
+        line = Line(entity["a"], entity["b"], entity["c"])
         entity["a"], entity["b"], entity["c"] = line.a, line.b, line.c
     elif etype == "circle":
         _require_numbers(entity, ("cx", "cy", "r"))
-        if entity["r"] <= 0:
-            raise SceneFormatError(
-                f"circle {entity.get('id')!r} needs positive radius")
+        Circle(Point(entity["cx"], entity["cy"]), entity["r"])
     elif etype == "polygon":
         verts = entity.get("vertices")
         if not isinstance(verts, list) or len(verts) < 3:
@@ -223,9 +224,7 @@ def _normalize_entity(entity: dict) -> dict:
                     f"non-finite vertex")
     elif etype == "parabola":
         _require_numbers(entity, ("s", "c"))
-        if entity["s"] == 0:
-            raise SceneFormatError(
-                f"parabola {entity.get('id')!r} needs s != 0")
+        Parabola(entity["s"], entity["c"])
     elif etype == "annotation":
         _require_numbers(entity, ("x", "y"))
         if not isinstance(entity.get("text"), str):

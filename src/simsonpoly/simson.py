@@ -282,72 +282,66 @@ def characterization_candidate(poly: Polygon,
     return None
 
 
-def _centred(poly: Polygon) -> tuple[Polygon, Point]:
-    """The polygon moved by minus o, and o, the centre of its bounding box."""
+def _search(poly: Polygon) -> tuple[SimsonCertificate | None, float]:
+    """Certificate of the one candidate if it passes both tests, else None,
+    and the candidate's worst element distance (inf with no candidate).
+
+    The search runs on the polygon moved so that its bounding-box centre
+    o is the origin, where side offsets and circle centres do not
+    cancel, and a certificate is moved back by o.  A circle's distance
+    carries rounding in proportion to its radius, so circle element i
+    is judged at ``bound(max(diameter, |cand|, r_i))`` and a line
+    element at ``bound(max(diameter, |cand|))``.
+    """
     xs = [v.x for v in poly.vertices]
     ys = [v.y for v in poly.vertices]
     o = Point(min(xs) + 0.5 * (max(xs) - min(xs)),
               min(ys) + 0.5 * (max(ys) - min(ys)))
-    return Polygon(v - o for v in poly.vertices), o
-
-
-def _search(poly: Polygon) -> SimsonCertificate | None:
-    """Certificate of the one candidate if it passes both tests, else None.
-
-    A circle's distance carries rounding in proportion to its radius, so
-    circle element i is judged at ``bound(max(diameter, |cand|, r_i))``
-    and a line element at ``bound(max(diameter, |cand|))``.
-    """
-    elements = characterization_circles(poly)
-    cand = characterization_candidate(poly, elements)
+    centred = Polygon(v - o for v in poly.vertices)
+    elements = characterization_circles(centred)
+    cand = characterization_candidate(centred, elements)
     if cand is None:
-        return None
-    scale = max(poly.diameter(), cand.norm())
-    for e in elements:
-        radius = e.radius if isinstance(e, Circle) else 0.0
-        if e.distance(cand) > bound(max(scale, radius)):
-            return None
-    return is_simson_point(cand, poly)
+        return None, math.inf
+    scale = max(centred.diameter(), cand.norm())
+    dists = [e.distance(cand) for e in elements]
+    worst = max(dists)
+    radii = (e.radius if isinstance(e, Circle) else 0.0 for e in elements)
+    if any(dist > bound(max(scale, r)) for dist, r in zip(dists, radii)):
+        return None, worst
+    cert = is_simson_point(cand, centred)
+    if cert is None:
+        return None, worst
+    line = cert.simson_line
+    return SimsonCertificate(
+        cert.simson_point + o,
+        Line(line.a, line.b, line.c - (line.a * o.x + line.b * o.y)),
+        tuple(q + o for q in cert.projections), cert.residual), worst
 
 
 def find_simson_point(poly: Polygon) -> SimsonCertificate | None:
     """Search for a Simson point via the circle characterization.
 
     The one point of characterization_candidate is validated against
-    every element and then against the pedal collinearity test itself.
-    The search runs once, on the polygon moved so that its bounding-box
-    centre o is the origin, where side offsets and circle centres do
-    not cancel, and the certificate is moved back by o.  Returns None
-    when it fails (in particular for parallelograms and for any convex
-    polygon with five or more vertices).  The only degeneracy is that of
-    characterization_circles, an element that cannot be built, as when
-    two adjacent sides lie on one line; other collinear vertices are not.
+    every element and then against the pedal collinearity test itself,
+    once, about the polygon's bounding-box centre (see _search).
+    Returns None when it fails (in particular for parallelograms and for
+    any convex polygon with five or more vertices).  The only degeneracy
+    is that of characterization_circles, an element that cannot be
+    built, as when two adjacent sides lie on one line; other collinear
+    vertices are not.
     """
-    centred, o = _centred(poly)
-    cert = _search(centred)
-    if cert is None:
-        return None
-    line = cert.simson_line
-    return SimsonCertificate(
-        cert.simson_point + o,
-        Line(line.a, line.b, line.c - (line.a * o.x + line.b * o.y)),
-        tuple(q + o for q in cert.projections), cert.residual)
+    return _search(poly)[0]
 
 
 def characterization_defect(poly: Polygon) -> float:
     """How far the circle characterization is from being satisfied.
 
     Zero (up to roundoff) when a Simson point exists.  Otherwise the
-    worst element distance of the one candidate of the polygon centred
-    as in find_simson_point, and inf when there is none (no pair of
-    consecutive elements crosses and element 0 is a line).
+    worst element distance of the one candidate of find_simson_point's
+    search, and inf when there is none (no pair of consecutive elements
+    crosses and element 0 is a line).
     """
-    centred = _centred(poly)[0]
-    elements = characterization_circles(centred)
-    cand = characterization_candidate(centred, elements)
-    if cand is None:
-        return math.inf
-    return max(e.distance(cand) for e in elements)
+    return _search(poly)[1]
 
 
 def _first_close_pair(points: Sequence[Point],

@@ -409,6 +409,22 @@ def test_verify_nonfinite_vertex_exits_2(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("entity,message", [
+    ('{"type": "parabola", "id": "C", "s": 0, "c": 1}',
+     "s must be nonzero and finite, got 0"),
+    ('{"type": "circle", "id": "k", "cx": 0, "cy": 0, "r": -1}',
+     "circle radius must be positive, got -1"),
+])
+def test_verify_scene_entity_off_its_kernel_rule_exits_2(capsys, tmp_path,
+                                                        entity, message):
+    path = tmp_path / "scene.json"
+    path.write_text('{"schema_version": "1", "entities": [{"type": "polygon",'
+                    ' "id": "p", "vertices": [[0, 0], [1, 0], [0, 1]]}, '
+                    f'{entity}]}}')
+    code, _, err = run_cli(capsys, "verify", "--in", str(path))
+    assert (code, err) == (2, f"error: {message}\n")
+
+
 def _polygon_scene(tmp_path, verts):
     scene = SceneDocument()
     scene.add_polygon("polygon", Polygon(tuple(Point(*v) for v in verts)))

@@ -7,8 +7,8 @@ exits 4 on each today, except (1, 1e5, 1, 8), on which it exits 3
 because two side lines "coincide".  Each is a strict xfail until ROADMAP
 item 1's search (fit the tangent parabola, refine, certify by backward
 error) recognises it.  On three of the four FOUND_CENTRED cases the
-search finds S only because it searches about the polygon's bounding-box
-centre first.
+search finds S only because it runs about the polygon's bounding-box
+centre, not about the origin; it runs there only.
 """
 
 import math

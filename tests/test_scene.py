@@ -5,7 +5,7 @@ import pytest
 
 from geomgen import lines_equal_tight, xy
 from simsonpoly.equidistant import Parabola
-from simsonpoly.kernel import Line, Point
+from simsonpoly.kernel import Circle, Line, Point
 from simsonpoly.scene import (
     SceneDocument,
     SceneFormatError,
@@ -267,6 +267,25 @@ def _load_one(entity: dict) -> SceneDocument:
 def test_malformed_entities(entity):
     with pytest.raises(SceneFormatError):
         _load_one(entity)
+
+
+@pytest.mark.parametrize("entity,build,message", [
+    ({"type": "parabola", "id": "c", "s": 0, "c": 0},
+     lambda: Parabola(0, 0), "s must be nonzero and finite, got 0"),
+    ({"type": "circle", "id": "k", "cx": 0, "cy": 0, "r": 0},
+     lambda: Circle(Point(0, 0), 0), "circle radius must be positive, got 0"),
+    ({"type": "circle", "id": "k", "cx": 0, "cy": 0, "r": -2},
+     lambda: Circle(Point(0, 0), -2),
+     "circle radius must be positive, got -2"),
+])
+def test_parabola_and_circle_entities_give_the_kernel_message(entity, build,
+                                                              message):
+    # The scene states no rule of its own: the kernel's message, exit 2.
+    with pytest.raises(ValueError) as kernel:
+        build()
+    with pytest.raises(SceneFormatError) as scene:
+        _load_one(entity)
+    assert str(scene.value) == str(kernel.value) == message
 
 
 @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
