@@ -1,5 +1,5 @@
-"""Random geometry generators and closed-form oracles shared across test
-modules.
+"""Random geometry generators, rigid motions, an in-process ``verify``
+and closed-form oracles shared across test modules.
 
 Every generator takes an explicit numpy Generator so tests stay
 reproducible; the rejection loops enforce conditioning margins (angle
@@ -10,14 +10,21 @@ the package builds and verifies numerically instead.
 
 from __future__ import annotations
 
+import json
 import math
+import tempfile
+from contextlib import redirect_stderr
+from io import StringIO
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
 from simsonpoly import EquidistantConfig, Line, Point, Polygon, \
-    circumcircle, line_intersection
+    circumcircle, line_intersection, make_equidistant
+from simsonpoly.cli import main
 from simsonpoly.equidistant import IndexOutOfRange
+from simsonpoly.scene import SceneDocument
 
 
 def xy(p):
@@ -117,6 +124,46 @@ def random_equidistant_config(rng, s_range=(0.7, 2.5), delta_range=(0.5, 1.5),
         x0=float(rng.uniform(*x0_range)),
         delta=float(rng.uniform(*delta_range)),
         n=int(rng.integers(n_range[0], n_range[1] + 1)))
+
+
+def sweep_config(rng, n):
+    """An n-vertex equidistant configuration drawn as the benchmark's
+    verify-sweep draws it: the sign of s, then |s|, x0 and delta."""
+    return EquidistantConfig(
+        s=float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0)),
+        x0=float(rng.uniform(-3.0, 3.0)),
+        delta=float(rng.uniform(0.25, 1.5)), n=n)
+
+
+def rigid_motion(theta, shift):
+    """A rotation by theta then a shift: the map move(x, y) to a Point, and
+    the image of the x-axis."""
+    c, s = math.cos(theta), math.sin(theta)
+    return (lambda x, y: Point(c * x - s * y + shift[0],
+                               s * x + c * y + shift[1]),
+            Line(-s, c, s * shift[0] - c * shift[1]))
+
+
+def moved_equidistant(cfg, theta=0.7, shift=(3.0, -2.0)):
+    """The equidistant polygon of cfg under rigid_motion(theta, shift)."""
+    move, _ = rigid_motion(theta, shift)
+    return Polygon(tuple(move(v.x, v.y)
+                         for v in make_equidistant(cfg).vertices))
+
+
+def verify_in_process(vertices, *flags):
+    """Exit code of ``verify`` on the polygon, run by ``cli.main`` in this
+    process, and its report, or None if it wrote none.  The files live in
+    a temporary directory, so a Hypothesis test may call it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scene, out = Path(tmp, "scene.json"), Path(tmp, "report.json")
+        doc = SceneDocument()
+        doc.add_polygon("polygon", Polygon(tuple(vertices)))
+        scene.write_text(doc.to_json(), encoding="utf-8")
+        with redirect_stderr(StringIO()):
+            code = main(["verify", "--in", str(scene), "--out", str(out),
+                         *flags])
+        return code, json.loads(out.read_text()) if out.exists() else None
 
 
 def regular_polygon(n, radius=1.0, phase=math.pi / 2.0):

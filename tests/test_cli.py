@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 import simsonpoly
-from geomgen import OCTAGON_SCALES, regular_polygon
+from geomgen import OCTAGON_SCALES, moved_equidistant, regular_polygon
 from judged import ANGLE_FAMILIES, LENGTH_FAMILIES, rule_limit
 from simsonpoly import EquidistantConfig, Point, Polygon, make_equidistant
 from simsonpoly.cli import COMMANDS, _observed, _perturbed, main
@@ -607,12 +607,8 @@ def test_large_negative_controls_stay_rejected(params, theta, shift, seed):
     import numpy as np
 
     s, x0, delta, n = params
-    base = make_equidistant(EquidistantConfig(s=s, x0=x0, delta=delta, n=n))
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    moved = Polygon(tuple(
-        Point(cos_t * v.x - sin_t * v.y + shift[0],
-              sin_t * v.x + cos_t * v.y + shift[1])
-        for v in base.polygon().vertices))
+    moved = moved_equidistant(
+        EquidistantConfig(s=s, x0=x0, delta=delta, n=n), theta, shift)
     assert find_simson_point(moved) is not None
     # The jitter is numpy's, as when these controls were found, so they
     # stay the same polygons whatever --negative-control draws from.

@@ -12,6 +12,7 @@ items 4 and 12).  Each test is bounded by its number of draws.
 import math
 import random
 
+from geomgen import rigid_motion
 from simsonpoly.cli import main
 from simsonpoly.equidistant import EquidistantConfig, make_equidistant
 from simsonpoly.kernel import MAX_SEGMENTS
@@ -112,12 +113,12 @@ def _scene(rng):
     else:
         vertices = [(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
                     for _ in range(n)]
-    theta = rng.uniform(0.0, 2.0 * math.pi)
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    tx, ty = rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)
+    move, _ = rigid_motion(rng.uniform(0.0, 2.0 * math.pi),
+                           (rng.uniform(-10.0, 10.0),
+                            rng.uniform(-10.0, 10.0)))
     scale = 10.0 ** rng.uniform(-320.0, 308.0)
-    moved = [[(cos_t * x - sin_t * y + tx) * scale,
-              (sin_t * x + cos_t * y + ty) * scale] for x, y in vertices]
+    moved = [[p.x * scale, p.y * scale]
+             for p in (move(x, y) for x, y in vertices)]
     return SceneDocument([{"type": "polygon", "id": "polygon",
                            "vertices": moved}]).to_json()
 

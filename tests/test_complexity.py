@@ -16,11 +16,11 @@ and 1.99, optimal_knots 1.87 and 1.93, and one convergence_table level
 1.95 and 1.98.
 """
 
-import math
 import sys
 
 import pytest
 
+from geomgen import moved_equidistant
 from simsonpoly import (
     ApproxProblem,
     EquidistantConfig,
@@ -33,7 +33,6 @@ from simsonpoly import (
     optimal_knots,
 )
 from simsonpoly.cli import ALL_CHECKS, _perturbed, _run_checks
-from simsonpoly.simson import Polygon
 
 LINEAR, QUADRATIC = 2.2, 4.4
 SIZES = (32, 64, 128)
@@ -70,29 +69,26 @@ def ratios(cost) -> list[float]:
     return [b / a for a, b in zip(counts, counts[1:])]
 
 
-def moved_equidistant(n: int) -> Polygon:
+def subject(n):
     """The equidistant polygon (10, -3, 0.5, n), rotated by 0.7 rad and
     moved by (3, -2)."""
-    c, s = math.cos(0.7), math.sin(0.7)
-    verts = make_equidistant(EquidistantConfig(10.0, -3.0, 0.5, n)).vertices
-    return Polygon(tuple(Point(c * v.x - s * v.y + 3.0,
-                               s * v.x + c * v.y - 2.0) for v in verts))
+    return moved_equidistant(EquidistantConfig(10.0, -3.0, 0.5, n))
 
 
 def search_hit(n):
-    poly = moved_equidistant(n)
+    poly = subject(n)
     assert find_simson_point(poly) is not None
     return line_events(find_simson_point, poly)
 
 
 def search_miss(n):
-    poly = _perturbed(moved_equidistant(n), 1e-3, 0)
+    poly = _perturbed(subject(n), 1e-3, 0)
     assert find_simson_point(poly) is None
     return line_events(find_simson_point, poly)
 
 
 def checks_hit(n):
-    poly = moved_equidistant(n)
+    poly = subject(n)
     assert _run_checks(poly, list(ALL_CHECKS), (1, 2, 3)).overall
     return line_events(_run_checks, poly, list(ALL_CHECKS), (1, 2, 3))
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from geomgen import chord_slope, foot_line, lines_equal_tight, \
-    random_equidistant_config, w_point, xy
+    moved_equidistant, random_equidistant_config, w_point, xy
 from simsonpoly.equidistant import (
     EquidistantConfig,
     EquidistantPolygon,
@@ -605,12 +605,9 @@ def test_frame_from_certificate_is_a_rigid_motion():
     rng = np.random.default_rng(1)
     for _ in range(10):
         cfg = random_equidistant_config(rng)
-        theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        c, s = math.cos(theta), math.sin(theta)
-        tx, ty = (float(t) for t in rng.uniform(-5.0, 5.0, 2))
-        poly = Polygon(tuple(
-            Point(c * v.x - s * v.y + tx, s * v.x + c * v.y + ty)
-            for v in make_equidistant(cfg).vertices))
+        poly = moved_equidistant(
+            cfg, float(rng.uniform(0.0, 2.0 * math.pi)),
+            [float(t) for t in rng.uniform(-5.0, 5.0, 2)])
         cert = find_simson_point(poly)
         frame = frame_from_certificate(poly, cert)
         before = poly.vertices + (cert.simson_point,)

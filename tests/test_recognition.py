@@ -11,14 +11,10 @@ search finds S only because it runs about the polygon's bounding-box
 centre, not about the origin; it runs there only.
 """
 
-import math
-
 import pytest
 
-from simsonpoly import EquidistantConfig, Point, make_equidistant
-from simsonpoly.cli import main
-from simsonpoly.scene import SceneDocument
-from simsonpoly.simson import Polygon
+from geomgen import moved_equidistant, verify_in_process
+from simsonpoly import EquidistantConfig, make_equidistant
 
 ITEM_1 = pytest.mark.xfail(
     strict=True, raises=AssertionError,
@@ -36,27 +32,13 @@ def _case(config, moved, marks=()):
                         id=f"{name}-{'moved' if moved else 'canonical'}")
 
 
-def _vertices(config, moved):
-    vertices = make_equidistant(EquidistantConfig(*config)).vertices
-    if not moved:
-        return vertices
-    c, s = math.cos(0.7), math.sin(0.7)
-    return [Point(c * v.x - s * v.y + 3.0, s * v.x + c * v.y - 2.0)
-            for v in vertices]
-
-
 @pytest.mark.parametrize("config,moved", [
     *(_case(config, moved, ITEM_1)
       for config in CASES for moved in (False, True)),
     *(_case(config, moved)
       for config in FOUND_CENTRED for moved in (False, True)),
 ])
-def test_verify_recognises_the_equidistant_polygon(capsys, tmp_path, config,
-                                                   moved):
-    scene = SceneDocument()
-    scene.add_polygon("polygon", Polygon(tuple(_vertices(config, moved))))
-    path = tmp_path / "scene.json"
-    path.write_text(scene.to_json())
-    code = main(["verify", "--in", str(path)])
-    capsys.readouterr()
-    assert code == 0
+def test_verify_recognises_the_equidistant_polygon(config, moved):
+    cfg = EquidistantConfig(*config)
+    poly = moved_equidistant(cfg) if moved else make_equidistant(cfg)
+    assert verify_in_process(poly.vertices)[0] == 0

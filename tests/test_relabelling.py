@@ -6,22 +6,14 @@ The paper's circle criterion does not depend on where the vertex cycle
 starts or which way it runs, so neither may a verdict.
 """
 
-import json
 import math
 
 import numpy as np
 import pytest
 
-from simsonpoly import EquidistantConfig, Point, Polygon, make_equidistant
-from simsonpoly.cli import main
-from simsonpoly.scene import SceneDocument
+from geomgen import moved_equidistant, sweep_config, verify_in_process
+from simsonpoly import EquidistantConfig, Polygon
 from simsonpoly.simson import find_simson_point
-
-
-def _moved(cfg, theta, shift):
-    c, s = math.cos(theta), math.sin(theta)
-    return [Point(c * v.x - s * v.y + shift[0], s * v.x + c * v.y + shift[1])
-            for v in make_equidistant(cfg).vertices]
 
 
 def _listings(vertices):
@@ -31,40 +23,31 @@ def _listings(vertices):
             yield vs[k:] + vs[:k]
 
 
-def _verify(capsys, tmp_path, vertices):
+def _verify(vertices):
     """Exit code and (name, count) of each entry of ``verify``."""
-    scene = SceneDocument()
-    scene.add_polygon("polygon", Polygon(tuple(vertices)))
-    path = tmp_path / "scene.json"
-    path.write_text(scene.to_json())
-    code = main(["verify", "--in", str(path)])
-    report = json.loads(capsys.readouterr().out)
+    code, report = verify_in_process(vertices)
     return code, [(c["name"], c["count"]) for c in report["checks"]]
 
 
 @pytest.mark.parametrize("n", [5, 8, 32])
-def test_every_listing_of_a_moved_equidistant_polygon_verifies(capsys,
-                                                               tmp_path, n):
+def test_every_listing_of_a_moved_equidistant_polygon_verifies(n):
     # (s, x0, delta) and the motion are drawn as the benchmark's
     # verify-sweep draws them.
     rng = np.random.default_rng(n)
     for _ in range(4):
-        cfg = EquidistantConfig(
-            s=float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0)),
-            x0=float(rng.uniform(-3.0, 3.0)),
-            delta=float(rng.uniform(0.25, 1.5)), n=n)
-        vertices = _moved(cfg, float(rng.uniform(0.0, 2.0 * math.pi)),
-                          rng.uniform(-10.0, 10.0, 2))
-        code, entries = _verify(capsys, tmp_path, vertices)
+        vertices = moved_equidistant(
+            sweep_config(rng, n), float(rng.uniform(0.0, 2.0 * math.pi)),
+            rng.uniform(-10.0, 10.0, 2)).vertices
+        code, entries = _verify(vertices)
         assert code == 0 and len(entries) == 8
         for listing in _listings(vertices):
-            assert _verify(capsys, tmp_path, listing) == (0, entries)
+            assert _verify(listing) == (0, entries)
 
 
 def test_search_finds_s_from_every_listing():
     cfg = EquidistantConfig(7.634746602506871, 1.7304169298849992, 0.05, 10)
     found = [find_simson_point(Polygon(tuple(vs))) is not None
-             for vs in _listings(_moved(cfg, 0.7, (3.0, -2.0)))]
+             for vs in _listings(moved_equidistant(cfg).vertices)]
     assert found == [True] * 20
 
 
@@ -79,8 +62,9 @@ def test_search_finds_s_of_seeded_polygons_from_every_listing():
             s=float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0)),
             x0=float(rng.uniform(-3.0, 3.0)),
             delta=float(rng.choice([0.05, 0.25, 1.0])), n=n)
-        vertices = _moved(cfg, float(rng.uniform(0.0, 2.0 * math.pi)),
-                          rng.uniform(-10.0, 10.0, 2))
+        vertices = moved_equidistant(
+            cfg, float(rng.uniform(0.0, 2.0 * math.pi)),
+            rng.uniform(-10.0, 10.0, 2)).vertices
         missed += [(draw, k) for k, vs in enumerate(_listings(vertices))
                    if find_simson_point(Polygon(tuple(vs))) is None]
     assert missed == []

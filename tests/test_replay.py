@@ -7,12 +7,12 @@ the same entries in another order differ in no verdict; a flipped
 
 import copy
 import importlib.util
-import json
 from pathlib import Path
 
 import pytest
 
-from simsonpoly import cli
+from geomgen import verify_in_process
+from simsonpoly import EquidistantConfig, make_equidistant
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "replay.py"
 
@@ -28,14 +28,10 @@ replay = _load_replay()
 
 
 @pytest.fixture(scope="module")
-def report(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("replay")
-    scene, out = tmp / "octagon.json", tmp / "report.json"
-    assert cli.main(["construct", "--equidistant", "--s", "1", "--delta", "1",
-                     "--n", "8", "--out", str(scene)]) == 0
-    assert cli.main(["verify", "--in", str(scene), "--out", str(out)]) == 0
-    data = json.loads(out.read_text("utf-8"))
-    assert len(data["checks"]) >= 3
+def report():
+    code, data = verify_in_process(
+        make_equidistant(EquidistantConfig(1.0, 0.0, 1.0, 8)).vertices)
+    assert code == 0 and len(data["checks"]) >= 3
     return data
 
 

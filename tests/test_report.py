@@ -2,7 +2,6 @@
 benchmark's output checks read from a `verify` report."""
 
 import importlib.util
-import json
 import math
 import os
 import struct
@@ -16,7 +15,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from simsonpoly import EquidistantConfig, Point, Polygon, make_equidistant
+from geomgen import moved_equidistant, rigid_motion, sweep_config, \
+    verify_in_process
+from simsonpoly import EquidistantConfig, make_equidistant
 from simsonpoly import equidistant
 from simsonpoly import cli
 from simsonpoly.cli import ALL_CHECKS, main
@@ -26,11 +27,10 @@ from simsonpoly.scene import SceneDocument
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.fixture(scope="module")
-def run():
-    """perfbench/run.py, whose output checks judge `verify` reports."""
+def _perfbench(name):
+    """perfbench/<name>.py, loaded as the module perfbench_<name>."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_run", ROOT / "perfbench" / "run.py")
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # Its dataclasses look their module up while the class is built.
     sys.modules[spec.name] = module
@@ -39,6 +39,18 @@ def run():
         yield module
     finally:
         del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def run():
+    """perfbench/run.py, whose output checks judge `verify` reports."""
+    yield from _perfbench("run")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """perfbench/workloads.py, which draws the benchmark's polygons."""
+    yield from _perfbench("workloads")
 
 
 # ------------------------------------------------------------------- judge
@@ -186,21 +198,20 @@ def test_fixed_verdict_is_a_one_row_entry():
 
 # -------------------------------------------------- reports of the CLI
 
-def _moved(cfg, theta=0.7, shift=(3.0, -2.0)):
-    c, s = math.cos(theta), math.sin(theta)
-    return Polygon(tuple(Point(c * v.x - s * v.y + shift[0],
-                               s * v.x + c * v.y + shift[1])
-                         for v in make_equidistant(cfg).vertices))
-
-
-def _verify(tmp_path, poly, *flags):
+def _scene(tmp_path, poly):
     scene = SceneDocument()
     scene.add_polygon("polygon", poly)
     path = tmp_path / "scene.json"
     path.write_text(scene.to_json())
+    return path
+
+
+def _verify(tmp_path, poly, *flags):
+    """Exit code of ``verify`` and the path of the report it wrote, which
+    perfbench's output checks read."""
     out = tmp_path / "report.json"
-    code = main(["verify", "--in", str(path), "--out", str(out), *flags])
-    return code, out
+    return main(["verify", "--in", str(_scene(tmp_path, poly)),
+                 "--out", str(out), *flags]), out
 
 
 def _request(out, n, kind="a"):
@@ -214,21 +225,22 @@ def _request(out, n, kind="a"):
     EquidistantConfig(s=10.0, x0=-3.0, delta=0.5, n=128),
 ])
 def test_benchmark_accepts_recognised_polygon(run, tmp_path, cfg):
-    code, out = _verify(tmp_path, _moved(cfg))
+    code, out = _verify(tmp_path, moved_equidistant(cfg))
     assert code == 0
     assert run.check_output(_request(out, cfg.n), code) is None
 
 
 def test_benchmark_classes_search_defect_as_known(run, tmp_path):
     cfg = EquidistantConfig(s=1.0, x0=-64.0, delta=0.5, n=256)
-    code, out = _verify(tmp_path, _moved(cfg))
+    code, out = _verify(tmp_path, moved_equidistant(cfg))
     assert code == 4
     req = _request(out, cfg.n)
     assert run.check_output(req, code) is not None
     assert run.is_known_defect(req, code, "")
 
 
-def test_constructed_polygon_with_s_far_from_its_centre_verifies(tmp_path,
+def test_constructed_polygon_with_s_far_from_its_centre_verifies(workloads,
+                                                                  tmp_path,
                                                                   capsys):
     # verify-sweep kind c, n = 256, at each (seed, cycle index) below: the
     # candidate S lies half a diameter (6e3 to 7e4) from the polygon's
@@ -237,10 +249,6 @@ def test_constructed_polygon_with_s_far_from_its_centre_verifies(tmp_path,
     # max(diameter, |S|)), the worst element read 1.04 to 1.31 times it;
     # judged at its own radius it reads at most 0.031, so the one search,
     # on the centred polygon, finds S.
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     for seed, cycle in [(812, 1), (813, 0), (819, 0), (819, 1), (820, 2)]:
         cycles = workloads.verify_sweep(np.random.default_rng(seed),
                                         tmp_path, 3)
@@ -250,6 +258,24 @@ def test_constructed_polygon_with_s_far_from_its_centre_verifies(tmp_path,
             "simson,isogonal,lambert"
         assert main(req["argv"]) == 0, (seed, cycle)
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("seed", [8, 32, 64])
+def test_sweep_config_and_rigid_motion_draw_as_verify_sweep(workloads, seed):
+    # Tests that draw polygons as verify-sweep does build, from one seed,
+    # the vertices and the image of the x-axis that it builds, bit for bit:
+    # the repr of a float is the shortest string that reads back as it.
+    for n in workloads.SWEEP_NS:
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        cfg = sweep_config(ours, n)
+        move, x_axis = rigid_motion(float(ours.uniform(0.0, 2.0 * math.pi)),
+                                    ours.uniform(-10.0, 10.0, 2).tolist())
+        assert repr(cfg) == repr(workloads._draw_config(theirs, n))
+        motion = workloads.RigidMotion(theirs)
+        vertices = make_equidistant(cfg).vertices
+        assert repr([move(v.x, v.y) for v in vertices]) == \
+            repr([motion(v.x, v.y) for v in vertices])
+        assert repr(x_axis) == repr(motion.x_axis())
 
 
 def test_entry_count_depends_on_checks_and_n_only(tmp_path):
@@ -262,10 +288,11 @@ def test_entry_count_depends_on_checks_and_n_only(tmp_path):
         for checks in subsets:
             counts = set()
             for k, cfg in enumerate(cfgs):
-                code, out = _verify(tmp_path, _moved(cfg, theta=0.4 * k),
-                                    "--checks", ",".join(checks))
+                code, report = verify_in_process(
+                    moved_equidistant(cfg, theta=0.4 * k).vertices,
+                    "--checks", ",".join(checks))
                 assert code == 0
-                counts.add(len(json.loads(out.read_text())["checks"]))
+                counts.add(len(report["checks"]))
             assert len(counts) == 1, (n, checks, counts)
 
 
@@ -281,7 +308,7 @@ def test_all_checks_at_n256_are_small_and_pair_free(tmp_path, monkeypatch):
 
     monkeypatch.setattr(equidistant, "line_intersection", counted)
     cfg = EquidistantConfig(s=10.0, x0=-3.0, delta=0.5, n=256)
-    code, out = _verify(tmp_path, _moved(cfg))
+    code, out = _verify(tmp_path, moved_equidistant(cfg))
     assert code == 0
     assert out.stat().st_size < 100_000
     assert len(calls) <= 3 and set(calls) == {"verify_lambert"}
@@ -325,11 +352,8 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 def _verify_maxrss(tmp_path, n):
     """Peak RSS, in KiB, of a `verify` process on a moved n-gon."""
-    poly = _moved(EquidistantConfig(s=10.0, x0=-3.0, delta=0.5, n=n))
-    scene = SceneDocument()
-    scene.add_polygon("polygon", poly)
-    path = tmp_path / f"scene{n}.json"
-    path.write_text(scene.to_json())
+    path = _scene(tmp_path, moved_equidistant(
+        EquidistantConfig(s=10.0, x0=-3.0, delta=0.5, n=n)))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", LAUNCH, sys.executable, "-m", "simsonpoly",

@@ -8,37 +8,38 @@ residual-to-limit ratio, bit for bit: ROADMAP's correctness aim asks
 that tolerances come from the scale of the data.  The angle families
 are judged at max(1, scale), so their ratios still move with k (ROADMAP
 item 3).
+
+The property's draws depend on the import history, not only on its
+seed.  Hypothesis (6.155) mixes the numeric constants of every loaded
+module outside ``tests/`` into its draws, and the package imports a
+module only when a request runs it.  Run alone, this module has loaded
+seven of the package's modules when it draws.  Collecting the whole
+suite, as ``-k`` does, imports ``approx`` and ``limits`` too, and in a
+full run earlier requests have also loaded ``svgfig``.  So
+``@seed(2801)`` draws other polygons in each, and a new numeric literal
+in any module of the package can change them.  Run alone, the draws
+find a polygon whose verdict the angle limits flip; it is pinned from
+``scaling_case.json``, which holds every number of it.
 """
 
 import json
 import math
-import os
 import sys
-import tempfile
-from contextlib import redirect_stderr
-from io import StringIO
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from simsonpoly import EquidistantConfig, Line, Point, Polygon, \
+from geomgen import moved_equidistant, rigid_motion, verify_in_process
+from simsonpoly import EquidistantConfig, Point, Polygon, \
     construct_simson_polygon, make_equidistant
-from simsonpoly.cli import _perturbed, main
-from simsonpoly.scene import SceneDocument
+from simsonpoly.cli import _perturbed
 
 LENGTH_FAMILIES = ("midpoints-aligned", "optical", "archimedes-family",
                    "lambert")
 ANGLE_FAMILIES = ("isogonal", "parallel-chords", "chord-tangent")
 GENERAL_CHECKS = ["--checks", "simson,isogonal,lambert"]
-
-
-def _motion(theta, shift):
-    """A rotation by theta then a shift, and the image of the x-axis."""
-    c, s = math.cos(theta), math.sin(theta)
-    return (lambda x, y: Point(c * x - s * y + shift[0],
-                               s * x + c * y + shift[1]),
-            Line(-s, c, s * shift[0] - c * shift[1]))
 
 
 @st.composite
@@ -50,9 +51,9 @@ def polygons(draw):
         s=draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.5, 3.0)),
         x0=draw(st.floats(-3.0, 3.0)), delta=draw(st.floats(0.25, 1.5)),
         n=n)
-    motion, x_axis = _motion(draw(st.floats(0.0, 2.0 * math.pi)),
-                             (draw(st.floats(-10.0, 10.0)),
-                              draw(st.floats(-10.0, 10.0))))
+    motion, x_axis = rigid_motion(draw(st.floats(0.0, 2.0 * math.pi)),
+                                  (draw(st.floats(-10.0, 10.0)),
+                                   draw(st.floats(-10.0, 10.0))))
     if draw(st.booleans()):
         vertices = [motion(v.x, v.y) for v in make_equidistant(cfg).vertices]
         extra = []
@@ -69,23 +70,6 @@ def polygons(draw):
         vertices = list(_perturbed(Polygon(tuple(vertices)), 1e-3,
                                    control_seed).vertices)
     return vertices, extra
-
-
-def _verify(vertices, extra):
-    """Exit code and report of ``verify`` on the polygon."""
-    with tempfile.TemporaryDirectory() as tmp:
-        scene = SceneDocument()
-        scene.add_polygon("polygon", Polygon(tuple(vertices)))
-        path, out = os.path.join(tmp, "scene.json"), \
-            os.path.join(tmp, "report.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(scene.to_json())
-        with redirect_stderr(StringIO()):
-            code = main(["verify", "--in", path, "--out", out, *extra])
-        if not os.path.exists(out):
-            return code, None
-        with open(out, encoding="utf-8") as fh:
-            return code, json.load(fh)
 
 
 def _scaled(vertices, k):
@@ -108,15 +92,9 @@ def _entries(report):
         [(c["name"], c["pass"]) for c in report["checks"]]
 
 
-@seed(2801)
-@settings(max_examples=100, deadline=None)
-@given(polygons(), st.integers(-500, 500))
-def test_scaling_by_a_power_of_two_keeps_every_verdict(drawn, k):
-    vertices, extra = drawn
-    scaled = _scaled(vertices, k)
-    assume(_normal_squares(scaled))
-    code, report = _verify(vertices, extra)
-    scaled_code, scaled_report = _verify(scaled, extra)
+def _assert_same_verdicts(vertices, scaled, extra):
+    code, report = verify_in_process(vertices, *extra)
+    scaled_code, scaled_report = verify_in_process(scaled, *extra)
     assert scaled_code == code
     assert _entries(scaled_report) == _entries(report)
     if report is not None:
@@ -124,14 +102,36 @@ def test_scaling_by_a_power_of_two_keeps_every_verdict(drawn, k):
             _ratios(report, LENGTH_FAMILIES)
 
 
+@seed(2801)
+@settings(max_examples=100, deadline=None)
+@given(polygons(), st.integers(-500, 500))
+def test_scaling_by_a_power_of_two_keeps_every_verdict(drawn, k):
+    vertices, extra = drawn
+    scaled = _scaled(vertices, k)
+    assume(_normal_squares(scaled))
+    _assert_same_verdicts(vertices, scaled, extra)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="isogonal is judged at max(1, scale): scaled by "
+                   "2^-9 it fails at 1.2 times its limit, unscaled it passes "
+                   "(ROADMAP item 3)")
+def test_scaling_keeps_the_verdicts_of_the_pinned_polygon():
+    # A general polygon, n = 98, that the property drew when this module
+    # ran alone: exit 0 unscaled, exit 4 scaled.
+    case = json.loads(Path(__file__).with_name("scaling_case.json")
+                      .read_text(encoding="utf-8"))
+    vertices = [Point(x, y) for x, y in case["vertices"]]
+    _assert_same_verdicts(vertices, _scaled(vertices, case["k"]),
+                          case["flags"])
+
+
 @pytest.mark.xfail(strict=True, reason="angle limits are judged at "
                    "max(1, scale), not at a fixed bound (ROADMAP item 3)")
 @pytest.mark.parametrize("k", [-20, 20])
 def test_scaling_keeps_the_angle_families_ratios(k):
-    motion, _ = _motion(0.7, (3.0, -2.0))
-    vertices = [motion(v.x, v.y) for v in make_equidistant(
-        EquidistantConfig(1.0, -3.5, 1.0, 8)).vertices]
-    _, report = _verify(vertices, [])
-    _, scaled_report = _verify(_scaled(vertices, k), [])
+    vertices = moved_equidistant(EquidistantConfig(1.0, -3.5, 1.0, 8)).vertices
+    _, report = verify_in_process(vertices)
+    _, scaled_report = verify_in_process(_scaled(vertices, k))
     assert _ratios(scaled_report, ANGLE_FAMILIES) == \
         _ratios(report, ANGLE_FAMILIES)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomgen import OCTAGON_SCALES, random_convex_polygon, \
-    random_quadrilateral, random_triangle, regular_polygon, \
+    random_quadrilateral, random_triangle, regular_polygon, rigid_motion, \
     triangle_circles, xy
 from simsonpoly import simson
 from simsonpoly.kernel import Circle, CoincidentPoints, GeometryError, Line, \
@@ -209,15 +209,10 @@ def test_simson_wallace_on_the_unit_circle():
 def test_simson_verdict_is_rigid_motion_invariant(theta, tx, ty):
     # The right triangle with (4, 3) on its circumcircle, and the point
     # moved 0.3 off it along y: the verdicts survive any rigid motion.
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-
-    def move(p):
-        return Point(cos_t * p.x - sin_t * p.y + tx,
-                     sin_t * p.x + cos_t * p.y + ty)
-
-    tri = Polygon(tuple(move(v) for v in RIGHT_TRIANGLE.vertices))
-    assert is_simson_point(move(Point(4, 3)), tri) is not None
-    assert is_simson_point(move(Point(4, 3.3)), tri) is None
+    move, _ = rigid_motion(theta, (tx, ty))
+    tri = Polygon(tuple(move(v.x, v.y) for v in RIGHT_TRIANGLE.vertices))
+    assert is_simson_point(move(4, 3), tri) is not None
+    assert is_simson_point(move(4, 3.3), tri) is None
 
 
 def test_centroid_is_not_simson_point():

@@ -24,10 +24,8 @@ import math
 import numpy as np
 import pytest
 
-from simsonpoly import EquidistantConfig, Point, make_equidistant
-from simsonpoly.cli import main
-from simsonpoly.scene import SceneDocument
-from simsonpoly.simson import Polygon
+from geomgen import moved_equidistant, sweep_config, verify_in_process
+from simsonpoly import Point
 
 
 def _polygons():
@@ -36,15 +34,9 @@ def _polygons():
     for n in (8, 32, 64):
         rng = np.random.default_rng(n)
         for _ in range(20):
-            cfg = EquidistantConfig(
-                s=float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0)),
-                x0=float(rng.uniform(-3.0, 3.0)),
-                delta=float(rng.uniform(0.25, 1.5)), n=n)
-            theta = float(rng.uniform(0.0, 2.0 * math.pi))
-            shift = rng.uniform(-10.0, 10.0, 2).tolist()
-            c, s = math.cos(theta), math.sin(theta)
-            yield [(c * v.x - s * v.y + shift[0], s * v.x + c * v.y + shift[1])
-                   for v in make_equidistant(cfg).vertices]
+            yield moved_equidistant(
+                sweep_config(rng, n), float(rng.uniform(0.0, 2.0 * math.pi)),
+                rng.uniform(-10.0, 10.0, 2).tolist()).vertices
 
 
 FAR = pytest.mark.xfail(
@@ -54,26 +46,18 @@ FAR = pytest.mark.xfail(
            "checks judge")
 
 
-def _exit_codes(capsys, tmp_path, t):
+def _exit_codes(t):
     """verify's exit code on each polygon, moved by (t, -t)."""
-    path = tmp_path / "scene.json"
-    codes = []
-    for vertices in _polygons():
-        scene = SceneDocument()
-        scene.add_polygon("polygon", Polygon(tuple(
-            Point(x + t, y - t) for x, y in vertices)))
-        path.write_text(scene.to_json())
-        codes.append(main(["verify", "--in", str(path)]))
-        capsys.readouterr()
-    return codes
+    return [verify_in_process([Point(v.x + t, v.y - t) for v in vertices])[0]
+            for vertices in _polygons()]
 
 
 @pytest.mark.parametrize("t", [0.0, 1e4, 1e5, pytest.param(1e6, marks=FAR),
                                pytest.param(1e7, marks=FAR)])
-def test_translation_keeps_the_verdict(capsys, tmp_path, t):
-    assert _exit_codes(capsys, tmp_path, t) == [0] * 60
+def test_translation_keeps_the_verdict(t):
+    assert _exit_codes(t) == [0] * 60
 
 
-def test_the_frame_keeps_polygons_far_from_the_origin(capsys, tmp_path):
+def test_the_frame_keeps_polygons_far_from_the_origin():
     # A count, not a verdict: at T = 1e8 the search still misses most.
-    assert _exit_codes(capsys, tmp_path, 1e8).count(0) >= 14
+    assert _exit_codes(1e8).count(0) >= 14

@@ -24,7 +24,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from geomgen import angle_between_lines, random_equidistant_config
+from geomgen import angle_between_lines, moved_equidistant, \
+    random_equidistant_config
 from judged import rule_limit
 from scalar_verifiers import scalar_archimedes, scalar_isogonal, \
     scalar_lambert, scalar_optical, scalar_parallel_chords
@@ -43,8 +44,7 @@ from simsonpoly.equidistant import (
 )
 from simsonpoly.kernel import Line, NonFinite, Point, angle_between_rays, \
     bound, circumcircle, line_intersection, line_through, reflect_point
-from simsonpoly.simson import Polygon, construct_simson_polygon, \
-    find_simson_point
+from simsonpoly.simson import construct_simson_polygon, find_simson_point
 
 
 def _line_coord(line, p):
@@ -308,10 +308,7 @@ def test_oracle_sees_nonzero_residuals():
 def _moved_frame(cfg, theta, shift=(3.0, -2.0)):
     """An equidistant polygon under a rigid motion, brought back to frame
     by its Simson certificate."""
-    c, s = math.cos(theta), math.sin(theta)
-    poly = Polygon(tuple(Point(c * v.x - s * v.y + shift[0],
-                               s * v.x + c * v.y + shift[1])
-                         for v in make_equidistant(cfg).vertices))
+    poly = moved_equidistant(cfg, theta, shift)
     cert = find_simson_point(poly)
     assert cert is not None
     return frame_from_certificate(poly, cert)
