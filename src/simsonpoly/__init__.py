@@ -23,7 +23,7 @@ _MODULE_OF = {
         "find_simson_point", "is_convex", "is_simson_point",
         "pedal_points"), "simson"),
     **dict.fromkeys((
-        "EquidistantConfig", "EquidistantPolygon", "SimsonPolygonFrame",
+        "EquidistantConfig", "SimsonPolygonFrame",
         "associated_parabola", "equidistant_from_frame",
         "frame_from_certificate", "make_equidistant", "midpoint_parabola",
         "verify_archimedes", "verify_isogonal", "verify_lambert",

@@ -113,25 +113,7 @@ class SimsonPolygonFrame(Frozen):
         return Polygon(self.vertices)
 
 
-class EquidistantPolygon(SimsonPolygonFrame):
-    """Frame data plus the generating equidistant configuration."""
-
-    __slots__ = ("config",)
-    _fields = SimsonPolygonFrame._fields + __slots__
-
-    def __init__(self, vertices: Sequence[Point],
-                 projections: Sequence[Point], simson_point: Point,
-                 config: EquidistantConfig):
-        super().__init__(vertices, projections, simson_point)
-        object.__setattr__(self, "config", config)
-
-    @property
-    def chain(self) -> tuple[Point, ...]:
-        """The parabola vertices V_1..V_{n-1} (closing vertex dropped)."""
-        return self.vertices[:-1]
-
-
-def make_equidistant(cfg: EquidistantConfig) -> EquidistantPolygon:
+def make_equidistant(cfg: EquidistantConfig) -> SimsonPolygonFrame:
     """Build the equidistant Simson polygon for cfg, in canonical frame.
 
     V_1..V_{n-1} come from the closed form; the closing vertex V_n is the
@@ -146,8 +128,8 @@ def make_equidistant(cfg: EquidistantConfig) -> EquidistantPolygon:
     closing = equidistant_chain(s, x0, (n - 1) * d, 1)[0]
     verts.append(Point(xn + x1, closing.y))
     feet = tuple(Point(cfg.foot_abscissa(i), 0.0) for i in range(1, n + 1))
-    return EquidistantPolygon(vertices=tuple(verts), projections=feet,
-                              simson_point=Point(0.0, s), config=cfg)
+    return SimsonPolygonFrame(vertices=tuple(verts), projections=feet,
+                              simson_point=Point(0.0, s))
 
 
 def associated_parabola(cfg: EquidistantConfig) -> Parabola:
@@ -167,14 +149,14 @@ def _index_sums(count: int):
         yield sigma, range(max(1, sigma - count), (sigma - 1) // 2 + 1)
 
 
-def verify_parallel_chords(poly: EquidistantPolygon) -> VerificationReport:
+def verify_parallel_chords(poly: SimsonPolygonFrame) -> VerificationReport:
     """Chord family structure of the parabola vertices V_1..V_{n-1}.
 
     Three families of checks, all on numeric vertex data:
 
     * equal-sum chords V_i V_j (i + j fixed) are mutually parallel,
     * for even j - i the chord is parallel to the tangent of C at the
-      middle vertex V_{(i+j)/2},
+      middle vertex V_{(i+j)/2}, with s the height of the Simson point,
     * the midpoints of every equal-sum family line up orthogonally to L
       (equal x), the middle vertex included when the family has one.
 
@@ -184,10 +166,10 @@ def verify_parallel_chords(poly: EquidistantPolygon) -> VerificationReport:
     """
     report = VerificationReport()
     limit, angle_limit = report.set_limits(poly.scale())
-    xs = [v.x for v in poly.chain]
-    ys = [v.y for v in poly.chain]
+    xs = [v.x for v in poly.vertices[:-1]]
+    ys = [v.y for v in poly.vertices[:-1]]
     m = len(xs)
-    two_s = 2.0 * poly.config.s
+    two_s = 2.0 * poly.simson_point.y
     atan2, frexp, ldexp = math.atan2, math.frexp, math.ldexp
     par_idx, par_res = [], []
     mid_idx, mid_res = [], []
@@ -408,16 +390,16 @@ def frame_from_certificate(poly: Polygon,
         simson_point=Point(0.0, h))
 
 
-def equidistant_from_frame(fp: SimsonPolygonFrame) -> EquidistantPolygon:
-    """Recognize frame data as an equidistant polygon.
+def equidistant_from_frame(fp: SimsonPolygonFrame) -> SimsonPolygonFrame:
+    """Recognize frame data as an equidistant polygon, in the same frame.
 
     Requires the feet to march monotonically along the line with equal
-    spacing (up to tolerance).  The labels are first rotated to start
-    after the longest step between cyclically adjacent feet, which is
-    the one step against the march when the polygon is listed from
-    another vertex or in reverse.  A descending march is then mirrored,
-    which is another rigid motion of the frame.  Raises InvalidConfig
-    otherwise.
+    spacing (up to tolerance), and S off the line.  The labels are first
+    rotated to start after the longest step between cyclically adjacent
+    feet, which is the one step against the march when the polygon is
+    listed from another vertex or in reverse.  A descending march is
+    then mirrored, which is another rigid motion of the frame.  Raises
+    InvalidConfig otherwise.
     """
     xs = [f.x for f in fp.projections]
     k = max(range(len(xs)), key=lambda i: abs(xs[i] - xs[i - 1]))
@@ -429,13 +411,13 @@ def equidistant_from_frame(fp: SimsonPolygonFrame) -> EquidistantPolygon:
         feet = tuple(Point(-f.x, f.y) for f in feet)
         xs = [-x for x in xs]
     gaps = [b - a for a, b in zip(xs, xs[1:])]
-    scale = fp.scale()
     if min(gaps) <= 0.0:
         raise InvalidConfig("feet do not march monotonically along the line")
     delta = math.fsum(gaps) / len(gaps)
-    if max(abs(g - delta) for g in gaps) > bound(scale):
+    # A gap past the float range makes delta inf and its deviation nan.
+    limit = bound(fp.scale())
+    if not all(abs(g - delta) <= limit for g in gaps):
         raise InvalidConfig("feet are not equally spaced")
-    cfg = EquidistantConfig(s=fp.simson_point.y, x0=xs[0], delta=delta,
-                            n=len(xs))
-    return EquidistantPolygon(vertices=vertices, projections=feet,
-                              simson_point=fp.simson_point, config=cfg)
+    require_height(fp.simson_point.y)
+    return SimsonPolygonFrame(vertices=vertices, projections=feet,
+                              simson_point=fp.simson_point)

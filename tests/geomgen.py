@@ -1,5 +1,6 @@
-"""Random geometry generators, rigid motions, an in-process ``verify``
-and closed-form oracles shared across test modules.
+"""Random geometry generators, rigid motions, an in-process ``verify``,
+the environment of a subprocess, and closed-form oracles shared across
+test modules.
 
 Every generator takes an explicit numpy Generator so tests stay
 reproducible; the rejection loops enforce conditioning margins (angle
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import tempfile
 from contextlib import redirect_stderr
 from io import StringIO
@@ -164,6 +166,17 @@ def verify_in_process(vertices, *flags):
             code = main(["verify", "--in", str(scene), "--out", str(out),
                          *flags])
         return code, json.loads(out.read_text()) if out.exists() else None
+
+
+def src_env():
+    """Environment for a subprocess that runs this tree's package: ``src``
+    first on PYTHONPATH, then the inherited PYTHONPATH.  PYTHONUNBUFFERED
+    is dropped, so a piped stdout is block-buffered, as it is on CI, and
+    output that no flush sends is lost."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return dict(env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def regular_polygon(n, radius=1.0, phase=math.pi / 2.0):

@@ -21,9 +21,9 @@ from simsonpoly.kernel import (
 
 
 def scalar_parallel_chords(poly):
-    chain = poly.chain
+    chain = poly.vertices[:-1]
     m = len(chain)
-    s = poly.config.s
+    s = poly.simson_point.y
     groups = {}
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):

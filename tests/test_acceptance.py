@@ -16,7 +16,7 @@ from geomgen import random_convex_polygon, random_equidistant_config, \
     random_quadrilateral, triangle_circles
 from judged import max_residual
 from simsonpoly.approx import ApproxProblem, optimal_knots, quadrature_l1
-from simsonpoly.equidistant import EquidistantConfig, EquidistantPolygon, \
+from simsonpoly.equidistant import EquidistantConfig, SimsonPolygonFrame, \
     associated_parabola, make_equidistant, verify_archimedes, \
     verify_isogonal, verify_lambert, verify_optical, verify_parallel_chords
 from simsonpoly.kernel import Line, Point, best_fit_line, bound, line_through
@@ -50,7 +50,7 @@ def test_criterion_1_chain_on_parabola():
         for _ in range(100):
             cfg = _random_config(rng)
             par = associated_parabola(cfg)
-            for v in make_equidistant(cfg).chain:
+            for v in make_equidistant(cfg).vertices[:-1]:
                 assert abs(v.y - par.y_at(v.x)) <= 1e-9 * (1.0 + abs(v.y))
         assert time.perf_counter() - t0 < 1.0
 
@@ -66,7 +66,7 @@ def test_criterion_2_parabola_ignores_foot_origin():
                                           delta=cfg.delta, n=cfg.n)
                 other = associated_parabola(moved)
                 assert (other.s, other.c) == (par.s, par.c)
-                for v in make_equidistant(moved).chain:
+                for v in make_equidistant(moved).vertices[:-1]:
                     assert abs(v.y - par.y_at(v.x)) <= 1e-9 * (1.0 + abs(v.y))
 
 
@@ -151,10 +151,9 @@ def test_criterion_7_verifier_suite_with_negative_controls():
             verts = list(poly.vertices)
             v = verts[1]
             verts[1] = Point(v.x + 1e-3, v.y - 1e-3)
-            bad = EquidistantPolygon(vertices=tuple(verts),
+            bad = SimsonPolygonFrame(vertices=tuple(verts),
                                      projections=poly.projections,
-                                     simson_point=poly.simson_point,
-                                     config=poly.config)
+                                     simson_point=poly.simson_point)
             assert not verify_parallel_chords(bad).overall
             assert not verify_isogonal(bad).overall
             assert not verify_optical(bad).overall

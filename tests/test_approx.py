@@ -346,7 +346,7 @@ def test_knot_points_lie_on_equidistant_chain():
         h = (b - a) / n
         cfg = EquidistantConfig(s=s, x0=a / 2.0 - h / 4.0, delta=h / 2.0,
                                 n=n + 2)
-        chain = make_equidistant(cfg).chain
+        chain = make_equidistant(cfg).vertices[:-1]
         assert len(chain) == n + 1
         for (x, y), v in zip(res.knot_points, chain):
             assert x == pytest.approx(v.x, abs=1e-12)

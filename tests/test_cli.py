@@ -14,7 +14,8 @@ from types import SimpleNamespace
 import pytest
 
 import simsonpoly
-from geomgen import OCTAGON_SCALES, moved_equidistant, regular_polygon
+from geomgen import OCTAGON_SCALES, moved_equidistant, regular_polygon, \
+    src_env
 from judged import ANGLE_FAMILIES, LENGTH_FAMILIES, rule_limit
 from simsonpoly import EquidistantConfig, Point, Polygon, make_equidistant
 from simsonpoly.cli import COMMANDS, _observed, _perturbed, main
@@ -280,16 +281,13 @@ def test_verify_negative_control_is_the_same_in_every_process(tmp_path):
     # The noise must not depend on anything a fresh interpreter varies,
     # such as its string hash seed.
     path = octagon_scene(tmp_path)
-    src = str(Path(__file__).resolve().parents[1] / "src")
 
     def control(seed, hash_seed):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "simsonpoly", "verify", "--in", str(path),
-             "--negative-control", "--seed", seed],
-            capture_output=True, text=True, env=env, timeout=120)
+             "--negative-control", "--seed", seed], capture_output=True,
+            text=True, env=dict(src_env(), PYTHONHASHSEED=hash_seed),
+            timeout=120)
         assert (proc.returncode, proc.stderr) == (4, "")
         return proc.stdout
 
@@ -1555,11 +1553,8 @@ def test_readme_tolerance_table_names_the_judged_families(capsys,
 
 
 def test_module_entry_point():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "simsonpoly", *OCT_ARGS],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema_version"] == "1"
 
@@ -1573,15 +1568,12 @@ def test_closed_stdout_exits_2(argv):
     # The reader of stdout is gone before anything is written: the CLI
     # names the failure in one line and exits 2, the code of an
     # unwritable --out, without a traceback at exit either.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run([sys.executable, "-m", "simsonpoly", *argv],
                               stdout=write_end, stderr=subprocess.PIPE,
-                              text=True, env=env, timeout=120)
+                              text=True, env=src_env(), timeout=120)
     finally:
         os.close(write_end)
     assert proc.returncode == 2
@@ -1603,7 +1595,7 @@ def test_failed_write_exits_2_with_one_line(argv, target):
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "simsonpoly", *argv],
                               stdout=full, stderr=subprocess.PIPE, text=True,
-                              env=_src_env(), timeout=120)
+                              env=src_env(), timeout=120)
     assert proc.returncode == 2
     assert proc.stderr == (f"error: cannot write {target}: "
                            f"{os.strerror(errno.ENOSPC)}\n")
@@ -1620,7 +1612,7 @@ def test_help_into_closed_stdout_exits_0(argv):
     try:
         proc = subprocess.run([sys.executable, "-m", "simsonpoly", *argv],
                               stdout=write_end, stderr=subprocess.PIPE,
-                              text=True, env=_src_env(), timeout=120)
+                              text=True, env=src_env(), timeout=120)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, "")
@@ -1647,15 +1639,6 @@ runpy.run_module("simsonpoly", run_name="__main__", alter_sys=True)
 """
 
 
-def _src_env():
-    # Without PYTHONUNBUFFERED a piped stdout is block-buffered, so output
-    # that no flush sends is lost.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    return dict(env, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
 @pytest.mark.parametrize("setup, teardown", [
     ("", False),
     # A tracer (coverage, ``python -m trace``) or a profiler takes the
@@ -1673,7 +1656,7 @@ def _src_env():
 def test_process_skips_teardown_unless_traced(argv, code, setup, teardown):
     script = EXIT_PROBE.format(setup=setup, argv=argv)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=_src_env(), timeout=120)
+                          text=True, env=src_env(), timeout=120)
     assert proc.returncode == code, proc.stderr
     expected = "atexit hook\n" + ("teardown\n" if teardown else "")
     assert proc.stdout == expected
@@ -1693,10 +1676,10 @@ def test_piped_stdout_equals_out_file(tmp_path, argv):
     argv = [a.format(scene=scene) for a in argv]
     out = tmp_path / "out.json"
     cmd = [sys.executable, "-m", "simsonpoly", *argv]
-    piped = subprocess.run(cmd, capture_output=True, env=_src_env(),
+    piped = subprocess.run(cmd, capture_output=True, env=src_env(),
                            timeout=120)
     filed = subprocess.run([*cmd, "--out", str(out)], capture_output=True,
-                           env=_src_env(), timeout=120)
+                           env=src_env(), timeout=120)
     assert piped.returncode == filed.returncode == 0, piped.stderr
     assert filed.stdout == b""
     assert piped.stdout == out.read_bytes()
@@ -1722,7 +1705,7 @@ def test_profiler_still_prints_its_table():
     proc = subprocess.run(
         [sys.executable, "-m", "cProfile", "-m", "simsonpoly", *LIMIT,
          "--quiet"],
-        capture_output=True, text=True, env=_src_env(), timeout=120)
+        capture_output=True, text=True, env=src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "function calls" in proc.stdout
     assert "Ordered by" in proc.stdout
@@ -1765,7 +1748,7 @@ def test_console_script_entry_point(capsys, argv, code):
     wrapper = EXIT_PROBE.split("{setup}")[0] + (
         f"from {module} import {func}\nsys.exit({func}())\n")
     proc = subprocess.run([sys.executable, "-c", wrapper, *argv],
-                          capture_output=True, text=True, env=_src_env(),
+                          capture_output=True, text=True, env=src_env(),
                           timeout=120)
     assert (main(argv), proc.returncode) == (code, code)
     out, err = capsys.readouterr()

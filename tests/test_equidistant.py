@@ -9,7 +9,6 @@ from geomgen import chord_slope, foot_line, lines_equal_tight, \
     moved_equidistant, random_equidistant_config, w_point, xy
 from simsonpoly.equidistant import (
     EquidistantConfig,
-    EquidistantPolygon,
     IndexOutOfRange,
     InvalidConfig,
     Parabola,
@@ -32,7 +31,8 @@ from simsonpoly.report import VerificationReport
 from simsonpoly.simson import Polygon, construct_simson_polygon, \
     find_simson_point, is_simson_point
 
-OCT = make_equidistant(EquidistantConfig(s=1, x0=0, delta=1, n=8))
+OCT_CFG = EquidistantConfig(s=1, x0=0, delta=1, n=8)
+OCT = make_equidistant(OCT_CFG)
 
 
 # -------------------------------------------------------------------- config
@@ -57,7 +57,7 @@ def test_foot_abscissae():
 
 def test_octagon_leading_vertices():
     want = [(1, 0), (3, 2), (5, 6), (7, 12), (9, 20), (11, 30), (13, 42)]
-    for v, w in zip(OCT.chain, want):
+    for v, w in zip(OCT.vertices[:-1], want):
         assert xy(v) == pytest.approx(w)
 
 
@@ -117,7 +117,7 @@ def test_vertices_are_the_plain_formula_wherever_it_stays_normal():
                         for _ in range(3))
         cfg = EquidistantConfig(s, x0, abs(delta), int(rng.integers(3, 18)))
         try:
-            chain = make_equidistant(cfg).chain
+            chain = make_equidistant(cfg).vertices[:-1]
         except NonFinite:
             continue
         for i, v in enumerate(chain, 1):
@@ -151,25 +151,25 @@ def test_vertices_match_perpendicular_construction():
 
 
 def test_foot_line_is_tangent_to_midpoint_parabola():
-    cfg = OCT.config
     polygon = OCT.polygon()
-    for i in range(1, cfg.n + 1):
+    for i in range(1, OCT_CFG.n + 1):
         # Side V_{i-1} V_i, 0-based side i - 2, carries the foot X_i.
         line = polygon.side_line(i - 2)
-        assert lines_equal_tight(line, foot_line(cfg, i))
-        x = cfg.foot_abscissa(i)
+        assert lines_equal_tight(line, foot_line(OCT_CFG, i))
+        x = OCT_CFG.foot_abscissa(i)
         assert line.distance(Point(x, 0.0)) < 1e-12
         # tangency point of the side line on C'
-        assert abs(line.signed_distance(Point(2 * x, x * x / cfg.s))) < 1e-12
+        assert abs(line.signed_distance(Point(2 * x, x * x / OCT_CFG.s))) \
+            < 1e-12
 
 
 # ------------------------------------------------------------------ parabolas
 
 def test_associated_parabola_carries_chain():
-    par = associated_parabola(OCT.config)
+    par = associated_parabola(OCT_CFG)
     assert par.c == pytest.approx(1.0)
     assert par.y_at(3.0) == pytest.approx(2.0)
-    for v in OCT.chain:
+    for v in OCT.vertices[:-1]:
         assert abs(v.y - par.y_at(v.x)) < 1e-12
 
 
@@ -178,12 +178,12 @@ def test_associated_parabola_ignores_x0():
     b = associated_parabola(EquidistantConfig(s=1, x0=5, delta=1, n=8))
     assert (a.s, a.c) == (b.s, b.c)
     shifted = make_equidistant(EquidistantConfig(s=1, x0=5, delta=1, n=8))
-    for v in shifted.chain:
+    for v in shifted.vertices[:-1]:
         assert abs(v.y - a.y_at(v.x)) < 1e-9
 
 
 def test_midpoint_parabola_and_tangency():
-    par = midpoint_parabola(OCT.config)
+    par = midpoint_parabola(OCT_CFG)
     m1 = OCT.vertices[0].midpoint(OCT.vertices[1])
     assert xy(m1) == pytest.approx((2.0, 1.0))
     assert par.y_at(2.0) == pytest.approx(1.0)
@@ -221,20 +221,18 @@ def test_delta_to_zero_limit_is_midpoint_parabola():
 # -------------------------------------------------------------- chords and W
 
 def test_chord_slope_examples():
-    cfg = OCT.config
-    assert chord_slope(cfg, 1, 2) == pytest.approx(1.0)
-    assert chord_slope(cfg, 1, 6) == pytest.approx(3.0)
-    assert chord_slope(cfg, 2, 5) == pytest.approx(3.0)
-    assert chord_slope(cfg, 3, 4) == pytest.approx(3.0)
+    assert chord_slope(OCT_CFG, 1, 2) == pytest.approx(1.0)
+    assert chord_slope(OCT_CFG, 1, 6) == pytest.approx(3.0)
+    assert chord_slope(OCT_CFG, 2, 5) == pytest.approx(3.0)
+    assert chord_slope(OCT_CFG, 3, 4) == pytest.approx(3.0)
 
 
 def test_chord_slope_matches_numeric_slope():
-    cfg = OCT.config
     for i in range(1, 7):
         for j in range(i + 1, 8):
-            vi, vj = OCT.chain[i - 1], OCT.chain[j - 1]
+            vi, vj = OCT.vertices[i - 1], OCT.vertices[j - 1]
             num = (vj.y - vi.y) / (vj.x - vi.x)
-            assert chord_slope(cfg, i, j) == pytest.approx(num)
+            assert chord_slope(OCT_CFG, i, j) == pytest.approx(num)
 
 
 def test_chord_slope_depends_only_on_index_sum():
@@ -246,43 +244,41 @@ def test_chord_slope_depends_only_on_index_sum():
 
 def test_chord_slope_index_errors():
     with pytest.raises(IndexOutOfRange):
-        chord_slope(OCT.config, 2, 2)
+        chord_slope(OCT_CFG, 2, 2)
     with pytest.raises(IndexOutOfRange):
-        chord_slope(OCT.config, 1, 8)  # V_8 not on the chain
+        chord_slope(OCT_CFG, 1, 8)  # V_8 not on the chain
 
 
 def test_w_point_example():
-    assert xy(w_point(OCT.config, 1, 3)) == pytest.approx((4.0, 3.0))
+    assert xy(w_point(OCT_CFG, 1, 3)) == pytest.approx((4.0, 3.0))
 
 
 def test_w_point_of_consecutive_sides_is_vertex():
     for i in range(1, 6):
-        assert w_point(OCT.config, i, i + 1).distance(OCT.vertices[i]) < 1e-12
+        assert w_point(OCT_CFG, i, i + 1).distance(OCT.vertices[i]) < 1e-12
 
 
 def test_w_point_matches_side_line_intersection():
-    cfg = OCT.config
     for i, j in [(1, 3), (2, 5), (1, 6), (4, 6)]:
         li = line_through(OCT.vertices[i - 1], OCT.vertices[i])
         lj = line_through(OCT.vertices[j - 1], OCT.vertices[j])
         from simsonpoly.kernel import line_intersection
         got = line_intersection(li, lj)
-        assert w_point(cfg, i, j).distance(got) < 1e-9
+        assert w_point(OCT_CFG, i, j).distance(got) < 1e-9
 
 
 def test_w_point_aligns_with_chord_midpoint():
-    cfg = OCT.config
     for i, j in [(1, 3), (2, 4), (1, 5)]:
-        w = w_point(cfg, i, j)
-        m = OCT.chain[i - 1].midpoint(OCT.chain[j])   # midpoint of V_i V_{j+1}
+        w = w_point(OCT_CFG, i, j)
+        m = OCT.vertices[i - 1].midpoint(OCT.vertices[j])   # of V_i V_{j+1}
         assert w.x == pytest.approx(m.x)
 
 
 def test_w_point_index_errors():
     with pytest.raises(IndexOutOfRange):
-        w_point(OCT.config, 1, 1)
+        w_point(OCT_CFG, 1, 1)
     with pytest.raises(IndexOutOfRange):
-        w_point(OCT.config, 1, 7)
+        w_point(OCT_CFG, 1, 7)
 
 
 # ------------------------------------------------------------------ verifiers
@@ -291,10 +287,9 @@ def _perturbed(poly, eps=1e-3, which=1):
     verts = list(poly.vertices)
     v = verts[which]
     verts[which] = Point(v.x + eps, v.y - eps)
-    return EquidistantPolygon(vertices=tuple(verts),
+    return SimsonPolygonFrame(vertices=tuple(verts),
                               projections=poly.projections,
-                              simson_point=poly.simson_point,
-                              config=poly.config)
+                              simson_point=poly.simson_point)
 
 
 def _family(report, name):
@@ -379,11 +374,25 @@ def test_optical_passes_on_octagon(judged):
 
 
 def test_optical_fails_when_focus_moves():
-    moved = EquidistantPolygon(vertices=OCT.vertices,
+    moved = SimsonPolygonFrame(vertices=OCT.vertices,
                                projections=OCT.projections,
-                               simson_point=Point(0.0, 1.1),
-                               config=OCT.config)
+                               simson_point=Point(0.0, 1.1))
     assert not verify_optical(moved).overall
+
+
+def test_chord_tangent_fails_when_focus_moves():
+    # chord-tangent reads s as the Simson point's height: moving S to
+    # (0, 1.1) fails it, and the two families that do not read s pass.
+    octagon = make_equidistant(EquidistantConfig(1.0, -3.5, 1.0, 8))
+    moved = SimsonPolygonFrame(vertices=octagon.vertices,
+                               projections=octagon.projections,
+                               simson_point=Point(0.0, 1.1))
+    report = verify_parallel_chords(moved)
+    assert {c.name: c.passed for c in report.checks} == {
+        "parallel-chords": True, "chord-tangent": False,
+        "midpoints-aligned": True}
+    tangent = _family(report, "chord-tangent")
+    assert tangent.residual > 1e6 * tangent.limit
 
 
 def test_archimedes_alignment_example(judged):
@@ -397,9 +406,8 @@ def test_archimedes_alignment_example(judged):
 
 def test_archimedes_family_shares_coordinate(judged):
     # W_{1,4} and W_{2,3} both sit at x = 2*x0 + 5*delta = 5
-    cfg = OCT.config
-    assert w_point(cfg, 1, 4).x == pytest.approx(5.0)
-    assert w_point(cfg, 2, 3).x == pytest.approx(5.0)
+    assert w_point(OCT_CFG, 1, 4).x == pytest.approx(5.0)
+    assert w_point(OCT_CFG, 2, 3).x == pytest.approx(5.0)
     report = verify_archimedes(OCT)
     family = _family(report, "archimedes-family")
     fam = [r for idx, r in judged.rows(report)[family.name] if idx == (5,)]
@@ -483,10 +491,9 @@ def test_lambert_on_general_simson_polygon():
 
 
 def test_lambert_fails_off_simson_point():
-    moved = EquidistantPolygon(vertices=OCT.vertices,
+    moved = SimsonPolygonFrame(vertices=OCT.vertices,
                                projections=OCT.projections,
-                               simson_point=Point(0.01, 1.0),
-                               config=OCT.config)
+                               simson_point=Point(0.01, 1.0))
     assert not verify_lambert(moved, 1, 2, 3).overall
 
 
@@ -586,7 +593,7 @@ def test_chain_is_sandwiched_between_parabolas():
     poly = make_equidistant(cfg)
     lower = associated_parabola(cfg)
     upper = midpoint_parabola(cfg)
-    chain = poly.chain
+    chain = poly.vertices[:-1]
     cap = cfg.delta ** 2 / (4.0 * cfg.s)
     for k in range(len(chain) - 1):
         v1, v2 = chain[k], chain[k + 1]
@@ -640,8 +647,10 @@ def test_frame_recognition_round_trip():
         assert cert is not None
         frame = frame_from_certificate(poly.polygon(), cert)
         eq = equidistant_from_frame(frame)
-        assert eq.config.delta == pytest.approx(cfg.delta, rel=1e-9)
-        assert abs(eq.config.s) == pytest.approx(abs(cfg.s), rel=1e-9)
+        xs = [f.x for f in eq.projections]
+        for gap in (b - a for a, b in zip(xs, xs[1:])):
+            assert gap == pytest.approx(cfg.delta, rel=1e-9)
+        assert abs(eq.simson_point.y) == pytest.approx(abs(cfg.s), rel=1e-9)
 
 
 def test_mean_gap_is_fmean_bitwise():
@@ -660,8 +669,15 @@ def test_mean_gap_is_fmean_bitwise():
         if xs[-1] < xs[0]:
             xs = [-x for x in xs]
         gaps = [b - a for a, b in zip(xs, xs[1:])]
-        assert equidistant_from_frame(frame).config.delta == \
-            statistics.fmean(gaps)
+        eq_xs = [f.x for f in equidistant_from_frame(frame).projections]
+        eq_gaps = [b - a for a, b in zip(eq_xs, eq_xs[1:])]
+        assert math.fsum(eq_gaps) / len(eq_gaps) == statistics.fmean(gaps)
+
+
+def test_frame_recognition_rejects_s_on_the_line():
+    on_line = SimsonPolygonFrame(OCT.vertices, OCT.projections, Point(0, 0))
+    with pytest.raises(InvalidConfig, match="^s must be nonzero and finite"):
+        equidistant_from_frame(on_line)
 
 
 def test_frame_recognition_rejects_uneven_feet():
@@ -671,3 +687,6 @@ def test_frame_recognition_rejects_uneven_feet():
     frame = frame_from_certificate(poly, cert)
     with pytest.raises(InvalidConfig):
         equidistant_from_frame(frame)
+    feet = [Point(x, 0.0) for x in (-1.7e308, 1.7e308, 1.75e308)]
+    with pytest.raises(InvalidConfig, match="^feet are not equally spaced$"):
+        equidistant_from_frame(SimsonPolygonFrame(feet, feet, Point(0, 1)))

@@ -100,7 +100,7 @@ def test_chain_is_bitwise_the_equidistant_chain(w):
             s = sign * float(rng.uniform(0.05, 20.0))
             cfg = EquidistantConfig(s, 0.5 * (-w - 0.5 * d), 0.5 * d,
                                     round(2.0 * w / d) + 2)
-            want = make_equidistant(cfg).chain
+            want = make_equidistant(cfg).vertices[:-1]
             got = chain_for_window(s, w, d)
             assert [(p.x.hex(), p.y.hex()) for p in got] == \
                 [(p.x.hex(), p.y.hex()) for p in want], (s, w, m)

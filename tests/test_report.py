@@ -3,7 +3,6 @@ benchmark's output checks read from a `verify` report."""
 
 import importlib.util
 import math
-import os
 import struct
 import subprocess
 import sys
@@ -15,8 +14,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from geomgen import moved_equidistant, rigid_motion, sweep_config, \
-    verify_in_process
+from geomgen import moved_equidistant, rigid_motion, src_env, \
+    sweep_config, verify_in_process
 from simsonpoly import EquidistantConfig, make_equidistant
 from simsonpoly import equidistant
 from simsonpoly import cli
@@ -354,11 +353,10 @@ def _verify_maxrss(tmp_path, n):
     """Peak RSS, in KiB, of a `verify` process on a moved n-gon."""
     path = _scene(tmp_path, moved_equidistant(
         EquidistantConfig(s=10.0, x0=-3.0, delta=0.5, n=n)))
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", LAUNCH, sys.executable, "-m", "simsonpoly",
          "verify", "--in", str(path), "--out", str(tmp_path / "report.json")],
-        env=env, capture_output=True, text=True, timeout=60, check=True)
+        env=src_env(), capture_output=True, text=True, timeout=60, check=True)
     code, maxrss = map(int, proc.stdout.split())
     assert code == 0
     return maxrss

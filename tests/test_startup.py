@@ -21,7 +21,6 @@ no module of the package imports it.
 """
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +28,7 @@ from pathlib import Path
 import pytest
 
 import simsonpoly
+from geomgen import src_env
 from simsonpoly.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -65,11 +65,6 @@ def _argv(argv, octagon, svg):
     return [a.format(octagon=octagon, svg=svg) for a in argv]
 
 
-def _subprocess_env():
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-
-
 @pytest.fixture(scope="module")
 def octagon(tmp_path_factory):
     path = tmp_path_factory.mktemp("scene") / "octagon.json"
@@ -88,7 +83,7 @@ def test_request_imports_only_its_layers(tmp_path, octagon, argv, code,
         proc = subprocess.run(
             [sys.executable, *site, "-X", "importtime", "-m", "simsonpoly",
              *argv],
-            capture_output=True, text=True, env=_subprocess_env(),
+            capture_output=True, text=True, env=src_env(),
             timeout=120)
         # "import time: <self us> | <cumulative us> | <indented name>"
         imported = {line.rsplit("|", 1)[1].strip()
@@ -115,7 +110,7 @@ def test_only_numeric_requests_load_numpy(tmp_path):
         + [f"print(main({_argv(argv, octagon, svg)!r}), "
            "'numpy' in sys.modules)" for argv, _, _ in REQUESTS])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=_subprocess_env(), timeout=120)
+                          text=True, env=src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == [
         f"{code} False" for _, code, _ in REQUESTS] + [""]
@@ -145,7 +140,7 @@ square = Polygon((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))
 print(flat.is_nondegenerate(), square.is_nondegenerate(), "numpy" in sys.modules)
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=_subprocess_env(), timeout=120)
+                          text=True, env=src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False True False\n"
 
@@ -192,7 +187,7 @@ from simsonpoly import approx, limits
 print(approx.__name__, limits.__name__)
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=_subprocess_env(), timeout=120)
+                          text=True, env=src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ("['simsonpoly']\n"
                            "simsonpoly.approx simsonpoly.limits\n")

@@ -31,9 +31,7 @@ from scalar_verifiers import scalar_archimedes, scalar_isogonal, \
     scalar_lambert, scalar_optical, scalar_parallel_chords
 from simsonpoly.equidistant import (
     EquidistantConfig,
-    EquidistantPolygon,
     SimsonPolygonFrame,
-    associated_parabola,
     frame_from_certificate,
     make_equidistant,
     verify_archimedes,
@@ -66,10 +64,10 @@ def _spread(coords):
 
 
 def oracle_parallel_chords(poly):
-    chain = poly.chain
+    chain = poly.vertices[:-1]
     m = len(chain)
     L = poly.simson_line
-    s = associated_parabola(poly.config).s
+    s = poly.simson_point.y
     groups = {}
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
@@ -179,9 +177,8 @@ def _families_judged(rows):
 def _jittered(poly, rng, eps=1e-3):
     verts = tuple(Point(v.x + dx, v.y + dy) for v, (dx, dy)
                   in zip(poly.vertices, rng.uniform(-eps, eps, (poly.n, 2))))
-    return EquidistantPolygon(vertices=verts, projections=poly.projections,
-                              simson_point=poly.simson_point,
-                              config=poly.config)
+    return SimsonPolygonFrame(vertices=verts, projections=poly.projections,
+                              simson_point=poly.simson_point)
 
 
 def _general_frame(rng):
