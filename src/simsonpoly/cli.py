@@ -163,12 +163,11 @@ def _run_checks(poly: Polygon, checks: list[str],
                 triple: tuple[int, int, int]) -> VerificationReport:
     """The report of checks, as ``_parse_checks`` lists them, on poly."""
     from .report import CheckResult, VerificationReport
-    from .simson import characterization_defect, find_simson_point
+    from .simson import _search
 
     report = VerificationReport()
-    cert = find_simson_point(poly)
+    _, centred, cert, defect = _search(poly)
     if cert is None:
-        defect = characterization_defect(poly)
         for name in checks:
             report.add(CheckResult(
                 name, (), defect, False,
@@ -182,7 +181,7 @@ def _run_checks(poly: Polygon, checks: list[str],
 
     if "simson" in checks:
         report.add(CheckResult("simson", (), cert.residual, True))
-    frame = frame_from_certificate(poly, cert)
+    frame = frame_from_certificate(centred, cert)
     report.set_limits(frame.scale())
     if "isogonal" in checks:
         report.extend(verify_isogonal(frame))
@@ -233,7 +232,7 @@ def cmd_verify(args) -> tuple[str, None, int]:
     if args.negative_control:
         poly = _perturbed(poly, args.perturb, args.seed)
     report = _run_checks(poly, checks, triple)
-    return (json.dumps(report.to_dict(), indent=2), None,
+    return (json.dumps(report.to_dict(), indent=2, allow_nan=False), None,
             EXIT_OK if report.overall else EXIT_VERIFY)
 
 

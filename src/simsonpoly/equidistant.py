@@ -367,10 +367,13 @@ def frame_from_certificate(poly: Polygon,
     the line's canonical direction and d' = (-d.y, d.x), p maps to
     (d.(p - S), h + d'.(p - S)), where h is S's signed height over the
     line along d'.  Only h is computed from input coordinates; the
-    rotation acts on differences from S, so it adds no rounding in
-    proportion to where the polygon sits.  The certificate's pedals are
-    in side order; the frame labeling wants projections[i] on the side
-    line through V_{i-1} V_i: the same sequence rotated right by one.
+    rotation acts on differences from S, so it is the same map in any
+    translated coordinates.  verify passes the search's polygon and
+    certificate, which are centred on the polygon's bounding box, so no
+    rounding at the size of that centre enters.  The certificate's
+    pedals are in side order; the frame labeling wants projections[i]
+    on the side line through V_{i-1} V_i: the same sequence rotated
+    right by one.
     """
     line, s = cert.simson_line, cert.simson_point
     d = line.direction()
@@ -406,14 +409,18 @@ def equidistant_from_frame(fp: SimsonPolygonFrame) -> SimsonPolygonFrame:
     vertices = fp.vertices[k:] + fp.vertices[:k]
     feet = fp.projections[k:] + fp.projections[:k]
     xs = xs[k:] + xs[:k]
-    if len(xs) >= 2 and xs[-1] < xs[0]:
+    if xs[-1] < xs[0]:
         vertices = tuple(Point(-v.x, v.y) for v in vertices)
         feet = tuple(Point(-f.x, f.y) for f in feet)
         xs = [-x for x in xs]
     gaps = [b - a for a, b in zip(xs, xs[1:])]
     if min(gaps) <= 0.0:
         raise InvalidConfig("feet do not march monotonically along the line")
-    delta = math.fsum(gaps) / len(gaps)
+    try:
+        delta = math.fsum(gaps) / len(gaps)
+    except OverflowError:
+        # Finite gaps whose sum does not fit.
+        raise InvalidConfig("foot spacing leaves the float range") from None
     # A gap past the float range makes delta inf and its deviation nan.
     limit = bound(fp.scale())
     if not all(abs(g - delta) <= limit for g in gaps):

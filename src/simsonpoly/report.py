@@ -7,6 +7,12 @@ import math
 from .kernel import REL_EPS, Frozen, bound
 
 
+def _json_number(x: float) -> float | None:
+    """x, or None (JSON null) when x is not finite: strict JSON has no
+    Infinity or NaN."""
+    return x if math.isfinite(x) else None
+
+
 class CheckResult(Frozen):
     """Outcome of one check family: every instance of a property.
 
@@ -31,13 +37,13 @@ class CheckResult(Frozen):
         d = {
             "name": self.name,
             "indices": list(self.indices),
-            "residual": self.residual,
+            "residual": _json_number(self.residual),
             "pass": self.passed,
             "count": self.count,
         }
         if self.limit is not None:
             d["limit"] = self.limit
-            d["margin"] = self.limit - self.residual
+            d["margin"] = _json_number(self.limit - self.residual)
         if self.note:
             d["note"] = self.note
         return d

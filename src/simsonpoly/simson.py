@@ -282,16 +282,18 @@ def characterization_candidate(poly: Polygon,
     return None
 
 
-def _search(poly: Polygon) -> tuple[SimsonCertificate | None, float]:
-    """Certificate of the one candidate if it passes both tests, else None,
-    and the candidate's worst element distance (inf with no candidate).
+def _search(poly: Polygon) -> tuple[Point, Polygon,
+                                   SimsonCertificate | None, float]:
+    """Search about the polygon's bounding-box centre o, where side
+    offsets and circle centres do not cancel.
 
-    The search runs on the polygon moved so that its bounding-box centre
-    o is the origin, where side offsets and circle centres do not
-    cancel, and a certificate is moved back by o.  A circle's distance
-    carries rounding in proportion to its radius, so circle element i
-    is judged at ``bound(max(diameter, |cand|, r_i))`` and a line
-    element at ``bound(max(diameter, |cand|))``.
+    Returns o, the polygon moved by -o, the certificate of the one
+    candidate there if it passes both tests (else None), and the
+    candidate's worst element distance (inf with no candidate); verify
+    builds its frame from the moved polygon and that certificate.  A
+    circle's distance carries rounding in proportion to its radius, so
+    circle element i is judged at ``bound(max(diameter, |cand|, r_i))``
+    and a line element at ``bound(max(diameter, |cand|))``.
     """
     xs = [v.x for v in poly.vertices]
     ys = [v.y for v in poly.vertices]
@@ -301,21 +303,14 @@ def _search(poly: Polygon) -> tuple[SimsonCertificate | None, float]:
     elements = characterization_circles(centred)
     cand = characterization_candidate(centred, elements)
     if cand is None:
-        return None, math.inf
+        return o, centred, None, math.inf
     scale = max(centred.diameter(), cand.norm())
     dists = [e.distance(cand) for e in elements]
     worst = max(dists)
     radii = (e.radius if isinstance(e, Circle) else 0.0 for e in elements)
     if any(dist > bound(max(scale, r)) for dist, r in zip(dists, radii)):
-        return None, worst
-    cert = is_simson_point(cand, centred)
-    if cert is None:
-        return None, worst
-    line = cert.simson_line
-    return SimsonCertificate(
-        cert.simson_point + o,
-        Line(line.a, line.b, line.c - (line.a * o.x + line.b * o.y)),
-        tuple(q + o for q in cert.projections), cert.residual), worst
+        return o, centred, None, worst
+    return o, centred, is_simson_point(cand, centred), worst
 
 
 def find_simson_point(poly: Polygon) -> SimsonCertificate | None:
@@ -323,25 +318,30 @@ def find_simson_point(poly: Polygon) -> SimsonCertificate | None:
 
     The one point of characterization_candidate is validated against
     every element and then against the pedal collinearity test itself,
-    once, about the polygon's bounding-box centre (see _search).
-    Returns None when it fails (in particular for parallelograms and for
-    any convex polygon with five or more vertices).  The only degeneracy
-    is that of characterization_circles, an element that cannot be
-    built, as when two adjacent sides lie on one line; other collinear
-    vertices are not.
+    once, about the polygon's bounding-box centre (see _search), and its
+    certificate is moved back.  Returns None when it fails (in
+    particular for parallelograms and for any convex polygon with five
+    or more vertices).  The only degeneracy is that of
+    characterization_circles, an element that cannot be built, as when
+    two adjacent sides lie on one line; other collinear vertices are
+    not.
     """
-    return _search(poly)[0]
+    o, _, cert, _ = _search(poly)
+    if cert is None:
+        return None
+    line = cert.simson_line
+    return SimsonCertificate(
+        cert.simson_point + o,
+        Line(line.a, line.b, line.c - (line.a * o.x + line.b * o.y)),
+        tuple(q + o for q in cert.projections), cert.residual)
 
 
 def characterization_defect(poly: Polygon) -> float:
-    """How far the circle characterization is from being satisfied.
-
-    Zero (up to roundoff) when a Simson point exists.  Otherwise the
-    worst element distance of the one candidate of find_simson_point's
-    search, and inf when there is none (no pair of consecutive elements
-    crosses and element 0 is a line).
-    """
-    return _search(poly)[1]
+    """The worst element distance of find_simson_point's one candidate:
+    zero up to roundoff when a Simson point exists, inf when there is no
+    candidate (no pair of consecutive elements crosses and element 0 is
+    a line)."""
+    return _search(poly)[3]
 
 
 def _first_close_pair(points: Sequence[Point],

@@ -1,6 +1,6 @@
 """Random geometry generators, rigid motions, an in-process ``verify``,
-the environment of a subprocess, and closed-form oracles shared across
-test modules.
+a strict JSON reader, the environment of a subprocess, and closed-form
+oracles shared across test modules.
 
 Every generator takes an explicit numpy Generator so tests stay
 reproducible; the rejection loops enforce conditioning margins (angle
@@ -153,10 +153,21 @@ def moved_equidistant(cfg, theta=0.7, shift=(3.0, -2.0)):
                          for v in make_equidistant(cfg).vertices))
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def strict_json(text):
+    """The JSON document text holds; ValueError if it holds Infinity or
+    NaN, which are not JSON and which parsers such as node's reject."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
 def verify_in_process(vertices, *flags):
     """Exit code of ``verify`` on the polygon, run by ``cli.main`` in this
-    process, and its report, or None if it wrote none.  The files live in
-    a temporary directory, so a Hypothesis test may call it."""
+    process, and its report, read as strict JSON, or None if it wrote
+    none.  The files live in a temporary directory, so a Hypothesis test
+    may call it."""
     with tempfile.TemporaryDirectory() as tmp:
         scene, out = Path(tmp, "scene.json"), Path(tmp, "report.json")
         doc = SceneDocument()
@@ -165,7 +176,7 @@ def verify_in_process(vertices, *flags):
         with redirect_stderr(StringIO()):
             code = main(["verify", "--in", str(scene), "--out", str(out),
                          *flags])
-        return code, json.loads(out.read_text()) if out.exists() else None
+        return code, strict_json(out.read_text()) if out.exists() else None
 
 
 def src_env():

@@ -15,7 +15,7 @@ import pytest
 
 import simsonpoly
 from geomgen import OCTAGON_SCALES, moved_equidistant, regular_polygon, \
-    src_env
+    src_env, strict_json
 from judged import ANGLE_FAMILIES, LENGTH_FAMILIES, rule_limit
 from simsonpoly import EquidistantConfig, Point, Polygon, make_equidistant
 from simsonpoly.cli import COMMANDS, _observed, _perturbed, main
@@ -321,18 +321,11 @@ def test_verify_lists_each_check_once_in_report_order(capsys, tmp_path,
         assert [c["name"] for c in json.loads(out)["checks"]] == names
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="characterization_defect builds the circles again "
-                          "for a miss's residual; perfbench spans both it "
-                          "and find_simson_point, so the one-pass fix waits "
-                          "for ROADMAP items 0 and 1(b)")
-def test_a_verify_miss_builds_the_circles_once(capsys, tmp_path,
-                                               monkeypatch):
+def _circle_builds(capsys, monkeypatch, path, *flags):
+    """verify's exit code on the scene at path, and how many times it
+    built the characterization circles."""
     from simsonpoly.simson import characterization_circles
 
-    path = tmp_path / "octagon.json"
-    assert main(["construct", "--equidistant", "--s", "1", "--x0=-3.5",
-                 "--delta", "1", "--n", "8", "--out", str(path)]) == 0
     calls = []
 
     def counted(poly):
@@ -340,10 +333,25 @@ def test_a_verify_miss_builds_the_circles_once(capsys, tmp_path,
         return characterization_circles(poly)
 
     monkeypatch.setattr("simsonpoly.simson.characterization_circles", counted)
-    code, _, _ = run_cli(capsys, "verify", "--in", str(path),
-                         "--negative-control", "--seed", "1")
-    assert code == 4
-    assert len(calls) == 1
+    code, _, _ = run_cli(capsys, "verify", "--in", str(path), *flags)
+    return code, len(calls)
+
+
+def test_a_verify_miss_builds_the_circles_once(capsys, tmp_path,
+                                               monkeypatch):
+    # The miss's residual comes from the search that missed.
+    path = tmp_path / "octagon.json"
+    assert main(["construct", "--equidistant", "--s", "1", "--x0=-3.5",
+                 "--delta", "1", "--n", "8", "--out", str(path)]) == 0
+    assert _circle_builds(capsys, monkeypatch, path, "--negative-control",
+                          "--seed", "1") == (4, 1)
+
+
+def test_a_verify_hit_builds_the_circles_once(capsys, tmp_path,
+                                              monkeypatch):
+    # The frame is built from the search's own certificate.
+    assert _circle_builds(capsys, monkeypatch,
+                          octagon_scene(tmp_path)) == (0, 1)
 
 
 def test_perturbed_draws_python_floats():
@@ -1254,7 +1262,7 @@ def test_json_output_is_dumps_with_newline(capsys, tmp_path, argv, to_file):
     """Reports are byte for byte json.dumps(payload, indent=2) + newline.
 
     Re-encoding the parsed output reproduces exactly those bytes, since
-    every float (Infinity included) round-trips and key order is kept.
+    every float round-trips and key order is kept.
     """
     argv = [a.format(uneven=uneven_scene(tmp_path)) for a in argv]
     out_path = tmp_path / "out.json"
@@ -1265,6 +1273,20 @@ def test_json_output_is_dumps_with_newline(capsys, tmp_path, argv, to_file):
         assert out == ""
         out = out_path.read_text(encoding="utf-8")
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_verify_writes_a_non_finite_residual_as_null(capsys, tmp_path):
+    # Strict JSON has no Infinity: node's parser rejects it.
+    path = tmp_path / "uneven.json"
+    assert main(["construct", "--feet", "0,0;1,0;3,0;4.5,0;7,0",
+                 "--simson-point", "0.5,2", "--simson-line", "y=0",
+                 "--out", str(path)]) == 0
+    code, out, _ = run_cli(capsys, "verify", "--in", str(path))
+    assert code == 4
+    checks = strict_json(out)["checks"]
+    assert checks[-1] == {"name": "equidistant-spacing", "indices": [],
+                          "residual": None, "pass": False, "count": 1,
+                          "note": "feet are not equally spaced"}
 
 
 @pytest.mark.parametrize("argv", [

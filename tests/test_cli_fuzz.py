@@ -6,13 +6,14 @@ sign and sizes up to 17, or at the segment cap MAX_SEGMENTS and one
 segment above it, and seeded scenes for ``verify``, run through
 ``cli.main`` in process.  Each must return 0, 2, 3 or 4, raise nothing,
 and write exactly one ``error:`` line when it returns 2 or 3 (ROADMAP
-items 4 and 12).  Each test is bounded by its number of draws.
+items 4 and 12).  A run that exits 0 or 4 must print strict JSON
+(ROADMAP item 20).  Each test is bounded by its number of draws.
 """
 
 import math
 import random
 
-from geomgen import rigid_motion
+from geomgen import rigid_motion, strict_json
 from simsonpoly.cli import main
 from simsonpoly.equidistant import EquidistantConfig, make_equidistant
 from simsonpoly.kernel import MAX_SEGMENTS
@@ -125,18 +126,24 @@ def _scene(rng):
 
 def _broken(capsys, argv, codes=None):
     """Why running argv broke the exit contract, or None if it kept it;
-    codes, if given, are the only exits allowed."""
+    codes, if given, are the only exits allowed.  A run that exits 0 or 4
+    must print strict JSON, without Infinity or NaN."""
     try:
         code = main(argv)
     except Exception as exc:
         capsys.readouterr()
         return f"raised {type(exc).__name__}: {exc}"
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     if code not in (codes or (0, 2, 3, 4)):
         return f"exit {code}"
     if code in (2, 3) and not (err.startswith("error: ")
                                and err.count("\n") == 1):
         return f"exit {code} wrote {err!r}"
+    if code in (0, 4):
+        try:
+            strict_json(out)
+        except ValueError as exc:
+            return f"exit {code} printed no strict JSON: {exc}"
     return None
 
 

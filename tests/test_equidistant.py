@@ -690,3 +690,13 @@ def test_frame_recognition_rejects_uneven_feet():
     feet = [Point(x, 0.0) for x in (-1.7e308, 1.7e308, 1.75e308)]
     with pytest.raises(InvalidConfig, match="^feet are not equally spaced$"):
         equidistant_from_frame(SimsonPolygonFrame(feet, feet, Point(0, 1)))
+
+
+def test_frame_recognition_rejects_feet_whose_spacing_overflows():
+    # Two finite gaps of 1.7e308 sum past the float range.
+    vertices = [Point(x, 1.0) for x in (0.0, 1.0, 2.0)]
+    feet = [Point(x, 0.0) for x in (-1.7e308, 0.0, 1.7e308)]
+    with pytest.raises(InvalidConfig,
+                       match="^foot spacing leaves the float range$"):
+        equidistant_from_frame(SimsonPolygonFrame(vertices, feet,
+                                                  Point(0.0, 1.0)))

@@ -29,6 +29,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "simsonpoly"
 KEEP = {
     "simson.Polygon.is_nondegenerate":
         "perfbench/traced.py wraps it as simson.is_nondegenerate",
+    "simson.characterization_defect":
+        "perfbench/traced.py spans it; verify takes a miss's residual "
+        "from its one search",
 }
 
 
@@ -40,6 +43,8 @@ UNCALLED_PUBLIC = {
     "hausdorff_chain_parabola": "perfbench/traced.py spans it",
     "point_to_parabola_distance": "perfbench/traced.py spans it",
     "total_error_objective": "perfbench/traced.py spans it",
+    "find_simson_point": "the paper's search in input coordinates; "
+                         "verify keeps the search's centred ones",
     "is_convex": "tests: a Simson polygon with n >= 5 sides, as the "
                  "equidistant octagon, is not convex",
 }
