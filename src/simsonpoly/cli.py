@@ -307,7 +307,7 @@ def cmd_approx(args) -> tuple[str, str | None, int]:
     if args.svg:
         from .svgfig import approx_figure
         svg = approx_figure(problem, result)
-    return json.dumps(payload, indent=2), svg, exit_code
+    return json.dumps(payload, indent=2, allow_nan=False), svg, exit_code
 
 
 # -------------------------------------------------------------------- limit
@@ -332,7 +332,7 @@ def cmd_limit(args) -> tuple[str, None, int]:
         payload["order_ok"] = order_ok
         if not order_ok:
             exit_code = EXIT_VERIFY
-    return json.dumps(payload, indent=2), None, exit_code
+    return json.dumps(payload, indent=2, allow_nan=False), None, exit_code
 
 
 # ----------------------------------------------------------------- plumbing

@@ -86,7 +86,8 @@ class VerificationReport(Frozen):
 
         A block is a list of residuals and a function naming instance k
         of it; only the count and the worst instance are kept, so the
-        blocks may be made one at a time.  The family passes when every
+        blocks may be made one at a time, and chord-tangent's n^2/4
+        instances need O(n) memory.  The family passes when every
         residual is at most ``limit``, so a NaN fails.  Its reported
         instance is the first NaN, else the first maximum, in block
         order.  A family without instances adds no entry.

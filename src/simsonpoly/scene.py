@@ -149,7 +149,7 @@ class SceneDocument:
 
     def to_json(self) -> str:
         doc = {"schema_version": SCHEMA_VERSION, "entities": self.entities}
-        return json.dumps(doc, indent=2)
+        return json.dumps(doc, indent=2, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "SceneDocument":

@@ -823,6 +823,19 @@ def test_verify_recognises_a_polygon_built_near_1e153(capsys, tmp_path):
     assert (code, err) == (0, "")
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="lambert (1, 2, 3) reads 6.71e-8 against a limit "
+                          "of 1.10e-8, below the forward error of its "
+                          "circle (ROADMAP item 18)")
+def test_verify_recognises_a_canonical_polygon_of_close_sides(capsys,
+                                                              tmp_path):
+    path = tmp_path / "scene.json"
+    assert main(["construct", "--equidistant", "--s", "10", "--x0", "3",
+                 "--delta", "0.01", "--n", "8", "--out", str(path)]) == 0
+    code, _, err = run_cli(capsys, "verify", "--in", str(path))
+    assert (code, err) == (0, "")
+
+
 def test_verify_small_polygon_skips_archimedes(capsys, tmp_path):
     path = tmp_path / "square.json"
     assert main(["construct", "--equidistant", "--s", "1", "--delta", "1",

@@ -2,7 +2,8 @@
 
 A report lists each check once under its name, so two reports that hold
 the same entries in another order differ in no verdict; a flipped
-``pass`` and an entry that one side lacks do.
+``pass`` and an entry that one side lacks do.  Every document it reads
+is parsed as strict JSON, so ``NaN`` and ``Infinity`` are refused.
 """
 
 import copy
@@ -60,3 +61,11 @@ def test_an_entry_on_one_side_only_is_a_verdict(report):
         [f"entry {dropped['name']!r}: present -> missing"], True)
     assert replay._report_changes(shorter, report) == (
         [f"entry {dropped['name']!r}: missing -> present"], True)
+
+
+@pytest.mark.parametrize("text", [b'{"residual": Infinity}',
+                                  b'{"rows": [-Infinity]}', b'[NaN]'],
+                         ids=["Infinity", "-Infinity", "NaN"])
+def test_a_document_holding_a_non_finite_number_is_not_strict_json(text):
+    with pytest.raises(ValueError, match="is not JSON"):
+        replay._strict_json(text)

@@ -140,6 +140,14 @@ def test_round_trip_preserves_awkward_floats():
     assert back["y"] == 1.0 / 3.0
 
 
+def test_document_writes_only_strict_json():
+    # Infinity is not JSON, and the reader refuses it (ROADMAP item 20).
+    scene = SceneDocument([{"type": "polygon", "id": "polygon",
+                            "vertices": [[0.0, 0.0], [math.inf, 1.0]]}])
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        scene.to_json()
+
+
 def test_duplicate_ids_rejected():
     scene = SceneDocument()
     scene.add_point("p", Point(0, 0))

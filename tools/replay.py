@@ -18,8 +18,12 @@ then the other keys that differ (such as ``limit``); where that names
 nothing, as for entries only reordered, the first differing line.  The
 last line counts the requests that differ and those among them whose
 exit code or a verdict (``overall``, or an entry's pass or presence)
-differs.  Exits 1 if any request differs, else 0.  Standard library
-only; the manifest step needs numpy, as the benchmark does.
+differs.  Every JSON document read, the manifest and each ``--out``
+file on either side, is parsed as strict JSON: a file holding ``NaN`` or
+``Infinity``, which other languages' parsers reject, is printed and
+counted on the last line too.  Exits 1 if any request differs or writes
+such a file, else 0.  Standard library only; the manifest step needs
+numpy, as the benchmark does.
 """
 
 from __future__ import annotations
@@ -86,10 +90,20 @@ def _first_difference(a: bytes | None, b: bytes | None) -> str:
     return f"{len(a)} -> {len(b)} bytes"
 
 
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _strict_json(text: bytes | str):
+    """The JSON document text holds; ValueError if it holds NaN or
+    Infinity."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
 def _report(data: bytes | None) -> dict | None:
     """The verify report in an --out file's bytes, or None."""
     try:
-        report = json.loads(data)
+        report = _strict_json(data)
     except (TypeError, ValueError):
         return None
     return report if isinstance(report, dict) and "checks" in report \
@@ -130,9 +144,11 @@ def _report_changes(a: dict, b: dict) -> tuple[list[str], bool]:
 
 
 def replay(old: Path, new: Path, workload: str, seed: int, cycles: int,
-           scratch: Path) -> tuple[int, int]:
-    """Print every request of one manifest that differs; return how many,
-    and how many of them differ in exit code or a verdict."""
+           scratch: Path) -> tuple[int, int, int]:
+    """Print every request of one manifest that differs or writes an
+    --out file that is not strict JSON; return how many differ, how many
+    of them differ in exit code or a verdict, and how many such files
+    there are."""
     pristine, inputs = scratch / "pristine", scratch / "inputs"
     shutil.rmtree(pristine, ignore_errors=True)
     # The manifest names its files under --dir, so it is built where the
@@ -143,12 +159,21 @@ def replay(old: Path, new: Path, workload: str, seed: int, cycles: int,
                     "--cycles", str(cycles), "--dir", str(inputs)],
                    env=_env(old), check=True)
     shutil.copytree(inputs, pristine)
-    manifest = json.loads((inputs / "manifest.json").read_text("utf-8"))
+    manifest = _strict_json((inputs / "manifest.json").read_text("utf-8"))
     requests = manifest["warmup"] + [r for c in manifest["cycles"] for r in c]
     before = _run(old, requests, pristine, inputs)
     after = _run(new, requests, pristine, inputs)
-    differing = verdicts = 0
+    differing = verdicts = loose = 0
     for k, (req, a, b) in enumerate(zip(requests, before, after)):
+        for tree, result in ((old, a), (new, b)):
+            if result["out"] is None:
+                continue
+            try:
+                _strict_json(result["out"])
+            except ValueError as exc:
+                loose += 1
+                print(f"{workload} seed {seed} request {k}: {tree}'s --out "
+                      f"is not strict JSON: {exc}")
         fields = [f for f in a if a[f] != b[f]]
         if not fields:
             continue
@@ -170,8 +195,9 @@ def replay(old: Path, new: Path, workload: str, seed: int, cycles: int,
             print(f"  {f}: {detail}")
         verdicts += moved
     print(f"{workload} seed {seed}: {len(requests)} requests, "
-          f"{differing} differ, {verdicts} in exit code or a verdict")
-    return differing, verdicts
+          f"{differing} differ, {verdicts} in exit code or a verdict, "
+          f"{loose} --out files not strict JSON")
+    return differing, verdicts, loose
 
 
 def main() -> int:
@@ -185,15 +211,17 @@ def main() -> int:
     ap.add_argument("--cycles", type=int, default=3)
     args = ap.parse_args()
     old, new = args.old.resolve(), args.new.resolve()
-    differing = verdicts = 0
+    differing = verdicts = loose = 0
     with tempfile.TemporaryDirectory(prefix="replay-") as tmp:
         for workload in args.workload or WORKLOADS:
             for seed in args.seed or [811]:
-                d, v = replay(old, new, workload, seed, args.cycles,
-                              Path(tmp))
-                differing, verdicts = differing + d, verdicts + v
-    print(f"{differing} differ, {verdicts} in exit code or a verdict")
-    return 1 if differing else 0
+                d, v, j = replay(old, new, workload, seed, args.cycles,
+                                 Path(tmp))
+                differing, verdicts, loose = (differing + d, verdicts + v,
+                                              loose + j)
+    print(f"{differing} differ, {verdicts} in exit code or a verdict, "
+          f"{loose} --out files not strict JSON")
+    return 1 if differing or loose else 0
 
 
 if __name__ == "__main__":
