@@ -20,8 +20,8 @@ from types import SimpleNamespace
 
 # Besides kernel, each command imports the layers it calls inside the
 # function that calls them, so a request loads only the modules it runs.
-from .kernel import MAX_SEGMENTS, GeometryError, InvalidConfig, Point, \
-    UsageError
+from .kernel import MAX_SEGMENTS, GeometryError, InvalidConfig, NonFinite, \
+    Point, UsageError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -279,7 +279,7 @@ def cmd_approx(args) -> tuple[str, str | None, int]:
     if args.compare_quadrature:
         q1 = quadrature_l1(problem, result.knots)
         q2 = quadrature_l2(problem, result.knots)
-        payload["quadrature"] = {
+        quadrature = payload["quadrature"] = {
             "l1": q1,
             "l1_relative_difference": abs(q1 - result.l1_error)
             / max(result.l1_error, 1e-300),
@@ -287,6 +287,11 @@ def cmd_approx(args) -> tuple[str, str | None, int]:
             "l2_relative_difference": abs(q2 - result.l2_error)
             / max(result.l2_error, 1e-300),
         }
+        # The quadrature squares the error at its nodes, so it can leave
+        # the float range where the closed forms stay inside it.
+        if not all(map(math.isfinite, quadrature.values())):
+            raise NonFinite(f"s = {problem.s} on [{problem.a}, {problem.b}] "
+                            "leaves the float range in the quadrature")
     if args.perturb_knot:
         # Moving the knot by e changes only its two widths, to h1 + e and
         # h2 - e, and their cubes by 3e(h1 + h2)(h1 - h2 + e): no cancelling.

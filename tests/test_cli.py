@@ -1104,8 +1104,11 @@ def test_approx_interval_too_narrow_for_n_exits_3(capsys, tmp_path):
     ["--s=2.383236298920392e-14", "--a=-5.6165544297e-314",
      "--b=6.2922017e-317", "--n=3"],
     ["--s=1", "--a=-1", "--b=1", "--n=2", "--delta=1e200"],
+    # The closed forms are finite, but the squared error at the nodes is not.
+    ["--s=1e-160", "--a=0", "--b=0.01", "--n=1", "--delta=0",
+     "--compare-quadrature"],
 ], ids=["s2-underflows", "h5-overflows", "l2-overflows", "width-overflows",
-        "figure-scale-overflows", "delta2-overflows"])
+        "figure-scale-overflows", "delta2-overflows", "quadrature-overflows"])
 def test_approx_outside_float_range_exits_3(capsys, tmp_path, argv):
     out_path, svg_path = tmp_path / "out.json", tmp_path / "out.svg"
     code, out, err = run_cli(capsys, "approx", *argv, "--out", str(out_path),

@@ -3,7 +3,8 @@
 A report lists each check once under its name, so two reports that hold
 the same entries in another order differ in no verdict; a flipped
 ``pass`` and an entry that one side lacks do.  Every document it reads
-is parsed as strict JSON, so ``NaN`` and ``Infinity`` are refused.
+is parsed as strict JSON, so ``NaN`` and ``Infinity`` are refused; only
+the new tree's loose files count against the change.
 """
 
 import copy
@@ -69,3 +70,16 @@ def test_an_entry_on_one_side_only_is_a_verdict(report):
 def test_a_document_holding_a_non_finite_number_is_not_strict_json(text):
     with pytest.raises(ValueError, match="is not JSON"):
         replay._strict_json(text)
+
+
+def test_only_the_new_trees_loose_file_counts(capsys):
+    where = "limit-refine seed 1 request 3"
+    assert replay._documents(where, b'[NaN]', b'[1.0]') == ([None, [1.0]],
+                                                           False)
+    assert capsys.readouterr().out == (
+        f"{where}: the old tree's --out is not strict JSON: NaN is not JSON\n")
+    assert replay._documents(where, b'[1.0]', b'[Infinity]') == (
+        [[1.0], None], True)
+    assert "the new tree's --out" in capsys.readouterr().out
+    assert replay._documents(where, None, None) == ([None, None], False)
+    assert capsys.readouterr().out == ""

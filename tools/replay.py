@@ -19,9 +19,10 @@ nothing, as for entries only reordered, the first differing line.  The
 last line counts the requests that differ and those among them whose
 exit code or a verdict (``overall``, or an entry's pass or presence)
 differs.  Every JSON document read, the manifest and each ``--out``
-file on either side, is parsed as strict JSON: a file holding ``NaN`` or
-``Infinity``, which other languages' parsers reject, is printed and
-counted on the last line too.  Exits 1 if any request differs or writes
+file on either side, is parsed once, as strict JSON: a file holding
+``NaN`` or ``Infinity``, which other languages' parsers reject, is
+printed.  Those of NEW are counted on the last line too; those of OLD,
+the baseline, are not.  Exits 1 if any request differs or NEW writes
 such a file, else 0.  Standard library only; the manifest step needs
 numpy, as the benchmark does.
 """
@@ -100,14 +101,27 @@ def _strict_json(text: bytes | str):
     return json.loads(text, parse_constant=_no_constant)
 
 
-def _report(data: bytes | None) -> dict | None:
-    """The verify report in an --out file's bytes, or None."""
-    try:
-        report = _strict_json(data)
-    except (TypeError, ValueError):
-        return None
-    return report if isinstance(report, dict) and "checks" in report \
-        else None
+def _documents(where: str, old: bytes | None, new: bytes | None
+               ) -> tuple[list, bool]:
+    """The documents in the old and the new tree's --out bytes, None for
+    a tree that wrote none or one that is not strict JSON, and whether
+    the new tree's is not.  Each file that is not is printed after where.
+    """
+    docs, loose = [], False
+    for tree, data in (("old", old), ("new", new)):
+        try:
+            docs.append(None if data is None else _strict_json(data))
+        except ValueError as exc:
+            docs.append(None)
+            loose = tree == "new"
+            print(f"{where}: the {tree} tree's --out is not strict JSON: "
+                  f"{exc}")
+    return docs, loose
+
+
+def _report(doc) -> dict | None:
+    """doc if it is a verify report, else None."""
+    return doc if isinstance(doc, dict) and "checks" in doc else None
 
 
 def _report_changes(a: dict, b: dict) -> tuple[list[str], bool]:
@@ -148,7 +162,7 @@ def replay(old: Path, new: Path, workload: str, seed: int, cycles: int,
     """Print every request of one manifest that differs or writes an
     --out file that is not strict JSON; return how many differ, how many
     of them differ in exit code or a verdict, and how many such files
-    there are."""
+    the new tree wrote."""
     pristine, inputs = scratch / "pristine", scratch / "inputs"
     shutil.rmtree(pristine, ignore_errors=True)
     # The manifest names its files under --dir, so it is built where the
@@ -165,15 +179,9 @@ def replay(old: Path, new: Path, workload: str, seed: int, cycles: int,
     after = _run(new, requests, pristine, inputs)
     differing = verdicts = loose = 0
     for k, (req, a, b) in enumerate(zip(requests, before, after)):
-        for tree, result in ((old, a), (new, b)):
-            if result["out"] is None:
-                continue
-            try:
-                _strict_json(result["out"])
-            except ValueError as exc:
-                loose += 1
-                print(f"{workload} seed {seed} request {k}: {tree}'s --out "
-                      f"is not strict JSON: {exc}")
+        docs, new_loose = _documents(f"{workload} seed {seed} request {k}",
+                                     a["out"], b["out"])
+        loose += new_loose
         fields = [f for f in a if a[f] != b[f]]
         if not fields:
             continue
@@ -182,7 +190,7 @@ def replay(old: Path, new: Path, workload: str, seed: int, cycles: int,
         print(f"{workload} seed {seed} request {k}: simsonpoly "
               + " ".join(req["argv"]))
         for f in fields:
-            reports = (_report(a[f]), _report(b[f])) if f == "out" \
+            reports = tuple(map(_report, docs)) if f == "out" \
                 else (None, None)
             if None not in reports:
                 lines, verdict = _report_changes(*reports)
@@ -196,7 +204,7 @@ def replay(old: Path, new: Path, workload: str, seed: int, cycles: int,
         verdicts += moved
     print(f"{workload} seed {seed}: {len(requests)} requests, "
           f"{differing} differ, {verdicts} in exit code or a verdict, "
-          f"{loose} --out files not strict JSON")
+          f"{loose} new --out files not strict JSON")
     return differing, verdicts, loose
 
 
@@ -220,7 +228,7 @@ def main() -> int:
                 differing, verdicts, loose = (differing + d, verdicts + v,
                                               loose + j)
     print(f"{differing} differ, {verdicts} in exit code or a verdict, "
-          f"{loose} --out files not strict JSON")
+          f"{loose} new --out files not strict JSON")
     return 1 if differing or loose else 0
 
 
