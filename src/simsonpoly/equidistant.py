@@ -44,7 +44,7 @@ from .kernel import (
     reflect_point,
     require_height,
 )
-from .report import VerificationReport
+from .report import VerificationReport, worst_index
 from .simson import IndexOutOfRange, Polygon, SimsonCertificate, check_triple
 
 
@@ -160,63 +160,51 @@ def verify_parallel_chords(poly: SimsonPolygonFrame) -> VerificationReport:
     * the midpoints of every equal-sum family line up orthogonally to L
       (equal x), the middle vertex included when the family has one.
 
-    The vertex coordinates are read once into float lists; the angles are
-    those of the ``angle_between_lines`` oracle in ``tests/geomgen.py``,
-    operation for operation.
+    Each family keeps one residual per index sum, chord-tangent the worst
+    angle of its chords.  The vertex coordinates are read once into float
+    lists; the angles are those of the ``angle_between_lines`` oracle in
+    ``tests/geomgen.py``, operation for operation.
     """
     report = VerificationReport()
     limit, angle_limit = report.set_limits(poly.scale())
     xs = [v.x for v in poly.vertices[:-1]]
     ys = [v.y for v in poly.vertices[:-1]]
-    m = len(xs)
     two_s = 2.0 * poly.simson_point.y
     atan2, frexp, ldexp = math.atan2, math.frexp, math.ldexp
-    par_idx, par_res = [], []
-    mid_idx, mid_res = [], []
-
-    def tangent_blocks():
-        # The chords V_i V_j with i + j = sigma and i < j, by increasing i.
-        for sigma, i_range in _index_sums(m):
-            # Each block is scaled by the power of two that brings its
-            # widest chord, the first, near 1, and so is (x_mid, 2s) below.
-            # That is exact: an angle keeps its bits wherever its products
-            # stayed normal floats, and near 1e153 they no longer overflow.
-            lo, hi = i_range[0] - 1, sigma - i_range[0] - 1
-            shift = -frexp(max(abs(xs[hi] - xs[lo]), abs(ys[hi] - ys[lo])))[1]
-            dxs = [ldexp(xs[sigma - i - 1] - xs[i - 1], shift)
-                   for i in i_range]
-            dys = [ldexp(ys[sigma - i - 1] - ys[i - 1], shift)
-                   for i in i_range]
-            coords = [0.5 * (xs[i - 1] + xs[sigma - i - 1]) for i in i_range]
-            if len(dxs) >= 2:
-                ux, uy = dxs[0], dys[0]
-                par_idx.append((sigma,))
-                par_res.append(max(atan2(abs(ux * dy - uy * dx),
-                                         abs(ux * dx + uy * dy))
-                                   for dx, dy in zip(dxs[1:], dys[1:])))
-            if sigma % 2 == 0:
-                # j - i is even: compare with the tangent at V_{sigma/2}.
-                mid = sigma // 2
-                x_mid = xs[mid - 1]
-                shift = -frexp(max(abs(x_mid), abs(two_s)))[1]
-                tx, ts = ldexp(x_mid, shift), ldexp(two_s, shift)
-                yield ([atan2(abs(dx * tx - dy * ts), abs(dx * ts + dy * tx))
-                        for dx, dy in zip(dxs, dys)],
-                       lambda k, i0=i_range[0], sigma=sigma, mid=mid:
-                       (i0 + k, sigma - i0 - k, mid))
-                coords.append(x_mid)
-            if len(coords) >= 2:
-                mid_idx.append((sigma,))
-                mid_res.append(max(coords) - min(coords))
-
-    # chord-tangent is reduced while the other two families are gathered,
-    # and reported between them.
-    tangent = VerificationReport()
-    tangent.judge("chord-tangent", tangent_blocks(), angle_limit)
-    report.judge("parallel-chords", [(par_res, par_idx.__getitem__)],
+    par_res, tan_res, mid_res = [], [], []
+    # The chords V_i V_j with i + j = sigma and i < j, by increasing i.
+    for sigma, i_range in _index_sums(len(xs)):
+        # Each sum is scaled by the power of two that brings its widest
+        # chord, the first, near 1, and so is (x_mid, 2s) below.  That is
+        # exact: an angle keeps its bits wherever its products stayed
+        # normal floats, and near 1e153 they no longer overflow.
+        lo, hi = i_range[0] - 1, sigma - i_range[0] - 1
+        shift = -frexp(max(abs(xs[hi] - xs[lo]), abs(ys[hi] - ys[lo])))[1]
+        dxs = [ldexp(xs[sigma - i - 1] - xs[i - 1], shift) for i in i_range]
+        dys = [ldexp(ys[sigma - i - 1] - ys[i - 1], shift) for i in i_range]
+        coords = [0.5 * (xs[i - 1] + xs[sigma - i - 1]) for i in i_range]
+        if len(dxs) >= 2:
+            ux, uy = dxs[0], dys[0]
+            par_res.append(max(atan2(abs(ux * dy - uy * dx),
+                                     abs(ux * dx + uy * dy))
+                               for dx, dy in zip(dxs[1:], dys[1:])))
+        if sigma % 2 == 0:
+            # j - i is even: compare with the tangent at V_{sigma/2}.
+            x_mid = xs[sigma // 2 - 1]
+            shift = -frexp(max(abs(x_mid), abs(two_s)))[1]
+            tx, ts = ldexp(x_mid, shift), ldexp(two_s, shift)
+            angles = [atan2(abs(dx * tx - dy * ts), abs(dx * ts + dy * tx))
+                      for dx, dy in zip(dxs, dys)]
+            tan_res.append(angles[worst_index(angles)])
+            coords.append(x_mid)
+        if len(coords) >= 2:
+            mid_res.append(max(coords) - min(coords))
+    # The sums with two chords run from 5, the even sums and those with
+    # two midpoints from 4, each up to its last sum.
+    report.judge("parallel-chords", par_res, lambda k: (k + 5,), angle_limit)
+    report.judge("chord-tangent", tan_res, lambda k: (2 * k + 4,),
                  angle_limit)
-    report.extend(tangent)
-    report.judge("midpoints-aligned", [(mid_res, mid_idx.__getitem__)], limit)
+    report.judge("midpoints-aligned", mid_res, lambda k: (k + 4,), limit)
     return report
 
 
@@ -252,7 +240,7 @@ def verify_isogonal(poly: SimsonPolygonFrame) -> VerificationReport:
         residuals[-1] = abs(a1 - a2)
     note = "; ".join(f"skipped: {why} at {', '.join(at)}"
                      for why, at in skipped.items())
-    report.judge("isogonal", [(residuals, lambda k: (k + 1,))], angle_limit,
+    report.judge("isogonal", residuals, lambda k: (k + 1,), angle_limit,
                  note)
     return report
 
@@ -276,7 +264,7 @@ def verify_optical(poly: SimsonPolygonFrame) -> VerificationReport:
     for i in range(1, poly.n - 1):
         mid = verts[i - 1].midpoint(verts[i])
         residuals.append(abs(reflect_point(S, sides[i - 1]).x - mid.x))
-    report.judge("optical", [(residuals, lambda k: (k + 1,))], limit)
+    report.judge("optical", residuals, lambda k: (k + 1,), limit)
     return report
 
 
@@ -325,8 +313,7 @@ def verify_archimedes(poly: SimsonPolygonFrame) -> VerificationReport:
     if parallel_pairs:
         i, j = min(parallel_pairs)
         raise DegenerateConfiguration(f"side lines {i} and {j} are parallel")
-    report.judge("archimedes-family", [(residuals, lambda k: (k + 3,))],
-                 limit)
+    report.judge("archimedes-family", residuals, lambda k: (k + 3,), limit)
     return report
 
 
@@ -354,7 +341,7 @@ def verify_lambert(poly: SimsonPolygonFrame, i: int, j: int,
     scale = poly.scale()
     report.set_limits(scale)
     # The circle may be far larger than the polygon.
-    report.judge("lambert", [([residual], lambda k: idx)],
+    report.judge("lambert", [residual], lambda k: idx,
                  bound(max(circle.radius, scale)))
     return report
 

@@ -172,6 +172,9 @@ class Line(Frozen):
             raise NonFinite(f"non-finite line ({a}, {b}, {c})")
         if n == 0.0:
             raise InvalidConfig("line requires (a, b) != (0, 0)")
+        # A tiny normal can carry a finite c past the float range.
+        if not math.isfinite(c / n):
+            raise NonFinite(f"non-finite line ({a}, {b}, {c})")
         a, b, c = a / n, b / n, c / n
         if a < 0.0 or (a == 0.0 and b < 0.0):
             a, b, c = -a, -b, -c

@@ -13,6 +13,13 @@ def _json_number(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
+def worst_index(residuals: Sequence[float]) -> int:
+    """Position of the first NaN of residuals, else of their first max."""
+    if any(map(math.isnan, residuals)):
+        return next(k for k, r in enumerate(residuals) if math.isnan(r))
+    return residuals.index(max(residuals))
+
+
 class CheckResult(Frozen):
     """Outcome of one check family: every instance of a property.
 
@@ -78,38 +85,22 @@ class VerificationReport(Frozen):
         self.tolerances["scale"] = scale
         return bound(scale), bound(max(1.0, scale))
 
-    def judge(self, name: str,
-              blocks: Iterable[tuple[Sequence[float],
-                                     Callable[[int], tuple[int, ...]]]],
-              limit: float, note: str = "") -> None:
-        """Add the family ``name``, reduced block by block.
+    def judge(self, name: str, residuals: Sequence[float],
+              index_of: Callable[[int], tuple[int, ...]], limit: float,
+              note: str = "") -> None:
+        """Add the family ``name``, one residual per instance; index_of(k)
+        names instance k.
 
-        A block is a list of residuals and a function naming instance k
-        of it; only the count and the worst instance are kept, so the
-        blocks may be made one at a time, and chord-tangent's n^2/4
-        instances need O(n) memory.  The family passes when every
-        residual is at most ``limit``, so a NaN fails.  Its reported
-        instance is the first NaN, else the first maximum, in block
-        order.  A family without instances adds no entry.
+        The family passes when every residual is at most ``limit``, so a
+        NaN fails.  Its reported instance is the first NaN, else the first
+        maximum, and its count is the number of residuals.  A family
+        without instances adds no entry.
         """
-        count, worst, indices = 0, None, ()
-        for residuals, index_of in blocks:
-            count += len(residuals)
-            # A NaN worst is final.
-            if not residuals or worst != worst:
-                continue
-            if any(map(math.isnan, residuals)):
-                k = next(k for k, r in enumerate(residuals) if math.isnan(r))
-            else:
-                top = max(residuals)
-                if worst is not None and not top > worst:
-                    continue
-                k = residuals.index(top)
-            worst, indices = residuals[k], tuple(index_of(k))
-        if count:
-            self.checks.append(CheckResult(name, indices, worst,
-                                           worst <= limit, note, limit,
-                                           count))
+        if residuals:
+            k = worst_index(residuals)
+            self.checks.append(CheckResult(
+                name, tuple(index_of(k)), residuals[k],
+                residuals[k] <= limit, note, limit, len(residuals)))
 
     def extend(self, other: "VerificationReport") -> None:
         """Append the checks of other; its tolerances are not merged."""

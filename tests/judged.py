@@ -1,10 +1,10 @@
 """Every instance of a check family, for tests.
 
 A report keeps only each family's count and worst instance: the
-verifiers hand ``VerificationReport.judge`` their residuals block by
-block, and judge reduces each block as it arrives.  ``JudgedRows`` wraps
-judge and records every block it is given, so a test can still compare
-each instance against a reference.
+verifiers hand ``VerificationReport.judge`` one residual per instance,
+and judge keeps the worst.  ``JudgedRows`` wraps judge and records the
+list it is given, so a test can still compare each instance against a
+reference.
 """
 
 from simsonpoly.kernel import bound
@@ -23,19 +23,12 @@ class JudgedRows:
         self._judged = []
         real = VerificationReport.judge
 
-        def judge(report, name, blocks, limit, note=""):
-            rows = []
-
-            def recorded():
-                for residuals, index_of in blocks:
-                    rows.extend((tuple(index_of(k)), r)
-                                for k, r in enumerate(residuals))
-                    yield residuals, index_of
-
+        def judge(report, name, residuals, index_of, limit, note=""):
             before = len(report.checks)
-            real(report, name, recorded(), limit, note)
+            real(report, name, residuals, index_of, limit, note)
             if len(report.checks) > before:
-                self._judged.append((report.checks[-1], rows))
+                self._judged.append((report.checks[-1], [
+                    (tuple(index_of(k)), r) for k, r in enumerate(residuals)]))
 
         monkeypatch.setattr(VerificationReport, "judge", judge)
 

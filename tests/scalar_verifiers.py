@@ -3,7 +3,10 @@
 Each function builds ``Point``/``Line`` objects per pair, exactly as the
 library verifiers once did, and returns one ``(name, indices, residual)``
 row per check in the order the old per-pair report listed them.  The
-library's check families must hold the same residuals, bitwise.
+library's check families must hold the same residuals, bitwise.  Two row
+names have no report entry of their own: ``tangent-chord``, one chord's
+angle to the tangent, which its index sum's ``chord-tangent`` row
+reduces, and ``archimedes``, one pair's spread.
 """
 
 from itertools import combinations
@@ -35,12 +38,15 @@ def scalar_parallel_chords(poly):
         if len(chords) >= 2:
             residual = max(angle_between_lines(dirs[0], d) for d in dirs[1:])
             rows.append(("parallel-chords", (sigma,), residual))
+        angles = []
         for (i, j), d in zip(chords, dirs):
             if (j - i) % 2 == 0:
                 mid = (i + j) // 2
                 tangent_dir = Point(2.0 * s, chain[mid - 1].x)
-                rows.append(("chord-tangent", (i, j, mid),
-                             angle_between_lines(d, tangent_dir)))
+                angles.append(angle_between_lines(d, tangent_dir))
+                rows.append(("tangent-chord", (i, j, mid), angles[-1]))
+        if angles:
+            rows.append(("chord-tangent", (sigma,), max(angles)))
         coords = [chain[i - 1].midpoint(chain[j - 1]).x for i, j in chords]
         if sigma % 2 == 0 and 1 <= sigma // 2 <= m:
             coords.append(chain[sigma // 2 - 1].x)

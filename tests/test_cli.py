@@ -183,6 +183,17 @@ def test_construct_equidistant_vertex_beyond_float_range_exits_3(capsys,
     assert err == "error: equidistant vertex beyond the float range\n"
 
 
+def test_construct_line_whose_offset_leaves_the_float_range_exits_2(capsys):
+    # Normalised, 1e-320x + 1 = 0 is x = -1e320: the spec is refused, not
+    # read as a line that the feet miss.
+    code, out, err = run_cli(capsys, "construct", "--feet", "0,0;1,0;2,0",
+                             "--simson-point", "0.5,2",
+                             "--simson-line", "1e-320x+1=0")
+    assert (code, out) == (2, "")
+    assert err == ("error: line spec '1e-320x+1=0': "
+                   "non-finite line (1e-320, 0.0, 1.0)\n")
+
+
 def test_construct_bad_feet_spec_exits_2(capsys):
     code, _, _ = run_cli(capsys, "construct", "--feet", "zebra",
                          "--simson-point", "0,1", "--simson-line", "y=0")
@@ -420,6 +431,8 @@ def test_verify_nonfinite_vertex_exits_2(capsys, tmp_path):
      "s must be nonzero and finite, got 0"),
     ('{"type": "circle", "id": "k", "cx": 0, "cy": 0, "r": -1}',
      "circle radius must be positive, got -1"),
+    ('{"type": "line", "id": "L", "a": 1e-320, "b": 0, "c": 1}',
+     "non-finite line (1e-320, 0, 1)"),
 ])
 def test_verify_scene_entity_off_its_kernel_rule_exits_2(capsys, tmp_path,
                                                         entity, message):

@@ -395,6 +395,20 @@ def test_chord_tangent_fails_when_focus_moves():
     assert tangent.residual > 1e6 * tangent.limit
 
 
+def test_chord_tangent_names_a_nan_after_a_finite_chord():
+    # At the index sum 6 the chord V_1 V_5 has a finite angle to the
+    # tangent at V_3, but V_2 V_4 overflows in x and V_3 has x = 0, so
+    # its angle is inf * 0, a NaN.  The sum's residual is that NaN, and
+    # the family fails even at the infinite limit of this frame's scale.
+    verts = [Point(0, 0), Point(-1e308, 0), Point(0, 1), Point(1e308, 0),
+             Point(1, 1), Point(5, 5)]
+    frame = SimsonPolygonFrame(vertices=verts, projections=verts,
+                               simson_point=Point(0, 1))
+    tangent = _family(verify_parallel_chords(frame), "chord-tangent")
+    assert tangent.limit == math.inf and tangent.indices == (6,)
+    assert math.isnan(tangent.residual) and not tangent.passed
+
+
 def test_archimedes_alignment_example(judged):
     report = verify_archimedes(OCT)
     assert report.overall
@@ -541,8 +555,8 @@ def test_extend_does_not_merge_tolerances():
 
 def test_judge_passes_at_the_limit():
     report = VerificationReport()
-    report.judge("x", [([1e-9], lambda k: (1,))], 1e-9)
-    report.judge("y", [([2e-9], lambda k: (2,))], 1e-9, note="n")
+    report.judge("x", [1e-9], lambda k: (1,), 1e-9)
+    report.judge("y", [2e-9], lambda k: (2,), 1e-9, note="n")
     assert [c.passed for c in report.checks] == [True, False]
     assert report.checks[1].note == "n"
 

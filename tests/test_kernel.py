@@ -1,6 +1,7 @@
 import ast
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,25 @@ def test_line_normalization_rejects_zero_normal():
     with pytest.raises(InvalidConfig,
                        match=r"^line requires \(a, b\) != \(0, 0\)$"):
         Line(0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("a, b, c", [(1e-320, 0.0, 1.0), (0.0, -1e-320, 1.0),
+                                     (1e-300, 1e-300, 1e10)])
+def test_line_refuses_an_offset_that_normalises_past_the_float_range(a, b,
+                                                                     c):
+    # c / hypot(a, b) overflows though a, b and c are finite.
+    message = re.escape(f"non-finite line ({a}, {b}, {c})")
+    with pytest.raises(NonFinite, match=f"^{message}$"):
+        Line(a, b, c)
+
+
+def test_line_checks_its_inputs_before_its_offset():
+    # The normal's zero test comes first, as before the offset check.
+    with pytest.raises(InvalidConfig):
+        Line(0.0, 0.0, 1e300)
+    with pytest.raises(NonFinite):
+        Line(1e-320, 0.0, math.inf)
+    assert Line(1e-320, 0.0, 0.0) == Line(1.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("radius", [0.0, -1.0])

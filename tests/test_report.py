@@ -54,19 +54,15 @@ def workloads():
 
 # ------------------------------------------------------------------- judge
 
-def _blocks(*lists):
-    """Blocks over consecutive instances (1,), (2,), ... of the lists."""
-    blocks, first = [], 1
-    for residuals in lists:
-        blocks.append((residuals, lambda k, first=first: (first + k,)))
-        first += len(residuals)
-    return blocks
+def _numbered(k):
+    """Instance k of a list is named (k + 1,)."""
+    return (k + 1,)
 
 
 def _flat_rule(residuals, limit):
-    """The verdict on one flat residual list, as judge gave it before it
-    reduced blocks: (position, residual, passed, count) of the first NaN,
-    else of the first maximum; None for no instances."""
+    """The verdict on one residual list, stated apart from judge:
+    (position, residual, passed, count) of the first NaN, else of the
+    first maximum; None for no instances."""
     if not residuals:
         return None
     if any(map(math.isnan, residuals)):
@@ -84,7 +80,7 @@ def _bits(x):
 def test_family_entry_reports_its_worst_instance(judged):
     report = VerificationReport()
     pairs = [(1, 2), (1, 3), (2, 3)]
-    report.judge("x", [([1e-12, 3e-12, 3e-12], pairs.__getitem__)], 1e-9)
+    report.judge("x", [1e-12, 3e-12, 3e-12], pairs.__getitem__, 1e-9)
     [entry] = report.checks
     assert (entry.indices, entry.residual, entry.passed) == ((1, 3), 3e-12,
                                                              True)
@@ -98,7 +94,7 @@ def test_family_entry_reports_its_worst_instance(judged):
 
 def test_family_fails_when_one_instance_exceeds_the_limit():
     report = VerificationReport()
-    report.judge("x", _blocks([0.0, 2e-9, 0.0]), 1e-9, note="n")
+    report.judge("x", [0.0, 2e-9, 0.0], _numbered, 1e-9, note="n")
     [entry] = report.checks
     assert not entry.passed and not report.overall
     assert entry.indices == (2,)
@@ -108,7 +104,7 @@ def test_family_fails_when_one_instance_exceeds_the_limit():
 
 def test_nan_counts_as_worst_and_fails():
     report = VerificationReport()
-    report.judge("x", _blocks([1.0, math.nan, 0.5]), 10.0)
+    report.judge("x", [1.0, math.nan, 0.5], _numbered, 10.0)
     [entry] = report.checks
     assert not entry.passed
     assert entry.indices == (2,) and math.isnan(entry.residual)
@@ -117,52 +113,51 @@ def test_nan_counts_as_worst_and_fails():
     assert d["residual"] is None and d["margin"] is None
 
 
-def test_nan_in_a_later_block_beats_a_larger_earlier_value():
+def test_nan_beats_a_larger_earlier_value():
     report = VerificationReport()
-    report.judge("x", _blocks([1e300, 2.0], [0.5, math.nan, math.nan]), 1.0)
+    report.judge("x", [1e300, 2.0, 0.5, math.nan, math.nan], _numbered, 1.0)
     [entry] = report.checks
     assert entry.indices == (4,) and math.isnan(entry.residual)
     assert not entry.passed and entry.count == 5
 
 
-def test_earliest_block_wins_equal_maxima():
+def test_earliest_of_equal_maxima_is_named():
     report = VerificationReport()
-    report.judge("x", _blocks([1.0, 3.0], [3.0, 0.0], [2.0, 3.0]), 5.0)
+    report.judge("x", [1.0, 3.0, 3.0, 0.0, 2.0, 3.0], _numbered, 5.0)
     [entry] = report.checks
     assert (entry.indices, entry.residual, entry.count) == ((2,), 3.0, 6)
 
 
 @pytest.mark.parametrize("lists", [
     ([-0.0], [0.0]), ([0.0], [-0.0]), ([-0.0, 0.0], []), ([0.0, -0.0],),
-    ([-1.0], [-0.0, 0.0], [0.0]),
+    ([-1.0], [-0.0, 0.0], [0.0]), ([-0.0, 0.0, 0.0, -0.0],),
 ])
 def test_signed_zeros_keep_the_flat_verdict(lists):
+    # Each list is a family of one report; an empty one adds no entry.
     report = VerificationReport()
-    report.judge("x", _blocks(*lists), 0.0)
-    [entry] = report.checks
-    flat = [r for residuals in lists for r in residuals]
-    worst, residual, passed, count = _flat_rule(flat, 0.0)
-    assert entry.indices == (worst + 1,) and entry.passed == passed
-    assert _bits(entry.residual) == _bits(residual) and entry.count == count
-
-
-def test_empty_blocks_are_skipped():
-    report = VerificationReport()
-    report.judge("x", _blocks([], [2.0], [], [1.0, 2.0], []), 1.0)
-    [entry] = report.checks
-    assert (entry.indices, entry.residual, entry.count) == ((1,), 2.0, 3)
+    for k, residuals in enumerate(lists):
+        report.judge(f"x{k}", residuals, _numbered, 0.0)
+    entries = {entry.name: entry for entry in report.checks}
+    assert len(entries) == sum(1 for residuals in lists if residuals)
+    for k, residuals in enumerate(lists):
+        if not residuals:
+            continue
+        entry = entries[f"x{k}"]
+        worst, residual, passed, count = _flat_rule(residuals, 0.0)
+        assert entry.indices == (worst + 1,) and entry.passed == passed
+        assert _bits(entry.residual) == _bits(residual)
+        assert entry.count == count
 
 
 def test_empty_family_adds_no_entry():
     report = VerificationReport()
-    report.judge("x", [], 1.0)
-    report.judge("y", _blocks([], []), 1.0)
+    report.judge("x", [], _numbered, 1.0)
     assert report.checks == [] and report.overall
 
 
-def test_count_is_the_sum_of_block_lengths():
+def test_count_is_the_list_length():
     report = VerificationReport()
-    report.judge("x", _blocks([0.0] * 3, [], [0.0] * 7, [0.0]), 1.0)
+    report.judge("x", [0.0] * 11, _numbered, 1.0)
     assert report.checks[0].count == 11
 
 
@@ -170,13 +165,10 @@ def test_count_is_the_sum_of_block_lengths():
 @settings(max_examples=400, deadline=None)
 @given(st.lists(st.floats() | st.sampled_from([0.0, -0.0, 1.0, math.nan]),
                 max_size=24),
-       st.lists(st.integers(0, 24), max_size=8), st.floats(allow_nan=False))
-def test_block_reduction_matches_the_flat_rule(residuals, cuts, limit):
-    bounds = [0, *sorted(min(c, len(residuals)) for c in cuts),
-              len(residuals)]
+       st.floats(allow_nan=False))
+def test_judge_matches_the_flat_rule(residuals, limit):
     report = VerificationReport()
-    report.judge("x", _blocks(*(residuals[a:b]
-                                for a, b in zip(bounds, bounds[1:]))), limit)
+    report.judge("x", residuals, _numbered, limit)
     want = _flat_rule(residuals, limit)
     if want is None:
         assert report.checks == []

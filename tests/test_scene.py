@@ -271,6 +271,8 @@ def _load_one(entity: dict) -> SceneDocument:
     {"type": "polygon", "id": "g", "vertices": [[0, 0], [1, 0], [10**400, 1]]},
     {"type": "parabola", "id": "c", "s": 1, "c": math.nan},
     {"type": "annotation", "id": "t", "x": math.inf, "y": 0, "text": "x"},
+    # Normalised by the tiny norm of (a, b), c would be infinite.
+    {"type": "line", "id": "l", "a": 1e-320, "b": 0, "c": 1},
 ])
 def test_malformed_entities(entity):
     with pytest.raises(SceneFormatError):

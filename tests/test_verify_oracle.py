@@ -12,10 +12,12 @@ reflected in the side by mirroring two of its points.  In the canonical
 frame every residual but the optical one must agree bitwise; the
 optical one is computed by another route and agrees to rounding.
 
-Both references also list the per-pair Archimedes spreads, which the
-report has no entry for: each pair's three points belong to its index
-sum's ``archimedes-family``, and the subsumption tests below check that
-no pair spread exceeds its family's residual.
+Both references also list rows the report has no entry for: the
+per-pair Archimedes spreads, whose three points belong to their index
+sum's ``archimedes-family``, and the per-chord tangent angles, whose
+maximum over an index sum is that sum's ``chord-tangent`` residual.  The
+subsumption tests below check that no such row exceeds its family's
+residual.
 """
 
 import math
@@ -79,12 +81,15 @@ def oracle_parallel_chords(poly):
         if len(chords) >= 2:
             out.append(("parallel-chords", (sigma,), max(
                 angle_between_lines(dirs[0], d) for d in dirs[1:])))
+        angles = []
         for (i, j), d in zip(chords, dirs):
             if (j - i) % 2 == 0:
                 mid = (i + j) // 2
                 tangent_dir = Point(2.0 * s, chain[mid - 1].x)
-                out.append(("chord-tangent", (i, j, mid),
-                            angle_between_lines(d, tangent_dir)))
+                angles.append(angle_between_lines(d, tangent_dir))
+                out.append(("tangent-chord", (i, j, mid), angles[-1]))
+        if angles:
+            out.append(("chord-tangent", (sigma,), max(angles)))
         coords = [_line_coord(L, chain[i - 1].midpoint(chain[j - 1]))
                   for i, j in chords]
         if sigma % 2 == 0 and 1 <= sigma // 2 <= m:
@@ -170,8 +175,10 @@ def _families(rows):
 
 def _families_judged(rows):
     """The rows of the families a report holds: the per-pair
-    ``archimedes`` rows are left to the subsumption tests."""
-    return [row for row in rows if row[0] != "archimedes"]
+    ``archimedes`` and per-chord ``tangent-chord`` rows are left to the
+    subsumption tests."""
+    return [row for row in rows
+            if row[0] not in ("archimedes", "tangent-chord")]
 
 
 def _jittered(poly, rng, eps=1e-3):
@@ -240,7 +247,7 @@ def _lambert_triples(n):
 def test_equidistant_verifiers_match_general_line_oracle(judged, k):
     poly = EQUIDISTANT_FRAMES[k]
     _assert_matches(judged, verify_parallel_chords(poly),
-                    oracle_parallel_chords(poly), poly)
+                    _families_judged(oracle_parallel_chords(poly)), poly)
     _assert_matches(judged, verify_isogonal(poly), oracle_isogonal(poly),
                     poly)
     _assert_matches(judged, verify_optical(poly), oracle_optical(poly), poly)
@@ -269,7 +276,8 @@ def test_general_frame_verifiers_match_general_line_oracle(judged, k):
 def test_equidistant_families_match_scalar_verifiers(judged, k):
     poly = EQUIDISTANT_FRAMES[k]
     _assert_matches_scalar(judged, verify_parallel_chords(poly),
-                           scalar_parallel_chords(poly), poly)
+                           _families_judged(scalar_parallel_chords(poly)),
+                           poly)
     _assert_matches_scalar(judged, verify_isogonal(poly),
                            scalar_isogonal(poly), poly)
     _assert_matches_scalar(judged, verify_optical(poly),
@@ -372,6 +380,41 @@ def test_archimedes_pairs_are_subsumed_by_their_family(judged, group):
                 assert not spread > residual, (group, i, j)
                 if not spread <= limit:
                     assert not residual <= limit, (group, i, j)
+
+
+@pytest.mark.parametrize("group", sorted(SUBSUMPTION_FRAMES))
+def test_tangent_chords_are_subsumed_by_their_index_sum(judged, group):
+    # chord-tangent keeps one residual per even index sum sigma: the
+    # largest angle of the chords V_i V_j, i + j = sigma, to the tangent
+    # at V_{sigma/2}.  Each chord's angle is at most that residual, which
+    # is their maximum bit for bit, and a chord that fails its limit, or
+    # is NaN, leaves the family failing.  So no verdict needs a per-chord
+    # entry.
+    for frame in SUBSUMPTION_FRAMES[group]:
+        report = verify_parallel_chords(frame)
+        family = dict(judged.rows(report)["chord-tangent"])
+        limit = rule_limit("chord-tangent", report.tolerances["scale"])
+        [entry] = [c for c in report.checks if c.name == "chord-tangent"]
+        assert entry.limit == limit and entry.count == len(family)
+        m = frame.n - 1
+        for oracle in (scalar_parallel_chords, oracle_parallel_chords):
+            sums = {}
+            for name, idx, angle in oracle(frame):
+                if name == "tangent-chord":
+                    i, j, mid = idx
+                    assert i + j == 2 * mid
+                    sums.setdefault(i + j, []).append(angle)
+            # The pairs i < j <= m of equal parity.
+            assert sum(map(len, sums.values())) == \
+                math.comb((m + 1) // 2, 2) + math.comb(m // 2, 2)
+            assert sorted(family) == [(sigma,) for sigma in sorted(sums)]
+            for sigma, angles in sums.items():
+                residual = family[(sigma,)]
+                assert residual.hex() == max(angles).hex(), (group, sigma)
+                for angle in angles:
+                    assert not angle > residual, (group, sigma)
+                    if not angle <= limit:
+                        assert not entry.passed, (group, sigma)
 
 
 @pytest.mark.parametrize("k", [1e160, 1e305])
