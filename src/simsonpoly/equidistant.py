@@ -44,7 +44,7 @@ from .kernel import (
     reflect_point,
     require_height,
 )
-from .report import VerificationReport, worst_index
+from .report import VerificationReport
 from .simson import IndexOutOfRange, Polygon, SimsonCertificate, check_triple
 
 
@@ -162,8 +162,13 @@ def verify_parallel_chords(poly: SimsonPolygonFrame) -> VerificationReport:
 
     Each family keeps one residual per index sum, chord-tangent the worst
     angle of its chords.  The vertex coordinates are read once into float
-    lists; the angles are those of the ``angle_between_lines`` oracle in
-    ``tests/geomgen.py``, operation for operation.
+    lists and scaled once: the chain by one power of two, the tangent
+    abscissae with 2s by another, each bringing its largest magnitude
+    below 1.  That is exact, so every angle and spread keeps the bits it
+    has unscaled wherever its numbers stay normal, and no difference,
+    midpoint or product overflows.  The angles are those of the
+    ``angle_between_lines`` oracle in ``tests/geomgen.py``, operation for
+    operation.  Raises NonFinite when the frame's scale is not finite.
     """
     report = VerificationReport()
     limit, angle_limit = report.set_limits(poly.scale())
@@ -171,17 +176,15 @@ def verify_parallel_chords(poly: SimsonPolygonFrame) -> VerificationReport:
     ys = [v.y for v in poly.vertices[:-1]]
     two_s = 2.0 * poly.simson_point.y
     atan2, frexp, ldexp = math.atan2, math.frexp, math.ldexp
+    e = -frexp(max(map(abs, xs + ys)))[1]
+    f = -frexp(max(max(map(abs, xs)), abs(two_s)))[1]
+    txs, ts = [ldexp(x, f) for x in xs], ldexp(two_s, f)
+    xs, ys = [ldexp(x, e) for x in xs], [ldexp(y, e) for y in ys]
     par_res, tan_res, mid_res = [], [], []
     # The chords V_i V_j with i + j = sigma and i < j, by increasing i.
     for sigma, i_range in _index_sums(len(xs)):
-        # Each sum is scaled by the power of two that brings its widest
-        # chord, the first, near 1, and so is (x_mid, 2s) below.  That is
-        # exact: an angle keeps its bits wherever its products stayed
-        # normal floats, and near 1e153 they no longer overflow.
-        lo, hi = i_range[0] - 1, sigma - i_range[0] - 1
-        shift = -frexp(max(abs(xs[hi] - xs[lo]), abs(ys[hi] - ys[lo])))[1]
-        dxs = [ldexp(xs[sigma - i - 1] - xs[i - 1], shift) for i in i_range]
-        dys = [ldexp(ys[sigma - i - 1] - ys[i - 1], shift) for i in i_range]
+        dxs = [xs[sigma - i - 1] - xs[i - 1] for i in i_range]
+        dys = [ys[sigma - i - 1] - ys[i - 1] for i in i_range]
         coords = [0.5 * (xs[i - 1] + xs[sigma - i - 1]) for i in i_range]
         if len(dxs) >= 2:
             ux, uy = dxs[0], dys[0]
@@ -190,13 +193,11 @@ def verify_parallel_chords(poly: SimsonPolygonFrame) -> VerificationReport:
                                for dx, dy in zip(dxs[1:], dys[1:])))
         if sigma % 2 == 0:
             # j - i is even: compare with the tangent at V_{sigma/2}.
-            x_mid = xs[sigma // 2 - 1]
-            shift = -frexp(max(abs(x_mid), abs(two_s)))[1]
-            tx, ts = ldexp(x_mid, shift), ldexp(two_s, shift)
-            angles = [atan2(abs(dx * tx - dy * ts), abs(dx * ts + dy * tx))
-                      for dx, dy in zip(dxs, dys)]
-            tan_res.append(angles[worst_index(angles)])
-            coords.append(x_mid)
+            tx = txs[sigma // 2 - 1]
+            tan_res.append(max(atan2(abs(dx * tx - dy * ts),
+                                     abs(dx * ts + dy * tx))
+                               for dx, dy in zip(dxs, dys)))
+            coords.append(xs[sigma // 2 - 1])
         if len(coords) >= 2:
             mid_res.append(max(coords) - min(coords))
     # The sums with two chords run from 5, the even sums and those with
@@ -204,7 +205,8 @@ def verify_parallel_chords(poly: SimsonPolygonFrame) -> VerificationReport:
     report.judge("parallel-chords", par_res, lambda k: (k + 5,), angle_limit)
     report.judge("chord-tangent", tan_res, lambda k: (2 * k + 4,),
                  angle_limit)
-    report.judge("midpoints-aligned", mid_res, lambda k: (k + 4,), limit)
+    report.judge("midpoints-aligned", [ldexp(r, -e) for r in mid_res],
+                 lambda k: (k + 4,), limit)
     return report
 
 

@@ -133,11 +133,6 @@ class Point(Frozen):
     def __sub__(self, other: "Point") -> "Point":
         return Point(self.x - other.x, self.y - other.y)
 
-    def __mul__(self, f: float) -> "Point":
-        return Point(self.x * f, self.y * f)
-
-    __rmul__ = __mul__
-
     def dot(self, other: "Point") -> float:
         return self.x * other.x + self.y * other.y
 

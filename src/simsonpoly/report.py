@@ -4,20 +4,13 @@ from __future__ import annotations
 
 import math
 
-from .kernel import REL_EPS, Frozen, bound
+from .kernel import REL_EPS, Frozen, NonFinite, bound
 
 
 def _json_number(x: float) -> float | None:
     """x, or None (JSON null) when x is not finite: strict JSON has no
     Infinity or NaN."""
     return x if math.isfinite(x) else None
-
-
-def worst_index(residuals: Sequence[float]) -> int:
-    """Position of the first NaN of residuals, else of their first max."""
-    if any(map(math.isnan, residuals)):
-        return next(k for k, r in enumerate(residuals) if math.isnan(r))
-    return residuals.index(max(residuals))
 
 
 class CheckResult(Frozen):
@@ -81,7 +74,10 @@ class VerificationReport(Frozen):
     def set_limits(self, scale: float) -> tuple[float, float]:
         """Record a polygon's scale and return the thresholds at it as
         (length limit, angle limit); angles are judged at max(1, scale).
-        Each entry states the limit it was judged at."""
+        Each entry states the limit it was judged at.  Raises NonFinite
+        when the scale is not finite, so every limit is."""
+        if not math.isfinite(scale):
+            raise NonFinite(f"scale {scale} leaves the float range")
         self.tolerances["scale"] = scale
         return bound(scale), bound(max(1.0, scale))
 
@@ -93,11 +89,15 @@ class VerificationReport(Frozen):
 
         The family passes when every residual is at most ``limit``, so a
         NaN fails.  Its reported instance is the first NaN, else the first
-        maximum, and its count is the number of residuals.  A family
-        without instances adds no entry.
+        maximum, and its count is the number of residuals.  This is the
+        package's one rule for a NaN residual.  A family without instances
+        adds no entry.
         """
         if residuals:
-            k = worst_index(residuals)
+            if any(map(math.isnan, residuals)):
+                k = next(k for k, r in enumerate(residuals) if math.isnan(r))
+            else:
+                k = residuals.index(max(residuals))
             self.checks.append(CheckResult(
                 name, tuple(index_of(k)), residuals[k],
                 residuals[k] <= limit, note, limit, len(residuals)))

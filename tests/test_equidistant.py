@@ -1,4 +1,5 @@
 import math
+import random
 import statistics
 import sys
 
@@ -395,18 +396,49 @@ def test_chord_tangent_fails_when_focus_moves():
     assert tangent.residual > 1e6 * tangent.limit
 
 
-def test_chord_tangent_names_a_nan_after_a_finite_chord():
-    # At the index sum 6 the chord V_1 V_5 has a finite angle to the
-    # tangent at V_3, but V_2 V_4 overflows in x and V_3 has x = 0, so
-    # its angle is inf * 0, a NaN.  The sum's residual is that NaN, and
-    # the family fails even at the infinite limit of this frame's scale.
-    verts = [Point(0, 0), Point(-1e308, 0), Point(0, 1), Point(1e308, 0),
-             Point(1, 1), Point(5, 5)]
-    frame = SimsonPolygonFrame(vertices=verts, projections=verts,
-                               simson_point=Point(0, 1))
-    tangent = _family(verify_parallel_chords(frame), "chord-tangent")
-    assert tangent.limit == math.inf and tangent.indices == (6,)
-    assert math.isnan(tangent.residual) and not tangent.passed
+def test_chord_tangent_refuses_an_infinite_scale():
+    # At the index sum 6 the chord V_2 V_4 is 2e308 wide, past the float
+    # range, and V_3 has x = 0: unscaled, its angle to the tangent at V_3
+    # was inf * 0, a NaN.  The frame's scale is infinite, so there is no
+    # limit to judge it at.
+    frame = _frame([(0, 0), (-1e308, 0), (0, 1), (1e308, 0), (1, 1),
+                    (5, 5)])
+    with pytest.raises(NonFinite, match="scale inf leaves the float range"):
+        verify_parallel_chords(frame)
+
+
+def test_every_verifier_refuses_an_infinite_scale():
+    # Unscaled, the chord V_3 V_4 of the index sum 7 had a NaN angle, and
+    # parallel-chords passed it at the limit inf.
+    frame = _frame([(0, 0), (0, 0), (-1e308, 0), (1e308, 0), (1, 2),
+                    (0, 1), (5, 5)])
+    for verify in (verify_parallel_chords, verify_isogonal, verify_optical,
+                   verify_archimedes,
+                   lambda poly: verify_lambert(poly, 1, 2, 3)):
+        with pytest.raises(NonFinite):
+            verify(frame)
+
+
+def test_parallel_chords_scale_a_wide_chain_once():
+    # The sum 6 holds a tiny first chord, V_1 V_5, and a later one,
+    # V_2 V_4, near 1e300: scaling that sum by its first chord overflowed.
+    frame = _frame([(0, 0), (-1e300, -1e300), (1, 2), (1e300, 1e300),
+                    (1e-300, 0), (5, 5)])
+    report = verify_parallel_chords(frame)
+    assert len(report.checks) == 3
+    assert all(math.isfinite(c.residual) for c in report.checks)
+
+
+def test_parallel_chords_residuals_are_finite_on_wide_coordinates():
+    rng = random.Random(7)
+
+    def wide():
+        return rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-300, 300)
+
+    for _ in range(2000):
+        coords = [(wide(), wide()) for _ in range(rng.randint(5, 12))]
+        report = verify_parallel_chords(_frame(coords, wide()))
+        assert all(math.isfinite(c.residual) for c in report.checks)
 
 
 def test_archimedes_alignment_example(judged):
@@ -456,10 +488,11 @@ def test_archimedes_fails_on_perturbation():
     assert not verify_archimedes(_perturbed(OCT)).overall
 
 
-def _frame(vertices):
+def _frame(vertices, s=1):
+    """A frame whose vertices are their own projections, with S = (0, s)."""
     pts = tuple(Point(x, y) for x, y in vertices)
     return SimsonPolygonFrame(vertices=pts, projections=pts,
-                              simson_point=Point(0, 1))
+                              simson_point=Point(0, s))
 
 
 def test_archimedes_rejects_sides_that_do_not_cross():

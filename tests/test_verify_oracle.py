@@ -195,10 +195,11 @@ def _general_frame(rng):
     u = Point(math.cos(theta), math.sin(theta))
     origin = Point(*rng.uniform(-2.0, 2.0, 2))
     ts = np.cumsum(rng.uniform(0.3, 1.2, n)) - 2.0
-    feet = [origin + u * float(t) for t in ts]
+    feet = [origin + Point(u.x * float(t), u.y * float(t)) for t in ts]
     height = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.7, 2.0))
-    s = origin + u * float(rng.uniform(-1.0, 1.0)) + \
-        Point(-u.y, u.x) * height
+    along = float(rng.uniform(-1.0, 1.0))
+    s = origin + Point(u.x * along, u.y * along) + \
+        Point(-u.y * height, u.x * height)
     poly = construct_simson_polygon(s, line_through(origin, origin + u), feet)
     cert = find_simson_point(poly)
     assert cert is not None
