@@ -1,77 +1,51 @@
 """Dense-sampling estimate of the chain-to-parabola Hausdorff distance.
 
 This is the estimate ``simsonpoly.limits`` used before it measured the
-distance in closed form, kept as an oracle.  The chain is sampled 8
-times per segment, each sample measured exactly to the parabola, and
-the arc at 2001 abscissae, each measured to the chain.  Every sample
-distance is a true point-to-set distance, so the estimate is a lower
-bound of the Hausdorff distance.
+distance in closed form, kept as the tests' one dense oracle.  The chain
+is sampled 8 times per segment, each sample measured to the parabola by
+the point-to-parabola distance the caller passes, and the arc at 2001
+abscissae, each measured to every segment of the chain in one numpy
+broadcast.  Every sample distance is a true point-to-set distance, so
+the estimate is a lower bound of the Hausdorff distance.
 """
 
-from bisect import bisect_left, bisect_right
-
-from simsonpoly.limits import _parabola_distance, _segment_distance
+import numpy as np
 
 PER_SEGMENT = 8
 PARABOLA_SAMPLES = 2001
 _STEPS = tuple(k / PER_SEGMENT for k in range(1, PER_SEGMENT + 1))
 
 
-def linspace(lo, hi, num):
-    """num equally spaced values from lo to hi, computed as numpy.linspace
-    computes them: j * step + lo, with the last value set to hi."""
-    step = (hi - lo) / (num - 1)
-    out = [j * step + lo for j in range(num)]
-    out[-1] = hi
-    return out
+def broadcast_polyline(px, py, chain):
+    """Distances from the points (px, py), two arrays, to the polyline
+    through the chain: every point against every segment."""
+    v = np.array([[p.x, p.y] for p in chain])
+    p0, d = v[:-1], v[1:] - v[:-1]
+    len2 = (d * d).sum(axis=1)
+    qx = px[:, None] - p0[None, :, 0]
+    qy = py[:, None] - p0[None, :, 1]
+    t = np.clip((qx * d[None, :, 0] + qy * d[None, :, 1]) / len2[None, :],
+                0.0, 1.0)
+    rx = qx - t * d[None, :, 0]
+    ry = qy - t * d[None, :, 1]
+    return np.sqrt(rx * rx + ry * ry).min(axis=1)
 
 
-def points_to_polyline(px, py, vx, vy):
-    """Distances from the points (px, py) to the polyline through the
-    vertices (vx, vy), whose abscissae vx increase.
-
-    Each point is measured to the segment over its own abscissa x first,
-    at distance d0, and then only to the segments whose abscissae meet
-    [x - d0, x + d0]: any other segment is more than d0 away
-    horizontally.  Each distance is computed as a scan over all segments
-    computes it, so the result is bitwise the same.
-    """
-    segments = [(ax, ay, bx - ax, by - ay,
-                 (bx - ax) * (bx - ax) + (by - ay) * (by - ay))
-                for ax, ay, bx, by in zip(vx, vy, vx[1:], vy[1:])]
-    last = len(segments) - 1
-    out = []
-    for x, y in zip(px, py):
-        own = min(max(bisect_right(vx, x) - 1, 0), last)
-        best = _segment_distance(x, y, segments[own])
-        lo = x - best
-        hi = x + best
-        if lo < vx[own] or hi > vx[own + 1]:
-            for i in range(max(bisect_left(vx, lo) - 1, 0),
-                           min(bisect_right(vx, hi) - 1, last) + 1):
-                d = _segment_distance(x, y, segments[i])
-                if d < best:
-                    best = d
-        out.append(best)
-    return out
-
-
-def dense_hausdorff(chain, par, half_width):
+def dense_hausdorff(chain, par, half_width, distance):
     """Hausdorff distance between the chain and the parabola arc over
-    [-w, w], by dense sampling: exact point-to-curve distances in the
-    chain-to-parabola direction, pruned point-to-chain distances in the
-    other."""
+    [-w, w], by dense sampling: distance(x, y, par) from each chain
+    sample to the parabola, and ``broadcast_polyline`` from each arc
+    sample to the chain."""
     vx = [p.x for p in chain]
     vy = [p.y for p in chain]
-    d1 = _parabola_distance(vx[0], vy[0], par)
+    d1 = distance(vx[0], vy[0], par)
     for ax, ay, bx, by in zip(vx, vy, vx[1:], vy[1:]):
         dx = bx - ax
         dy = by - ay
         for t in _STEPS:
-            d = _parabola_distance(ax + t * dx, ay + t * dy, par)
+            d = distance(ax + t * dx, ay + t * dy, par)
             if d > d1:
                 d1 = d
-    xs = linspace(-half_width, half_width, PARABOLA_SAMPLES)
-    ys = [par.y_at(x) for x in xs]
-    d2 = max(points_to_polyline(xs, ys, vx, vy))
+    xs = np.linspace(-half_width, half_width, PARABOLA_SAMPLES)
+    d2 = float(broadcast_polyline(xs, par.y_at(xs), chain).max())
     return max(d1, d2)

@@ -1,5 +1,4 @@
 import math
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +7,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from geomgen import xy
-from limits_oracle import dense_hausdorff, linspace, points_to_polyline
+from limits_oracle import dense_hausdorff
 from simsonpoly import limits
 from simsonpoly.equidistant import EquidistantConfig, Parabola, \
     make_equidistant
@@ -27,50 +26,25 @@ from simsonpoly.limits import (
 )
 
 
-# Reference: one np.roots call per point and one 2001 x n_seg broadcast,
-# the brute-force forms of the closed-form cubic and the pruned
-# parabola-to-chain pass.
+# Reference: one np.roots call per point, the brute-force form of the
+# closed-form cubic, measured by the dense oracle at each level.
 
-def roots_distance(p, par):
+def roots_distance(x, y, par):
     s, c = par.s, par.c
-    roots = np.roots([1.0, 0.0, 8.0 * s * s - c - 4.0 * s * p.y,
-                      -8.0 * s * s * p.x])
+    roots = np.roots([1.0, 0.0, 8.0 * s * s - c - 4.0 * s * y,
+                      -8.0 * s * s * x])
     best = math.inf
     for r in roots:
-        x = float(r.real)
-        if abs(r.imag) <= 1e-8 * (1.0 + abs(x)):
-            best = min(best, p.distance(Point(x, par.y_at(x))))
+        rx = float(r.real)
+        if abs(r.imag) <= 1e-8 * (1.0 + abs(rx)):
+            best = min(best, math.hypot(x - rx, y - par.y_at(rx)))
     return best
 
 
-def broadcast_polyline(px, py, chain):
-    v = np.array([[p.x, p.y] for p in chain])
-    p0, d = v[:-1], v[1:] - v[:-1]
-    len2 = (d * d).sum(axis=1)
-    qx = px[:, None] - p0[None, :, 0]
-    qy = py[:, None] - p0[None, :, 1]
-    t = np.clip((qx * d[None, :, 0] + qy * d[None, :, 1]) / len2[None, :],
-                0.0, 1.0)
-    rx = qx - t * d[None, :, 0]
-    ry = qy - t * d[None, :, 1]
-    return np.sqrt(rx * rx + ry * ry).min(axis=1)
-
-
-def reference_table(s, w, m_max, per_segment=8):
+def reference_table(s, w, m_max):
     par = Parabola(s, 0.0)
-    out = []
-    for m in range(m_max + 1):
-        chain = chain_for_window(s, w, 2.0 ** -m)
-        samples = [chain[0]] + [
-            Point(a.x + k / per_segment * (b.x - a.x),
-                  a.y + k / per_segment * (b.y - a.y))
-            for a, b in zip(chain, chain[1:])
-            for k in range(1, per_segment + 1)]
-        d1 = max(roots_distance(q, par) for q in samples)
-        xs = np.linspace(-w, w, 2001)
-        d2 = float(broadcast_polyline(xs, xs * xs / (4.0 * s), chain).max())
-        out.append(max(d1, d2))
-    return out
+    return [dense_hausdorff(chain_for_window(s, w, 2.0 ** -m), par, w,
+                            roots_distance) for m in range(m_max + 1)]
 
 
 def test_chain_for_window_unit_spacing():
@@ -247,8 +221,8 @@ def test_batched_distance_matches_roots_loop(s, c):
     branches = set()
     for p in pts:
         got = _parabola_distance(p.x, p.y, par)
-        assert got == pytest.approx(roots_distance(p, par), rel=1e-12,
-                                    abs=1e-12)
+        assert got == pytest.approx(roots_distance(p.x, p.y, par),
+                                    rel=1e-12, abs=1e-12)
         assert point_to_parabola_distance(p, par) == got
         branches.add(_branch(p, par))
     assert branches >= {"beta > 0", "one root", "three roots"}
@@ -265,7 +239,7 @@ def test_cube_root_branch_matches_roots(s, c):
         p = Point(float(x), y0)
         assert _branch(p, par) == "beta = 0"
         assert point_to_parabola_distance(p, par) == pytest.approx(
-            roots_distance(p, par), rel=1e-12, abs=1e-12)
+            roots_distance(p.x, p.y, par), rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("s, c", PARABOLAS)
@@ -277,7 +251,7 @@ def test_evolute_double_roots_match_roots(s, c):
     assert {_branch(p, par) for p in pts} >= {"one root", "three roots"}
     for p in pts:
         assert point_to_parabola_distance(p, par) == pytest.approx(
-            roots_distance(p, par), rel=1e-12, abs=1e-12)
+            roots_distance(p.x, p.y, par), rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("s, c", PARABOLAS)
@@ -298,54 +272,12 @@ def test_on_curve_distance_is_rounding(s, c):
                                                       + 8 * math.ulp(p.y))
 
 
-@pytest.mark.parametrize("w", [2.0, 3.0, 0.1, 1e3])
-def test_linspace_is_bitwise_numpy(w):
-    assert linspace(-w, w, 2001) == np.linspace(-w, w, 2001).tolist()
-
-
 @pytest.mark.parametrize("s", [0.7, -0.7, 2.9])
 @pytest.mark.parametrize("w", [2.0, 3.0, 4.0])
 def test_convergence_table_matches_reference(s, w):
     rows = convergence_table(s, w, 5)
     ref = reference_table(s, w, 5)
     assert [r.hausdorff for r in rows] == pytest.approx(ref, rel=1e-12)
-
-
-def _pruned_and_brute(chain, xs, ys):
-    vx = [p.x for p in chain]
-    vy = [p.y for p in chain]
-    pruned = points_to_polyline(xs, ys, vx, vy)
-    brute = broadcast_polyline(np.array(xs), np.array(ys), chain).tolist()
-    return pruned, brute
-
-
-def test_blocked_polyline_is_bitwise_broadcast():
-    chain = chain_for_window(-1.9, 3.0, 0.125)
-    xs = linspace(-3.0, 3.0, 2001)
-    ys = [x * x / (4.0 * -1.9) for x in xs]
-    pruned, brute = _pruned_and_brute(chain, xs, ys)
-    assert pruned == brute
-
-
-@pytest.mark.parametrize("s, w, delta", [(0.05, 3.0, 1.0), (-0.05, 2.0, 1.0),
-                                         (0.2, 4.0, 0.5), (0.02, 1.0, 0.25)])
-def test_pruned_polyline_is_bitwise_broadcast(s, w, delta):
-    # A steep parabola over a coarse chain: a sample's distance d0 to the
-    # segment over it spans several segments, so the pruned pass has to
-    # search beyond its own segment.
-    chain = chain_for_window(s, w, delta)
-    vx = [p.x for p in chain]
-    xs = linspace(-w, w, 2001)
-    ys = [x * x / (4.0 * s) for x in xs]
-    rng = np.random.default_rng(5)
-    xs += rng.uniform(-1.5 * w, 1.5 * w, 500).tolist()
-    ys += rng.uniform(-3.0 * w * w / abs(s), 3.0 * w * w / abs(s),
-                      500).tolist()
-    pruned, brute = _pruned_and_brute(chain, xs, ys)
-    assert pruned == brute
-    spans = [bisect_right(vx, x + d) - bisect_left(vx, x - d)
-             for x, d in zip(xs, pruned)]
-    assert max(spans) >= 3
 
 
 def test_hausdorff_never_calls_per_point_distance(monkeypatch):
@@ -417,8 +349,9 @@ def test_hausdorff_is_the_bound_and_above_the_dense_oracle(mag, sign, w,
     scale = max(w, w * w / (4.0 * mag))
     for r in convergence_table(s, w, m_max):
         assert abs(r.hausdorff - r.bound) <= 1e-12 * r.bound + 8 * _U * scale
-        chain = chain_for_window(s, w, r.delta)
-        assert r.hausdorff >= dense_hausdorff(chain, par, w) - 1e-12 * r.bound
+        dense = dense_hausdorff(chain_for_window(s, w, r.delta), par, w,
+                                _parabola_distance)
+        assert r.hausdorff >= dense - 1e-12 * r.bound
 
 
 @pytest.mark.parametrize("s, w", [(1e-310, 4.0), (1e300, 4.0),
