@@ -17,6 +17,7 @@ each other.
 
 from __future__ import annotations
 
+import json
 import math
 
 from .kernel import MAX_SEGMENTS, Frozen, GeometryError, InvalidConfig, \
@@ -214,3 +215,83 @@ def quadrature_l1(p: ApproxProblem, knots: Sequence[float]) -> float:
 def quadrature_l2(p: ApproxProblem, knots: Sequence[float]) -> float:
     """Squared L2 interpolation error by per-segment quadrature."""
     return _quadrature(p, knots, squared=True)
+
+
+# ------------------------------------------------------------------ command
+
+def _parse_perturb_knot(spec: str) -> tuple[int, float]:
+    parts = spec.split(",")
+    if len(parts) != 2:
+        raise UsageError("--perturb-knot expects INDEX,EPS")
+    try:
+        idx, eps = int(parts[0]), float(parts[1])
+    except ValueError:
+        raise UsageError(f"bad --perturb-knot value {spec!r}")
+    if not math.isfinite(eps):
+        raise UsageError(f"--perturb-knot must be finite, got {eps}")
+    # A zero nudge moves no knot, so it cannot test optimality.
+    if eps == 0.0:
+        raise UsageError("--perturb-knot EPS must be nonzero")
+    return idx, eps
+
+
+def approx_request(args) -> tuple[str, str | None, bool]:
+    """The JSON and SVG figure (None without --svg) of ``approx``, and
+    whether a --perturb-knot nudge found the knots optimal."""
+    if args.perturb_knot:
+        idx, eps = _parse_perturb_knot(args.perturb_knot)
+        if args.n < 2:
+            raise UsageError("--perturb-knot needs an interior knot; "
+                             f"--n {args.n} has none")
+        if not 1 <= idx <= args.n - 1:
+            raise UsageError(
+                f"--perturb-knot index must be interior (1..{args.n - 1})")
+    problem = ApproxProblem(s=args.s, delta=args.delta, a=args.a, b=args.b,
+                            n=args.n)
+    result = optimal_knots(problem)
+    payload = {
+        "s": problem.s, "delta": problem.delta,
+        "a": problem.a, "b": problem.b, "n": problem.n,
+        "knots": list(result.knots),
+        "knot_points": [[x, y] for x, y in result.knot_points],
+        "l1_error": result.l1_error,
+        "l2_error": result.l2_error,
+    }
+    optimal = True
+    if args.compare_quadrature:
+        q1 = quadrature_l1(problem, result.knots)
+        q2 = quadrature_l2(problem, result.knots)
+        quadrature = payload["quadrature"] = {
+            "l1": q1,
+            "l1_relative_difference": abs(q1 - result.l1_error)
+            / max(result.l1_error, 1e-300),
+            "l2": q2,
+            "l2_relative_difference": abs(q2 - result.l2_error)
+            / max(result.l2_error, 1e-300),
+        }
+        # The quadrature squares the error at its nodes, so it can leave
+        # the float range where the closed forms stay inside it.
+        if not all(map(math.isfinite, quadrature.values())):
+            raise NonFinite(f"s = {problem.s} on [{problem.a}, {problem.b}] "
+                            "leaves the float range in the quadrature")
+    if args.perturb_knot:
+        # Moving the knot by e changes only its two widths, to h1 + e and
+        # h2 - e, and their cubes by 3e(h1 + h2)(h1 - h2 + e): no cancelling.
+        before, knot, after = result.knots[idx - 1:idx + 2]
+        h1, h2, e = knot - before, after - knot, (knot + eps) - knot
+        # A nudge lost to rounding or past a neighbour tests no optimum.
+        if e == 0.0 or not before < knot + eps < after:
+            raise UsageError(f"--perturb-knot must move knot {idx} off "
+                             f"{knot} to strictly between {before} and "
+                             f"{after}, not to {knot + eps}")
+        payload["perturb_knot"] = {"index": idx, "eps": eps, "objective_delta":
+                                   3.0 * e * (h1 + h2) * (h1 - h2 + e)}
+        # Widths equal up to R = width_spread give sign(e)(h1 - h2 + e)
+        # >= |e| - R > -R: only knots off the optimum fall below -R.
+        optimal = not (math.copysign(1.0, e) * (h1 - h2 + e)
+                       < -width_spread(problem))
+    svg = None
+    if args.svg is not None:
+        from .svgfig import approx_figure
+        svg = approx_figure(problem, result)
+    return json.dumps(payload, indent=2, allow_nan=False), svg, optimal

@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface: the flag table, its parser, help, main and run.
 
 Subcommands: construct, verify, approx, limit.  Exit codes form a stable
 contract: 0 success, 2 usage or parse error (a ``UsageError``), 3
@@ -6,37 +6,32 @@ geometric degeneracy (a ``GeometryError``), 4 verification failure (the
 report is still emitted).  An error's type alone decides its code.
 
 Each command returns its JSON text, its SVG figure (None unless --svg
-was given) and its exit code; :func:`main` alone writes them.
+was given) and whether its claim held, False giving exit 4; :func:`main`
+alone writes them.
 """
 
 from __future__ import annotations
 
 import atexit
-import json
 import math
 import os
 import sys
 from types import SimpleNamespace
 
-# Besides kernel, each command imports the layers it calls inside the
-# function that calls them, so a request loads only the modules it runs.
-from .kernel import MAX_SEGMENTS, GeometryError, InvalidConfig, NonFinite, \
-    Point, UsageError
+# A command's work lives beside the layer it drives: scene, approx or
+# limits.  Its stub below imports that work on call, so a request
+# compiles and loads only its own command and the layers that command
+# runs, and help loads no module besides kernel.
+from .kernel import MAX_SEGMENTS, GeometryError, UsageError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 EXIT_VERIFY = 4
 
-_EQUIDISTANT_CHECKS = ("parallel-chords", "optical", "archimedes")
+EQUIDISTANT_CHECKS = ("parallel-chords", "optical", "archimedes")
 # Report order: the search, any Simson polygon's checks, the equidistant ones.
-ALL_CHECKS = ("simson", "isogonal", "lambert") + _EQUIDISTANT_CHECKS
-
-
-def _require_finite(flag: str, value: float) -> float:
-    if not math.isfinite(value):
-        raise UsageError(f"{flag} must be finite, got {value}")
-    return value
+ALL_CHECKS = ("simson", "isogonal", "lambert") + EQUIDISTANT_CHECKS
 
 
 def _write_file(path: str, text: str) -> None:
@@ -49,295 +44,24 @@ def _write_file(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
-# ---------------------------------------------------------------- construct
-
-def _construct_scene(args) -> SceneDocument:
-    from .scene import SceneDocument, parse_feet_spec, parse_line_spec, \
-        parse_point_spec
-
-    scene = SceneDocument()
-    if args.equidistant:
-        from .equidistant import EquidistantConfig, associated_parabola, \
-            make_equidistant, midpoint_parabola
-
-        for flag, value in (("--s", args.s), ("--delta", args.delta),
-                            ("--n", args.n)):
-            if value is None:
-                raise UsageError(f"--equidistant requires {flag}")
-        cfg = EquidistantConfig(s=args.s, x0=args.x0, delta=args.delta,
-                                n=args.n)
-        poly = make_equidistant(cfg)
-        scene.add_line("L", poly.simson_line)
-        scene.add_parabola("C", associated_parabola(cfg), dash="4 3")
-        scene.add_parabola("Cprime", midpoint_parabola(cfg), dash="2 3",
-                           stroke="#777777")
-        polygon, feet, s = poly.polygon(), poly.projections, poly.simson_point
-    else:
-        for flag, value in (("--feet", args.feet),
-                            ("--simson-point", args.simson_point),
-                            ("--simson-line", args.simson_line)):
-            if value is None:
-                raise UsageError(
-                    f"construct without --equidistant requires {flag}")
-        from .simson import construct_simson_polygon
-
-        feet = parse_feet_spec(args.feet)
-        s = parse_point_spec(args.simson_point)
-        line = parse_line_spec(args.simson_line)
-        polygon = construct_simson_polygon(s, line, feet)
-        scene.add_line("L", line)
-    scene.add_polygon("polygon", polygon)
-    for i, foot in enumerate(feet):
-        scene.add_point(f"X{i + 1}", foot, fill="#808080")
-    scene.add_point("S", s, fill="#b03030")
-    return scene
+def cmd_construct(args) -> tuple[str, str | None, bool]:
+    from .scene import construct_request
+    return construct_request(args)
 
 
-def cmd_construct(args) -> tuple[str, str | None, int]:
-    scene = _construct_scene(args)
-    # The figure is built first: a scene it cannot draw writes nothing.
-    svg = None
-    if args.svg:
-        from .svgfig import scene_to_svg
-        svg = scene_to_svg(scene)
-    return scene.to_json(), svg, EXIT_OK
+def cmd_verify(args) -> tuple[str, None, bool]:
+    from .scene import verify_request
+    return verify_request(args)
 
 
-# ------------------------------------------------------------------- verify
-
-def _parse_checks(spec: str) -> list[str]:
-    """The checks spec names, each once, in the order a report lists them."""
-    names = [c.strip() for c in spec.split(",") if c.strip()]
-    if not names:
-        raise UsageError("--checks must name at least one check")
-    for name in names:
-        if name != "all" and name not in ALL_CHECKS:
-            raise UsageError(
-                f"unknown check {name!r}; choose from "
-                f"{', '.join(ALL_CHECKS)} or all")
-    return [c for c in ALL_CHECKS if "all" in names or c in names]
+def cmd_approx(args) -> tuple[str, str | None, bool]:
+    from .approx import approx_request
+    return approx_request(args)
 
 
-def _parse_triple(spec: str) -> tuple[int, int, int]:
-    parts = spec.split(",")
-    if len(parts) != 3:
-        raise UsageError("--triple expects three comma-separated side indices")
-    try:
-        i, j, k = (int(p) for p in parts)
-    except ValueError:
-        raise UsageError(f"--triple indices must be integers, got {spec!r}")
-    return i, j, k
-
-
-def _load_polygon(args) -> Polygon:
-    from .scene import SceneDocument
-
-    if args.infile is None:
-        raise UsageError("verify requires --in SCENE.json")
-    try:
-        if args.infile == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.infile, "r", encoding="utf-8") as fh:
-                text = fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.infile}: {exc.strerror}")
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"cannot read {args.infile}: {exc}")
-    return SceneDocument.from_json(text).first_polygon()
-
-
-def _perturbed(poly: Polygon, eps: float, seed: int) -> Polygon:
-    """Move each vertex by -eps + 2 * eps * random() in x, then in y."""
-    import random
-    from .simson import Polygon
-
-    # An int seed fixes the random() stream in every Python version.
-    draw = random.Random(seed).random
-    return Polygon(tuple(Point(v.x + (-eps + 2 * eps * draw()),
-                               v.y + (-eps + 2 * eps * draw()))
-                         for v in poly.vertices))
-
-
-def _run_checks(poly: Polygon, checks: list[str],
-                triple: tuple[int, int, int]) -> VerificationReport:
-    """The report of checks, as ``_parse_checks`` lists them, on poly."""
-    from .report import CheckResult, VerificationReport
-    from .simson import _search
-
-    report = VerificationReport()
-    _, centred, cert, defect = _search(poly)
-    if cert is None:
-        for name in checks:
-            report.add(CheckResult(
-                name, (), defect, False,
-                note="no common intersection of characterization circles"
-                if name == "simson" else "skipped: no simson point"))
-        return report
-    # The frame layer runs only once a Simson point is found.
-    from .equidistant import equidistant_from_frame, frame_from_certificate, \
-        verify_archimedes, verify_isogonal, verify_lambert, verify_optical, \
-        verify_parallel_chords
-
-    if "simson" in checks:
-        report.add(CheckResult("simson", (), cert.residual, True))
-    frame = frame_from_certificate(centred, cert)
-    report.set_limits(frame.scale())
-    if "isogonal" in checks:
-        report.extend(verify_isogonal(frame))
-    if "lambert" in checks:
-        report.extend(verify_lambert(frame, *triple))
-    wanted = [c for c in checks if c in _EQUIDISTANT_CHECKS]
-    if wanted and poly.n == 3:
-        # Every point of a triangle's circumcircle is a Simson point; the
-        # search returns the topmost one, not the point that built it.
-        for name in wanted:
-            report.add(CheckResult(
-                name, (), 0.0, True,
-                note="skipped: a triangle's Simson point is not unique"))
-        return report
-    if wanted:
-        try:
-            eq = equidistant_from_frame(frame)
-        except InvalidConfig as exc:
-            report.add(CheckResult("equidistant-spacing", (), float("inf"),
-                                   False, note=str(exc)))
-            return report
-        if "parallel-chords" in wanted:
-            report.extend(verify_parallel_chords(eq))
-        if "optical" in wanted:
-            report.extend(verify_optical(eq))
-        if "archimedes" in wanted:
-            if eq.n < 5:
-                report.add(CheckResult("archimedes", (), 0.0, True,
-                                       note="skipped: needs n >= 5"))
-            else:
-                report.extend(verify_archimedes(eq))
-    return report
-
-
-def cmd_verify(args) -> tuple[str, None, int]:
-    checks = _parse_checks(args.checks)
-    triple = _parse_triple(args.triple)
-    if args.perturb <= 0.0:
-        raise UsageError(f"--perturb must be positive, got {args.perturb}")
-    if args.seed < 0:
-        raise UsageError("--seed must be non-negative")
-    # The noise is drawn from [-perturb, perturb], whose width must be finite.
-    _require_finite("--perturb width", 2.0 * args.perturb)
-    poly = _load_polygon(args)
-    if "lambert" in checks:  # judged before a search that may miss
-        from .simson import check_triple
-        check_triple(poly.n, triple)
-    if args.negative_control:
-        poly = _perturbed(poly, args.perturb, args.seed)
-    report = _run_checks(poly, checks, triple)
-    return (json.dumps(report.to_dict(), indent=2, allow_nan=False), None,
-            EXIT_OK if report.overall else EXIT_VERIFY)
-
-
-# ------------------------------------------------------------------- approx
-
-def _parse_perturb_knot(spec: str) -> tuple[int, float]:
-    parts = spec.split(",")
-    if len(parts) != 2:
-        raise UsageError("--perturb-knot expects INDEX,EPS")
-    try:
-        idx, eps = int(parts[0]), float(parts[1])
-    except ValueError:
-        raise UsageError(f"bad --perturb-knot value {spec!r}")
-    # A zero nudge moves no knot, so it cannot test optimality.
-    if _require_finite("--perturb-knot", eps) == 0.0:
-        raise UsageError("--perturb-knot EPS must be nonzero")
-    return idx, eps
-
-
-def cmd_approx(args) -> tuple[str, str | None, int]:
-    from .approx import ApproxProblem, optimal_knots, quadrature_l1, \
-        quadrature_l2, width_spread
-
-    if args.perturb_knot:
-        idx, eps = _parse_perturb_knot(args.perturb_knot)
-        if args.n < 2:
-            raise UsageError("--perturb-knot needs an interior knot; "
-                             f"--n {args.n} has none")
-        if not 1 <= idx <= args.n - 1:
-            raise UsageError(
-                f"--perturb-knot index must be interior (1..{args.n - 1})")
-    problem = ApproxProblem(s=args.s, delta=args.delta, a=args.a, b=args.b,
-                            n=args.n)
-    result = optimal_knots(problem)
-    payload = {
-        "s": problem.s, "delta": problem.delta,
-        "a": problem.a, "b": problem.b, "n": problem.n,
-        "knots": list(result.knots),
-        "knot_points": [[x, y] for x, y in result.knot_points],
-        "l1_error": result.l1_error,
-        "l2_error": result.l2_error,
-    }
-    exit_code = EXIT_OK
-    if args.compare_quadrature:
-        q1 = quadrature_l1(problem, result.knots)
-        q2 = quadrature_l2(problem, result.knots)
-        quadrature = payload["quadrature"] = {
-            "l1": q1,
-            "l1_relative_difference": abs(q1 - result.l1_error)
-            / max(result.l1_error, 1e-300),
-            "l2": q2,
-            "l2_relative_difference": abs(q2 - result.l2_error)
-            / max(result.l2_error, 1e-300),
-        }
-        # The quadrature squares the error at its nodes, so it can leave
-        # the float range where the closed forms stay inside it.
-        if not all(map(math.isfinite, quadrature.values())):
-            raise NonFinite(f"s = {problem.s} on [{problem.a}, {problem.b}] "
-                            "leaves the float range in the quadrature")
-    if args.perturb_knot:
-        # Moving the knot by e changes only its two widths, to h1 + e and
-        # h2 - e, and their cubes by 3e(h1 + h2)(h1 - h2 + e): no cancelling.
-        before, knot, after = result.knots[idx - 1:idx + 2]
-        h1, h2, e = knot - before, after - knot, (knot + eps) - knot
-        # A nudge lost to rounding or past a neighbour tests no optimum.
-        if e == 0.0 or not before < knot + eps < after:
-            raise UsageError(f"--perturb-knot must move knot {idx} off "
-                             f"{knot} to strictly between {before} and "
-                             f"{after}, not to {knot + eps}")
-        payload["perturb_knot"] = {"index": idx, "eps": eps, "objective_delta":
-                                   3.0 * e * (h1 + h2) * (h1 - h2 + e)}
-        # Widths equal up to R = width_spread give sign(e)(h1 - h2 + e)
-        # >= |e| - R > -R: only knots off the optimum fall below -R.
-        if math.copysign(1.0, e) * (h1 - h2 + e) < -width_spread(problem):
-            exit_code = EXIT_VERIFY
-    svg = None
-    if args.svg:
-        from .svgfig import approx_figure
-        svg = approx_figure(problem, result)
-    return json.dumps(payload, indent=2, allow_nan=False), svg, exit_code
-
-
-# -------------------------------------------------------------------- limit
-
-def cmd_limit(args) -> tuple[str, None, int]:
-    # limits alone: the chains come from the equidistant closed form, so
-    # neither the Simson nor the equidistant layer is loaded.
-    from .limits import convergence_table, observed_orders
-
-    rows = convergence_table(args.s, args.window, args.m_max)
-    orders = observed_orders(rows)
-    payload = {
-        "s": args.s, "window": args.window,
-        "rows": [{"delta": r.delta, "hausdorff": r.hausdorff,
-                  "bound": r.bound, "chain_to_parabola": r.chain_to_parabola}
-                 for r in rows],
-        "observed_orders": orders,
-    }
-    exit_code = EXIT_OK
-    if args.m_max > 0:
-        order_ok = min(orders) >= 1.9
-        payload["order_ok"] = order_ok
-        if not order_ok:
-            exit_code = EXIT_VERIFY
-    return json.dumps(payload, indent=2, allow_nan=False), None, exit_code
+def cmd_limit(args) -> tuple[str, None, bool]:
+    from .limits import limit_request
+    return limit_request(args)
 
 
 # ----------------------------------------------------------------- plumbing
@@ -511,8 +235,9 @@ def _parse(argv: Sequence[str]):
     if unrecognized:
         raise UsageError("unrecognized arguments: " + " ".join(unrecognized))
     for f in flags:
-        if f.type is float and values[f.dest] is not None:
-            _require_finite(f.name, values[f.dest])
+        value = values[f.dest]
+        if f.type is float and value is not None and not math.isfinite(value):
+            raise UsageError(f"{f.name} must be finite, got {value}")
     return func, SimpleNamespace(**values)
 
 
@@ -535,9 +260,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 _drop_stdout()
             return EXIT_OK
         func, args = parsed
-        text, svg, code = func(args)
+        text, svg, held = func(args)
         # A command that fails raises before this, so it writes nothing.
-        if args.out:
+        # An empty path is a path that cannot be written.
+        if args.out is not None:
             _write_file(args.out, text + "\n")
         elif not args.quiet:
             sys.stdout.write(text + "\n")
@@ -546,7 +272,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Flush here, so a failed write to stdout (a closed pipe, a full
         # disk) is caught below and not only at interpreter exit.
         sys.stdout.flush()
-        return code
+        return EXIT_OK if held else EXIT_VERIFY
     except OSError as exc:
         # Every file a command opens turns its own OSError into a usage
         # error, so this one is stdout's.

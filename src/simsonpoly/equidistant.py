@@ -122,11 +122,11 @@ def make_equidistant(cfg: EquidistantConfig) -> SimsonPolygonFrame:
     the two feet x0 and x0 + (n - 1) delta.
     """
     s, x0, d, n = cfg.s, cfg.x0, cfg.delta, cfg.n
-    verts = equidistant_chain(s, x0, d, n - 1)
+    verts = [Point(x, y) for x, y in zip(*equidistant_chain(s, x0, d, n - 1))]
     xn = cfg.foot_abscissa(n)
     x1 = cfg.foot_abscissa(1)
-    closing = equidistant_chain(s, x0, (n - 1) * d, 1)[0]
-    verts.append(Point(xn + x1, closing.y))
+    (_,), (closing_y,) = equidistant_chain(s, x0, (n - 1) * d, 1)
+    verts.append(Point(xn + x1, closing_y))
     feet = tuple(Point(cfg.foot_abscissa(i), 0.0) for i in range(1, n + 1))
     return SimsonPolygonFrame(vertices=tuple(verts), projections=feet,
                               simson_point=Point(0.0, s))

@@ -229,8 +229,10 @@ class Parabola(Frozen):
         return (x * x - self.c) / (4.0 * self.s)
 
 
-def equidistant_chain(s: float, x0: float, d: float, m: int) -> list[Point]:
-    """Vertices V_1..V_m of the equidistant Simson polygon (s, x0, d, n).
+def equidistant_chain(s: float, x0: float, d: float,
+                      m: int) -> tuple[list[float], list[float]]:
+    """Abscissae and ordinates of the vertices V_1..V_m of the equidistant
+    Simson polygon (s, x0, d, n).
 
     V_i = (2 x0 + (2i - 1) d, (x0 + (i - 1) d)(x0 + i d) / s) is the meet
     of the perpendiculars at the feet x0 + (i - 1) d and x0 + i d; for
@@ -241,16 +243,16 @@ def equidistant_chain(s: float, x0: float, d: float, m: int) -> list[Point]:
     scaling commutes with rounding, so the bits are the plain formula's
     wherever its values are normal floats, and no product or quotient
     underflows or overflows on the way.  A y beyond the float range
-    raises NonFinite.
+    raises NonFinite; the x values are not checked.
     """
     t, f = math.frexp(s)
     feet = [math.frexp(x0 + i * d) for i in range(m + 1)]
     try:
-        return [Point(2.0 * x0 + (2 * i - 1) * d,
-                      math.ldexp(a * b / t, ea + eb - f))
-                for i, ((a, ea), (b, eb)) in enumerate(zip(feet, feet[1:]), 1)]
+        ys = [math.ldexp(a * b / t, ea + eb - f)
+              for (a, ea), (b, eb) in zip(feet, feet[1:])]
     except OverflowError:
         raise NonFinite("equidistant vertex beyond the float range") from None
+    return [2.0 * x0 + (2 * i - 1) * d for i in range(1, m + 1)], ys
 
 
 def bbox_diagonal(points: Sequence[Point]) -> float:

@@ -25,8 +25,17 @@ The Hausdorff distance is measured where it is attained, in pure Python:
   An arc point is no farther from the chain than from the chord point
   over it, so no arc point is farther than D^2/(16 |s|).  The arc ends
   (+-w, w^2/(4 s)) lie that far from the end vertices, whose segments
-  turn away from them, so they attain it; each is measured exactly
-  against every segment.
+  turn away from them, so they attain it.  Each arc end at x scans the
+  segments from the chain's end nearest it.  Segment i lies at least
+  its x-gap max(x_i - x, x - x_{i+1}) from the arc end, a gap that
+  shrinks towards x and grows past it.  The scan stops once the gap
+  exceeds the least distance found plus ``bound`` of the largest
+  coordinate, a margin far above the rounding of any computed distance
+  (one relative to the least distance would not be, at the precision
+  edge, where the bound is 1e-12 of the coordinates).  So no skipped
+  segment is nearer, exactly or as computed, and the least distance is
+  bitwise that over every segment.  A chain whose abscissae do not
+  strictly increase has every segment measured.
 
 The result is the larger of the two.  For any chain it is a maximum of
 true point-to-set distances and hence a lower bound of the Hausdorff
@@ -36,7 +45,10 @@ builds it is the Hausdorff distance itself.
 
 from __future__ import annotations
 
+import json
 import math
+from itertools import repeat
+from operator import lt
 
 from .kernel import MAX_SEGMENTS, Frozen, GeometryError, NonFinite, \
     Parabola, Point, TooManySegments, UsageError, bound, equidistant_chain, \
@@ -74,6 +86,12 @@ def chain_for_window(s: float, half_width: float, delta: float) -> list[Point]:
     divides w.  The vertices are V_1..V_{n-1} of the equidistant polygon
     (s, x0, d, n = 2w/delta + 2), from its closed form.
     """
+    return [Point(x, y) for x, y in zip(*_window_chain(s, half_width, delta))]
+
+
+def _window_chain(s: float, half_width: float,
+                  delta: float) -> tuple[list[float], list[float]]:
+    """The abscissae and ordinates of ``chain_for_window``'s chain."""
     _require_positive("window", half_width)
     _require_positive("spacing", delta)
     segments = 2.0 * half_width / delta
@@ -148,15 +166,14 @@ def _root_distance(px: float, py: float, par: Parabola,
     return math.hypot(px - x, py - par.y_at(x))
 
 
-def _segment_distance(x: float, y: float,
-                      segment: tuple[float, float, float, float, float]
-                      ) -> float:
-    """Distance from (x, y) to the segment (ax, ay, dx, dy, dx^2 + dy^2)
-    from (ax, ay) to (ax + dx, ay + dy)."""
-    ax, ay, dx, dy, len2 = segment
+def _segment_distance(x: float, y: float, ax: float, ay: float,
+                      bx: float, by: float) -> float:
+    """Distance from (x, y) to the segment from (ax, ay) to (bx, by)."""
+    dx = bx - ax
+    dy = by - ay
     qx = x - ax
     qy = y - ay
-    t = (qx * dx + qy * dy) / len2
+    t = (qx * dx + qy * dy) / (dx * dx + dy * dy)
     if t < 0.0:
         t = 0.0
     elif t > 1.0:
@@ -169,34 +186,36 @@ def _segment_distance(x: float, y: float,
 def hausdorff_chain_parabola(chain: list[Point], par: Parabola,
                              half_width: float) -> float:
     """Hausdorff distance between the chain and the parabola arc over
-    [-w, w]: the larger of the largest vertex distance to the parabola
-    and the larger distance from an arc end to the chain.
-
-    For the chains ``chain_for_window`` builds this is exact.  Their
-    segments lie outside the convex side of C' and touch it, and the
-    distance to a convex set is convex along a segment, so the chain is
-    farthest from C' at a vertex.  Every arc point is within its vertical
-    gap to the chain, at most D^2/(16 |s|), and the arc ends (+-w,
-    w^2/(4 s)) attain that gap, D^2/(16 |s|) from the end vertices.  For
-    any other chain the result is a lower bound: a maximum of true
-    point-to-set distances from some points of one set to the other.
-    """
-    return max(_directed_distances(chain, par, half_width))
+    [-w, w], measured as the module docstring says: exact for the chains
+    ``chain_for_window`` builds, and for any other chain a lower bound,
+    a maximum of true point-to-set distances."""
+    return max(_directed_distances([p.x for p in chain],
+                                   [p.y for p in chain], par, half_width))
 
 
-def _directed_distances(chain: list[Point], par: Parabola,
+def _directed_distances(xs: list[float], ys: list[float], par: Parabola,
                         half_width: float) -> tuple[float, float]:
-    """(chain to parabola, arc to chain): the largest distance from a
-    vertex of the chain to the parabola, one cubic per vertex, and the
-    larger distance from the arc ends (+-w, (w^2 - c)/(4 s)) to the chain,
-    each measured against every segment."""
-    near = max(_parabola_distance(p.x, p.y, par) for p in chain)
-    segments = [(a.x, a.y, b.x - a.x, b.y - a.y,
-                 (b.x - a.x) * (b.x - a.x) + (b.y - a.y) * (b.y - a.y))
-                for a, b in zip(chain, chain[1:])]
-    far = max(min(_segment_distance(x, par.y_at(x), segment)
-                  for segment in segments)
-              for x in (-half_width, half_width))
+    """(chain to parabola, arc to chain) for the chain through (xs, ys):
+    the largest vertex distance to the parabola, one cubic per vertex,
+    and the larger distance from an arc end (+-w, (w^2 - c)/(4 s)) to
+    the chain, with the scan and its stop rule of the module docstring."""
+    near = max(map(_parabola_distance, xs, ys, repeat(par)))
+    ey = par.y_at(half_width)
+    if all(map(lt, xs, xs[1:])):
+        margin = bound(max(-xs[0], xs[-1], half_width, abs(ey),
+                           max(map(abs, ys))))
+    else:
+        margin = math.inf
+    far = 0.0
+    for ex, order in ((-half_width, range(len(xs) - 1)),
+                      (half_width, range(len(xs) - 2, -1, -1))):
+        best = math.inf
+        for i in order:
+            if max(xs[i] - ex, ex - xs[i + 1]) > best + margin:
+                break
+            best = min(best, _segment_distance(ex, ey, xs[i], ys[i],
+                                               xs[i + 1], ys[i + 1]))
+        far = max(far, best)
     return near, far
 
 
@@ -236,8 +255,8 @@ def convergence_table(s: float, half_width: float,
     rows = []
     for m in range(m_max + 1):
         delta = 2.0 ** (-m)
-        chain = chain_for_window(s, half_width, delta)
-        near, far = _directed_distances(chain, target, half_width)
+        near, far = _directed_distances(
+            *_window_chain(s, half_width, delta), target, half_width)
         rows.append(ConvergenceRow(delta=delta, hausdorff=max(near, far),
                                    bound=delta * delta / (16.0 * abs(s)),
                                    chain_to_parabola=near))
@@ -248,3 +267,20 @@ def observed_orders(rows: list[ConvergenceRow]) -> list[float]:
     """log2 ratios of successive Hausdorff distances (one per halving)."""
     return [math.log2(a.hausdorff / b.hausdorff)
             for a, b in zip(rows, rows[1:])]
+
+
+def limit_request(args) -> tuple[str, None, bool]:
+    """The JSON of ``limit``, and whether each observed order is >= 1.9."""
+    rows = convergence_table(args.s, args.window, args.m_max)
+    orders = observed_orders(rows)
+    payload = {
+        "s": args.s, "window": args.window,
+        "rows": [{"delta": r.delta, "hausdorff": r.hausdorff,
+                  "bound": r.bound, "chain_to_parabola": r.chain_to_parabola}
+                 for r in rows],
+        "observed_orders": orders,
+    }
+    order_ok = True
+    if args.m_max > 0:
+        order_ok = payload["order_ok"] = min(orders) >= 1.9
+    return json.dumps(payload, indent=2, allow_nan=False), None, order_ok

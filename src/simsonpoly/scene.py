@@ -9,6 +9,9 @@ written and re-read reproduces identical coordinates.
 Line entities may be given either as coefficients {a, b, c} of
 a*x + b*y + c = 0 or as an equation string such as "y=2x-1", "x=3" or
 "2x-y+0.5=0"; they are normalized to coefficient form on load.
+
+The work of the ``construct`` and ``verify`` commands, which read and
+write scenes, lives here too; ``cli`` imports it when such a command runs.
 """
 
 from __future__ import annotations
@@ -16,10 +19,12 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 
-from .kernel import Circle, GeometryError, Line, NonFinite, Parabola, \
-    Point, UsageError
-from .simson import Polygon
+from .cli import ALL_CHECKS, EQUIDISTANT_CHECKS  # verify's help lists them
+from .kernel import Circle, GeometryError, InvalidConfig, Line, NonFinite, \
+    Parabola, Point, UsageError
+from .simson import Polygon, _search, check_triple, construct_simson_polygon
 
 SCHEMA_VERSION = "1"
 
@@ -236,3 +241,177 @@ def _normalize_entity(entity: dict) -> dict:
 def polygon_from_entity(entity: dict) -> Polygon:
     return Polygon(tuple(Point(float(x), float(y))
                          for x, y in entity["vertices"]))
+
+
+# ----------------------------------------------------------------- commands
+
+def construct_request(args) -> tuple[str, str | None, bool]:
+    """The scene JSON and SVG figure (None without --svg) of ``construct``."""
+    scene = SceneDocument()
+    if args.equidistant:
+        from .equidistant import EquidistantConfig, associated_parabola, \
+            make_equidistant, midpoint_parabola
+
+        for flag, value in (("--s", args.s), ("--delta", args.delta),
+                            ("--n", args.n)):
+            if value is None:
+                raise UsageError(f"--equidistant requires {flag}")
+        cfg = EquidistantConfig(s=args.s, x0=args.x0, delta=args.delta,
+                                n=args.n)
+        poly = make_equidistant(cfg)
+        scene.add_line("L", poly.simson_line)
+        scene.add_parabola("C", associated_parabola(cfg), dash="4 3")
+        scene.add_parabola("Cprime", midpoint_parabola(cfg), dash="2 3",
+                           stroke="#777777")
+        polygon, feet, s = poly.polygon(), poly.projections, poly.simson_point
+    else:
+        for flag, value in (("--feet", args.feet),
+                            ("--simson-point", args.simson_point),
+                            ("--simson-line", args.simson_line)):
+            if value is None:
+                raise UsageError(
+                    f"construct without --equidistant requires {flag}")
+        feet = parse_feet_spec(args.feet)
+        s = parse_point_spec(args.simson_point)
+        line = parse_line_spec(args.simson_line)
+        polygon = construct_simson_polygon(s, line, feet)
+        scene.add_line("L", line)
+    scene.add_polygon("polygon", polygon)
+    for i, foot in enumerate(feet):
+        scene.add_point(f"X{i + 1}", foot, fill="#808080")
+    scene.add_point("S", s, fill="#b03030")
+    # The figure is built first: a scene it cannot draw writes nothing.
+    svg = None
+    if args.svg is not None:
+        from .svgfig import scene_to_svg
+        svg = scene_to_svg(scene)
+    return scene.to_json(), svg, True
+
+
+def _parse_checks(spec: str) -> list[str]:
+    """The checks spec names, each once, in the order a report lists them."""
+    names = [c.strip() for c in spec.split(",") if c.strip()]
+    if not names:
+        raise UsageError("--checks must name at least one check")
+    for name in names:
+        if name != "all" and name not in ALL_CHECKS:
+            raise UsageError(
+                f"unknown check {name!r}; choose from "
+                f"{', '.join(ALL_CHECKS)} or all")
+    return [c for c in ALL_CHECKS if "all" in names or c in names]
+
+
+def _parse_triple(spec: str) -> tuple[int, int, int]:
+    parts = spec.split(",")
+    if len(parts) != 3:
+        raise UsageError("--triple expects three comma-separated side indices")
+    try:
+        i, j, k = (int(p) for p in parts)
+    except ValueError:
+        raise UsageError(f"--triple indices must be integers, got {spec!r}")
+    return i, j, k
+
+
+def _load_polygon(args) -> Polygon:
+    if args.infile is None:
+        raise UsageError("verify requires --in SCENE.json")
+    try:
+        if args.infile == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.infile, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {args.infile}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {args.infile}: {exc}")
+    return SceneDocument.from_json(text).first_polygon()
+
+
+def _perturbed(poly: Polygon, eps: float, seed: int) -> Polygon:
+    """Move each vertex by -eps + 2 * eps * random() in x, then in y."""
+    import random
+
+    # An int seed fixes the random() stream in every Python version.
+    draw = random.Random(seed).random
+    return Polygon(tuple(Point(v.x + (-eps + 2 * eps * draw()),
+                               v.y + (-eps + 2 * eps * draw()))
+                         for v in poly.vertices))
+
+
+def _run_checks(poly: Polygon, checks: list[str],
+                triple: tuple[int, int, int]) -> VerificationReport:
+    """The report of checks, as ``_parse_checks`` lists them, on poly."""
+    from .report import CheckResult, VerificationReport
+
+    report = VerificationReport()
+    _, centred, cert, defect = _search(poly)
+    if cert is None:
+        for name in checks:
+            report.add(CheckResult(
+                name, (), defect, False,
+                note="no common intersection of characterization circles"
+                if name == "simson" else "skipped: no simson point"))
+        return report
+    # The frame layer runs only once a Simson point is found.
+    from .equidistant import equidistant_from_frame, frame_from_certificate, \
+        verify_archimedes, verify_isogonal, verify_lambert, verify_optical, \
+        verify_parallel_chords
+
+    if "simson" in checks:
+        report.add(CheckResult("simson", (), cert.residual, True))
+    frame = frame_from_certificate(centred, cert)
+    report.set_limits(frame.scale())
+    if "isogonal" in checks:
+        report.extend(verify_isogonal(frame))
+    if "lambert" in checks:
+        report.extend(verify_lambert(frame, *triple))
+    wanted = [c for c in checks if c in EQUIDISTANT_CHECKS]
+    if wanted and poly.n == 3:
+        # Every point of a triangle's circumcircle is a Simson point; the
+        # search returns the topmost one, not the point that built it.
+        for name in wanted:
+            report.add(CheckResult(
+                name, (), 0.0, True,
+                note="skipped: a triangle's Simson point is not unique"))
+        return report
+    if wanted:
+        try:
+            eq = equidistant_from_frame(frame)
+        except InvalidConfig as exc:
+            report.add(CheckResult("equidistant-spacing", (), float("inf"),
+                                   False, note=str(exc)))
+            return report
+        if "parallel-chords" in wanted:
+            report.extend(verify_parallel_chords(eq))
+        if "optical" in wanted:
+            report.extend(verify_optical(eq))
+        if "archimedes" in wanted:
+            if eq.n < 5:
+                report.add(CheckResult("archimedes", (), 0.0, True,
+                                       note="skipped: needs n >= 5"))
+            else:
+                report.extend(verify_archimedes(eq))
+    return report
+
+
+def verify_request(args) -> tuple[str, None, bool]:
+    """The report JSON of a ``verify`` request, and whether it passed."""
+    checks = _parse_checks(args.checks)
+    triple = _parse_triple(args.triple)
+    if args.perturb <= 0.0:
+        raise UsageError(f"--perturb must be positive, got {args.perturb}")
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
+    # The noise is drawn from [-perturb, perturb], whose width must be finite.
+    if not math.isfinite(2.0 * args.perturb):
+        raise UsageError(
+            f"--perturb width must be finite, got {2.0 * args.perturb}")
+    poly = _load_polygon(args)
+    if "lambert" in checks:  # judged before a search that may miss
+        check_triple(poly.n, triple)
+    if args.negative_control:
+        poly = _perturbed(poly, args.perturb, args.seed)
+    report = _run_checks(poly, checks, triple)
+    return (json.dumps(report.to_dict(), indent=2, allow_nan=False), None,
+            report.overall)

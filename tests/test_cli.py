@@ -18,10 +18,10 @@ from geomgen import OCTAGON_SCALES, moved_equidistant, regular_polygon, \
     src_env, strict_json
 from judged import ANGLE_FAMILIES, LENGTH_FAMILIES, rule_limit
 from simsonpoly import EquidistantConfig, Point, Polygon, make_equidistant
-from simsonpoly.cli import COMMANDS, _observed, _perturbed, main
+from simsonpoly.cli import COMMANDS, _observed, main
 from simsonpoly.kernel import MAX_SEGMENTS, REL_EPS, GeometryError, \
     UsageError, bound, circumcircle, line_intersection, line_through
-from simsonpoly.scene import SceneDocument
+from simsonpoly.scene import SceneDocument, _perturbed
 from simsonpoly.simson import find_simson_point
 
 OCT_ARGS = ["construct", "--equidistant", "--s", "1", "--delta", "1", "--n", "8"]
@@ -1337,6 +1337,29 @@ def test_unwritable_svg_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, *OCT_ARGS, "--quiet", "--svg", str(tmp_path))
     assert code == 2
     assert err.startswith("error: cannot write")
+
+
+# Each subcommand with each file flag it takes.
+EMPTY_PATHS = [
+    [*OCT_ARGS, "--out="],
+    [*OCT_ARGS, "--quiet", "--svg", ""],
+    ["verify", "--in", "{octagon}", "--out="],
+    ["approx", "--s", "1", "--a", "0", "--b", "4", "--n", "4", "--out", ""],
+    ["approx", "--s", "1", "--a", "0", "--b", "4", "--n", "4", "--quiet",
+     "--svg="],
+    ["limit", "--s", "1", "--out="],
+]
+
+
+@pytest.mark.parametrize("argv", EMPTY_PATHS, ids=lambda a: " ".join(
+    [a[0], *(f for f in a if f.startswith(("--out", "--svg")))]))
+def test_empty_path_cannot_be_written(capsys, tmp_path, argv):
+    # An empty --out or --svg names no file: it cannot be written, as
+    # verify --in "" cannot be read.
+    argv = [a.format(octagon=octagon_scene(tmp_path)) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: cannot write : No such file or directory\n"
 
 
 # ----------------------------------------------------------------- plumbing

@@ -10,10 +10,12 @@ never an absolute count.  Any tracer already set, such as a coverage
 tool's, is restored afterwards.
 
 On Python 3.11 the ratios read, for n = 32 -> 64 -> 128: the search
-1.96 and 1.98 on a hit and on a miss, all checks on a hit 3.02 and
-3.37, make_equidistant 1.90 and 1.95, construct_simson_polygon 1.97
-and 1.99, optimal_knots 1.87 and 1.93, and one convergence_table level
-1.95 and 1.98.
+1.96 and 1.98 on a hit, 1.97 and 1.98 on a miss, all checks on a hit
+2.98 and 3.34, make_equidistant 1.90 and 1.95, construct_simson_polygon
+1.97 and 1.99, optimal_knots 1.86 and 1.93, and one convergence_table
+level 1.83 and 1.91.  A level's cubic per vertex sets its ratio: the
+scan from each arc end stops after a few segments at any n, a constant
+share that keeps the ratio below 2.
 """
 
 import sys
@@ -32,7 +34,8 @@ from simsonpoly import (
     make_equidistant,
     optimal_knots,
 )
-from simsonpoly.cli import ALL_CHECKS, _perturbed, _run_checks
+from simsonpoly.cli import ALL_CHECKS
+from simsonpoly.scene import _perturbed, _run_checks
 
 LINEAR, QUADRATIC = 2.2, 4.4
 SIZES = (32, 64, 128)

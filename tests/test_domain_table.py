@@ -14,12 +14,12 @@ from pathlib import Path
 import pytest
 
 from simsonpoly import cli
-from simsonpoly.approx import ApproxProblem, optimal_knots
+from simsonpoly.approx import ApproxProblem, approx_request, optimal_knots
 from simsonpoly.equidistant import EquidistantConfig, make_equidistant
 from simsonpoly.kernel import GeometryError, UsageError
 from simsonpoly.limits import convergence_table
-from simsonpoly.scene import parse_feet_spec, parse_line_spec, \
-    parse_point_spec
+from simsonpoly.scene import _load_polygon, _parse_triple, \
+    parse_feet_spec, parse_line_spec, parse_point_spec, verify_request
 from simsonpoly.simson import check_triple, construct_simson_polygon
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -71,8 +71,8 @@ def _problem(a):
 
 # The call of each layer the table names, on the parsed request.
 LAYERS = {
-    "cli.cmd_verify": cli.cmd_verify,
-    "cli.cmd_approx": cli.cmd_approx,
+    "scene.verify_request": verify_request,
+    "approx.approx_request": approx_request,
     "EquidistantConfig": _config,
     "make_equidistant": lambda a: make_equidistant(_config(a)),
     "parse_feet_spec": lambda a: parse_feet_spec(a.feet),
@@ -81,7 +81,7 @@ LAYERS = {
         parse_point_spec(a.simson_point), parse_line_spec(a.simson_line),
         parse_feet_spec(a.feet)),
     "simson.check_triple": lambda a: check_triple(
-        cli._load_polygon(a).n, cli._parse_triple(a.triple)),
+        _load_polygon(a).n, _parse_triple(a.triple)),
     "ApproxProblem": _problem,
     "optimal_knots": lambda a: optimal_knots(_problem(a)),
     "convergence_table": lambda a: convergence_table(a.s, a.window, a.m_max),

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -328,6 +329,54 @@ def test_rows_record_the_vertex_maximum():
                 assert near < r.bound
 
 
+def _every_segment(chain, par, w):
+    """(chain to parabola, arc to chain) with every segment measured from
+    each arc end, in the chain's own orientation."""
+    near = max(_parabola_distance(p.x, p.y, par) for p in chain)
+    far = max(min(limits._segment_distance(x, par.y_at(x), a.x, a.y, b.x, b.y)
+                  for a, b in zip(chain, chain[1:]))
+              for x in (-w, w))
+    return near, far
+
+
+def _seeded_studies():
+    # s = +-10^U(-2, 2) for each window and depth, then the precision
+    # edge of test_study_just_above_precision_is_measured.
+    rng = random.Random(51)
+    studies = [(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 2.0),
+                w, m_max)
+               for w in (0.5, 1.5, 2.0, 3.0, 4.0, 8.0) for m_max in range(8)]
+    return studies + [(1e9, 2.0, 2), (-1e8, 4.0, 2), (1e8, 2.0, 4)]
+
+
+@pytest.mark.parametrize("s, w, m_max", _seeded_studies())
+def test_table_keeps_every_bit_of_the_every_segment_route(s, w, m_max):
+    # The scan from each arc end stops early; what it returns must be the
+    # every-segment route's distances, bit for bit.
+    par = Parabola(s, 0.0)
+    for r in convergence_table(s, w, m_max):
+        chain = chain_for_window(s, w, r.delta)
+        near, far = _every_segment(chain, par, w)
+        assert r.chain_to_parabola.hex() == near.hex()
+        assert r.hausdorff.hex() == max(near, far).hex()
+        assert hausdorff_chain_parabola(chain, par, w).hex() == \
+            r.hausdorff.hex()
+
+
+def test_chain_without_increasing_abscissae_is_scanned_whole():
+    # A last vertex back near the left arc end puts the segment nearest
+    # that end last in the scan; a stop on the x-gap would miss it.
+    s, w = 1.0, 2.0
+    par = Parabola(s, 0.0)
+    chain = chain_for_window(s, w, 0.5)
+    folded = chain + [Point(-w, par.y_at(-w) + 1e-3)]
+    near, far = limits._directed_distances(
+        [p.x for p in folded], [p.y for p in folded], par, w)
+    assert (near, far) == _every_segment(folded, par, w)
+    assert far < _every_segment(chain, par, w)[1]
+    assert hausdorff_chain_parabola(folded, par, w) == max(near, far)
+
+
 _U = 2.0 ** -53
 
 
@@ -401,11 +450,12 @@ def test_oversized_chain_is_refused(w, m_max):
 def test_segment_cap_admits_the_studied_range(monkeypatch):
     # The benchmarked grid (windows 2-4, m_max 6-7), window 4 at m_max 8
     # and the cap itself (2 * 4 * 2^11 segments) pass both guards and
-    # reach the first chain, which is stubbed out so nothing is built.
+    # reach the first chain's coordinates, which are stubbed out so
+    # nothing is built.
     def stop(*args):
         raise LookupError
 
-    monkeypatch.setattr(limits, "chain_for_window", stop)
+    monkeypatch.setattr(limits, "_window_chain", stop)
     for w, m_max in [(2.0, 7), (3.0, 7), (4.0, 7), (4.0, 8), (4.0, 11)]:
         with pytest.raises(LookupError):
             convergence_table(1.3, w, m_max)

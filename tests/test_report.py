@@ -18,10 +18,9 @@ from geomgen import moved_equidistant, rigid_motion, src_env, \
     sweep_config, verify_in_process
 from simsonpoly import EquidistantConfig, make_equidistant
 from simsonpoly import equidistant
-from simsonpoly import cli
 from simsonpoly.cli import ALL_CHECKS, main
 from simsonpoly.report import CheckResult, VerificationReport
-from simsonpoly.scene import SceneDocument
+from simsonpoly.scene import SceneDocument, _run_checks
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -314,7 +313,7 @@ def _checks_peak(n):
     poly = make_equidistant(EquidistantConfig(1.3, -2.0, 0.7, n)).polygon()
     tracemalloc.start()
     try:
-        report = cli._run_checks(poly, list(ALL_CHECKS), (1, 2, 3))
+        report = _run_checks(poly, list(ALL_CHECKS), (1, 2, 3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 from geomgen import moved_equidistant, rigid_motion, verify_in_process
 from simsonpoly import EquidistantConfig, Point, Polygon, \
     construct_simson_polygon, make_equidistant
-from simsonpoly.cli import _perturbed
+from simsonpoly.scene import _perturbed
 
 LENGTH_FAMILIES = ("midpoints-aligned", "optical", "archimedes-family",
                    "lambert")

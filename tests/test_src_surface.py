@@ -40,6 +40,8 @@ KEEP = {
 # change that stops wrapping a name does not fail this table.
 UNCALLED_PUBLIC = {
     "line_through": "perfbench/traced.py counts its calls",
+    "chain_for_window": "the limit study's chain as points; "
+                        "convergence_table measures its coordinates",
     "hausdorff_chain_parabola": "perfbench/traced.py spans it",
     "point_to_parabola_distance": "perfbench/traced.py spans it",
     "total_error_objective": "perfbench/traced.py spans it",
@@ -66,7 +68,7 @@ CALLERS = {
                              "canvas.dot(p, ...)"),
     "report.CheckResult.to_dict": ("report", "VerificationReport.to_dict: "
                                    "c.to_dict() for each check"),
-    "report.VerificationReport.to_dict": ("cli", "cmd_verify: "
+    "report.VerificationReport.to_dict": ("scene", "verify_request: "
                                           "report.to_dict()"),
 }
 

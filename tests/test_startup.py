@@ -2,10 +2,11 @@
 
 Every request is pure Python (the negative control's seeded noise and
 the Gauss-Legendre rule included), so none pays for importing numpy.
-The package namespace binds its public names on first access, and the
-CLI imports each layer inside the command that calls it: ``limit``
-loads ``kernel`` and ``limits`` only, and ``approx`` never loads the
-Simson, equidistant or scene modules.  No request loads ``dataclasses``
+The package namespace binds its public names on first access, and each
+command's work lives beside the layer it drives, imported by the CLI
+only when that command runs: ``limit`` loads ``kernel`` and ``limits``
+only, ``approx`` never loads the Simson, equidistant or scene modules,
+and help loads no module but ``cli`` and ``kernel``.  No request loads ``dataclasses``
 or the ``inspect`` module it pulls in, nor ``argparse`` and the
 ``gettext``, ``locale`` and ``textwrap`` modules it uses: the CLI reads
 its own flag table.  ``verify`` loads the equidistant (frame) layer
@@ -99,6 +100,21 @@ def test_request_imports_only_its_layers(tmp_path, octagon, argv, code,
         assert not {"argparse", "gettext", "locale", "textwrap"} & imported
     # Without site, typing is loaded only if the request imports it.
     assert "typing" not in imported
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["limit", "--help"]])
+def test_help_loads_only_the_command_line(argv):
+    # Help reads the flag table alone: no command's work is imported.
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "simsonpoly", *argv],
+        capture_output=True, text=True, env=src_env(), timeout=120)
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: simsonpoly")
+    assert {m for m in imported if m.split(".")[0] == "simsonpoly"} == \
+        {"simsonpoly", "simsonpoly.cli", "simsonpoly.kernel"}
 
 
 def test_only_numeric_requests_load_numpy(tmp_path):
