@@ -238,7 +238,7 @@ def _parse_perturb_knot(spec: str) -> tuple[int, float]:
 def approx_request(args) -> tuple[str, str | None, bool]:
     """The JSON and SVG figure (None without --svg) of ``approx``, and
     whether a --perturb-knot nudge found the knots optimal."""
-    if args.perturb_knot:
+    if args.perturb_knot is not None:
         idx, eps = _parse_perturb_knot(args.perturb_knot)
         if args.n < 2:
             raise UsageError("--perturb-knot needs an interior knot; "
@@ -274,7 +274,7 @@ def approx_request(args) -> tuple[str, str | None, bool]:
         if not all(map(math.isfinite, quadrature.values())):
             raise NonFinite(f"s = {problem.s} on [{problem.a}, {problem.b}] "
                             "leaves the float range in the quadrature")
-    if args.perturb_knot:
+    if args.perturb_knot is not None:
         # Moving the knot by e changes only its two widths, to h1 + e and
         # h2 - e, and their cubes by 3e(h1 + h2)(h1 - h2 + e): no cancelling.
         before, knot, after = result.knots[idx - 1:idx + 2]

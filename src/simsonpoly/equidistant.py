@@ -161,43 +161,41 @@ def verify_parallel_chords(poly: SimsonPolygonFrame) -> VerificationReport:
       (equal x), the middle vertex included when the family has one.
 
     Each family keeps one residual per index sum, chord-tangent the worst
-    angle of its chords.  The vertex coordinates are read once into float
-    lists and scaled once: the chain by one power of two, the tangent
-    abscissae with 2s by another, each bringing its largest magnitude
-    below 1.  That is exact, so every angle and spread keeps the bits it
-    has unscaled wherever its numbers stay normal, and no difference,
-    midpoint or product overflows.  The angles are those of the
-    ``angle_between_lines`` oracle in ``tests/geomgen.py``, operation for
-    operation.  Raises NonFinite when the frame's scale is not finite.
+    angle of its chords.  The chain is read once as halved coordinates,
+    and each chord has one direction angle, atan2 of its halved
+    differences; the tangent at V_m has atan2(x_m / 2, s), which is
+    atan2(x_m, 2s).  A halved difference of finite floats cannot
+    overflow, and atan2 does not depend on scale, so a chord of any
+    length keeps its direction; a chord of length zero has the angle 0.
+    An angle residual is the largest difference from the family's
+    reference angle, folded into [0, pi/2].  Raises NonFinite when the
+    frame's scale is not finite.
     """
     report = VerificationReport()
     limit, angle_limit = report.set_limits(poly.scale())
-    xs = [v.x for v in poly.vertices[:-1]]
-    ys = [v.y for v in poly.vertices[:-1]]
-    two_s = 2.0 * poly.simson_point.y
-    atan2, frexp, ldexp = math.atan2, math.frexp, math.ldexp
-    e = -frexp(max(map(abs, xs + ys)))[1]
-    f = -frexp(max(max(map(abs, xs)), abs(two_s)))[1]
-    txs, ts = [ldexp(x, f) for x in xs], ldexp(two_s, f)
-    xs, ys = [ldexp(x, e) for x in xs], [ldexp(y, e) for y in ys]
+    xs = [0.5 * v.x for v in poly.vertices[:-1]]
+    ys = [0.5 * v.y for v in poly.vertices[:-1]]
+    s = poly.simson_point.y
+    atan2, pi, half_pi = math.atan2, math.pi, 0.5 * math.pi
+
+    def widest(ref, angles):
+        """The largest angle in [0, pi/2] between the lines at ref and at
+        each of angles: pi/2 less the distance of a turn mod pi from pi/2."""
+        return half_pi - min([abs(abs(a - ref) % pi - half_pi)
+                              for a in angles])
+
     par_res, tan_res, mid_res = [], [], []
     # The chords V_i V_j with i + j = sigma and i < j, by increasing i.
     for sigma, i_range in _index_sums(len(xs)):
-        dxs = [xs[sigma - i - 1] - xs[i - 1] for i in i_range]
-        dys = [ys[sigma - i - 1] - ys[i - 1] for i in i_range]
-        coords = [0.5 * (xs[i - 1] + xs[sigma - i - 1]) for i in i_range]
-        if len(dxs) >= 2:
-            ux, uy = dxs[0], dys[0]
-            par_res.append(max(atan2(abs(ux * dy - uy * dx),
-                                     abs(ux * dx + uy * dy))
-                               for dx, dy in zip(dxs[1:], dys[1:])))
+        angles = [atan2(ys[sigma - i - 1] - ys[i - 1],
+                        xs[sigma - i - 1] - xs[i - 1]) for i in i_range]
+        coords = [xs[i - 1] + xs[sigma - i - 1] for i in i_range]
+        if len(angles) >= 2:
+            par_res.append(widest(angles[0], angles[1:]))
         if sigma % 2 == 0:
             # j - i is even: compare with the tangent at V_{sigma/2}.
-            tx = txs[sigma // 2 - 1]
-            tan_res.append(max(atan2(abs(dx * tx - dy * ts),
-                                     abs(dx * ts + dy * tx))
-                               for dx, dy in zip(dxs, dys)))
-            coords.append(xs[sigma // 2 - 1])
+            tan_res.append(widest(atan2(xs[sigma // 2 - 1], s), angles))
+            coords.append(poly.vertices[sigma // 2 - 1].x)
         if len(coords) >= 2:
             mid_res.append(max(coords) - min(coords))
     # The sums with two chords run from 5, the even sums and those with
@@ -205,8 +203,7 @@ def verify_parallel_chords(poly: SimsonPolygonFrame) -> VerificationReport:
     report.judge("parallel-chords", par_res, lambda k: (k + 5,), angle_limit)
     report.judge("chord-tangent", tan_res, lambda k: (2 * k + 4,),
                  angle_limit)
-    report.judge("midpoints-aligned", [ldexp(r, -e) for r in mid_res],
-                 lambda k: (k + 4,), limit)
+    report.judge("midpoints-aligned", mid_res, lambda k: (k + 4,), limit)
     return report
 
 

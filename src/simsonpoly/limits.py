@@ -209,7 +209,8 @@ def _directed_distances(xs: list[float], ys: list[float], par: Parabola,
     far = 0.0
     for ex, order in ((-half_width, range(len(xs) - 1)),
                       (half_width, range(len(xs) - 2, -1, -1))):
-        best = math.inf
+        # A lone vertex has no segment: the chain is that point.
+        best = math.hypot(ex - xs[0], ey - ys[0]) if len(xs) == 1 else math.inf
         for i in order:
             if max(xs[i] - ex, ex - xs[i + 1]) > best + margin:
                 break

@@ -3,7 +3,10 @@
 Each function builds ``Point``/``Line`` objects per pair, exactly as the
 library verifiers once did, and returns one ``(name, indices, residual)``
 row per check in the order the old per-pair report listed them.  The
-library's check families must hold the same residuals, bitwise.  Two row
+library's check families must hold the same residuals, bitwise, but for
+the chord angles: the reference takes atan2 of a cross and a dot
+product, the library the difference of two direction angles, so
+``parallel-chords`` and ``chord-tangent`` agree to a few ulp(pi).  Two row
 names have no report entry of their own: ``tangent-chord``, one chord's
 angle to the tangent, which its index sum's ``chord-tangent`` row
 reduces, and ``archimedes``, one pair's spread.

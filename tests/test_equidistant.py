@@ -3,6 +3,7 @@ import random
 import statistics
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -429,7 +430,9 @@ def test_parallel_chords_scale_a_wide_chain_once():
     assert all(math.isfinite(c.residual) for c in report.checks)
 
 
-def test_parallel_chords_residuals_are_finite_on_wide_coordinates():
+def _wide_frames():
+    """2 000 frames of 5 to 12 vertices, each coordinate and s of either
+    sign and a magnitude from 1e-300 to 1e300."""
     rng = random.Random(7)
 
     def wide():
@@ -437,8 +440,51 @@ def test_parallel_chords_residuals_are_finite_on_wide_coordinates():
 
     for _ in range(2000):
         coords = [(wide(), wide()) for _ in range(rng.randint(5, 12))]
-        report = verify_parallel_chords(_frame(coords, wide()))
+        yield _frame(coords, wide())
+
+
+def test_parallel_chords_residuals_are_finite_on_wide_coordinates():
+    for frame in _wide_frames():
+        report = verify_parallel_chords(frame)
         assert all(math.isfinite(c.residual) for c in report.checks)
+
+
+def _exact_chord_angles(frame):
+    """The parallel-chords and chord-tangent residuals of frame at 60
+    digits: each chord's direction from the differences of its float
+    coordinates, the tangent at V_m as atan2(x_m, 2s), and each angle
+    difference folded into [0, pi/2]."""
+    with mpmath.workdps(60):
+        def widest(ref, angles):
+            turns = [abs(a - ref) % mpmath.pi for a in angles]
+            return max(min(t, mpmath.pi - t) for t in turns)
+
+        chain = [(mpmath.mpf(v.x), mpmath.mpf(v.y))
+                 for v in frame.vertices[:-1]]
+        two_s = 2 * mpmath.mpf(frame.simson_point.y)
+        m = len(chain)
+        par, tan = [], []
+        for sigma in range(3, 2 * m):
+            angles = [mpmath.atan2(chain[sigma - i - 1][1] - chain[i - 1][1],
+                                   chain[sigma - i - 1][0] - chain[i - 1][0])
+                      for i in range(max(1, sigma - m), (sigma - 1) // 2 + 1)]
+            if len(angles) >= 2:
+                par.append(widest(angles[0], angles[1:]))
+            if sigma % 2 == 0:
+                x_m = chain[sigma // 2 - 1][0]
+                tan.append(widest(mpmath.atan2(x_m, two_s), angles))
+        return {"parallel-chords": par, "chord-tangent": tan}
+
+
+def test_chord_angles_match_60_digits_on_wide_coordinates(judged):
+    # Each angle residual is within 1e-15 rad of its exact value, however
+    # far apart the coordinates of a frame lie.
+    for frame in _wide_frames():
+        rows = judged.rows(verify_parallel_chords(frame))
+        for name, exact in _exact_chord_angles(frame).items():
+            got = [r for _, r in rows[name]]
+            assert len(got) == len(exact)
+            assert all(abs(r - e) <= 1e-15 for r, e in zip(got, exact)), name
 
 
 def test_archimedes_alignment_example(judged):

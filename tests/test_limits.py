@@ -377,6 +377,13 @@ def test_chain_without_increasing_abscissae_is_scanned_whole():
     assert hausdorff_chain_parabola(folded, par, w) == max(near, far)
 
 
+def test_one_vertex_chain_is_its_distance_to_the_arc_ends():
+    # With no segment to scan, an arc end (+-2, 1) lies as far from the
+    # chain as from its one vertex, the apex (0, 0): sqrt(5).
+    assert hausdorff_chain_parabola([Point(0, 0)], Parabola(1.0), 2.0) == \
+        math.sqrt(5.0)
+
+
 _U = 2.0 ** -53
 
 

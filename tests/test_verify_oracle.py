@@ -2,7 +2,11 @@
 
 ``scalar_verifiers`` holds the verifiers as they were before they became
 float passes, one ``Point``/``Line`` computation per pair; every
-family's residual list must equal theirs bitwise, in the same order.
+family's residual list must equal theirs, in the same order.  Each
+equals bitwise, except the two chord angle families: the verifier
+subtracts two direction angles where the reference takes atan2 of a
+cross and a dot product, so those agree to CHORD_ANGLE_TOL, 4 ulp(pi):
+two atan2 roundings, their difference and the fold.
 
 ``oracle_optical`` computes the optical residual by another route, for
 any Simson line L: the distance from S to the perpendicular to L at the
@@ -114,11 +118,15 @@ def _frames():
 
 
 EQUIDISTANT_FRAMES, GENERAL_FRAMES = _frames()
+CHORD_ANGLE_TOL = 4 * math.ulp(math.pi)
+CHORD_ANGLE_TOLS = {"parallel-chords": CHORD_ANGLE_TOL,
+                    "chord-tangent": CHORD_ANGLE_TOL}
 
 
-def _assert_matches(judged, report, expected, tol=None):
-    """The report's families hold the expected rows, in order: bitwise,
-    or to within tol when one is given."""
+def _assert_matches(judged, report, expected, tols=None):
+    """The report's families hold the expected rows, in order: to within
+    tols[name] for a family tols names, bitwise for any other."""
+    tols = tols or {}
     got = judged.rows(report)
     assert len(got) == len(report.checks)
     assert [c.count for c in report.checks] == \
@@ -128,15 +136,15 @@ def _assert_matches(judged, report, expected, tol=None):
     for name, rows in want.items():
         assert [idx for idx, _ in got[name]] == [idx for idx, _ in rows]
         for (idx, res), (_, ref) in zip(got[name], rows):
-            if tol is None:
-                assert res == ref, (name, idx)
+            if name in tols:
+                assert abs(res - ref) <= tols[name], (name, idx)
             else:
-                assert abs(res - ref) <= tol, (name, idx)
+                assert res == ref, (name, idx)
 
 
 def _assert_matches_optical_oracle(judged, poly):
     _assert_matches(judged, verify_optical(poly), oracle_optical(poly),
-                    1e-12 * max(1.0, poly.scale()))
+                    {"optical": 1e-12 * max(1.0, poly.scale())})
 
 
 def _lambert_triples(n):
@@ -157,7 +165,8 @@ def test_general_frame_verifiers_match_general_line_oracle(judged, k):
 def test_equidistant_families_match_scalar_verifiers(judged, k):
     poly = EQUIDISTANT_FRAMES[k]
     _assert_matches(judged, verify_parallel_chords(poly),
-                    _families_judged(scalar_parallel_chords(poly)))
+                    _families_judged(scalar_parallel_chords(poly)),
+                    CHORD_ANGLE_TOLS)
     _assert_matches(judged, verify_isogonal(poly), scalar_isogonal(poly))
     _assert_matches(judged, verify_optical(poly), scalar_optical(poly))
     _assert_matches(judged, verify_archimedes(poly),
@@ -264,10 +273,10 @@ def test_archimedes_pairs_are_subsumed_by_their_family(judged, group):
 def test_tangent_chords_are_subsumed_by_their_index_sum(judged, group):
     # chord-tangent keeps one residual per even index sum sigma: the
     # largest angle of the chords V_i V_j, i + j = sigma, to the tangent
-    # at V_{sigma/2}.  Each chord's angle is at most that residual, which
-    # is their maximum bit for bit, and a chord that fails its limit, or
-    # is NaN, leaves the family failing.  So no verdict needs a per-chord
-    # entry.
+    # at V_{sigma/2}.  That residual is the reference's largest chord
+    # angle to within CHORD_ANGLE_TOL, no chord's angle exceeds it by
+    # more, and a chord past its limit by more leaves the family failing.
+    # So no verdict needs a per-chord entry.
     for frame in SUBSUMPTION_FRAMES[group]:
         report = verify_parallel_chords(frame)
         family = dict(judged.rows(report)["chord-tangent"])
@@ -287,18 +296,18 @@ def test_tangent_chords_are_subsumed_by_their_index_sum(judged, group):
         assert sorted(family) == [(sigma,) for sigma in sorted(sums)]
         for sigma, angles in sums.items():
             residual = family[(sigma,)]
-            assert residual.hex() == max(angles).hex(), (group, sigma)
+            assert abs(residual - max(angles)) <= CHORD_ANGLE_TOL, \
+                (group, sigma)
             for angle in angles:
-                assert not angle > residual, (group, sigma)
-                if not angle <= limit:
+                assert not angle > residual + CHORD_ANGLE_TOL, (group, sigma)
+                if not angle <= limit + CHORD_ANGLE_TOL:
                     assert not entry.passed, (group, sigma)
 
 
 # V_2 and V_4 lie 1e-320 apart along x, beside vertices at ±2e8: the chord
 # V_2 V_4 of index sum 6 makes pi/4 with V_1 V_5, above the frame's angle
-# limit of 0.57.  verify_parallel_chords scales the whole chain by one
-# power of two, 2^-28, which sends that chord to (0, 0), whose angle
-# atan2(0, 0) is 0.
+# limit of 0.57.  A chord that much shorter than the chain's largest
+# coordinate must keep its direction, not read as (0, 0).
 _SHORT_CHORD = tuple(Point(x, y) for x, y in (
     (-2e8, -2e8), (1e-320, 0.0), (1e8, 1e8), (0.0, 0.0), (2e8, 2e8),
     (0.0, 1e8)))
@@ -321,10 +330,6 @@ def test_scalar_reference_fails_a_chord_below_the_chain_exponent():
     assert reference == [0.0, math.pi / 4, 0.0]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="verify_parallel_chords' one chain exponent sends "
-                          "a chord shorter than about 2^-1022 of the "
-                          "largest coordinate to zero (FOUND in CHANGES.md)")
 def test_parallel_chords_verdict_on_a_chord_below_the_chain_exponent():
     entry, reference = _short_chord_entry_and_reference()
     assert entry.passed == all(r <= entry.limit for r in reference)
