@@ -250,7 +250,7 @@ def _normal_at(e: CharacterizationElement, p: Point) -> Point:
 
 def characterization_candidate(poly: Polygon,
                                elements: Sequence[CharacterizationElement]
-                               ) -> Point | None:
+                               ) -> Point:
     """The one candidate Simson point, from elements 0 and 1 if they cross.
 
     Elements i and i+1 both pass through V_{i+1}, so they meet again at
@@ -260,7 +260,8 @@ def characterization_candidate(poly: Polygon,
     sine of at most ``bound(1.0)``, as ``line_intersection`` rules,
     gives no point and the next pair is tried.  When none crosses, as
     for a triangle, whose elements are all its circumcircle, element 0's
-    topmost point represents it; None when element 0 is a line.
+    topmost point represents it, or V_1, which elements 0 and 1 share,
+    when element 0 is a line.
     """
     n = len(elements)
     for i in range(n):
@@ -279,7 +280,7 @@ def characterization_candidate(poly: Polygon,
     c = elements[0]
     if isinstance(c, Circle):
         return Point(c.center.x, c.center.y + c.radius)
-    return None
+    return poly.vertex(1)
 
 
 def _search(poly: Polygon) -> tuple[Point, Polygon,
@@ -289,11 +290,11 @@ def _search(poly: Polygon) -> tuple[Point, Polygon,
 
     Returns o, the polygon moved by -o, the certificate of the one
     candidate there if it passes both tests (else None), and the
-    candidate's worst element distance (inf with no candidate); verify
-    builds its frame from the moved polygon and that certificate.  A
-    circle's distance carries rounding in proportion to its radius, so
-    circle element i is judged at ``bound(max(diameter, |cand|, r_i))``
-    and a line element at ``bound(max(diameter, |cand|))``.
+    candidate's worst element distance; verify builds its frame from the
+    moved polygon and that certificate.  A circle's distance carries
+    rounding in proportion to its radius, so circle element i is judged
+    at ``bound(max(diameter, |cand|, r_i))`` and a line element at
+    ``bound(max(diameter, |cand|))``.
     """
     xs = [v.x for v in poly.vertices]
     ys = [v.y for v in poly.vertices]
@@ -302,8 +303,6 @@ def _search(poly: Polygon) -> tuple[Point, Polygon,
     centred = Polygon(v - o for v in poly.vertices)
     elements = characterization_circles(centred)
     cand = characterization_candidate(centred, elements)
-    if cand is None:
-        return o, centred, None, math.inf
     scale = max(centred.diameter(), cand.norm())
     dists = [e.distance(cand) for e in elements]
     worst = max(dists)
@@ -338,9 +337,7 @@ def find_simson_point(poly: Polygon) -> SimsonCertificate | None:
 
 def characterization_defect(poly: Polygon) -> float:
     """The worst element distance of find_simson_point's one candidate:
-    zero up to roundoff when a Simson point exists, inf when there is no
-    candidate (no pair of consecutive elements crosses and element 0 is
-    a line)."""
+    zero up to roundoff when a Simson point exists."""
     return _search(poly)[3]
 
 

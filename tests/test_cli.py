@@ -594,6 +594,26 @@ def test_verify_recognises_the_octagon_at_small_scale(capsys, tmp_path, k):
     assert (code, err) == (0, "")
 
 
+# Every triangle has Simson points (its circumcircle), so verify should
+# recognise a right triangle at any scale that floats represent.
+@pytest.mark.parametrize("verts", [
+    pytest.param([(0, 0), (1e-300, 0), (0, 1e-300)], marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="kernel.join_points' offset c = p.x*q.y - q.x*p.y "
+               "underflows to 0, so verify exits 3: element 1 degenerates "
+               "(ROADMAP item 12(b))")),
+    pytest.param([(0, 0), (1e300, 0), (0, 1e300)], marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="kernel.join_points' offset c = p.x*q.y - q.x*p.y "
+               "overflows to inf, so verify exits 3: non-finite line "
+               "(ROADMAP item 12(b))"))])
+def test_verify_recognises_a_right_triangle_at_extreme_scale(capsys, tmp_path,
+                                                             verts):
+    path = _polygon_scene(tmp_path, verts)
+    code, _, err = run_cli(capsys, "verify", "--in", str(path))
+    assert (code, err) == (0, "")
+
+
 def test_verify_all_collinear_pentagon_through_the_origin_exits_3(capsys,
                                                                   tmp_path):
     # Every side lies on one line through the origin, whose offset is 0:

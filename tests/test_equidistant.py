@@ -46,6 +46,8 @@ def test_config_validation():
         EquidistantConfig(s=1, x0=0, delta=0, n=8)
     with pytest.raises(InvalidConfig):
         EquidistantConfig(s=1, x0=0, delta=-1, n=8)
+    with pytest.raises(InvalidConfig, match="^x0 must be finite, got inf$"):
+        EquidistantConfig(s=1, x0=math.inf, delta=1, n=8)
     with pytest.raises(UsageError, match="^n must be an integer >= 3, got 2$"):
         EquidistantConfig(s=1, x0=0, delta=1, n=2)
 
@@ -53,6 +55,10 @@ def test_config_validation():
 def test_foot_abscissae():
     cfg = EquidistantConfig(s=1, x0=2, delta=0.5, n=5)
     assert [cfg.foot_abscissa(i) for i in (1, 2, 5)] == [2.0, 2.5, 4.0]
+    for i in (0, 6):
+        with pytest.raises(IndexOutOfRange,
+                           match=rf"^foot index {i} outside 1\.\.5$"):
+            cfg.foot_abscissa(i)
 
 
 # ------------------------------------------------------------------ generator

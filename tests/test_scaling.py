@@ -18,8 +18,8 @@ suite, as ``-k`` does, imports ``approx`` and ``limits`` too, and in a
 full run earlier requests have also loaded ``svgfig``.  So
 ``@seed(2801)`` draws other polygons in each, and a new numeric literal
 in any module of the package can change them.  Run alone, the draws
-find a polygon whose verdict the angle limits flip; it is pinned from
-``scaling_case.json``, which holds every number of it.
+once found a polygon whose verdict the angle limits flip; it is pinned
+from ``scaling_case.json``, which holds every number of it.
 """
 
 import json

@@ -8,16 +8,18 @@ from hypothesis import strategies as st
 from geomgen import OCTAGON_SCALES, random_convex_polygon, \
     random_quadrilateral, random_triangle, regular_polygon, rigid_motion, \
     triangle_circles, xy
-from simsonpoly import simson
+from simsonpoly import EquidistantConfig, make_equidistant, simson
 from simsonpoly.kernel import Circle, CoincidentPoints, GeometryError, Line, \
     NonFinite, Point, UsageError, bbox_diagonal, bound, line_intersection, \
     line_through
+from simsonpoly.scene import _perturbed, _run_checks
 from simsonpoly.simson import (
     DegenerateConfiguration,
     PointOnLine,
     Polygon,
     characterization_candidate,
     characterization_circles,
+    characterization_defect,
     construct_simson_polygon,
     find_simson_point,
     is_convex,
@@ -277,6 +279,16 @@ def test_trapezoid_simson_point_is_side_meet():
     assert pairs == {(Line, Circle), (Circle, Line)}
 
 
+def test_candidate_of_uncrossed_line_elements_is_v1():
+    # No pair of consecutive elements crosses and element 0 is a line, so
+    # every pair is skipped at bound(1.0) and the candidate is V_1, which
+    # elements 0 and 1 share.  No polygon is known to build such elements,
+    # so they are handed in.
+    tri = RIGHT_TRIANGLE
+    assert characterization_candidate(tri, [tri.side_line(0)] * 3) == \
+        tri.vertex(1)
+
+
 # ---------------------------------------------------- characterization circles
 
 def test_characterization_of_triangle_is_circumcircle():
@@ -381,6 +393,16 @@ def test_a_miss_searches_once(monkeypatch):
     monkeypatch.setattr(simson, "characterization_circles", counted)
     assert find_simson_point(regular_polygon(5)) is None
     assert len(calls) == 1
+
+
+def test_defect_is_the_residual_verify_reports_for_a_miss():
+    poly = _perturbed(make_equidistant(EquidistantConfig(1.0, -3.5, 1.0, 8)),
+                      1e-3, 1)
+    (entry,) = _run_checks(poly, ["simson"], (1, 2, 3)).checks
+    assert not entry.passed
+    defect = characterization_defect(poly)
+    assert 0.0 < defect < math.inf
+    assert defect.hex() == entry.residual.hex()
 
 
 def test_triangle_candidates_lie_on_circumcircle():
@@ -551,9 +573,13 @@ def test_reflex_pentagon_is_not_convex():
     assert not is_convex(dented)
 
 
+def test_flat_vertex_is_not_convex():
+    flat = Polygon((Point(0, 0), Point(1, 0), Point(2, 0), Point(1, 1)))
+    assert not is_convex(flat)
+
+
 def test_equidistant_octagon_is_not_convex():
     # Simson polygons with n >= 5 cannot be convex
-    from simsonpoly.equidistant import EquidistantConfig, make_equidistant
     poly = make_equidistant(EquidistantConfig(s=1, x0=0, delta=1, n=8))
     assert not is_convex(poly.polygon())
 
