@@ -219,7 +219,7 @@ class Parabola(Frozen):
 
     __slots__ = _fields = ("s", "c")
 
-    def __init__(self, s: float, c: float = 0.0):
+    def __init__(self, s: float, c: float):
         require_height(s)
         if not math.isfinite(c):
             raise InvalidConfig(f"parabola offset must be finite, got {c}")

@@ -62,13 +62,13 @@ class ConvergenceRow(Frozen):
 
     chain_to_parabola is the chain-to-parabola part of hausdorff, the
     largest vertex distance; hausdorff exceeds it when the arc ends
-    attain the distance.  None on a row built without it.
+    attain the distance.
     """
 
     __slots__ = _fields = ("delta", "hausdorff", "bound", "chain_to_parabola")
 
     def __init__(self, delta: float, hausdorff: float, bound: float,
-                 chain_to_parabola: float | None = None):
+                 chain_to_parabola: float):
         self._set(delta, hausdorff, bound, chain_to_parabola)
 
 

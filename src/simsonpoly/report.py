@@ -58,10 +58,8 @@ class VerificationReport(Frozen):
     __slots__ = _fields = ("checks", "tolerances")
     __hash__ = None
 
-    def __init__(self, checks: list[CheckResult] | None = None,
-                 tolerances: dict[str, float] | None = None):
-        self._set([] if checks is None else checks,
-                  {} if tolerances is None else tolerances)
+    def __init__(self):
+        self._set([], {})
 
     @property
     def overall(self) -> bool:

@@ -106,12 +106,10 @@ def parse_feet_spec(text: str) -> list[Point]:
 class SceneDocument:
     """Ordered collection of uniquely identified scene entities."""
 
-    def __init__(self, entities: list[dict] | None = None):
+    def __init__(self):
         self.entities: list[dict] = []
         # The ids of self.entities, so an insert checks uniqueness in O(1).
         self._ids: set[str] = set()
-        for e in entities or []:
-            self._insert(e)
 
     def _insert(self, entity: dict, style: dict | None = None) -> None:
         """Append entity, with style as its last key when one is given."""

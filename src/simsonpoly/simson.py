@@ -251,36 +251,29 @@ def _normal_at(e: CharacterizationElement, p: Point) -> Point:
 def characterization_candidate(poly: Polygon,
                                elements: Sequence[CharacterizationElement]
                                ) -> Point:
-    """The one candidate Simson point, from elements 0 and 1 if they cross.
+    """The one candidate Simson point: the second meet of elements 0 and 1.
 
-    Elements i and i+1 both pass through V_{i+1}, so they meet again at
-    its mirror image in their line of centres; a line element counts as
-    a circle centred at infinity along its normal, and two lines meet
-    only at V_{i+1}.  A pair whose unit normals at V_{i+1} cross at a
-    sine of at most ``bound(1.0)``, as ``line_intersection`` rules,
-    gives no point and the next pair is tried.  When none crosses, as
-    for a triangle, whose elements are all its circumcircle, element 0's
-    topmost point represents it, or V_1, which elements 0 and 1 share,
-    when element 0 is a line.
+    Both pass through V_1 and through the Miquel point of side lines
+    n-1, 0, 1 and 2, so the candidate is the mirror image of V_1 in
+    their line of centres; a line element counts as a circle centred at
+    infinity along its normal, and two lines meet only at V_1.  Normals
+    at V_1 that cross at a sine of at most ``bound(1.0)``, as
+    ``line_intersection`` rules, give no point: as for a triangle, whose
+    elements are all its circumcircle, element 0's topmost point
+    represents the candidate, or V_1 when element 0 is a line.
     """
-    n = len(elements)
-    for i in range(n):
-        e1, e2 = elements[i], elements[(i + 1) % n]
-        p = poly.vertex(i + 1)
-        n1, n2 = _normal_at(e1, p), _normal_at(e2, p)
-        if abs(n1.cross(n2)) <= bound(1.0):
-            continue
-        if isinstance(e1, Circle) and isinstance(e2, Circle):
-            return _second_meet(p, e1.center, e2.center - e1.center)
-        if isinstance(e1, Circle):
-            return _second_meet(p, e1.center, n2)
-        if isinstance(e2, Circle):
-            return _second_meet(p, e2.center, n1)
-        return p
-    c = elements[0]
-    if isinstance(c, Circle):
+    c, e = elements[0], elements[1]
+    p = poly.vertex(1)
+    if abs(_normal_at(c, p).cross(_normal_at(e, p))) > bound(1.0):
+        if isinstance(c, Line):
+            c, e = e, c
+        if isinstance(c, Circle):
+            d = e.center - c.center if isinstance(e, Circle) else \
+                _normal_at(e, p)
+            return _second_meet(p, c.center, d)
+    elif isinstance(c, Circle):
         return Point(c.center.x, c.center.y + c.radius)
-    return poly.vertex(1)
+    return p
 
 
 def _search(poly: Polygon) -> tuple[Point, Polygon,
@@ -289,12 +282,13 @@ def _search(poly: Polygon) -> tuple[Point, Polygon,
     offsets and circle centres do not cancel.
 
     Returns o, the polygon moved by -o, the certificate of the one
-    candidate there if it passes both tests (else None), and the
-    candidate's worst element distance; verify builds its frame from the
-    moved polygon and that certificate.  A circle's distance carries
-    rounding in proportion to its radius, so circle element i is judged
-    at ``bound(max(diameter, |cand|, r_i))`` and a line element at
-    ``bound(max(diameter, |cand|))``.
+    candidate there, the second meet of elements 0 and 1 (see
+    characterization_candidate), if it passes both tests (else None),
+    and the candidate's worst element distance; verify builds its frame
+    from the moved polygon and that certificate.  A circle's distance
+    carries rounding in proportion to its radius, so circle element i is
+    judged at ``bound(max(diameter, |cand|, r_i))`` and a line element
+    at ``bound(max(diameter, |cand|))``.
     """
     xs = [v.x for v in poly.vertices]
     ys = [v.y for v in poly.vertices]

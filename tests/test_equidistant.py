@@ -218,7 +218,7 @@ def test_parabola_and_invalid_config_are_the_kernel_types():
     assert InvalidConfig is kernel.InvalidConfig
     with pytest.raises(InvalidConfig,
                        match="^s must be nonzero and finite, got 0.0$"):
-        Parabola(0.0)
+        Parabola(0.0, 0.0)
 
 
 def test_delta_to_zero_limit_is_midpoint_parabola():

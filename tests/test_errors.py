@@ -133,7 +133,7 @@ def test_readme_errors_table_matches_src():
 
 @pytest.mark.parametrize("s", [0.0, math.inf, math.nan])
 @pytest.mark.parametrize("build", [
-    Parabola,
+    lambda s: Parabola(s, 0.0),
     lambda s: ApproxProblem(s=s, delta=0.0, a=0.0, b=1.0, n=1),
     lambda s: EquidistantConfig(s=s, x0=0.0, delta=1.0, n=8),
     lambda s: chain_for_window(s, 4.0, 1.0),

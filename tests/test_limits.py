@@ -179,8 +179,9 @@ def test_segment_cap_is_the_kernel_class():
 
 
 def test_rows_are_value_objects():
-    row = ConvergenceRow(delta=0.5, hausdorff=0.015625, bound=0.015625)
-    assert row == ConvergenceRow(0.5, 0.015625, 0.015625, None)
+    row = ConvergenceRow(delta=0.5, hausdorff=0.015625, bound=0.015625,
+                         chain_to_parabola=0.015625)
+    assert row == ConvergenceRow(0.5, 0.015625, 0.015625, 0.015625)
     assert row.hausdorff / row.bound == pytest.approx(1.0)
 
 
@@ -320,7 +321,8 @@ def test_rows_record_the_vertex_maximum():
     for w, apex in [(4.0, True), (1.5, False)]:
         for r in convergence_table(s, w, 3):
             chain = chain_for_window(s, w, r.delta)
-            near = max(_parabola_distance(p.x, p.y, Parabola(s)) for p in chain)
+            near = max(_parabola_distance(p.x, p.y, Parabola(s, 0.0))
+                       for p in chain)
             assert r.chain_to_parabola == near
             assert r.chain_to_parabola <= r.hausdorff
             if apex or r.delta < 1.0:
@@ -380,8 +382,8 @@ def test_chain_without_increasing_abscissae_is_scanned_whole():
 def test_one_vertex_chain_is_its_distance_to_the_arc_ends():
     # With no segment to scan, an arc end (+-2, 1) lies as far from the
     # chain as from its one vertex, the apex (0, 0): sqrt(5).
-    assert hausdorff_chain_parabola([Point(0, 0)], Parabola(1.0), 2.0) == \
-        math.sqrt(5.0)
+    assert hausdorff_chain_parabola([Point(0, 0)], Parabola(1.0, 0.0),
+                                    2.0) == math.sqrt(5.0)
 
 
 _U = 2.0 ** -53

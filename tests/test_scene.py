@@ -141,9 +141,11 @@ def test_round_trip_preserves_awkward_floats():
 
 
 def test_document_writes_only_strict_json():
-    # Infinity is not JSON, and the reader refuses it (ROADMAP item 20).
-    scene = SceneDocument([{"type": "polygon", "id": "polygon",
-                            "vertices": [[0.0, 0.0], [math.inf, 1.0]]}])
+    # Every document the CLI writes is strict JSON: Infinity is not JSON,
+    # and the reader refuses it.
+    scene = SceneDocument()
+    scene.entities.append({"type": "polygon", "id": "polygon",
+                           "vertices": [[0.0, 0.0], [math.inf, 1.0]]})
     with pytest.raises(ValueError, match="not JSON compliant"):
         scene.to_json()
 
@@ -180,20 +182,23 @@ def test_scene_build_compares_ids_linearly(monkeypatch, n):
     scene = SceneDocument()
     for i in range(n):
         scene.add_point(_CountedId(f"X{i}"), Point(i, 0))
-    copy = SceneDocument(scene.entities)
-    assert len(copy.entities) == n
+    assert len(scene.entities) == n
     assert _CountedId.comparisons <= n
-    assert copy.entities[7] is scene.entities[7]
+
+
+def _scene_of(*entities: dict) -> SceneDocument:
+    return SceneDocument.from_json(json.dumps(
+        {"schema_version": "1", "entities": list(entities)}))
 
 
 def test_unknown_type_rejected():
     with pytest.raises(SceneFormatError):
-        SceneDocument([{"type": "spline", "id": "z"}])
+        _scene_of({"type": "spline", "id": "z"})
 
 
 def test_missing_id_rejected():
     with pytest.raises(SceneFormatError):
-        SceneDocument([{"type": "point", "x": 0, "y": 0}])
+        _scene_of({"type": "point", "x": 0, "y": 0})
 
 
 def test_find_and_of_type():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -287,6 +288,40 @@ def test_candidate_of_uncrossed_line_elements_is_v1():
     tri = RIGHT_TRIANGLE
     assert characterization_candidate(tri, [tri.side_line(0)] * 3) == \
         tri.vertex(1)
+
+
+def _drawn_simson_polygons(rng, n):
+    """A moved equidistant polygon and a polygon built on jittered feet,
+    from the ranges of the benchmark's verify-sweep draw."""
+    cfg = EquidistantConfig(s=rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0),
+                            x0=rng.uniform(-3.0, 3.0),
+                            delta=rng.uniform(0.25, 1.5), n=n)
+    move, x_axis = rigid_motion(rng.uniform(0.0, 2.0 * math.pi),
+                                (rng.uniform(-10.0, 10.0),
+                                 rng.uniform(-10.0, 10.0)))
+    moved = Polygon(tuple(move(v.x, v.y)
+                          for v in make_equidistant(cfg).vertices))
+    feet = [move(cfg.x0 + (i + rng.uniform(-0.25, 0.25)) * cfg.delta, 0.0)
+            for i in range(n)]
+    return moved, construct_simson_polygon(move(0.0, cfg.s), x_axis, feet)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 32, 128])
+def test_elements_0_and_1_cross_at_v1(n):
+    # The candidate is read from elements 0 and 1 alone: at V_1, which
+    # both pass through, their unit normals cross by more than bound(1.0)
+    # on every polygon the package builds and on its negative control.
+    rng = random.Random(54)
+    for _ in range(80):
+        for poly in _drawn_simson_polygons(rng, n):
+            control = _perturbed(poly, 1e-3 * poly.diameter(),
+                                 rng.randrange(2**31))
+            for case in (poly, control):
+                centred = simson._search(case)[1]
+                e0, e1 = characterization_circles(centred)[:2]
+                v1 = centred.vertex(1)
+                assert abs(simson._normal_at(e0, v1).cross(
+                    simson._normal_at(e1, v1))) > bound(1.0)
 
 
 # ---------------------------------------------------- characterization circles

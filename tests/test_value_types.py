@@ -66,9 +66,10 @@ CASES = [
      "note='', limit=None, count=1)"),
     (VerificationReport, dict(checks=[CHECK], tolerances={"scale": 2.0}),
      f"VerificationReport(checks=[{CHECK!r}], tolerances={{'scale': 2.0}})"),
-    (ConvergenceRow, dict(delta=0.5, hausdorff=0.125, bound=0.125),
+    (ConvergenceRow, dict(delta=0.5, hausdorff=0.125, bound=0.125,
+                          chain_to_parabola=0.0625),
      "ConvergenceRow(delta=0.5, hausdorff=0.125, bound=0.125, "
-     "chain_to_parabola=None)"),
+     "chain_to_parabola=0.0625)"),
     (ApproxProblem, dict(s=1.0, delta=0.0, a=0.0, b=4.0, n=4),
      "ApproxProblem(s=1.0, delta=0.0, a=0.0, b=4.0, n=4)"),
     (ApproxResult, dict(knots=(0.0, 1.0), knot_points=((0.0, 0.0),
@@ -79,14 +80,25 @@ CASES = [
 ]
 
 
+def _report(checks, tolerances):
+    """A report built as the verifiers build one: through add and
+    set_limits."""
+    report = VerificationReport()
+    for check in checks:
+        report.add(check)
+    report.set_limits(tolerances["scale"])
+    return report
+
+
 @pytest.mark.parametrize("cls, kwargs, text", CASES,
                          ids=[f"{c.__name__}-{i}" for i, (c, _, _)
                               in enumerate(CASES)])
 def test_value_type_contract(cls, kwargs, text):
-    value = cls(**kwargs)
+    make = _report if cls is VerificationReport else cls
+    value = make(**kwargs)
     assert repr(value) == text
     # Positional and keyword construction agree; equality is by value.
-    twin = cls(*kwargs.values())
+    twin = make(*kwargs.values())
     assert value == twin and not value != twin and value is not twin
     assert value.__eq__(object()) is NotImplemented
     if cls is VerificationReport:
@@ -135,11 +147,9 @@ def test_copies_skip_the_constructor():
 
 
 def test_defaults():
-    assert Parabola(2.0) == Parabola(s=2.0, c=0.0)
     check = CheckResult("x", (1, 2), 0.5, True)
     assert (check.note, check.limit, check.count) == ("", None, 1)
     assert CheckResult("x", (2,), 0.5, True, count=2).count == 2
-    assert ConvergenceRow(0.5, 0.1, 0.1).chain_to_parabola is None
     report, other = VerificationReport(), VerificationReport()
     assert (report.checks, report.tolerances) == ([], {})
     report.add(CHECK)
@@ -155,7 +165,7 @@ def test_defaults():
     (lambda: Circle(P0, 0.0), ValueError,
      "circle radius must be positive, got 0.0"),
     (lambda: Circle(P0, math.inf), NonFinite, "non-finite circle radius inf"),
-    (lambda: Parabola(0.0), InvalidConfig,
+    (lambda: Parabola(0.0, 0.0), InvalidConfig,
      "s must be nonzero and finite, got 0.0"),
     (lambda: Parabola(1.0, math.nan), InvalidConfig,
      "parabola offset must be finite, got nan"),
